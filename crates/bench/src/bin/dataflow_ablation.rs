@@ -10,11 +10,10 @@
 //!
 //! Shares the sweep CLI: `--json` / `--resume` checkpointing, and
 //! `--shards N` / `--shard i/N` / `--merge <shard.jsonl>...` for
-//! supervised multi-process execution. `--prune` is accepted but inert
-//! (the dataflow axis has no insensitivity rule — both dataflows always
-//! simulate). `--trace <path>` re-runs one representative shape per
-//! dataflow with a buffered tracer (WS on pid lane 0, OS on lane 1) and
-//! exports the combined Chrome `trace_event` JSON.
+//! supervised multi-process execution. `--trace <path>` re-runs one
+//! representative shape per dataflow with a buffered tracer (WS on pid
+//! lane 0, OS on lane 1) and exports the combined Chrome `trace_event`
+//! JSON.
 //!
 //! Robustness flags (shared by every sweep binary): `--watchdog <secs>`
 //! has the `--shards` supervisor kill and retry a worker whose heartbeat

@@ -5,10 +5,9 @@
 //!
 //! Shares the sweep CLI: `--json` / `--resume` checkpointing, and
 //! `--shards N` / `--shard i/N` / `--merge <shard.jsonl>...` for
-//! supervised multi-process execution. `--prune` is accepted but inert
-//! (no axis-insensitivity rule covers a network sweep). `--trace <path>`
-//! exports a Chrome `trace_event` JSON of the ResNet-style workload on
-//! the edge configuration.
+//! supervised multi-process execution. `--trace <path>` exports a Chrome
+//! `trace_event` JSON of the ResNet-style workload on the edge
+//! configuration.
 //!
 //! Robustness flags (shared by every sweep binary): `--watchdog <secs>`
 //! has the `--shards` supervisor kill and retry a worker whose heartbeat

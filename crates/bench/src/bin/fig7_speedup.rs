@@ -14,10 +14,7 @@
 //! file; `--shards N` / `--shard i/N` / `--merge <shard.jsonl>...` run
 //! the sweep as supervised multi-process shards; `--trace <path>` writes
 //! a Chrome `trace_event` JSON timeline of the first design point.
-//! `--prune` is accepted but inert: this grid sweeps hosts and
-//! accelerator variants, for which no axis-insensitivity rule exists, so
-//! every point always runs. `tests/golden_figures.rs` guards the
-//! quick-mode numbers.
+//! `tests/golden_figures.rs` guards the quick-mode numbers.
 //!
 //! Robustness flags (shared by every sweep binary): `--watchdog <secs>`
 //! has the `--shards` supervisor kill and retry a worker whose heartbeat

@@ -18,12 +18,7 @@
 //! workers are retried from their shard checkpoints); `--shard i/N` runs
 //! one worker's slice; `--merge <shard.jsonl>...` stitches existing shard
 //! checkpoints without simulating. `--trace <path>` writes a Chrome
-//! `trace_event` timeline of the first design point. `--prune` activates
-//! attribution-guided pruning along the TLB axis (see
-//! [`gemmini_bench::figures::fig8_prune_policy`]): shared-L2-TLB settings
-//! whose `shared=0` basis is provably insensitive to the axis are skipped
-//! and their reports predicted from the basis, with the evidence recorded
-//! in the checkpoint.
+//! `trace_event` timeline of the first design point.
 //!
 //! Robustness flags (shared by every sweep binary): `--watchdog <secs>`
 //! has the `--shards` supervisor kill and retry a worker whose heartbeat
@@ -33,10 +28,8 @@
 //! <schedule>` arms the deterministic fault-injection registry
 //! ([`gemmini_soc::fault`]) for chaos testing.
 
-use gemmini_bench::figures::{
-    fig8_grid, fig8_points, fig8_prune_policy, FIG8_PRIVATES, FIG8_SHAREDS,
-};
-use gemmini_bench::{export_trace_run, resnet_workload, section, sharded_sweep_with, trace_path};
+use gemmini_bench::figures::{fig8_grid, fig8_points, FIG8_PRIVATES, FIG8_SHAREDS};
+use gemmini_bench::{export_trace_run, resnet_workload, section, sharded_sweep, trace_path};
 use gemmini_soc::sweep::merge_memory_stats;
 
 struct Point {
@@ -57,7 +50,7 @@ fn main() {
     let sweep = fig8_points(&net);
 
     let trace_point = trace_path().map(|path| (path, sweep[0].clone()));
-    let Some(results) = sharded_sweep_with(sweep, Some(fig8_prune_policy())) else {
+    let Some(results) = sharded_sweep(sweep) else {
         return; // shard worker: the checkpoint file is the output
     };
     if let Some((path, point)) = trace_point {

@@ -12,11 +12,7 @@
 //!
 //! Shares the sweep CLI: `--json` / `--resume` checkpointing, and
 //! `--shards N` / `--shard i/N` / `--merge <shard.jsonl>...` for
-//! supervised multi-process execution. `--prune` attaches the
-//! memory-partition axis rule per core count (basis: Base); since the
-//! whole point of this figure is that repartitioning moves DRAM and L2
-//! behaviour, the rule should (correctly) refuse to prune anything — the
-//! flag here demonstrates the soundness gate, not a speedup.
+//! supervised multi-process execution.
 //!
 //! Robustness flags (shared by every sweep binary): `--watchdog <secs>`
 //! has the `--shards` supervisor kill and retry a worker whose heartbeat
@@ -26,12 +22,10 @@
 //! <schedule>` arms the deterministic fault-injection registry
 //! ([`gemmini_soc::fault`]) for chaos testing.
 
-use gemmini_bench::{export_trace_run, resnet_workload, section, sharded_sweep_with, trace_path};
+use gemmini_bench::{export_trace_run, resnet_workload, section, sharded_sweep, trace_path};
 use gemmini_dnn::graph::LayerClass;
-use gemmini_mem::stats::SweepAxis;
 use gemmini_soc::run::SocReport;
 use gemmini_soc::sweep::{merge_memory_stats, DesignPoint};
-use gemmini_soc::PrunePolicy;
 use gemmini_soc::SocConfig;
 
 struct Outcome {
@@ -78,15 +72,8 @@ fn main() {
             DesignPoint::timing(format!("{name} x{cores}"), make(cores), &net)
         })
         .collect::<Vec<_>>();
-    let mut policy = PrunePolicy::new(SweepAxis::MemoryPartition, 0.05);
-    for cores in [1usize, 2] {
-        policy = policy.group(
-            format!("Base x{cores}"),
-            ["BigSP", "BigL2"].map(|name| format!("{name} x{cores}")),
-        );
-    }
     let trace_point = trace_path().map(|path| (path, sweep[0].clone()));
-    let Some(results) = sharded_sweep_with(sweep, Some(policy)) else {
+    let Some(results) = sharded_sweep(sweep) else {
         return; // shard worker: the checkpoint file is the output
     };
     if let Some((path, point)) = trace_point {

@@ -180,75 +180,6 @@ pub fn fig8_points(net: &Network) -> Vec<DesignPoint> {
         .collect()
 }
 
-/// The Fig. 8 prune policy: the grid's swept axis is TLB sizing, so the
-/// groups hold the four shared-L2-TLB settings of each
-/// `(private, filters)` pair, based on the `shared=0` point — the most
-/// TLB-starved setting along the axis, where the tlb-stall share is
-/// largest. If even that point's dominant bucket is out of the axis's
-/// reach (and its tlb-stall share is within tolerance), growing the
-/// shared TLB cannot move the group, and the other three settings are
-/// skipped. 24 of the 32 grid points are members, so a fully
-/// compute-bound workload prunes 75% of the grid.
-pub fn fig8_prune_policy() -> gemmini_soc::PrunePolicy {
-    use gemmini_mem::stats::SweepAxis;
-    let label = |p: u32, s: u32, filters: bool| format!("private={p} shared={s} filters={filters}");
-    let mut policy = gemmini_soc::PrunePolicy::new(SweepAxis::TlbEntries, 0.05);
-    for &filters in &[false, true] {
-        for &p in &FIG8_PRIVATES {
-            let basis = label(p, FIG8_SHAREDS[0], filters);
-            let members = FIG8_SHAREDS[1..]
-                .iter()
-                .map(|&s| label(p, s, filters))
-                .collect::<Vec<_>>();
-            policy = policy.group(basis, members);
-        }
-    }
-    policy
-}
-
-/// The Fig. 8 prune decision set as JSON: for every grid point (in
-/// submission order) whether it was pruned, and for pruned points the
-/// recorded evidence. The golden tests pin the quick-mode decisions so a
-/// policy or attribution drift cannot silently change which points get
-/// simulated.
-///
-/// # Panics
-///
-/// Panics if `results` does not hold one successful result per
-/// [`fig8_grid`] point in submission order.
-pub fn fig8_prune_json(results: &[SweepResult<SocReport>]) -> Json {
-    assert_eq!(results.len(), fig8_grid().len());
-    let summary = gemmini_soc::prune::summarize(results);
-    Json::obj([
-        ("figure", Json::from("fig8_prune_decisions")),
-        ("summary", summary.to_json()),
-        (
-            "points",
-            Json::Arr(
-                results
-                    .iter()
-                    .map(|r| {
-                        let mut fields = vec![
-                            ("label", Json::from(r.label.clone())),
-                            ("pruned", Json::from(r.pruned.is_some())),
-                            (
-                                "total_cycles",
-                                Json::from(r.expect_ok().cores[0].total_cycles),
-                            ),
-                        ];
-                        if let Some(ev) = &r.pruned {
-                            fields.push(("basis", Json::from(ev.basis_label.clone())));
-                            fields.push(("dominant", ev.dominant.to_json()));
-                            fields.push(("rule", Json::from(ev.rule())));
-                        }
-                        Json::obj(fields)
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
 /// The four Fig. 7 accelerator variants per network:
 /// (label, host CPU, im2col on the accelerator).
 pub const FIG7_VARIANTS: [(&str, CpuKind, bool); 4] = [

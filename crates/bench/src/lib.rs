@@ -16,7 +16,6 @@ use gemmini_core::trace::{export_chrome_trace, Tracer};
 use gemmini_core::AccelError;
 use gemmini_dnn::graph::{Activation, Layer, Network, PoolKind};
 use gemmini_mem::json::{FromJson, Json, ToJson};
-use gemmini_soc::prune::{summarize, Attributed, PrunePolicy};
 use gemmini_soc::run::{
     run_networks, run_networks_metered, run_networks_traced, RunOptions, SocReport,
 };
@@ -86,16 +85,6 @@ pub fn json_path() -> Option<PathBuf> {
 /// `--json` checkpoint file).
 pub fn resume_flag() -> bool {
     std::env::args().any(|a| a == "--resume")
-}
-
-/// Whether attribution-guided pruning was requested: the last of
-/// `--prune` / `--no-prune` on the command line wins, and the default is
-/// off — pruning must always be an explicit opt-in because it replaces
-/// simulations with predictions.
-pub fn prune_flag() -> bool {
-    std::env::args()
-        .rfind(|a| a == "--prune" || a == "--no-prune")
-        .is_some_and(|a| a == "--prune")
 }
 
 /// The `--trace <path>` argument: where to write a Chrome `trace_event`
@@ -199,38 +188,27 @@ pub fn export_trace_run(path: &Path, label: &str, config: &SocConfig, nets: &[Ne
 }
 
 /// Sweep options resolved from the shared CLI conventions: `--json`
-/// wires the checkpoint path, `--resume` enables skip-completed mode.
+/// wires the checkpoint path, `--resume` enables skip-completed mode,
+/// `--status`/`--metrics` the telemetry files, and `--point-timeout` /
+/// `--watchdog` the robustness budgets.
+///
+/// `--faults <schedule>` is exported as `GEMMINI_FAULTS` so shard worker
+/// children inherit it. The schedule — from the flag or an inherited
+/// environment — is parsed here, and one that does not parse exits the
+/// process with status `2` before any point runs: a typo'd schedule must
+/// not quietly run fault-free and test nothing.
 pub fn sweep_cli_options() -> SweepOptions {
-    sweep_cli_options_with(None)
-}
-
-/// [`sweep_cli_options`] plus this sweep's prune policy: `--prune`
-/// activates `policy` (and warns when the binary has no
-/// axis-insensitivity rule for its grid, in which case every point still
-/// runs); `--no-prune`, or neither flag, leaves pruning off.
-pub fn sweep_cli_options_with(policy: Option<PrunePolicy>) -> SweepOptions {
     let checkpoint = json_path();
     let resume = resume_flag();
     if resume && checkpoint.is_none() {
         eprintln!("warning: --resume has no effect without --json <path>");
     }
-    let prune = if prune_flag() {
-        if policy.is_none() {
-            eprintln!(
-                "warning: --prune: no axis-insensitivity rule for this sweep's grid; \
-                 running every point"
-            );
-        }
-        policy
-    } else {
-        None
-    };
     if let Some(schedule) = arg_value("--faults") {
-        // Set the schedule in our environment so shard worker children
-        // inherit it, and arm eagerly so a typo'd schedule is reported
-        // before the sweep starts rather than silently ignored mid-run.
         std::env::set_var(gemmini_soc::fault::FAULTS_ENV, &schedule);
-        gemmini_soc::fault::arm();
+    }
+    if let Err(msg) = gemmini_soc::fault::arm() {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
     }
     let watchdog = watchdog_flag();
     let mut status = status_path();
@@ -253,7 +231,6 @@ pub fn sweep_cli_options_with(policy: Option<PrunePolicy>) -> SweepOptions {
     SweepOptions {
         checkpoint,
         resume,
-        prune,
         metrics: cli_metrics(),
         status,
         prometheus: metrics_path(),
@@ -327,24 +304,7 @@ pub fn shard_child_command(spec: ShardSpec) -> Command {
 pub fn sharded_sweep_map<I, T, F>(items: Vec<(String, u64, I)>, f: F) -> Option<Vec<SweepResult<T>>>
 where
     I: Send,
-    T: ToJson + FromJson + Clone + Attributed + Send,
-    F: Fn(I) -> Result<T, AccelError> + Sync,
-{
-    sharded_sweep_map_with(items, None, f)
-}
-
-/// [`sharded_sweep_map`] plus the sweep's prune policy (activated only
-/// under `--prune`, see [`sweep_cli_options_with`]). When results come
-/// back from a merge or a supervised run, a prune summary is printed
-/// from the stitched entries, mirroring the in-process executor's line.
-pub fn sharded_sweep_map_with<I, T, F>(
-    items: Vec<(String, u64, I)>,
-    policy: Option<PrunePolicy>,
-    f: F,
-) -> Option<Vec<SweepResult<T>>>
-where
-    I: Send,
-    T: ToJson + FromJson + Clone + Attributed + Send,
+    T: ToJson + FromJson + Send,
     F: Fn(I) -> Result<T, AccelError> + Sync,
 {
     let cli = match ShardCli::from_args(std::env::args().skip(1)) {
@@ -354,20 +314,8 @@ where
             std::process::exit(2);
         }
     };
-    let opts = sweep_cli_options_with(policy);
-    let prune_active = opts.prune.is_some();
-    let stitched = cli.supervise.is_some() || !cli.merge.is_empty();
-    match run_sharded(items, &cli, opts, shard_child_command, f) {
+    match run_sharded(items, &cli, sweep_cli_options(), shard_child_command, f) {
         Ok(results) => {
-            if let (Some(results), true, true) = (&results, prune_active, stitched) {
-                let s = summarize(results);
-                eprintln!(
-                    "sweep: pruned {}/{} point(s) across shards ({} simulated)",
-                    s.pruned,
-                    s.total(),
-                    s.ran
-                );
-            }
             // The grid may carry recorded failures (e.g. point timeouts
             // served from a checkpoint on resume, or stitched in by a
             // merge): the sweep *finished* — every point is on the books
@@ -414,21 +362,12 @@ where
 /// drop-in sharded replacement for `run_sweep_with(points,
 /// sweep_cli_options())` in the figure binaries.
 pub fn sharded_sweep(points: Vec<DesignPoint>) -> Option<Vec<SweepResult<SocReport>>> {
-    sharded_sweep_with(points, None)
-}
-
-/// [`sharded_sweep`] plus the sweep's prune policy (activated only under
-/// `--prune`).
-pub fn sharded_sweep_with(
-    points: Vec<DesignPoint>,
-    policy: Option<PrunePolicy>,
-) -> Option<Vec<SweepResult<SocReport>>> {
     let items = points
         .into_iter()
         .map(|p| (p.label.clone(), p.fingerprint(), p))
         .collect();
     let metrics = cli_metrics();
-    sharded_sweep_map_with(items, policy, move |p: DesignPoint| {
+    sharded_sweep_map(items, move |p: DesignPoint| {
         run_networks_metered(&p.config, &p.networks, &p.options, &metrics)
     })
 }

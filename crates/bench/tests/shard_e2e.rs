@@ -6,7 +6,10 @@
 //! The load-bearing property throughout: every multi-process path —
 //! supervised, crashed-and-retried, hung-and-watchdog-killed, manually
 //! sharded and merged, or fault-injected mid-checkpoint — must produce
-//! results bit-identical to the single-process sweep.
+//! results bit-identical to the single-process sweep. Crashes and hangs
+//! come from the `sweep.point` failpoint (`--faults sweep.point=abort@N`
+//! or `hang@N`), scoped to one worker of a fleet by
+//! `GEMMINI_FAULTS_SHARD`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -31,8 +34,9 @@ fn run(bin: &str, args: &[&str], envs: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(bin);
     cmd.args(args);
     // Serial workers keep checkpoint line order equal to submission
-    // order, which the file-level comparisons below rely on; it also
-    // makes the crash hook deterministic (exactly k points persist).
+    // order, which the file-level comparisons below rely on; they also
+    // make the `sweep.point` failpoint deterministic (`abort@N` fires
+    // after exactly N-1 points persisted).
     cmd.env("GEMMINI_THREADS", "1");
     for (k, v) in envs {
         cmd.env(k, v);
@@ -53,38 +57,16 @@ fn stderr(out: &Output) -> String {
 /// Wall-clock is the one field allowed to differ (it measures host time,
 /// not simulation results).
 fn assert_checkpoints_equal_modulo_wall(a: &Path, b: &Path) {
-    assert_checkpoints_equivalent(a, b, true);
-}
-
-/// Like [`assert_checkpoints_equal_modulo_wall`] but indifferent to line
-/// order — a pruned sweep persists in phase order (bases first, members
-/// as they are decided) while a merge stitches in grid order.
-fn assert_checkpoints_equal_modulo_wall_and_order(a: &Path, b: &Path) {
-    assert_checkpoints_equivalent(a, b, false);
-}
-
-fn assert_checkpoints_equivalent(a: &Path, b: &Path, ordered: bool) {
     let ca = Checkpoint::<SocReport>::load(a).expect("checkpoint a loads");
     let cb = Checkpoint::<SocReport>::load(b).expect("checkpoint b loads");
     assert_eq!(ca.len(), cb.len(), "{} vs {}", a.display(), b.display());
-    let mut ea_sorted: Vec<_> = ca.entries().iter().collect();
-    let mut eb_sorted: Vec<_> = cb.entries().iter().collect();
-    if !ordered {
-        ea_sorted.sort_by_key(|e| &e.label);
-        eb_sorted.sort_by_key(|e| &e.label);
-    }
-    for (ea, eb) in ea_sorted.into_iter().zip(eb_sorted) {
+    for (ea, eb) in ca.entries().iter().zip(cb.entries()) {
         assert_eq!(ea.label, eb.label, "label sets/order must match");
         assert_eq!(ea.fingerprint, eb.fingerprint, "point '{}'", ea.label);
         assert_eq!(
             ea.payload.to_json().encode(),
             eb.payload.to_json().encode(),
             "payload for '{}' must be bit-identical",
-            ea.label
-        );
-        assert_eq!(
-            ea.pruned, eb.pruned,
-            "prune evidence for '{}' must agree",
             ea.label
         );
     }
@@ -103,18 +85,27 @@ fn supervised_crash_retry_matches_single_process() {
     let golden = run(SMOKE, &["--json", single.to_str().unwrap()], &[]);
     assert!(golden.status.success());
 
-    // 2 supervised shards; shard 0 aborts after persisting 2 points and
-    // must be retried from its checkpoint by the supervisor.
+    // 2 supervised shards; shard 0 aborts as its third point begins,
+    // after persisting 2 points, and must be retried from its checkpoint
+    // by the supervisor.
     let supervised = run(
         SMOKE,
-        &["--json", sharded.to_str().unwrap(), "--shards", "2"],
         &[
-            ("GEMMINI_TEST_CRASH_AFTER", "2"),
-            ("GEMMINI_TEST_CRASH_SHARD", "0"),
+            "--json",
+            sharded.to_str().unwrap(),
+            "--shards",
+            "2",
+            "--faults",
+            "sweep.point=abort@3",
         ],
+        &[("GEMMINI_FAULTS_SHARD", "0")],
     );
     let err = stderr(&supervised);
     assert!(supervised.status.success(), "supervisor recovers: {err}");
+    assert!(
+        err.contains("fault: aborting at failpoint 'sweep.point'"),
+        "the crash must come from the failpoint: {err}"
+    );
     assert!(
         err.contains("retrying from its checkpoint"),
         "the crash must actually happen and be retried: {err}"
@@ -148,13 +139,23 @@ fn resume_progress_reports_true_grid_position() {
     let dir = scratch_dir("smoke_resume");
     let ckpt = dir.join("sweep.jsonl");
 
-    // Fresh run crashes after 5 of 8 points persist.
+    // Fresh run aborts as its sixth point begins: 5 of 8 points persist.
     let crashed = run(
         SMOKE,
-        &["--json", ckpt.to_str().unwrap()],
-        &[("GEMMINI_TEST_CRASH_AFTER", "5")],
+        &[
+            "--json",
+            ckpt.to_str().unwrap(),
+            "--faults",
+            "sweep.point=abort@6",
+        ],
+        &[],
     );
-    assert!(!crashed.status.success(), "the crash hook must fire");
+    let err = stderr(&crashed);
+    assert!(!crashed.status.success(), "the failpoint must fire: {err}");
+    assert!(
+        err.contains("aborting at failpoint 'sweep.point' before 'point5'"),
+        "{err}"
+    );
     assert_eq!(Checkpoint::<u64>::load(&ckpt).unwrap().len(), 5);
 
     // The resume serves 5 cached points and runs the remaining 3; its
@@ -258,11 +259,10 @@ fn fig8_supervised_shards_bit_identical_to_single_process() {
             sharded.to_str().unwrap(),
             "--shards",
             "2",
+            "--faults",
+            "sweep.point=abort@4",
         ],
-        &[
-            ("GEMMINI_TEST_CRASH_AFTER", "3"),
-            ("GEMMINI_TEST_CRASH_SHARD", "1"),
-        ],
+        &[("GEMMINI_FAULTS_SHARD", "1")],
     );
     let err = stderr(&supervised);
     assert!(supervised.status.success(), "supervisor recovers: {err}");
@@ -281,12 +281,12 @@ fn fig8_supervised_shards_bit_identical_to_single_process() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The hung-shard watchdog end to end: shard 0 wedges forever after
-/// persisting two points (`GEMMINI_TEST_HANG_AFTER`, scoped to one shard
-/// exactly like the crash hook). The supervisor's `--watchdog` budget
-/// must notice the frozen heartbeat `done` count, kill the worker, and
-/// retry it; the retry resumes from the shard checkpoint (cached points
-/// disarm the hang hook) and the merged output matches the
+/// The hung-shard watchdog end to end: shard 0 wedges forever as its
+/// third point begins (`sweep.point=hang@3`, scoped to one shard by
+/// `GEMMINI_FAULTS_SHARD`). The supervisor's `--watchdog` budget must
+/// notice the frozen heartbeat `done` count, kill the worker, and retry
+/// it; the retry resumes from the shard checkpoint (a sweep that served
+/// points skips the failpoint) and the merged output matches the
 /// single-process golden bit for bit.
 #[test]
 fn supervised_watchdog_kills_hung_shard_and_recovers() {
@@ -306,18 +306,20 @@ fn supervised_watchdog_kills_hung_shard_and_recovers() {
             "2",
             "--watchdog",
             "1",
+            "--faults",
+            "sweep.point=hang@3",
         ],
-        &[
-            ("GEMMINI_TEST_HANG_AFTER", "2"),
-            ("GEMMINI_TEST_CRASH_SHARD", "0"),
-        ],
+        &[("GEMMINI_FAULTS_SHARD", "0")],
     );
     let err = stderr(&supervised);
     assert!(
         supervised.status.success(),
         "supervisor recovers from the hang: {err}"
     );
-    assert!(err.contains("hook: hanging in"), "{err}");
+    assert!(
+        err.contains("fault: hanging at failpoint 'sweep.point'"),
+        "{err}"
+    );
     assert!(err.contains("hung (no heartbeat progress"), "{err}");
     assert!(err.contains("killed by watchdog"), "{err}");
     assert!(err.contains("recovered on attempt 2"), "{err}");
@@ -341,11 +343,12 @@ fn supervised_watchdog_kills_hung_shard_and_recovers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `--point-timeout` end to end: a fresh run wedges in its third point,
-/// the timeout monitor records a first-class `failed:timeout` entry and
-/// exits 1 (the grid is incomplete — retryable); the resume *serves* the
-/// recorded failure instead of re-running the hang, finishes every other
-/// point, prints the terminal failure summary, and exits 3.
+/// `--point-timeout` end to end: a fresh run wedges in its third point
+/// (`sweep.point=hang@3`), the timeout monitor records a first-class
+/// `failed:timeout` entry and exits 1 (the grid is incomplete —
+/// retryable); the resume *serves* the recorded failure instead of
+/// re-running the hang, finishes every other point, prints the terminal
+/// failure summary, and exits 3.
 #[test]
 fn point_timeout_records_failure_and_resume_serves_it() {
     let dir = scratch_dir("smoke_timeout");
@@ -353,8 +356,15 @@ fn point_timeout_records_failure_and_resume_serves_it() {
 
     let wedged = run(
         SMOKE,
-        &["--json", ckpt.to_str().unwrap(), "--point-timeout", "1"],
-        &[("GEMMINI_TEST_HANG_AFTER", "2")],
+        &[
+            "--json",
+            ckpt.to_str().unwrap(),
+            "--point-timeout",
+            "1",
+            "--faults",
+            "sweep.point=hang@3",
+        ],
+        &[],
     );
     let err = stderr(&wedged);
     assert_eq!(
@@ -371,7 +381,7 @@ fn point_timeout_records_failure_and_resume_serves_it() {
         .expect("the timeout must be on the books");
     assert_eq!(failed.reason, "timeout");
 
-    // No hang hook this time: the recorded failure alone must keep the
+    // No failpoint this time: the recorded failure alone must keep the
     // point from being re-attempted.
     let resumed = run(
         SMOKE,
@@ -406,13 +416,14 @@ fn point_timeout_records_failure_and_resume_serves_it() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The chaos acceptance run: a supervised 2-shard quick fig8 sweep with
-/// one injected hang (shard 1, killed and retried by the watchdog) *and*
-/// one injected checkpoint corruption (shard 0's fifth append torn
-/// mid-line by the fault registry). The torn line is caught by the
-/// worker's post-flight verification, quarantined to the `.bad` sidecar
-/// on retry, and exactly that point is re-run — the merged report must
-/// come out bit-identical to the clean single-process golden.
+/// The chaos acceptance run: a supervised 2-shard quick fig8 sweep whose
+/// shard 0 takes two injected faults — its tenth checkpoint append is
+/// torn mid-line, and it wedges forever as its twelfth point begins. The
+/// watchdog kills the hung worker; the retry quarantines the torn line
+/// to the `.bad` sidecar and re-runs exactly the lost points (six
+/// appends, so the tenth-append fault cannot strike again). The merged
+/// report must come out bit-identical to the clean single-process
+/// golden.
 #[test]
 fn fig8_chaos_hang_and_corruption_heal_bit_identical() {
     let dir = scratch_dir("fig8_chaos");
@@ -433,25 +444,25 @@ fn fig8_chaos_hang_and_corruption_heal_bit_identical() {
             "--watchdog",
             "2",
             "--faults",
-            "checkpoint.corrupt=corrupt@5",
+            "checkpoint.corrupt=corrupt@10,sweep.point=hang@12",
         ],
-        &[
-            ("GEMMINI_TEST_HANG_AFTER", "3"),
-            ("GEMMINI_TEST_CRASH_SHARD", "1"),
-            ("GEMMINI_FAULTS_SHARD", "0"),
-        ],
+        &[("GEMMINI_FAULTS_SHARD", "0")],
     );
     let err = stderr(&supervised);
     assert!(
         supervised.status.success(),
         "supervisor heals both injected faults: {err}"
     );
-    assert!(err.contains("hook: hanging in"), "{err}");
+    assert!(
+        err.contains("fault: hanging at failpoint 'sweep.point'"),
+        "{err}"
+    );
     assert!(err.contains("hung (no heartbeat progress"), "{err}");
     assert!(
         err.contains("quarantined 1 damaged line(s)"),
         "the torn line must be quarantined exactly once: {err}"
     );
+    assert!(err.contains("recovered on attempt 2"), "{err}");
 
     // The sidecar holds exactly the one torn line.
     let sidecar = dir.join("sharded.shard0of2.jsonl.bad");
@@ -472,151 +483,34 @@ fn fig8_chaos_hang_and_corruption_heal_bit_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Attribution-guided pruning across every multi-process path: crash
-/// mid-basis-phase and resume, resume again over a fully-pruned file
-/// (every entry replayed), resume past a hand-deleted group (cached and
-/// pruned provenance in one progress line), and a supervised 2-shard
-/// run with a crash — all bit-identical to the plain pruned sweep.
+/// A typo'd fault schedule fails the run before any point executes —
+/// from `--faults` and from an inherited `GEMMINI_FAULTS` alike, in a
+/// plain and a supervised sweep — instead of quietly running fault-free
+/// and testing nothing.
 #[test]
-fn fig8_prune_survives_crash_resume_and_shards() {
-    let dir = scratch_dir("fig8_prune");
-    let pruned = dir.join("pruned.jsonl");
-    let crash = dir.join("crash.jsonl");
-    let sharded = dir.join("sharded.jsonl");
-
-    let baseline = run(
-        FIG8,
-        &["--quick", "--prune", "--json", pruned.to_str().unwrap()],
-        &[],
+fn invalid_fault_schedule_exits_2_before_any_point_runs() {
+    let dir = scratch_dir("smoke_bad_faults");
+    let ckpt = dir.join("sweep.jsonl");
+    let base = ckpt.to_str().unwrap();
+    let typo = "sweep.point=abrot@3";
+    let check = |args: &[&str], envs: &[(&str, &str)]| {
+        let out = run(SMOKE, args, envs);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{err}");
+        assert!(err.contains("abrot"), "the error must name the typo: {err}");
+        assert!(!err.contains("point0"), "no point may run: {err}");
+        assert_eq!(stdout(&out), "");
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            0,
+            "nothing may be checkpointed"
+        );
+    };
+    check(&["--json", base, "--faults", typo], &[]);
+    check(
+        &["--json", base, "--shards", "2"],
+        &[("GEMMINI_FAULTS", typo)],
     );
-    let err = stderr(&baseline);
-    assert!(baseline.status.success(), "{err}");
-    assert!(
-        err.contains("sweep: pruned 24/32 point(s) via tlb-entries attribution"),
-        "quick fig8 must prune 24 of 32 points: {err}"
-    );
-    let entries = Checkpoint::<SocReport>::load(&pruned).unwrap();
-    assert_eq!(entries.len(), 32);
-    for e in entries.entries() {
-        if let Some(ev) = &e.pruned {
-            assert!(
-                e.label.starts_with(&format!(
-                    "{} shared=",
-                    ev.basis_label.split(" shared=").next().unwrap()
-                )),
-                "evidence must name the point's own group basis: {} vs {}",
-                e.label,
-                ev.basis_label
-            );
-        }
-    }
-
-    // Crash after 3 of the 8 basis points; the retry resumes past the
-    // cached bases, finishes the rest, and prunes the members.
-    let crashed = run(
-        FIG8,
-        &["--quick", "--prune", "--json", crash.to_str().unwrap()],
-        &[("GEMMINI_TEST_CRASH_AFTER", "3")],
-    );
-    assert!(!crashed.status.success(), "the crash hook must fire");
-    let resumed = run(
-        FIG8,
-        &[
-            "--quick",
-            "--prune",
-            "--json",
-            crash.to_str().unwrap(),
-            "--resume",
-        ],
-        &[],
-    );
-    let err = stderr(&resumed);
-    assert!(resumed.status.success(), "{err}");
-    assert!(err.contains("skipped 3/32 completed points"), "{err}");
-    assert_eq!(stdout(&baseline), stdout(&resumed), "crash+resume drifts");
-
-    // A second resume replays every entry — run *and* pruned — without
-    // simulating anything.
-    let replayed = run(
-        FIG8,
-        &[
-            "--quick",
-            "--prune",
-            "--json",
-            crash.to_str().unwrap(),
-            "--resume",
-        ],
-        &[],
-    );
-    let err = stderr(&replayed);
-    assert!(replayed.status.success(), "{err}");
-    assert!(
-        err.contains("skipped 32/32 completed points (24 pruned replayed)"),
-        "{err}"
-    );
-    assert_eq!(stdout(&baseline), stdout(&replayed), "full replay drifts");
-
-    // Delete one whole group (basis + its three pruned members) from the
-    // checkpoint: the resume must re-run the basis — with both cached
-    // and pruned provenance in its progress line — and re-prune the
-    // members from fresh evidence.
-    let text = std::fs::read_to_string(&crash).unwrap();
-    let kept: Vec<&str> = text
-        .lines()
-        .filter(|l| !(l.contains("\"label\":\"private=32 ") && l.contains("filters=true")))
-        .collect();
-    assert_eq!(kept.len(), 28, "one group of four removed");
-    std::fs::write(&crash, format!("{}\n", kept.join("\n"))).unwrap();
-    let regrown = run(
-        FIG8,
-        &[
-            "--quick",
-            "--prune",
-            "--json",
-            crash.to_str().unwrap(),
-            "--resume",
-        ],
-        &[],
-    );
-    let err = stderr(&regrown);
-    assert!(regrown.status.success(), "{err}");
-    assert!(
-        err.contains("skipped 28/32 completed points (21 pruned replayed)"),
-        "{err}"
-    );
-    assert!(
-        err.contains("[29/32, 7 cached, 21 pruned] private=32 shared=0 filters=true"),
-        "progress must carry cached and pruned provenance: {err}"
-    );
-    assert_eq!(stdout(&baseline), stdout(&regrown), "group regrow drifts");
-
-    // Supervised 2-shard run with a crash: whole groups stay on one
-    // shard, each worker prunes its own members, and the merged file
-    // matches the plain pruned sweep — evidence included.
-    let supervised = run(
-        FIG8,
-        &[
-            "--quick",
-            "--prune",
-            "--json",
-            sharded.to_str().unwrap(),
-            "--shards",
-            "2",
-        ],
-        &[
-            ("GEMMINI_TEST_CRASH_AFTER", "2"),
-            ("GEMMINI_TEST_CRASH_SHARD", "0"),
-        ],
-    );
-    let err = stderr(&supervised);
-    assert!(supervised.status.success(), "supervisor recovers: {err}");
-    assert!(err.contains("retrying from its checkpoint"), "{err}");
-    assert!(
-        err.contains("sweep: pruned 24/32 point(s) across shards (8 simulated)"),
-        "{err}"
-    );
-    assert_eq!(stdout(&baseline), stdout(&supervised), "sharded drifts");
-    assert_checkpoints_equal_modulo_wall_and_order(&pruned, &sharded);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -78,8 +78,6 @@ pub enum Counter {
     PointsCompleted,
     /// Sweep points served from a checkpoint without running.
     PointsCached,
-    /// Sweep points skipped by attribution-guided pruning.
-    PointsPruned,
     /// Sweep points that failed (simulation error or panic).
     PointsFailed,
     /// Crashed shard children retried by the supervisor.
@@ -88,7 +86,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 14] = [
+    pub const ALL: [Counter; 13] = [
         Counter::TilesIssued,
         Counter::TilesRetired,
         Counter::DmaBursts,
@@ -100,7 +98,6 @@ impl Counter {
         Counter::DramLineFills,
         Counter::PointsCompleted,
         Counter::PointsCached,
-        Counter::PointsPruned,
         Counter::PointsFailed,
         Counter::ShardRetries,
     ];
@@ -123,7 +120,6 @@ impl Counter {
             Counter::DramLineFills => "dram_line_fills",
             Counter::PointsCompleted => "points_completed",
             Counter::PointsCached => "points_cached",
-            Counter::PointsPruned => "points_pruned",
             Counter::PointsFailed => "points_failed",
             Counter::ShardRetries => "shard_retries",
         }
@@ -143,7 +139,6 @@ impl Counter {
             Counter::DramLineFills => "DRAM line fills serving L2 misses",
             Counter::PointsCompleted => "Sweep points simulated to completion",
             Counter::PointsCached => "Sweep points served from a checkpoint",
-            Counter::PointsPruned => "Sweep points skipped by attribution-guided pruning",
             Counter::PointsFailed => "Sweep points that failed",
             Counter::ShardRetries => "Crashed shard children retried by the supervisor",
         }

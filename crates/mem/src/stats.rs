@@ -458,81 +458,6 @@ impl FromJson for CycleBucket {
     }
 }
 
-/// A swept hardware axis, classified by which attribution buckets it can
-/// move. This is the sensitivity side of attribution-guided pruning: a
-/// point whose dominant bucket an axis cannot touch — and whose movable
-/// share of cycles is already small — will land within tolerance of its
-/// basis point no matter where the axis is set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SweepAxis {
-    /// TLB sizing (private/shared entries, filter registers): can only
-    /// move cycles that are stalled on translation.
-    TlbEntries,
-    /// Scratchpad/accumulator banking: can only move bank-conflict
-    /// cycles.
-    ScratchpadBanks,
-    /// Memory-system partitioning (scratchpad vs L2 capacity): moves the
-    /// whole DRAM path and the streaming cycles behind it.
-    MemoryPartition,
-}
-
-impl SweepAxis {
-    /// The axis's stable report name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SweepAxis::TlbEntries => "tlb-entries",
-            SweepAxis::ScratchpadBanks => "scratchpad-banks",
-            SweepAxis::MemoryPartition => "memory-partition",
-        }
-    }
-
-    /// Parses a report name back into an axis.
-    pub fn parse(name: &str) -> Option<SweepAxis> {
-        [
-            SweepAxis::TlbEntries,
-            SweepAxis::ScratchpadBanks,
-            SweepAxis::MemoryPartition,
-        ]
-        .into_iter()
-        .find(|a| a.name() == name)
-    }
-
-    /// The buckets this axis can move. Everything outside this set is
-    /// structurally insensitive to the axis: compute cycles do not care
-    /// how many TLB entries exist, and DRAM service time does not care
-    /// how the scratchpad is banked.
-    pub fn movable_buckets(self) -> &'static [CycleBucket] {
-        match self {
-            SweepAxis::TlbEntries => &[CycleBucket::TlbStall],
-            SweepAxis::ScratchpadBanks => &[CycleBucket::BankConflict],
-            SweepAxis::MemoryPartition => &[
-                CycleBucket::Dram,
-                CycleBucket::BankConflict,
-                CycleBucket::Load,
-                CycleBucket::Store,
-            ],
-        }
-    }
-
-    /// Whether `bucket` is in this axis's movable set.
-    pub fn can_move(self, bucket: CycleBucket) -> bool {
-        self.movable_buckets().contains(&bucket)
-    }
-}
-
-impl ToJson for SweepAxis {
-    fn to_json(&self) -> Json {
-        Json::from(self.name())
-    }
-}
-
-impl FromJson for SweepAxis {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let name = value.as_str()?;
-        SweepAxis::parse(name).ok_or_else(|| JsonError::new(format!("unknown sweep axis '{name}'")))
-    }
-}
-
 impl CycleAttribution {
     /// Creates zeroed counters.
     pub fn new() -> Self {
@@ -860,27 +785,6 @@ mod tests {
         assert_eq!(empty.dominant(), CycleBucket::Idle);
         assert_eq!(empty.fraction(CycleBucket::Compute), 0.0);
         assert_eq!(empty.fraction_of(&[CycleBucket::Dram]), 0.0);
-    }
-
-    #[test]
-    fn sweep_axis_sensitivity() {
-        assert!(SweepAxis::TlbEntries.can_move(CycleBucket::TlbStall));
-        assert!(!SweepAxis::TlbEntries.can_move(CycleBucket::Compute));
-        assert!(!SweepAxis::TlbEntries.can_move(CycleBucket::Dram));
-        assert!(SweepAxis::ScratchpadBanks.can_move(CycleBucket::BankConflict));
-        assert!(!SweepAxis::ScratchpadBanks.can_move(CycleBucket::Dram));
-        assert!(SweepAxis::MemoryPartition.can_move(CycleBucket::Dram));
-        assert!(SweepAxis::MemoryPartition.can_move(CycleBucket::Load));
-        assert!(!SweepAxis::MemoryPartition.can_move(CycleBucket::Compute));
-        for axis in [
-            SweepAxis::TlbEntries,
-            SweepAxis::ScratchpadBanks,
-            SweepAxis::MemoryPartition,
-        ] {
-            assert_eq!(SweepAxis::parse(axis.name()), Some(axis));
-            assert_eq!(SweepAxis::from_json(&axis.to_json()).unwrap(), axis);
-        }
-        assert_eq!(SweepAxis::parse("nope"), None);
     }
 
     #[test]

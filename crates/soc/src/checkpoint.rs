@@ -31,11 +31,10 @@
 //! sidecar next to the file instead of aborting the resume, and the
 //! point it named simply re-runs.
 //!
-//! A point skipped by attribution-guided pruning ([`crate::prune`])
-//! persists the same shape plus a `"pruned"` object naming its evidence
-//! (basis label + fingerprint, the swept axis, the basis's dominant
-//! bucket and movable-cycle fraction, and the tolerance); its payload is
-//! the basis's payload served as a prediction and its `wall_nanos` is 0.
+//! A line carrying a `"pruned"` object (written by builds that skipped
+//! points by attribution-guided pruning) holds another point's report
+//! served as a prediction, not a simulation: it never decodes, so
+//! `--resume` re-runs the point and `--merge` reports it missing.
 //! A point that timed out under `--point-timeout` persists as a
 //! [`FailedEntry`]: the same envelope with a `"failed"` reason string
 //! and no payload — a first-class record that the point was attempted
@@ -51,8 +50,6 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use gemmini_mem::json::{FromJson, Json, JsonError, ToJson};
-
-use crate::prune::PruneEvidence;
 
 /// Current checkpoint line format version. Version 2 added the trailing
 /// per-line `crc32` field and the payload-less failed-entry shape;
@@ -171,12 +168,7 @@ pub struct CheckpointEntry<T> {
     /// Wall-clock the point took when it actually ran.
     pub wall: Duration,
     /// The point's result payload (a `SocReport` for the figure sweeps).
-    /// For a pruned point this is the basis point's payload served as a
-    /// prediction.
     pub payload: T,
-    /// Prune evidence when the point was skipped rather than simulated;
-    /// `None` (and an absent JSON field) for every point that ran.
-    pub pruned: Option<PruneEvidence>,
 }
 
 /// A point that was *attempted* and failed in a way that must not be
@@ -214,8 +206,7 @@ impl FailedEntry {
     }
 }
 
-/// One decoded checkpoint line: a completed (or pruned-predicted) point,
-/// or a recorded failure.
+/// One decoded checkpoint line: a completed point or a recorded failure.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Line<T> {
     /// A point with a persisted payload.
@@ -251,8 +242,8 @@ impl<T> Line<T> {
 /// # Errors
 ///
 /// Returns a [`JsonError`] on malformed JSON, an unknown format version,
-/// a CRC mismatch (byte-level damage), or a payload that no longer
-/// matches `T`'s schema.
+/// a CRC mismatch (byte-level damage), a `"pruned"` prediction line, or
+/// a payload that no longer matches `T`'s schema.
 pub fn decode_line<T: FromJson>(line: &str) -> Result<Line<T>, JsonError> {
     let line = line.trim();
     let value = Json::parse(line)?;
@@ -287,15 +278,16 @@ pub fn decode_line<T: FromJson>(line: &str) -> Result<Line<T>, JsonError> {
             reason: reason.as_str()?.to_string(),
         }));
     }
+    if value.get("pruned").is_some() {
+        return Err(JsonError::new(
+            "line records a pruned prediction, not a simulation; the point must re-run",
+        ));
+    }
     Ok(Line::Completed(CheckpointEntry {
         label,
         fingerprint,
         wall,
         payload: T::from_json(value.field("payload")?)?,
-        pruned: value
-            .get("pruned")
-            .map(PruneEvidence::from_json)
-            .transpose()?,
     }))
 }
 
@@ -303,17 +295,16 @@ impl<T: ToJson> CheckpointEntry<T> {
     /// Encodes the entry as one JSON line (no trailing newline), sealed
     /// with its CRC as the trailing field.
     pub fn encode(&self) -> String {
-        let mut fields = vec![
-            ("v", Json::from(FORMAT_VERSION)),
-            ("label", Json::from(self.label.clone())),
-            ("fingerprint", Json::from(self.fingerprint)),
-            ("wall_nanos", Json::from(self.wall.as_nanos() as u64)),
-            ("payload", self.payload.to_json()),
-        ];
-        if let Some(evidence) = &self.pruned {
-            fields.push(("pruned", evidence.to_json()));
-        }
-        seal_with_crc(Json::obj(fields).encode())
+        seal_with_crc(
+            Json::obj([
+                ("v", Json::from(FORMAT_VERSION)),
+                ("label", Json::from(self.label.clone())),
+                ("fingerprint", Json::from(self.fingerprint)),
+                ("wall_nanos", Json::from(self.wall.as_nanos() as u64)),
+                ("payload", self.payload.to_json()),
+            ])
+            .encode(),
+        )
     }
 }
 
@@ -755,7 +746,6 @@ mod tests {
             fingerprint,
             wall: Duration::from_micros(payload),
             payload,
-            pruned: None,
         }
     }
 
@@ -772,27 +762,66 @@ mod tests {
     }
 
     #[test]
-    fn pruned_entry_round_trips_and_plain_lines_stay_plain() {
-        use gemmini_mem::stats::{CycleBucket, SweepAxis};
-        // A run entry encodes without a "pruned" field, so pre-prune
-        // version-1 files and fresh run lines are byte-compatible.
-        let plain = entry("p", 7, 9);
-        assert!(!plain.encode().contains("pruned"));
-        let pruned = CheckpointEntry {
-            pruned: Some(PruneEvidence {
-                basis_label: "p".to_string(),
-                basis_fingerprint: 7,
-                axis: SweepAxis::TlbEntries,
-                dominant: CycleBucket::Compute,
-                dominance: 0.8,
-                movable_fraction: 0.03,
-                tolerance: 0.05,
-            }),
-            ..entry("q", 8, 9)
+    fn pruned_prediction_lines_are_stale_never_served() {
+        // A line carrying a "pruned" object holds another point's report
+        // served as a prediction. Even sealed with a valid CRC it must not
+        // decode: resume re-runs the point and merge reports it missing.
+        let predicted = seal_with_crc(
+            Json::obj([
+                ("v", Json::from(FORMAT_VERSION)),
+                ("label", Json::from("q")),
+                ("fingerprint", Json::from(8u64)),
+                ("wall_nanos", Json::from(0u64)),
+                ("payload", Json::from(9u64)),
+                (
+                    "pruned",
+                    Json::obj([
+                        ("basis_label", Json::from("p")),
+                        ("basis_fingerprint", Json::from(7u64)),
+                    ]),
+                ),
+            ])
+            .encode(),
+        );
+        assert!(decode_line::<u64>(&predicted).is_err());
+        let path = temp_path("predicted");
+        let seed = || {
+            let text = format!("{}\n{predicted}\n", entry("p", 7, 70).encode());
+            std::fs::write(&path, text).unwrap();
         };
-        let line = pruned.encode();
-        assert!(line.contains("\"pruned\""));
-        assert_eq!(CheckpointEntry::<u64>::decode(&line).unwrap(), pruned);
+        seed();
+        let ckpt = Checkpoint::<u64>::load(&path).unwrap();
+        assert_eq!(ckpt.stale_lines, 1);
+        assert!(ckpt.lookup("q", 8).is_none());
+
+        let expected = [("p".to_string(), 7u64), ("q".to_string(), 8u64)];
+        match crate::shard::merge_shards::<u64>(&expected, std::slice::from_ref(&path)) {
+            Err(crate::shard::MergeError::Incomplete { missing, stale }) => {
+                assert_eq!(missing, ["q"]);
+                assert!(stale.is_empty());
+            }
+            other => panic!("the predicted point must be missing, got {other:?}"),
+        }
+
+        seed();
+        let ran = std::sync::atomic::AtomicUsize::new(0);
+        let results = crate::sweep::sweep_map(
+            vec![("p".to_string(), 7, 1u64), ("q".to_string(), 8, 2)],
+            crate::sweep::SweepOptions {
+                threads: 1,
+                progress: false,
+                ..crate::sweep::SweepOptions::checkpointed(&path, true)
+            },
+            |i| {
+                ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                Ok(i * 100)
+            },
+        );
+        assert_eq!(ran.into_inner(), 1, "only the predicted point re-runs");
+        assert!(results[0].cached && !results[1].cached);
+        assert_eq!(*results[1].expect_ok(), 200);
+        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_file(path.with_extension("jsonl.bad")).unwrap();
     }
 
     #[test]

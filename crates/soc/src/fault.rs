@@ -1,23 +1,23 @@
 //! Deterministic fault injection ("failpoints") for robustness testing.
 //!
-//! Long sharded sweeps must survive hung workers, torn checkpoint
-//! writes and corrupted lines — failure modes that are essentially
-//! untestable without a way to *cause* them on demand. This module is a
-//! process-wide registry of named failpoint sites, armed from the
-//! `GEMMINI_FAULTS` environment variable (or the sweep binaries'
-//! `--faults` flag, which sets the same variable before any site is
-//! evaluated). Each site in the checkpoint writer, shard supervisor,
-//! telemetry heartbeat and sweep executor asks the registry what to do;
-//! with nothing armed — the default — every site is exactly one untaken
-//! branch on a relaxed atomic load, and results are bit-identical to a
-//! build without the registry.
+//! Long sharded sweeps must survive crashed and hung workers, torn
+//! checkpoint writes and corrupted lines — failure modes that are
+//! essentially untestable without a way to *cause* them on demand. This
+//! module is the one mechanism for causing them: a process-wide registry
+//! of named failpoint sites, armed from the `GEMMINI_FAULTS` environment
+//! variable (or the sweep binaries' `--faults` flag, which sets the same
+//! variable before any site is evaluated). Each site in the checkpoint
+//! writer, telemetry heartbeat and sweep executor asks the registry what
+//! to do; with nothing armed — the default — every site is exactly one
+//! untaken branch on a relaxed atomic load, and results are
+//! bit-identical to a build without the registry.
 //!
 //! # Spec grammar
 //!
 //! ```text
 //! GEMMINI_FAULTS = entry ( "," entry )*
 //! entry          = site "=" action [ "@" hit ]
-//! action         = "fail" | "hang" | "corrupt" | "skip" | "delay:" millis
+//! action         = "fail" | "hang" | "abort" | "corrupt" | "skip" | "delay:" millis
 //! ```
 //!
 //! `site` names one instrumented point in dotted lower-case
@@ -27,7 +27,20 @@
 //! `checkpoint.flush=fail@3` injects one I/O error on the third
 //! checkpoint append and nothing else — fully deterministic, no clocks
 //! and no randomness. Without `@hit` the action fires on every
-//! evaluation.
+//! evaluation. A schedule that does not parse is an error ([`arm`]); the
+//! sweep binaries exit 2 on it before any point runs.
+//!
+//! # The `sweep.point` site
+//!
+//! The sweep executor evaluates `sweep.point` as each point begins, and
+//! only in a *fresh* sweep — one that served no point from its
+//! checkpoint. With one worker, `sweep.point=abort@N` kills the process
+//! after N-1 persisted points, the way a segfault would, and
+//! `sweep.point=hang@N` wedges it there. Hit counters restart in every
+//! process, so the rule is what lets a supervisor retry converge: the
+//! retry resumes from the shard checkpoint, serves the persisted points
+//! and skips the site. (Pick N ≥ 2, so the first attempt persists
+//! something.)
 //!
 //! # Per-shard scoping
 //!
@@ -35,8 +48,7 @@
 //! its worker children. `GEMMINI_FAULTS_SHARD=<index>` restricts the
 //! schedule to one worker: every other shard worker — and the
 //! supervisor itself — calls [`disarm`] on startup, so exactly one
-//! process in the fleet takes the faults. This mirrors the
-//! `GEMMINI_TEST_CRASH_SHARD` convention of the crash-test hook.
+//! process in the fleet takes the faults.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -58,6 +70,9 @@ pub enum FaultAction {
     Fail,
     /// Hang: sleep effectively forever (the watchdog's prey).
     Hang,
+    /// Abort the process with `SIGABRT`, the way a segfault or an OOM
+    /// kill ends it (the crash-retry supervisor's prey).
+    Abort,
     /// Corrupt the bytes the site was about to write.
     Corrupt,
     /// Silently skip the operation (e.g. suppress a heartbeat write).
@@ -71,6 +86,7 @@ impl FaultAction {
         match s {
             "fail" => Ok(Self::Fail),
             "hang" => Ok(Self::Hang),
+            "abort" => Ok(Self::Abort),
             "corrupt" => Ok(Self::Corrupt),
             "skip" => Ok(Self::Skip),
             _ => {
@@ -82,7 +98,7 @@ impl FaultAction {
                     Ok(Self::Delay(Duration::from_millis(ms)))
                 } else {
                     Err(format!(
-                        "unknown fault action '{s}' (expected fail|hang|corrupt|skip|delay:<ms>)"
+                        "unknown fault action '{s}' (expected fail|hang|abort|corrupt|skip|delay:<ms>)"
                     ))
                 }
             }
@@ -147,34 +163,38 @@ impl Registry {
 }
 
 static ARMED: AtomicBool = AtomicBool::new(false);
-static REGISTRY: OnceLock<Registry> = OnceLock::new();
+static REGISTRY: OnceLock<Result<Registry, String>> = OnceLock::new();
 
-fn registry() -> &'static Registry {
-    REGISTRY.get_or_init(|| match std::env::var(FAULTS_ENV) {
-        Ok(spec) if !spec.trim().is_empty() => match Registry::parse(&spec) {
-            Ok(reg) => {
-                if !reg.points.is_empty() {
-                    eprintln!("fault: armed {} failpoint(s): {spec}", reg.points.len());
-                }
-                reg
+fn registry() -> &'static Result<Registry, String> {
+    REGISTRY.get_or_init(|| {
+        let spec = std::env::var(FAULTS_ENV).unwrap_or_default();
+        let parsed = Registry::parse(&spec)
+            .map_err(|msg| format!("invalid {FAULTS_ENV} schedule '{spec}': {msg}"));
+        if let Ok(reg) = &parsed {
+            if !reg.points.is_empty() {
+                eprintln!("fault: armed {} failpoint(s): {spec}", reg.points.len());
             }
-            Err(msg) => {
-                eprintln!("fault: ignoring invalid {FAULTS_ENV}: {msg}");
-                Registry::default()
-            }
-        },
-        _ => Registry::default(),
+        }
+        parsed
     })
 }
 
 /// Arms the registry for this process if `GEMMINI_FAULTS` names a
-/// non-empty schedule. Called lazily by the first [`fire`]; call it
-/// eagerly (e.g. right after CLI parsing) to surface schedule typos
-/// before the sweep starts.
-pub fn arm() {
-    if !registry().points.is_empty() {
+/// non-empty schedule. Called lazily by the first [`fire`]; the sweep
+/// binaries call it eagerly, right after CLI parsing, and exit 2 on an
+/// error, so a typo'd schedule fails before any point runs rather than
+/// quietly testing nothing.
+///
+/// # Errors
+///
+/// Returns the parse error of an unparsable schedule; the registry then
+/// stays disarmed.
+pub fn arm() -> Result<(), String> {
+    let reg = registry().as_ref().map_err(Clone::clone)?;
+    if !reg.points.is_empty() {
         ARMED.store(true, Ordering::Release);
     }
+    Ok(())
 }
 
 /// Permanently disarms every failpoint in this process (the schedule
@@ -184,8 +204,9 @@ pub fn arm() {
 /// one process.
 pub fn disarm() {
     // Initialize-then-drain: fire() consults ARMED first, so flipping it
-    // off makes every later evaluation the plain untaken branch.
-    arm();
+    // off makes every later evaluation the plain untaken branch. A bad
+    // schedule arms nothing, so its error is moot here.
+    let _ = arm();
     ARMED.store(false, Ordering::Release);
 }
 
@@ -210,12 +231,16 @@ pub fn fire(site: &str) -> Option<FaultAction> {
         if REGISTRY.get().is_some() {
             return None;
         }
-        arm();
+        if let Err(msg) = arm() {
+            eprintln!("fault: ignoring {msg}");
+        }
         if !ARMED.load(Ordering::Relaxed) {
             return None;
         }
     }
-    let reg = registry();
+    let Ok(reg) = registry() else {
+        return None;
+    };
     for point in &reg.points {
         if point.site != site {
             continue;
@@ -271,10 +296,11 @@ mod tests {
     #[test]
     fn parses_a_full_schedule() {
         let reg = Registry::parse(
-            "checkpoint.flush=fail@3, checkpoint.corrupt=corrupt@5,sweep.point=delay:250",
+            "checkpoint.flush=fail@3, checkpoint.corrupt=corrupt@5,sweep.point=delay:250,\
+             sweep.point=abort@4",
         )
         .unwrap();
-        assert_eq!(reg.points.len(), 3);
+        assert_eq!(reg.points.len(), 4);
         assert_eq!(reg.points[0].site, "checkpoint.flush");
         assert_eq!(reg.points[0].action, FaultAction::Fail);
         assert_eq!(reg.points[0].hit, Some(3));
@@ -284,12 +310,16 @@ mod tests {
             FaultAction::Delay(Duration::from_millis(250))
         );
         assert_eq!(reg.points[2].hit, None);
+        assert_eq!(reg.points[3].site, "sweep.point");
+        assert_eq!(reg.points[3].action, FaultAction::Abort);
+        assert_eq!(reg.points[3].hit, Some(4));
     }
 
     #[test]
     fn rejects_malformed_entries() {
         assert!(Registry::parse("no-equals-sign").is_err());
         assert!(Registry::parse("site=explode").is_err());
+        assert!(Registry::parse("sweep.point=abrot@3").is_err());
         assert!(Registry::parse("site=fail@0").is_err(), "hits are 1-based");
         assert!(Registry::parse("site=fail@x").is_err());
         assert!(Registry::parse("site=delay:abc").is_err());

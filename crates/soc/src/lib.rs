@@ -33,11 +33,6 @@
 //!   of named [`soc::SocConfig`] points across a worker pool with
 //!   per-point fault isolation and deterministic result ordering; every
 //!   figure binary drives its sweep through this.
-//! * [`prune`] — attribution-guided sweep pruning: skips grid points
-//!   whose dominant cycle bucket the swept axis provably cannot move,
-//!   serving the group basis's report as a prediction and recording the
-//!   evidence (basis + dominant bucket + axis-insensitivity rule) in the
-//!   checkpoint.
 //! * [`telemetry`] — live sweep observability: atomic JSON heartbeat
 //!   files (`--status`), Prometheus text exposition (`--metrics`), and
 //!   the p50-based ETA derivation behind the progress lines and the
@@ -72,7 +67,6 @@ pub mod checkpoint;
 pub mod fault;
 pub mod kernel;
 pub mod os;
-pub mod prune;
 pub mod roofline;
 pub mod run;
 pub mod runtime;
@@ -82,7 +76,6 @@ pub mod sweep;
 pub mod telemetry;
 pub mod tiling;
 
-pub use prune::{Attributed, PruneEvidence, PrunePolicy, PruneSummary};
 pub use run::{run_networks, CoreReport, RunOptions, SocReport};
 pub use shard::{run_sharded, ShardCli, ShardError, ShardSpec};
 pub use soc::{CoreConfig, SocConfig};

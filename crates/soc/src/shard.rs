@@ -58,24 +58,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::checkpoint::{Checkpoint, CheckpointEntry, CheckpointWriter, Line};
-use crate::prune::{Attributed, PrunePolicy};
-use crate::sweep::{
-    sweep_map_checkpointed, SweepError, SweepOptions, SweepResult, CRASH_AFTER_ENV,
-    EXIT_RECORDED_FAILURES, HANG_AFTER_ENV,
-};
+use crate::sweep::{sweep_map, SweepError, SweepOptions, SweepResult, EXIT_RECORDED_FAILURES};
 use crate::telemetry::{
     format_eta, heartbeat_age, read_heartbeat, write_heartbeat, write_prometheus, Heartbeat,
 };
 use gemmini_core::metrics::Counter;
 use gemmini_core::AccelError;
 use gemmini_mem::json::{FromJson, ToJson};
-
-/// Test-only companion to [`CRASH_AFTER_ENV`]: when set to a shard
-/// index, only that shard's worker process keeps the crash hook armed;
-/// every other shard disarms it on startup (by clearing the variable in
-/// its own environment, before any sweep threads exist). Lets a test
-/// kill exactly one shard of a supervised sweep.
-pub const CRASH_SHARD_ENV: &str = "GEMMINI_TEST_CRASH_SHARD";
 
 /// One strided shard of a sweep partition: `index` in `0..count`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -148,38 +137,6 @@ pub fn shard_items<X>(items: Vec<X>, spec: ShardSpec) -> Vec<X> {
         .enumerate()
         .filter(|(position, _)| spec.owns(*position))
         .map(|(_, item)| item)
-        .collect()
-}
-
-/// Like [`shard_items`], but partitions whole prune groups instead of
-/// individual points: a group's basis and members always land on the
-/// same shard, so each worker can make (and persist) its own prune
-/// decisions without cross-process coordination. Slots are assigned to
-/// groups by first appearance in grid order — still a pure function of
-/// the grid and the policy, so workers, supervisor and merge agree.
-pub fn shard_items_grouped<I>(
-    items: Vec<(String, u64, I)>,
-    spec: ShardSpec,
-    policy: &PrunePolicy,
-) -> Vec<(String, u64, I)> {
-    let mut slot_of_key: std::collections::HashMap<String, usize> =
-        std::collections::HashMap::new();
-    let mut next_slot = 0usize;
-    items
-        .into_iter()
-        .filter(|(label, ..)| {
-            // A member shares its group basis's slot; a basis or an
-            // ungrouped point keys on its own label.
-            let key = policy
-                .group_of_member(label)
-                .map_or(label.as_str(), |g| g.basis.as_str());
-            let slot = *slot_of_key.entry(key.to_string()).or_insert_with(|| {
-                let slot = next_slot;
-                next_slot += 1;
-                slot
-            });
-            spec.owns(slot)
-        })
         .collect()
 }
 
@@ -734,14 +691,6 @@ pub enum MergeError {
         /// design point changed since the shard ran).
         stale: Vec<String>,
     },
-    /// Pruned entries whose recorded evidence the stitched set cannot
-    /// back: the named basis is missing, was itself pruned, or carries a
-    /// different fingerprint than the evidence — the shards disagree on
-    /// the prune decision and must run again.
-    PruneMismatch {
-        /// Labels of the pruned points with unbacked evidence.
-        disagreeing: Vec<String>,
-    },
 }
 
 fn preview(labels: &[String]) -> String {
@@ -783,13 +732,6 @@ impl fmt::Display for MergeError {
                 }
                 Ok(())
             }
-            Self::PruneMismatch { disagreeing } => write!(
-                f,
-                "shards disagree on prune decisions: {} pruned point(s) whose basis is missing, \
-                 pruned, or fingerprint-mismatched ({})",
-                disagreeing.len(),
-                preview(disagreeing)
-            ),
         }
     }
 }
@@ -879,39 +821,7 @@ pub fn merge_shards<T: FromJson>(
     if !missing.is_empty() || !stale.is_empty() {
         return Err(MergeError::Incomplete { missing, stale });
     }
-    // Every pruned entry must be backed by the stitched set itself: its
-    // basis present, really simulated, and carrying the fingerprint the
-    // evidence recorded. Anything else means the shards pruned against a
-    // different grid than the one being merged. Recorded failures carry
-    // no payload and can neither back nor hold evidence.
-    let completed: Vec<&CheckpointEntry<T>> = lines
-        .iter()
-        .filter_map(|line| match line {
-            Line::Completed(entry) => Some(entry),
-            Line::Failed(_) => None,
-        })
-        .collect();
-    let by_label: std::collections::HashMap<&str, (&u64, bool)> = completed
-        .iter()
-        .map(|e| (e.label.as_str(), (&e.fingerprint, e.pruned.is_some())))
-        .collect();
-    let disagreeing: Vec<String> = completed
-        .iter()
-        .filter(|e| {
-            e.pruned.as_ref().is_some_and(|ev| {
-                !matches!(
-                    by_label.get(ev.basis_label.as_str()),
-                    Some((fp, false)) if **fp == ev.basis_fingerprint
-                )
-            })
-        })
-        .map(|e| e.label.clone())
-        .collect();
-    if disagreeing.is_empty() {
-        Ok(MergedGrid { lines, quarantined })
-    } else {
-        Err(MergeError::PruneMismatch { disagreeing })
-    }
+    Ok(MergedGrid { lines, quarantined })
 }
 
 /// Writes merged lines to `path` as a fresh checkpoint file — the
@@ -942,7 +852,6 @@ pub fn entry_result<T>(entry: CheckpointEntry<T>) -> SweepResult<T> {
         outcome: Ok(entry.payload),
         wall: entry.wall,
         cached: true,
-        pruned: entry.pruned,
     }
 }
 
@@ -957,7 +866,6 @@ pub fn line_result<T>(line: Line<T>) -> SweepResult<T> {
             outcome: Err(SweepError::Recorded(failed.reason)),
             wall: failed.wall,
             cached: true,
-            pruned: None,
         },
     }
 }
@@ -1129,18 +1037,6 @@ impl fmt::Display for ShardError {
 
 impl std::error::Error for ShardError {}
 
-/// Disarms the crash- and hang-test hooks unless this worker is the
-/// shard the test singled out via [`CRASH_SHARD_ENV`]. Mutates only
-/// this process's environment, before the sweep spawns any threads.
-fn disarm_crash_hook_for_other_shards(spec: ShardSpec) {
-    if let Ok(v) = std::env::var(CRASH_SHARD_ENV) {
-        if v.trim().parse::<usize>().ok() != Some(spec.index) {
-            std::env::remove_var(CRASH_AFTER_ENV);
-            std::env::remove_var(HANG_AFTER_ENV);
-        }
-    }
-}
-
 fn expected_of<I>(items: &[(String, u64, I)]) -> Vec<(String, u64)> {
     items
         .iter()
@@ -1179,7 +1075,7 @@ pub fn run_sharded<I, T, F, C>(
 ) -> Result<Option<Vec<SweepResult<T>>>, ShardError>
 where
     I: Send,
-    T: ToJson + FromJson + Clone + Attributed + Send,
+    T: ToJson + FromJson + Send,
     F: Fn(I) -> Result<T, AccelError> + Sync,
     C: Fn(ShardSpec) -> Command + Sync,
 {
@@ -1217,17 +1113,11 @@ where
             .checkpoint
             .clone()
             .ok_or(ShardError::NeedsCheckpoint("--shard"))?;
-        disarm_crash_hook_for_other_shards(spec);
         // A fleet-wide fault schedule scoped with GEMMINI_FAULTS_SHARD
         // arms in exactly one worker; everyone else disarms here.
         crate::fault::scope_to_shard(Some(spec.index));
         let grid_total = items.len();
-        // With pruning on, partition whole groups so every member's
-        // basis runs (and its attribution is decided) in this process.
-        let slice = match &opts.prune {
-            Some(policy) => shard_items_grouped(items, spec, policy),
-            None => shard_items(items, spec),
-        };
+        let slice = shard_items(items, spec);
         let slice_len = slice.len();
         let slice_expected = expected_of(&slice);
         let shard_file = shard_path(&base, spec);
@@ -1240,7 +1130,7 @@ where
             prometheus: opts.prometheus.as_ref().map(|p| shard_path(p, spec)),
             ..opts
         };
-        let results = sweep_map_checkpointed(slice, run_opts, f);
+        let results = sweep_map(slice, run_opts, f);
         let mut exec_failed = Vec::new();
         let mut recorded = Vec::new();
         for result in &results {
@@ -1401,7 +1291,7 @@ where
         return Ok(Some(merged.lines.into_iter().map(line_result).collect()));
     }
 
-    Ok(Some(sweep_map_checkpointed(items, opts, f)))
+    Ok(Some(sweep_map(items, opts, f)))
 }
 
 #[cfg(test)]
@@ -1438,120 +1328,6 @@ mod tests {
         let mut all: Vec<usize> = s0.into_iter().chain(s1).chain(s2).collect();
         all.sort_unstable();
         assert_eq!(all, items);
-    }
-
-    #[test]
-    fn grouped_slices_partition_the_grid_and_keep_groups_whole() {
-        use gemmini_mem::stats::SweepAxis;
-        // Grid: two groups of three plus two ungrouped points, interleaved.
-        let labels = ["b0", "m0a", "m0b", "lone0", "b1", "m1a", "m1b", "lone1"];
-        let items: Vec<(String, u64, usize)> = labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| ((*l).to_string(), i as u64, i))
-            .collect();
-        let policy = PrunePolicy::new(SweepAxis::TlbEntries, 0.05)
-            .group("b0", ["m0a".to_string(), "m0b".to_string()])
-            .group("b1", ["m1a".to_string(), "m1b".to_string()]);
-        let spec = |index| ShardSpec { index, count: 2 };
-        let s0 = shard_items_grouped(items.clone(), spec(0), &policy);
-        let s1 = shard_items_grouped(items.clone(), spec(1), &policy);
-        // Slots by first appearance: b0-group=0, lone0=1, b1-group=2, lone1=3.
-        let labels_of =
-            |s: &[(String, u64, usize)]| s.iter().map(|(l, ..)| l.clone()).collect::<Vec<_>>();
-        assert_eq!(labels_of(&s0), ["b0", "m0a", "m0b", "b1", "m1a", "m1b"]);
-        assert_eq!(labels_of(&s1), ["lone0", "lone1"]);
-        // Exact partition, grid order preserved within each slice.
-        let mut all: Vec<usize> = s0.iter().chain(&s1).map(|&(_, _, i)| i).collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn merge_rejects_prune_evidence_the_stitched_set_cannot_back() {
-        use crate::checkpoint::CheckpointWriter;
-        use crate::prune::PruneEvidence;
-        use gemmini_mem::stats::{CycleBucket, SweepAxis};
-        let evidence = |basis: &str, fp: u64| PruneEvidence {
-            basis_label: basis.to_string(),
-            basis_fingerprint: fp,
-            axis: SweepAxis::TlbEntries,
-            dominant: CycleBucket::Compute,
-            dominance: 0.9,
-            movable_fraction: 0.02,
-            tolerance: 0.05,
-        };
-        let entry = |label: &str, fp: u64, pruned: Option<PruneEvidence>| CheckpointEntry {
-            label: label.to_string(),
-            fingerprint: fp,
-            wall: Duration::ZERO,
-            payload: 7u64,
-            pruned,
-        };
-        let write = |name: &str, entries: Vec<CheckpointEntry<u64>>| {
-            let path = temp_path(name);
-            let w = CheckpointWriter::create(&path).unwrap();
-            for e in &entries {
-                w.append(e).unwrap();
-            }
-            path
-        };
-        let expected = vec![
-            ("basis".to_string(), 1u64),
-            ("ok".to_string(), 2),
-            ("drifted".to_string(), 3),
-        ];
-
-        // Sound: both pruned entries name the stitched basis fingerprint.
-        let sound = write(
-            "merge_prune_sound.jsonl",
-            vec![
-                entry("basis", 1, None),
-                entry("ok", 2, Some(evidence("basis", 1))),
-                entry("drifted", 3, Some(evidence("basis", 1))),
-            ],
-        );
-        assert!(merge_shards::<u64>(&expected, std::slice::from_ref(&sound)).is_ok());
-        std::fs::remove_file(&sound).unwrap();
-
-        // Unsound: 'drifted' was pruned against a basis fingerprint the
-        // stitched set does not hold — the shards disagree on the grid.
-        let unsound = write(
-            "merge_prune_unsound.jsonl",
-            vec![
-                entry("basis", 1, None),
-                entry("ok", 2, Some(evidence("basis", 1))),
-                entry("drifted", 3, Some(evidence("basis", 999))),
-            ],
-        );
-        match merge_shards::<u64>(&expected, std::slice::from_ref(&unsound)) {
-            Err(MergeError::PruneMismatch { disagreeing }) => {
-                assert_eq!(disagreeing, vec!["drifted".to_string()]);
-            }
-            other => panic!("expected a prune mismatch, got {other:?}"),
-        }
-        std::fs::remove_file(&unsound).unwrap();
-
-        // Also unsound: evidence naming a basis that is itself pruned.
-        let circular = write(
-            "merge_prune_circular.jsonl",
-            vec![
-                entry("basis", 1, Some(evidence("ok", 2))),
-                entry("ok", 2, Some(evidence("basis", 1))),
-                entry("drifted", 3, None),
-            ],
-        );
-        match merge_shards::<u64>(&expected, std::slice::from_ref(&circular)) {
-            Err(MergeError::PruneMismatch { disagreeing }) => {
-                assert_eq!(
-                    disagreeing,
-                    vec!["basis".to_string(), "ok".to_string()],
-                    "a predicted basis cannot back another prediction"
-                );
-            }
-            other => panic!("expected a prune mismatch, got {other:?}"),
-        }
-        std::fs::remove_file(&circular).unwrap();
     }
 
     #[test]
@@ -1600,14 +1376,12 @@ mod tests {
                 fingerprint: 1,
                 wall: Duration::ZERO,
                 payload: 10u64,
-                pruned: None,
             },
             CheckpointEntry {
                 label: "b".into(),
                 fingerprint: 99,
                 wall: Duration::ZERO,
                 payload: 20u64,
-                pruned: None,
             },
         ] {
             writer.append(&entry).unwrap();
@@ -1643,7 +1417,6 @@ mod tests {
                 fingerprint: i,
                 wall: Duration::from_micros(i),
                 payload: i * 100,
-                pruned: None,
             };
             if i % 2 == 0 {
                 w0.append(&entry).unwrap();
@@ -1686,7 +1459,6 @@ mod tests {
                 fingerprint: 1,
                 wall: Duration::ZERO,
                 payload: 10u64,
-                pruned: None,
             })
             .unwrap();
         writer

@@ -10,6 +10,11 @@
 //!
 //! Properties:
 //!
+//! * **One executor**: [`sweep_map`] is the only execution path.
+//!   Checkpoint serving, the checkpoint writer and the point-timeout
+//!   monitor are optional stages inside it, switched on by
+//!   [`SweepOptions`]; [`run_sweep_with`] is its [`DesignPoint`]
+//!   instantiation.
 //! * **Worker count** comes from the `GEMMINI_THREADS` environment
 //!   variable; unset (or `0`) defaults to
 //!   [`std::thread::available_parallelism`]. `GEMMINI_THREADS=1` forces
@@ -33,18 +38,17 @@
 //!   [`TrafficStats::merge`], so totals across N parallel shards equal
 //!   the serial run's totals exactly.
 
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-use std::collections::HashMap;
 
 use crate::checkpoint::{
     compact, debug_fingerprint, Checkpoint, CheckpointEntry, CheckpointWriter, FailedEntry,
 };
-use crate::prune::{Attributed, PruneDecision, PruneEvidence, PrunePolicy};
+use crate::fault::{self, FaultAction};
 use crate::run::{run_networks_metered, RunOptions, SocReport};
 use crate::soc::SocConfig;
 use crate::telemetry::{
@@ -59,25 +63,6 @@ use gemmini_mem::stats::{HitMissStats, TrafficStats};
 
 /// Environment variable naming the worker count (`0`/unset = all cores).
 pub const THREADS_ENV: &str = "GEMMINI_THREADS";
-
-/// Test-only crash hook: when set to `k`, a checkpointed sweep that
-/// starts from an empty checkpoint (no resumed points) calls
-/// [`std::process::abort`] as its `k+1`-th point begins executing, after
-/// `k` completed points have been persisted. A resumed run (any cached
-/// point) never crashes, so a supervisor retry that picks the shard back
-/// up from its checkpoint runs to completion. The shard supervisor tests
-/// and CI use this to simulate a segfault mid-sweep; see also
-/// [`crate::shard::CRASH_SHARD_ENV`] for restricting the hook to one
-/// shard.
-pub const CRASH_AFTER_ENV: &str = "GEMMINI_TEST_CRASH_AFTER";
-
-/// Test-only hang hook: like [`CRASH_AFTER_ENV`], but instead of
-/// aborting, the worker thread that begins the `k+1`-th point sleeps
-/// forever — a wedged simulation the supervisor's heartbeat-staleness
-/// watchdog must detect and kill. Resumed runs (any cached point) never
-/// hang, so the post-kill retry completes. Restricted to one shard by
-/// [`crate::shard::CRASH_SHARD_ENV`] exactly like the crash hook.
-pub const HANG_AFTER_ENV: &str = "GEMMINI_TEST_HANG_AFTER";
 
 /// Process exit code for a sweep that *completed* but recorded one or
 /// more first-class point failures (today: `--point-timeout`
@@ -171,26 +156,9 @@ pub struct SweepResult<T> {
     pub wall: Duration,
     /// Whether the result was served from a checkpoint instead of run.
     pub cached: bool,
-    /// Evidence when the point was skipped by attribution-guided
-    /// pruning: `outcome` then holds the basis point's report served as
-    /// a prediction, not a simulation of this point. `None` for every
-    /// point that actually ran.
-    pub pruned: Option<PruneEvidence>,
 }
 
 impl<T> SweepResult<T> {
-    /// Synthesizes a pruned entry: `predicted` is the basis point's
-    /// payload served under this point's label, justified by `evidence`.
-    pub fn pruned_from(label: impl Into<String>, predicted: T, evidence: PruneEvidence) -> Self {
-        Self {
-            label: label.into(),
-            outcome: Ok(predicted),
-            wall: Duration::ZERO,
-            cached: false,
-            pruned: Some(evidence),
-        }
-    }
-
     /// The successful report, if any.
     pub fn ok(&self) -> Option<&T> {
         self.outcome.as_ref().ok()
@@ -224,23 +192,6 @@ pub struct SweepOptions {
     /// holds (matching label + fingerprint). Without `resume`, an
     /// existing checkpoint file is truncated and rewritten.
     pub resume: bool,
-    /// Points already completed before this call's first item — folded
-    /// into progress-line positions so a 27-cached resume of a 32-point
-    /// grid prints `[28/32]`, not `[1/5]`. The checkpointing executor
-    /// sets this to its cached-point count; leave at `0` otherwise.
-    pub progress_done: usize,
-    /// True grid size for progress-line positions; `0` means "the
-    /// submitted item count". Set together with `progress_done`.
-    pub progress_total: usize,
-    /// Attribution-guided pruning policy; `None` (the default) simulates
-    /// every point. See [`crate::prune`].
-    pub prune: Option<PrunePolicy>,
-    /// Of `progress_done`, how many points were served from the
-    /// checkpoint — rendered as a `N cached` segment in progress lines.
-    pub progress_cached: usize,
-    /// Of `progress_done`, how many points were pruned — rendered as a
-    /// `M pruned` segment in progress lines.
-    pub progress_pruned: usize,
     /// Live-metrics handle: shared with every executed point's
     /// simulation (engine, DMA, scratchpad, TLB, DRAM counters) and with
     /// the executor's own point counters and wall histogram.
@@ -279,11 +230,6 @@ impl Default for SweepOptions {
             progress: true,
             checkpoint: None,
             resume: false,
-            progress_done: 0,
-            progress_total: 0,
-            prune: None,
-            progress_cached: 0,
-            progress_pruned: 0,
             metrics: Metrics::disabled(),
             status: None,
             prometheus: None,
@@ -324,11 +270,11 @@ pub fn worker_count(threads: usize, n_points: usize) -> usize {
     configured.clamp(1, n_points.max(1))
 }
 
-/// Shared live-telemetry state for one sweep call, spanning every
-/// execution phase: the per-point wall histogram behind the progress
-/// lines' ETA column (always on — it is cheap and local), the executor's
-/// point counters, and heartbeat bookkeeping when `opts.status` names a
-/// file.
+/// Shared live-telemetry state for one sweep call: the per-point wall
+/// histogram behind the progress lines' ETA column (always on — it is
+/// cheap and local), the executor's point counters, heartbeat
+/// bookkeeping when `opts.status` names a file, and the point-timeout
+/// monitor's table of executing points.
 struct Pulse {
     status: Option<PathBuf>,
     prometheus: Option<PathBuf>,
@@ -336,10 +282,11 @@ struct Pulse {
     grid_total: usize,
     start: Instant,
     workers: AtomicUsize,
-    /// Completions that did not execute in this call: cached + pruned.
-    baseline: AtomicUsize,
-    cached: AtomicUsize,
-    pruned: AtomicUsize,
+    /// Points served from the checkpoint (results and recorded
+    /// failures): completions that did not execute in this call.
+    served: usize,
+    /// Of `served`, the points served as results.
+    cached: usize,
     /// Points actually simulated here (successes and failures).
     executed: AtomicUsize,
     failed: AtomicUsize,
@@ -351,10 +298,9 @@ struct Pulse {
     /// Points currently executing, keyed by ticket — the timeout scan's
     /// prey. Only populated when `point_timeout` is set.
     inflight: Mutex<HashMap<u64, InFlightPoint>>,
-    next_ticket: std::sync::atomic::AtomicU64,
-    /// Where the timeout monitor records `failed:timeout` entries;
-    /// installed by the checkpointing executor once its writer exists.
-    writer: Mutex<Option<Arc<CheckpointWriter>>>,
+    next_ticket: AtomicU64,
+    /// Where the timeout monitor records `failed:timeout` entries.
+    writer: Option<Arc<CheckpointWriter>>,
     /// Consecutive monitor ticks during which every in-flight point was
     /// timed out (no worker can make progress) — the exit trigger, held
     /// for two ticks so a worker between claims is not mistaken for a
@@ -381,7 +327,9 @@ struct InFlightGuard<'a> {
 
 impl Drop for InFlightGuard<'_> {
     fn drop(&mut self) {
-        self.pulse.exit_point(self.ticket.take());
+        if let (Some(ticket), Ok(mut inflight)) = (self.ticket, self.pulse.inflight.lock()) {
+            inflight.remove(&ticket);
+        }
     }
 }
 
@@ -389,9 +337,9 @@ impl Pulse {
     fn start(
         opts: &SweepOptions,
         grid_total: usize,
-        baseline: usize,
+        served: usize,
         cached: usize,
-        pruned: usize,
+        writer: Option<Arc<CheckpointWriter>>,
     ) -> Arc<Self> {
         let pulse = Arc::new(Self {
             status: opts.status.clone(),
@@ -400,47 +348,43 @@ impl Pulse {
             grid_total,
             start: Instant::now(),
             workers: AtomicUsize::new(1),
-            baseline: AtomicUsize::new(baseline),
-            cached: AtomicUsize::new(cached),
-            pruned: AtomicUsize::new(pruned),
+            served,
+            cached,
             executed: AtomicUsize::new(0),
-            failed: AtomicUsize::new(0),
+            failed: AtomicUsize::new(served - cached),
             wall_hist: Mutex::new(Log2Histogram::new()),
             last_beat: Mutex::new(Instant::now()),
             stop: AtomicBool::new(false),
             point_timeout: opts.point_timeout,
             inflight: Mutex::new(HashMap::new()),
-            next_ticket: std::sync::atomic::AtomicU64::new(0),
-            writer: Mutex::new(None),
+            next_ticket: AtomicU64::new(0),
+            writer,
             hung_stable: AtomicUsize::new(0),
         });
         pulse.beat("run");
         pulse
     }
 
-    /// Registers an executing point with the timeout monitor. A no-op
-    /// (and `None`) without a `point_timeout`.
-    fn enter_point(&self, label: &str, fingerprint: u64) -> Option<u64> {
-        self.point_timeout?;
-        let ticket = self
-            .next_ticket
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.inflight.lock().expect("inflight lock").insert(
+    /// Registers an executing point with the timeout monitor; the guard
+    /// deregisters it however the point ends. A no-op without a
+    /// `point_timeout`.
+    fn enter_point(&self, label: &str, fingerprint: u64) -> InFlightGuard<'_> {
+        let ticket = self.point_timeout.map(|_| {
+            let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
+            self.inflight.lock().expect("inflight lock").insert(
+                ticket,
+                InFlightPoint {
+                    label: label.to_string(),
+                    fingerprint,
+                    start: Instant::now(),
+                    recorded: false,
+                },
+            );
+            ticket
+        });
+        InFlightGuard {
+            pulse: self,
             ticket,
-            InFlightPoint {
-                label: label.to_string(),
-                fingerprint,
-                start: Instant::now(),
-                recorded: false,
-            },
-        );
-        Some(ticket)
-    }
-
-    /// Deregisters a point that finished (however it finished).
-    fn exit_point(&self, ticket: Option<u64>) {
-        if let Some(ticket) = ticket {
-            self.inflight.lock().expect("inflight lock").remove(&ticket);
         }
     }
 
@@ -470,7 +414,7 @@ impl Pulse {
                         wall: p.start.elapsed(),
                         reason: "timeout".to_string(),
                     };
-                    if let Some(w) = self.writer.lock().expect("writer lock").as_ref() {
+                    if let Some(w) = &self.writer {
                         if let Err(e) = w.append_failed(&entry) {
                             eprintln!("sweep: failed to record timeout for '{}': {e}", p.label);
                         }
@@ -508,7 +452,7 @@ impl Pulse {
     }
 
     fn done_total(&self) -> usize {
-        self.baseline.load(Ordering::Relaxed) + self.executed.load(Ordering::Relaxed)
+        self.served + self.executed.load(Ordering::Relaxed)
     }
 
     /// Folds one executed point in: wall histogram (local + registry),
@@ -527,13 +471,6 @@ impl Pulse {
             self.metrics.inc(Counter::PointsFailed);
         }
         self.executed.fetch_add(1, Ordering::Relaxed);
-        self.beat("run");
-    }
-
-    /// Newly pruned points count as completions that never execute.
-    fn add_pruned(&self, n: usize) {
-        self.pruned.fetch_add(n, Ordering::Relaxed);
-        self.baseline.fetch_add(n, Ordering::Relaxed);
         self.beat("run");
     }
 
@@ -567,8 +504,7 @@ impl Pulse {
             phase: phase.to_string(),
             done,
             total: self.grid_total,
-            cached: self.cached.load(Ordering::Relaxed),
-            pruned: self.pruned.load(Ordering::Relaxed),
+            cached: self.cached,
             failed: self.failed.load(Ordering::Relaxed),
             elapsed_secs: elapsed,
             rate_pts_per_sec: executed as f64 / elapsed.max(1e-9),
@@ -665,96 +601,194 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The generic executor: applies `f` to every `(label, item)` pair on a
-/// worker pool, isolating failures per item, and returns the results in
-/// submission order. [`run_sweep`] is the [`DesignPoint`] instantiation;
-/// binaries with bespoke per-point work (e.g. instruction-level
-/// ablations) can call this directly.
-pub fn sweep_map<I, T, F>(items: Vec<(String, I)>, opts: SweepOptions, f: F) -> Vec<SweepResult<T>>
-where
-    I: Send,
-    T: Send,
-    F: Fn(I) -> Result<T, AccelError> + Sync,
-{
-    let grid_total = if opts.progress_total > 0 {
-        opts.progress_total
-    } else {
-        items.len()
-    };
-    let pulse = Pulse::start(
-        &opts,
-        grid_total,
-        opts.progress_done,
-        opts.progress_cached,
-        opts.progress_pruned,
-    );
-    let monitor = PulseMonitor::spawn(&pulse);
-    let results = sweep_map_walled(items, opts, &pulse, |item| {
-        let start = Instant::now();
-        match f(item) {
-            Ok(t) => {
-                let wall = start.elapsed();
-                Ok((t, wall))
-            }
-            Err(e) => Err(SweepError::Accel(e)),
+/// The `sweep.point` failpoint ([`crate::fault`]), evaluated as a point
+/// begins: `abort` kills the process the way a segfault would, `hang`
+/// wedges the worker (the watchdog's and `--point-timeout`'s prey), and
+/// `delay:<ms>` slows the point down.
+fn point_failpoint(label: &str) {
+    match fault::fire("sweep.point") {
+        Some(FaultAction::Abort) => {
+            eprintln!("fault: aborting at failpoint 'sweep.point' before '{label}'");
+            std::process::abort();
         }
-    });
-    drop(monitor);
-    pulse.finalize();
-    results
+        Some(FaultAction::Hang) => fault::hang_forever("sweep.point"),
+        Some(FaultAction::Delay(d)) => std::thread::sleep(d),
+        _ => {}
+    }
 }
 
-/// The executor core: like [`sweep_map`], but the closure reports its own
-/// wall-clock alongside the payload, so wrappers that do bookkeeping
-/// around the simulation (checkpoint encoding and flushing) can keep the
-/// reported wall pure. Panics inside the closure are still caught and
-/// isolated per item.
-fn sweep_map_walled<I, T, G>(
-    items: Vec<(String, I)>,
+/// The sweep executor: applies `f` to every `(label, fingerprint, item)`
+/// triple on a worker pool, isolating failures per item, and returns the
+/// results in submission order. [`run_sweep_with`] is the
+/// [`DesignPoint`] instantiation; binaries with bespoke per-point work
+/// (e.g. instruction-level ablations) call this directly.
+///
+/// Optional stages, each switched on by `opts`:
+///
+/// * **Checkpoint serve** (`checkpoint` + `resume`): points whose
+///   `(label, fingerprint)` already appear in the file — as results or
+///   as recorded failures — are served from it without running, so a
+///   resumed sweep re-executes only stale or missing points.
+/// * **Checkpoint writer** (`checkpoint`): every completed point is
+///   appended as a flushed JSON line, so a killed sweep loses at most
+///   its in-flight points; a resumed completion compacts the file.
+/// * **Point timeout** (`point_timeout`): a monitor thread records and
+///   abandons wedged points (see [`SweepOptions::point_timeout`]).
+///
+/// The `sweep.point` failpoint is evaluated only in a *fresh* sweep —
+/// one that served no point from its checkpoint. A supervisor retries a
+/// crashed or hung shard with `--resume`, so `sweep.point=abort@N` kills
+/// the first attempt and the retry, serving the persisted points, runs
+/// to completion.
+pub fn sweep_map<I, T, F>(
+    items: Vec<(String, u64, I)>,
     opts: SweepOptions,
-    pulse: &Pulse,
-    g: G,
+    f: F,
 ) -> Vec<SweepResult<T>>
 where
     I: Send,
-    T: Send,
-    G: Fn(I) -> Result<(T, Duration), SweepError> + Sync,
+    T: ToJson + FromJson + Send,
+    F: Fn(I) -> Result<T, AccelError> + Sync,
 {
     let total = items.len();
-    if total == 0 {
-        return Vec::new();
-    }
-    let workers = worker_count(opts.threads, total);
-    pulse.workers.store(workers, Ordering::Relaxed);
-    pulse.metrics.set_gauge(Gauge::SweepWorkers, workers as u64);
-    // Progress lines report true grid position: a resumed sweep passes
-    // the whole-grid total and the already-cached count so the first
-    // fresh point of a 27-cached/32-point resume prints `[28/32]`. The
-    // pts/s rate stays execution throughput (cached points cost ~0s and
-    // would inflate it into a lie of the opposite kind).
-    let grid_total = if opts.progress_total > 0 {
-        opts.progress_total
-    } else {
-        total
-    };
-    let done_offset = opts.progress_done;
-    // Cached/pruned points are accounted separately inside the bracket
-    // (`[28/32, 9 cached, 6 pruned]`) so a resumed or pruned sweep's
-    // position is honest about how much real simulation is happening.
-    // Fresh unpruned sweeps keep the historical `[k/n]` form exactly.
-    let mut provenance = String::new();
-    if opts.progress_cached > 0 {
-        provenance.push_str(&format!(", {} cached", opts.progress_cached));
-    }
-    if opts.progress_pruned > 0 {
-        provenance.push_str(&format!(", {} pruned", opts.progress_pruned));
-    }
-    let sweep_start = Instant::now();
+    let path = opts.checkpoint.as_deref();
 
-    let run_one = |label: &str, item: I, done: &AtomicUsize| -> SweepResult<T> {
+    // Resume loads *quarantine*: an undecodable line (torn write, CRC
+    // mismatch) is moved to the `.bad` sidecar and the file rewritten
+    // without it, so damage is reported exactly once and the named point
+    // simply re-runs.
+    let mut checkpoint = match path.filter(|_| opts.resume) {
+        Some(path) => match Checkpoint::<T>::load_quarantining(path) {
+            Ok((c, _quarantine)) => c,
+            Err(e) => {
+                eprintln!(
+                    "sweep: cannot read checkpoint {}: {e}; running every point",
+                    path.display()
+                );
+                Checkpoint::default()
+            }
+        },
+        None => Checkpoint::default(),
+    };
+
+    // Serve completed points from the checkpoint; queue the rest. A
+    // recorded failure (timeout) is served as a first-class `Err` result
+    // rather than re-attempted: a deterministic hang must not wedge
+    // every resume cycle. Deleting the line (or running without
+    // --resume) re-runs the point.
+    let mut slots: Vec<Option<SweepResult<T>>> = (0..total).map(|_| None).collect();
+    let mut to_run = Vec::new();
+    let mut cached = 0usize;
+    for (idx, (label, fingerprint, item)) in items.into_iter().enumerate() {
+        let (outcome, wall) = if let Some(entry) = checkpoint.take(&label, fingerprint) {
+            cached += 1;
+            (Ok(entry.payload), entry.wall)
+        } else if let Some(failure) = checkpoint.take_failed(&label, fingerprint) {
+            (Err(SweepError::Recorded(failure.reason)), failure.wall)
+        } else {
+            to_run.push((idx, label, fingerprint, item));
+            continue;
+        };
+        slots[idx] = Some(SweepResult {
+            label,
+            outcome,
+            wall,
+            cached: true,
+        });
+    }
+    let served = total - to_run.len();
+    if let (Some(path), true) = (path, opts.resume) {
+        let failed = served - cached;
+        let stale = checkpoint.stale_lines;
+        eprintln!(
+            "sweep: resume from {}: skipped {served}/{total} completed points{}{}",
+            path.display(),
+            if failed > 0 {
+                format!(" ({failed} recorded failures served)")
+            } else {
+                String::new()
+            },
+            if stale > 0 {
+                format!(" ({stale} stale/partial lines ignored)")
+            } else {
+                String::new()
+            }
+        );
+    }
+
+    // Fresh runs truncate; resumes append (re-run entries shadow stale
+    // ones on the next load). A checkpoint the filesystem refuses to
+    // open degrades to an unpersisted sweep rather than losing the run.
+    let writer = path.and_then(|path| {
+        let opened = if opts.resume {
+            CheckpointWriter::append_to(path)
+        } else {
+            CheckpointWriter::create(path)
+        };
+        match opened {
+            Ok(w) => Some(Arc::new(w)),
+            Err(e) => {
+                eprintln!(
+                    "sweep: cannot write checkpoint {}: {e}; results will not be persisted",
+                    path.display()
+                );
+                None
+            }
+        }
+    });
+
+    // The timeout monitor shares the writer so an expired point can be
+    // recorded as failed:timeout from outside its (wedged) worker.
+    let pulse = Pulse::start(&opts, total, served, cached, writer.clone());
+    let monitor = PulseMonitor::spawn(&pulse);
+    opts.metrics.add(Counter::PointsCached, cached as u64);
+
+    // Progress lines report true grid position: the first fresh point of
+    // a 27-cached/32-point resume prints `[28/32, 27 cached]`, so a
+    // resumed sweep is honest about how much real simulation is
+    // happening; fresh sweeps keep the plain `[k/n]` form. The pts/s rate
+    // stays execution throughput (cached points cost ~0s and would
+    // inflate it into a lie of the opposite kind).
+    let provenance = if cached > 0 {
+        format!(", {cached} cached")
+    } else {
+        String::new()
+    };
+    let fresh = served == 0;
+    let done = AtomicUsize::new(0);
+    let sweep_start = Instant::now();
+    let run_one = |label: String, fingerprint: u64, item: I| -> SweepResult<T> {
         let attempt_start = Instant::now();
         pulse.metrics.gauge_add(Gauge::PointsInFlight, 1);
-        let (outcome, wall) = match catch_unwind(AssertUnwindSafe(|| g(item))) {
+        let attempt = || -> Result<(T, Duration), SweepError> {
+            // Deregisters on every exit path, including a panic inside
+            // `f` (unwinding must not leave a ghost in-flight entry for
+            // the timeout monitor to "time out" later).
+            let _guard = pulse.enter_point(&label, fingerprint);
+            if fresh {
+                point_failpoint(&label);
+            }
+            let start = Instant::now();
+            let payload = f(item).map_err(SweepError::Accel)?;
+            // The persisted wall and the returned wall are the same pure
+            // simulation measurement; JSON encoding and the flushed
+            // append below are excluded from both.
+            let wall = start.elapsed();
+            let Some(w) = &writer else {
+                return Ok((payload, wall));
+            };
+            let entry = CheckpointEntry {
+                label: label.clone(),
+                fingerprint,
+                wall,
+                payload,
+            };
+            if let Err(e) = w.append(&entry) {
+                eprintln!("sweep: checkpoint append failed for '{label}': {e}");
+            }
+            Ok((entry.payload, wall))
+        };
+        let (outcome, wall) = match catch_unwind(AssertUnwindSafe(attempt)) {
             Ok(Ok((t, wall))) => (Ok(t), wall),
             Ok(Err(e)) => (Err(e), attempt_start.elapsed()),
             Err(payload) => (
@@ -776,468 +810,67 @@ where
                 .map(|s| format!(", eta {}", format_eta(s)))
                 .unwrap_or_default();
             eprintln!(
-                "[{}/{grid_total}{provenance}] {label} {status}{:.1}s | {elapsed:.1}s elapsed, {rate:.2} pts/s{eta}",
-                finished + done_offset,
+                "[{}/{total}{provenance}] {label} {status}{:.1}s | {elapsed:.1}s elapsed, {rate:.2} pts/s{eta}",
+                finished + served,
                 wall.as_secs_f64()
             );
         }
         SweepResult {
-            label: label.to_string(),
+            label,
             outcome,
             wall,
             cached: false,
-            pruned: None,
         }
     };
 
-    let done = AtomicUsize::new(0);
+    let workers = worker_count(opts.threads, to_run.len());
+    if !to_run.is_empty() {
+        pulse.workers.store(workers, Ordering::Relaxed);
+        pulse.metrics.set_gauge(Gauge::SweepWorkers, workers as u64);
+    }
     if workers == 1 {
         // Fully serial on the caller's thread: identical scheduling to
         // the historical per-binary loops.
-        return items
-            .into_iter()
-            .map(|(label, item)| run_one(&label, item, &done))
-            .collect();
-    }
-
-    // Workers claim items by atomic index and write results into the
-    // matching slot, so output order is submission order regardless of
-    // which thread finishes when.
-    let work: Vec<Mutex<Option<(String, I)>>> = items
-        .into_iter()
-        .map(|pair| Mutex::new(Some(pair)))
-        .collect();
-    let slots: Vec<Mutex<Option<SweepResult<T>>>> = (0..total).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= total {
-                    break;
-                }
-                let (label, item) = work[idx]
-                    .lock()
-                    .expect("work slot lock")
-                    .take()
-                    .expect("each index is claimed exactly once");
-                let result = run_one(&label, item, &done);
-                *slots[idx].lock().expect("result slot lock") = Some(result);
-            });
+        for (idx, label, fingerprint, item) in to_run {
+            slots[idx] = Some(run_one(label, fingerprint, item));
         }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot lock")
-                .expect("every slot is filled before the scope ends")
-        })
-        .collect()
-}
-
-/// The checkpointing executor: like [`sweep_map`], but each item carries
-/// a configuration fingerprint, completed results are appended to
-/// `opts.checkpoint` as flushed JSON lines, and — in resume mode —
-/// points whose `(label, fingerprint)` already appear in the file are
-/// served from it without running.
-///
-/// A killed sweep therefore loses at most its in-flight points, and a
-/// resumed sweep re-executes only stale or missing ones. With
-/// `opts.checkpoint == None` and `opts.prune == None` this is exactly
-/// [`sweep_map`].
-///
-/// With `opts.prune` set, execution is two-phased: group bases (and every
-/// ungrouped point) run first, then each group's basis attribution
-/// decides — via [`PrunePolicy::decide`] — whether the remaining members
-/// are skipped with a synthesized prediction or simulated in a second
-/// phase. Pruned points persist as first-class checkpoint entries
-/// carrying their [`PruneEvidence`]; on resume they are replayed only
-/// while the policy is still active *and* the recorded basis fingerprint
-/// still matches the grid (any drift re-runs the point — the safe
-/// direction).
-pub fn sweep_map_checkpointed<I, T, F>(
-    items: Vec<(String, u64, I)>,
-    opts: SweepOptions,
-    f: F,
-) -> Vec<SweepResult<T>>
-where
-    I: Send,
-    T: ToJson + FromJson + Clone + Attributed + Send,
-    F: Fn(I) -> Result<T, AccelError> + Sync,
-{
-    let path = opts.checkpoint.clone();
-    if path.is_none() && opts.prune.is_none() && opts.point_timeout.is_none() {
-        let plain = items
+    } else {
+        // Workers claim points by atomic index; each result carries its
+        // grid slot, so output order is submission order regardless of
+        // which thread finishes when.
+        let work: Vec<_> = to_run
             .into_iter()
-            .map(|(label, _, item)| (label, item))
+            .map(|point| Mutex::new(Some(point)))
             .collect();
-        return sweep_map(plain, opts, f);
-    }
-
-    let total = items.len();
-    let policy = opts.prune.clone();
-    // The grid's own label → (fingerprint, slot) map: prune evidence is
-    // validated against it, and group bases are looked up through it.
-    let grid: HashMap<String, (u64, usize)> = items
-        .iter()
-        .enumerate()
-        .map(|(idx, (label, fingerprint, _))| (label.clone(), (*fingerprint, idx)))
-        .collect();
-
-    // Resume loads *quarantine*: an undecodable line (torn write, CRC
-    // mismatch) is moved to the `.bad` sidecar and the file rewritten
-    // without it, so damage is reported exactly once and the named point
-    // simply re-runs.
-    let mut checkpoint = match (&path, opts.resume) {
-        (Some(path), true) => match Checkpoint::<T>::load_quarantining(path) {
-            Ok((c, _quarantine)) => c,
-            Err(e) => {
-                eprintln!(
-                    "sweep: cannot read checkpoint {}: {e}; running every point",
-                    path.display()
-                );
-                Checkpoint::default()
-            }
-        },
-        _ => Checkpoint::default(),
-    };
-
-    // Serve completed points from the checkpoint; queue the rest. A
-    // persisted *pruned* entry replays only while pruning is still on and
-    // its recorded basis fingerprint matches the grid's current basis —
-    // otherwise the prediction's justification is gone and the point must
-    // really run.
-    let mut slots: Vec<Option<SweepResult<T>>> = (0..total).map(|_| None).collect();
-    let mut to_run: Vec<(usize, String, u64, I)> = Vec::new();
-    let mut cached_run = 0usize;
-    let mut cached_pruned = 0usize;
-    let mut cached_failed = 0usize;
-    for (idx, (label, fingerprint, item)) in items.into_iter().enumerate() {
-        let served = match checkpoint.take(&label, fingerprint) {
-            Some(entry) => match entry.pruned {
-                None => {
-                    cached_run += 1;
-                    slots[idx] = Some(SweepResult {
-                        label: label.clone(),
-                        outcome: Ok(entry.payload),
-                        wall: entry.wall,
-                        cached: true,
-                        pruned: None,
-                    });
-                    true
-                }
-                Some(evidence) => {
-                    let basis_current = grid
-                        .get(&evidence.basis_label)
-                        .is_some_and(|&(fp, _)| fp == evidence.basis_fingerprint);
-                    if policy.is_some() && basis_current {
-                        cached_pruned += 1;
-                        slots[idx] = Some(SweepResult {
-                            label: label.clone(),
-                            outcome: Ok(entry.payload),
-                            wall: entry.wall,
-                            cached: true,
-                            pruned: Some(evidence),
-                        });
-                        true
-                    } else {
-                        false
+        let ran = Mutex::new(Vec::with_capacity(work.len()));
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| {
+                    while let Some(cell) = work.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let (idx, label, fingerprint, item) = cell
+                            .lock()
+                            .expect("work slot lock")
+                            .take()
+                            .expect("each index is claimed exactly once");
+                        let result = run_one(label, fingerprint, item);
+                        ran.lock().expect("result list lock").push((idx, result));
                     }
-                }
-            },
-            // A recorded failure (timeout) is served as a first-class
-            // `Err` result rather than re-attempted: a deterministic
-            // hang must not wedge every resume cycle. Deleting the line
-            // (or running without --resume) re-runs the point.
-            None => match checkpoint.take_failed(&label, fingerprint) {
-                Some(failure) => {
-                    cached_failed += 1;
-                    slots[idx] = Some(SweepResult {
-                        label: label.clone(),
-                        outcome: Err(SweepError::Recorded(failure.reason)),
-                        wall: failure.wall,
-                        cached: true,
-                        pruned: None,
-                    });
-                    true
-                }
-                None => false,
-            },
-        };
-        if !served {
-            to_run.push((idx, label, fingerprint, item));
-        }
-    }
-    let skipped = total - to_run.len();
-    // One telemetry pulse spans both execution phases, so the heartbeat
-    // and ETA see whole-grid progress rather than per-phase slices.
-    let pulse = Pulse::start(&opts, total, skipped, cached_run, cached_pruned);
-    pulse.failed.fetch_add(cached_failed, Ordering::Relaxed);
-    let monitor = PulseMonitor::spawn(&pulse);
-    opts.metrics
-        .add(Counter::PointsCached, (cached_run + cached_pruned) as u64);
-    if opts.resume {
-        if let Some(path) = &path {
-            let stale = checkpoint.stale_lines;
-            eprintln!(
-                "sweep: resume from {}: skipped {skipped}/{total} completed points{}{}{}",
-                path.display(),
-                if cached_pruned > 0 {
-                    format!(" ({cached_pruned} pruned replayed)")
-                } else {
-                    String::new()
-                },
-                if cached_failed > 0 {
-                    format!(" ({cached_failed} recorded failures served)")
-                } else {
-                    String::new()
-                },
-                if stale > 0 {
-                    format!(" ({stale} stale/partial lines ignored)")
-                } else {
-                    String::new()
-                }
-            );
-        }
-    }
-
-    // Fresh runs truncate; resumes append (re-run entries shadow stale
-    // ones on the next load). A checkpoint the filesystem refuses to
-    // open degrades to an unpersisted sweep rather than losing the run.
-    let writer = match &path {
-        Some(path) => {
-            let writer = if opts.resume {
-                CheckpointWriter::append_to(path)
-            } else {
-                CheckpointWriter::create(path)
-            };
-            match writer {
-                Ok(w) => Some(Arc::new(w)),
-                Err(e) => {
-                    eprintln!(
-                        "sweep: cannot write checkpoint {}: {e}; results will not be persisted",
-                        path.display()
-                    );
-                    None
-                }
+                });
             }
-        }
-        None => None,
-    };
-    // Hand the writer to the timeout monitor so an expired point can be
-    // recorded as failed:timeout from outside its (wedged) worker.
-    *pulse.writer.lock().expect("writer lock") = writer.clone();
-
-    // Split what's left into phase 1 — group bases and ungrouped points,
-    // which must really run — and the group members whose fate phase 1's
-    // attributions decide. A member whose basis is not even in the grid
-    // can never be predicted and runs in phase 1 too.
-    let mut phase1: Vec<(usize, String, u64, I)> = Vec::new();
-    let mut candidates: Vec<(usize, String, u64, I)> = Vec::new();
-    for entry in to_run {
-        let deferred = policy.as_ref().is_some_and(|p| {
-            !p.is_basis(&entry.1)
-                && p.group_of_member(&entry.1)
-                    .is_some_and(|g| grid.contains_key(&g.basis))
         });
-        if deferred {
-            candidates.push(entry);
-        } else {
-            phase1.push(entry);
-        }
-    }
-
-    // Test-only crash hook (CI and the shard supervisor tests): on a
-    // fresh sweep, simulate a hard crash as the k+1-th execution begins,
-    // leaving exactly k completed points in the checkpoint. Resumed
-    // sweeps (skipped > 0) never crash, so a retry completes. The
-    // counter is shared across both execution phases.
-    let crash_hook = if skipped == 0 {
-        std::env::var(CRASH_AFTER_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|k| (k, AtomicUsize::new(0)))
-    } else {
-        None
-    };
-    // Same shape as the crash hook, but the worker wedges instead of
-    // aborting — the supervisor watchdog's test prey.
-    let hang_hook = if skipped == 0 {
-        std::env::var(HANG_AFTER_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|k| (k, AtomicUsize::new(0)))
-    } else {
-        None
-    };
-
-    let writer_ref = &writer;
-    let crash_hook = &crash_hook;
-    let hang_hook = &hang_hook;
-    let pulse_ref = &pulse;
-    let run_point = move |(label, fingerprint, item): (String, u64, I)| {
-        if let Some((k, started)) = crash_hook {
-            if started.fetch_add(1, Ordering::SeqCst) >= *k {
-                eprintln!("sweep: {CRASH_AFTER_ENV} hook: aborting before '{label}'");
-                std::process::abort();
-            }
-        }
-        // Deregisters on every exit path, including a panic inside `f`
-        // (unwinding must not leave a ghost in-flight entry for the
-        // timeout monitor to "time out" later).
-        let _guard = InFlightGuard {
-            pulse: pulse_ref,
-            ticket: pulse_ref.enter_point(&label, fingerprint),
-        };
-        if let Some((k, started)) = hang_hook {
-            if started.fetch_add(1, Ordering::SeqCst) >= *k {
-                eprintln!("sweep: {HANG_AFTER_ENV} hook: hanging in '{label}'");
-                crate::fault::hang_forever("test.hang_after");
-            }
-        }
-        match crate::fault::fire("sweep.point") {
-            Some(crate::fault::FaultAction::Hang) => crate::fault::hang_forever("sweep.point"),
-            Some(crate::fault::FaultAction::Delay(d)) => std::thread::sleep(d),
-            _ => {}
-        }
-        let start = Instant::now();
-        let payload = f(item).map_err(SweepError::Accel)?;
-        // The persisted wall and the returned wall are the same pure
-        // simulation measurement; JSON encoding and the flushed append
-        // below are excluded from both.
-        let wall = start.elapsed();
-        if let Some(w) = writer_ref {
-            let entry = CheckpointEntry {
-                label,
-                fingerprint,
-                wall,
-                payload,
-                pruned: None,
-            };
-            if let Err(e) = w.append(&entry) {
-                eprintln!("sweep: checkpoint append failed for '{}': {e}", entry.label);
-            }
-            Ok((entry.payload, wall))
-        } else {
-            Ok((payload, wall))
-        }
-    };
-
-    // Phase 1: bases and ungrouped points. The inner executor sees only
-    // the points that still need to run; progress lines must nevertheless
-    // report whole-grid positions and provenance.
-    let mut run_opts = opts.clone();
-    run_opts.progress_done = skipped;
-    run_opts.progress_total = total;
-    run_opts.progress_cached = cached_run;
-    run_opts.progress_pruned = cached_pruned;
-    let phase1_count = phase1.len();
-    let order: Vec<usize> = phase1.iter().map(|(idx, ..)| *idx).collect();
-    let work: Vec<(String, (String, u64, I))> = phase1
-        .into_iter()
-        .map(|(_, label, fingerprint, item)| (label.clone(), (label, fingerprint, item)))
-        .collect();
-    let ran = sweep_map_walled(work, run_opts, &pulse, &run_point);
-    for (idx, result) in order.into_iter().zip(ran) {
-        slots[idx] = Some(result);
-    }
-
-    // Decide each remaining member against its basis's attribution: prune
-    // with evidence (persisted like any completed point, wall 0), or send
-    // it to phase 2 to really run.
-    let mut newly_pruned = 0usize;
-    let mut phase2: Vec<(usize, String, u64, I)> = Vec::new();
-    for (idx, label, fingerprint, item) in candidates {
-        let policy = policy.as_ref().expect("candidates imply a policy");
-        let group = policy
-            .group_of_member(&label)
-            .expect("candidates are group members");
-        let decision = grid
-            .get(&group.basis)
-            .and_then(|&(basis_fp, basis_idx)| {
-                let basis = slots[basis_idx].as_ref()?;
-                // A basis must be a real simulation: a failed basis has
-                // no payload, and a (stale-file) predicted basis is not
-                // evidence.
-                if basis.pruned.is_some() {
-                    return None;
-                }
-                let attr = basis.ok().and_then(|payload| payload.cycle_attribution());
-                Some(policy.decide(&group.basis, basis_fp, attr))
-            })
-            .unwrap_or(PruneDecision::Run(crate::prune::RunReason::NoAttribution));
-        match decision {
-            PruneDecision::Prune(evidence) => {
-                let (_, basis_idx) = grid[&group.basis];
-                let predicted = slots[basis_idx]
-                    .as_ref()
-                    .and_then(|b| b.ok())
-                    .expect("a prune decision implies a successful basis")
-                    .clone();
-                if let Some(w) = &writer {
-                    let entry = CheckpointEntry {
-                        label: label.clone(),
-                        fingerprint,
-                        wall: Duration::ZERO,
-                        payload: predicted,
-                        pruned: Some(evidence.clone()),
-                    };
-                    if let Err(e) = w.append(&entry) {
-                        eprintln!("sweep: checkpoint append failed for '{label}': {e}");
-                    }
-                    slots[idx] = Some(SweepResult::pruned_from(label, entry.payload, evidence));
-                } else {
-                    slots[idx] = Some(SweepResult::pruned_from(label, predicted, evidence));
-                }
-                newly_pruned += 1;
-            }
-            PruneDecision::Run(_) => phase2.push((idx, label, fingerprint, item)),
-        }
-    }
-    if newly_pruned > 0 {
-        pulse.add_pruned(newly_pruned);
-        opts.metrics.add(Counter::PointsPruned, newly_pruned as u64);
-    }
-
-    // Phase 2: members the evidence could not excuse.
-    if !phase2.is_empty() {
-        let mut run_opts = opts.clone();
-        run_opts.progress_done = skipped + phase1_count + newly_pruned;
-        run_opts.progress_total = total;
-        run_opts.progress_cached = cached_run;
-        run_opts.progress_pruned = cached_pruned + newly_pruned;
-        let order: Vec<usize> = phase2.iter().map(|(idx, ..)| *idx).collect();
-        let work: Vec<(String, (String, u64, I))> = phase2
-            .into_iter()
-            .map(|(_, label, fingerprint, item)| (label.clone(), (label, fingerprint, item)))
-            .collect();
-        let ran = sweep_map_walled(work, run_opts, &pulse, &run_point);
-        for (idx, result) in order.into_iter().zip(ran) {
+        for (idx, result) in ran.into_inner().expect("result list lock") {
             slots[idx] = Some(result);
         }
     }
     drop(monitor);
     pulse.finalize();
 
-    if policy.is_some() && opts.progress {
-        let pruned_total = cached_pruned + newly_pruned;
-        eprintln!(
-            "sweep: pruned {pruned_total}/{total} point(s) via {} attribution ({} simulated, {cached_run} cached)",
-            policy.as_ref().map_or("?", |p| p.axis.name()),
-            total - pruned_total - cached_run,
-        );
-    }
-
     // A resumed completion has appended re-run entries over stale ones;
     // reclaim the shadowed lines so repeated resume cycles cannot grow
     // the file without bound. (Fresh runs truncate on open, so every
     // label is already unique.)
-    if opts.resume && writer.is_some() {
-        drop(writer);
-        let path = path.as_ref().expect("a writer implies a path");
+    if let (Some(path), Some(_), true) = (path, &writer, opts.resume) {
         match compact(path) {
             Ok(c) if c.dropped > 0 && opts.progress => eprintln!(
                 "sweep: compacted checkpoint {}: kept {}, reclaimed {} shadowed lines",
@@ -1255,7 +888,7 @@ where
 
     slots
         .into_iter()
-        .map(|slot| slot.expect("every point is either cached, pruned, or executed"))
+        .map(|slot| slot.expect("every point is either served or executed"))
         .collect()
 }
 
@@ -1265,16 +898,17 @@ pub fn run_sweep(points: Vec<DesignPoint>) -> Vec<SweepResult<SocReport>> {
     run_sweep_with(points, SweepOptions::default())
 }
 
-/// Runs a batch of [`DesignPoint`]s with explicit options. With
-/// `opts.checkpoint` set, completed reports persist as JSON lines; with
-/// `opts.resume` as well, points already in the file are skipped.
+/// Runs a batch of [`DesignPoint`]s with explicit options through
+/// [`sweep_map`]. With `opts.checkpoint` set, completed reports persist
+/// as JSON lines; with `opts.resume` as well, points already in the file
+/// are skipped.
 pub fn run_sweep_with(points: Vec<DesignPoint>, opts: SweepOptions) -> Vec<SweepResult<SocReport>> {
     let metrics = opts.metrics.clone();
     let items = points
         .into_iter()
         .map(|p| (p.label.clone(), p.fingerprint(), p))
-        .collect::<Vec<_>>();
-    sweep_map_checkpointed(items, opts, move |p| {
+        .collect();
+    sweep_map(items, opts, move |p| {
         run_networks_metered(&p.config, &p.networks, &p.options, &metrics)
     })
 }
@@ -1339,11 +973,15 @@ mod tests {
         }
     }
 
+    /// `n` labelled items whose fingerprint and payload are their index.
+    fn indexed(n: u64) -> Vec<(String, u64, u64)> {
+        (0..n).map(|i| (format!("p{i}"), i, i)).collect()
+    }
+
     #[test]
     fn results_arrive_in_submission_order() {
-        let items: Vec<(String, u64)> = (0..16).map(|i| (format!("p{i}"), i)).collect();
         let results = sweep_map(
-            items,
+            indexed(16),
             SweepOptions {
                 threads: 4,
                 progress: false,
@@ -1363,9 +1001,8 @@ mod tests {
 
     #[test]
     fn panicking_item_is_isolated() {
-        let items: Vec<(String, u64)> = (0..6).map(|i| (format!("p{i}"), i)).collect();
         let results = sweep_map(
-            items,
+            indexed(6),
             SweepOptions {
                 threads: 3,
                 progress: false,
@@ -1396,9 +1033,9 @@ mod tests {
     #[test]
     fn accel_error_is_isolated() {
         let items = vec![
-            ("ok".to_string(), 1u32),
-            ("bad".to_string(), 2),
-            ("ok2".to_string(), 3),
+            ("ok".to_string(), 1, 1u64),
+            ("bad".to_string(), 2, 2),
+            ("ok2".to_string(), 3, 3),
         ];
         let results = sweep_map(items, quiet(), |i| {
             if i == 2 {
@@ -1426,7 +1063,7 @@ mod tests {
 
     #[test]
     fn empty_sweep_is_empty() {
-        let results = sweep_map(Vec::<(String, ())>::new(), quiet(), |_| Ok(0u8));
+        let results = sweep_map(indexed(0), quiet(), |_| Ok(0u64));
         assert!(results.is_empty());
     }
 
@@ -1443,7 +1080,6 @@ mod tests {
                 fingerprint: fp(1),
                 wall: Duration::from_micros(5),
                 payload: 10u64,
-                pruned: None,
             })
             .unwrap();
         writer
@@ -1467,7 +1103,7 @@ mod tests {
             threads: 1,
             ..SweepOptions::checkpointed(&path, true)
         };
-        let results = sweep_map_checkpointed(items, opts, |i| {
+        let results = sweep_map(items, opts, |i| {
             ran.fetch_add(1, Ordering::Relaxed);
             assert_ne!(i, 2, "the recorded failure must be served, not re-run");
             Ok(i * 10)
@@ -1491,7 +1127,7 @@ mod tests {
             ..SweepOptions::checkpointed(&path, false)
         };
         let items: Vec<(String, u64, u64)> = vec![("b".to_string(), fp(2), 2)];
-        let results = sweep_map_checkpointed(items, opts, |i| Ok(i * 10));
+        let results = sweep_map(items, opts, |i| Ok(i * 10));
         assert_eq!(*results[0].expect_ok(), 20);
         std::fs::remove_file(&path).unwrap();
     }

@@ -27,8 +27,9 @@ use std::io::Write;
 use std::path::Path;
 use std::time::Duration;
 
-/// Schema version of the heartbeat document; bump on breaking change.
-pub const HEARTBEAT_VERSION: u32 = 1;
+/// Schema version of the heartbeat document; bump on breaking change
+/// (version 2 dropped the `pruned` count).
+pub const HEARTBEAT_VERSION: u32 = 2;
 
 /// One live-status snapshot of a sweep process (or of a whole fleet,
 /// when written by the shard supervisor with merged children).
@@ -38,14 +39,12 @@ pub struct Heartbeat {
     pub version: u32,
     /// What the process is doing: `run`, `done`, or `failed`.
     pub phase: String,
-    /// Points finished (simulated + cached + pruned + failed).
+    /// Points finished (simulated + cached + failed).
     pub done: usize,
     /// Total points in this process's slice of the grid.
     pub total: usize,
     /// Of `done`, how many were served from a checkpoint.
     pub cached: usize,
-    /// Of `done`, how many were pruned from a basis prediction.
-    pub pruned: usize,
     /// Of `done`, how many failed (error or panic).
     pub failed: usize,
     /// Seconds since this sweep started.
@@ -72,7 +71,6 @@ impl Heartbeat {
             done: 0,
             total,
             cached: 0,
-            pruned: 0,
             failed: 0,
             elapsed_secs: 0.0,
             rate_pts_per_sec: 0.0,
@@ -92,7 +90,6 @@ impl Heartbeat {
         self.done += other.done;
         self.total += other.total;
         self.cached += other.cached;
-        self.pruned += other.pruned;
         self.failed += other.failed;
         self.elapsed_secs = self.elapsed_secs.max(other.elapsed_secs);
         self.rate_pts_per_sec += other.rate_pts_per_sec;
@@ -118,7 +115,6 @@ impl ToJson for Heartbeat {
             ("done", Json::from(self.done)),
             ("total", Json::from(self.total)),
             ("cached", Json::from(self.cached)),
-            ("pruned", Json::from(self.pruned)),
             ("failed", Json::from(self.failed)),
             ("elapsed_secs", Json::from(self.elapsed_secs)),
             ("rate_pts_per_sec", Json::from(self.rate_pts_per_sec)),
@@ -159,7 +155,6 @@ impl FromJson for Heartbeat {
             done: value.field("done")?.as_u64()? as usize,
             total: value.field("total")?.as_u64()? as usize,
             cached: value.field("cached")?.as_u64()? as usize,
-            pruned: value.field("pruned")?.as_u64()? as usize,
             failed: value.field("failed")?.as_u64()? as usize,
             elapsed_secs: value.field("elapsed_secs")?.as_f64()?,
             rate_pts_per_sec: value.field("rate_pts_per_sec")?.as_f64()?,

@@ -20,7 +20,6 @@ fn entry(i: u64) -> CheckpointEntry<u64> {
         fingerprint: i.wrapping_mul(0x9E37_79B9),
         wall: Duration::from_micros(i * 37),
         payload: i.wrapping_mul(1_000_003),
-        pruned: None,
     }
 }
 

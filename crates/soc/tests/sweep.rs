@@ -11,8 +11,7 @@ use gemmini_dnn::graph::{Activation, Layer, Network};
 use gemmini_soc::checkpoint::Checkpoint;
 use gemmini_soc::run::{run_networks, RunOptions, SocReport};
 use gemmini_soc::sweep::{
-    merge_memory_stats, run_sweep_with, sweep_map, sweep_map_checkpointed, DesignPoint, SweepError,
-    SweepOptions,
+    merge_memory_stats, run_sweep_with, sweep_map, DesignPoint, SweepError, SweepOptions,
 };
 use gemmini_soc::SocConfig;
 use gemmini_vm::tlb::TlbConfig;
@@ -151,7 +150,7 @@ fn workers_overlap_waiting_points() {
     // Sleep-based tasks prove the pool genuinely overlaps work even on
     // a single-CPU host (sleeps need no core to overlap): 8 x 50 ms
     // serially is 400 ms, but four workers finish in ~100 ms.
-    let items: Vec<(String, u64)> = (0..8).map(|i| (format!("p{i}"), i)).collect();
+    let items: Vec<(String, u64, u64)> = (0..8).map(|i| (format!("p{i}"), i, i)).collect();
     let start = Instant::now();
     let results = sweep_map(items, opts(4), |i| {
         std::thread::sleep(Duration::from_millis(50));
@@ -170,10 +169,10 @@ fn serial_mode_runs_on_caller_thread() {
     // threads=1 must not spawn: the closure observes the caller's
     // thread id for every point.
     let caller = std::thread::current().id();
-    let items: Vec<(String, ())> = (0..4).map(|i| (format!("p{i}"), ())).collect();
-    let results = sweep_map(items, opts(1), |_| {
+    let items: Vec<(String, u64, u64)> = (0..4).map(|i| (format!("p{i}"), i, i)).collect();
+    let results = sweep_map(items, opts(1), |i| {
         assert_eq!(std::thread::current().id(), caller);
-        Ok(())
+        Ok(i)
     });
     assert!(results.iter().all(|r| r.outcome.is_ok()));
 }
@@ -183,7 +182,7 @@ fn scratch_checkpoint(test: &str) -> PathBuf {
     std::env::temp_dir().join(format!("gemmini_ckpt_{test}_{}.jsonl", std::process::id()))
 }
 
-/// Runs `points` through the checkpointed executor with an execution
+/// Runs `points` through the sweep executor with an execution
 /// counter on the side, so tests can assert exactly which points ran
 /// versus were served from the checkpoint file.
 fn run_counted(
@@ -195,7 +194,7 @@ fn run_counted(
         .into_iter()
         .map(|p| (p.label.clone(), p.fingerprint(), p))
         .collect();
-    sweep_map_checkpointed(items, options, |p| {
+    sweep_map(items, options, |p| {
         executed.fetch_add(1, Ordering::SeqCst);
         run_networks(&p.config, &p.networks, &p.options)
     })
@@ -355,7 +354,7 @@ fn failed_points_are_not_persisted_and_rerun_on_resume() {
             .collect()
     };
     let executed = AtomicUsize::new(0);
-    let first = sweep_map_checkpointed(
+    let first = sweep_map(
         items(true),
         SweepOptions {
             checkpoint: Some(path.clone()),
@@ -383,7 +382,7 @@ fn failed_points_are_not_persisted_and_rerun_on_resume() {
     // Resume with the failures fixed (same labels and fingerprints, a
     // healthy closure): exactly the two failed points re-run.
     let executed = AtomicUsize::new(0);
-    let resumed = sweep_map_checkpointed(
+    let resumed = sweep_map(
         items(true),
         SweepOptions {
             checkpoint: Some(path.clone()),
@@ -415,7 +414,7 @@ fn reported_wall_is_the_persisted_pure_simulation_wall() {
     let _ = std::fs::remove_file(&path);
 
     let items: Vec<(String, u64, u64)> = (0..4).map(|i| (format!("p{i}"), i, i)).collect();
-    let fresh = sweep_map_checkpointed(
+    let fresh = sweep_map(
         items.clone(),
         SweepOptions {
             checkpoint: Some(path.clone()),
@@ -445,7 +444,7 @@ fn reported_wall_is_the_persisted_pure_simulation_wall() {
     }
 
     // A cached replay serves the identical wall.
-    let replay = sweep_map_checkpointed(
+    let replay = sweep_map(
         items,
         SweepOptions {
             checkpoint: Some(path.clone()),
@@ -485,7 +484,7 @@ fn repeated_resume_cycles_do_not_grow_the_checkpoint() {
     for cycle in 0..3u64 {
         let items: Vec<(String, u64, u64)> =
             (0..n).map(|i| (format!("p{i}"), cycle, i as u64)).collect();
-        let results = sweep_map_checkpointed(
+        let results = sweep_map(
             items,
             SweepOptions {
                 checkpoint: Some(path.clone()),

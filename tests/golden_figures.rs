@@ -114,7 +114,6 @@ fn golden_files_round_trip() {
         "fig6.json",
         "fig7_quick.json",
         "fig7_attribution.json",
-        "fig8_prune.json",
     ] {
         let path = golden_path(name);
         let text = std::fs::read_to_string(&path)
