@@ -1,7 +1,7 @@
 //! Sweep-executor throughput (points/sec at one worker versus several)
 //! and the cost of the default-off observation layers: a run with a
 //! disabled tracer should be indistinguishable from a plain run, a
-//! buffered tracer bounds what `GEMMINI_TRACE` costs, and a live metrics
+//! buffered tracer bounds what `--trace` costs, and a live metrics
 //! registry (relaxed atomics on the hot path) must stay within the <5%
 //! overhead budget `--status`/`--metrics` promise.
 
@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use gemmini_core::metrics::Metrics;
 use gemmini_core::trace::Tracer;
 use gemmini_dnn::graph::{Activation, Layer, Network};
-use gemmini_soc::run::{run_networks_metered, run_networks_traced, RunOptions};
+use gemmini_soc::run::{run_networks_observed, RunOptions};
 use gemmini_soc::soc::SocConfig;
 use gemmini_soc::sweep::{run_sweep_with, DesignPoint, SweepOptions};
 use std::hint::black_box;
@@ -78,11 +78,12 @@ fn bench_trace_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace_overhead");
     group.bench_function("disabled", |bench| {
         bench.iter(|| {
-            let report = run_networks_traced(
+            let report = run_networks_observed(
                 &cfg,
                 std::slice::from_ref(&net),
                 &RunOptions::timing(),
                 &Tracer::disabled(),
+                &Metrics::disabled(),
             )
             .unwrap();
             black_box(report.cores[0].total_cycles)
@@ -91,11 +92,12 @@ fn bench_trace_overhead(c: &mut Criterion) {
     group.bench_function("buffered", |bench| {
         bench.iter(|| {
             let (tracer, sink) = Tracer::buffered();
-            let report = run_networks_traced(
+            let report = run_networks_observed(
                 &cfg,
                 std::slice::from_ref(&net),
                 &RunOptions::timing(),
                 &tracer,
+                &Metrics::disabled(),
             )
             .unwrap();
             black_box(sink.lock().unwrap().take().len());
@@ -115,10 +117,11 @@ fn bench_metrics_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("metrics_overhead");
     group.bench_function("disabled", |bench| {
         bench.iter(|| {
-            let report = run_networks_metered(
+            let report = run_networks_observed(
                 &cfg,
                 std::slice::from_ref(&net),
                 &RunOptions::timing(),
+                &Tracer::disabled(),
                 &Metrics::disabled(),
             )
             .unwrap();
@@ -130,10 +133,11 @@ fn bench_metrics_overhead(c: &mut Criterion) {
         // points; counters saturate long before u64 wraps.
         let (metrics, registry) = Metrics::enabled();
         bench.iter(|| {
-            let report = run_networks_metered(
+            let report = run_networks_observed(
                 &cfg,
                 std::slice::from_ref(&net),
                 &RunOptions::timing(),
+                &Tracer::disabled(),
                 &metrics,
             )
             .unwrap();

@@ -3,23 +3,11 @@
 //! array extremes, combining the simulator's activity counters with the
 //! synthesis model's energy constants.
 //!
-//! Shares the sweep CLI: `--json` / `--resume` checkpointing, and
-//! `--shards N` / `--shard i/N` / `--merge <shard.jsonl>...` for
-//! supervised multi-process execution. `--trace <path>` exports a Chrome
-//! `trace_event` JSON of the ResNet-style workload on the edge
-//! configuration.
-//!
-//! Robustness flags (shared by every sweep binary): `--watchdog <secs>`
-//! has the `--shards` supervisor kill and retry a worker whose heartbeat
-//! stops advancing; `--point-timeout <secs>` records a wedged point as a
-//! first-class `failed:timeout` checkpoint entry and finishes the sweep
-//! with a failure summary and exit 3 instead of hanging; `--faults
-//! <schedule>` arms the deterministic fault-injection registry
-//! ([`gemmini_soc::fault`]) for chaos testing.
+//! Takes the sweep flags, `--quick` and `--trace`
+//! ([`gemmini_bench::SweepCli`]); the trace covers the ResNet-style
+//! workload on the edge configuration.
 
-use gemmini_bench::{
-    export_trace_run, quick_mode, quick_resnet, resnet_workload, section, sharded_sweep, trace_path,
-};
+use gemmini_bench::{quick_resnet, resnet_workload, section, SweepCli, SWEEP_FLAGS};
 use gemmini_dnn::zoo;
 use gemmini_soc::run::{CoreReport, SocReport};
 use gemmini_soc::sweep::DesignPoint;
@@ -37,12 +25,13 @@ fn activity(report: &SocReport, core: &CoreReport) -> RunActivity {
 }
 
 fn main() {
-    let nets = if quick_mode() {
+    let cli = SweepCli::parse(&[&["--quick", "--trace <path>"], SWEEP_FLAGS].concat());
+    let nets = if cli.quick {
         vec![quick_resnet()]
     } else {
         zoo::all()
     };
-    let extreme_net = resnet_workload();
+    let extreme_net = resnet_workload(cli.quick);
     let extremes = [
         (
             "TPU-like (pipelined)",
@@ -65,18 +54,12 @@ fn main() {
         cfg.cores[0].accel = accel.clone();
         sweep.push(DesignPoint::timing(*name, cfg, &extreme_net));
     }
-    let Some(results) = sharded_sweep(sweep) else {
+    let first = sweep[0].clone();
+    let Some(results) = cli.sharded_sweep(sweep) else {
         return; // shard worker: the checkpoint file is the output
     };
 
-    if let Some(path) = trace_path() {
-        export_trace_run(
-            &path,
-            extreme_net.name(),
-            &SocConfig::edge_single_core(),
-            std::slice::from_ref(&extreme_net),
-        );
-    }
+    cli.export_trace(&first);
 
     section("Per-inference energy on the edge configuration (1 GHz)");
     println!(

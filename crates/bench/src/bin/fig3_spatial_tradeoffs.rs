@@ -10,9 +10,10 @@
 //! (the exact document the golden regression test checks in).
 
 use gemmini_bench::figures::{fig3_json, fig3_rows};
-use gemmini_bench::{json_path, section, write_json_doc};
+use gemmini_bench::{section, write_json_doc, SweepCli};
 
 fn main() {
+    let cli = SweepCli::parse(&["--json <path>"]);
     let rows = fig3_rows();
 
     section("Fig. 3: 256-PE spatial-array design space (16x16 total PEs)");
@@ -54,8 +55,8 @@ fn main() {
         );
     }
 
-    if let Some(path) = json_path() {
-        write_json_doc(&path, &fig3_json());
+    if let Some(path) = &cli.json {
+        write_json_doc(path, &fig3_json());
         eprintln!("fig3: wrote {}", path.display());
     }
 }

@@ -7,13 +7,14 @@
 //! accumulator 14.2%, CPU 16.6%, total ≈1,029 kµm²; SRAMs ≈67.1%.
 
 use gemmini_bench::figures::fig6_json;
-use gemmini_bench::{json_path, section, write_json_doc};
+use gemmini_bench::{section, write_json_doc, SweepCli};
 use gemmini_core::config::GemminiConfig;
 use gemmini_synth::area::{soc_area, CpuKind};
 use gemmini_synth::floorplan::Floorplan;
 use gemmini_synth::report::area_table;
 
 fn main() {
+    let cli = SweepCli::parse(&["--json <path>"]);
     let cfg = GemminiConfig::edge();
     let report = soc_area(&cfg, CpuKind::Rocket);
 
@@ -65,8 +66,8 @@ fn main() {
         println!("{name}: total {:.0} kum2", r.total_um2() / 1000.0);
     }
 
-    if let Some(path) = json_path() {
-        write_json_doc(&path, &fig6_json());
+    if let Some(path) = &cli.json {
+        write_json_doc(path, &fig6_json());
         eprintln!("fig6: wrote {}", path.display());
     }
 }

@@ -9,25 +9,12 @@
 //! * without the im2col block, a BOOM host roughly doubles CNN performance
 //!   over a Rocket host; with it, the host choice barely matters.
 //!
-//! `--json <path>` persists every design point as one JSON line (the
-//! sweep checkpoint format); `--resume` skips points already in that
-//! file; `--shards N` / `--shard i/N` / `--merge <shard.jsonl>...` run
-//! the sweep as supervised multi-process shards; `--trace <path>` writes
-//! a Chrome `trace_event` JSON timeline of the first design point.
-//! `tests/golden_figures.rs` guards the quick-mode numbers.
-//!
-//! Robustness flags (shared by every sweep binary): `--watchdog <secs>`
-//! has the `--shards` supervisor kill and retry a worker whose heartbeat
-//! stops advancing; `--point-timeout <secs>` records a wedged point as a
-//! first-class `failed:timeout` checkpoint entry and finishes the sweep
-//! with a failure summary and exit 3 instead of hanging; `--faults
-//! <schedule>` arms the deterministic fault-injection registry
-//! ([`gemmini_soc::fault`]) for chaos testing.
+//! Takes the sweep flags, `--quick`, `--only <name>` and `--trace`
+//! ([`gemmini_bench::SweepCli`]); the trace covers the first design
+//! point. `tests/golden_figures.rs` guards the quick-mode numbers.
 
 use gemmini_bench::figures::{fig7_points, FIG7_VARIANTS};
-use gemmini_bench::{
-    arg_value, export_trace_run, quick_mode, quick_resnet, section, sharded_sweep, trace_path,
-};
+use gemmini_bench::{quick_resnet, section, zoo_matching, SweepCli, SWEEP_FLAGS};
 use gemmini_cpu::kernels::network_cpu_cycles;
 use gemmini_cpu::{CpuKind, CpuModel};
 use gemmini_dnn::graph::Network;
@@ -41,13 +28,13 @@ struct Row {
 }
 
 fn main() {
-    let nets: Vec<Network> = if quick_mode() {
+    let usage = [&["--quick", "--only <name>", "--trace <path>"], SWEEP_FLAGS].concat();
+    let cli = SweepCli::parse(&usage);
+    let only = cli.only.as_deref().map(zoo_matching);
+    let nets: Vec<Network> = if cli.quick {
         vec![quick_resnet(), zoo::tiny_cnn()]
-    } else if let Some(name) = arg_value("--only") {
-        zoo::all()
-            .into_iter()
-            .filter(|n| n.name().contains(&name))
-            .collect()
+    } else if let Some(nets) = only {
+        nets
     } else {
         zoo::all()
     };
@@ -57,17 +44,13 @@ fn main() {
     let clock = 1.0; // GHz, as in the paper's FPS numbers
 
     // One sweep point per (network, variant), in row-major order.
-    let Some(results) = sharded_sweep(fig7_points(&nets)) else {
+    let sweep = fig7_points(&nets);
+    let first = sweep[0].clone();
+    let Some(results) = cli.sharded_sweep(sweep) else {
         return; // shard worker: the checkpoint file is the output
     };
 
-    if let Some(path) = trace_path() {
-        let point = fig7_points(&nets)
-            .into_iter()
-            .next()
-            .expect("fig7 has at least one point");
-        export_trace_run(&path, &point.label, &point.config, &point.networks);
-    }
+    cli.export_trace(&first);
 
     let rows: Vec<Row> = nets
         .iter()

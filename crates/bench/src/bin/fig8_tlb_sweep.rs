@@ -9,27 +9,14 @@
 //!   within ~2% of the best configuration observed;
 //! * effective hit rate (incl. filters) ≈90%; consecutive same-page rates
 //!   ≈87% (reads) / ≈83% (writes).
-
 //!
-//! `--json <path>` persists every design point as one JSON line (the
-//! sweep checkpoint format); `--resume` skips points already present in
-//! that file — CI exercises exactly this interrupt/resume path.
-//! `--shards N` runs the grid as N supervised worker processes (crashed
-//! workers are retried from their shard checkpoints); `--shard i/N` runs
-//! one worker's slice; `--merge <shard.jsonl>...` stitches existing shard
-//! checkpoints without simulating. `--trace <path>` writes a Chrome
-//! `trace_event` timeline of the first design point.
-//!
-//! Robustness flags (shared by every sweep binary): `--watchdog <secs>`
-//! has the `--shards` supervisor kill and retry a worker whose heartbeat
-//! stops advancing; `--point-timeout <secs>` records a wedged point as a
-//! first-class `failed:timeout` checkpoint entry and finishes the sweep
-//! with a failure summary and exit 3 instead of hanging; `--faults
-//! <schedule>` arms the deterministic fault-injection registry
-//! ([`gemmini_soc::fault`]) for chaos testing.
+//! Takes the sweep flags, `--quick` and `--trace`
+//! ([`gemmini_bench::SweepCli`]); the trace covers the first design
+//! point. CI exercises the `--json` / `--resume` interrupt path and the
+//! sharded, chaos and telemetry flows on this binary.
 
 use gemmini_bench::figures::{fig8_grid, fig8_points, FIG8_PRIVATES, FIG8_SHAREDS};
-use gemmini_bench::{export_trace_run, resnet_workload, section, sharded_sweep, trace_path};
+use gemmini_bench::{resnet_workload, section, SweepCli, SWEEP_FLAGS};
 use gemmini_soc::sweep::merge_memory_stats;
 
 struct Point {
@@ -43,19 +30,18 @@ struct Point {
 }
 
 fn main() {
-    let net = resnet_workload();
+    let cli = SweepCli::parse(&[&["--quick", "--trace <path>"], SWEEP_FLAGS].concat());
+    let net = resnet_workload(cli.quick);
     let privates = FIG8_PRIVATES;
     let shareds = FIG8_SHAREDS;
     let grid = fig8_grid();
     let sweep = fig8_points(&net);
 
-    let trace_point = trace_path().map(|path| (path, sweep[0].clone()));
-    let Some(results) = sharded_sweep(sweep) else {
+    let first = sweep[0].clone();
+    let Some(results) = cli.sharded_sweep(sweep) else {
         return; // shard worker: the checkpoint file is the output
     };
-    if let Some((path, point)) = trace_point {
-        export_trace_run(&path, &point.label, &point.config, &point.networks);
-    }
+    cli.export_trace(&first);
     let rollup = merge_memory_stats(results.iter().filter_map(|r| r.ok()));
     let points: Vec<Point> = grid
         .iter()

@@ -10,19 +10,11 @@
 //!   core's residual additions evict the other's data from the shared L2
 //!   (resadd ≈+22% on BigL2; L2 miss rate drops ≈7 points).
 //!
-//! Shares the sweep CLI: `--json` / `--resume` checkpointing, and
-//! `--shards N` / `--shard i/N` / `--merge <shard.jsonl>...` for
-//! supervised multi-process execution.
-//!
-//! Robustness flags (shared by every sweep binary): `--watchdog <secs>`
-//! has the `--shards` supervisor kill and retry a worker whose heartbeat
-//! stops advancing; `--point-timeout <secs>` records a wedged point as a
-//! first-class `failed:timeout` checkpoint entry and finishes the sweep
-//! with a failure summary and exit 3 instead of hanging; `--faults
-//! <schedule>` arms the deterministic fault-injection registry
-//! ([`gemmini_soc::fault`]) for chaos testing.
+//! Takes the sweep flags, `--quick` and `--trace`
+//! ([`gemmini_bench::SweepCli`]); the trace covers the first design
+//! point.
 
-use gemmini_bench::{export_trace_run, resnet_workload, section, sharded_sweep, trace_path};
+use gemmini_bench::{resnet_workload, section, SweepCli, SWEEP_FLAGS};
 use gemmini_dnn::graph::LayerClass;
 use gemmini_soc::run::SocReport;
 use gemmini_soc::sweep::{merge_memory_stats, DesignPoint};
@@ -51,7 +43,8 @@ fn total_cycles(o: &Outcome) -> f64 {
 }
 
 fn main() {
-    let net = resnet_workload();
+    let cli = SweepCli::parse(&[&["--quick", "--trace <path>"], SWEEP_FLAGS].concat());
+    let net = resnet_workload(cli.quick);
 
     section("Fig. 9a: resource-contention SoC configurations");
     println!("Base : 256 KB scratchpad + 256 KB accumulator per core, 1 MB L2");
@@ -72,13 +65,11 @@ fn main() {
             DesignPoint::timing(format!("{name} x{cores}"), make(cores), &net)
         })
         .collect::<Vec<_>>();
-    let trace_point = trace_path().map(|path| (path, sweep[0].clone()));
-    let Some(results) = sharded_sweep(sweep) else {
+    let first = sweep[0].clone();
+    let Some(results) = cli.sharded_sweep(sweep) else {
         return; // shard worker: the checkpoint file is the output
     };
-    if let Some((path, point)) = trace_point {
-        export_trace_run(&path, &point.label, &point.config, &point.networks);
-    }
+    cli.export_trace(&first);
     let rollup = merge_memory_stats(results.iter().filter_map(|r| r.ok()));
     eprintln!(
         "sweep totals: {} points, L2 {} accesses ({:.1}% miss), DRAM {:.1} MB",

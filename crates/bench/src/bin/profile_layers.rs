@@ -6,26 +6,14 @@
 //! cargo run --release -p gemmini-bench --bin profile_layers -- resnet50
 //! ```
 
+use gemmini_bench::{zoo_matching, SweepCli};
 use gemmini_soc::run::{run_networks, RunOptions};
 use gemmini_soc::soc::SocConfig;
-use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "resnet50".into());
-    let Some(net) = gemmini_dnn::zoo::all()
-        .into_iter()
-        .find(|n| n.name().contains(&name))
-    else {
-        eprintln!(
-            "unknown network `{name}`; available: {}",
-            gemmini_dnn::zoo::all()
-                .iter()
-                .map(|n| n.name().to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        return ExitCode::FAILURE;
-    };
+fn main() {
+    let cli = SweepCli::parse(&["[network]"]);
+    let name = cli.positional.as_deref().unwrap_or("resnet50");
+    let net = zoo_matching(name).remove(0);
 
     let report = run_networks(
         &SocConfig::edge_single_core(),
@@ -54,5 +42,4 @@ fn main() -> ExitCode {
             );
         }
     }
-    ExitCode::SUCCESS
 }

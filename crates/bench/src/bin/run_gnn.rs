@@ -6,17 +6,17 @@
 //! cargo run --release -p gemmini-bench --bin run_gnn -- models/lenet.gnn --cores 2 --functional
 //! ```
 
-use gemmini_bench::arg_value;
+use gemmini_bench::SweepCli;
 use gemmini_dnn::loader::parse_network;
 use gemmini_soc::run::{run_networks, RunOptions};
 use gemmini_soc::soc::SocConfig;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let Some(path) = std::env::args().nth(1).filter(|a| !a.starts_with("--")) else {
-        eprintln!("usage: run_gnn <model.gnn> [--cores N] [--functional]");
-        return ExitCode::FAILURE;
-    };
+    let cli = SweepCli::parse(&["<model.gnn>", "--cores <N>", "--functional"]);
+    let path = cli
+        .positional
+        .expect("the model path is a required argument");
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) => {
@@ -31,10 +31,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let cores: usize = arg_value("--cores")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let functional = std::env::args().any(|a| a == "--functional");
+    let cores = cli.cores.unwrap_or(1);
+    let functional = cli.functional;
 
     println!(
         "{}: {} layers, {:.2} GMACs, {} core(s), {} mode",

@@ -4,10 +4,11 @@
 //! Gemmini column is cross-checked against what this reproduction actually
 //! implements.)
 
-use gemmini_bench::section;
+use gemmini_bench::{section, SweepCli};
 use gemmini_core::config::GemminiConfig;
 
 fn main() {
+    SweepCli::parse(&[]);
     section("Table I: Comparison of DNN accelerator generators");
     let rows = [
         (

@@ -2,13 +2,13 @@
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper's
 //! evaluation (see `DESIGN.md`'s per-experiment index). This library holds
-//! the bits they share: simple table/series printing and the common
-//! command-line conventions (`--quick` runs a scaled-down workload so the
-//! binary finishes in seconds; the default reproduces the full experiment).
+//! the bits they share: simple table/series printing and the one
+//! command-line parser, [`SweepCli`], which documents every flag
+//! (`--quick` runs a scaled-down workload so the binary finishes in
+//! seconds; the default reproduces the full experiment).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::OnceLock;
 use std::time::Duration;
 
 use gemmini_core::metrics::Metrics;
@@ -16,41 +16,19 @@ use gemmini_core::trace::{export_chrome_trace, Tracer};
 use gemmini_core::AccelError;
 use gemmini_dnn::graph::{Activation, Layer, Network, PoolKind};
 use gemmini_mem::json::{FromJson, Json, ToJson};
-use gemmini_soc::run::{
-    run_networks, run_networks_metered, run_networks_traced, RunOptions, SocReport,
-};
-use gemmini_soc::shard::{run_sharded, ShardCli, ShardError, ShardSpec};
-use gemmini_soc::sweep::EXIT_RECORDED_FAILURES;
+use gemmini_soc::run::{run_networks, RunOptions, SocReport};
+use gemmini_soc::shard::{run_sharded, ShardError, ShardMode, ShardSpec};
+use gemmini_soc::sweep::{SweepError, EXIT_RECORDED_FAILURES};
 use gemmini_soc::SocConfig;
 
 pub mod figures;
 
-/// The shared design-space sweep executor (re-exported so the figure
-/// binaries have one import path for both printing helpers and sweeps).
-pub use gemmini_soc::shard;
-pub use gemmini_soc::sweep;
-pub use gemmini_soc::sweep::{run_sweep, DesignPoint, SweepOptions, SweepResult};
+pub use gemmini_soc::sweep::{DesignPoint, SweepOptions, SweepResult};
 
 /// Prints a named section header.
 pub fn section(title: &str) {
     println!();
     println!("=== {title} ===");
-}
-
-/// Prints a two-column table of (label, value) rows.
-pub fn table2(header: (&str, &str), rows: &[(String, String)]) {
-    let w = rows
-        .iter()
-        .map(|(a, _)| a.len())
-        .chain([header.0.len()])
-        .max()
-        .unwrap_or(10)
-        + 2;
-    println!("{:<w$} {}", header.0, header.1);
-    println!("{}", "-".repeat(w + header.1.len() + 8));
-    for (a, b) in rows {
-        println!("{a:<w$} {b}");
-    }
 }
 
 /// Renders a horizontal ASCII bar of `value` relative to `max`.
@@ -62,314 +40,401 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
     "#".repeat(n.min(width))
 }
 
-/// Whether `--quick` was passed (scaled-down workloads for smoke runs).
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
+/// The flags every sweep binary accepts, in [`SweepCli::parse`]'s usage
+/// form: checkpointing, telemetry, robustness budgets, fault injection
+/// and sharding.
+pub const SWEEP_FLAGS: &[&str] = &[
+    "--json <path>",
+    "--resume",
+    "--status <path>",
+    "--metrics <path>",
+    "--point-timeout <secs>",
+    "--watchdog <secs>",
+    "--faults <schedule>",
+    "--shard <i/N>",
+    "--shards <N>",
+    "--merge <shard.jsonl>...",
+];
+
+/// The parsed command line of a figure binary: the one way a flag
+/// reaches the code, and the reference for what each flag does. A
+/// binary's [`SweepCli::parse`] usage lists the flags it takes; any
+/// other flag, a missing or bad value, or conflicting modes exits 2
+/// before any point runs.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SweepCli {
+    /// `--quick`: a scaled-down workload that finishes in seconds.
+    pub quick: bool,
+    /// `--only <name>` (fig7): only the zoo networks matching `name`.
+    pub only: Option<String>,
+    /// `--json <path>`: the sweep checkpoint, one JSON line per point
+    /// (fig3/fig6: one JSON document).
+    pub json: Option<PathBuf>,
+    /// `--resume` (needs `--json`): skip points already checkpointed.
+    pub resume: bool,
+    /// `--trace <path>`: Chrome `trace_event` JSON of one representative
+    /// point ([`SweepCli::export_trace`]).
+    pub trace: Option<PathBuf>,
+    /// `--status <path>`: a live JSON heartbeat, rewritten every point
+    /// and ~2 s; under `--shards` it aggregates the workers' heartbeats.
+    pub status: Option<PathBuf>,
+    /// `--metrics <path>`: the final live metrics as Prometheus text.
+    pub metrics: Option<PathBuf>,
+    /// `--point-timeout <secs>`: record a point over budget as a
+    /// `failed:timeout` entry; the sweep then ends with exit 3.
+    pub point_timeout: Option<Duration>,
+    /// `--watchdog <secs>` (needs `--json` or `--status`): the `--shards`
+    /// supervisor kills and retries a worker whose heartbeat stalls.
+    pub watchdog: Option<Duration>,
+    /// `--faults <schedule>`: arm [`gemmini_soc::fault`]; overrides an
+    /// inherited `GEMMINI_FAULTS`.
+    pub faults: Option<String>,
+    /// `--shards <N>` supervises N crash-retried workers; `--shard <i/N>`
+    /// runs one worker's slice; `--merge <shard.jsonl>...` stitches shard
+    /// checkpoints. At most one; the first two need `--json`.
+    pub mode: ShardMode,
+    /// `--cores <N>` (run_gnn): the core count, at least 1.
+    pub cores: Option<usize>,
+    /// `--functional` (run_gnn): functional instead of timing mode.
+    pub functional: bool,
+    /// The positional argument: run_gnn's model, profile_layers' network.
+    pub positional: Option<String>,
 }
 
-/// Returns the argument following `flag`, if present.
-pub fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// The `--json <path>` argument: where to persist machine-readable
-/// per-point results (the sweep checkpoint file).
-pub fn json_path() -> Option<PathBuf> {
-    arg_value("--json").map(PathBuf::from)
-}
-
-/// Whether `--resume` was passed (skip points already completed in the
-/// `--json` checkpoint file).
-pub fn resume_flag() -> bool {
-    std::env::args().any(|a| a == "--resume")
-}
-
-/// The `--trace <path>` argument: where to write a Chrome `trace_event`
-/// JSON file for one representative run (open it in `chrome://tracing`
-/// or Perfetto).
-pub fn trace_path() -> Option<PathBuf> {
-    arg_value("--trace").map(PathBuf::from)
-}
-
-/// The `--status <path>` argument: where the sweep rewrites its live
-/// JSON heartbeat ([`gemmini_soc::telemetry::Heartbeat`]) — atomically,
-/// on every point completion and every ~2 s. `watch cat <path>` is the
-/// intended consumer; under `--shards` the supervisor aggregates its
-/// children's heartbeats here.
-pub fn status_path() -> Option<PathBuf> {
-    arg_value("--status").map(PathBuf::from)
-}
-
-/// The `--metrics <path>` argument: where to write the final live-metrics
-/// registry snapshot as Prometheus text exposition when the sweep ends.
-pub fn metrics_path() -> Option<PathBuf> {
-    arg_value("--metrics").map(PathBuf::from)
-}
-
-/// Parses a `--flag <secs>` duration argument (fractional seconds
-/// allowed). Exits with status `2` on a non-positive or unparseable
-/// value — a mistyped budget must not silently disable the feature.
-fn duration_flag(flag: &str) -> Option<Duration> {
-    let v = arg_value(flag)?;
-    match v.trim().parse::<f64>() {
-        Ok(secs) if secs > 0.0 && secs.is_finite() => Some(Duration::from_secs_f64(secs)),
-        _ => {
-            eprintln!("error: {flag} requires a positive number of seconds (got '{v}')");
+impl SweepCli {
+    /// Parses the process arguments — this is their only reader —
+    /// against `usage`, the flags this binary takes (`"--json <path>"`,
+    /// `"--quick"`) plus at most one positional argument (`"<model.gnn>"`
+    /// required, `"[network]"` optional). On any error, prints it and the
+    /// usage line and exits with status `2`.
+    pub fn parse(usage: &[&str]) -> Self {
+        let mut args = std::env::args();
+        let bin = args.next().unwrap_or_default();
+        Self::from_args(args, usage).unwrap_or_else(|msg| {
+            let bin = Path::new(&bin).file_name().unwrap_or_default();
+            let synopsis: Vec<String> = std::iter::once(bin.to_string_lossy().into_owned())
+                .chain(usage.iter().map(|u| {
+                    if u.starts_with("--") {
+                        format!("[{u}]")
+                    } else {
+                        u.to_string()
+                    }
+                }))
+                .collect();
+            eprintln!("error: {msg}");
+            eprintln!("usage: {}", synopsis.join(" "));
             std::process::exit(2);
-        }
-    }
-}
-
-/// The `--point-timeout <secs>` argument: per-point wall-clock budget.
-/// A point exceeding it is recorded as a first-class `failed:timeout`
-/// checkpoint entry and the sweep finishes with a failure summary and a
-/// non-zero exit (see [`gemmini_soc::sweep::SweepOptions`]).
-pub fn point_timeout_flag() -> Option<Duration> {
-    duration_flag("--point-timeout")
-}
-
-/// The `--watchdog <secs>` argument: the `--shards` supervisor kills and
-/// retries any worker whose heartbeat `done` count does not advance for
-/// this long (see [`gemmini_soc::shard::SupervisorOptions`]).
-pub fn watchdog_flag() -> Option<Duration> {
-    duration_flag("--watchdog")
-}
-
-/// The status base the watchdog falls back to when `--watchdog` is given
-/// without `--status`: `sweep.jsonl` → `sweep.status.json` next to the
-/// checkpoint. Workers and the supervisor both derive this from the
-/// forwarded `--json`/`--watchdog` flags, so they agree on where the
-/// heartbeats live without any extra plumbing.
-fn derived_status_path(json: &Path) -> PathBuf {
-    let stem = json.file_stem().and_then(|s| s.to_str()).unwrap_or("sweep");
-    json.with_file_name(format!("{stem}.status.json"))
-}
-
-/// The process-wide live-metrics handle: one shared registry, enabled
-/// iff `--status` or `--metrics` was passed; otherwise the disabled
-/// (free) handle. Shared so the sweep executor's point counters and
-/// every simulated point's engine/DMA/TLB/DRAM instrumentation land in
-/// the same registry that the heartbeat and exposition files export.
-pub fn cli_metrics() -> Metrics {
-    static METRICS: OnceLock<Metrics> = OnceLock::new();
-    METRICS
-        .get_or_init(|| {
-            if status_path().is_some() || metrics_path().is_some() {
-                Metrics::enabled().0
-            } else {
-                Metrics::disabled()
-            }
         })
-        .clone()
-}
+    }
 
-/// Re-runs one design point in timing mode with a buffered tracer and
-/// writes the collected events to `path` as Chrome `trace_event` JSON —
-/// the shared implementation behind every figure binary's `--trace`.
-///
-/// # Panics
-///
-/// Panics if the simulation fails or the file cannot be written — a run
-/// asked to produce a trace must not silently drop it.
-pub fn export_trace_run(path: &Path, label: &str, config: &SocConfig, nets: &[Network]) {
-    let (tracer, sink) = Tracer::buffered();
-    run_networks_traced(config, nets, &RunOptions::timing(), &tracer).expect("trace run succeeds");
-    let events = sink.lock().expect("trace sink lock").take();
-    export_chrome_trace(path, &events)
-        .unwrap_or_else(|e| panic!("cannot write trace {}: {e}", path.display()));
-    eprintln!(
-        "trace: wrote {} events for '{label}' to {}",
-        events.len(),
-        path.display()
-    );
-}
-
-/// Sweep options resolved from the shared CLI conventions: `--json`
-/// wires the checkpoint path, `--resume` enables skip-completed mode,
-/// `--status`/`--metrics` the telemetry files, and `--point-timeout` /
-/// `--watchdog` the robustness budgets.
-///
-/// `--faults <schedule>` is exported as `GEMMINI_FAULTS` so shard worker
-/// children inherit it. The schedule — from the flag or an inherited
-/// environment — is parsed here, and one that does not parse exits the
-/// process with status `2` before any point runs: a typo'd schedule must
-/// not quietly run fault-free and test nothing.
-pub fn sweep_cli_options() -> SweepOptions {
-    let checkpoint = json_path();
-    let resume = resume_flag();
-    if resume && checkpoint.is_none() {
-        eprintln!("warning: --resume has no effect without --json <path>");
-    }
-    if let Some(schedule) = arg_value("--faults") {
-        std::env::set_var(gemmini_soc::fault::FAULTS_ENV, &schedule);
-    }
-    if let Err(msg) = gemmini_soc::fault::arm() {
-        eprintln!("error: {msg}");
-        std::process::exit(2);
-    }
-    let watchdog = watchdog_flag();
-    let mut status = status_path();
-    if watchdog.is_some() && status.is_none() {
-        // The watchdog reads worker heartbeats; without --status it
-        // derives a status base from the checkpoint path. Workers derive
-        // the same base from their forwarded flags, so supervisor and
-        // children agree without extra plumbing.
-        status = checkpoint.as_deref().map(derived_status_path);
-        match &status {
-            Some(path) => eprintln!(
-                "watchdog: no --status given; deriving heartbeat base {}",
-                path.display()
-            ),
-            None => eprintln!(
-                "warning: --watchdog without --json or --status has no heartbeats to watch"
-            ),
-        }
-    }
-    SweepOptions {
-        checkpoint,
-        resume,
-        metrics: cli_metrics(),
-        status,
-        prometheus: metrics_path(),
-        point_timeout: point_timeout_flag(),
-        watchdog,
-        ..SweepOptions::default()
-    }
-}
-
-/// The process's own arguments minus the sharding flags — what a shard
-/// worker child should inherit. `--shard`/`--shards` (and values),
-/// `--merge` (and its paths) and `--resume` are stripped; the supervisor
-/// re-appends `--shard i/N --resume` per child. Everything else
-/// (`--quick`, `--json`, `--only`, …) passes through unchanged.
-fn forwarded_args<A>(args: A) -> Vec<String>
-where
-    A: IntoIterator<Item = String>,
-{
-    let mut out = Vec::new();
-    let mut it = args.into_iter().peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--shards" | "--shard" => {
-                it.next();
+    /// Parses `args` (without the program name) against `usage`.
+    ///
+    /// # Errors
+    ///
+    /// A one-line message for an undeclared flag or argument, a repeated
+    /// flag, a missing or malformed value, or conflicting modes.
+    fn from_args<A>(args: A, usage: &[&str]) -> Result<Self, String>
+    where
+        A: IntoIterator<Item = String>,
+    {
+        let positional = usage.iter().find(|u| !u.starts_with("--"));
+        let mut cli = Self::default();
+        let mut seen: Vec<String> = Vec::new();
+        let mut it = args.into_iter().peekable();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with('-') && positional.is_some() && cli.positional.is_none() {
+                cli.positional = Some(arg);
+                continue;
             }
-            "--merge" => {
-                while it.peek().is_some_and(|a| !a.starts_with("--")) {
-                    it.next();
+            let declared = |u: &&str| u.starts_with("--") && u.split(' ').next() == Some(&arg);
+            if !usage.iter().any(declared) {
+                return Err(if arg.starts_with('-') {
+                    format!("unknown flag '{arg}'")
+                } else {
+                    format!("unexpected argument '{arg}'")
+                });
+            }
+            if seen.contains(&arg) {
+                return Err(format!("{arg} given more than once"));
+            }
+            let mut value = || {
+                it.next_if(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("{arg} requires a value"))
+            };
+            let count = |v: String| match v.trim().parse::<usize>() {
+                Ok(n) if n > 0 => Ok(n),
+                _ => Err(format!("{arg} requires a positive integer (got '{v}')")),
+            };
+            let seconds = |v: String| {
+                let secs = v.trim().parse::<f64>().ok().filter(|s| *s > 0.0);
+                secs.and_then(|s| Duration::try_from_secs_f64(s).ok())
+                    .ok_or_else(|| {
+                        format!("{arg} requires a positive number of seconds (got '{v}')")
+                    })
+            };
+            match arg.as_str() {
+                "--quick" => cli.quick = true,
+                "--only" => cli.only = Some(value()?),
+                "--json" => cli.json = Some(value()?.into()),
+                "--resume" => cli.resume = true,
+                "--trace" => cli.trace = Some(value()?.into()),
+                "--status" => cli.status = Some(value()?.into()),
+                "--metrics" => cli.metrics = Some(value()?.into()),
+                "--point-timeout" => cli.point_timeout = Some(seconds(value()?)?),
+                "--watchdog" => cli.watchdog = Some(seconds(value()?)?),
+                "--faults" => cli.faults = Some(value()?),
+                "--shard" => cli.mode = ShardMode::Worker(ShardSpec::parse(&value()?)?),
+                "--shards" => cli.mode = ShardMode::Supervise(count(value()?)?),
+                "--merge" => {
+                    let mut paths = Vec::new();
+                    while let Some(path) = it.next_if(|v| !v.starts_with("--")) {
+                        paths.push(PathBuf::from(path));
+                    }
+                    if paths.is_empty() {
+                        return Err("--merge requires at least one shard checkpoint path".into());
+                    }
+                    cli.mode = ShardMode::Merge(paths);
                 }
+                "--cores" => cli.cores = Some(count(value()?)?),
+                "--functional" => cli.functional = true,
+                _ => unreachable!("{arg} is declared in a usage but has no parser"),
             }
-            "--resume" => {}
-            _ => out.push(arg),
+            seen.push(arg);
+        }
+        let modes = ["--shard", "--shards", "--merge"];
+        if seen.iter().filter(|f| modes.contains(&f.as_str())).count() > 1 {
+            return Err("--shard, --shards and --merge are mutually exclusive".into());
+        }
+        if let Some(p) = positional.filter(|p| p.starts_with('<') && cli.positional.is_none()) {
+            return Err(format!("missing {p}"));
+        }
+        if cli.json.is_none() {
+            if let Some(flag) = ["--shard", "--shards", "--resume"]
+                .into_iter()
+                .find(|f| seen.iter().any(|s| s == f))
+            {
+                return Err(format!("{flag} requires --json <path>"));
+            }
+            if cli.watchdog.is_some() && cli.status.is_none() {
+                return Err("--watchdog requires --json <path> or --status <path>".into());
+            }
+        }
+        Ok(cli)
+    }
+
+    /// The command line of shard worker `spec`: this one in worker mode,
+    /// plus `--resume` so a supervisor *retry* of a crashed shard picks
+    /// up from its checkpoint instead of starting over. It parses back
+    /// to exactly that [`SweepCli`]. Only sweep binaries shard, so only
+    /// their flags are written.
+    fn worker_args(&self, spec: ShardSpec) -> Vec<String> {
+        let path = |p: &PathBuf| p.display().to_string();
+        let secs = |d: Duration| d.as_secs_f64().to_string();
+        let mut args = vec!["--shard".into(), spec.to_string(), "--resume".into()];
+        if self.quick {
+            args.push("--quick".into());
+        }
+        for (flag, value) in [
+            ("--only", self.only.clone()),
+            ("--json", self.json.as_ref().map(path)),
+            ("--trace", self.trace.as_ref().map(path)),
+            ("--status", self.status.as_ref().map(path)),
+            ("--metrics", self.metrics.as_ref().map(path)),
+            ("--point-timeout", self.point_timeout.map(secs)),
+            ("--watchdog", self.watchdog.map(secs)),
+            ("--faults", self.faults.clone()),
+        ] {
+            if let Some(value) = value {
+                args.extend([flag.into(), value]);
+            }
+        }
+        args
+    }
+
+    /// The worker-process command for shard `spec`: the current binary,
+    /// re-invoked with [`SweepCli::worker_args`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the current executable path cannot be resolved.
+    fn shard_child_command(&self, spec: ShardSpec) -> Command {
+        let exe = std::env::current_exe().expect("current executable path");
+        let mut cmd = Command::new(exe);
+        cmd.args(self.worker_args(spec));
+        cmd
+    }
+
+    /// The sweep options this command line selects, with one live-metrics
+    /// registry, enabled iff `--status` or `--metrics` was given.
+    /// `--watchdog` without `--status` watches heartbeats next to the
+    /// checkpoint (`sweep.jsonl` → `sweep.status.json`); workers derive
+    /// the same path from their re-serialized command line.
+    fn sweep_options(&self) -> SweepOptions {
+        let mut status = self.status.clone();
+        if self.watchdog.is_some() && status.is_none() {
+            if let Some(json) = &self.json {
+                let stem = json.file_stem().and_then(|s| s.to_str()).unwrap_or("sweep");
+                let derived = json.with_file_name(format!("{stem}.status.json"));
+                eprintln!(
+                    "watchdog: no --status given; deriving heartbeat base {}",
+                    derived.display()
+                );
+                status = Some(derived);
+            }
+        }
+        let metrics = if self.status.is_some() || self.metrics.is_some() {
+            Metrics::enabled().0
+        } else {
+            Metrics::disabled()
+        };
+        SweepOptions {
+            checkpoint: self.json.clone(),
+            resume: self.resume,
+            metrics,
+            status,
+            prometheus: self.metrics.clone(),
+            point_timeout: self.point_timeout,
+            watchdog: self.watchdog,
+            ..SweepOptions::default()
         }
     }
-    out
-}
 
-/// Builds the worker-process command for one shard: the current binary,
-/// re-invoked with the same arguments plus `--shard i/N --resume` (resume
-/// so a supervisor *retry* of a crashed shard picks up from its
-/// checkpoint instead of starting over).
-///
-/// # Panics
-///
-/// Panics if the current executable path cannot be resolved.
-pub fn shard_child_command(spec: ShardSpec) -> Command {
-    let exe = std::env::current_exe().expect("current executable path");
-    let mut cmd = Command::new(exe);
-    cmd.args(forwarded_args(std::env::args().skip(1)));
-    cmd.arg("--shard").arg(spec.to_string()).arg("--resume");
-    cmd
-}
-
-/// The generic sharded sweep entry point for the figure binaries: parses
-/// the sharding CLI (`--shard i/N` / `--shards N` / `--merge <file>…`)
-/// alongside the usual sweep flags and dispatches through
-/// [`gemmini_soc::shard::run_sharded`].
-///
-/// Returns `None` when this process was a shard worker (`--shard`): its
-/// job was producing the shard checkpoint file, there is nothing to
-/// render, and `main` should simply return. In every other mode the
-/// full-grid results come back in submission order.
-///
-/// Exits the process with status `2` on a malformed sharding CLI, `1`
-/// on an execution error (supervisor exhaustion, incomplete merge, or
-/// failed shard points — the non-zero exit is what tells a supervisor to
-/// retry this worker), and [`EXIT_RECORDED_FAILURES`] when the grid
-/// finished but carries recorded point failures (e.g. `--point-timeout`
-/// entries): the checkpoint is complete, a terminal failure summary is
-/// printed, and retrying would not improve the result.
-pub fn sharded_sweep_map<I, T, F>(items: Vec<(String, u64, I)>, f: F) -> Option<Vec<SweepResult<T>>>
-where
-    I: Send,
-    T: ToJson + FromJson + Send,
-    F: Fn(I) -> Result<T, AccelError> + Sync,
-{
-    let cli = match ShardCli::from_args(std::env::args().skip(1)) {
-        Ok(cli) => cli,
-        Err(msg) => {
+    /// The sharded sweep entry point for the figure binaries: runs
+    /// `items` through [`gemmini_soc::shard::run_sharded`] in the parsed
+    /// [`ShardMode`] with the sweep options these flags select. `f` also
+    /// receives their live-metrics handle, to instrument each point.
+    ///
+    /// Returns `None` when this process was a shard worker (`--shard`):
+    /// its job was producing the shard checkpoint file, there is nothing
+    /// to render, and `main` should simply return. In every other mode
+    /// the full-grid results come back in submission order.
+    ///
+    /// Exits the process with status `2` on a fault schedule that does
+    /// not parse, `1` on an execution error (supervisor exhaustion,
+    /// incomplete merge, or failed shard points — the non-zero exit is
+    /// what tells a supervisor to retry this worker), and
+    /// [`EXIT_RECORDED_FAILURES`] when the grid finished but carries
+    /// recorded point failures (e.g. `--point-timeout` entries): the
+    /// checkpoint is complete, a terminal failure summary is printed,
+    /// and retrying would not improve the result.
+    pub fn sharded_sweep_map<I, T, F>(
+        &self,
+        items: Vec<(String, u64, I)>,
+        f: F,
+    ) -> Option<Vec<SweepResult<T>>>
+    where
+        I: Send,
+        T: ToJson + FromJson + Send,
+        F: Fn(I, &Metrics) -> Result<T, AccelError> + Sync,
+    {
+        // A typo'd schedule must not quietly run fault-free and test
+        // nothing.
+        if let Err(msg) = gemmini_soc::fault::arm(self.faults.as_deref()) {
             eprintln!("error: {msg}");
             std::process::exit(2);
         }
-    };
-    match run_sharded(items, &cli, sweep_cli_options(), shard_child_command, f) {
-        Ok(results) => {
-            // The grid may carry recorded failures (e.g. point timeouts
-            // served from a checkpoint on resume, or stitched in by a
-            // merge): the sweep *finished* — every point is on the books
-            // — but the figure cannot be rendered from an incomplete
-            // grid. Print the terminal failure summary and exit with the
-            // recorded-failures status instead of handing `Err` outcomes
-            // to a renderer that expects successes.
-            if let Some(results) = &results {
-                let recorded: Vec<&SweepResult<T>> =
-                    results.iter().filter(|r| r.outcome.is_err()).collect();
-                if !recorded.is_empty() {
-                    eprintln!(
-                        "sweep: finished with {} recorded point failure(s):",
-                        recorded.len()
-                    );
-                    for r in &recorded {
-                        if let Err(e) = &r.outcome {
-                            eprintln!("  {}: {e}", r.label);
-                        }
-                    }
-                    eprintln!(
-                        "sweep: grid is fully accounted for but incomplete; \
-                         exiting {EXIT_RECORDED_FAILURES}"
-                    );
-                    std::process::exit(EXIT_RECORDED_FAILURES);
-                }
-            }
-            results
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            let code = match &e {
+        let opts = self.sweep_options();
+        let metrics = opts.metrics.clone();
+        let f = |item| f(item, &metrics);
+        let child = |spec| self.shard_child_command(spec);
+        let results = match run_sharded(items, &self.mode, opts, child, f) {
+            Ok(results) => results,
+            Err(e) => {
+                eprintln!("error: {e}");
                 // A complete slice with recorded failures is terminal:
                 // the supervisor must accept it rather than retry it.
-                ShardError::RecordedFailures { .. } => EXIT_RECORDED_FAILURES,
-                _ => 1,
-            };
-            std::process::exit(code);
+                let code = match e {
+                    ShardError::RecordedFailures { .. } => EXIT_RECORDED_FAILURES,
+                    _ => 1,
+                };
+                std::process::exit(code);
+            }
+        };
+        // The grid may carry recorded failures (e.g. point timeouts
+        // served from a checkpoint on resume, or stitched in by a merge):
+        // the sweep *finished* — every point is on the books — but the
+        // figure cannot be rendered from an incomplete grid. Print the
+        // terminal failure summary and exit with the recorded-failures
+        // status instead of handing `Err` outcomes to a renderer that
+        // expects successes.
+        let recorded: Vec<(&String, &SweepError)> = results
+            .iter()
+            .flatten()
+            .filter_map(|r| r.outcome.as_ref().err().map(|e| (&r.label, e)))
+            .collect();
+        if !recorded.is_empty() {
+            eprintln!(
+                "sweep: finished with {} recorded point failure(s):",
+                recorded.len()
+            );
+            for (label, e) in &recorded {
+                eprintln!("  {label}: {e}");
+            }
+            eprintln!(
+                "sweep: grid is fully accounted for but incomplete; \
+                 exiting {EXIT_RECORDED_FAILURES}"
+            );
+            std::process::exit(EXIT_RECORDED_FAILURES);
         }
+        results
+    }
+
+    /// `--trace`: re-runs `point` with a buffered tracer and writes the
+    /// collected events as Chrome `trace_event` JSON. Does nothing
+    /// without `--trace`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulation fails or the file cannot be written — a
+    /// run asked to produce a trace must not silently drop it.
+    pub fn export_trace(&self, point: &DesignPoint) {
+        let Some(path) = &self.trace else {
+            return;
+        };
+        let (tracer, sink) = Tracer::buffered();
+        point
+            .run(&tracer, &Metrics::disabled())
+            .expect("trace run succeeds");
+        let events = sink.lock().expect("trace sink lock").take();
+        export_chrome_trace(path, &events)
+            .unwrap_or_else(|e| panic!("cannot write trace {}: {e}", path.display()));
+        eprintln!(
+            "trace: wrote {} events for '{}' to {}",
+            events.len(),
+            point.label,
+            path.display()
+        );
+    }
+
+    /// [`SweepCli::sharded_sweep_map`] instantiated for [`DesignPoint`]
+    /// sweeps.
+    pub fn sharded_sweep(&self, points: Vec<DesignPoint>) -> Option<Vec<SweepResult<SocReport>>> {
+        let items = points
+            .into_iter()
+            .map(|p| (p.label.clone(), p.fingerprint(), p))
+            .collect();
+        self.sharded_sweep_map(items, |p: DesignPoint, metrics| {
+            p.run(&Tracer::disabled(), metrics)
+        })
     }
 }
 
-/// [`sharded_sweep_map`] instantiated for [`DesignPoint`] sweeps — the
-/// drop-in sharded replacement for `run_sweep_with(points,
-/// sweep_cli_options())` in the figure binaries.
-pub fn sharded_sweep(points: Vec<DesignPoint>) -> Option<Vec<SweepResult<SocReport>>> {
-    let items = points
-        .into_iter()
-        .map(|p| (p.label.clone(), p.fingerprint(), p))
-        .collect();
-    let metrics = cli_metrics();
-    sharded_sweep_map(items, move |p: DesignPoint| {
-        run_networks_metered(&p.config, &p.networks, &p.options, &metrics)
-    })
+/// The zoo networks whose name contains `name` (fig7's `--only`,
+/// profile_layers' network argument). Exits the process with status `2`,
+/// listing the available names, when none does.
+pub fn zoo_matching(name: &str) -> Vec<Network> {
+    let all = gemmini_dnn::zoo::all();
+    let names: Vec<&str> = all.iter().map(Network::name).collect();
+    if !names.iter().any(|n| n.contains(name)) {
+        eprintln!(
+            "error: no zoo network matches '{name}'; available: {}",
+            names.join(", ")
+        );
+        std::process::exit(2);
+    }
+    all.into_iter()
+        .filter(|n| n.name().contains(name))
+        .collect()
 }
 
 /// Writes one JSON document as a single line to `path` (the non-sweep
@@ -401,10 +466,10 @@ pub fn run_quick(cfg: &SocConfig) -> SocReport {
     run_networks(cfg, &[quick_resnet()], &RunOptions::timing()).expect("quick run succeeds")
 }
 
-/// The ResNet-class workload for the current mode: full ResNet50, or
-/// the reduced [`quick_resnet`] under `--quick`.
-pub fn resnet_workload() -> Network {
-    if quick_mode() {
+/// The ResNet-class workload: full ResNet50, or the reduced
+/// [`quick_resnet`] when `quick` (`--quick`).
+pub fn resnet_workload(quick: bool) -> Network {
+    if quick {
         quick_resnet()
     } else {
         gemmini_dnn::zoo::resnet50()
@@ -520,41 +585,139 @@ mod tests {
         assert!(net.total_macs() < 200_000_000);
     }
 
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn sweep(v: &[&str]) -> Result<SweepCli, String> {
+        let usage = [&["--quick", "--only <name>", "--trace <path>"], SWEEP_FLAGS].concat();
+        SweepCli::from_args(args(v), &usage)
+    }
+
     #[test]
-    fn forwarded_args_strip_only_sharding_flags() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+    fn cli_parses_each_mode_and_rejects_conflicts() {
+        let cli = sweep(&["--quick", "--shard", "1/2", "--json", "x"]).unwrap();
         assert_eq!(
-            forwarded_args(args(&[
+            cli.mode,
+            ShardMode::Worker(ShardSpec { index: 1, count: 2 })
+        );
+        assert!(cli.quick);
+
+        let cli = sweep(&["--shards", "4", "--json", "x"]).unwrap();
+        assert_eq!(cli.mode, ShardMode::Supervise(4));
+
+        let cli = sweep(&["--merge", "a.jsonl", "b.jsonl", "--quick"]).unwrap();
+        assert_eq!(
+            cli.mode,
+            ShardMode::Merge(vec![PathBuf::from("a.jsonl"), PathBuf::from("b.jsonl")])
+        );
+
+        assert_eq!(sweep(&["--quick"]).unwrap().mode, ShardMode::Local);
+        assert!(sweep(&["--shards", "0", "--json", "x"]).is_err());
+        assert!(sweep(&["--merge"]).is_err());
+        let both = sweep(&["--shard", "0/2", "--shards", "2", "--json", "x"]);
+        assert!(both.unwrap_err().contains("mutually exclusive"));
+    }
+
+    #[test]
+    fn cli_rejects_undeclared_flags_and_bad_values() {
+        let err = |v: &[&str]| sweep(v).unwrap_err();
+        assert!(err(&["--qick"]).contains("unknown flag '--qick'"));
+        assert!(
+            err(&["--cores", "2"]).contains("unknown flag"),
+            "not declared here"
+        );
+        assert!(err(&["stray"]).contains("unexpected argument"));
+        assert!(err(&["--quick", "--quick"]).contains("more than once"));
+        assert!(err(&["--json"]).contains("requires a value"));
+        assert!(err(&["--json", "--quick"]).contains("requires a value"));
+        assert!(err(&["--point-timeout", "0"]).contains("positive number of seconds"));
+        assert!(err(&["--point-timeout", "abc"]).contains("positive number of seconds"));
+        assert!(err(&["--watchdog", "1e300", "--json", "x"]).contains("positive number"));
+        assert!(err(&["--watchdog", "inf", "--json", "x"]).contains("positive number"));
+        assert!(err(&["--shard", "2/2", "--json", "x"]).contains("out of range"));
+        // Modes that need a checkpoint, and flags that do nothing
+        // without one, are parse errors.
+        assert!(err(&["--shard", "0/2"]).contains("--shard requires --json"));
+        assert!(err(&["--shards", "2"]).contains("--shards requires --json"));
+        assert!(err(&["--resume"]).contains("--resume requires --json"));
+        assert!(err(&["--watchdog", "2"]).contains("--watchdog requires"));
+        assert!(sweep(&["--watchdog", "2", "--status", "s.json"]).is_ok());
+
+        let gnn = |v: &[&str]| {
+            SweepCli::from_args(args(v), &["--cores <N>", "--functional", "<model.gnn>"])
+        };
+        let cli = gnn(&["m.gnn", "--cores", "2", "--functional"]).unwrap();
+        assert_eq!(cli.positional.as_deref(), Some("m.gnn"));
+        assert_eq!(cli.cores, Some(2));
+        assert!(gnn(&["m.gnn", "--cores", "abc"]).is_err());
+        assert!(gnn(&["m.gnn", "--cores", "0"]).is_err());
+        assert!(gnn(&["--functional"])
+            .unwrap_err()
+            .contains("missing <model.gnn>"));
+        assert!(gnn(&["a.gnn", "b.gnn"]).is_err());
+        assert!(
+            gnn(&["a.gnn", "<model.gnn>"]).is_err(),
+            "a usage entry is no flag"
+        );
+        let optional = SweepCli::from_args(args(&[]), &["[network]"]).unwrap();
+        assert_eq!(optional.positional, None);
+        assert!(SweepCli::from_args(args(&["--quick"]), &["[network]"]).is_err());
+    }
+
+    /// A shard worker's command line parses back to its supervisor's,
+    /// switched to worker mode with `--resume`.
+    #[test]
+    fn worker_args_round_trip() {
+        let spec = ShardSpec { index: 1, count: 3 };
+        for v in [
+            &["--json", "out.jsonl", "--shards", "3"][..],
+            &[
                 "--quick",
-                "--shards",
-                "4",
                 "--json",
-                "out.jsonl",
-                "--resume"
-            ])),
-            args(&["--quick", "--json", "out.jsonl"])
-        );
-        assert_eq!(
-            forwarded_args(args(&["--shard", "1/2", "--only", "resnet"])),
-            args(&["--only", "resnet"])
-        );
-        assert_eq!(
-            forwarded_args(args(&["--merge", "a.jsonl", "b.jsonl", "--quick"])),
-            args(&["--quick"])
-        );
-        // Telemetry flags forward unchanged: each child derives its own
-        // per-shard status/metrics paths from the base paths.
-        assert_eq!(
-            forwarded_args(args(&[
+                "a/b.jsonl",
+                "--resume",
                 "--shards",
-                "2",
+                "3",
+            ],
+            &[
+                "--json",
+                "s.jsonl",
+                "--shards",
+                "3",
+                "--only",
+                "resnet",
+                "--trace",
+                "t.json",
                 "--status",
-                "status.json",
+                "st.json",
                 "--metrics",
-                "metrics.prom"
-            ])),
-            args(&["--status", "status.json", "--metrics", "metrics.prom"])
-        );
+                "m.prom",
+                "--point-timeout",
+                "0.1",
+                "--watchdog",
+                "2.5",
+                "--faults",
+                "sweep.point=abort@4,checkpoint.flush=fail@2",
+            ],
+            &["--json", "x.jsonl"],
+            &["--merge", "a.jsonl", "b.jsonl", "--json", "x.jsonl"],
+        ] {
+            let cli = sweep(v).unwrap();
+            let worker = sweep(
+                &cli.worker_args(spec)
+                    .iter()
+                    .map(String::as_str)
+                    .collect::<Vec<_>>(),
+            )
+            .unwrap_or_else(|e| panic!("{v:?}: {e}"));
+            let expected = SweepCli {
+                mode: ShardMode::Worker(spec),
+                resume: true,
+                ..cli
+            };
+            assert_eq!(worker, expected, "{v:?}");
+        }
     }
 
     #[test]

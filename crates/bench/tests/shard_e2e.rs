@@ -514,3 +514,42 @@ fn invalid_fault_schedule_exits_2_before_any_point_runs() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A malformed command line — a typo'd flag, a bad shard count,
+/// conflicting sharding modes, or a mode that needs `--json` without it
+/// — exits 2 with one error line and one usage line, before any point
+/// runs and before anything is written.
+#[test]
+fn malformed_command_lines_exit_2_before_any_point_runs() {
+    let dir = scratch_dir("bad_cli");
+    let ckpt = dir.join("sweep.jsonl");
+    let base = ckpt.to_str().unwrap();
+    for (bin, args) in [
+        (SMOKE, &["--qick", "--json", base][..]),
+        (FIG8, &["--qick", "--json", base]),
+        (SMOKE, &["--shards", "0", "--json", base]),
+        (SMOKE, &["--shard", "0/2", "--shards", "2", "--json", base]),
+        (SMOKE, &["--shard", "0/2"]),
+    ] {
+        let out = Command::new(bin)
+            .args(args)
+            .current_dir(&dir)
+            .env("GEMMINI_THREADS", "1")
+            .output()
+            .expect("binary runs");
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        let lines: Vec<&str> = err.lines().collect();
+        assert_eq!(lines.len(), 2, "{args:?}: only the error and usage: {err}");
+        assert!(lines[0].starts_with("error: "), "{err}");
+        assert!(lines[1].starts_with("usage: "), "{err}");
+        assert_eq!(stdout(&out), "", "{args:?}");
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            0,
+            "{args:?}: nothing may be written"
+        );
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -14,7 +14,7 @@
 //! by staging through a retained buffer rather than loosening the bound.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use gemmini_core::config::{Dataflow, GemminiConfig};
 use gemmini_core::isa::{Instruction, LocalAddr};
@@ -29,24 +29,39 @@ use gemmini_vm::page_table::AddressSpace;
 use gemmini_vm::translator::{TranslationConfig, TranslationSystem};
 
 /// Counts every heap allocation (alloc, alloc_zeroed, realloc) made through
-/// the global allocator. Deallocations are free and not counted.
+/// the global allocator, per thread: the test harness runs the tests below
+/// in parallel, and each must see only its own thread's allocations.
+/// Deallocations are free and not counted.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // A const-initialized `Cell<u64>` has no destructor and needs no lazy
+    // setup, so touching it from inside the allocator cannot recurse.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Heap allocations made by the calling thread so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -251,14 +266,11 @@ fn steady_state_tile_step_does_not_allocate() {
 
     // The counter must be live, or the zero-delta assertion below would
     // pass vacuously.
-    assert!(
-        ALLOCATIONS.load(Ordering::SeqCst) > 0,
-        "counting allocator not installed"
-    );
+    assert!(allocations() > 0, "counting allocator not installed");
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     tile_pass(&mut accel, &mut r, dim);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -298,9 +310,9 @@ fn steady_state_with_live_metrics_does_not_allocate() {
     tile_pass(&mut accel, &mut r, dim);
     accel.compact_attribution();
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     tile_pass(&mut accel, &mut r, dim);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

@@ -4,11 +4,10 @@
 //! checkpoint writes and corrupted lines — failure modes that are
 //! essentially untestable without a way to *cause* them on demand. This
 //! module is the one mechanism for causing them: a process-wide registry
-//! of named failpoint sites, armed from the `GEMMINI_FAULTS` environment
-//! variable (or the sweep binaries' `--faults` flag, which sets the same
-//! variable before any site is evaluated). Each site in the checkpoint
-//! writer, telemetry heartbeat and sweep executor asks the registry what
-//! to do; with nothing armed — the default — every site is exactly one
+//! of named failpoint sites, armed from the sweep binaries' `--faults`
+//! flag or, without it, the `GEMMINI_FAULTS` environment variable. Each
+//! site in the checkpoint writer, telemetry heartbeat and sweep executor
+//! asks the registry what to do; with nothing armed — the default — every site is exactly one
 //! untaken branch on a relaxed atomic load, and results are
 //! bit-identical to a build without the registry.
 //!
@@ -165,11 +164,14 @@ impl Registry {
 static ARMED: AtomicBool = AtomicBool::new(false);
 static REGISTRY: OnceLock<Result<Registry, String>> = OnceLock::new();
 
-fn registry() -> &'static Result<Registry, String> {
+fn registry(schedule: Option<&str>) -> &'static Result<Registry, String> {
     REGISTRY.get_or_init(|| {
-        let spec = std::env::var(FAULTS_ENV).unwrap_or_default();
+        let (source, spec) = match schedule {
+            Some(spec) => ("--faults", spec.to_string()),
+            None => (FAULTS_ENV, std::env::var(FAULTS_ENV).unwrap_or_default()),
+        };
         let parsed = Registry::parse(&spec)
-            .map_err(|msg| format!("invalid {FAULTS_ENV} schedule '{spec}': {msg}"));
+            .map_err(|msg| format!("invalid {source} schedule '{spec}': {msg}"));
         if let Ok(reg) = &parsed {
             if !reg.points.is_empty() {
                 eprintln!("fault: armed {} failpoint(s): {spec}", reg.points.len());
@@ -179,34 +181,35 @@ fn registry() -> &'static Result<Registry, String> {
     })
 }
 
-/// Arms the registry for this process if `GEMMINI_FAULTS` names a
-/// non-empty schedule. Called lazily by the first [`fire`]; the sweep
-/// binaries call it eagerly, right after CLI parsing, and exit 2 on an
-/// error, so a typo'd schedule fails before any point runs rather than
-/// quietly testing nothing.
+/// Arms the registry for this process with `schedule` (`--faults`) or,
+/// if `None`, `GEMMINI_FAULTS`; the first call fixes the schedule.
+/// Called lazily by the first [`fire`]; the sweep binaries call it
+/// eagerly, right after CLI parsing, and exit 2 on an error, so a
+/// typo'd schedule fails before any point runs rather than quietly
+/// testing nothing.
 ///
 /// # Errors
 ///
 /// Returns the parse error of an unparsable schedule; the registry then
 /// stays disarmed.
-pub fn arm() -> Result<(), String> {
-    let reg = registry().as_ref().map_err(Clone::clone)?;
+pub fn arm(schedule: Option<&str>) -> Result<(), String> {
+    let reg = registry(schedule).as_ref().map_err(Clone::clone)?;
     if !reg.points.is_empty() {
         ARMED.store(true, Ordering::Release);
     }
     Ok(())
 }
 
-/// Permanently disarms every failpoint in this process (the schedule
-/// stays in the environment for child processes to inherit). Used by
-/// the shard supervisor — and by workers whose index does not match
-/// `GEMMINI_FAULTS_SHARD` — so a fleet-wide environment arms exactly
-/// one process.
+/// Permanently disarms every failpoint in this process (child processes
+/// still get the schedule from their own `--faults` flag or inherited
+/// environment). Used by the shard supervisor — and by workers whose
+/// index does not match `GEMMINI_FAULTS_SHARD` — so a fleet-wide
+/// schedule arms exactly one process.
 pub fn disarm() {
     // Initialize-then-drain: fire() consults ARMED first, so flipping it
     // off makes every later evaluation the plain untaken branch. A bad
     // schedule arms nothing, so its error is moot here.
-    let _ = arm();
+    let _ = arm(None);
     ARMED.store(false, Ordering::Release);
 }
 
@@ -231,14 +234,14 @@ pub fn fire(site: &str) -> Option<FaultAction> {
         if REGISTRY.get().is_some() {
             return None;
         }
-        if let Err(msg) = arm() {
+        if let Err(msg) = arm(None) {
             eprintln!("fault: ignoring {msg}");
         }
         if !ARMED.load(Ordering::Relaxed) {
             return None;
         }
     }
-    let Ok(reg) = registry() else {
+    let Ok(reg) = registry(None) else {
         return None;
     };
     for point in &reg.points {

@@ -7,13 +7,12 @@ use crate::runtime::{read_virt, LayerTiming, NetworkExecution};
 use crate::soc::{Soc, SocConfig};
 use gemmini_core::dma::DmaStats;
 use gemmini_core::metrics::Metrics;
-use gemmini_core::trace::{export_chrome_trace, Component, StallCause, Tracer, SOC_TRACE_PID};
+use gemmini_core::trace::{Component, StallCause, Tracer, SOC_TRACE_PID};
 use gemmini_core::{AccelError, MemCtx};
 use gemmini_dnn::graph::{LayerClass, Network};
 use gemmini_mem::json::{FromJson, Json, JsonError, ToJson};
 use gemmini_mem::stats::{CycleAttribution, HitMissStats, TrafficStats};
 use gemmini_mem::Cycle;
-use std::path::Path;
 
 /// Options for one run.
 #[derive(Debug, Clone, Copy)]
@@ -408,12 +407,8 @@ fn layer_reports(timings: &[LayerTiming]) -> Vec<LayerReport> {
 
 /// Runs `nets[i]` on core `i` of an SoC built from `config`, interleaving
 /// cores at kernel-step granularity (the core with the smallest local clock
-/// steps next), and returns the full report.
-///
-/// If the `GEMMINI_TRACE` environment variable names a file, the run is
-/// traced and a Chrome `trace_event` JSON file is written there on
-/// completion (tracing never changes cycle results). For programmatic
-/// control of the sink, use [`run_networks_traced`].
+/// steps next), and returns the full report. For a trace-event sink or a
+/// live-metrics handle, use [`run_networks_observed`].
 ///
 /// # Errors
 ///
@@ -427,72 +422,25 @@ pub fn run_networks(
     nets: &[Network],
     options: &RunOptions,
 ) -> Result<SocReport, AccelError> {
-    run_networks_metered(config, nets, options, &Metrics::disabled())
+    run_networks_observed(
+        config,
+        nets,
+        options,
+        &Tracer::disabled(),
+        &Metrics::disabled(),
+    )
 }
 
-/// Like [`run_networks`] (including the `GEMMINI_TRACE` lookup), but with
-/// a live-metrics handle: when enabled, every core's engine, scratchpad
-/// timing, translation hardware and the shared memory hierarchy record
-/// counters and latency histograms into the shared registry. Metrics are
-/// pure observation — the returned report is bit-identical to an
-/// unmetered run.
-///
-/// # Errors
-///
-/// Propagates the first accelerator error (e.g. a page fault) from any core.
-///
-/// # Panics
-///
-/// Panics if `nets.len()` differs from the configured core count.
-pub fn run_networks_metered(
-    config: &SocConfig,
-    nets: &[Network],
-    options: &RunOptions,
-    metrics: &Metrics,
-) -> Result<SocReport, AccelError> {
-    match std::env::var("GEMMINI_TRACE") {
-        Ok(path) if !path.is_empty() => {
-            let (tracer, sink) = Tracer::buffered();
-            let report = run_networks_observed(config, nets, options, &tracer, metrics)?;
-            let events = sink.lock().expect("trace sink lock").take();
-            if let Err(e) = export_chrome_trace(Path::new(&path), &events) {
-                eprintln!("warning: could not write trace to {path}: {e}");
-            }
-            Ok(report)
-        }
-        _ => run_networks_observed(config, nets, options, &Tracer::disabled(), metrics),
-    }
-}
-
-/// Like [`run_networks`], but with an explicit trace-event sink: when
-/// `tracer` is enabled, every core's engine, translation hardware, and the
-/// shared memory hierarchy emit spans into it (cores use their core id as
-/// the trace pid; shared components use [`SOC_TRACE_PID`]), and the runtime
-/// contributes one span per layer. With a [`Tracer::disabled`] tracer this
-/// is exactly `run_networks` minus the `GEMMINI_TRACE` environment lookup —
-/// cycle results are identical either way.
-///
-/// # Errors
-///
-/// Propagates the first accelerator error (e.g. a page fault) from any core.
-///
-/// # Panics
-///
-/// Panics if `nets.len()` differs from the configured core count.
-pub fn run_networks_traced(
-    config: &SocConfig,
-    nets: &[Network],
-    options: &RunOptions,
-    tracer: &Tracer,
-) -> Result<SocReport, AccelError> {
-    run_networks_observed(config, nets, options, tracer, &Metrics::disabled())
-}
-
-/// The fully-instrumented driver behind every `run_networks*` variant:
-/// an explicit trace-event sink *and* an explicit live-metrics handle,
-/// each independently optional (pass [`Tracer::disabled`] /
-/// [`Metrics::disabled`]). Both are pure observation; cycle results are
-/// identical in all four on/off combinations.
+/// Like [`run_networks`], with an explicit trace-event sink *and* an
+/// explicit live-metrics handle, each independently optional (pass
+/// [`Tracer::disabled`] / [`Metrics::disabled`]). When `tracer` is
+/// enabled, every core's engine, translation hardware, and the shared
+/// memory hierarchy emit spans into it (cores use their core id as the
+/// trace pid; shared components use [`SOC_TRACE_PID`]), and the runtime
+/// contributes one span per layer. When `metrics` is enabled, the same
+/// components record counters and latency histograms into its registry.
+/// Both are pure observation; cycle results are identical in all four
+/// on/off combinations.
 ///
 /// # Errors
 ///
@@ -752,11 +700,12 @@ mod tests {
         let net = zoo::tiny_cnn();
         let plain = run_networks(&cfg, std::slice::from_ref(&net), &RunOptions::timing()).unwrap();
         let (tracer, sink) = Tracer::buffered();
-        let traced = run_networks_traced(
+        let traced = run_networks_observed(
             &cfg,
             std::slice::from_ref(&net),
             &RunOptions::timing(),
             &tracer,
+            &Metrics::disabled(),
         )
         .unwrap();
         assert_eq!(plain, traced, "tracing must not perturb the simulation");
@@ -782,10 +731,11 @@ mod tests {
         let net = zoo::tiny_cnn();
         let plain = run_networks(&cfg, std::slice::from_ref(&net), &RunOptions::timing()).unwrap();
         let (metrics, registry) = Metrics::enabled();
-        let metered = run_networks_metered(
+        let metered = run_networks_observed(
             &cfg,
             std::slice::from_ref(&net),
             &RunOptions::timing(),
+            &Tracer::disabled(),
             &metrics,
         )
         .unwrap();

@@ -46,8 +46,8 @@
 //!   single-process run.
 //!
 //! [`run_sharded`] ties the three together behind the sweep binaries'
-//! shared CLI (`--shard` / `--shards` / `--merge`, parsed by
-//! [`ShardCli`]).
+//! shared CLI (`--shard` / `--shards` / `--merge`, parsed into a
+//! [`ShardMode`]).
 
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read};
@@ -870,94 +870,28 @@ pub fn line_result<T>(line: Line<T>) -> SweepResult<T> {
     }
 }
 
-/// The sharding arguments shared by every sweep binary. At most one of
-/// the three modes may be active; all of them need the sweep's `--json`
-/// base path to locate shard checkpoints.
+/// How a sweep binary runs its grid: in this process, as one shard
+/// worker, as the supervisor of a worker fleet, or by stitching existing
+/// shard checkpoints. The worker and supervisor modes need the sweep's
+/// `--json` base path to locate shard checkpoints; the command-line
+/// parser rejects them without one.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct ShardCli {
+pub enum ShardMode {
+    /// No sharding flag: a plain (possibly checkpointed) in-process sweep.
+    #[default]
+    Local,
     /// `--shard i/N`: run only that strided slice of the grid.
-    pub shard: Option<ShardSpec>,
+    Worker(ShardSpec),
     /// `--shards N`: supervise N worker processes of this binary.
-    pub supervise: Option<usize>,
+    Supervise(usize),
     /// `--merge <file>…`: stitch existing shard checkpoints; no
     /// simulation.
-    pub merge: Vec<PathBuf>,
-}
-
-impl ShardCli {
-    /// Parses the sharding flags out of an argument list, ignoring every
-    /// argument it does not own (the binaries parse `--quick`, `--json`,
-    /// `--resume`, … separately).
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message for malformed values or
-    /// conflicting modes.
-    pub fn from_args<A>(args: A) -> Result<Self, String>
-    where
-        A: IntoIterator<Item = String>,
-    {
-        let mut cli = Self::default();
-        let mut it = args.into_iter().peekable();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--shard" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| "--shard requires an i/N argument".to_string())?;
-                    cli.shard = Some(ShardSpec::parse(&v)?);
-                }
-                "--shards" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| "--shards requires a shard count".to_string())?;
-                    let count = v
-                        .trim()
-                        .parse::<usize>()
-                        .map_err(|_| format!("invalid --shards count '{v}'"))?;
-                    if count == 0 {
-                        return Err("--shards count must be at least 1".to_string());
-                    }
-                    cli.supervise = Some(count);
-                }
-                "--merge" => {
-                    while it.peek().is_some_and(|a| !a.starts_with("--")) {
-                        cli.merge.push(PathBuf::from(it.next().expect("peeked")));
-                    }
-                    if cli.merge.is_empty() {
-                        return Err(
-                            "--merge requires at least one shard checkpoint path".to_string()
-                        );
-                    }
-                }
-                _ => {}
-            }
-        }
-        let active = [
-            cli.shard.is_some(),
-            cli.supervise.is_some(),
-            !cli.merge.is_empty(),
-        ]
-        .into_iter()
-        .filter(|&on| on)
-        .count();
-        if active > 1 {
-            return Err("--shard, --shards and --merge are mutually exclusive".to_string());
-        }
-        Ok(cli)
-    }
-
-    /// Whether any sharding mode is active.
-    pub fn is_active(&self) -> bool {
-        self.shard.is_some() || self.supervise.is_some() || !self.merge.is_empty()
-    }
+    Merge(Vec<PathBuf>),
 }
 
 /// Why a sharded sweep failed.
 #[derive(Debug)]
 pub enum ShardError {
-    /// The active mode needs a `--json` base path and none was given.
-    NeedsCheckpoint(&'static str),
     /// The supervisor gave up on a shard.
     Supervisor(SupervisorError),
     /// The shard checkpoints could not be stitched into the full grid.
@@ -1005,9 +939,6 @@ pub enum ShardError {
 impl fmt::Display for ShardError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::NeedsCheckpoint(flag) => {
-                write!(f, "{flag} requires --json <path> (the sweep checkpoint base path)")
-            }
             Self::Supervisor(e) => write!(f, "{e}"),
             Self::Merge(e) => write!(f, "{e}"),
             Self::Io { path, message } => write!(f, "{}: {message}", path.display()),
@@ -1044,11 +975,11 @@ fn expected_of<I>(items: &[(String, u64, I)]) -> Vec<(String, u64)> {
         .collect()
 }
 
-/// Runs `items` under the mode `cli` selects:
+/// Runs `items` under `mode`:
 ///
 /// * **merge** — stitch the named shard checkpoints into full-grid
 ///   results; nothing is simulated. Returns `Some(results)`.
-/// * **shard** — run only this worker's strided slice, checkpointing to
+/// * **worker** — run only this worker's strided slice, checkpointing to
 ///   the [`shard_path`] derived from `opts.checkpoint`. Returns `None`
 ///   (a worker has nothing to render); failed points surface as
 ///   [`ShardError::PointsFailed`] so the process exits non-zero and a
@@ -1058,17 +989,23 @@ fn expected_of<I>(items: &[(String, u64, I)]) -> Vec<(String, u64)> {
 ///   and write the stitched entries back to the base path (leaving it
 ///   exactly as a single-process run would have, modulo wall-clock).
 ///   Returns `Some(results)`.
-/// * **none of the three** — a plain (possibly checkpointed) in-process
-///   sweep. Returns `Some(results)`.
+/// * **local** — a plain (possibly checkpointed) in-process sweep.
+///   Returns `Some(results)`.
 ///
 /// # Errors
 ///
-/// Returns [`ShardError`] when the active mode lacks a checkpoint base
-/// path, the supervisor exhausts a shard's retries, the merge finds
-/// missing or stale points, or shard bookkeeping I/O fails.
+/// Returns [`ShardError`] when the supervisor exhausts a shard's
+/// retries, the merge finds missing or stale points, or shard
+/// bookkeeping I/O fails.
+///
+/// # Panics
+///
+/// Panics if the worker or supervise mode runs without
+/// `opts.checkpoint` (the command-line parser rejects that mode without
+/// `--json`).
 pub fn run_sharded<I, T, F, C>(
     items: Vec<(String, u64, I)>,
-    cli: &ShardCli,
+    mode: &ShardMode,
     opts: SweepOptions,
     make_child: C,
     f: F,
@@ -1079,9 +1016,14 @@ where
     F: Fn(I) -> Result<T, AccelError> + Sync,
     C: Fn(ShardSpec) -> Command + Sync,
 {
-    if !cli.merge.is_empty() {
+    let checkpoint_base = || {
+        opts.checkpoint
+            .clone()
+            .expect("sharded sweep modes need a checkpoint base path")
+    };
+    if let ShardMode::Merge(paths) = mode {
         let expected = expected_of(&items);
-        let merged = merge_shards::<T>(&expected, &cli.merge).map_err(ShardError::Merge)?;
+        let merged = merge_shards::<T>(&expected, paths).map_err(ShardError::Merge)?;
         for (path, count) in &merged.quarantined {
             if *count > 0 {
                 eprintln!(
@@ -1103,16 +1045,13 @@ where
         eprintln!(
             "merge: stitched {} point(s) from {} shard checkpoint(s){note}",
             merged.lines.len(),
-            cli.merge.len()
+            paths.len()
         );
         return Ok(Some(merged.lines.into_iter().map(line_result).collect()));
     }
 
-    if let Some(spec) = cli.shard {
-        let base = opts
-            .checkpoint
-            .clone()
-            .ok_or(ShardError::NeedsCheckpoint("--shard"))?;
+    if let &ShardMode::Worker(spec) = mode {
+        let base = checkpoint_base();
         // A fleet-wide fault schedule scoped with GEMMINI_FAULTS_SHARD
         // arms in exactly one worker; everyone else disarms here.
         crate::fault::scope_to_shard(Some(spec.index));
@@ -1184,11 +1123,8 @@ where
         return Ok(None);
     }
 
-    if let Some(count) = cli.supervise {
-        let base = opts
-            .checkpoint
-            .clone()
-            .ok_or(ShardError::NeedsCheckpoint("--shards"))?;
+    if let &ShardMode::Supervise(count) = mode {
+        let base = checkpoint_base();
         // The supervisor never takes faults itself when the schedule is
         // scoped to a worker; children inherit the environment and make
         // their own scoping decision.
@@ -1341,28 +1277,6 @@ mod tests {
             shard_path(Path::new("results"), spec),
             Path::new("results.shard1of4")
         );
-    }
-
-    #[test]
-    fn cli_parses_each_mode_and_rejects_conflicts() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let cli = ShardCli::from_args(args(&["--quick", "--shard", "1/2", "--json", "x"])).unwrap();
-        assert_eq!(cli.shard, Some(ShardSpec { index: 1, count: 2 }));
-        assert!(cli.is_active());
-
-        let cli = ShardCli::from_args(args(&["--shards", "4"])).unwrap();
-        assert_eq!(cli.supervise, Some(4));
-
-        let cli = ShardCli::from_args(args(&["--merge", "a.jsonl", "b.jsonl", "--quick"])).unwrap();
-        assert_eq!(
-            cli.merge,
-            vec![PathBuf::from("a.jsonl"), PathBuf::from("b.jsonl")]
-        );
-
-        assert!(!ShardCli::from_args(args(&["--quick"])).unwrap().is_active());
-        assert!(ShardCli::from_args(args(&["--shards", "0"])).is_err());
-        assert!(ShardCli::from_args(args(&["--merge"])).is_err());
-        assert!(ShardCli::from_args(args(&["--shard", "0/2", "--shards", "2"])).is_err());
     }
 
     #[test]

@@ -31,8 +31,7 @@
 //!   executor also maintains a JSON heartbeat file and a Prometheus
 //!   exposition (see [`crate::telemetry`]). Per-point
 //!   cycle attribution rides along in every [`SocReport`] (and therefore
-//!   in each checkpoint line), and `GEMMINI_TRACE` exports a Chrome
-//!   trace from any individual run.
+//!   in each checkpoint line).
 //! * **Exact aggregation**: [`merge_memory_stats`] folds per-point
 //!   memory counters through [`HitMissStats::merge`] and
 //!   [`TrafficStats::merge`], so totals across N parallel shards equal
@@ -49,13 +48,14 @@ use crate::checkpoint::{
     compact, debug_fingerprint, Checkpoint, CheckpointEntry, CheckpointWriter, FailedEntry,
 };
 use crate::fault::{self, FaultAction};
-use crate::run::{run_networks_metered, RunOptions, SocReport};
+use crate::run::{run_networks_observed, RunOptions, SocReport};
 use crate::soc::SocConfig;
 use crate::telemetry::{
     eta_secs, format_eta, wall_micros, write_heartbeat, write_prometheus, Heartbeat,
     HEARTBEAT_VERSION,
 };
 use gemmini_core::metrics::{Counter, Gauge, HistKind, Log2Histogram, Metrics};
+use gemmini_core::trace::Tracer;
 use gemmini_core::AccelError;
 use gemmini_dnn::graph::Network;
 use gemmini_mem::json::{FromJson, ToJson};
@@ -114,6 +114,17 @@ impl DesignPoint {
     /// fingerprint match, so any edit to the design forces a re-run.
     pub fn fingerprint(&self) -> u64 {
         debug_fingerprint(&(&self.config, &self.networks, &self.options))
+    }
+
+    /// Simulates the point, observed by `tracer` and `metrics` (see
+    /// [`run_networks_observed`]; pass the disabled handles for a plain
+    /// run).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first accelerator error from any core.
+    pub fn run(&self, tracer: &Tracer, metrics: &Metrics) -> Result<SocReport, AccelError> {
+        run_networks_observed(&self.config, &self.networks, &self.options, tracer, metrics)
     }
 }
 
@@ -908,9 +919,7 @@ pub fn run_sweep_with(points: Vec<DesignPoint>, opts: SweepOptions) -> Vec<Sweep
         .into_iter()
         .map(|p| (p.label.clone(), p.fingerprint(), p))
         .collect();
-    sweep_map(items, opts, move |p| {
-        run_networks_metered(&p.config, &p.networks, &p.options, &metrics)
-    })
+    sweep_map(items, opts, move |p| p.run(&Tracer::disabled(), &metrics))
 }
 
 /// Exact cross-point rollup of the memory-system counters, folded

@@ -1,23 +1,25 @@
 //! Schema-sanity test for the Chrome `trace_event` exporter: the file a
-//! `--trace` run (or `GEMMINI_TRACE`) writes must be loadable by
-//! `chrome://tracing` / Perfetto — a JSON *array* of event objects, each
-//! carrying `ph`/`ts`/`pid`/`tid`, with `dur` on complete events and a
-//! scope on instants. Runs the same export path the binaries use.
+//! `--trace` run writes must be loadable by `chrome://tracing` /
+//! Perfetto — a JSON *array* of event objects, each carrying
+//! `ph`/`ts`/`pid`/`tid`, with `dur` on complete events and a scope on
+//! instants. Runs the same export path the binaries use.
 
+use gemmini_core::metrics::Metrics;
 use gemmini_core::trace::{export_chrome_trace, Tracer};
 use gemmini_dnn::zoo;
 use gemmini_mem::json::Json;
-use gemmini_soc::run::{run_networks_traced, RunOptions};
+use gemmini_soc::run::{run_networks_observed, RunOptions};
 use gemmini_soc::soc::SocConfig;
 
 #[test]
 fn exported_trace_is_valid_chrome_trace_event_json() {
     let (tracer, sink) = Tracer::buffered();
-    let report = run_networks_traced(
+    let report = run_networks_observed(
         &SocConfig::edge_single_core(),
         &[zoo::tiny_cnn()],
         &RunOptions::timing(),
         &tracer,
+        &Metrics::disabled(),
     )
     .unwrap();
     let events = sink.lock().unwrap().take();
