@@ -17,7 +17,7 @@
 //! with no data movement.
 
 use crate::config::{Dataflow, GemminiConfig};
-use crate::dma::{MemCtx as DmaMemCtx, StreamDma};
+use crate::dma::StreamDma;
 use crate::isa::{Instruction, LocalAddr};
 use crate::mesh::{MatrixUnit, MeshTiming};
 use crate::metrics::Counter as MetricCounter;
@@ -27,8 +27,11 @@ use crate::trace::{AttributionKind, Component, CycleAttribution, Profiler, Stall
 use gemmini_dnn::graph::Activation;
 use gemmini_mem::Cycle;
 use gemmini_vm::translator::TranslateError;
+use row_clock::RowClock;
 use std::error::Error;
 use std::fmt;
+
+mod row_clock;
 
 pub use crate::dma::MemCtx;
 
@@ -195,10 +198,10 @@ pub struct Accelerator {
     load_free: Cycle,
     ex_free: Cycle,
     store_free: Cycle,
-    sp_wr: Vec<Cycle>,
-    sp_rd: Vec<Cycle>,
-    acc_wr: Vec<Cycle>,
-    acc_rd: Vec<Cycle>,
+    sp_wr: RowClock,
+    sp_rd: RowClock,
+    acc_wr: RowClock,
+    acc_rd: RowClock,
     pending_c: Option<PendingC>,
     b_ready: Cycle,
     /// Output-stationary mode: partial sums resident in the PEs, flushed to
@@ -233,10 +236,10 @@ impl Accelerator {
             load_free: 0,
             ex_free: 0,
             store_free: 0,
-            sp_wr: vec![0; sp_rows],
-            sp_rd: vec![0; sp_rows],
-            acc_wr: vec![0; acc_rows],
-            acc_rd: vec![0; acc_rows],
+            sp_wr: RowClock::new(sp_rows),
+            sp_rd: RowClock::new(sp_rows),
+            acc_wr: RowClock::new(acc_rows),
+            acc_rd: RowClock::new(acc_rows),
             pending_c: None,
             b_ready: 0,
             os_c: None,
@@ -421,11 +424,10 @@ impl Accelerator {
         }
         let local = LocalAddr::Sp { row: sp_row };
         self.check_sp_range(local, sp_row, patch_rows)?;
-        let dep = Self::range_max(&self.sp_wr, sp_row, patch_rows).max(Self::range_max(
-            &self.sp_rd,
-            sp_row,
-            patch_rows,
-        ));
+        let dep = self
+            .sp_wr
+            .range_max(sp_row, patch_rows)
+            .max(self.sp_rd.range_max(sp_row, patch_rows));
         let start = self.load_free.max(dep);
         // The raw stream feeds the im2col block, not the scratchpad, so
         // the DMA needs no destination buffer.
@@ -459,7 +461,7 @@ impl Accelerator {
                 }
             }
         }
-        Self::mark(&mut self.sp_wr, sp_row, patch_rows, done);
+        self.sp_wr.mark(sp_row, patch_rows, done);
         self.stats.load_busy += done - start;
         self.stats.loads += 1;
         self.stats.finish = self.stats.finish.max(done);
@@ -568,20 +570,6 @@ impl Accelerator {
             )));
         }
         Ok(())
-    }
-
-    fn range_max(v: &[Cycle], lo: u32, n: u16) -> Cycle {
-        v[lo as usize..lo as usize + n as usize]
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0)
-    }
-
-    fn mark(v: &mut [Cycle], lo: u32, n: u16, t: Cycle) {
-        for x in &mut v[lo as usize..lo as usize + n as usize] {
-            *x = (*x).max(t);
-        }
     }
 
     /// Starts recording an instruction trace (one line per issued
@@ -703,20 +691,18 @@ impl Accelerator {
         let (elem_bytes, dep_start) = match local {
             LocalAddr::Sp { row } => {
                 self.check_sp_range(local, row, rows)?;
-                let dep = Self::range_max(&self.sp_wr, row, rows).max(Self::range_max(
-                    &self.sp_rd,
-                    row,
-                    rows,
-                ));
+                let dep = self
+                    .sp_wr
+                    .range_max(row, rows)
+                    .max(self.sp_rd.range_max(row, rows));
                 (1u64, dep)
             }
             LocalAddr::Acc { row, .. } => {
                 self.check_acc_range(local, row, rows)?;
-                let dep = Self::range_max(&self.acc_wr, row, rows).max(Self::range_max(
-                    &self.acc_rd,
-                    row,
-                    rows,
-                ));
+                let dep = self
+                    .acc_wr
+                    .range_max(row, rows)
+                    .max(self.acc_rd.range_max(row, rows));
                 (if self.state.ld_shrink { 1u64 } else { 4u64 }, dep)
             }
             LocalAddr::None => {
@@ -782,8 +768,8 @@ impl Accelerator {
         }
 
         match local {
-            LocalAddr::Sp { row } => Self::mark(&mut self.sp_wr, row, rows, xfer.done),
-            LocalAddr::Acc { row, .. } => Self::mark(&mut self.acc_wr, row, rows, xfer.done),
+            LocalAddr::Sp { row } => self.sp_wr.mark(row, rows, xfer.done),
+            LocalAddr::Acc { row, .. } => self.acc_wr.mark(row, rows, xfer.done),
             LocalAddr::None => unreachable!(),
         }
         self.stats.load_busy += xfer.done - start;
@@ -828,8 +814,8 @@ impl Accelerator {
         )?;
         let start = self
             .ex_free
-            .max(Self::range_max(&self.acc_wr, dest.row, rows))
-            .max(Self::range_max(&self.acc_rd, dest.row, rows));
+            .max(self.acc_wr.range_max(dest.row, rows))
+            .max(self.acc_rd.range_max(dest.row, rows));
         // Results stream out one row per cycle and drain the pipeline once.
         let done = start + rows as u64 + self.timing.drain_cycles();
         self.profiler.span(
@@ -851,7 +837,7 @@ impl Accelerator {
                 }
             }
         }
-        Self::mark(&mut self.acc_wr, dest.row, rows, done);
+        self.acc_wr.mark(dest.row, rows, done);
         self.stats.ex_busy += done - start;
         self.stats.finish = self.stats.finish.max(done);
         self.ex_free = done;
@@ -894,18 +880,20 @@ impl Accelerator {
         match b {
             LocalAddr::Sp { row } => {
                 self.check_sp_range(b, row, b_rows)?;
-                start = start.max(Self::range_max(&self.sp_wr, row, b_rows));
+                start = start.max(self.sp_wr.range_max(row, b_rows));
                 // Functional: load B into the array, zero-copy from the
                 // scratchpad's contiguous row region.
-                let dim = self.sp.dim();
-                self.matrix_unit.preload_flat(
-                    self.sp.rows_flat(row as usize, b_rows as usize),
-                    b_rows as usize,
-                    b_cols as usize,
-                    dim,
-                );
+                if functional {
+                    let dim = self.sp.dim();
+                    self.matrix_unit.preload_flat(
+                        self.sp.rows_flat(row as usize, b_rows as usize),
+                        b_rows as usize,
+                        b_cols as usize,
+                        dim,
+                    );
+                }
                 let done = start + self.timing.preload_cycles(b_rows as usize);
-                Self::mark(&mut self.sp_rd, row, b_rows, done);
+                self.sp_rd.mark(row, b_rows, done);
             }
             LocalAddr::None => {
                 // Keep the currently loaded operand.
@@ -985,8 +973,8 @@ impl Accelerator {
         let start = self
             .ex_free
             .max(self.b_ready)
-            .max(Self::range_max(&self.sp_wr, a_row, a_rows))
-            .max(Self::range_max(&self.sp_wr, b_row, a_cols.max(1)));
+            .max(self.sp_wr.range_max(a_row, a_rows))
+            .max(self.sp_wr.range_max(b_row, a_cols.max(1)));
         // Both operands stream simultaneously; no accumulator round trip.
         let done = start + a_rows.max(a_cols).max(1) as u64 + 1;
         self.profiler.span(
@@ -1029,8 +1017,8 @@ impl Accelerator {
         }
 
         self.stats.macs += a_rows as u64 * a_cols as u64 * c.b_cols.max(1) as u64;
-        Self::mark(&mut self.sp_rd, a_row, a_rows, done);
-        Self::mark(&mut self.sp_rd, b_row, a_cols.max(1), done);
+        self.sp_rd.mark(a_row, a_rows, done);
+        self.sp_rd.mark(b_row, a_cols.max(1), done);
         self.stats.ex_busy += done - start;
         self.stats.computes += 1;
         self.stats.finish = self.stats.finish.max(done);
@@ -1075,9 +1063,9 @@ impl Accelerator {
         let mut start = self
             .ex_free
             .max(self.b_ready)
-            .max(Self::range_max(&self.sp_wr, a_row, a_rows))
-            .max(Self::range_max(&self.acc_wr, c.row, a_rows))
-            .max(Self::range_max(&self.acc_rd, c.row, a_rows));
+            .max(self.sp_wr.range_max(a_row, a_rows))
+            .max(self.acc_wr.range_max(c.row, a_rows))
+            .max(self.acc_rd.range_max(c.row, a_rows));
 
         // Optional bias operand: resolve hazards here; the functional view
         // is built below (accumulator-sourced bias reads zero-copy,
@@ -1086,11 +1074,11 @@ impl Accelerator {
             LocalAddr::None => {}
             LocalAddr::Acc { row, .. } => {
                 self.check_acc_range(d, row, a_rows)?;
-                start = start.max(Self::range_max(&self.acc_wr, row, a_rows));
+                start = start.max(self.acc_wr.range_max(row, a_rows));
             }
             LocalAddr::Sp { row } => {
                 self.check_sp_range(d, row, a_rows)?;
-                start = start.max(Self::range_max(&self.sp_wr, row, a_rows));
+                start = start.max(self.sp_wr.range_max(row, a_rows));
             }
         }
 
@@ -1142,8 +1130,8 @@ impl Accelerator {
         }
 
         self.stats.macs += a_rows as u64 * a_cols as u64 * c.b_cols.max(1) as u64;
-        Self::mark(&mut self.sp_rd, a_row, a_rows, done);
-        Self::mark(&mut self.acc_wr, c.row, a_rows, done);
+        self.sp_rd.mark(a_row, a_rows, done);
+        self.acc_wr.mark(c.row, a_rows, done);
         self.stats.ex_busy += done - start;
         self.stats.computes += 1;
         self.stats.finish = self.stats.finish.max(done);
@@ -1180,7 +1168,7 @@ impl Accelerator {
                         );
                     }
                 }
-                Self::range_max(&self.acc_wr, row, rows)
+                self.acc_wr.range_max(row, rows)
             }
             LocalAddr::Sp { row } => {
                 self.check_sp_range(local, row, rows)?;
@@ -1193,7 +1181,7 @@ impl Accelerator {
                         );
                     }
                 }
-                Self::range_max(&self.sp_wr, row, rows)
+                self.sp_wr.range_max(row, rows)
             }
             LocalAddr::None => {
                 return Err(AccelError::BadLocalAddress {
@@ -1230,8 +1218,8 @@ impl Accelerator {
         );
 
         match local {
-            LocalAddr::Acc { row, .. } => Self::mark(&mut self.acc_rd, row, rows, xfer.done),
-            LocalAddr::Sp { row } => Self::mark(&mut self.sp_rd, row, rows, xfer.done),
+            LocalAddr::Acc { row, .. } => self.acc_rd.mark(row, rows, xfer.done),
+            LocalAddr::Sp { row } => self.sp_rd.mark(row, rows, xfer.done),
             LocalAddr::None => unreachable!(),
         }
         self.stats.store_busy += xfer.done - start;
@@ -1241,10 +1229,6 @@ impl Accelerator {
         Ok(xfer.done)
     }
 }
-
-// Convert DmaMemCtx so the pub use above stays coherent if the alias moves.
-#[allow(dead_code)]
-type EngineCtxCheck<'a> = DmaMemCtx<'a>;
 
 #[cfg(test)]
 mod tests {

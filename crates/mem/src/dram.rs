@@ -6,9 +6,9 @@
 //! functional: a sparse, page-granular byte store with no timing at all.
 
 use crate::addr::{PhysAddr, PAGE_SHIFT, PAGE_SIZE};
+use crate::hash::IntMap;
 use crate::stats::TrafficStats;
 use crate::Cycle;
-use std::collections::HashMap;
 
 /// DRAM channel configuration.
 ///
@@ -142,7 +142,7 @@ impl DramModel {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MainMemory {
-    pages: HashMap<u64, Box<[u8]>>,
+    pages: IntMap<u64, Box<[u8]>>,
 }
 
 impl MainMemory {

@@ -14,7 +14,6 @@ use crate::metrics::{Counter, HistKind, Metrics};
 use crate::stats::TrafficStats;
 use crate::trace::{Component, StallCause, Tracer};
 use crate::Cycle;
-use std::collections::HashMap;
 
 /// Configuration for the whole off-chip memory path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -66,7 +65,10 @@ pub struct MemorySystem {
     bus: Bus,
     l2: Cache,
     dram: DramModel,
-    port_traffic: HashMap<PortId, TrafficStats>,
+    /// Per-port traffic, in first-use order. A SoC has at most a few
+    /// ports (one per core plus the page-table walker), so a linear scan
+    /// beats hashing the port on every access.
+    port_traffic: Vec<(PortId, TrafficStats)>,
     tracer: Tracer,
     metrics: Metrics,
 }
@@ -86,7 +88,7 @@ impl MemorySystem {
             bus: Bus::new(config.bus),
             l2: Cache::new(config.l2),
             dram: DramModel::new(config.dram),
-            port_traffic: HashMap::new(),
+            port_traffic: Vec::new(),
             tracer: Tracer::disabled(),
             metrics: Metrics::disabled(),
         }
@@ -110,7 +112,14 @@ impl MemorySystem {
     }
 
     fn port_stats_mut(&mut self, port: PortId) -> &mut TrafficStats {
-        self.port_traffic.entry(port).or_default()
+        let i = match self.port_traffic.iter().position(|&(p, _)| p == port) {
+            Some(i) => i,
+            None => {
+                self.port_traffic.push((port, TrafficStats::default()));
+                self.port_traffic.len() - 1
+            }
+        };
+        &mut self.port_traffic[i].1
     }
 
     fn access(
@@ -207,7 +216,9 @@ impl MemorySystem {
 
     /// Traffic generated by `port`, if any was recorded.
     pub fn port_traffic(&self, port: PortId) -> Option<&TrafficStats> {
-        self.port_traffic.get(&port)
+        self.port_traffic
+            .iter()
+            .find_map(|(p, stats)| (*p == port).then_some(stats))
     }
 
     /// Resets all statistics (tag state and channel occupancy are preserved).

@@ -22,6 +22,8 @@
 //!   always-on [`trace::AttributionLog`] the cycle-attribution report is
 //!   computed from, and a Chrome `trace_event` JSON exporter for
 //!   `chrome://tracing`/Perfetto.
+//! * [`hash`] — [`hash::IntMap`], a map with a multiplicative hasher for
+//!   the simulator's own integer keys (pages, page-table nodes).
 //! * [`json`] — a hand-rolled serde-free JSON value model shared by the
 //!   sweep checkpoint files and the figure binaries' machine-readable
 //!   output (the build environment has no crates.io access).
@@ -52,6 +54,7 @@ pub mod addr;
 pub mod bus;
 pub mod cache;
 pub mod dram;
+pub mod hash;
 pub mod hierarchy;
 pub mod json;
 pub mod metrics;

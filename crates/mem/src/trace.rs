@@ -15,9 +15,9 @@
 //!   timeline by a fixed priority so every simulated cycle lands in
 //!   exactly one bucket of
 //!   [`CycleAttribution`](crate::stats::CycleAttribution). The log
-//!   coalesces adjacent same-kind intervals on insert and folds settled
-//!   prefixes into bucket counters on demand, so memory stays bounded on
-//!   full-network runs.
+//!   coalesces each kind's overlapping or touching intervals on insert
+//!   and folds settled prefixes into bucket counters on demand, so memory
+//!   stays bounded on full-network runs.
 //!
 //! Exported traces use the Chrome `trace_event` *array form* — a JSON
 //! array of objects with `ph`/`ts`/`dur`/`pid`/`tid` keys — loadable
@@ -337,25 +337,51 @@ pub struct AttributionSpan {
 /// Spans kept in memory before the log folds a settled prefix.
 const COMPACT_THRESHOLD: usize = 16 * 1024;
 
+/// Closed spans the log has room for when created (6 KiB): a short run,
+/// such as a small network's first layers, records without regrowing
+/// the list, and long runs double it on the way to the threshold.
+/// Reserving the whole threshold up front instead raised peak RSS.
+const INITIAL_SPANS: usize = 256;
+
 /// The always-on interval record behind the cycle-attribution report.
 ///
-/// `record` is O(1) (amortized) and coalesces against the previous span;
-/// `maybe_compact` folds every interval that ends before a caller-proved
-/// *frontier* — a cycle no future interval can start before — into
-/// bucket counters, bounding memory on long runs without changing the
-/// final partition; `finish` produces the exact, exclusive
-/// [`CycleAttribution`] for `[0, total)`.
-#[derive(Debug, Clone, Default)]
+/// `record` is O(1): each kind keeps one *open* interval that a new span
+/// of that kind extends when the two overlap or touch, and the open
+/// interval is closed into the span list only when a disjoint span of its
+/// kind arrives. The partition depends on nothing but each kind's union
+/// of intervals, so per-kind coalescing cannot change it, and interleaved
+/// load/DRAM/compute records still coalesce. `maybe_compact` folds every
+/// interval that ends before a caller-proved *frontier* — a cycle no
+/// future interval can start before — into bucket counters, bounding
+/// memory on long runs without changing the final partition; `finish`
+/// produces the exact, exclusive [`CycleAttribution`] for `[0, total)`.
+#[derive(Debug, Clone)]
 pub struct AttributionLog {
+    /// Closed intervals: no later record coalesces with them.
     spans: Vec<AttributionSpan>,
+    /// Per kind (index = discriminant), the interval later records extend.
+    open: [Option<AttributionSpan>; KIND_COUNT],
     folded: CycleAttribution,
     folded_until: Cycle,
     /// Retained scratch for `compact`: settled spans awaiting the fold.
     /// Capacity is kept across calls so steady-state compaction performs
     /// no heap allocation.
     settle_scratch: Vec<AttributionSpan>,
-    /// Retained scratch for the sweep-line boundary events.
-    event_scratch: Vec<(Cycle, usize, bool)>,
+    /// Retained scratch for the sweep-line boundary keys.
+    event_scratch: Vec<u64>,
+}
+
+impl Default for AttributionLog {
+    fn default() -> Self {
+        Self {
+            spans: Vec::with_capacity(INITIAL_SPANS),
+            open: [None; KIND_COUNT],
+            folded: CycleAttribution::default(),
+            folded_until: 0,
+            settle_scratch: Vec::new(),
+            event_scratch: Vec::new(),
+        }
+    }
 }
 
 impl AttributionLog {
@@ -365,26 +391,32 @@ impl AttributionLog {
     }
 
     /// Records a busy interval `[start, end)`. Empty intervals are
-    /// ignored; an interval overlapping or adjacent to the previous
-    /// record of the same kind extends it in place.
+    /// ignored; an interval overlapping or touching its kind's open
+    /// interval extends it in place, and otherwise replaces it (the old
+    /// one is closed into the span list).
     #[inline]
     pub fn record(&mut self, kind: AttributionKind, start: Cycle, end: Cycle) {
         if end <= start {
             return;
         }
-        if let Some(last) = self.spans.last_mut() {
-            if last.kind == kind && start <= last.end && end > last.start {
-                last.start = last.start.min(start);
-                last.end = last.end.max(end);
-                return;
+        let slot = &mut self.open[kind as usize];
+        match slot {
+            Some(open) if start <= open.end && end >= open.start => {
+                open.start = open.start.min(start);
+                open.end = open.end.max(end);
+            }
+            _ => {
+                if let Some(closed) = slot.replace(AttributionSpan { kind, start, end }) {
+                    self.spans.push(closed);
+                }
             }
         }
-        self.spans.push(AttributionSpan { kind, start, end });
     }
 
-    /// Number of spans currently held (folded prefixes excluded).
+    /// Number of intervals currently held, open ones included (folded
+    /// prefixes excluded).
     pub fn pending_spans(&self) -> usize {
-        self.spans.len()
+        self.spans.len() + self.open.iter().flatten().count()
     }
 
     /// Folds settled intervals into bucket counters once the log grows
@@ -398,7 +430,8 @@ impl AttributionLog {
         }
     }
 
-    /// Unconditionally folds everything below `frontier`.
+    /// Unconditionally folds everything below `frontier`, open intervals
+    /// included.
     ///
     /// Kept (unsettled) spans are compacted in place — every input span
     /// yields at most one kept entry, so the write index never passes the
@@ -412,28 +445,18 @@ impl AttributionLog {
         settled.clear();
         let mut kept = 0;
         for read in 0..self.spans.len() {
-            let span = self.spans[read];
-            if span.end <= frontier {
-                settled.push(span);
-            } else if span.start >= frontier {
-                self.spans[kept] = span;
-                kept += 1;
-            } else {
-                settled.push(AttributionSpan {
-                    end: frontier,
-                    ..span
-                });
-                self.spans[kept] = AttributionSpan {
-                    start: frontier,
-                    ..span
-                };
+            if let Some(rest) = settle(self.spans[read], frontier, &mut settled) {
+                self.spans[kept] = rest;
                 kept += 1;
             }
         }
         self.spans.truncate(kept);
+        for slot in &mut self.open {
+            *slot = slot.and_then(|span| settle(span, frontier, &mut settled));
+        }
         partition_with(
             &mut self.event_scratch,
-            &settled,
+            settled.iter(),
             self.folded_until,
             frontier,
             &mut self.folded,
@@ -451,14 +474,15 @@ impl AttributionLog {
     /// construction every engine interval ends at or before the finish
     /// cycle, so this indicates an instrumentation bug.
     pub fn finish(&self, total: Cycle) -> CycleAttribution {
-        if let Some(span) = self.spans.iter().find(|s| s.end > total) {
+        let pending = self.spans.iter().chain(self.open.iter().flatten());
+        if let Some(span) = pending.clone().find(|s| s.end > total) {
             panic!(
                 "attribution interval [{}, {}) extends past the {total}-cycle run",
                 span.start, span.end
             );
         }
         let mut out = self.folded;
-        partition_into(&self.spans, self.folded_until, total, &mut out);
+        partition_with(&mut Vec::new(), pending, self.folded_until, total, &mut out);
         let busy = out.busy();
         debug_assert!(busy <= total);
         out.idle = total - busy;
@@ -466,43 +490,70 @@ impl AttributionLog {
     }
 }
 
+/// Pushes the part of `span` below `frontier` onto `settled` and returns
+/// the part at or above it, if any.
+fn settle(
+    span: AttributionSpan,
+    frontier: Cycle,
+    settled: &mut Vec<AttributionSpan>,
+) -> Option<AttributionSpan> {
+    if span.start < frontier {
+        settled.push(AttributionSpan {
+            end: span.end.min(frontier),
+            ..span
+        });
+    }
+    (span.end > frontier).then_some(AttributionSpan {
+        start: span.start.max(frontier),
+        ..span
+    })
+}
+
+/// Bits below a boundary key's cycle: `kind << 1 | open`.
+const KEY_SHIFT: u32 = 4;
+
 /// Sweep-line partition of `[lo, hi)`: each cycle covered by at least
 /// one span is charged to the highest-priority covering kind; the
 /// resulting bucket cycles are added to `out`. Spans are clamped to
-/// `[lo, hi)`.
-fn partition_into(spans: &[AttributionSpan], lo: Cycle, hi: Cycle, out: &mut CycleAttribution) {
-    let mut events = Vec::new();
-    partition_with(&mut events, spans, lo, hi, out);
-}
-
-/// [`partition_into`] with a caller-provided event buffer so hot callers
-/// (the log's own `compact`) can reuse capacity across invocations.
-fn partition_with(
-    events: &mut Vec<(Cycle, usize, bool)>,
-    spans: &[AttributionSpan],
+/// `[lo, hi)`. `events` is caller-provided so hot callers (the log's own
+/// `compact`) reuse its capacity across invocations.
+///
+/// Each boundary is one packed key, `pos << 4 | kind << 1 | open`, so
+/// the sort compares plain integers.
+///
+/// # Panics
+///
+/// Panics if `hi` does not fit in the key's 60 cycle bits.
+fn partition_with<'a>(
+    events: &mut Vec<u64>,
+    spans: impl Iterator<Item = &'a AttributionSpan>,
     lo: Cycle,
     hi: Cycle,
     out: &mut CycleAttribution,
 ) {
     events.clear();
-    if spans.is_empty() || hi <= lo {
+    if hi <= lo {
         return;
     }
-    // Boundary events: (position, kind, open/close).
-    events.reserve(spans.len() * 2);
+    assert!(
+        hi < 1 << (u64::BITS - KEY_SHIFT),
+        "cycle {hi} does not fit a packed boundary key"
+    );
     for span in spans {
         let start = span.start.max(lo);
         let end = span.end.min(hi);
         if end > start {
-            events.push((start, span.kind as usize, true));
-            events.push((end, span.kind as usize, false));
+            let kind = (span.kind as u64) << 1;
+            events.push(start << KEY_SHIFT | kind | 1);
+            events.push(end << KEY_SHIFT | kind);
         }
     }
     events.sort_unstable();
     let mut active = [0u64; KIND_COUNT];
     let mut prev: Cycle = 0;
     let mut have_prev = false;
-    for &(pos, kind, open) in events.iter() {
+    for &key in events.iter() {
+        let pos = key >> KEY_SHIFT;
         if have_prev && pos > prev {
             // Charge the elementary interval to the highest-priority
             // active kind, if any.
@@ -510,7 +561,8 @@ fn partition_with(
                 *bucket_mut(out, KINDS[k]) += pos - prev;
             }
         }
-        if open {
+        let kind = (key >> 1 & 0b111) as usize;
+        if key & 1 == 1 {
             active[kind] += 1;
         } else {
             active[kind] -= 1;
@@ -701,6 +753,139 @@ mod tests {
         b.compact(55);
         b.compact(75);
         assert_eq!(a.finish(100), b.finish(100));
+    }
+
+    /// The plainest correct attribution log, the oracle for the
+    /// equivalence property below: it coalesces only with the last
+    /// pushed span, copies on every compaction and sorts
+    /// `(cycle, kind, open)` tuples.
+    #[derive(Default)]
+    struct ReferenceLog {
+        spans: Vec<AttributionSpan>,
+        folded: CycleAttribution,
+        folded_until: Cycle,
+    }
+
+    impl ReferenceLog {
+        fn record(&mut self, kind: AttributionKind, start: Cycle, end: Cycle) {
+            if end <= start {
+                return;
+            }
+            if let Some(last) = self.spans.last_mut() {
+                if last.kind == kind && start <= last.end && end > last.start {
+                    last.start = last.start.min(start);
+                    last.end = last.end.max(end);
+                    return;
+                }
+            }
+            self.spans.push(AttributionSpan { kind, start, end });
+        }
+
+        fn compact(&mut self, frontier: Cycle) {
+            if frontier <= self.folded_until {
+                return;
+            }
+            let mut settled = Vec::new();
+            let mut kept = Vec::new();
+            for &span in &self.spans {
+                if span.end <= frontier {
+                    settled.push(span);
+                } else if span.start >= frontier {
+                    kept.push(span);
+                } else {
+                    settled.push(AttributionSpan {
+                        end: frontier,
+                        ..span
+                    });
+                    kept.push(AttributionSpan {
+                        start: frontier,
+                        ..span
+                    });
+                }
+            }
+            self.spans = kept;
+            reference_partition(&settled, self.folded_until, frontier, &mut self.folded);
+            self.folded_until = frontier;
+        }
+
+        fn finish(&self, total: Cycle) -> CycleAttribution {
+            let mut out = self.folded;
+            reference_partition(&self.spans, self.folded_until, total, &mut out);
+            out.idle = total - out.busy();
+            out
+        }
+    }
+
+    fn reference_partition(
+        spans: &[AttributionSpan],
+        lo: Cycle,
+        hi: Cycle,
+        out: &mut CycleAttribution,
+    ) {
+        if spans.is_empty() || hi <= lo {
+            return;
+        }
+        let mut events: Vec<(Cycle, usize, bool)> = Vec::new();
+        for span in spans {
+            let start = span.start.max(lo);
+            let end = span.end.min(hi);
+            if end > start {
+                events.push((start, span.kind as usize, true));
+                events.push((end, span.kind as usize, false));
+            }
+        }
+        events.sort_unstable();
+        let mut active = [0u64; KIND_COUNT];
+        let mut prev: Cycle = 0;
+        let mut have_prev = false;
+        for &(pos, kind, open) in &events {
+            if have_prev && pos > prev {
+                if let Some(k) = (0..KIND_COUNT).find(|&i| active[i] > 0) {
+                    *bucket_mut(out, KINDS[k]) += pos - prev;
+                }
+            }
+            if open {
+                active[kind] += 1;
+            } else {
+                active[kind] -= 1;
+            }
+            prev = pos;
+            have_prev = true;
+        }
+    }
+
+    proptest::proptest! {
+        /// The per-kind coalescing log with packed-key partitions gives
+        /// the same `finish` as the reference log, over out-of-order
+        /// multi-kind spans interleaved with compactions that respect the
+        /// frontier contract (no span starts before the last frontier).
+        #[test]
+        fn log_matches_the_reference_partition(
+            ops in proptest::collection::vec((0usize..8, 0u64..24, 0u64..40), 0..200),
+            tail in 0u64..5,
+        ) {
+            let mut log = AttributionLog::new();
+            let mut reference = ReferenceLog::default();
+            let mut frontier = 0u64;
+            let mut max_end = 0u64;
+            for &(op, a, b) in &ops {
+                if let Some(&kind) = KINDS.get(op) {
+                    // Starts anywhere in the 40 cycles past the frontier:
+                    // out of order, but never before it.
+                    let start = frontier + b;
+                    let end = start + a;
+                    log.record(kind, start, end);
+                    reference.record(kind, start, end);
+                    max_end = max_end.max(end);
+                } else {
+                    frontier += a;
+                    log.compact(frontier);
+                    reference.compact(frontier);
+                }
+            }
+            let total = max_end.max(frontier) + tail;
+            proptest::prop_assert_eq!(log.finish(total), reference.finish(total));
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The table is modeled at two levels of fidelity simultaneously:
 //!
-//! * **Mapping** — a hash map from [`Vpn`] to ([`Frame`], [`PagePermissions`])
-//!   gives O(1) functional translation.
+//! * **Mapping** — an integer-hashed map from [`Vpn`] to ([`Frame`],
+//!   [`PagePermissions`]) gives O(1) functional translation.
 //! * **Walk addresses** — for timing, [`AddressSpace::walk_addresses`]
 //!   produces the three physical PTE addresses an sv39 walker would touch,
 //!   derived from real per-level table frames allocated on demand. The
@@ -13,7 +13,7 @@
 
 use crate::page::{Frame, FrameAllocator, PagePermissions, Vpn};
 use gemmini_mem::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
-use std::collections::HashMap;
+use gemmini_mem::hash::IntMap;
 
 /// Number of radix levels in the walk (sv39).
 pub const WALK_LEVELS: usize = 3;
@@ -37,9 +37,9 @@ pub const PTE_BYTES: u64 = 8;
 #[derive(Debug, Clone)]
 pub struct AddressSpace {
     root: Frame,
-    map: HashMap<Vpn, (Frame, PagePermissions)>,
+    map: IntMap<Vpn, (Frame, PagePermissions)>,
     /// Interior-node frames, keyed by (level, path-prefix of indices).
-    tables: HashMap<(u32, u64), Frame>,
+    tables: IntMap<(u32, u64), Frame>,
     next_va: u64,
 }
 
@@ -52,8 +52,8 @@ impl AddressSpace {
     pub fn new(frames: &mut FrameAllocator) -> Self {
         Self {
             root: frames.alloc(),
-            map: HashMap::new(),
-            tables: HashMap::new(),
+            map: IntMap::default(),
+            tables: IntMap::default(),
             next_va: HEAP_BASE,
         }
     }

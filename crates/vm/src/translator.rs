@@ -125,9 +125,7 @@ struct SamePageTracker {
 
 impl SamePageTracker {
     fn record(&mut self, vpn: Vpn) {
-        if self.total > 0 || self.last.is_some() {
-            // Only count transitions (i.e. requests after the first).
-        }
+        // Only count transitions (i.e. requests after the first).
         if let Some(last) = self.last {
             self.total += 1;
             if last == vpn {
