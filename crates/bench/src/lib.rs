@@ -17,8 +17,8 @@ use gemmini_core::AccelError;
 use gemmini_dnn::graph::{Activation, Layer, Network, PoolKind};
 use gemmini_mem::json::{FromJson, Json, ToJson};
 use gemmini_soc::run::{run_networks, RunOptions, SocReport};
-use gemmini_soc::shard::{run_sharded, ShardError, ShardMode, ShardSpec};
-use gemmini_soc::sweep::{SweepError, EXIT_RECORDED_FAILURES};
+use gemmini_soc::shard::{run_sharded, ShardMode, ShardSpec};
+use gemmini_soc::sweep::{parse_threads, THREADS_ENV};
 use gemmini_soc::SocConfig;
 
 pub mod figures;
@@ -41,14 +41,13 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
 }
 
 /// The flags every sweep binary accepts, in [`SweepCli::parse`]'s usage
-/// form: checkpointing, telemetry, robustness budgets, fault injection
-/// and sharding.
+/// form: checkpointing, telemetry, the hung-shard watchdog, fault
+/// injection and sharding.
 pub const SWEEP_FLAGS: &[&str] = &[
     "--json <path>",
     "--resume",
     "--status <path>",
     "--metrics <path>",
-    "--point-timeout <secs>",
     "--watchdog <secs>",
     "--faults <schedule>",
     "--shard <i/N>",
@@ -59,8 +58,8 @@ pub const SWEEP_FLAGS: &[&str] = &[
 /// The parsed command line of a figure binary: the one way a flag
 /// reaches the code, and the reference for what each flag does. A
 /// binary's [`SweepCli::parse`] usage lists the flags it takes; any
-/// other flag, a missing or bad value, or conflicting modes exits 2
-/// before any point runs.
+/// other flag, a missing or bad value, conflicting modes or a bad
+/// `GEMMINI_THREADS` exits 2 before any point runs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SweepCli {
     /// `--quick`: a scaled-down workload that finishes in seconds.
@@ -80,11 +79,10 @@ pub struct SweepCli {
     pub status: Option<PathBuf>,
     /// `--metrics <path>`: the final live metrics as Prometheus text.
     pub metrics: Option<PathBuf>,
-    /// `--point-timeout <secs>`: record a point over budget as a
-    /// `failed:timeout` entry; the sweep then ends with exit 3.
-    pub point_timeout: Option<Duration>,
     /// `--watchdog <secs>` (needs `--json` or `--status`): the `--shards`
-    /// supervisor kills and retries a worker whose heartbeat stalls.
+    /// supervisor kills and retries a worker whose heartbeat stalls, like
+    /// a crash. `--shards 1 --watchdog <secs>` guards a single-process
+    /// sweep against a hung point.
     pub watchdog: Option<Duration>,
     /// `--faults <schedule>`: arm [`gemmini_soc::fault`]; overrides an
     /// inherited `GEMMINI_FAULTS`.
@@ -105,12 +103,15 @@ impl SweepCli {
     /// Parses the process arguments — this is their only reader —
     /// against `usage`, the flags this binary takes (`"--json <path>"`,
     /// `"--quick"`) plus at most one positional argument (`"<model.gnn>"`
-    /// required, `"[network]"` optional). On any error, prints it and the
-    /// usage line and exits with status `2`.
+    /// required, `"[network]"` optional), and checks `GEMMINI_THREADS`
+    /// with the parser the sweep executor uses. On any error, prints it
+    /// and the usage line and exits with status `2`.
     pub fn parse(usage: &[&str]) -> Self {
         let mut args = std::env::args();
         let bin = args.next().unwrap_or_default();
-        Self::from_args(args, usage).unwrap_or_else(|msg| {
+        let threads = std::env::var(THREADS_ENV).map_or(Ok(None), |v| parse_threads(&v));
+        let parsed = threads.and_then(|_| Self::from_args(args, usage));
+        parsed.unwrap_or_else(|msg| {
             let bin = Path::new(&bin).file_name().unwrap_or_default();
             let synopsis: Vec<String> = std::iter::once(bin.to_string_lossy().into_owned())
                 .chain(usage.iter().map(|u| {
@@ -180,7 +181,6 @@ impl SweepCli {
                 "--trace" => cli.trace = Some(value()?.into()),
                 "--status" => cli.status = Some(value()?.into()),
                 "--metrics" => cli.metrics = Some(value()?.into()),
-                "--point-timeout" => cli.point_timeout = Some(seconds(value()?)?),
                 "--watchdog" => cli.watchdog = Some(seconds(value()?)?),
                 "--faults" => cli.faults = Some(value()?),
                 "--shard" => cli.mode = ShardMode::Worker(ShardSpec::parse(&value()?)?),
@@ -240,7 +240,6 @@ impl SweepCli {
             ("--trace", self.trace.as_ref().map(path)),
             ("--status", self.status.as_ref().map(path)),
             ("--metrics", self.metrics.as_ref().map(path)),
-            ("--point-timeout", self.point_timeout.map(secs)),
             ("--watchdog", self.watchdog.map(secs)),
             ("--faults", self.faults.clone()),
         ] {
@@ -293,7 +292,6 @@ impl SweepCli {
             metrics,
             status,
             prometheus: self.metrics.clone(),
-            point_timeout: self.point_timeout,
             watchdog: self.watchdog,
             ..SweepOptions::default()
         }
@@ -309,14 +307,11 @@ impl SweepCli {
     /// to render, and `main` should simply return. In every other mode
     /// the full-grid results come back in submission order.
     ///
-    /// Exits the process with status `2` on a fault schedule that does
-    /// not parse, `1` on an execution error (supervisor exhaustion,
-    /// incomplete merge, or failed shard points — the non-zero exit is
-    /// what tells a supervisor to retry this worker), and
-    /// [`EXIT_RECORDED_FAILURES`] when the grid finished but carries
-    /// recorded point failures (e.g. `--point-timeout` entries): the
-    /// checkpoint is complete, a terminal failure summary is printed,
-    /// and retrying would not improve the result.
+    /// Exits the process with status `2` on a fault schedule (or
+    /// `GEMMINI_FAULTS_SHARD`) that does not parse, and `1` on an
+    /// execution error (supervisor exhaustion, incomplete merge, or
+    /// failed points — the non-zero exit is what tells a supervisor to
+    /// retry this worker).
     pub fn sharded_sweep_map<I, T, F>(
         &self,
         items: Vec<(String, u64, I)>,
@@ -337,44 +332,21 @@ impl SweepCli {
         let metrics = opts.metrics.clone();
         let f = |item| f(item, &metrics);
         let child = |spec| self.shard_child_command(spec);
-        let results = match run_sharded(items, &self.mode, opts, child, f) {
-            Ok(results) => results,
-            Err(e) => {
-                eprintln!("error: {e}");
-                // A complete slice with recorded failures is terminal:
-                // the supervisor must accept it rather than retry it.
-                let code = match e {
-                    ShardError::RecordedFailures { .. } => EXIT_RECORDED_FAILURES,
-                    _ => 1,
-                };
-                std::process::exit(code);
+        let results = run_sharded(items, &self.mode, opts, child, f).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        });
+        // A figure cannot be rendered from a grid with holes. Failed
+        // points were not persisted, so a `--resume` re-runs exactly them.
+        let mut complete = true;
+        for r in results.iter().flatten() {
+            if let Err(e) = &r.outcome {
+                eprintln!("error: point '{}' failed: {e}", r.label);
+                complete = false;
             }
-        };
-        // The grid may carry recorded failures (e.g. point timeouts
-        // served from a checkpoint on resume, or stitched in by a merge):
-        // the sweep *finished* — every point is on the books — but the
-        // figure cannot be rendered from an incomplete grid. Print the
-        // terminal failure summary and exit with the recorded-failures
-        // status instead of handing `Err` outcomes to a renderer that
-        // expects successes.
-        let recorded: Vec<(&String, &SweepError)> = results
-            .iter()
-            .flatten()
-            .filter_map(|r| r.outcome.as_ref().err().map(|e| (&r.label, e)))
-            .collect();
-        if !recorded.is_empty() {
-            eprintln!(
-                "sweep: finished with {} recorded point failure(s):",
-                recorded.len()
-            );
-            for (label, e) in &recorded {
-                eprintln!("  {label}: {e}");
-            }
-            eprintln!(
-                "sweep: grid is fully accounted for but incomplete; \
-                 exiting {EXIT_RECORDED_FAILURES}"
-            );
-            std::process::exit(EXIT_RECORDED_FAILURES);
+        }
+        if !complete {
+            std::process::exit(1);
         }
         results
     }
@@ -631,8 +603,8 @@ mod tests {
         assert!(err(&["--quick", "--quick"]).contains("more than once"));
         assert!(err(&["--json"]).contains("requires a value"));
         assert!(err(&["--json", "--quick"]).contains("requires a value"));
-        assert!(err(&["--point-timeout", "0"]).contains("positive number of seconds"));
-        assert!(err(&["--point-timeout", "abc"]).contains("positive number of seconds"));
+        assert!(err(&["--watchdog", "0", "--json", "x"]).contains("positive number of seconds"));
+        assert!(err(&["--watchdog", "abc", "--json", "x"]).contains("positive number of seconds"));
         assert!(err(&["--watchdog", "1e300", "--json", "x"]).contains("positive number"));
         assert!(err(&["--watchdog", "inf", "--json", "x"]).contains("positive number"));
         assert!(err(&["--shard", "2/2", "--json", "x"]).contains("out of range"));
@@ -693,8 +665,6 @@ mod tests {
                 "st.json",
                 "--metrics",
                 "m.prom",
-                "--point-timeout",
-                "0.1",
                 "--watchdog",
                 "2.5",
                 "--faults",

@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use gemmini_mem::json::ToJson;
-use gemmini_soc::checkpoint::{debug_fingerprint, Checkpoint};
+use gemmini_soc::checkpoint::Checkpoint;
 use gemmini_soc::run::SocReport;
 use gemmini_soc::sweep::merge_memory_stats;
 
@@ -343,79 +343,6 @@ fn supervised_watchdog_kills_hung_shard_and_recovers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `--point-timeout` end to end: a fresh run wedges in its third point
-/// (`sweep.point=hang@3`), the timeout monitor records a first-class
-/// `failed:timeout` entry and exits 1 (the grid is incomplete —
-/// retryable); the resume *serves* the recorded failure instead of
-/// re-running the hang, finishes every other point, prints the terminal
-/// failure summary, and exits 3.
-#[test]
-fn point_timeout_records_failure_and_resume_serves_it() {
-    let dir = scratch_dir("smoke_timeout");
-    let ckpt = dir.join("sweep.jsonl");
-
-    let wedged = run(
-        SMOKE,
-        &[
-            "--json",
-            ckpt.to_str().unwrap(),
-            "--point-timeout",
-            "1",
-            "--faults",
-            "sweep.point=hang@3",
-        ],
-        &[],
-    );
-    let err = stderr(&wedged);
-    assert_eq!(
-        wedged.status.code(),
-        Some(1),
-        "an incomplete grid is retryable: {err}"
-    );
-    assert!(err.contains("exceeded --point-timeout"), "{err}");
-    assert!(err.contains("recording failed:timeout"), "{err}");
-    let ck = Checkpoint::<u64>::load(&ckpt).unwrap();
-    assert_eq!(ck.len(), 2, "two points persisted before the hang");
-    let failed = ck
-        .lookup_failed("point2", debug_fingerprint(&2u64))
-        .expect("the timeout must be on the books");
-    assert_eq!(failed.reason, "timeout");
-
-    // No failpoint this time: the recorded failure alone must keep the
-    // point from being re-attempted.
-    let resumed = run(
-        SMOKE,
-        &[
-            "--json",
-            ckpt.to_str().unwrap(),
-            "--point-timeout",
-            "1",
-            "--resume",
-        ],
-        &[],
-    );
-    let err = stderr(&resumed);
-    assert_eq!(
-        resumed.status.code(),
-        Some(3),
-        "a complete grid with recorded failures is terminal: {err}"
-    );
-    assert!(
-        err.contains("sweep: finished with 1 recorded point failure(s):"),
-        "{err}"
-    );
-    assert!(err.contains("point2: recorded failure: timeout"), "{err}");
-    assert!(err.contains("exiting 3"), "{err}");
-    let ck = Checkpoint::<u64>::load(&ckpt).unwrap();
-    assert_eq!(ck.len(), 7, "every point but the timed-out one completed");
-    assert!(
-        ck.lookup("point2", debug_fingerprint(&2u64)).is_none(),
-        "the hung point must not be re-run"
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// The chaos acceptance run: a supervised 2-shard quick fig8 sweep whose
 /// shard 0 takes two injected faults — its tenth checkpoint append is
 /// torn mid-line, and it wedges forever as its twelfth point begins. The
@@ -548,6 +475,61 @@ fn malformed_command_lines_exit_2_before_any_point_runs() {
             std::fs::read_dir(&dir).unwrap().count(),
             0,
             "{args:?}: nothing may be written"
+        );
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A bad `GEMMINI_THREADS` or `GEMMINI_FAULTS_SHARD` exits 2 before any
+/// point runs, in a plain and a supervised sweep, instead of quietly
+/// running on every core or with the fault schedule landing in the
+/// wrong process.
+#[test]
+fn bad_env_values_exit_2_before_any_point_runs() {
+    let dir = scratch_dir("bad_env");
+    let ckpt = dir.join("sweep.jsonl");
+    let base = ckpt.to_str().unwrap();
+    for (bin, args, env) in [
+        (SMOKE, &["--json", base][..], ("GEMMINI_THREADS", "two")),
+        (
+            FIG8,
+            &["--quick", "--json", base],
+            ("GEMMINI_THREADS", "-1"),
+        ),
+        (
+            SMOKE,
+            &["--json", base, "--shards", "2"],
+            ("GEMMINI_THREADS", "two"),
+        ),
+        (
+            SMOKE,
+            &["--json", base, "--faults", "sweep.point=abort@2"],
+            ("GEMMINI_FAULTS_SHARD", "one"),
+        ),
+        (
+            SMOKE,
+            &[
+                "--json",
+                base,
+                "--shards",
+                "2",
+                "--faults",
+                "sweep.point=abort@2",
+            ],
+            ("GEMMINI_FAULTS_SHARD", "one"),
+        ),
+    ] {
+        let out = run(bin, args, &[env]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{env:?} {args:?}: {err}");
+        assert!(err.contains(env.0), "the error must name {}: {err}", env.0);
+        assert!(!err.contains("point0"), "no point may run: {err}");
+        assert_eq!(stdout(&out), "", "{env:?} {args:?}");
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            0,
+            "{env:?} {args:?}: nothing may be checkpointed"
         );
     }
 

@@ -31,14 +31,12 @@
 //! sidecar next to the file instead of aborting the resume, and the
 //! point it named simply re-runs.
 //!
-//! A line carrying a `"pruned"` object (written by builds that skipped
-//! points by attribution-guided pruning) holds another point's report
-//! served as a prediction, not a simulation: it never decodes, so
-//! `--resume` re-runs the point and `--merge` reports it missing.
-//! A point that timed out under `--point-timeout` persists as a
-//! [`FailedEntry`]: the same envelope with a `"failed"` reason string
-//! and no payload — a first-class record that the point was attempted
-//! and must not wedge the sweep again on resume.
+//! Two line shapes written by older builds never decode, so `--resume`
+//! re-runs the point and `--merge` reports it missing: a `"pruned"`
+//! object (another point's report served as a prediction by
+//! attribution-guided pruning, not a simulation) and a `"failed"`
+//! reason (the record of a timed-out point, with no payload). A point
+//! has a result line or it runs.
 //!
 //! [`SweepResult`]: crate::sweep::SweepResult
 
@@ -46,14 +44,14 @@ use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use gemmini_mem::json::{FromJson, Json, JsonError, ToJson};
 
 /// Current checkpoint line format version. Version 2 added the trailing
-/// per-line `crc32` field and the payload-less failed-entry shape;
-/// version-1 lines (no crc) still decode.
+/// per-line `crc32` field; version-1 lines (no crc) still decode.
 pub const FORMAT_VERSION: u64 = 2;
 
 const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -171,126 +169,6 @@ pub struct CheckpointEntry<T> {
     pub payload: T,
 }
 
-/// A point that was *attempted* and failed in a way that must not be
-/// silently retried forever — today only `--point-timeout` expirations,
-/// persisted with reason `"timeout"`. A failed entry is first-class: it
-/// satisfies resume (the point is served as a recorded failure instead
-/// of wedging the sweep again) and shard-merge coverage (the grid is
-/// complete, just not fully successful). Deleting the line — or running
-/// without `--resume` — re-runs the point.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FailedEntry {
-    /// The design point's label.
-    pub label: String,
-    /// Fingerprint of the point's full configuration.
-    pub fingerprint: u64,
-    /// Wall-clock spent before the failure was recorded.
-    pub wall: Duration,
-    /// Why the point failed (`"timeout"`).
-    pub reason: String,
-}
-
-impl FailedEntry {
-    /// Encodes the entry as one JSON line (no trailing newline).
-    pub fn encode(&self) -> String {
-        seal_with_crc(
-            Json::obj([
-                ("v", Json::from(FORMAT_VERSION)),
-                ("label", Json::from(self.label.clone())),
-                ("fingerprint", Json::from(self.fingerprint)),
-                ("wall_nanos", Json::from(self.wall.as_nanos() as u64)),
-                ("failed", Json::from(self.reason.clone())),
-            ])
-            .encode(),
-        )
-    }
-}
-
-/// One decoded checkpoint line: a completed point or a recorded failure.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Line<T> {
-    /// A point with a persisted payload.
-    Completed(CheckpointEntry<T>),
-    /// A recorded failure (no payload).
-    Failed(FailedEntry),
-}
-
-impl<T> Line<T> {
-    /// The entry's label, whichever kind it is.
-    pub fn label(&self) -> &str {
-        match self {
-            Self::Completed(e) => &e.label,
-            Self::Failed(e) => &e.label,
-        }
-    }
-
-    /// Encodes the line back to its JSON text.
-    pub fn encode(&self) -> String
-    where
-        T: ToJson,
-    {
-        match self {
-            Self::Completed(e) => e.encode(),
-            Self::Failed(e) => e.encode(),
-        }
-    }
-}
-
-/// Decodes one checkpoint line of either kind, verifying the CRC on
-/// version-2 lines (version-1 lines have none and are accepted as-is).
-///
-/// # Errors
-///
-/// Returns a [`JsonError`] on malformed JSON, an unknown format version,
-/// a CRC mismatch (byte-level damage), a `"pruned"` prediction line, or
-/// a payload that no longer matches `T`'s schema.
-pub fn decode_line<T: FromJson>(line: &str) -> Result<Line<T>, JsonError> {
-    let line = line.trim();
-    let value = Json::parse(line)?;
-    let version = value.field("v")?.as_u64()?;
-    match version {
-        1 => {}
-        2 => {
-            let recorded_field = value.field("crc32")?.as_u64()?;
-            let (body, recorded) = strip_crc(line)
-                .ok_or_else(|| JsonError::new("version-2 line does not end in a crc32 field"))?;
-            let computed = crc32(body.as_bytes());
-            if u64::from(recorded) != recorded_field || recorded != computed {
-                return Err(JsonError::new(format!(
-                    "crc mismatch: line records {recorded}, bytes hash to {computed}"
-                )));
-            }
-        }
-        _ => {
-            return Err(JsonError::new(format!(
-                "unsupported checkpoint version {version} (expected 1..={FORMAT_VERSION})"
-            )));
-        }
-    }
-    let label = value.field("label")?.as_str()?.to_string();
-    let fingerprint = value.field("fingerprint")?.as_u64()?;
-    let wall = Duration::from_nanos(value.field("wall_nanos")?.as_u64()?);
-    if let Some(reason) = value.get("failed") {
-        return Ok(Line::Failed(FailedEntry {
-            label,
-            fingerprint,
-            wall,
-            reason: reason.as_str()?.to_string(),
-        }));
-    }
-    if value.get("pruned").is_some() {
-        return Err(JsonError::new(
-            "line records a pruned prediction, not a simulation; the point must re-run",
-        ));
-    }
-    Ok(Line::Completed(CheckpointEntry {
-        label,
-        fingerprint,
-        wall,
-        payload: T::from_json(value.field("payload")?)?,
-    }))
-}
-
 impl<T: ToJson> CheckpointEntry<T> {
     /// Encodes the entry as one JSON line (no trailing newline), sealed
     /// with its CRC as the trailing field.
@@ -309,22 +187,55 @@ impl<T: ToJson> CheckpointEntry<T> {
 }
 
 impl<T: FromJson> CheckpointEntry<T> {
-    /// Decodes one *completed* checkpoint line (see [`decode_line`] for
-    /// the kind-aware decoder).
+    /// Decodes one checkpoint line, verifying the CRC on version-2 lines
+    /// (version-1 lines have none and are accepted as-is).
     ///
     /// # Errors
     ///
     /// Returns a [`JsonError`] on malformed JSON, an unknown format
-    /// version, a CRC mismatch, a failed-entry line, or a payload that
-    /// no longer matches `T`'s schema.
+    /// version, a CRC mismatch (byte-level damage), a `"pruned"` or
+    /// `"failed"` line from an older build, or a payload that no longer
+    /// matches `T`'s schema.
     pub fn decode(line: &str) -> Result<Self, JsonError> {
-        match decode_line(line)? {
-            Line::Completed(entry) => Ok(entry),
-            Line::Failed(e) => Err(JsonError::new(format!(
-                "line records a failure ({}) and has no payload",
-                e.reason
-            ))),
+        let line = line.trim();
+        let value = Json::parse(line)?;
+        let version = value.field("v")?.as_u64()?;
+        match version {
+            1 => {}
+            2 => {
+                let recorded_field = value.field("crc32")?.as_u64()?;
+                let (body, recorded) = strip_crc(line).ok_or_else(|| {
+                    JsonError::new("version-2 line does not end in a crc32 field")
+                })?;
+                let computed = crc32(body.as_bytes());
+                if u64::from(recorded) != recorded_field || recorded != computed {
+                    return Err(JsonError::new(format!(
+                        "crc mismatch: line records {recorded}, bytes hash to {computed}"
+                    )));
+                }
+            }
+            _ => {
+                return Err(JsonError::new(format!(
+                    "unsupported checkpoint version {version} (expected 1..={FORMAT_VERSION})"
+                )));
+            }
         }
+        if value.get("pruned").is_some() {
+            return Err(JsonError::new(
+                "line records a pruned prediction, not a simulation; the point must re-run",
+            ));
+        }
+        if value.get("failed").is_some() {
+            return Err(JsonError::new(
+                "line records a timed-out point, not a result; the point must re-run",
+            ));
+        }
+        Ok(Self {
+            label: value.field("label")?.as_str()?.to_string(),
+            fingerprint: value.field("fingerprint")?.as_u64()?,
+            wall: Duration::from_nanos(value.field("wall_nanos")?.as_u64()?),
+            payload: T::from_json(value.field("payload")?)?,
+        })
     }
 }
 
@@ -332,7 +243,6 @@ impl<T: FromJson> CheckpointEntry<T> {
 #[derive(Debug, Clone)]
 pub struct Checkpoint<T> {
     entries: Vec<CheckpointEntry<T>>,
-    failed: Vec<FailedEntry>,
     /// Lines that failed to decode (truncated in-flight write at kill
     /// time, byte-level damage caught by the CRC, or a schema change);
     /// the points they named simply re-run.
@@ -343,7 +253,6 @@ impl<T> Default for Checkpoint<T> {
     fn default() -> Self {
         Self {
             entries: Vec::new(),
-            failed: Vec::new(),
             stale_lines: 0,
         }
     }
@@ -381,9 +290,8 @@ impl<T: FromJson> Checkpoint<T> {
             if line.trim().is_empty() {
                 continue;
             }
-            match decode_line(line) {
-                Ok(Line::Completed(entry)) => checkpoint.entries.push(entry),
-                Ok(Line::Failed(entry)) => checkpoint.failed.push(entry),
+            match CheckpointEntry::decode(line) {
+                Ok(entry) => checkpoint.entries.push(entry),
                 Err(_) => checkpoint.stale_lines += 1,
             }
         }
@@ -417,13 +325,9 @@ impl<T: FromJson> Checkpoint<T> {
             if line.trim().is_empty() {
                 continue;
             }
-            match decode_line(line) {
-                Ok(Line::Completed(entry)) => {
+            match CheckpointEntry::decode(line) {
+                Ok(entry) => {
                     checkpoint.entries.push(entry);
-                    good.push(line);
-                }
-                Ok(Line::Failed(entry)) => {
-                    checkpoint.failed.push(entry);
                     good.push(line);
                 }
                 Err(_) => bad.push(line),
@@ -433,11 +337,7 @@ impl<T: FromJson> Checkpoint<T> {
             return Ok((checkpoint, Quarantine::default()));
         }
 
-        let file_name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("checkpoint.jsonl");
-        let sidecar = path.with_file_name(format!("{file_name}.bad"));
+        let sidecar = sidecar_path(path);
         {
             let mut out = BufWriter::new(
                 OpenOptions::new()
@@ -450,19 +350,14 @@ impl<T: FromJson> Checkpoint<T> {
             }
             out.flush()?;
         }
-        // Rewrite the checkpoint without the damaged lines (temp file +
-        // atomic rename, same discipline as `compact`), so the next load
-        // does not quarantine them again.
-        let tmp: PathBuf =
-            path.with_file_name(format!(".{file_name}.quarantine-{}", std::process::id()));
-        {
-            let mut out = BufWriter::new(File::create(&tmp)?);
+        // Rewrite the checkpoint without the damaged lines, so the next
+        // load does not quarantine them again.
+        replace_atomically(path, |out| {
             for line in &good {
                 writeln!(out, "{line}")?;
             }
-            out.flush()?;
-        }
-        std::fs::rename(&tmp, path)?;
+            Ok(())
+        })?;
         eprintln!(
             "checkpoint: quarantined {} damaged line(s) from {} to {}",
             bad.len(),
@@ -486,6 +381,51 @@ impl<T: FromJson> Checkpoint<T> {
 /// replacement character, so intact lines are unaffected.
 fn read_lossy(path: &Path) -> io::Result<String> {
     std::fs::read(path).map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
+}
+
+/// The `.bad` sidecar next to a checkpoint file, where
+/// [`Checkpoint::load_quarantining`] moves damaged lines.
+pub(crate) fn sidecar_path(path: &Path) -> PathBuf {
+    let file_name = path
+        .file_name()
+        .and_then(|n| n.to_str())
+        .unwrap_or("checkpoint.jsonl");
+    path.with_file_name(format!("{file_name}.bad"))
+}
+
+/// Replaces `path` with what `write` produces, atomically: the bytes go
+/// to a hidden temp file in the same directory, which is then renamed
+/// over the target, so a reader sees the old complete file or the new
+/// one, never a torn write. Each call gets its own temp name (process id
+/// plus a process-wide counter), so concurrent writers of one path never
+/// share a temp file; the last rename wins.
+///
+/// # Errors
+///
+/// Returns the first I/O error from creating, writing, or renaming; the
+/// temp file is removed on failure.
+pub(crate) fn replace_atomically<F>(path: &Path, write: F) -> io::Result<()>
+where
+    F: FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+{
+    static NEXT_TEMP: AtomicU64 = AtomicU64::new(0);
+    let file_name = path.file_name().and_then(|n| n.to_str()).unwrap_or("file");
+    let tmp = path.with_file_name(format!(
+        ".{file_name}.tmp-{}-{}",
+        std::process::id(),
+        NEXT_TEMP.fetch_add(1, Ordering::Relaxed)
+    ));
+    let result = File::create(&tmp).and_then(|file| {
+        let mut out = BufWriter::new(file);
+        write(&mut out)?;
+        out.flush()?;
+        drop(out);
+        std::fs::rename(&tmp, path)
+    });
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
 }
 
 impl<T> Checkpoint<T> {
@@ -525,44 +465,12 @@ impl<T> Checkpoint<T> {
         &self.entries
     }
 
-    /// The recorded failure for `label`, if present with a matching
-    /// fingerprint (later entries shadow earlier ones).
-    pub fn lookup_failed(&self, label: &str, fingerprint: u64) -> Option<&FailedEntry> {
-        self.failed
-            .iter()
-            .rev()
-            .find(|e| e.label == label)
-            .filter(|e| e.fingerprint == fingerprint)
-    }
-
-    /// Removes and returns the failure
-    /// [`lookup_failed`](Self::lookup_failed) would have found.
-    ///
-    /// A point that both failed *and* later completed (a successful
-    /// retry appended after a recorded timeout) is served from
-    /// [`take`](Self::take) — callers must try that first, which is why
-    /// this lookup ignores the completed entries.
-    pub fn take_failed(&mut self, label: &str, fingerprint: u64) -> Option<FailedEntry> {
-        let idx = self.failed.iter().rposition(|e| e.label == label)?;
-        if self.failed[idx].fingerprint == fingerprint {
-            Some(self.failed.remove(idx))
-        } else {
-            None
-        }
-    }
-
-    /// All recorded failures, in file order.
-    pub fn failed(&self) -> &[FailedEntry] {
-        &self.failed
-    }
-
     /// Appends another checkpoint's entries after this one's — the
     /// multi-shard combine: the result behaves as if `other`'s file had
     /// been concatenated onto ours, so on label conflicts the absorbed
     /// entries win (they are later).
     pub fn absorb(&mut self, other: Checkpoint<T>) {
         self.entries.extend(other.entries);
-        self.failed.extend(other.failed);
         self.stale_lines += other.stale_lines;
     }
 }
@@ -631,21 +539,14 @@ pub fn compact(path: &Path) -> io::Result<Compaction> {
         return Ok(Compaction { kept, dropped });
     }
 
-    let file_name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("checkpoint.jsonl");
-    let tmp: PathBuf = path.with_file_name(format!(".{file_name}.compact-{}", std::process::id()));
-    {
-        let mut out = BufWriter::new(File::create(&tmp)?);
+    replace_atomically(path, |out| {
         for (idx, line) in lines.iter().enumerate() {
             if keep.contains(&idx) {
                 writeln!(out, "{line}")?;
             }
         }
-        out.flush()?;
-    }
-    std::fs::rename(&tmp, path)?;
+        Ok(())
+    })?;
     Ok(Compaction { kept, dropped })
 }
 
@@ -695,7 +596,11 @@ impl CheckpointWriter {
         })
     }
 
-    /// Appends one entry as a flushed JSON line.
+    /// Appends one entry as a flushed JSON line. The append carries the
+    /// two checkpoint failpoints: `checkpoint.flush` (fail the write with
+    /// an injected I/O error) and `checkpoint.corrupt` (truncate the
+    /// encoded line to two thirds before writing — a torn write the CRC
+    /// must catch on load).
     ///
     /// # Errors
     ///
@@ -707,23 +612,7 @@ impl CheckpointWriter {
     /// file lock (the sweep executor catches per-point panics before
     /// they can reach the writer, so this is unreachable in practice).
     pub fn append<T: ToJson>(&self, entry: &CheckpointEntry<T>) -> io::Result<()> {
-        self.append_line(entry.encode())
-    }
-
-    /// Appends one recorded failure as a flushed JSON line.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error.
-    pub fn append_failed(&self, entry: &FailedEntry) -> io::Result<()> {
-        self.append_line(entry.encode())
-    }
-
-    /// The shared append path, carrying the two checkpoint failpoints:
-    /// `checkpoint.flush` (fail the write with an injected I/O error)
-    /// and `checkpoint.corrupt` (truncate the encoded line to two thirds
-    /// before writing — a torn write the CRC must catch on load).
-    fn append_line(&self, mut line: String) -> io::Result<()> {
+        let mut line = entry.encode();
         if let Some(e) = crate::fault::fail_io("checkpoint.flush") {
             return Err(e);
         }
@@ -761,6 +650,52 @@ mod tests {
         assert_eq!(CheckpointEntry::<u64>::decode(&line).unwrap(), e);
     }
 
+    /// Seeds a checkpoint with a result line for point `p` and `line` for
+    /// point `q`, then checks that `line` is never served: it does not
+    /// decode, `merge_shards` reports `q` missing, and a `--resume` sweep
+    /// re-runs `q` and only `q`.
+    fn assert_never_served(line: &str, name: &str) {
+        assert!(CheckpointEntry::<u64>::decode(line).is_err());
+        let path = temp_path(name);
+        let seed = || {
+            let text = format!("{}\n{line}\n", entry("p", 7, 70).encode());
+            std::fs::write(&path, text).unwrap();
+        };
+        seed();
+        let ckpt = Checkpoint::<u64>::load(&path).unwrap();
+        assert_eq!(ckpt.stale_lines, 1);
+        assert!(ckpt.lookup("q", 8).is_none());
+
+        let expected = [("p".to_string(), 7u64), ("q".to_string(), 8u64)];
+        match crate::shard::merge_shards::<u64>(&expected, std::slice::from_ref(&path)) {
+            Err(crate::shard::MergeError::Incomplete { missing, stale }) => {
+                assert_eq!(missing, ["q"]);
+                assert!(stale.is_empty());
+            }
+            other => panic!("the point must be missing, got {other:?}"),
+        }
+
+        seed();
+        let ran = std::sync::atomic::AtomicUsize::new(0);
+        let results = crate::sweep::sweep_map(
+            vec![("p".to_string(), 7, 1u64), ("q".to_string(), 8, 2)],
+            crate::sweep::SweepOptions {
+                threads: 1,
+                progress: false,
+                ..crate::sweep::SweepOptions::checkpointed(&path, true)
+            },
+            |i| {
+                ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                Ok(i * 100)
+            },
+        );
+        assert_eq!(ran.into_inner(), 1, "only the unserved point re-runs");
+        assert!(results[0].cached && !results[1].cached);
+        assert_eq!(*results[1].expect_ok(), 200);
+        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_file(sidecar_path(&path)).unwrap();
+    }
+
     #[test]
     fn pruned_prediction_lines_are_stale_never_served() {
         // A line carrying a "pruned" object holds another point's report
@@ -783,45 +718,25 @@ mod tests {
             ])
             .encode(),
         );
-        assert!(decode_line::<u64>(&predicted).is_err());
-        let path = temp_path("predicted");
-        let seed = || {
-            let text = format!("{}\n{predicted}\n", entry("p", 7, 70).encode());
-            std::fs::write(&path, text).unwrap();
-        };
-        seed();
-        let ckpt = Checkpoint::<u64>::load(&path).unwrap();
-        assert_eq!(ckpt.stale_lines, 1);
-        assert!(ckpt.lookup("q", 8).is_none());
+        assert_never_served(&predicted, "predicted");
+    }
 
-        let expected = [("p".to_string(), 7u64), ("q".to_string(), 8u64)];
-        match crate::shard::merge_shards::<u64>(&expected, std::slice::from_ref(&path)) {
-            Err(crate::shard::MergeError::Incomplete { missing, stale }) => {
-                assert_eq!(missing, ["q"]);
-                assert!(stale.is_empty());
-            }
-            other => panic!("the predicted point must be missing, got {other:?}"),
-        }
-
-        seed();
-        let ran = std::sync::atomic::AtomicUsize::new(0);
-        let results = crate::sweep::sweep_map(
-            vec![("p".to_string(), 7, 1u64), ("q".to_string(), 8, 2)],
-            crate::sweep::SweepOptions {
-                threads: 1,
-                progress: false,
-                ..crate::sweep::SweepOptions::checkpointed(&path, true)
-            },
-            |i| {
-                ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                Ok(i * 100)
-            },
+    #[test]
+    fn failed_timeout_lines_are_stale_never_served() {
+        // Older builds recorded a point-timeout as a CRC-valid v2 line with
+        // a "failed" reason and no payload. It is no result: resume re-runs
+        // the point and merge reports it missing.
+        let failed = seal_with_crc(
+            Json::obj([
+                ("v", Json::from(FORMAT_VERSION)),
+                ("label", Json::from("q")),
+                ("fingerprint", Json::from(8u64)),
+                ("wall_nanos", Json::from(30_000_000_000u64)),
+                ("failed", Json::from("timeout")),
+            ])
+            .encode(),
         );
-        assert_eq!(ran.into_inner(), 1, "only the predicted point re-runs");
-        assert!(results[0].cached && !results[1].cached);
-        assert_eq!(*results[1].expect_ok(), 200);
-        std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(path.with_extension("jsonl.bad")).unwrap();
+        assert_never_served(&failed, "failed_timeout");
     }
 
     #[test]
@@ -850,47 +765,6 @@ mod tests {
         assert!(CheckpointEntry::<u64>::decode(&damaged).is_err());
         // The undamaged line still decodes.
         assert!(CheckpointEntry::<u64>::decode(&line).is_ok());
-    }
-
-    #[test]
-    fn failed_entry_round_trips() {
-        let f = FailedEntry {
-            label: "slow point".to_string(),
-            fingerprint: 0xABCD,
-            wall: Duration::from_secs(30),
-            reason: "timeout".to_string(),
-        };
-        let line = f.encode();
-        match decode_line::<u64>(&line).unwrap() {
-            Line::Failed(back) => assert_eq!(back, f),
-            Line::Completed(_) => panic!("failed entry decoded as completed"),
-        }
-        // The strict completed-only decoder rejects it.
-        assert!(CheckpointEntry::<u64>::decode(&line).is_err());
-    }
-
-    #[test]
-    fn load_collects_failed_entries_separately() {
-        let path = temp_path("load_failed");
-        let writer = CheckpointWriter::create(&path).unwrap();
-        writer.append(&entry("ok", 1, 10)).unwrap();
-        writer
-            .append_failed(&FailedEntry {
-                label: "bad".to_string(),
-                fingerprint: 2,
-                wall: Duration::from_secs(5),
-                reason: "timeout".to_string(),
-            })
-            .unwrap();
-        drop(writer);
-        let mut ckpt = Checkpoint::<u64>::load(&path).unwrap();
-        assert_eq!(ckpt.len(), 1);
-        assert_eq!(ckpt.failed().len(), 1);
-        assert!(ckpt.lookup_failed("bad", 2).is_some());
-        assert!(ckpt.lookup_failed("bad", 999).is_none(), "fingerprint gate");
-        assert_eq!(ckpt.take_failed("bad", 2).unwrap().reason, "timeout");
-        assert!(ckpt.take_failed("bad", 2).is_none(), "taken exactly once");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -45,9 +45,10 @@
 //!
 //! A supervised sweep shares one environment between the supervisor and
 //! its worker children. `GEMMINI_FAULTS_SHARD=<index>` restricts the
-//! schedule to one worker: every other shard worker — and the
-//! supervisor itself — calls [`disarm`] on startup, so exactly one
-//! process in the fleet takes the faults.
+//! schedule to one worker: every other shard worker — and, whenever the
+//! variable is set, the supervisor itself — calls [`disarm`] on startup,
+//! so exactly one process in the fleet takes the faults. A value that
+//! is not a shard index is an error ([`arm`]), like a bad schedule.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -67,7 +68,9 @@ pub const FAULTS_SHARD_ENV: &str = "GEMMINI_FAULTS_SHARD";
 pub enum FaultAction {
     /// Fail the operation with an injected error.
     Fail,
-    /// Hang: sleep effectively forever (the watchdog's prey).
+    /// Hang: sleep effectively forever. Nothing in the process notices;
+    /// the `--watchdog` supervisor kills the worker and retries it from
+    /// its checkpoint, exactly like a crash.
     Hang,
     /// Abort the process with `SIGABRT`, the way a segfault or an OOM
     /// kill ends it (the crash-retry supervisor's prey).
@@ -181,19 +184,31 @@ fn registry(schedule: Option<&str>) -> &'static Result<Registry, String> {
     })
 }
 
+/// The shard index `GEMMINI_FAULTS_SHARD` scopes the schedule to, or
+/// `None` when it is unset.
+fn scoped_shard() -> Result<Option<usize>, String> {
+    match std::env::var(FAULTS_SHARD_ENV) {
+        Err(_) => Ok(None),
+        Ok(v) => v.trim().parse::<usize>().map(Some).map_err(|_| {
+            format!("invalid {FAULTS_SHARD_ENV} '{v}' (expected a shard index such as 0)")
+        }),
+    }
+}
+
 /// Arms the registry for this process with `schedule` (`--faults`) or,
 /// if `None`, `GEMMINI_FAULTS`; the first call fixes the schedule.
 /// Called lazily by the first [`fire`]; the sweep binaries call it
 /// eagerly, right after CLI parsing, and exit 2 on an error, so a
-/// typo'd schedule fails before any point runs rather than quietly
-/// testing nothing.
+/// typo'd schedule or shard scope fails before any point runs rather
+/// than quietly testing nothing.
 ///
 /// # Errors
 ///
-/// Returns the parse error of an unparsable schedule; the registry then
-/// stays disarmed.
+/// Returns the parse error of an unparsable schedule or
+/// `GEMMINI_FAULTS_SHARD`; the registry then stays disarmed.
 pub fn arm(schedule: Option<&str>) -> Result<(), String> {
     let reg = registry(schedule).as_ref().map_err(Clone::clone)?;
+    scoped_shard()?;
     if !reg.points.is_empty() {
         ARMED.store(true, Ordering::Release);
     }
@@ -217,10 +232,10 @@ pub fn disarm() {
 /// `shard_index`. A `None` index is "not a shard worker" (the
 /// supervisor), which never takes scoped faults.
 pub fn scope_to_shard(shard_index: Option<usize>) {
-    if let Ok(v) = std::env::var(FAULTS_SHARD_ENV) {
-        if v.trim().parse::<usize>().ok() != shard_index {
-            disarm();
-        }
+    match scoped_shard() {
+        Ok(None) => {}
+        Ok(Some(scoped)) if Some(scoped) == shard_index => {}
+        _ => disarm(),
     }
 }
 

@@ -79,5 +79,5 @@ pub mod tiling;
 pub use run::{run_networks, CoreReport, RunOptions, SocReport};
 pub use shard::{run_sharded, ShardError, ShardMode, ShardSpec};
 pub use soc::{CoreConfig, SocConfig};
-pub use sweep::{run_sweep, run_sweep_with, DesignPoint, SweepError, SweepOptions, SweepResult};
+pub use sweep::{run_sweep_with, DesignPoint, SweepError, SweepOptions, SweepResult};
 pub use tiling::TilePlan;

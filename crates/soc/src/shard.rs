@@ -23,12 +23,10 @@
 //!   lock-step. With a `--watchdog` budget, the supervisor also detects
 //!   *hung* children: a worker whose heartbeat `done` count has not
 //!   advanced for the budget is killed and retried exactly like a
-//!   crash. A child exiting with [`EXIT_RECORDED_FAILURES`] finished
-//!   its slice with recorded point failures on the books (e.g. point
-//!   timeouts); that is terminal — retrying would only re-serve the
-//!   same recorded failures. Because the child resumes from its shard
-//!   checkpoint, completed points are never re-simulated: a crash loses
-//!   at most the in-flight points of one shard. With `--status`, the
+//!   crash — the one answer to a wedged point (`--shards 1 --watchdog`
+//!   protects a single-process sweep). Because the child resumes from
+//!   its shard checkpoint, completed points are never re-simulated: a
+//!   crash loses at most the in-flight points of one shard. With `--status`, the
 //!   supervisor also reads each child's heartbeat file (at the
 //!   [`shard_path`] of the status base) every ~2 s, renders a one-line
 //!   `fleet:` view — per-shard phase, progress, throughput, ETA and
@@ -39,11 +37,10 @@
 //!   (quarantining any damaged lines to `.bad` sidecars, see
 //!   [`Checkpoint::load_quarantining`]), validates every expected
 //!   `(label, fingerprint)` pair against them (reporting points that
-//!   are missing or stale; recorded failures satisfy coverage), and
-//!   stitches the lines back in grid submission order. Downstream
-//!   totals fold through `merge_memory_stats`, whose stat types are
-//!   exact merge monoids, so the merged output is bit-identical to a
-//!   single-process run.
+//!   are missing or stale), and stitches the lines back in grid
+//!   submission order. Downstream totals fold through
+//!   `merge_memory_stats`, whose stat types are exact merge monoids, so
+//!   the merged output is bit-identical to a single-process run.
 //!
 //! [`run_sharded`] ties the three together behind the sweep binaries'
 //! shared CLI (`--shard` / `--shards` / `--merge`, parsed into a
@@ -57,8 +54,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::checkpoint::{Checkpoint, CheckpointEntry, CheckpointWriter, Line};
-use crate::sweep::{sweep_map, SweepError, SweepOptions, SweepResult, EXIT_RECORDED_FAILURES};
+use crate::checkpoint::{sidecar_path, Checkpoint, CheckpointEntry, CheckpointWriter};
+use crate::sweep::{sweep_map, SweepOptions, SweepResult};
 use crate::telemetry::{
     format_eta, heartbeat_age, read_heartbeat, write_heartbeat, write_prometheus, Heartbeat,
 };
@@ -154,16 +151,6 @@ pub fn shard_path(base: &Path, spec: ShardSpec) -> PathBuf {
     base.with_file_name(name)
 }
 
-/// The `.bad` quarantine sidecar next to a checkpoint file (see
-/// [`Checkpoint::load_quarantining`]).
-fn sidecar_of(path: &Path) -> PathBuf {
-    let file_name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("checkpoint.jsonl");
-    path.with_file_name(format!("{file_name}.bad"))
-}
-
 /// Supervisor retry policy.
 #[derive(Debug, Clone)]
 pub struct SupervisorOptions {
@@ -206,11 +193,6 @@ pub struct ShardOutcome {
     pub spec: ShardSpec,
     /// Attempts it took, `1` meaning no crash.
     pub attempts: usize,
-    /// The final attempt exited with [`EXIT_RECORDED_FAILURES`]: the
-    /// slice is fully covered, but some points carry recorded failures
-    /// (e.g. point timeouts). Terminal — a retry would only re-serve
-    /// the same recorded failures from the checkpoint.
-    pub completed_with_failures: bool,
 }
 
 /// Why supervision failed. Every shard still runs to completion or
@@ -390,21 +372,13 @@ where
         for handle in forwarders {
             let _ = handle.join();
         }
-        let completed_with_failures = status.code() == Some(EXIT_RECORDED_FAILURES);
-        if status.success() || completed_with_failures {
+        if status.success() {
             if attempt > 1 {
                 eprintln!("supervisor: shard {spec} recovered on attempt {attempt}");
-            }
-            if completed_with_failures {
-                eprintln!(
-                    "supervisor: shard {spec} completed with recorded point failures \
-                     (exit {EXIT_RECORDED_FAILURES}); not retrying — the failures are on the books"
-                );
             }
             return Ok(ShardOutcome {
                 spec,
                 attempts: attempt,
-                completed_with_failures,
             });
         }
         last_status = if watchdog_fired {
@@ -439,10 +413,7 @@ where
 /// backoff, deterministically jittered per shard. With a watchdog
 /// budget and a status base in `opts`, a child whose heartbeat `done`
 /// count does not advance for the budget is killed and retried like a
-/// crash. A child exiting with [`EXIT_RECORDED_FAILURES`] is accepted
-/// as terminal (`completed_with_failures` in its outcome) — its slice
-/// is fully covered, and a retry would only re-serve the recorded
-/// failures. `make_child` builds the command for one shard — normally
+/// crash. `make_child` builds the command for one shard — normally
 /// the current binary re-invoked with `--shard i/N --resume`, so a
 /// retried shard resumes from its checkpoint and never re-simulates
 /// completed points. All shards run concurrently; each child's stdout
@@ -738,33 +709,19 @@ impl fmt::Display for MergeError {
 
 impl std::error::Error for MergeError {}
 
-/// The product of a successful shard merge: one [`Line`] per expected
-/// grid point in submission order — completed entries plus any recorded
-/// failures (which satisfy coverage: the grid *finished*, just with
-/// those failures on the books) — and the per-shard quarantine tallies
-/// from loading the checkpoint files.
+/// The product of a successful shard merge: one entry per expected grid
+/// point in submission order, and the per-shard quarantine tallies from
+/// loading the checkpoint files.
 #[derive(Debug)]
 pub struct MergedGrid<T> {
-    /// One line per grid point, in submission order.
-    pub lines: Vec<Line<T>>,
+    /// One entry per grid point, in submission order.
+    pub lines: Vec<CheckpointEntry<T>>,
     /// For each shard checkpoint loaded (in the order given), how many
     /// damaged lines were quarantined to its `.bad` sidecar.
     pub quarantined: Vec<(PathBuf, usize)>,
 }
 
 impl<T> MergedGrid<T> {
-    /// Labels of the grid points carried as recorded failures, in
-    /// submission order.
-    pub fn failed_labels(&self) -> Vec<String> {
-        self.lines
-            .iter()
-            .filter_map(|line| match line {
-                Line::Failed(f) => Some(f.label.clone()),
-                Line::Completed(_) => None,
-            })
-            .collect()
-    }
-
     /// Total damaged lines quarantined across all shard files.
     pub fn total_quarantined(&self) -> usize {
         self.quarantined.iter().map(|(_, n)| n).sum()
@@ -779,8 +736,7 @@ impl<T> MergedGrid<T> {
 /// and tallied per shard in the result. Validation is exact: a grid
 /// point with no entry is reported missing, and one whose entry's
 /// fingerprint no longer matches is reported stale (either means the
-/// shards must run again before the merge can succeed). A recorded
-/// failure with a current fingerprint covers its point.
+/// shards must run again before the merge can succeed).
 ///
 /// # Errors
 ///
@@ -807,12 +763,8 @@ pub fn merge_shards<T: FromJson>(
     let mut stale = Vec::new();
     for (label, fingerprint) in expected {
         if let Some(entry) = combined.take(label, *fingerprint) {
-            lines.push(Line::Completed(entry));
-        } else if let Some(failed) = combined.take_failed(label, *fingerprint) {
-            lines.push(Line::Failed(failed));
-        } else if combined.entries().iter().any(|e| &e.label == label)
-            || combined.failed().iter().any(|e| &e.label == label)
-        {
+            lines.push(entry);
+        } else if combined.entries().iter().any(|e| &e.label == label) {
             stale.push(label.clone());
         } else {
             missing.push(label.clone());
@@ -832,13 +784,10 @@ pub fn merge_shards<T: FromJson>(
 /// # Errors
 ///
 /// Returns the underlying I/O error.
-pub fn write_entries<T: ToJson>(path: &Path, lines: &[Line<T>]) -> io::Result<()> {
+pub fn write_entries<T: ToJson>(path: &Path, entries: &[CheckpointEntry<T>]) -> io::Result<()> {
     let writer = CheckpointWriter::create(path)?;
-    for line in lines {
-        match line {
-            Line::Completed(entry) => writer.append(entry)?,
-            Line::Failed(entry) => writer.append_failed(entry)?,
-        }
+    for entry in entries {
+        writer.append(entry)?;
     }
     Ok(())
 }
@@ -852,21 +801,6 @@ pub fn entry_result<T>(entry: CheckpointEntry<T>) -> SweepResult<T> {
         outcome: Ok(entry.payload),
         wall: entry.wall,
         cached: true,
-    }
-}
-
-/// Converts one merged checkpoint line into the sweep result shape the
-/// figure binaries consume: a completed entry as a cached success, a
-/// recorded failure as a cached [`SweepError::Recorded`].
-pub fn line_result<T>(line: Line<T>) -> SweepResult<T> {
-    match line {
-        Line::Completed(entry) => entry_result(entry),
-        Line::Failed(failed) => SweepResult {
-            label: failed.label,
-            outcome: Err(SweepError::Recorded(failed.reason)),
-            wall: failed.wall,
-            cached: true,
-        },
     }
 }
 
@@ -912,17 +846,6 @@ pub enum ShardError {
         /// Labels of the failed points.
         labels: Vec<String>,
     },
-    /// This shard worker finished its slice, but some points carry
-    /// *recorded* failures (e.g. `failed:timeout` checkpoint entries,
-    /// written now or served from a resume). The slice will not improve
-    /// by retrying — the worker should exit [`EXIT_RECORDED_FAILURES`]
-    /// so the supervisor accepts the shard as terminal.
-    RecordedFailures {
-        /// The shard that ran.
-        spec: ShardSpec,
-        /// Labels of the points with recorded failures.
-        labels: Vec<String>,
-    },
     /// Post-flight verification failed: points this worker completed are
     /// missing from (or damaged in) its own checkpoint file — a torn
     /// write or an injected I/O fault swallowed them. Exiting non-zero
@@ -945,13 +868,6 @@ impl fmt::Display for ShardError {
             Self::PointsFailed { spec, labels } => write!(
                 f,
                 "shard {spec}: {} point(s) failed ({}); they were not persisted and will re-run on resume",
-                labels.len(),
-                preview(labels)
-            ),
-            Self::RecordedFailures { spec, labels } => write!(
-                f,
-                "shard {spec}: {} point(s) carry recorded failures ({}); the slice is complete \
-                 and a retry would not improve it",
                 labels.len(),
                 preview(labels)
             ),
@@ -1032,22 +948,12 @@ where
                 );
             }
         }
-        let failed = merged.failed_labels();
-        let note = if failed.is_empty() {
-            String::new()
-        } else {
-            format!(
-                " ({} recorded failure(s): {})",
-                failed.len(),
-                preview(&failed)
-            )
-        };
         eprintln!(
-            "merge: stitched {} point(s) from {} shard checkpoint(s){note}",
+            "merge: stitched {} point(s) from {} shard checkpoint(s)",
             merged.lines.len(),
             paths.len()
         );
-        return Ok(Some(merged.lines.into_iter().map(line_result).collect()));
+        return Ok(Some(merged.lines.into_iter().map(entry_result).collect()));
     }
 
     if let &ShardMode::Worker(spec) = mode {
@@ -1069,25 +975,20 @@ where
             prometheus: opts.prometheus.as_ref().map(|p| shard_path(p, spec)),
             ..opts
         };
-        let results = sweep_map(slice, run_opts, f);
-        let mut exec_failed = Vec::new();
-        let mut recorded = Vec::new();
-        for result in &results {
-            match &result.outcome {
-                Ok(_) => {}
-                Err(SweepError::Recorded(_)) => recorded.push(result.label.clone()),
-                Err(_) => exec_failed.push(result.label.clone()),
-            }
-        }
+        let failed: Vec<String> = sweep_map(slice, run_opts, f)
+            .into_iter()
+            .filter(|result| result.outcome.is_err())
+            .map(|result| result.label)
+            .collect();
         eprintln!(
             "shard {spec}: {}/{slice_len} point(s) complete (slice of grid {grid_total}) -> {}",
-            slice_len - exec_failed.len() - recorded.len(),
+            slice_len - failed.len(),
             shard_file.display()
         );
-        if !exec_failed.is_empty() {
+        if !failed.is_empty() {
             return Err(ShardError::PointsFailed {
                 spec,
-                labels: exec_failed,
+                labels: failed,
             });
         }
         // Post-flight verification: re-load our own checkpoint and
@@ -1102,10 +1003,7 @@ where
         })?;
         let unpersisted: Vec<String> = slice_expected
             .iter()
-            .filter(|(label, fingerprint)| {
-                written.lookup(label, *fingerprint).is_none()
-                    && written.lookup_failed(label, *fingerprint).is_none()
-            })
+            .filter(|(label, fingerprint)| written.lookup(label, *fingerprint).is_none())
             .map(|(label, _)| label.clone())
             .collect();
         if !unpersisted.is_empty() {
@@ -1114,20 +1012,15 @@ where
                 labels: unpersisted,
             });
         }
-        if !recorded.is_empty() {
-            return Err(ShardError::RecordedFailures {
-                spec,
-                labels: recorded,
-            });
-        }
         return Ok(None);
     }
 
     if let &ShardMode::Supervise(count) = mode {
         let base = checkpoint_base();
         // The supervisor never takes faults itself when the schedule is
-        // scoped to a worker; children inherit the environment and make
-        // their own scoping decision.
+        // scoped to a worker (whenever GEMMINI_FAULTS_SHARD is set);
+        // children inherit the environment and make their own scoping
+        // decision.
         crate::fault::scope_to_shard(None);
         let specs: Vec<ShardSpec> = (0..count).map(|index| ShardSpec { index, count }).collect();
         if !opts.resume {
@@ -1138,7 +1031,7 @@ where
             // current run.
             for spec in &specs {
                 let path = shard_path(&base, *spec);
-                let sidecar = sidecar_of(&path);
+                let sidecar = sidecar_path(&path);
                 if let Err(e) = std::fs::remove_file(&path) {
                     if e.kind() != io::ErrorKind::NotFound {
                         return Err(ShardError::Io {
@@ -1179,10 +1072,6 @@ where
             }
         };
         let retried = outcomes.iter().filter(|o| o.attempts > 1).count();
-        let with_failures = outcomes
-            .iter()
-            .filter(|o| o.completed_with_failures)
-            .count();
         let expected = expected_of(&items);
         let shard_files: Vec<PathBuf> = specs.iter().map(|s| shard_path(&base, *s)).collect();
         let merged = match merge_shards::<T>(&expected, &shard_files) {
@@ -1213,18 +1102,13 @@ where
                 let _ = write_prometheus(prom, &snapshot);
             }
         }
-        let failure_note = if with_failures > 0 {
-            format!(", {with_failures} with recorded failures")
-        } else {
-            String::new()
-        };
         eprintln!(
-            "supervisor: {count} shard(s) complete ({retried} retried{failure_note}); \
+            "supervisor: {count} shard(s) complete ({retried} retried); \
              merged {} point(s) into {}",
             merged.lines.len(),
             base.display()
         );
-        return Ok(Some(merged.lines.into_iter().map(line_result).collect()));
+        return Ok(Some(merged.lines.into_iter().map(entry_result).collect()));
     }
 
     Ok(Some(sweep_map(items, opts, f)))
@@ -1343,14 +1227,7 @@ mod tests {
         let expected: Vec<(String, u64)> = (0..8).map(|i| (format!("p{i}"), i)).collect();
         let merged = merge_shards::<u64>(&expected, &[p0.clone(), p1.clone()]).unwrap();
         assert_eq!(merged.total_quarantined(), 0);
-        let entries: Vec<CheckpointEntry<u64>> = merged
-            .lines
-            .into_iter()
-            .map(|line| match line {
-                Line::Completed(entry) => entry,
-                Line::Failed(f) => panic!("unexpected recorded failure for {}", f.label),
-            })
-            .collect();
+        let entries = merged.lines;
         let labels: Vec<&str> = entries.iter().map(|e| e.label.as_str()).collect();
         assert_eq!(labels, vec!["p0", "p1", "p2", "p3", "p4", "p5", "p6", "p7"]);
         assert!(entries
@@ -1362,27 +1239,21 @@ mod tests {
     }
 
     #[test]
-    fn merge_serves_recorded_failures_and_quarantines_damage() {
-        use crate::checkpoint::{CheckpointWriter, FailedEntry};
-        let path = temp_path("merge_failed_quarantine.jsonl");
-        let _ = std::fs::remove_file(sidecar_of(&path));
+    fn merge_quarantines_damage_exactly_once() {
+        use crate::checkpoint::CheckpointWriter;
+        let path = temp_path("merge_quarantine.jsonl");
+        let _ = std::fs::remove_file(sidecar_path(&path));
         let writer = CheckpointWriter::create(&path).unwrap();
-        writer
-            .append(&CheckpointEntry {
-                label: "a".to_string(),
-                fingerprint: 1,
-                wall: Duration::ZERO,
-                payload: 10u64,
-            })
-            .unwrap();
-        writer
-            .append_failed(&FailedEntry {
-                label: "b".to_string(),
-                fingerprint: 2,
-                wall: Duration::from_secs(5),
-                reason: "timeout".to_string(),
-            })
-            .unwrap();
+        for (label, fingerprint, payload) in [("a", 1, 10u64), ("b", 2, 20)] {
+            writer
+                .append(&CheckpointEntry {
+                    label: label.to_string(),
+                    fingerprint,
+                    wall: Duration::ZERO,
+                    payload,
+                })
+                .unwrap();
+        }
         drop(writer);
         // Damage the file the way a torn write would: a truncated line.
         {
@@ -1398,25 +1269,14 @@ mod tests {
         let merged = merge_shards::<u64>(&expected, std::slice::from_ref(&path)).unwrap();
         assert_eq!(merged.total_quarantined(), 1);
         assert_eq!(merged.quarantined[0].1, 1);
-        assert_eq!(merged.failed_labels(), vec!["b".to_string()]);
-        match &merged.lines[1] {
-            Line::Failed(f) => {
-                assert_eq!(f.reason, "timeout");
-                assert_eq!(f.wall, Duration::from_secs(5));
-            }
-            other => panic!("expected a recorded failure, got {other:?}"),
-        }
-        // The recorded failure round-trips through the result shape.
-        let results: Vec<SweepResult<u64>> = merged.lines.into_iter().map(line_result).collect();
-        assert!(matches!(&results[1].outcome, Err(SweepError::Recorded(r)) if r == "timeout"));
-        assert!(results[1].cached);
+        assert_eq!(merged.lines[1].payload, 20);
 
         // A second merge finds a clean file: the damage was quarantined
         // exactly once.
         let again = merge_shards::<u64>(&expected, std::slice::from_ref(&path)).unwrap();
         assert_eq!(again.total_quarantined(), 0);
         std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(sidecar_of(&path)).unwrap();
+        std::fs::remove_file(sidecar_path(&path)).unwrap();
     }
 
     #[test]
@@ -1597,29 +1457,7 @@ mod tests {
         )
         .expect("watchdog recovers the hung shard");
         assert_eq!(outcomes[0].attempts, 2, "one watchdog kill, one retry");
-        assert!(!outcomes[0].completed_with_failures);
         let _ = std::fs::remove_file(&marker);
-    }
-
-    #[test]
-    fn exit_code_three_is_terminal_success_with_failures() {
-        let opts = SupervisorOptions {
-            max_attempts: 3,
-            backoff: Duration::from_millis(1),
-            ..SupervisorOptions::default()
-        };
-        let outcomes = supervise(
-            1,
-            |_| {
-                let mut cmd = Command::new("sh");
-                cmd.arg("-c").arg(format!("exit {EXIT_RECORDED_FAILURES}"));
-                cmd
-            },
-            &opts,
-        )
-        .expect("recorded-failure exits are terminal, not retried");
-        assert_eq!(outcomes[0].attempts, 1, "no retry");
-        assert!(outcomes[0].completed_with_failures);
     }
 
     #[test]

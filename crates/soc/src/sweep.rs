@@ -11,15 +11,15 @@
 //! Properties:
 //!
 //! * **One executor**: [`sweep_map`] is the only execution path.
-//!   Checkpoint serving, the checkpoint writer and the point-timeout
-//!   monitor are optional stages inside it, switched on by
-//!   [`SweepOptions`]; [`run_sweep_with`] is its [`DesignPoint`]
-//!   instantiation.
+//!   Checkpoint serving and the checkpoint writer are optional stages
+//!   inside it, switched on by [`SweepOptions`]; [`run_sweep_with`] is
+//!   its [`DesignPoint`] instantiation.
 //! * **Worker count** comes from the `GEMMINI_THREADS` environment
 //!   variable; unset (or `0`) defaults to
 //!   [`std::thread::available_parallelism`]. `GEMMINI_THREADS=1` forces
 //!   fully serial execution on the caller's thread — bit-identical to
-//!   the pre-sweep per-binary loops.
+//!   the pre-sweep per-binary loops. The figure binaries reject a value
+//!   [`parse_threads`] refuses before any point runs.
 //! * **Fault isolation**: a panic or [`AccelError`] inside one point
 //!   becomes an `Err` entry carrying the point's label; the other
 //!   points still complete.
@@ -37,15 +37,14 @@
 //!   [`TrafficStats::merge`], so totals across N parallel shards equal
 //!   the serial run's totals exactly.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::checkpoint::{
-    compact, debug_fingerprint, Checkpoint, CheckpointEntry, CheckpointWriter, FailedEntry,
+    compact, debug_fingerprint, Checkpoint, CheckpointEntry, CheckpointWriter,
 };
 use crate::fault::{self, FaultAction};
 use crate::run::{run_networks_observed, RunOptions, SocReport};
@@ -63,13 +62,6 @@ use gemmini_mem::stats::{HitMissStats, TrafficStats};
 
 /// Environment variable naming the worker count (`0`/unset = all cores).
 pub const THREADS_ENV: &str = "GEMMINI_THREADS";
-
-/// Process exit code for a sweep that *completed* but recorded one or
-/// more first-class point failures (today: `--point-timeout`
-/// expirations). Distinct from `1` (retryable error: the sweep did not
-/// finish) so supervisors and scripts can tell "done, with casualties"
-/// from "try again".
-pub const EXIT_RECORDED_FAILURES: i32 = 3;
 
 /// One named point of a design-space sweep: an SoC configuration, the
 /// networks to run on it (one per core), and the run options.
@@ -135,10 +127,6 @@ pub enum SweepError {
     Accel(AccelError),
     /// The point panicked; the payload's message is preserved.
     Panicked(String),
-    /// The point's failure was *recorded* in the checkpoint — today only
-    /// `--point-timeout` expirations (reason `"timeout"`) — and is being
-    /// served from there on resume instead of wedging the sweep again.
-    Recorded(String),
 }
 
 impl std::fmt::Display for SweepError {
@@ -146,7 +134,6 @@ impl std::fmt::Display for SweepError {
         match self {
             Self::Accel(e) => write!(f, "accelerator error: {e}"),
             Self::Panicked(msg) => write!(f, "panicked: {msg}"),
-            Self::Recorded(reason) => write!(f, "recorded failure: {reason}"),
         }
     }
 }
@@ -216,21 +203,12 @@ pub struct SweepOptions {
     /// Where to write the final registry snapshot as Prometheus text
     /// exposition when the sweep ends; `None` disables it.
     pub prometheus: Option<PathBuf>,
-    /// Per-point wall-clock budget (`--point-timeout`). When a point
-    /// exceeds it, the executor records a first-class `failed:timeout`
-    /// checkpoint entry for it, abandons the wedged worker, lets every
-    /// other point drain, and exits the process non-zero —
-    /// [`EXIT_RECORDED_FAILURES`] when everything else completed, `1`
-    /// when it could not — with a terminal failure summary. On resume
-    /// the recorded failure is *served* (the point is not re-attempted),
-    /// so a deterministic hang cannot wedge the sweep twice. `None` (the
-    /// default) never times a point out.
-    pub point_timeout: Option<Duration>,
     /// Hung-shard watchdog budget (`--watchdog`), consumed by the
     /// `--shards` supervisor (see [`crate::shard`]): a worker whose
     /// heartbeat `done` count does not advance for this long is killed
-    /// and retried from its shard checkpoint. Ignored outside supervise
-    /// mode; `None` (the default) disables the watchdog.
+    /// and retried from its shard checkpoint, exactly like a crash — the
+    /// one answer to a wedged point. Ignored outside supervise mode;
+    /// `None` (the default) disables the watchdog.
     pub watchdog: Option<Duration>,
 }
 
@@ -244,7 +222,6 @@ impl Default for SweepOptions {
             metrics: Metrics::disabled(),
             status: None,
             prometheus: None,
-            point_timeout: None,
             watchdog: None,
         }
     }
@@ -261,17 +238,33 @@ impl SweepOptions {
     }
 }
 
+/// Parses a `GEMMINI_THREADS` value: a worker count, or `None` for `0`
+/// (every core).
+///
+/// # Errors
+///
+/// A one-line message when the value is not a non-negative integer.
+pub fn parse_threads(value: &str) -> Result<Option<usize>, String> {
+    match value.trim().parse::<usize>() {
+        Ok(n) => Ok((n > 0).then_some(n)),
+        Err(_) => Err(format!(
+            "{THREADS_ENV} must be a worker count, 0 for every core (got '{value}')"
+        )),
+    }
+}
+
 /// Resolves the worker count for `n_points` work items: an explicit
 /// `threads` wins, then `GEMMINI_THREADS`, then available parallelism —
-/// always clamped to `[1, n_points]`.
+/// always clamped to `[1, n_points]`. A `GEMMINI_THREADS` value
+/// [`parse_threads`] refuses counts as unset here; the figure binaries
+/// reject it before they sweep.
 pub fn worker_count(threads: usize, n_points: usize) -> usize {
     let configured = if threads > 0 {
         threads
     } else {
         std::env::var(THREADS_ENV)
             .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
+            .and_then(|v| parse_threads(&v).ok().flatten())
             .unwrap_or_else(|| {
                 std::thread::available_parallelism()
                     .map(|n| n.get())
@@ -283,9 +276,8 @@ pub fn worker_count(threads: usize, n_points: usize) -> usize {
 
 /// Shared live-telemetry state for one sweep call: the per-point wall
 /// histogram behind the progress lines' ETA column (always on — it is
-/// cheap and local), the executor's point counters, heartbeat
-/// bookkeeping when `opts.status` names a file, and the point-timeout
-/// monitor's table of executing points.
+/// cheap and local), the executor's point counters, and heartbeat
+/// bookkeeping when `opts.status` names a file.
 struct Pulse {
     status: Option<PathBuf>,
     prometheus: Option<PathBuf>,
@@ -293,10 +285,8 @@ struct Pulse {
     grid_total: usize,
     start: Instant,
     workers: AtomicUsize,
-    /// Points served from the checkpoint (results and recorded
-    /// failures): completions that did not execute in this call.
-    served: usize,
-    /// Of `served`, the points served as results.
+    /// Points served from the checkpoint: completions that did not
+    /// execute in this call.
     cached: usize,
     /// Points actually simulated here (successes and failures).
     executed: AtomicUsize,
@@ -304,54 +294,10 @@ struct Pulse {
     wall_hist: Mutex<Log2Histogram>,
     last_beat: Mutex<Instant>,
     stop: AtomicBool,
-    /// Per-point wall-clock budget; `None` disables the timeout scan.
-    point_timeout: Option<Duration>,
-    /// Points currently executing, keyed by ticket — the timeout scan's
-    /// prey. Only populated when `point_timeout` is set.
-    inflight: Mutex<HashMap<u64, InFlightPoint>>,
-    next_ticket: AtomicU64,
-    /// Where the timeout monitor records `failed:timeout` entries.
-    writer: Option<Arc<CheckpointWriter>>,
-    /// Consecutive monitor ticks during which every in-flight point was
-    /// timed out (no worker can make progress) — the exit trigger, held
-    /// for two ticks so a worker between claims is not mistaken for a
-    /// drained pool.
-    hung_stable: AtomicUsize,
-}
-
-/// One executing point as seen by the timeout monitor.
-struct InFlightPoint {
-    label: String,
-    fingerprint: u64,
-    start: Instant,
-    /// Whether the monitor already recorded this point's timeout (the
-    /// worker is abandoned, but its entry stays until the process ends).
-    recorded: bool,
-}
-
-/// Deregisters an in-flight point on drop — panic-safe bracketing for
-/// the timeout monitor's table.
-struct InFlightGuard<'a> {
-    pulse: &'a Pulse,
-    ticket: Option<u64>,
-}
-
-impl Drop for InFlightGuard<'_> {
-    fn drop(&mut self) {
-        if let (Some(ticket), Ok(mut inflight)) = (self.ticket, self.pulse.inflight.lock()) {
-            inflight.remove(&ticket);
-        }
-    }
 }
 
 impl Pulse {
-    fn start(
-        opts: &SweepOptions,
-        grid_total: usize,
-        served: usize,
-        cached: usize,
-        writer: Option<Arc<CheckpointWriter>>,
-    ) -> Arc<Self> {
+    fn start(opts: &SweepOptions, grid_total: usize, cached: usize) -> Arc<Self> {
         let pulse = Arc::new(Self {
             status: opts.status.clone(),
             prometheus: opts.prometheus.clone(),
@@ -359,111 +305,19 @@ impl Pulse {
             grid_total,
             start: Instant::now(),
             workers: AtomicUsize::new(1),
-            served,
             cached,
             executed: AtomicUsize::new(0),
-            failed: AtomicUsize::new(served - cached),
+            failed: AtomicUsize::new(0),
             wall_hist: Mutex::new(Log2Histogram::new()),
             last_beat: Mutex::new(Instant::now()),
             stop: AtomicBool::new(false),
-            point_timeout: opts.point_timeout,
-            inflight: Mutex::new(HashMap::new()),
-            next_ticket: AtomicU64::new(0),
-            writer,
-            hung_stable: AtomicUsize::new(0),
         });
         pulse.beat("run");
         pulse
     }
 
-    /// Registers an executing point with the timeout monitor; the guard
-    /// deregisters it however the point ends. A no-op without a
-    /// `point_timeout`.
-    fn enter_point(&self, label: &str, fingerprint: u64) -> InFlightGuard<'_> {
-        let ticket = self.point_timeout.map(|_| {
-            let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-            self.inflight.lock().expect("inflight lock").insert(
-                ticket,
-                InFlightPoint {
-                    label: label.to_string(),
-                    fingerprint,
-                    start: Instant::now(),
-                    recorded: false,
-                },
-            );
-            ticket
-        });
-        InFlightGuard {
-            pulse: self,
-            ticket,
-        }
-    }
-
-    /// Monitor-thread tick: record a `failed:timeout` checkpoint entry
-    /// for every in-flight point past its budget, and — once the only
-    /// in-flight points left are timed-out ones, so no worker can make
-    /// progress — end the process with a terminal failure summary.
-    /// Exits [`EXIT_RECORDED_FAILURES`] when everything else in the grid
-    /// completed, `1` (retryable) when it could not.
-    fn check_timeouts(&self) {
-        let Some(budget) = self.point_timeout else {
-            return;
-        };
-        let (hung, active) = {
-            let mut inflight = self.inflight.lock().expect("inflight lock");
-            for p in inflight.values_mut() {
-                if !p.recorded && p.start.elapsed() > budget {
-                    p.recorded = true;
-                    eprintln!(
-                        "sweep: point '{}' exceeded --point-timeout ({:.1}s): recording failed:timeout and abandoning its worker",
-                        p.label,
-                        budget.as_secs_f64()
-                    );
-                    let entry = FailedEntry {
-                        label: p.label.clone(),
-                        fingerprint: p.fingerprint,
-                        wall: p.start.elapsed(),
-                        reason: "timeout".to_string(),
-                    };
-                    if let Some(w) = &self.writer {
-                        if let Err(e) = w.append_failed(&entry) {
-                            eprintln!("sweep: failed to record timeout for '{}': {e}", p.label);
-                        }
-                    }
-                    self.failed.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.inc(Counter::PointsFailed);
-                }
-            }
-            let hung = inflight.values().filter(|p| p.recorded).count();
-            (hung, inflight.len())
-        };
-        if hung == 0 || hung < active {
-            self.hung_stable.store(0, Ordering::Relaxed);
-            return;
-        }
-        // Every in-flight point is hung. Hold for two consecutive ticks
-        // before concluding the pool is drained (a worker may be between
-        // claims), then finish loudly.
-        if self.hung_stable.fetch_add(1, Ordering::Relaxed) + 1 < 2 {
-            return;
-        }
-        let done = self.done_total();
-        let complete = done + hung >= self.grid_total;
-        eprintln!(
-            "sweep: {hung} point(s) timed out; {done}/{} other points complete; exiting {}",
-            self.grid_total,
-            if complete {
-                format!("{EXIT_RECORDED_FAILURES} (completed with recorded failures)")
-            } else {
-                "1 (incomplete; resume to finish)".to_string()
-            }
-        );
-        self.beat("done");
-        std::process::exit(if complete { EXIT_RECORDED_FAILURES } else { 1 });
-    }
-
     fn done_total(&self) -> usize {
-        self.served + self.executed.load(Ordering::Relaxed)
+        self.cached + self.executed.load(Ordering::Relaxed)
     }
 
     /// Folds one executed point in: wall histogram (local + registry),
@@ -539,9 +393,6 @@ impl Pulse {
     /// Monitor-thread tick: refresh the heartbeat when the last write is
     /// older than ~2 s (long points and idle phases stay visible).
     fn beat_if_stale(&self) {
-        if self.status.is_none() {
-            return;
-        }
         let stale =
             self.last_beat.lock().expect("last beat lock").elapsed() >= Duration::from_secs(2);
         if stale {
@@ -573,16 +424,12 @@ struct PulseMonitor {
 
 impl PulseMonitor {
     fn spawn(pulse: &Arc<Pulse>) -> Self {
-        // The monitor thread also runs the per-point timeout scan, so it
-        // exists whenever either job has work to do.
-        let wanted = pulse.status.is_some() || pulse.point_timeout.is_some();
-        let handle = wanted.then(|| {
+        let handle = pulse.status.is_some().then(|| {
             let p = Arc::clone(pulse);
             std::thread::spawn(move || {
                 while !p.stop.load(Ordering::Relaxed) {
                     std::thread::sleep(Duration::from_millis(250));
                     p.beat_if_stale();
-                    p.check_timeouts();
                 }
             })
         });
@@ -614,8 +461,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// The `sweep.point` failpoint ([`crate::fault`]), evaluated as a point
 /// begins: `abort` kills the process the way a segfault would, `hang`
-/// wedges the worker (the watchdog's and `--point-timeout`'s prey), and
-/// `delay:<ms>` slows the point down.
+/// wedges the worker (the watchdog's prey), and `delay:<ms>` slows the
+/// point down.
 fn point_failpoint(label: &str) {
     match fault::fire("sweep.point") {
         Some(FaultAction::Abort) => {
@@ -637,14 +484,12 @@ fn point_failpoint(label: &str) {
 /// Optional stages, each switched on by `opts`:
 ///
 /// * **Checkpoint serve** (`checkpoint` + `resume`): points whose
-///   `(label, fingerprint)` already appear in the file — as results or
-///   as recorded failures — are served from it without running, so a
-///   resumed sweep re-executes only stale or missing points.
+///   `(label, fingerprint)` already appear in the file are served from
+///   it without running, so a resumed sweep re-executes only stale or
+///   missing points.
 /// * **Checkpoint writer** (`checkpoint`): every completed point is
 ///   appended as a flushed JSON line, so a killed sweep loses at most
 ///   its in-flight points; a resumed completion compacts the file.
-/// * **Point timeout** (`point_timeout`): a monitor thread records and
-///   abandons wedged points (see [`SweepOptions::point_timeout`]).
 ///
 /// The `sweep.point` failpoint is evaluated only in a *fresh* sweep —
 /// one that served no point from its checkpoint. A supervisor retries a
@@ -682,43 +527,28 @@ where
         None => Checkpoint::default(),
     };
 
-    // Serve completed points from the checkpoint; queue the rest. A
-    // recorded failure (timeout) is served as a first-class `Err` result
-    // rather than re-attempted: a deterministic hang must not wedge
-    // every resume cycle. Deleting the line (or running without
-    // --resume) re-runs the point.
+    // Serve completed points from the checkpoint; queue the rest.
     let mut slots: Vec<Option<SweepResult<T>>> = (0..total).map(|_| None).collect();
     let mut to_run = Vec::new();
-    let mut cached = 0usize;
     for (idx, (label, fingerprint, item)) in items.into_iter().enumerate() {
-        let (outcome, wall) = if let Some(entry) = checkpoint.take(&label, fingerprint) {
-            cached += 1;
-            (Ok(entry.payload), entry.wall)
-        } else if let Some(failure) = checkpoint.take_failed(&label, fingerprint) {
-            (Err(SweepError::Recorded(failure.reason)), failure.wall)
-        } else {
-            to_run.push((idx, label, fingerprint, item));
-            continue;
-        };
-        slots[idx] = Some(SweepResult {
-            label,
-            outcome,
-            wall,
-            cached: true,
-        });
+        match checkpoint.take(&label, fingerprint) {
+            Some(entry) => {
+                slots[idx] = Some(SweepResult {
+                    label,
+                    outcome: Ok(entry.payload),
+                    wall: entry.wall,
+                    cached: true,
+                });
+            }
+            None => to_run.push((idx, label, fingerprint, item)),
+        }
     }
-    let served = total - to_run.len();
+    let cached = total - to_run.len();
     if let (Some(path), true) = (path, opts.resume) {
-        let failed = served - cached;
         let stale = checkpoint.stale_lines;
         eprintln!(
-            "sweep: resume from {}: skipped {served}/{total} completed points{}{}",
+            "sweep: resume from {}: skipped {cached}/{total} completed points{}",
             path.display(),
-            if failed > 0 {
-                format!(" ({failed} recorded failures served)")
-            } else {
-                String::new()
-            },
             if stale > 0 {
                 format!(" ({stale} stale/partial lines ignored)")
             } else {
@@ -737,7 +567,7 @@ where
             CheckpointWriter::create(path)
         };
         match opened {
-            Ok(w) => Some(Arc::new(w)),
+            Ok(w) => Some(w),
             Err(e) => {
                 eprintln!(
                     "sweep: cannot write checkpoint {}: {e}; results will not be persisted",
@@ -748,9 +578,7 @@ where
         }
     });
 
-    // The timeout monitor shares the writer so an expired point can be
-    // recorded as failed:timeout from outside its (wedged) worker.
-    let pulse = Pulse::start(&opts, total, served, cached, writer.clone());
+    let pulse = Pulse::start(&opts, total, cached);
     let monitor = PulseMonitor::spawn(&pulse);
     opts.metrics.add(Counter::PointsCached, cached as u64);
 
@@ -765,17 +593,13 @@ where
     } else {
         String::new()
     };
-    let fresh = served == 0;
+    let fresh = cached == 0;
     let done = AtomicUsize::new(0);
     let sweep_start = Instant::now();
     let run_one = |label: String, fingerprint: u64, item: I| -> SweepResult<T> {
         let attempt_start = Instant::now();
         pulse.metrics.gauge_add(Gauge::PointsInFlight, 1);
         let attempt = || -> Result<(T, Duration), SweepError> {
-            // Deregisters on every exit path, including a panic inside
-            // `f` (unwinding must not leave a ghost in-flight entry for
-            // the timeout monitor to "time out" later).
-            let _guard = pulse.enter_point(&label, fingerprint);
             if fresh {
                 point_failpoint(&label);
             }
@@ -822,7 +646,7 @@ where
                 .unwrap_or_default();
             eprintln!(
                 "[{}/{total}{provenance}] {label} {status}{:.1}s | {elapsed:.1}s elapsed, {rate:.2} pts/s{eta}",
-                finished + served,
+                finished + cached,
                 wall.as_secs_f64()
             );
         }
@@ -903,12 +727,6 @@ where
         .collect()
 }
 
-/// Runs a batch of [`DesignPoint`]s with default options (worker count
-/// from `GEMMINI_THREADS`, progress lines on).
-pub fn run_sweep(points: Vec<DesignPoint>) -> Vec<SweepResult<SocReport>> {
-    run_sweep_with(points, SweepOptions::default())
-}
-
 /// Runs a batch of [`DesignPoint`]s with explicit options through
 /// [`sweep_map`]. With `opts.checkpoint` set, completed reports persist
 /// as JSON lines; with `opts.resume` as well, points already in the file
@@ -934,21 +752,6 @@ pub struct MemoryRollup {
     pub dram: TrafficStats,
     /// Reports folded in.
     pub reports: usize,
-}
-
-impl MemoryRollup {
-    /// Folds another rollup into this one — the shard-merge primitive
-    /// for multi-process sweeps: each shard computes its own rollup from
-    /// its checkpoint file, and absorbing them in any order or grouping
-    /// yields the single-process totals exactly (the property tests in
-    /// `crates/soc/tests/properties.rs` prove commutativity,
-    /// associativity, and the empty-rollup identity).
-    pub fn absorb(&mut self, other: &MemoryRollup) {
-        self.l2.merge(&other.l2);
-        self.l2_writebacks += other.l2_writebacks;
-        self.dram.merge(&other.dram);
-        self.reports += other.reports;
-    }
 }
 
 /// Merges the memory statistics of every successful report. Because the
@@ -1071,73 +874,19 @@ mod tests {
     }
 
     #[test]
-    fn empty_sweep_is_empty() {
-        let results = sweep_map(indexed(0), quiet(), |_| Ok(0u64));
-        assert!(results.is_empty());
+    fn threads_env_values_parse_or_are_rejected() {
+        assert_eq!(parse_threads("3"), Ok(Some(3)));
+        assert_eq!(parse_threads(" 1 "), Ok(Some(1)));
+        assert_eq!(parse_threads("0"), Ok(None), "0 means every core");
+        for bad in ["two", "-1", "", "1.5"] {
+            let err = parse_threads(bad).unwrap_err();
+            assert!(err.contains(THREADS_ENV), "{err}");
+        }
     }
 
     #[test]
-    fn resume_serves_recorded_failures_without_rerunning() {
-        let path =
-            std::env::temp_dir().join(format!("gemmini_sweep_failed_{}.jsonl", std::process::id()));
-        let fp = |i: u64| debug_fingerprint(&i);
-        // Seed the checkpoint: "a" completed, "b" recorded as timed out.
-        let writer = CheckpointWriter::create(&path).unwrap();
-        writer
-            .append(&CheckpointEntry {
-                label: "a".to_string(),
-                fingerprint: fp(1),
-                wall: Duration::from_micros(5),
-                payload: 10u64,
-            })
-            .unwrap();
-        writer
-            .append_failed(&FailedEntry {
-                label: "b".to_string(),
-                fingerprint: fp(2),
-                wall: Duration::from_secs(9),
-                reason: "timeout".to_string(),
-            })
-            .unwrap();
-        drop(writer);
-
-        let items: Vec<(String, u64, u64)> = vec![
-            ("a".to_string(), fp(1), 1),
-            ("b".to_string(), fp(2), 2),
-            ("c".to_string(), fp(3), 3),
-        ];
-        let ran = AtomicUsize::new(0);
-        let opts = SweepOptions {
-            progress: false,
-            threads: 1,
-            ..SweepOptions::checkpointed(&path, true)
-        };
-        let results = sweep_map(items, opts, |i| {
-            ran.fetch_add(1, Ordering::Relaxed);
-            assert_ne!(i, 2, "the recorded failure must be served, not re-run");
-            Ok(i * 10)
-        });
-        assert_eq!(ran.load(Ordering::Relaxed), 1, "only 'c' executes");
-        assert_eq!(*results[0].expect_ok(), 10);
-        assert!(results[0].cached);
-        match &results[1].outcome {
-            Err(SweepError::Recorded(reason)) => assert_eq!(reason, "timeout"),
-            other => panic!("expected served failure, got {other:?}"),
-        }
-        assert!(results[1].cached);
-        assert_eq!(results[1].wall, Duration::from_secs(9));
-        assert_eq!(*results[2].expect_ok(), 30);
-
-        // A fresh (non-resume) run ignores the recorded failure and
-        // re-attempts everything.
-        let opts = SweepOptions {
-            progress: false,
-            threads: 1,
-            ..SweepOptions::checkpointed(&path, false)
-        };
-        let items: Vec<(String, u64, u64)> = vec![("b".to_string(), fp(2), 2)];
-        let results = sweep_map(items, opts, |i| Ok(i * 10));
-        assert_eq!(*results[0].expect_ok(), 20);
-        std::fs::remove_file(&path).unwrap();
+    fn empty_sweep_is_empty() {
+        let results = sweep_map(indexed(0), quiet(), |_| Ok(0u64));
+        assert!(results.is_empty());
     }
 }

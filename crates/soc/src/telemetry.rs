@@ -5,7 +5,7 @@
 //! they work on any machine with no server and no new dependencies:
 //!
 //! * a **heartbeat**: one JSON document ([`Heartbeat`]) rewritten
-//!   atomically (temp file + rename, the checkpoint-compaction idiom) on
+//!   atomically (temp file + rename, the checkpoint-compaction helper) on
 //!   every point completion and every ~2 s, carrying phase, progress
 //!   counts, throughput, a p50-derived ETA, the per-point wall-clock
 //!   histogram and — when live metrics are enabled — a full
@@ -21,6 +21,7 @@
 //! error for a missing or torn file, which the atomic rename makes
 //! impossible to observe on POSIX anyway.
 
+use crate::checkpoint::replace_atomically;
 use gemmini_core::metrics::{prometheus_text, Log2Histogram, MetricsSnapshot};
 use gemmini_mem::json::{FromJson, Json, JsonError, ToJson};
 use std::io::Write;
@@ -166,10 +167,10 @@ impl FromJson for Heartbeat {
     }
 }
 
-/// Writes `heartbeat` to `path` atomically: the document goes to a
-/// hidden temp file in the same directory, then renames over the
-/// target, so a concurrent reader sees either the old complete document
-/// or the new one — never a torn write.
+/// Writes `heartbeat` to `path` atomically: a concurrent reader sees
+/// either the old complete document or the new one — never a torn
+/// write — and concurrent writers (every sweep worker beats on each
+/// point it finishes) never clobber each other's temp file.
 ///
 /// # Errors
 ///
@@ -187,17 +188,9 @@ pub fn write_heartbeat(path: &Path, heartbeat: &Heartbeat) -> std::io::Result<()
         }
         _ => {}
     }
-    let file_name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("status.json");
-    let tmp = path.with_file_name(format!(".{file_name}.tmp-{}", std::process::id()));
-    {
-        let mut out = std::fs::File::create(&tmp)?;
-        out.write_all(heartbeat.to_json().encode().as_bytes())?;
-        out.write_all(b"\n")?;
-    }
-    std::fs::rename(&tmp, path)
+    replace_atomically(path, |out| {
+        writeln!(out, "{}", heartbeat.to_json().encode())
+    })
 }
 
 /// Reads a heartbeat back, returning `None` when the file does not
@@ -211,19 +204,15 @@ pub fn read_heartbeat(path: &Path) -> Option<Heartbeat> {
 }
 
 /// Writes a registry snapshot as Prometheus text exposition (atomic,
-/// same temp-file + rename discipline as the heartbeat).
+/// like the heartbeat).
 ///
 /// # Errors
 ///
 /// Returns the first I/O error from creating, writing, or renaming.
 pub fn write_prometheus(path: &Path, snapshot: &MetricsSnapshot) -> std::io::Result<()> {
-    let file_name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("metrics.prom");
-    let tmp = path.with_file_name(format!(".{file_name}.tmp-{}", std::process::id()));
-    std::fs::write(&tmp, prometheus_text(snapshot))?;
-    std::fs::rename(&tmp, path)
+    replace_atomically(path, |out| {
+        out.write_all(prometheus_text(snapshot).as_bytes())
+    })
 }
 
 /// Age of a heartbeat file: how long ago it was last rewritten, from
@@ -323,6 +312,60 @@ mod tests {
             })
             .count();
         assert_eq!(litter, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_heartbeat_writers_never_tear_the_file() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // Every sweep worker beats on each point it finishes, and the
+        // monitor thread beats too: concurrent writes of one path must
+        // all succeed, and a reader must only ever see whole documents.
+        let dir = std::env::temp_dir().join(format!("gemmini-hb-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("status.json");
+        write_heartbeat(&path, &Heartbeat::starting(0)).unwrap();
+        let writing = AtomicUsize::new(4);
+        let start = std::sync::Barrier::new(4);
+        let (errors, torn_reads) = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..4)
+                .map(|writer| {
+                    let (path, writing, start) = (&path, &writing, &start);
+                    scope.spawn(move || {
+                        let mut errors = Vec::new();
+                        start.wait();
+                        for i in 0..200 {
+                            let mut hb = Heartbeat::starting(writer);
+                            hb.done = i;
+                            hb.point_wall.record(i as u64 + 1);
+                            if let Err(e) = write_heartbeat(path, &hb) {
+                                errors.push(format!("writer {writer}, beat {i}: {e}"));
+                            }
+                        }
+                        writing.fetch_sub(1, Ordering::Relaxed);
+                        errors
+                    })
+                })
+                .collect();
+            let mut torn_reads = 0;
+            while writing.load(Ordering::Relaxed) > 0 {
+                torn_reads += usize::from(read_heartbeat(&path).is_none());
+            }
+            let errors: Vec<String> = writers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect();
+            (errors, torn_reads)
+        });
+        assert!(
+            errors.is_empty(),
+            "{} failed writes, first: {:?}",
+            errors.len(),
+            errors.first()
+        );
+        assert_eq!(torn_reads, 0, "every read must parse");
+        let litter = std::fs::read_dir(&dir).unwrap().count() - 1;
+        assert_eq!(litter, 0, "no temp files left behind");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -14,7 +14,6 @@ use gemmini_soc::run::{
 };
 use gemmini_soc::runtime::reference_forward;
 use gemmini_soc::soc::SocConfig;
-use gemmini_soc::sweep::MemoryRollup;
 use gemmini_soc::tiling::plan_matmul;
 use proptest::prelude::*;
 
@@ -26,18 +25,6 @@ fn rate(num: u64, den: u64) -> f64 {
         0.0
     } else {
         num as f64 / (num as f64 + den as f64)
-    }
-}
-
-fn rollup(hits: u64, misses: u64, wb: u64, rd: u64, wr: u64, reports: usize) -> MemoryRollup {
-    let mut dram = TrafficStats::new();
-    dram.record_read(rd);
-    dram.record_write(wr);
-    MemoryRollup {
-        l2: HitMissStats::from_counts(hits, misses),
-        l2_writebacks: wb,
-        dram,
-        reports,
     }
 }
 
@@ -258,40 +245,6 @@ proptest! {
 }
 
 proptest! {
-    /// `MemoryRollup::absorb` — the shard-merge primitive behind
-    /// `merge_memory_stats` — is a commutative monoid: shards can be
-    /// folded in any order or grouping and the totals match a
-    /// single-process rollup exactly; the default (empty) rollup is the
-    /// identity.
-    #[test]
-    fn memory_rollup_absorb_is_commutative_monoid(
-        a in (0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40, 0usize..1000),
-        b in (0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40, 0usize..1000),
-        c in (0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40, 0usize..1000),
-    ) {
-        let ra = rollup(a.0, a.1, a.2, a.3, a.4, a.5);
-        let rb = rollup(b.0, b.1, b.2, b.3, b.4, b.5);
-        let rc = rollup(c.0, c.1, c.2, c.3, c.4, c.5);
-        // Commutativity.
-        let mut ab = ra;
-        ab.absorb(&rb);
-        let mut ba = rb;
-        ba.absorb(&ra);
-        prop_assert_eq!(&ab, &ba);
-        // Associativity.
-        let mut ab_c = ab;
-        ab_c.absorb(&rc);
-        let mut bc = rb;
-        bc.absorb(&rc);
-        let mut a_bc = ra;
-        a_bc.absorb(&bc);
-        prop_assert_eq!(&ab_c, &a_bc);
-        // Identity: absorbing the empty rollup changes nothing.
-        let mut a_zero = ra;
-        a_zero.absorb(&MemoryRollup::default());
-        prop_assert_eq!(&a_zero, &ra);
-    }
-
     /// `CycleAttribution::merge` is a commutative monoid, like the other
     /// sweep-rollup primitives: attribution from N shards can be folded
     /// in any order or grouping, and the zero record is the identity. The
