@@ -5,17 +5,15 @@
 //! 20–30% around layer transitions (tiled workloads touch fresh pages in
 //! bursts), orders of magnitude above classic CPU workload TLB miss rates.
 
+use gemmini_bench::figures::fig4_config;
 use gemmini_bench::{bar, resnet_workload, section, SweepCli};
 use gemmini_soc::run::{run_networks, RunOptions};
-use gemmini_soc::soc::SocConfig;
 
 fn main() {
     let cli = SweepCli::parse(&["--quick"]);
     let net = resnet_workload(cli.quick);
-    let mut cfg = SocConfig::edge_single_core();
     // Fig. 4 profiles the small private TLB of the edge co-design study.
-    cfg.cores[0].translation.private.entries = 4;
-    cfg.cores[0].translation.stats_window = if cli.quick { 20_000 } else { 200_000 };
+    let cfg = fig4_config(cli.quick);
 
     section(&format!(
         "Fig. 4: TLB miss rate over a full {} inference",

@@ -139,6 +139,36 @@ pub fn fig6_json() -> Json {
     ])
 }
 
+/// The Fig. 4 SoC: the edge single core with its 4-entry private TLB,
+/// sampling the miss rate in 20k-cycle windows under `--quick` and 200k
+/// at full size.
+pub fn fig4_config(quick: bool) -> SocConfig {
+    let mut cfg = SocConfig::edge_single_core();
+    cfg.cores[0].translation.private.entries = 4;
+    cfg.cores[0].translation.stats_window = if quick { 20_000 } else { 200_000 };
+    cfg
+}
+
+/// Fig. 4 as JSON: the run length, the translation report (request and
+/// walk counts, same-page rates and the windowed miss-rate series) and
+/// the L2 traffic the walks and DMA rows caused.
+pub fn fig4_json(report: &SocReport) -> Json {
+    let core = &report.cores[0];
+    Json::obj([
+        ("figure", Json::from("fig4_tlb_missrate")),
+        ("network", Json::from(core.network.clone())),
+        ("total_cycles", Json::from(core.total_cycles)),
+        ("dma_translations", Json::from(core.dma.translations)),
+        (
+            "translation_stall_cycles",
+            Json::from(core.dma.translation_stall_cycles),
+        ),
+        ("translation", core.translation.to_json()),
+        ("l2", report.l2.to_json()),
+        ("dram_bytes", Json::from(report.dram_bytes)),
+    ])
+}
+
 /// The Fig. 8 private-TLB sizes (entries).
 pub const FIG8_PRIVATES: [u32; 4] = [4, 8, 16, 32];
 
@@ -178,6 +208,47 @@ pub fn fig8_points(net: &Network) -> Vec<DesignPoint> {
             )
         })
         .collect()
+}
+
+/// Fig. 8 as JSON: for every [`fig8_grid`] point, its cycle count, the
+/// full translation report (hit rates, filter hits, walks, same-page
+/// rates, miss-rate series) and the L2 traffic.
+///
+/// # Panics
+///
+/// Panics if `results` does not hold one successful report per grid
+/// point in [`fig8_points`] order.
+pub fn fig8_json(results: &[SweepResult<SocReport>]) -> Json {
+    let grid = fig8_grid();
+    assert_eq!(results.len(), grid.len());
+    Json::obj([
+        ("figure", Json::from("fig8_tlb_sweep")),
+        (
+            "points",
+            Json::Arr(
+                grid.iter()
+                    .zip(results)
+                    .map(|(&(private, shared, filters), r)| {
+                        let report = r.expect_ok();
+                        let core = &report.cores[0];
+                        Json::obj([
+                            ("private", Json::from(u64::from(private))),
+                            ("shared", Json::from(u64::from(shared))),
+                            ("filters", Json::Bool(filters)),
+                            ("cycles", Json::from(core.total_cycles)),
+                            ("dma_translations", Json::from(core.dma.translations)),
+                            (
+                                "translation_stall_cycles",
+                                Json::from(core.dma.translation_stall_cycles),
+                            ),
+                            ("translation", core.translation.to_json()),
+                            ("l2", report.l2.to_json()),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+    ])
 }
 
 /// The four Fig. 7 accelerator variants per network:

@@ -14,10 +14,14 @@
 
 use std::path::PathBuf;
 
-use gemmini_bench::figures::{fig3_json, fig6_json, fig7_attribution_json, fig7_json, fig7_points};
+use gemmini_bench::figures::{
+    fig3_json, fig4_config, fig4_json, fig6_json, fig7_attribution_json, fig7_json, fig7_points,
+    fig8_json, fig8_points,
+};
 use gemmini_bench::{quick_resnet, SweepOptions};
 use gemmini_dnn::zoo;
 use gemmini_mem::json::Json;
+use gemmini_soc::run::{run_networks, RunOptions};
 use gemmini_soc::sweep::run_sweep_with;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -71,6 +75,30 @@ fn fig6_matches_golden() {
 }
 
 #[test]
+fn fig4_quick_matches_golden() {
+    // The TLB miss-rate profile the binary prints under --quick: every
+    // window's rate, the request/walk counts and the same-page rates.
+    let report = run_networks(&fig4_config(true), &[quick_resnet()], &RunOptions::timing())
+        .expect("quick ResNet runs");
+    check_golden("fig4_quick.json", &fig4_json(&report));
+}
+
+#[test]
+fn fig8_quick_matches_golden() {
+    // Every point of the TLB sweep under --quick, run serially: cycle
+    // counts, hit rates (filters included) and miss-rate series.
+    let results = run_sweep_with(
+        fig8_points(&quick_resnet()),
+        SweepOptions {
+            threads: 1,
+            progress: false,
+            ..SweepOptions::default()
+        },
+    );
+    check_golden("fig8_quick.json", &fig8_json(&results));
+}
+
+#[test]
 fn fig7_quick_matches_golden() {
     // The same networks the binary uses under --quick, run serially so
     // the test is deterministic regardless of GEMMINI_THREADS.
@@ -112,8 +140,10 @@ fn golden_files_round_trip() {
     for name in [
         "fig3.json",
         "fig6.json",
+        "fig4_quick.json",
         "fig7_quick.json",
         "fig7_attribution.json",
+        "fig8_quick.json",
     ] {
         let path = golden_path(name);
         let text = std::fs::read_to_string(&path)
