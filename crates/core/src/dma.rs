@@ -10,9 +10,11 @@
 use crate::metrics::{Counter as MetricCounter, HistKind};
 use crate::trace::{AttributionKind, Component, Profiler, StallCause};
 use gemmini_mem::addr::{VirtAddr, PAGE_SIZE};
+use gemmini_mem::cache::AccessKind;
 use gemmini_mem::dram::MainMemory;
 use gemmini_mem::hierarchy::PortId;
 use gemmini_mem::{Cycle, MemorySystem};
+use gemmini_vm::page::Vpn;
 use gemmini_vm::page_table::AddressSpace;
 use gemmini_vm::translator::{Access, HitLevel, TranslateError, TranslationSystem};
 
@@ -164,6 +166,17 @@ impl StreamDma {
         )
     }
 
+    /// Moves a burst as maximal same-page runs of rows. A run's first
+    /// row pays a full translation; the rest repeat its page, so they hit
+    /// at a fixed latency ([`TranslationSystem::repeat_latency`]) and are
+    /// booked in closed form. Translation latency alone advances the
+    /// stream's issue time, so the run's rows then issue at fixed steps
+    /// and go through the memory system as one
+    /// [`MemorySystem::access_run`]. A page-crossing row is split at the
+    /// boundary into runs of one segment each, and without repeat hits
+    /// (no filter registers, zero-entry private TLB) every row is its own
+    /// run. Either way the result is exactly that of translating and
+    /// moving one row at a time.
     #[allow(clippy::too_many_arguments)]
     fn transfer(
         &mut self,
@@ -178,83 +191,72 @@ impl StreamDma {
         write_data: Option<&[u8]>,
         mut read_dst: Option<&mut Vec<u8>>,
     ) -> Result<DmaTransfer, TranslateError> {
-        let mut issue = now;
-        let mut done = now;
         if let Some(dst) = read_dst.as_deref_mut() {
             dst.clear();
             if ctx.data.is_some() {
                 dst.reserve(rows * row_bytes as usize);
             }
         }
-
-        for r in 0..rows {
-            let row_va = vaddr.add(r as u64 * stride);
-            let mut moved = 0u64;
-            // Split the row at page boundaries; translate each segment once.
-            while moved < row_bytes {
-                let seg_va = row_va.add(moved);
-                let in_page = PAGE_SIZE - seg_va.offset_in_page();
-                let seg = in_page.min(row_bytes - moved);
-
-                self.stats.translations += 1;
-                let tr = ctx
-                    .translation
-                    .translate(ctx.space, ctx.mem, issue, seg_va, access)?;
-                self.stats.translation_stall_cycles += tr.latency;
-                // The stream cannot issue the next request until this
-                // translation resolves (single translation port).
-                let stall_start = issue;
-                issue += tr.latency;
-                // Only a page-table walk counts as a TLB *stall* for
-                // attribution; a TLB hit's small pipelined latency is
-                // part of normal streaming and stays with the enclosing
-                // load/store span.
-                if tr.level == HitLevel::Walk {
-                    prof.record(AttributionKind::TlbStall, stall_start, issue);
+        let mut burst = Burst {
+            access,
+            row_bytes,
+            issue: now,
+            done: now,
+            write_data,
+            read_dst,
+        };
+        let repeats = ctx.translation.repeat_latency().is_some();
+        let rows = rows as u64;
+        let mut r = 0;
+        while r < rows && row_bytes > 0 {
+            let row_va = vaddr.add(r * stride);
+            let offset = row_va.offset_in_page();
+            if offset + row_bytes > PAGE_SIZE {
+                let mut moved = 0;
+                while moved < row_bytes {
+                    let seg_va = row_va.add(moved);
+                    let seg = (PAGE_SIZE - seg_va.offset_in_page()).min(row_bytes - moved);
+                    self.run(
+                        prof,
+                        ctx,
+                        &mut burst,
+                        seg_va,
+                        seg,
+                        1,
+                        stride,
+                        r * row_bytes + moved,
+                    )?;
+                    moved += seg;
                 }
-
-                let seg_done = match access {
-                    Access::Read => ctx.mem.read(ctx.port, issue, tr.paddr, seg),
-                    Access::Write => ctx.mem.write(ctx.port, issue, tr.paddr, seg),
+                r += 1;
+            } else {
+                // Rows r.. that stay on this row's page.
+                let same_page = match stride {
+                    _ if !repeats => 1,
+                    0 => rows - r,
+                    _ => (PAGE_SIZE - offset - row_bytes) / stride + 1,
                 };
-                // Up to the bus's ideal service time the stream is simply
-                // moving bytes at bandwidth (charged to the enclosing
-                // load/store span); anything beyond that is a stall on
-                // the bus → L2 → DRAM path. Cycles a translation stall
-                // also covers are re-attributed to the TLB by the log's
-                // priority rules.
-                let stream_done = issue + ctx.mem.streaming_cycles(seg);
-                prof.record(AttributionKind::Dram, stream_done.min(seg_done), seg_done);
-                done = done.max(seg_done);
-
-                if let Some(data) = ctx.data.as_deref_mut() {
-                    match access {
-                        Access::Read => {
-                            if let Some(dst) = read_dst.as_deref_mut() {
-                                let start = dst.len();
-                                dst.resize(start + seg as usize, 0);
-                                data.read(tr.paddr, &mut dst[start..]);
-                            }
-                        }
-                        Access::Write => {
-                            if let Some(flat) = write_data {
-                                let lo = (r as u64 * row_bytes + moved) as usize;
-                                let hi = lo + seg as usize;
-                                data.write(tr.paddr, &flat[lo..hi]);
-                            }
-                        }
-                    }
-                }
-                moved += seg;
+                let n = same_page.min(rows - r);
+                self.run(
+                    prof,
+                    ctx,
+                    &mut burst,
+                    row_va,
+                    row_bytes,
+                    n,
+                    stride,
+                    r * row_bytes,
+                )?;
+                r += n;
             }
         }
 
-        let bytes = rows as u64 * row_bytes;
+        let bytes = rows * row_bytes;
         match access {
             Access::Read => self.stats.bytes_in += bytes,
             Access::Write => self.stats.bytes_out += bytes,
         }
-        let finish = done.max(issue);
+        let finish = burst.done.max(burst.issue);
         if prof.tracing() {
             let name = match access {
                 Access::Read => "mvin",
@@ -271,6 +273,118 @@ impl StreamDma {
             bytes,
         })
     }
+
+    /// Moves one same-page run: `n` segments of `seg` bytes at `va`,
+    /// `va + stride`, …, all on `va`'s page. Segment `j` is bytes
+    /// `flat + j * row_bytes ..` of the packed functional data.
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        &mut self,
+        prof: &mut Profiler,
+        ctx: &mut MemCtx<'_>,
+        burst: &mut Burst<'_>,
+        va: VirtAddr,
+        seg: u64,
+        n: u64,
+        stride: u64,
+        flat: u64,
+    ) -> Result<(), TranslateError> {
+        let access = burst.access;
+        self.stats.translations += 1;
+        let tr = ctx
+            .translation
+            .translate(ctx.space, ctx.mem, burst.issue, va, access)?;
+        self.stats.translation_stall_cycles += tr.latency;
+        // The stream cannot issue the next request until this translation
+        // resolves (single translation port).
+        let stall_start = burst.issue;
+        burst.issue += tr.latency;
+        // Only a page-table walk counts as a TLB *stall* for attribution; a
+        // TLB hit's small pipelined latency is part of normal streaming and
+        // stays with the enclosing load/store span.
+        if tr.level == HitLevel::Walk {
+            prof.record(AttributionKind::TlbStall, stall_start, burst.issue);
+        }
+        let first = burst.issue;
+        let step = if n > 1 {
+            let step = ctx
+                .translation
+                .repeat_latency()
+                .expect("multi-row runs need repeat hits");
+            ctx.translation
+                .repeat_hits(first, Vpn::of(va), access, n - 1);
+            self.stats.translations += n - 1;
+            self.stats.translation_stall_cycles += (n - 1) * step;
+            burst.issue += (n - 1) * step;
+            step
+        } else {
+            0
+        };
+
+        // Up to the bus's ideal service time the stream is simply moving
+        // bytes at bandwidth (charged to the enclosing load/store span);
+        // anything beyond that is a stall on the bus → L2 → DRAM path.
+        // Cycles a translation stall also covers are re-attributed to the
+        // TLB by the log's priority rules.
+        let streaming = ctx.mem.streaming_cycles(seg);
+        let kind = match access {
+            Access::Read => AccessKind::Read,
+            Access::Write => AccessKind::Write,
+        };
+        let mut data = ctx.data.as_deref_mut();
+        let mut j = 0;
+        ctx.mem.access_run(
+            ctx.port,
+            first,
+            step,
+            tr.paddr,
+            stride,
+            seg,
+            n,
+            kind,
+            |issue, seg_done| {
+                prof.record(
+                    AttributionKind::Dram,
+                    (issue + streaming).min(seg_done),
+                    seg_done,
+                );
+                burst.done = burst.done.max(seg_done);
+                if let Some(data) = data.as_deref_mut() {
+                    let paddr = tr.paddr.add(j * stride);
+                    match access {
+                        Access::Read => {
+                            if let Some(dst) = burst.read_dst.as_deref_mut() {
+                                let start = dst.len();
+                                dst.resize(start + seg as usize, 0);
+                                data.read(paddr, &mut dst[start..]);
+                            }
+                        }
+                        Access::Write => {
+                            if let Some(src) = burst.write_data {
+                                let lo = (flat + j * burst.row_bytes) as usize;
+                                data.write(paddr, &src[lo..lo + seg as usize]);
+                            }
+                        }
+                    }
+                }
+                j += 1;
+            },
+        );
+        Ok(())
+    }
+}
+
+/// One burst in flight: where the stream stands and where its functional
+/// bytes come from or go.
+struct Burst<'d> {
+    access: Access,
+    row_bytes: u64,
+    /// Cycle the next translation request issues at.
+    issue: Cycle,
+    /// Latest completion so far.
+    done: Cycle,
+    write_data: Option<&'d [u8]>,
+    read_dst: Option<&'d mut Vec<u8>>,
 }
 
 #[cfg(test)]

@@ -6,7 +6,6 @@
 //! of the two contention points (the other being the DRAM channel) in the
 //! multi-core case study of Section V-B.
 
-use crate::stats::TrafficStats;
 use crate::Cycle;
 
 /// Bus configuration. The default (16 B/cycle, 1-cycle arbitration) matches
@@ -64,7 +63,6 @@ impl Default for BusConfig {
 pub struct Bus {
     config: BusConfig,
     free_at: Cycle,
-    stats: TrafficStats,
 }
 
 impl Bus {
@@ -77,11 +75,7 @@ impl Bus {
         if let Err(e) = config.validate() {
             panic!("invalid bus configuration: {e}");
         }
-        Self {
-            config,
-            free_at: 0,
-            stats: TrafficStats::new(),
-        }
+        Self { config, free_at: 0 }
     }
 
     /// The configuration this bus was built with.
@@ -95,23 +89,12 @@ impl Bus {
         let beats = bytes.div_ceil(self.config.bytes_per_cycle).max(1);
         let start = now.max(self.free_at);
         self.free_at = start + beats;
-        self.stats.record_read(bytes);
         self.free_at + self.config.arbitration_latency
     }
 
     /// Cycle at which the bus next becomes free.
     pub fn free_at(&self) -> Cycle {
         self.free_at
-    }
-
-    /// Traffic moved over the bus.
-    pub fn stats(&self) -> &TrafficStats {
-        &self.stats
-    }
-
-    /// Resets traffic statistics (occupancy is preserved).
-    pub fn reset_stats(&mut self) {
-        self.stats = TrafficStats::new();
     }
 }
 

@@ -138,6 +138,9 @@ pub struct Cache {
     sets: Vec<Way>,
     set_mask: u64,
     ways: usize,
+    /// Index into `sets` of the way the last access hit or filled: the
+    /// hint [`Cache::access_again`] validates and hits on.
+    last: usize,
     stamp: u64,
     stats: HitMissStats,
     evictions: u64,
@@ -160,6 +163,7 @@ impl Cache {
             sets: vec![Way::invalid(); (sets * config.ways as u64) as usize],
             set_mask: sets - 1,
             ways: config.ways as usize,
+            last: 0,
             stamp: 0,
             stats: HitMissStats::new(),
             evictions: 0,
@@ -190,17 +194,8 @@ impl Cache {
         let ways = &mut self.sets[base..base + self.ways];
 
         // Hit path.
-        if let Some(way) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.lru = self.stamp;
-            if kind == AccessKind::Write {
-                way.dirty = true;
-            }
-            self.stats.record(true);
-            return CacheAccess {
-                hit: true,
-                writeback: false,
-                latency: self.config.hit_latency,
-            };
+        if let Some(i) = ways.iter().position(|w| w.valid && w.tag == tag) {
+            return self.hit(base + i, kind);
         }
 
         // Miss: pick victim (invalid way first, else LRU).
@@ -224,10 +219,44 @@ impl Cache {
             dirty: kind == AccessKind::Write,
             lru: self.stamp,
         };
+        self.last = base + victim;
         self.stats.record(false);
         CacheAccess {
             hit: false,
             writeback,
+            latency: self.config.hit_latency,
+        }
+    }
+
+    /// Accesses the line containing `addr` when the previous access touched
+    /// the same line — a DMA row starting in the line the previous row
+    /// ended in. The hit lands on the way that access hit or filled,
+    /// without a set scan; the way is validated against the set and tag
+    /// first, and a stale hint falls back to [`Self::access`]. Either way
+    /// the result is exactly that of [`Self::access`].
+    pub fn access_again(&mut self, addr: PhysAddr, kind: AccessKind) -> CacheAccess {
+        let (set, tag) = self.set_and_tag(addr);
+        let way = &self.sets[self.last];
+        if self.last.wrapping_sub(set * self.ways) < self.ways && way.valid && way.tag == tag {
+            self.stamp += 1;
+            self.hit(self.last, kind)
+        } else {
+            self.access(addr, kind)
+        }
+    }
+
+    /// Books a hit on way `i` at the current stamp.
+    fn hit(&mut self, i: usize, kind: AccessKind) -> CacheAccess {
+        let way = &mut self.sets[i];
+        way.lru = self.stamp;
+        if kind == AccessKind::Write {
+            way.dirty = true;
+        }
+        self.last = i;
+        self.stats.record(true);
+        CacheAccess {
+            hit: true,
+            writeback: false,
             latency: self.config.hit_latency,
         }
     }
@@ -372,6 +401,37 @@ mod tests {
                                                                // tag 1 was used most recently before tag 2's fill; LRU is tag 1? Order:
                                                                // t1(r,stamp1) t1(w,stamp2) t2(r,stamp3) -> LRU is tag1(stamp2)
         assert!(evicting.writeback, "dirty tag 1 is the LRU victim");
+    }
+
+    #[test]
+    fn access_again_matches_access() {
+        // Re-touch the last line with every kind, after a hit, a fill, an
+        // access to another set and a flush (a stale hint falls back).
+        let steps: [(u64, u64, AccessKind, bool); 8] = [
+            (0, 1, AccessKind::Read, false),
+            (0, 1, AccessKind::Write, true),
+            (0, 1, AccessKind::Read, true),
+            (0, 2, AccessKind::Read, false),
+            (1, 1, AccessKind::Write, true),
+            (0, 2, AccessKind::Write, true),
+            (0, 2, AccessKind::Write, true),
+            (0, 3, AccessKind::Read, false),
+        ];
+        let mut again = tiny();
+        let mut plain = tiny();
+        for (i, &(set, tag, kind, use_again)) in steps.iter().enumerate() {
+            if i == 6 {
+                again.flush();
+                plain.flush();
+            }
+            let a = if use_again {
+                again.access_again(addr(set, tag), kind)
+            } else {
+                again.access(addr(set, tag), kind)
+            };
+            assert_eq!(a, plain.access(addr(set, tag), kind), "step {i}");
+            assert_eq!(format!("{again:?}"), format!("{plain:?}"), "step {i}");
+        }
     }
 
     #[test]

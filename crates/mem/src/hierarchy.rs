@@ -122,20 +122,71 @@ impl MemorySystem {
         &mut self.port_traffic[i].1
     }
 
-    fn access(
+    /// Moves a run of `k` equal-sized rows for `port`: row `j` moves
+    /// `bytes` bytes from `paddr + j * stride`, issued at `start + j * step`.
+    /// Each row pays the bus, then the L2 per line it touches (misses fill
+    /// from DRAM, after writing back a dirty victim), and `row(issue,
+    /// done)` is told the row's issue and completion cycles in order.
+    ///
+    /// The result is exactly that of `k` single-row [`Self::read`] or
+    /// [`Self::write`] calls: rows share no state beyond what those calls
+    /// share, and the port's traffic counters move once by `k` rows. A
+    /// line the previous row already touched hits through the L2's
+    /// last-way hint.
+    #[allow(clippy::too_many_arguments)]
+    pub fn access_run(
         &mut self,
         port: PortId,
+        start: Cycle,
+        step: Cycle,
+        paddr: PhysAddr,
+        stride: u64,
+        bytes: u64,
+        k: u64,
+        kind: AccessKind,
+        mut row: impl FnMut(Cycle, Cycle),
+    ) {
+        // The line the previous row ended in.
+        let mut last_line = None;
+        for j in 0..k {
+            let issue = start + j * step;
+            let addr = paddr.add(j * stride);
+            let done = self.row_access(issue, addr, bytes, kind, last_line);
+            last_line = (bytes > 0).then(|| addr.add(bytes - 1).line_index());
+            row(issue, done);
+        }
+        let stats = self.port_stats_mut(port);
+        match kind {
+            AccessKind::Read => {
+                stats.reads += k;
+                stats.bytes_read += k * bytes;
+            }
+            AccessKind::Write => {
+                stats.writes += k;
+                stats.bytes_written += k * bytes;
+            }
+        }
+    }
+
+    /// One row: the bus transfer for the whole row, then an L2 lookup per
+    /// line; misses serialize on the DRAM channel. The L2 access just
+    /// before this row was to line `last_line`, if any.
+    fn row_access(
+        &mut self,
         now: Cycle,
         addr: PhysAddr,
         bytes: u64,
         kind: AccessKind,
+        last_line: Option<u64>,
     ) -> Cycle {
-        // Bus transfer for the whole burst.
         let bus_done = self.bus.transfer(now, bytes);
-        // L2 lookup per line; misses serialize on the DRAM channel.
         let mut done = bus_done;
         for line in lines_in_range(addr, bytes) {
-            let res = self.l2.access(line, kind);
+            let res = if Some(line.line_index()) == last_line {
+                self.l2.access_again(line, kind)
+            } else {
+                self.l2.access(line, kind)
+            };
             let line_done = if res.hit {
                 bus_done + res.latency
             } else {
@@ -166,11 +217,19 @@ impl MemorySystem {
             };
             done = done.max(line_done);
         }
-        let stats = self.port_stats_mut(port);
-        match kind {
-            AccessKind::Read => stats.record_read(bytes),
-            AccessKind::Write => stats.record_write(bytes),
-        }
+        done
+    }
+
+    fn access(
+        &mut self,
+        port: PortId,
+        now: Cycle,
+        addr: PhysAddr,
+        bytes: u64,
+        kind: AccessKind,
+    ) -> Cycle {
+        let mut done = now;
+        self.access_run(port, now, 0, addr, 0, bytes, 1, kind, |_, d| done = d);
         done
     }
 
@@ -225,7 +284,6 @@ impl MemorySystem {
     pub fn reset_stats(&mut self) {
         self.l2.reset_stats();
         self.dram.reset_stats();
-        self.bus.reset_stats();
         self.port_traffic.clear();
     }
 }

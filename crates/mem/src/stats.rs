@@ -35,10 +35,16 @@ impl HitMissStats {
     /// Records one access; `hit` selects which counter is incremented.
     #[inline]
     pub fn record(&mut self, hit: bool) {
+        self.record_n(hit, 1);
+    }
+
+    /// Records `n` accesses with the same outcome.
+    #[inline]
+    pub fn record_n(&mut self, hit: bool, n: u64) {
         if hit {
-            self.hits += 1;
+            self.hits += n;
         } else {
-            self.misses += 1;
+            self.misses += n;
         }
     }
 
@@ -180,6 +186,28 @@ impl WindowedRate {
     /// Events may arrive slightly out of order (overlapped load/store
     /// streams); each is bucketed by its own timestamp.
     pub fn record(&mut self, now: Cycle, hit: bool) {
+        self.record_n(now, hit, 1);
+    }
+
+    /// Records `k` events with the same outcome at `start`, `start + step`,
+    /// …, `start + (k - 1) * step` in closed form: one bucket update per
+    /// window the run spans, exactly as `k` calls to [`Self::record`].
+    pub fn record_run(&mut self, start: Cycle, step: Cycle, k: u64, hit: bool) {
+        let mut j = 0;
+        while j < k {
+            let t = start + j * step;
+            // Events j.. that still land in t's window.
+            let in_window = match step {
+                0 => k - j,
+                _ => ((t / self.window + 1) * self.window - t).div_ceil(step),
+            };
+            let n = in_window.min(k - j);
+            self.record_n(t, hit, n);
+            j += n;
+        }
+    }
+
+    fn record_n(&mut self, now: Cycle, hit: bool, n: u64) {
         let idx = (now / self.window) as usize;
         if idx >= self.points.len() {
             let base = self.points.len();
@@ -191,9 +219,9 @@ impl WindowedRate {
         }
         let p = &mut self.points[idx];
         if hit {
-            p.hits += 1;
+            p.hits += n;
         } else {
-            p.misses += 1;
+            p.misses += n;
         }
     }
 
@@ -654,6 +682,32 @@ mod tests {
         w.record(5, true); // earlier than previous event
         assert_eq!(w.series()[0].hits, 1);
         assert_eq!(w.series()[2].misses, 1);
+    }
+
+    #[test]
+    fn windowed_run_matches_one_record_per_event() {
+        // Runs that start mid-window, straddle several window edges, land
+        // exactly on an edge, or repeat one cycle (step 0).
+        for (start, step, k) in [
+            (0, 0, 5),
+            (7, 0, 3),
+            (7, 1, 9),
+            (9, 2, 7),
+            (10, 10, 4),
+            (3, 7, 20),
+            (5, 25, 3),
+            (4, 3, 0),
+        ] {
+            let mut run = WindowedRate::new(10);
+            run.record(1, false);
+            run.record_run(start, step, k, true);
+            let mut serial = WindowedRate::new(10);
+            serial.record(1, false);
+            for j in 0..k {
+                serial.record(start + j * step, true);
+            }
+            assert_eq!(run, serial, "start {start} step {step} k {k}");
+        }
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //! write) has its own register, overlapped read and write bursts no longer
 //! evict each other's most-recent translation.
 
-use crate::page::{Frame, Vpn};
+use crate::page::{Mapping, Vpn};
 
-/// A single filter register: the last translation seen by one stream.
+/// A single filter register: the last translation seen by one stream,
+/// permission bits included.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FilterRegister {
-    entry: Option<(Vpn, Frame)>,
+    entry: Option<(Vpn, Mapping)>,
     hits: u64,
     lookups: u64,
 }
@@ -26,21 +27,27 @@ impl FilterRegister {
         Self::default()
     }
 
-    /// Checks the register; a hit returns the cached frame at zero cost.
-    pub fn lookup(&mut self, vpn: Vpn) -> Option<Frame> {
-        self.lookups += 1;
+    /// Checks the register; a hit returns the cached mapping at zero cost.
+    pub fn lookup(&mut self, vpn: Vpn) -> Option<Mapping> {
+        self.repeat_lookups(vpn, 1)
+    }
+
+    /// Books `k` back-to-back lookups of `vpn` in closed form, exactly as
+    /// `k` calls to [`Self::lookup`] would.
+    pub fn repeat_lookups(&mut self, vpn: Vpn, k: u64) -> Option<Mapping> {
+        self.lookups += k;
         match self.entry {
-            Some((v, f)) if v == vpn => {
-                self.hits += 1;
-                Some(f)
+            Some((v, m)) if v == vpn => {
+                self.hits += k;
+                Some(m)
             }
             _ => None,
         }
     }
 
     /// Records the translation most recently produced for this stream.
-    pub fn update(&mut self, vpn: Vpn, frame: Frame) {
-        self.entry = Some((vpn, frame));
+    pub fn update(&mut self, vpn: Vpn, mapping: impl Into<Mapping>) {
+        self.entry = Some((vpn, mapping.into()));
     }
 
     /// Invalidates the register (TLB shootdown / context switch).
@@ -89,7 +96,7 @@ impl FilterRegister {
 /// let mut fp = FilterPair::new();
 /// assert!(fp.read.lookup(Vpn::new(1)).is_none());
 /// fp.read.update(Vpn::new(1), Frame::new(7));
-/// assert_eq!(fp.read.lookup(Vpn::new(1)), Some(Frame::new(7)));
+/// assert_eq!(fp.read.lookup(Vpn::new(1)).map(|m| m.frame), Some(Frame::new(7)));
 /// // The write stream has its own register:
 /// assert!(fp.write.lookup(Vpn::new(1)).is_none());
 /// ```
@@ -133,6 +140,7 @@ impl FilterPair {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::Frame;
 
     fn v(n: u64) -> Vpn {
         Vpn::new(n)
@@ -146,8 +154,8 @@ mod tests {
         let mut r = FilterRegister::new();
         assert!(r.lookup(v(5)).is_none());
         r.update(v(5), f(50));
-        assert_eq!(r.lookup(v(5)), Some(f(50)));
-        assert_eq!(r.lookup(v(5)), Some(f(50)));
+        assert_eq!(r.lookup(v(5)), Some(f(50).into()));
+        assert_eq!(r.lookup(v(5)), Some(f(50).into()));
         assert_eq!(r.hits(), 2);
         assert_eq!(r.lookups(), 3);
     }
@@ -158,7 +166,7 @@ mod tests {
         r.update(v(1), f(1));
         assert!(r.lookup(v(2)).is_none());
         r.update(v(2), f(2));
-        assert_eq!(r.lookup(v(2)), Some(f(2)));
+        assert_eq!(r.lookup(v(2)), Some(f(2).into()));
     }
 
     #[test]
@@ -168,9 +176,9 @@ mod tests {
         fp.write.update(v(2), f(2));
         // Interleaved read/write to different pages both keep hitting —
         // the exact contention the paper's optimization removes.
-        assert_eq!(fp.read.lookup(v(1)), Some(f(1)));
-        assert_eq!(fp.write.lookup(v(2)), Some(f(2)));
-        assert_eq!(fp.read.lookup(v(1)), Some(f(1)));
+        assert_eq!(fp.read.lookup(v(1)), Some(f(1).into()));
+        assert_eq!(fp.write.lookup(v(2)), Some(f(2).into()));
+        assert_eq!(fp.read.lookup(v(1)), Some(f(1).into()));
         assert_eq!(fp.total_hits(), 3);
     }
 

@@ -48,7 +48,7 @@ pub mod ptw;
 pub mod tlb;
 pub mod translator;
 
-pub use page::{Frame, FrameAllocator, PagePermissions, Vpn};
+pub use page::{Frame, FrameAllocator, Mapping, PagePermissions, Vpn};
 pub use page_table::AddressSpace;
 pub use tlb::{Tlb, TlbConfig};
 pub use translator::{Access, TranslateError, TranslationConfig, TranslationSystem};

@@ -78,7 +78,8 @@ impl fmt::Display for Frame {
 /// Page permissions. The paper notes that running under a full OS uncovered
 /// accelerator reads "from certain regions of physical memory without the
 /// proper permissions" that bare-metal runs silently ignored — permissions
-/// are therefore checked on every translation.
+/// are therefore checked on every translation, against the bits cached with
+/// the translation on a hit and against the page table after a walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PagePermissions {
     /// Page may be read.
@@ -112,6 +113,33 @@ impl PagePermissions {
 impl Default for PagePermissions {
     fn default() -> Self {
         Self::RW
+    }
+}
+
+/// A leaf translation as the TLBs and filter registers cache it: the frame
+/// plus the permission bits of its PTE, so a hit checks the access without
+/// consulting the page table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Mapping {
+    /// The frame the page maps to.
+    pub frame: Frame,
+    /// The permissions the PTE grants.
+    pub perms: PagePermissions,
+}
+
+impl From<(Frame, PagePermissions)> for Mapping {
+    fn from((frame, perms): (Frame, PagePermissions)) -> Self {
+        Self { frame, perms }
+    }
+}
+
+/// A bare frame maps read-write ([`PagePermissions::default`]).
+impl From<Frame> for Mapping {
+    fn from(frame: Frame) -> Self {
+        Self {
+            frame,
+            perms: PagePermissions::default(),
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 //! zero-entry TLB is a valid configuration — the Fig. 8 sweep includes the
 //! design point where the shared L2 TLB is absent.
 
-use crate::page::{Frame, Vpn};
+use crate::page::{Mapping, Vpn};
 use gemmini_mem::stats::HitMissStats;
 
 /// TLB configuration.
@@ -46,22 +46,25 @@ impl Default for TlbConfig {
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     vpn: Vpn,
-    frame: Frame,
+    mapping: Mapping,
     lru: u64,
 }
 
-/// Fully-associative, true-LRU TLB.
+/// Fully-associative, true-LRU TLB. Each entry caches the page's
+/// permission bits with its frame.
 ///
 /// # Example
 ///
 /// ```
 /// use gemmini_vm::tlb::{Tlb, TlbConfig};
-/// use gemmini_vm::page::{Vpn, Frame};
+/// use gemmini_vm::page::{Frame, PagePermissions, Vpn};
 ///
 /// let mut tlb = Tlb::new(TlbConfig::private(4));
 /// assert!(tlb.lookup(Vpn::new(1)).is_none());
-/// tlb.insert(Vpn::new(1), Frame::new(100));
-/// assert_eq!(tlb.lookup(Vpn::new(1)), Some(Frame::new(100)));
+/// tlb.insert(Vpn::new(1), (Frame::new(100), PagePermissions::RO));
+/// let hit = tlb.lookup(Vpn::new(1)).unwrap();
+/// assert_eq!(hit.frame, Frame::new(100));
+/// assert!(!hit.perms.write);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tlb {
@@ -88,45 +91,51 @@ impl Tlb {
     }
 
     /// Looks up a page, updating LRU order and hit/miss statistics.
-    /// Returns the mapped frame on a hit.
-    pub fn lookup(&mut self, vpn: Vpn) -> Option<Frame> {
-        self.stamp += 1;
+    /// Returns the cached mapping on a hit.
+    pub fn lookup(&mut self, vpn: Vpn) -> Option<Mapping> {
+        self.repeat_lookups(vpn, 1)
+    }
+
+    /// Books `k` back-to-back lookups of `vpn` in closed form: exactly
+    /// what `k` calls to [`Self::lookup`] leave behind (use stamp, the
+    /// entry's LRU position, hit or miss counts). Returns the mapping on a
+    /// hit.
+    pub fn repeat_lookups(&mut self, vpn: Vpn, k: u64) -> Option<Mapping> {
+        self.stamp += k;
         let stamp = self.stamp;
         let found = self.entries.iter_mut().find(|e| e.vpn == vpn);
-        match found {
-            Some(e) => {
-                e.lru = stamp;
-                self.stats.record(true);
-                Some(e.frame)
-            }
-            None => {
-                self.stats.record(false);
-                None
-            }
-        }
+        self.stats.record_n(found.is_some(), k);
+        found.map(|e| {
+            e.lru = stamp;
+            e.mapping
+        })
     }
 
     /// Probes for a page without touching LRU order or statistics.
-    pub fn probe(&self, vpn: Vpn) -> Option<Frame> {
-        self.entries.iter().find(|e| e.vpn == vpn).map(|e| e.frame)
+    pub fn probe(&self, vpn: Vpn) -> Option<Mapping> {
+        self.entries
+            .iter()
+            .find(|e| e.vpn == vpn)
+            .map(|e| e.mapping)
     }
 
     /// Inserts a translation, evicting the LRU entry if full. Inserting into
     /// a zero-entry TLB is a no-op. Re-inserting an existing page refreshes
     /// its mapping and LRU position.
-    pub fn insert(&mut self, vpn: Vpn, frame: Frame) {
+    pub fn insert(&mut self, vpn: Vpn, mapping: impl Into<Mapping>) {
         if self.config.entries == 0 {
             return;
         }
+        let mapping = mapping.into();
         self.stamp += 1;
         if let Some(e) = self.entries.iter_mut().find(|e| e.vpn == vpn) {
-            e.frame = frame;
+            e.mapping = mapping;
             e.lru = self.stamp;
             return;
         }
         let entry = Entry {
             vpn,
-            frame,
+            mapping,
             lru: self.stamp,
         };
         if self.entries.len() < self.config.entries as usize {
@@ -175,6 +184,7 @@ impl Tlb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::Frame;
 
     fn v(n: u64) -> Vpn {
         Vpn::new(n)
@@ -188,7 +198,7 @@ mod tests {
         let mut t = Tlb::new(TlbConfig::private(4));
         assert!(t.lookup(v(1)).is_none());
         t.insert(v(1), f(10));
-        assert_eq!(t.lookup(v(1)), Some(f(10)));
+        assert_eq!(t.lookup(v(1)), Some(f(10).into()));
         assert_eq!(t.stats().hits(), 1);
         assert_eq!(t.stats().misses(), 1);
     }
@@ -220,7 +230,7 @@ mod tests {
         t.insert(v(1), f(1));
         t.insert(v(1), f(99));
         assert_eq!(t.occupancy(), 1);
-        assert_eq!(t.probe(v(1)), Some(f(99)));
+        assert_eq!(t.probe(v(1)), Some(f(99).into()));
     }
 
     #[test]

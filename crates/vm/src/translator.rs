@@ -7,7 +7,7 @@
 //! (including zero), and whether the filter registers exist.
 
 use crate::filter::FilterPair;
-use crate::page::{Frame, Vpn};
+use crate::page::{Mapping, Vpn};
 use crate::page_table::AddressSpace;
 use crate::ptw::{PageTableWalker, PtwConfig};
 use crate::tlb::{Tlb, TlbConfig};
@@ -135,6 +135,17 @@ impl SamePageTracker {
         self.last = Some(vpn);
     }
 
+    /// `k` back-to-back requests to `vpn`: every one after the first is a
+    /// same-page transition.
+    fn record_run(&mut self, vpn: Vpn, k: u64) {
+        if k == 0 {
+            return;
+        }
+        self.record(vpn);
+        self.total += k - 1;
+        self.same += k - 1;
+    }
+
     fn rate(&self) -> f64 {
         if self.total == 0 {
             0.0
@@ -221,12 +232,16 @@ impl TranslationSystem {
 
     /// Translates `va` for an access of direction `access` starting at `now`.
     ///
+    /// A hit checks the access against the permission bits cached with the
+    /// translation; only a walk consults the page table.
+    ///
     /// # Errors
     ///
     /// * [`TranslateError::PageFault`] if the page is unmapped (discovered by
     ///   the walk, whose latency has already been paid).
     /// * [`TranslateError::PermissionDenied`] if the mapping forbids the
-    ///   access direction.
+    ///   access direction. The lookup that found the mapping (or the walk)
+    ///   is still counted; nothing new is cached.
     pub fn translate(
         &mut self,
         space: &AddressSpace,
@@ -241,18 +256,20 @@ impl TranslationSystem {
             Access::Read => self.read_tracker.record(vpn),
             Access::Write => self.write_tracker.record(vpn),
         }
-
-        // Permission check against the authoritative mapping. Hardware
-        // caches permission bits in each TLB entry; since our entries come
-        // from the same mapping, checking the mapping is equivalent.
-        if let Some((_, perms)) = space.lookup(vpn) {
-            if !perms.allows(access == Access::Write) {
-                return Err(TranslateError::PermissionDenied {
+        let translation = |m: Mapping, latency, level| {
+            if m.perms.allows(access == Access::Write) {
+                Ok(Translation {
+                    paddr: m.frame.base().add(va.offset_in_page()),
+                    latency,
+                    level,
+                })
+            } else {
+                Err(TranslateError::PermissionDenied {
                     vpn,
                     write: access == Access::Write,
-                });
+                })
             }
-        }
+        };
 
         // 1. Filter registers: 0-cycle hit.
         if self.config.filter_registers {
@@ -260,46 +277,36 @@ impl TranslationSystem {
                 Access::Read => &mut self.filters.read,
                 Access::Write => &mut self.filters.write,
             };
-            if let Some(frame) = reg.lookup(vpn) {
+            if let Some(m) = reg.lookup(vpn) {
+                let out = translation(m, 0, HitLevel::Filter)?;
                 self.filter_hits += 1;
                 self.metrics.inc(Counter::TlbHits);
                 self.window.record(now, true);
-                return Ok(Translation {
-                    paddr: frame.base().add(va.offset_in_page()),
-                    latency: 0,
-                    level: HitLevel::Filter,
-                });
+                return Ok(out);
             }
         }
 
         // 2. Private TLB.
-        if let Some(frame) = self.private.lookup(vpn) {
+        if let Some(m) = self.private.lookup(vpn) {
+            let out = translation(m, self.config.private.hit_latency, HitLevel::Private)?;
             self.metrics.inc(Counter::TlbHits);
             self.window.record(now, true);
-            self.update_filter(access, vpn, frame);
-            return Ok(Translation {
-                paddr: frame.base().add(va.offset_in_page()),
-                latency: self.config.private.hit_latency,
-                level: HitLevel::Private,
-            });
+            self.update_filter(access, vpn, m);
+            return Ok(out);
         }
         self.window.record(now, false);
         let mut latency = self.config.private.hit_latency;
 
         // 3. Shared L2 TLB (if present).
         if self.config.shared.entries > 0 {
-            if let Some(frame) = self.shared.lookup(vpn) {
-                self.metrics.inc(Counter::TlbHits);
-                latency += self.config.shared.hit_latency;
-                self.private.insert(vpn, frame);
-                self.update_filter(access, vpn, frame);
-                return Ok(Translation {
-                    paddr: frame.base().add(va.offset_in_page()),
-                    latency,
-                    level: HitLevel::Shared,
-                });
-            }
             latency += self.config.shared.hit_latency;
+            if let Some(m) = self.shared.lookup(vpn) {
+                let out = translation(m, latency, HitLevel::Shared)?;
+                self.metrics.inc(Counter::TlbHits);
+                self.private.insert(vpn, m);
+                self.update_filter(access, vpn, m);
+                return Ok(out);
+            }
         }
 
         // 4. Full walk.
@@ -321,22 +328,81 @@ impl TranslationSystem {
         if !outcome.mapped {
             return Err(TranslateError::PageFault { vpn });
         }
-        let (frame, _) = space.lookup(vpn).expect("walk said mapped");
-        self.private.insert(vpn, frame);
-        self.shared.insert(vpn, frame);
-        self.update_filter(access, vpn, frame);
-        Ok(Translation {
-            paddr: frame.base().add(va.offset_in_page()),
-            latency: total_latency,
-            level: HitLevel::Walk,
-        })
+        let m = Mapping::from(space.lookup(vpn).expect("walk said mapped"));
+        let out = translation(m, total_latency, HitLevel::Walk)?;
+        self.private.insert(vpn, m);
+        self.shared.insert(vpn, m);
+        self.update_filter(access, vpn, m);
+        Ok(out)
     }
 
-    fn update_filter(&mut self, access: Access, vpn: Vpn, frame: Frame) {
+    /// The latency of a request that repeats the previous request's page on
+    /// the same stream, or `None` when such a repeat is not certain to hit
+    /// (no filter registers and a zero-entry private TLB).
+    ///
+    /// A successful [`Self::translate`] of page `p` leaves `p` in the
+    /// stream's filter register when filters are fitted, else at the MRU
+    /// position of the private TLB. A hit there evicts nothing, so every
+    /// back-to-back repeat of `p` hits at this one latency. Translation
+    /// latency is all that advances a DMA stream's issue time, so the
+    /// repeats of a same-page run issue at fixed steps of this latency.
+    pub fn repeat_latency(&self) -> Option<u64> {
+        if self.config.filter_registers {
+            Some(0)
+        } else if self.config.private.entries > 0 {
+            Some(self.config.private.hit_latency)
+        } else {
+            None
+        }
+    }
+
+    /// Books, in closed form, `k` requests to `vpn` on the `access` stream
+    /// that repeat the previous successful request's page, issued at
+    /// `start`, `start + step`, … with `step` the
+    /// [`Self::repeat_latency`]. The state left behind is exactly what `k`
+    /// calls to [`Self::translate`] would leave: request count, same-page
+    /// rates, filter or private-TLB hit counts and LRU stamps, the TLB-hit
+    /// metric and the windowed miss-rate series. Permissions need no
+    /// check: the previous request already passed it on the same page.
+    ///
+    /// # Panics
+    ///
+    /// Panics if repeats cannot hit (`repeat_latency()` is `None`) or the
+    /// stream's last translation was not `vpn`.
+    pub fn repeat_hits(&mut self, start: Cycle, vpn: Vpn, access: Access, k: u64) {
+        let step = self
+            .repeat_latency()
+            .expect("repeat_hits needs a filter register or a private TLB");
+        if k == 0 {
+            return;
+        }
+        self.requests += k;
+        let hit = if self.config.filter_registers {
+            self.filter_hits += k;
+            match access {
+                Access::Read => self.filters.read.repeat_lookups(vpn, k),
+                Access::Write => self.filters.write.repeat_lookups(vpn, k),
+            }
+        } else {
+            self.private.repeat_lookups(vpn, k)
+        };
+        assert!(
+            hit.is_some(),
+            "repeat_hits: {vpn} is not the stream's last translation"
+        );
+        match access {
+            Access::Read => self.read_tracker.record_run(vpn, k),
+            Access::Write => self.write_tracker.record_run(vpn, k),
+        }
+        self.metrics.add(Counter::TlbHits, k);
+        self.window.record_run(start, step, k, true);
+    }
+
+    fn update_filter(&mut self, access: Access, vpn: Vpn, m: Mapping) {
         if self.config.filter_registers {
             match access {
-                Access::Read => self.filters.read.update(vpn, frame),
-                Access::Write => self.filters.write.update(vpn, frame),
+                Access::Read => self.filters.read.update(vpn, m),
+                Access::Write => self.filters.write.update(vpn, m),
             }
         }
     }
@@ -579,6 +645,93 @@ mod tests {
             err.to_string(),
             format!("permission denied for write at {}", Vpn::of(va))
         );
+    }
+
+    #[test]
+    fn cached_readonly_translation_still_denies_writes() {
+        let mut fa = FrameAllocator::new();
+        let mut sp = AddressSpace::new(&mut fa);
+        let va = sp.alloc_readonly(&mut fa, PAGE_SIZE);
+        let mut mem = MemorySystem::default();
+        let mut t = TranslationSystem::new(TranslationConfig {
+            filter_registers: true,
+            ..TranslationConfig::default()
+        });
+        // The read walks, caching the page in the private TLB and the read
+        // filter register.
+        t.translate(&sp, &mut mem, 0, va, Access::Read).unwrap();
+        assert!(t.private_tlb().probe(Vpn::of(va)).is_some());
+        assert_eq!(
+            t.translate(&sp, &mut mem, 0, va, Access::Read)
+                .unwrap()
+                .level,
+            HitLevel::Filter
+        );
+        // The write misses its own filter and hits the cached read-only
+        // entry: denied without a walk.
+        let err = t
+            .translate(&sp, &mut mem, 0, va.add(8), Access::Write)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            TranslateError::PermissionDenied {
+                vpn: Vpn::of(va),
+                write: true
+            }
+        );
+        assert_eq!(t.walks_taken(), 1);
+        assert_eq!(t.filters().write.hits(), 0);
+    }
+
+    #[test]
+    fn repeat_hits_match_translate_calls() {
+        // Filters on (0-cycle filter hits) and off (2-cycle MRU hits), a
+        // 10-cycle window so the repeats straddle window edges.
+        for filter_registers in [false, true] {
+            let cfg = TranslationConfig {
+                filter_registers,
+                stats_window: 10,
+                ..TranslationConfig::default()
+            };
+            let (sp, mut mem, mut run, va) = setup(cfg);
+            let (_, mut mem2, mut serial, _) = setup(cfg);
+            let first = run.translate(&sp, &mut mem, 3, va, Access::Write).unwrap();
+            serial
+                .translate(&sp, &mut mem2, 3, va, Access::Write)
+                .unwrap();
+            let step = run.repeat_latency().unwrap();
+            let start = 3 + first.latency;
+            run.repeat_hits(start, Vpn::of(va), Access::Write, 9);
+            for j in 0..9 {
+                let out = serial
+                    .translate(
+                        &sp,
+                        &mut mem2,
+                        start + j * step,
+                        va.add(16 * j),
+                        Access::Write,
+                    )
+                    .unwrap();
+                assert_eq!(out.latency, step);
+            }
+            assert_eq!(run.requests(), serial.requests());
+            assert_eq!(run.filter_hits(), serial.filter_hits());
+            assert_eq!(run.private_tlb().stats(), serial.private_tlb().stats());
+            assert_eq!(
+                run.filters().write.lookups(),
+                serial.filters().write.lookups()
+            );
+            assert_eq!(run.miss_rate_series(), serial.miss_rate_series());
+            assert_eq!(
+                run.consecutive_write_same_page_rate(),
+                serial.consecutive_write_same_page_rate()
+            );
+        }
+        let zero = TranslationConfig {
+            private: TlbConfig::private(0),
+            ..TranslationConfig::default()
+        };
+        assert_eq!(TranslationSystem::new(zero).repeat_latency(), None);
     }
 
     #[test]

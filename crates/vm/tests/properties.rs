@@ -20,7 +20,7 @@ proptest! {
         for (vpn, frame) in ops {
             tlb.insert(Vpn::new(vpn), Frame::new(frame));
             prop_assert!(tlb.occupancy() <= entries as usize);
-            prop_assert_eq!(tlb.probe(Vpn::new(vpn)), Some(Frame::new(frame)));
+            prop_assert_eq!(tlb.probe(Vpn::new(vpn)).map(|m| m.frame), Some(Frame::new(frame)));
         }
     }
 
@@ -33,7 +33,7 @@ proptest! {
             tlb.insert(Vpn::new(p), Frame::new(p + 100));
         }
         for p in 0..pages {
-            prop_assert_eq!(tlb.lookup(Vpn::new(p)), Some(Frame::new(p + 100)));
+            prop_assert_eq!(tlb.lookup(Vpn::new(p)).map(|m| m.frame), Some(Frame::new(p + 100)));
         }
         prop_assert_eq!(tlb.stats().misses(), 0);
     }
