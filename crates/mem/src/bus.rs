@@ -35,7 +35,12 @@ impl BusConfig {
     /// (beats plus arbitration) — the ideal streaming time a requestor
     /// pays even when the rest of the memory path is free.
     pub fn service_cycles(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.bytes_per_cycle).max(1) + self.arbitration_latency
+        self.beats(bytes) + self.arbitration_latency
+    }
+
+    /// Data beats a transfer of `bytes` takes (at least one).
+    pub fn beats(&self, bytes: u64) -> u64 {
+        bytes.div_ceil(self.bytes_per_cycle).max(1)
     }
 }
 
@@ -86,7 +91,12 @@ impl Bus {
     /// Schedules a transfer of `bytes` requested at `now`; returns its
     /// completion cycle.
     pub fn transfer(&mut self, now: Cycle, bytes: u64) -> Cycle {
-        let beats = bytes.div_ceil(self.config.bytes_per_cycle).max(1);
+        self.transfer_beats(now, self.config.beats(bytes))
+    }
+
+    /// [`Self::transfer`] for a transfer already sized in beats, so a run
+    /// of equal rows sizes them once.
+    pub(crate) fn transfer_beats(&mut self, now: Cycle, beats: u64) -> Cycle {
         let start = now.max(self.free_at);
         self.free_at = start + beats;
         self.free_at + self.config.arbitration_latency

@@ -99,27 +99,10 @@ pub struct CacheAccess {
     pub latency: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Monotonic use stamp for true-LRU.
-    lru: u64,
-}
-
-impl Way {
-    const fn invalid() -> Self {
-        Self {
-            tag: 0,
-            valid: false,
-            dirty: false,
-            lru: 0,
-        }
-    }
-}
-
 /// A set-associative, write-back, write-allocate cache (tags only).
+///
+/// Way state is kept in parallel per-way arrays, set-major, so a lookup
+/// scans one set's tags in a single host cache line.
 ///
 /// # Example
 ///
@@ -135,11 +118,17 @@ impl Way {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Way>,
+    /// Per way: the resident line's tag plus one; 0 marks an invalid way.
+    keys: Vec<u64>,
+    /// Per way: monotonic use stamp for true-LRU; 0 while invalid.
+    lru: Vec<u64>,
+    /// Per way: whether the resident line is dirty.
+    dirty: Vec<bool>,
     set_mask: u64,
+    set_bits: u32,
     ways: usize,
-    /// Index into `sets` of the way the last access hit or filled: the
-    /// hint [`Cache::access_again`] validates and hits on.
+    /// Index of the way the last access hit or filled: the hint
+    /// [`Cache::access_again`] validates and hits on.
     last: usize,
     stamp: u64,
     stats: HitMissStats,
@@ -158,10 +147,14 @@ impl Cache {
             panic!("invalid cache configuration: {e}");
         }
         let sets = config.num_sets();
+        let n = (sets * config.ways as u64) as usize;
         Self {
             config,
-            sets: vec![Way::invalid(); (sets * config.ways as u64) as usize],
+            keys: vec![0; n],
+            lru: vec![0; n],
+            dirty: vec![false; n],
             set_mask: sets - 1,
+            set_bits: sets.trailing_zeros(),
             ways: config.ways as usize,
             last: 0,
             stamp: 0,
@@ -176,12 +169,12 @@ impl Cache {
         &self.config
     }
 
+    /// The line's set index and its key (tag plus one).
     #[inline]
-    fn set_and_tag(&self, addr: PhysAddr) -> (usize, u64) {
+    fn set_and_key(&self, addr: PhysAddr) -> (usize, u64) {
         let line = addr.raw() >> LINE_SHIFT;
         let set = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.count_ones();
-        (set, tag)
+        (set, (line >> self.set_bits) + 1)
     }
 
     /// Accesses the line containing `addr`, updating tag state, LRU order and
@@ -189,37 +182,36 @@ impl Cache {
     /// reads and writes), evicting the LRU way.
     pub fn access(&mut self, addr: PhysAddr, kind: AccessKind) -> CacheAccess {
         self.stamp += 1;
-        let (set, tag) = self.set_and_tag(addr);
+        let (set, key) = self.set_and_key(addr);
         let base = set * self.ways;
-        let ways = &mut self.sets[base..base + self.ways];
+        let end = base + self.ways;
 
         // Hit path.
-        if let Some(i) = ways.iter().position(|w| w.valid && w.tag == tag) {
+        if let Some(i) = self.keys[base..end].iter().position(|&k| k == key) {
             return self.hit(base + i, kind);
         }
 
-        // Miss: pick victim (invalid way first, else LRU).
-        let victim = ways
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| if w.valid { w.lru } else { 0 })
-            .map(|(i, _)| i)
-            .expect("cache set has at least one way");
-        let v = &mut ways[victim];
-        let writeback = v.valid && v.dirty;
-        if v.valid {
+        // Miss: pick victim (invalid way first, else LRU; invalid ways
+        // hold stamp 0, below every valid way's).
+        let victim = base
+            + self.lru[base..end]
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &lru)| lru)
+                .map(|(i, _)| i)
+                .expect("cache set has at least one way");
+        let valid = self.keys[victim] != 0;
+        let writeback = valid && self.dirty[victim];
+        if valid {
             self.evictions += 1;
         }
         if writeback {
             self.writebacks += 1;
         }
-        *v = Way {
-            tag,
-            valid: true,
-            dirty: kind == AccessKind::Write,
-            lru: self.stamp,
-        };
-        self.last = base + victim;
+        self.keys[victim] = key;
+        self.lru[victim] = self.stamp;
+        self.dirty[victim] = kind == AccessKind::Write;
+        self.last = victim;
         self.stats.record(false);
         CacheAccess {
             hit: false,
@@ -235,9 +227,8 @@ impl Cache {
     /// first, and a stale hint falls back to [`Self::access`]. Either way
     /// the result is exactly that of [`Self::access`].
     pub fn access_again(&mut self, addr: PhysAddr, kind: AccessKind) -> CacheAccess {
-        let (set, tag) = self.set_and_tag(addr);
-        let way = &self.sets[self.last];
-        if self.last.wrapping_sub(set * self.ways) < self.ways && way.valid && way.tag == tag {
+        let (set, key) = self.set_and_key(addr);
+        if self.last.wrapping_sub(set * self.ways) < self.ways && self.keys[self.last] == key {
             self.stamp += 1;
             self.hit(self.last, kind)
         } else {
@@ -247,10 +238,9 @@ impl Cache {
 
     /// Books a hit on way `i` at the current stamp.
     fn hit(&mut self, i: usize, kind: AccessKind) -> CacheAccess {
-        let way = &mut self.sets[i];
-        way.lru = self.stamp;
+        self.lru[i] = self.stamp;
         if kind == AccessKind::Write {
-            way.dirty = true;
+            self.dirty[i] = true;
         }
         self.last = i;
         self.stats.record(true);
@@ -264,22 +254,22 @@ impl Cache {
     /// Returns whether the line containing `addr` is currently resident,
     /// without perturbing LRU state or statistics.
     pub fn probe(&self, addr: PhysAddr) -> bool {
-        let (set, tag) = self.set_and_tag(addr);
+        let (set, key) = self.set_and_key(addr);
         let base = set * self.ways;
-        self.sets[base..base + self.ways]
-            .iter()
-            .any(|w| w.valid && w.tag == tag)
+        self.keys[base..base + self.ways].contains(&key)
     }
 
     /// Invalidates every line (e.g. after a simulated context switch with
     /// cache flushing); dirty lines are counted as writebacks.
     pub fn flush(&mut self) {
-        for w in &mut self.sets {
-            if w.valid && w.dirty {
+        for (key, dirty) in self.keys.iter().zip(&self.dirty) {
+            if *key != 0 && *dirty {
                 self.writebacks += 1;
             }
-            *w = Way::invalid();
         }
+        self.keys.fill(0);
+        self.lru.fill(0);
+        self.dirty.fill(false);
     }
 
     /// Hit/miss statistics since construction (or the last [`Self::reset_stats`]).
@@ -306,7 +296,7 @@ impl Cache {
 
     /// Number of currently valid lines (for occupancy checks in tests).
     pub fn valid_lines(&self) -> usize {
-        self.sets.iter().filter(|w| w.valid).count()
+        self.keys.iter().filter(|&&k| k != 0).count()
     }
 }
 

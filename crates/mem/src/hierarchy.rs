@@ -146,12 +146,13 @@ impl MemorySystem {
         kind: AccessKind,
         mut row: impl FnMut(Cycle, Cycle),
     ) {
+        let beats = self.config.bus.beats(bytes);
         // The line the previous row ended in.
         let mut last_line = None;
         for j in 0..k {
             let issue = start + j * step;
             let addr = paddr.add(j * stride);
-            let done = self.row_access(issue, addr, bytes, kind, last_line);
+            let done = self.row_access(issue, addr, bytes, beats, kind, last_line);
             last_line = (bytes > 0).then(|| addr.add(bytes - 1).line_index());
             row(issue, done);
         }
@@ -168,18 +169,19 @@ impl MemorySystem {
         }
     }
 
-    /// One row: the bus transfer for the whole row, then an L2 lookup per
-    /// line; misses serialize on the DRAM channel. The L2 access just
-    /// before this row was to line `last_line`, if any.
+    /// One row: the bus transfer (`beats` long) for the whole row, then an
+    /// L2 lookup per line; misses serialize on the DRAM channel. The L2
+    /// access just before this row was to line `last_line`, if any.
     fn row_access(
         &mut self,
         now: Cycle,
         addr: PhysAddr,
         bytes: u64,
+        beats: u64,
         kind: AccessKind,
         last_line: Option<u64>,
     ) -> Cycle {
-        let bus_done = self.bus.transfer(now, bytes);
+        let bus_done = self.bus.transfer_beats(now, beats);
         let mut done = bus_done;
         for line in lines_in_range(addr, bytes) {
             let res = if Some(line.line_index()) == last_line {
