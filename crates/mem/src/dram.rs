@@ -5,7 +5,7 @@
 //! contention in the Fig. 9 case study comes from). [`MainMemory`] is purely
 //! functional: a sparse, page-granular byte store with no timing at all.
 
-use crate::addr::{PhysAddr, PAGE_SHIFT, PAGE_SIZE};
+use crate::addr::{PhysAddr, LINE_SIZE, PAGE_SHIFT, PAGE_SIZE};
 use crate::hash::IntMap;
 use crate::stats::TrafficStats;
 use crate::Cycle;
@@ -71,6 +71,9 @@ impl Default for DramConfig {
 pub struct DramModel {
     config: DramConfig,
     channel_free_at: Cycle,
+    /// Channel cycles one cache line occupies, sized once so a line
+    /// transfer needs no division.
+    line_occupancy: u64,
     stats: TrafficStats,
 }
 
@@ -87,6 +90,7 @@ impl DramModel {
         Self {
             config,
             channel_free_at: 0,
+            line_occupancy: Self::occupancy(&config, LINE_SIZE),
             stats: TrafficStats::new(),
         }
     }
@@ -96,10 +100,22 @@ impl DramModel {
         &self.config
     }
 
+    fn occupancy(config: &DramConfig, bytes: u64) -> u64 {
+        bytes.div_ceil(config.bytes_per_cycle).max(1)
+    }
+
     /// Schedules a transfer of `bytes` requested at time `now`; returns the
     /// cycle at which the data is fully delivered.
     pub fn transfer(&mut self, now: Cycle, bytes: u64) -> Cycle {
-        let occupancy = bytes.div_ceil(self.config.bytes_per_cycle).max(1);
+        self.occupy(now, bytes, Self::occupancy(&self.config, bytes))
+    }
+
+    /// [`Self::transfer`] of one cache line (a fill or a writeback).
+    pub fn transfer_line(&mut self, now: Cycle) -> Cycle {
+        self.occupy(now, LINE_SIZE, self.line_occupancy)
+    }
+
+    fn occupy(&mut self, now: Cycle, bytes: u64, occupancy: u64) -> Cycle {
         let start = now.max(self.channel_free_at);
         self.channel_free_at = start + occupancy;
         self.stats.record_read(bytes);
@@ -242,6 +258,20 @@ mod tests {
             bytes_per_cycle: 16,
         });
         assert_eq!(d.transfer(0, 64), 104);
+    }
+
+    #[test]
+    fn line_transfer_equals_a_line_sized_transfer() {
+        let cfg = DramConfig {
+            latency: 100,
+            bytes_per_cycle: 24,
+        };
+        let (mut line, mut sized) = (DramModel::new(cfg), DramModel::new(cfg));
+        for now in [0, 0, 5, 400] {
+            assert_eq!(line.transfer_line(now), sized.transfer(now, LINE_SIZE));
+        }
+        assert_eq!(line.channel_free_at(), sized.channel_free_at());
+        assert_eq!(line.stats(), sized.stats());
     }
 
     #[test]

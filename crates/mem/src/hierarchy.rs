@@ -192,9 +192,7 @@ impl MemorySystem {
             let line_done = if res.hit {
                 bus_done + res.latency
             } else {
-                let fill_done = self
-                    .dram
-                    .transfer(bus_done + res.latency, crate::addr::LINE_SIZE);
+                let fill_done = self.dram.transfer_line(bus_done + res.latency);
                 self.tracer.span(
                     Component::Dram,
                     "line-fill",
@@ -211,9 +209,7 @@ impl MemorySystem {
                     // The dirty victim's writeback occupies the DRAM channel
                     // (delaying later requests) but the demand fill does not
                     // wait for it to finish.
-                    let _ = self
-                        .dram
-                        .transfer(bus_done + res.latency, crate::addr::LINE_SIZE);
+                    let _ = self.dram.transfer_line(bus_done + res.latency);
                 }
                 fill_done
             };
