@@ -200,54 +200,41 @@ impl StreamDma {
         let mut burst = Burst {
             access,
             row_bytes,
+            repeat: ctx.translation.repeat_latency(),
             issue: now,
             done: now,
             write_data,
             read_dst,
         };
-        let repeats = ctx.translation.repeat_latency().is_some();
         let rows = rows as u64;
-        let mut r = 0;
+        // Row `r`, `moved` bytes in.
+        let (mut r, mut moved) = (0, 0);
         while r < rows && row_bytes > 0 {
-            let row_va = vaddr.add(r * stride);
-            let offset = row_va.offset_in_page();
-            if offset + row_bytes > PAGE_SIZE {
-                let mut moved = 0;
-                while moved < row_bytes {
-                    let seg_va = row_va.add(moved);
-                    let seg = (PAGE_SIZE - seg_va.offset_in_page()).min(row_bytes - moved);
-                    self.run(
-                        prof,
-                        ctx,
-                        &mut burst,
-                        seg_va,
-                        seg,
-                        1,
-                        stride,
-                        r * row_bytes + moved,
-                    )?;
-                    moved += seg;
-                }
-                r += 1;
-            } else {
-                // Rows r.. that stay on this row's page.
-                let same_page = match stride {
-                    _ if !repeats => 1,
-                    0 => rows - r,
-                    _ => (PAGE_SIZE - offset - row_bytes) / stride + 1,
-                };
-                let n = same_page.min(rows - r);
-                self.run(
-                    prof,
-                    ctx,
-                    &mut burst,
-                    row_va,
-                    row_bytes,
-                    n,
-                    stride,
-                    r * row_bytes,
-                )?;
+            let va = vaddr.add(r * stride + moved);
+            let offset = va.offset_in_page();
+            let seg = (PAGE_SIZE - offset).min(row_bytes - moved);
+            // Whole rows from `r` on that stay on this page form one run;
+            // a page-crossing row is split into runs of one segment.
+            let n = match (burst.repeat, stride) {
+                _ if seg < row_bytes => 1,
+                (None, _) => 1,
+                (Some(_), 0) => rows - r,
+                (Some(_), _) => ((PAGE_SIZE - offset - row_bytes) / stride + 1).min(rows - r),
+            };
+            self.run(
+                prof,
+                ctx,
+                &mut burst,
+                va,
+                seg,
+                n,
+                stride,
+                r * row_bytes + moved,
+            )?;
+            moved += seg;
+            if moved == row_bytes {
                 r += n;
+                moved = 0;
             }
         }
 
@@ -305,21 +292,16 @@ impl StreamDma {
         if tr.level == HitLevel::Walk {
             prof.record(AttributionKind::TlbStall, stall_start, burst.issue);
         }
+        // The rest of the run repeats the page: hits `step` cycles apart.
         let first = burst.issue;
-        let step = if n > 1 {
-            let step = ctx
-                .translation
-                .repeat_latency()
-                .expect("multi-row runs need repeat hits");
+        let step = burst.repeat.unwrap_or(0);
+        if n > 1 {
             ctx.translation
                 .repeat_hits(first, Vpn::of(va), access, n - 1);
             self.stats.translations += n - 1;
             self.stats.translation_stall_cycles += (n - 1) * step;
             burst.issue += (n - 1) * step;
-            step
-        } else {
-            0
-        };
+        }
 
         // Up to the bus's ideal service time the stream is simply moving
         // bytes at bandwidth (charged to the enclosing load/store span);
@@ -379,6 +361,9 @@ impl StreamDma {
 struct Burst<'d> {
     access: Access,
     row_bytes: u64,
+    /// [`TranslationSystem::repeat_latency`]: `None` makes every row its
+    /// own run.
+    repeat: Option<u64>,
     /// Cycle the next translation request issues at.
     issue: Cycle,
     /// Latest completion so far.

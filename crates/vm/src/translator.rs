@@ -135,12 +135,9 @@ impl SamePageTracker {
         self.last = Some(vpn);
     }
 
-    /// `k` back-to-back requests to `vpn`: every one after the first is a
-    /// same-page transition.
+    /// `k >= 1` back-to-back requests to `vpn`: every one after the first
+    /// is a same-page transition.
     fn record_run(&mut self, vpn: Vpn, k: u64) {
-        if k == 0 {
-            return;
-        }
         self.record(vpn);
         self.total += k - 1;
         self.same += k - 1;
