@@ -46,8 +46,8 @@ impl FilterRegister {
     }
 
     /// Records the translation most recently produced for this stream.
-    pub fn update(&mut self, vpn: Vpn, mapping: impl Into<Mapping>) {
-        self.entry = Some((vpn, mapping.into()));
+    pub fn update(&mut self, vpn: Vpn, mapping: Mapping) {
+        self.entry = Some((vpn, mapping));
     }
 
     /// Invalidates the register (TLB shootdown / context switch).
@@ -95,7 +95,7 @@ impl FilterRegister {
 ///
 /// let mut fp = FilterPair::new();
 /// assert!(fp.read.lookup(Vpn::new(1)).is_none());
-/// fp.read.update(Vpn::new(1), Frame::new(7));
+/// fp.read.update(Vpn::new(1), Frame::new(7).into());
 /// assert_eq!(fp.read.lookup(Vpn::new(1)).map(|m| m.frame), Some(Frame::new(7)));
 /// // The write stream has its own register:
 /// assert!(fp.write.lookup(Vpn::new(1)).is_none());
@@ -153,7 +153,7 @@ mod tests {
     fn consecutive_same_page_hits() {
         let mut r = FilterRegister::new();
         assert!(r.lookup(v(5)).is_none());
-        r.update(v(5), f(50));
+        r.update(v(5), f(50).into());
         assert_eq!(r.lookup(v(5)), Some(f(50).into()));
         assert_eq!(r.lookup(v(5)), Some(f(50).into()));
         assert_eq!(r.hits(), 2);
@@ -163,17 +163,17 @@ mod tests {
     #[test]
     fn page_change_misses_and_can_be_updated() {
         let mut r = FilterRegister::new();
-        r.update(v(1), f(1));
+        r.update(v(1), f(1).into());
         assert!(r.lookup(v(2)).is_none());
-        r.update(v(2), f(2));
+        r.update(v(2), f(2).into());
         assert_eq!(r.lookup(v(2)), Some(f(2).into()));
     }
 
     #[test]
     fn streams_are_independent() {
         let mut fp = FilterPair::new();
-        fp.read.update(v(1), f(1));
-        fp.write.update(v(2), f(2));
+        fp.read.update(v(1), f(1).into());
+        fp.write.update(v(2), f(2).into());
         // Interleaved read/write to different pages both keep hitting —
         // the exact contention the paper's optimization removes.
         assert_eq!(fp.read.lookup(v(1)), Some(f(1).into()));
@@ -185,13 +185,13 @@ mod tests {
     #[test]
     fn flush_and_invalidate() {
         let mut fp = FilterPair::new();
-        fp.read.update(v(1), f(1));
-        fp.write.update(v(1), f(1));
+        fp.read.update(v(1), f(1).into());
+        fp.write.update(v(1), f(1).into());
         fp.invalidate(v(1));
         assert!(fp.read.lookup(v(1)).is_none());
         assert!(fp.write.lookup(v(1)).is_none());
 
-        fp.read.update(v(2), f(2));
+        fp.read.update(v(2), f(2).into());
         fp.invalidate(v(3)); // different page: no effect
         assert!(fp.read.lookup(v(2)).is_some());
 
@@ -202,7 +202,7 @@ mod tests {
     #[test]
     fn hit_rate_math() {
         let mut r = FilterRegister::new();
-        r.update(v(1), f(1));
+        r.update(v(1), f(1).into());
         r.lookup(v(1));
         r.lookup(v(2));
         assert!((r.hit_rate() - 0.5).abs() < 1e-12);

@@ -121,7 +121,8 @@ impl Tlb {
 
     /// Inserts a translation, evicting the LRU entry if full. Inserting into
     /// a zero-entry TLB is a no-op. Re-inserting an existing page refreshes
-    /// its mapping and LRU position.
+    /// its mapping and LRU position. A bare [`crate::page::Frame`] inserts
+    /// a read-write mapping.
     pub fn insert(&mut self, vpn: Vpn, mapping: impl Into<Mapping>) {
         if self.config.entries == 0 {
             return;
