@@ -7,6 +7,8 @@
 //! (`--quick` runs a scaled-down workload so the binary finishes in
 //! seconds; the default reproduces the full experiment).
 
+#![deny(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Duration;

@@ -313,8 +313,6 @@ impl StreamDma {
             Access::Read => AccessKind::Read,
             Access::Write => AccessKind::Write,
         };
-        let mut data = ctx.data.as_deref_mut();
-        let mut j = 0;
         ctx.mem.access_run(
             ctx.port,
             first,
@@ -331,27 +329,29 @@ impl StreamDma {
                     seg_done,
                 );
                 burst.done = burst.done.max(seg_done);
-                if let Some(data) = data.as_deref_mut() {
-                    let paddr = tr.paddr.add(j * stride);
-                    match access {
-                        Access::Read => {
-                            if let Some(dst) = burst.read_dst.as_deref_mut() {
-                                let start = dst.len();
-                                dst.resize(start + seg as usize, 0);
-                                data.read(paddr, &mut dst[start..]);
-                            }
-                        }
-                        Access::Write => {
-                            if let Some(src) = burst.write_data {
-                                let lo = (flat + j * burst.row_bytes) as usize;
-                                data.write(paddr, &src[lo..lo + seg as usize]);
-                            }
-                        }
-                    }
-                }
-                j += 1;
             },
         );
+
+        // Functional bytes: the run never leaves its page, so its segments
+        // are slices of one page, looked up once.
+        if let Some(data) = ctx.data.as_deref_mut() {
+            let (seg, stride) = (seg as usize, stride as usize);
+            let offsets = (0..n as usize).map(|j| tr.paddr.offset_in_page() as usize + j * stride);
+            match (access, burst.read_dst.as_deref_mut(), burst.write_data) {
+                (Access::Read, Some(dst), _) => match data.page(tr.paddr) {
+                    Some(page) => offsets.for_each(|o| dst.extend_from_slice(&page[o..o + seg])),
+                    None => dst.resize(dst.len() + n as usize * seg, 0),
+                },
+                (Access::Write, _, Some(src)) => {
+                    let page = data.page_mut(tr.paddr);
+                    for (j, o) in offsets.enumerate() {
+                        let lo = flat as usize + j * burst.row_bytes as usize;
+                        page[o..o + seg].copy_from_slice(&src[lo..lo + seg]);
+                    }
+                }
+                _ => {}
+            }
+        }
         Ok(())
     }
 }

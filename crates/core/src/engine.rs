@@ -19,7 +19,7 @@
 use crate::config::{Dataflow, GemminiConfig};
 use crate::dma::StreamDma;
 use crate::isa::{Instruction, LocalAddr};
-use crate::mesh::{MatrixUnit, MeshTiming};
+use crate::mesh::{MatrixUnit, MeshTiming, PairPanel};
 use crate::metrics::Counter as MetricCounter;
 use crate::peripherals::readout_row_into;
 use crate::scratchpad::{Accumulator, Scratchpad};
@@ -153,15 +153,15 @@ struct PendingC {
 struct Scratch {
     /// mvin landing zone: DMA bytes before the local-memory deposit.
     dma: Vec<u8>,
-    /// Widened scratchpad-sourced bias rows for the WS compute path.
+    /// Staged bias rows for the WS compute path.
     d: Vec<i32>,
-    /// Mesh output block (`a_rows * dim` int32s).
-    out: Vec<i32>,
     /// mvout staging: read-out bytes handed to the DMA.
     store: Vec<u8>,
     /// Recycled output-stationary partial-sum buffer (one OS block is live
     /// at a time, so a single spare suffices).
     os_spare: Vec<i32>,
+    /// The OS compute's streamed B, widened for the int8 kernel.
+    os_b: PairPanel,
 }
 
 /// PE-resident output-stationary partial sums: `rows` rows of `dim` int32s,
@@ -996,20 +996,17 @@ impl Accelerator {
                 os.vals.resize(a_rows as usize * dim, 0);
                 os.rows = a_rows as usize;
             }
-            // k-middle / j-inner: the inner loop reads one contiguous B row
-            // and updates one contiguous output row. int32 wrapping adds
-            // commute, so the result is identical to the j-outer form.
-            for i in 0..a_rows as usize {
-                let a_vals = &a_flat[i * dim..i * dim + a_cols as usize];
-                let out_row = &mut os.vals[i * dim..(i + 1) * dim];
-                for (kk, &a_val) in a_vals.iter().enumerate() {
-                    let av = a_val as i32;
-                    let b_vals = &b_flat[kk * dim..(kk + 1) * dim];
-                    for (out, &bv) in out_row.iter_mut().zip(b_vals) {
-                        *out = out.wrapping_add(av * bv as i32);
-                    }
-                }
-            }
+            // The WS unit's int8 kernel in accumulate form: int32 wrapping
+            // adds commute, so the order products arrive in is immaterial.
+            self.scratch.os_b.load(b_flat, a_cols as usize, dim, dim);
+            self.scratch.os_b.mac_rows(
+                a_flat,
+                a_rows as usize,
+                a_cols as usize,
+                dim,
+                &mut os.vals,
+                dim,
+            );
         } else if let Some(os) = self.os_c.as_mut() {
             // Track the block height for the flush's timing in
             // timing-only mode.
@@ -1092,39 +1089,44 @@ impl Accelerator {
             StallCause::None,
         );
 
-        // Functional compute: flat strided operand views into the local
-        // memories, output into the reused arena, no per-tile allocation.
+        // Functional compute: the mesh accumulates straight into the
+        // destination rows (zeroed first unless the accumulate bit is
+        // set). The bias is staged before the destination changes, since
+        // an accumulator-sourced bias may alias it; int32 wrapping adds
+        // commute, so adding it last equals `C = A·B + D`.
         if ctx.data.is_some() {
             let dim = self.config.dim();
-            if let LocalAddr::Sp { row } = d {
-                let src = self.sp.rows_flat(row as usize, a_rows as usize);
-                self.scratch.d.clear();
-                self.scratch.d.extend(src.iter().map(|&x| x as i32));
-            }
-            self.scratch.out.clear();
-            self.scratch.out.resize(a_rows as usize * dim, 0);
-            let a_flat = self.sp.rows_flat(a_row as usize, a_rows as usize);
-            let d_view: Option<(&[i32], usize)> = match d {
-                LocalAddr::None => None,
+            let rows = a_rows as usize;
+            let bias = match d {
+                LocalAddr::None => false,
                 LocalAddr::Acc { row, .. } => {
-                    Some((self.acc.rows_flat(row as usize, a_rows as usize), dim))
+                    self.scratch.d.clear();
+                    let src = self.acc.rows_flat(row as usize, rows);
+                    self.scratch.d.extend_from_slice(src);
+                    true
                 }
-                LocalAddr::Sp { .. } => Some((self.scratch.d.as_slice(), dim)),
+                LocalAddr::Sp { row } => {
+                    self.scratch.d.clear();
+                    let src = self.sp.rows_flat(row as usize, rows);
+                    self.scratch.d.extend(src.iter().map(|&x| x as i32));
+                    true
+                }
             };
-            self.matrix_unit.compute_into(
-                a_flat,
-                a_rows as usize,
+            let dst = self.acc.rows_flat_mut(c.row as usize, rows);
+            if !c.accumulate {
+                dst.fill(0);
+            }
+            self.matrix_unit.accumulate_into(
+                self.sp.rows_flat(a_row as usize, rows),
+                rows,
                 a_cols as usize,
                 dim,
-                d_view,
-                &mut self.scratch.out,
+                dst,
+                dim,
             );
-            for i in 0..a_rows as usize {
-                let row_vals = &self.scratch.out[i * dim..(i + 1) * dim];
-                if c.accumulate {
-                    self.acc.accumulate_row(c.row as usize + i, row_vals);
-                } else {
-                    self.acc.write_row(c.row as usize + i, row_vals);
+            if bias {
+                for (o, &b) in dst.iter_mut().zip(&self.scratch.d) {
+                    *o = o.wrapping_add(b);
                 }
             }
         }
@@ -1464,6 +1466,74 @@ mod tests {
         }
         let want = requantize_tensor(&want, QuantParams::new(1.0));
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn overwrite_with_aliased_bias_is_a_times_b_plus_old_rows() {
+        // acc = A1·B1, then an overwriting compute whose bias is the same
+        // accumulator rows: acc = A2·B2 + A1·B1. The bias must be read
+        // before the destination is cleared and accumulated into. Small
+        // values keep every sum inside the int8 output range.
+        let mut r = rig();
+        let dim = 16;
+        let small = |seed| Tensor::<i8>::random(&[dim, dim], seed).map(|v| v / 32);
+        let (a1, b1, a2, b2) = (small(5), small(6), small(7), small(8));
+        let va = |i: u64| r.base.add(i * 4096);
+        let (va_a1, va_b1, va_a2, va_b2, va_c) = (va(0), va(1), va(2), va(3), va(4));
+        for (v, t) in [(va_a1, &a1), (va_b1, &b1), (va_a2, &a2), (va_b2, &b2)] {
+            r.store_matrix(v, t);
+        }
+
+        let mut accel = Accelerator::new(GemminiConfig::edge());
+        let mut ctx = r.ctx();
+        let mv = |va, row| Instruction::Mvin {
+            dram_addr: va,
+            local: sp(row),
+            rows: 16,
+            cols: 16,
+        };
+        let pre = |b| Instruction::Preload {
+            b: sp(b),
+            c: acc(0, false),
+            b_rows: 16,
+            b_cols: 16,
+        };
+        let compute = |a, d| Instruction::ComputePreloaded {
+            a: sp(a),
+            d,
+            a_rows: 16,
+            a_cols: 16,
+        };
+        for i in [
+            mv(va_a1, 0),
+            mv(va_b1, 16),
+            mv(va_a2, 32),
+            mv(va_b2, 48),
+            pre(16),
+            compute(0, LocalAddr::None),
+            pre(48),
+            compute(32, acc(0, false)),
+            Instruction::Mvout {
+                dram_addr: va_c,
+                local: acc(0, false),
+                rows: 16,
+                cols: 16,
+            },
+        ] {
+            accel.issue(&mut ctx, i).unwrap();
+        }
+
+        let got = r.load_matrix(va_c, dim, dim);
+        let mut want = matmul(&a2, &b2);
+        for (w, s) in want
+            .as_mut_slice()
+            .iter_mut()
+            .zip(matmul(&a1, &b1).as_slice())
+        {
+            *w += *s;
+        }
+        assert!(want.as_slice().iter().all(|v| v.abs() < 128));
+        assert_eq!(got, requantize_tensor(&want, QuantParams::new(1.0)));
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! The Gemmini accelerator generator, reproduced as a cycle-approximate,
 //! functionally-exact simulator.

@@ -15,6 +15,113 @@
 use crate::config::GemminiConfig;
 use gemmini_dnn::ops::MacElement;
 
+mod int8;
+
+pub use int8::PairPanel;
+
+/// An element type the generator elaborates, paired with the layout its
+/// MAC kernel reads the stationary operand in.
+pub trait MeshElement: MacElement {
+    /// The stationary operand as the MAC kernel reads it.
+    type Stationary: std::fmt::Debug + Clone;
+
+    /// A `dim`-wide all-zero operand.
+    fn stationary(dim: usize) -> Self::Stationary;
+
+    /// Loads B: `rows` rows of `cols` live elements, rows `stride` apart,
+    /// zero elsewhere. The caller has checked the block's bounds.
+    fn load(st: &mut Self::Stationary, b: &[Self], rows: usize, cols: usize, stride: usize);
+
+    /// `out[i] += A[i] · B` for `a_rows` rows of at most `dim` live
+    /// elements (`a_stride` apart), into output rows `out_stride` apart.
+    /// The caller has checked the buffers' bounds.
+    #[allow(clippy::too_many_arguments)]
+    fn mac_rows(
+        st: &mut Self::Stationary,
+        a: &[Self],
+        a_rows: usize,
+        a_cols: usize,
+        a_stride: usize,
+        out: &mut [Self::Acc],
+        out_stride: usize,
+    );
+}
+
+/// int8 with int32 accumulation: B widened into k-pairs for the SSE2
+/// kernel ([`PairPanel`]).
+impl MeshElement for i8 {
+    type Stationary = PairPanel;
+
+    fn stationary(_dim: usize) -> PairPanel {
+        PairPanel::default()
+    }
+
+    fn load(st: &mut PairPanel, b: &[i8], rows: usize, cols: usize, stride: usize) {
+        st.load(b, rows, cols, stride);
+    }
+
+    fn mac_rows(
+        st: &mut PairPanel,
+        a: &[i8],
+        a_rows: usize,
+        a_cols: usize,
+        a_stride: usize,
+        out: &mut [i32],
+        out_stride: usize,
+    ) {
+        st.mac_rows(a, a_rows, a_cols, a_stride, out, out_stride);
+    }
+}
+
+/// The fp32 stationary operand: dense row-major `dim × dim`, read by a
+/// scalar k-outer / j-inner loop.
+#[derive(Debug, Clone)]
+pub struct DenseF32 {
+    dim: usize,
+    b: Vec<f32>,
+}
+
+/// fp32: the dense operand. Each output element accumulates its products
+/// in ascending-`k` order, so results are bit-identical to a per-element
+/// loop, not merely numerically close.
+impl MeshElement for f32 {
+    type Stationary = DenseF32;
+
+    fn stationary(dim: usize) -> Self::Stationary {
+        DenseF32 {
+            dim,
+            b: vec![0.0; dim * dim],
+        }
+    }
+
+    fn load(st: &mut Self::Stationary, b: &[f32], rows: usize, cols: usize, stride: usize) {
+        st.b.fill(0.0);
+        for r in 0..rows {
+            st.b[r * st.dim..r * st.dim + cols].copy_from_slice(&b[r * stride..r * stride + cols]);
+        }
+    }
+
+    fn mac_rows(
+        st: &mut Self::Stationary,
+        a: &[f32],
+        a_rows: usize,
+        a_cols: usize,
+        a_stride: usize,
+        out: &mut [f32],
+        out_stride: usize,
+    ) {
+        for i in 0..a_rows {
+            let out = &mut out[i * out_stride..i * out_stride + st.dim];
+            for (k, &av) in a[i * a_stride..i * a_stride + a_cols].iter().enumerate() {
+                let b_row = &st.b[k * st.dim..(k + 1) * st.dim];
+                for (o, &bv) in out.iter_mut().zip(b_row) {
+                    *o = f32::mac(*o, av, bv);
+                }
+            }
+        }
+    }
+}
+
 /// Functional model of the spatial array, generic over the element type the
 /// generator elaborates (`i8` with `i32` accumulation for inference, `f32`
 /// for training-style instances): holds the stationary operand and performs
@@ -32,9 +139,9 @@ use gemmini_dnn::ops::MacElement;
 /// assert_eq!(c, vec![vec![3, 4]]);
 /// ```
 #[derive(Debug, Clone)]
-pub struct MatrixUnitOf<T: MacElement> {
+pub struct MatrixUnitOf<T: MeshElement> {
     dim: usize,
-    b: Vec<T>,
+    b: T::Stationary,
     macs: u64,
 }
 
@@ -44,7 +151,7 @@ pub type MatrixUnit = MatrixUnitOf<i8>;
 /// The fp32 matrix unit (the generator's floating-point option).
 pub type MatrixUnitF32 = MatrixUnitOf<f32>;
 
-impl<T: MacElement> MatrixUnitOf<T> {
+impl<T: MeshElement> MatrixUnitOf<T> {
     /// Creates a unit of width `dim` with a zero stationary operand.
     ///
     /// # Panics
@@ -54,7 +161,7 @@ impl<T: MacElement> MatrixUnitOf<T> {
         assert!(dim > 0, "matrix unit dimension must be non-zero");
         Self {
             dim,
-            b: vec![T::default(); dim * dim],
+            b: T::stationary(dim),
             macs: 0,
         }
     }
@@ -72,11 +179,12 @@ impl<T: MacElement> MatrixUnitOf<T> {
     /// Panics if more than `dim` rows are supplied or any row is too long.
     pub fn preload(&mut self, b_rows: &[&[T]]) {
         assert!(b_rows.len() <= self.dim, "too many stationary rows");
-        self.b.fill(T::default());
+        let mut dense = vec![T::default(); b_rows.len() * self.dim];
         for (r, row) in b_rows.iter().enumerate() {
             assert!(row.len() <= self.dim, "stationary row too long");
-            self.b[r * self.dim..r * self.dim + row.len()].copy_from_slice(row);
+            dense[r * self.dim..r * self.dim + row.len()].copy_from_slice(row);
         }
+        self.preload_flat(&dense, b_rows.len(), self.dim, self.dim);
     }
 
     /// Loads the stationary operand from a flat strided buffer (`b_rows`
@@ -98,11 +206,7 @@ impl<T: MacElement> MatrixUnitOf<T> {
                 "B buffer too short"
             );
         }
-        self.b.fill(T::default());
-        for r in 0..b_rows {
-            self.b[r * self.dim..r * self.dim + b_cols]
-                .copy_from_slice(&b[r * stride..r * stride + b_cols]);
-        }
+        T::load(&mut self.b, b, b_rows, b_cols, stride);
     }
 
     /// Streams `a_rows` through the array, returning `C = A·B (+ D)`.
@@ -121,8 +225,14 @@ impl<T: MacElement> MatrixUnitOf<T> {
         }
         let mut out = Vec::with_capacity(a_rows.len());
         for (i, a) in a_rows.iter().enumerate() {
+            assert!(a.len() <= self.dim, "moving row too long");
             let mut row = vec![T::Acc::default(); self.dim];
-            self.compute_row_into(a, d_rows.map(|d| d[i]), &mut row);
+            T::mac_rows(&mut self.b, a, 1, a.len(), a.len(), &mut row, self.dim);
+            // Bias applies only where present (ragged rows).
+            if let Some(d) = d_rows {
+                add_bias::<T>(&mut row, d[i]);
+            }
+            self.macs += (a.len() * self.dim) as u64;
             out.push(row);
         }
         out
@@ -136,12 +246,8 @@ impl<T: MacElement> MatrixUnitOf<T> {
     /// bias elements per row; `out` receives `a_rows` rows of `dim`
     /// elements, densely packed.
     ///
-    /// The MAC loop runs k-outer / j-inner: the inner loop reads one
-    /// contiguous stationary row and updates one contiguous output row,
-    /// which autovectorizes. Each output element still accumulates its
-    /// products in ascending-`k` order with the bias added last — exactly
-    /// the order [`Self::compute`] used — so results are bit-identical
-    /// for the f32 instance too, not merely numerically close.
+    /// The block goes through the element's kernel
+    /// ([`MeshElement::mac_rows`]) with the bias added last.
     ///
     /// # Panics
     ///
@@ -156,54 +262,70 @@ impl<T: MacElement> MatrixUnitOf<T> {
         d: Option<(&[T::Acc], usize)>,
         out: &mut [T::Acc],
     ) {
+        if let (Some((dbuf, dstride)), true) = (d, a_rows > 0) {
+            assert!(dstride >= self.dim, "D stride shorter than its rows");
+            assert!(
+                dbuf.len() >= (a_rows - 1) * dstride + self.dim,
+                "D buffer too short"
+            );
+        }
+        assert_eq!(out.len(), a_rows * self.dim, "output buffer size mismatch");
+        out.fill(T::Acc::default());
+        self.accumulate_into(a, a_rows, a_cols, a_stride, out, self.dim);
+        if let Some((dbuf, dstride)) = d {
+            for (i, row) in out.chunks_exact_mut(self.dim).enumerate() {
+                add_bias::<T>(row, &dbuf[i * dstride..i * dstride + self.dim]);
+            }
+        }
+    }
+
+    /// The accumulate form of [`Self::compute_into`]: `out[i] += A[i]·B`
+    /// for each A row, into output rows of `dim` elements `out_stride`
+    /// apart (so an accumulator region is updated in place).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a_cols > dim` or a buffer is too short for its
+    /// row-count/stride.
+    pub fn accumulate_into(
+        &mut self,
+        a: &[T],
+        a_rows: usize,
+        a_cols: usize,
+        a_stride: usize,
+        out: &mut [T::Acc],
+        out_stride: usize,
+    ) {
         assert!(a_cols <= self.dim, "moving row too long");
         assert!(a_stride >= a_cols, "A stride shorter than its rows");
+        assert!(
+            out_stride >= self.dim,
+            "output stride shorter than its rows"
+        );
         if a_rows > 0 {
             assert!(
                 a.len() >= (a_rows - 1) * a_stride + a_cols,
                 "A buffer too short"
             );
-            if let Some((dbuf, dstride)) = d {
-                assert!(dstride >= self.dim, "D stride shorter than its rows");
-                assert!(
-                    dbuf.len() >= (a_rows - 1) * dstride + self.dim,
-                    "D buffer too short"
-                );
-            }
+            assert!(
+                out.len() >= (a_rows - 1) * out_stride + self.dim,
+                "output buffer too short"
+            );
         }
-        assert_eq!(out.len(), a_rows * self.dim, "output buffer size mismatch");
-        for i in 0..a_rows {
-            let a_row = &a[i * a_stride..i * a_stride + a_cols];
-            let d_row = d.map(|(dbuf, dstride)| &dbuf[i * dstride..i * dstride + self.dim]);
-            let out_row = &mut out[i * self.dim..(i + 1) * self.dim];
-            self.compute_row_into(a_row, d_row, out_row);
-        }
-    }
-
-    /// One row of the flat hot path: `out = a·B (+ d)`, with `d` allowed
-    /// to be shorter than `dim` (bias applies only where present, the
-    /// ragged semantics of [`Self::compute`]).
-    fn compute_row_into(&mut self, a: &[T], d: Option<&[T::Acc]>, out: &mut [T::Acc]) {
-        assert!(a.len() <= self.dim, "moving row too long");
-        debug_assert_eq!(out.len(), self.dim);
-        out.fill(T::Acc::default());
-        for (k, &av) in a.iter().enumerate() {
-            let b_row = &self.b[k * self.dim..(k + 1) * self.dim];
-            for (o, &bv) in out.iter_mut().zip(b_row) {
-                *o = T::mac(*o, av, bv);
-            }
-        }
-        if let Some(d) = d {
-            for (o, &dv) in out.iter_mut().zip(d) {
-                *o = T::acc_add(*o, dv);
-            }
-        }
-        self.macs += (a.len() * self.dim) as u64;
+        T::mac_rows(&mut self.b, a, a_rows, a_cols, a_stride, out, out_stride);
+        self.macs += (a_rows * a_cols * self.dim) as u64;
     }
 
     /// Total MACs performed since construction.
     pub fn macs(&self) -> u64 {
         self.macs
+    }
+}
+
+/// Adds the bias last, after every product, element by element.
+fn add_bias<T: MacElement>(out: &mut [T::Acc], d: &[T::Acc]) {
+    for (o, &dv) in out.iter_mut().zip(d) {
+        *o = T::acc_add(*o, dv);
     }
 }
 

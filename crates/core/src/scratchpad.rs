@@ -181,6 +181,20 @@ impl Accumulator {
         &self.data[row * self.dim..(row + n) * self.dim]
     }
 
+    /// Mutable view of `n` consecutive rows (`n * dim` elements, row
+    /// stride `dim`) — the mesh accumulates into it in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds the accumulator.
+    pub fn rows_flat_mut(&mut self, row: usize, n: usize) -> &mut [i32] {
+        assert!(
+            row + n <= self.rows,
+            "accumulator rows {row}+{n} out of range"
+        );
+        &mut self.data[row * self.dim..(row + n) * self.dim]
+    }
+
     /// Overwrites row `row` with `values`, zero-filling the remainder.
     ///
     /// # Panics

@@ -545,6 +545,81 @@ fn long_runs_match_rows() {
     }
 }
 
+/// Functional mvins from pages nothing has written read zeros and leave
+/// them unmaterialized; an mvout materializes its pages, and a later mvin
+/// of the same rows (on the other core's mapping too) reads its bytes.
+#[test]
+fn functional_runs_read_unwritten_pages_and_materialize_written_ones() {
+    let fresh = |start| Op {
+        core: 0,
+        write: false,
+        start,
+        rows: 40,
+        row_bytes: 48,
+        stride: 100,
+        gap: 0,
+    };
+    let written = Op {
+        core: 1,
+        write: true,
+        start: 2 * PAGE_SIZE - 200,
+        rows: 30,
+        row_bytes: 32,
+        stride: 64,
+        gap: 0,
+    };
+    let reread = Op {
+        write: false,
+        gap: 3,
+        ..written.clone()
+    };
+    for filters in [false, true] {
+        let s = Scenario {
+            filters,
+            private: 4,
+            shared: 0,
+            window: 64,
+            l2: CacheConfig::l2_mb(1),
+            functional: true,
+            ops: vec![
+                fresh(8),
+                fresh(5 * PAGE_SIZE - 30),
+                written.clone(),
+                reread.clone(),
+            ],
+        };
+        check(&s);
+
+        let mut sys = System::new(&s, true);
+        for (i, op) in s.ops[..2].iter().enumerate() {
+            let (res, bytes) = sys.step(i, op);
+            res.expect("mapped");
+            assert_eq!(bytes, vec![0; op.rows * op.row_bytes as usize]);
+        }
+        let data = sys.data.as_ref().expect("functional");
+        assert_eq!(data.resident_pages(), 0, "reads materialized a page");
+
+        sys.step(2, &written).0.expect("mapped");
+        let data = sys.data.as_ref().expect("functional");
+        // The rows span bytes 2·PAGE−200 .. 2·PAGE+1688: two pages.
+        assert_eq!(data.resident_pages(), 2);
+        let core = &sys.cores[1];
+        for p in [1, 2] {
+            let pa = core
+                .space
+                .translate(core.base.add(p * PAGE_SIZE))
+                .expect("mapped");
+            assert!(data.page(pa).is_some(), "page {p} not materialized");
+        }
+        let (res, bytes) = sys.step(3, &reread);
+        res.expect("mapped");
+        let payload: Vec<u8> = (0..written.rows * written.row_bytes as usize)
+            .map(|b| (b * 7 + 2 * 13) as u8)
+            .collect();
+        assert_eq!(bytes, payload, "mvin reads what the mvout wrote");
+    }
+}
+
 #[test]
 fn reference_is_not_vacuous() {
     // Two different scenarios must render different states, or the

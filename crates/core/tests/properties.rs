@@ -1,21 +1,22 @@
 //! Property-based bit-identity tests of the matrix unit's flat hot path.
 //!
-//! The engine computes through [`MatrixUnitOf::compute_into`] /
-//! [`MatrixUnitOf::preload_flat`] on flat strided buffers with a
-//! k-outer/j-inner MAC order; the row-slice `preload`/`compute` API is the
-//! retained naive surface. Both must agree bit-for-bit — not merely
+//! The flat path is [`MatrixUnitOf::compute_into`] /
+//! [`MatrixUnitOf::preload_flat`] on strided buffers, through each element
+//! type's kernel (int8: the k-pair SSE2 kernel; f32: a k-outer/j-inner
+//! loop); the row-slice `preload`/`compute` API is the retained naive
+//! surface. Both must agree bit-for-bit — not merely
 //! numerically — with a straight per-element triple loop across randomized
 //! shapes, strides, and bias configurations, for the int8/int32 datapath
 //! and the f32 instance alike (the f32 case is what pins the accumulation
 //! *order*, since float addition does not commute in bits).
 
+use gemmini_core::mesh::MeshElement;
 use gemmini_core::mesh::{MatrixUnit, MatrixUnitF32};
-use gemmini_dnn::ops::MacElement;
 use proptest::prelude::*;
 
 /// Dense `dim×dim` B from a flat strided `b_rows×b_cols` block (zeros
 /// outside the block) — the same semantics as `preload_flat`.
-fn dense_b<T: MacElement>(
+fn dense_b<T: MeshElement>(
     b: &[T],
     b_rows: usize,
     b_cols: usize,
@@ -34,7 +35,7 @@ fn dense_b<T: MacElement>(
 /// The specification: `C[i][j] = Σ_k A[i][k]·B[k][j] (+ D[i][j])`, products
 /// accumulated in ascending `k`, bias added last — one element at a time,
 /// no loop-structure cleverness.
-fn naive<T: MacElement>(
+fn naive<T: MeshElement>(
     a: &[T],
     a_rows: usize,
     a_cols: usize,
@@ -63,7 +64,7 @@ fn naive<T: MacElement>(
 /// path and the row-slice API, and returns all three results for
 /// comparison.
 #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-fn run_case<T: MacElement>(
+fn run_case<T: MeshElement>(
     dim: usize,
     a_rows: usize,
     a_cols: usize,

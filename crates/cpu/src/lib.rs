@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! Host-CPU timing models for the Gemmini reproduction.
 //!

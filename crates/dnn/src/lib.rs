@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! DNN substrate for the Gemmini reproduction.
 //!

@@ -5,7 +5,7 @@
 //! contention in the Fig. 9 case study comes from). [`MainMemory`] is purely
 //! functional: a sparse, page-granular byte store with no timing at all.
 
-use crate::addr::{PhysAddr, LINE_SIZE, PAGE_SHIFT, PAGE_SIZE};
+use crate::addr::{PhysAddr, LINE_SIZE, PAGE_SIZE};
 use crate::hash::IntMap;
 use crate::stats::TrafficStats;
 use crate::Cycle;
@@ -167,9 +167,17 @@ impl MainMemory {
         Self::default()
     }
 
-    fn page_mut(&mut self, page_number: u64) -> &mut [u8] {
+    /// The page holding `addr`, or `None` if it was never written: such a
+    /// page reads as zeros and stays unmaterialized.
+    pub fn page(&self, addr: PhysAddr) -> Option<&[u8]> {
+        self.pages.get(&addr.page_number()).map(|p| &p[..])
+    }
+
+    /// The page holding `addr`, materialized (zeroed) if it was never
+    /// written.
+    pub fn page_mut(&mut self, addr: PhysAddr) -> &mut [u8] {
         self.pages
-            .entry(page_number)
+            .entry(addr.page_number())
             .or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice())
     }
 
@@ -177,31 +185,27 @@ impl MainMemory {
     /// zero.
     pub fn read(&self, addr: PhysAddr, buf: &mut [u8]) {
         let mut off = 0usize;
-        let mut cur = addr.raw();
         while off < buf.len() {
-            let page = cur >> PAGE_SHIFT;
-            let in_page = (cur & (PAGE_SIZE - 1)) as usize;
+            let cur = addr.add(off as u64);
+            let in_page = cur.offset_in_page() as usize;
             let n = (PAGE_SIZE as usize - in_page).min(buf.len() - off);
-            match self.pages.get(&page) {
+            match self.page(cur) {
                 Some(p) => buf[off..off + n].copy_from_slice(&p[in_page..in_page + n]),
                 None => buf[off..off + n].fill(0),
             }
             off += n;
-            cur += n as u64;
         }
     }
 
     /// Writes `data` starting at `addr`, allocating pages as needed.
     pub fn write(&mut self, addr: PhysAddr, data: &[u8]) {
         let mut off = 0usize;
-        let mut cur = addr.raw();
         while off < data.len() {
-            let page = cur >> PAGE_SHIFT;
-            let in_page = (cur & (PAGE_SIZE - 1)) as usize;
+            let cur = addr.add(off as u64);
+            let in_page = cur.offset_in_page() as usize;
             let n = (PAGE_SIZE as usize - in_page).min(data.len() - off);
-            self.page_mut(page)[in_page..in_page + n].copy_from_slice(&data[off..off + n]);
+            self.page_mut(cur)[in_page..in_page + n].copy_from_slice(&data[off..off + n]);
             off += n;
-            cur += n as u64;
         }
     }
 

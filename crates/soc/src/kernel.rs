@@ -98,13 +98,15 @@ pub fn pack_b_panels(b: &Tensor<i8>, dim: usize) -> Vec<i8> {
     let (k, n) = (b.shape()[0], b.shape()[1]);
     let panels = n.div_ceil(dim);
     let mut out = vec![0i8; panels * k * dim];
-    for p in 0..panels {
-        for r in 0..k {
-            for c in 0..dim {
-                let col = p * dim + c;
-                if col < n {
-                    out[(p * k + r) * dim + c] = b[(r, col)];
-                }
+    let src = b.as_slice();
+    // Row segments, four B rows per panel visit: their four output rows
+    // are adjacent, so each output line fills in one pass.
+    for r0 in (0..k).step_by(4) {
+        for p in 0..panels {
+            let (c0, w) = (p * dim, dim.min(n - p * dim));
+            for r in r0..(r0 + 4).min(k) {
+                let o = (p * k + r) * dim;
+                out[o..o + w].copy_from_slice(&src[r * n + c0..r * n + c0 + w]);
             }
         }
     }
@@ -971,6 +973,43 @@ mod tests {
                 off += n;
             }
             out.iter().map(|&b| b as i8).collect()
+        }
+    }
+
+    /// The per-element column gather `pack_b_panels` replaced.
+    fn gather_b_panels(b: &Tensor<i8>, dim: usize) -> Vec<i8> {
+        let (k, n) = (b.shape()[0], b.shape()[1]);
+        let panels = n.div_ceil(dim);
+        let mut out = vec![0i8; panels * k * dim];
+        for p in 0..panels {
+            for r in 0..k {
+                for c in 0..dim {
+                    let col = p * dim + c;
+                    if col < n {
+                        out[(p * k + r) * dim + c] = b[(r, col)];
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn pack_b_panels_equals_the_column_gather() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut shapes = vec![(1, 1, 16), (1, 40, 16), (7, 16, 16), (9, 33, 16), (5, 3, 4)];
+        shapes.extend((0..200).map(|_| {
+            let dim = [1, 3, 4, 8, 16, 32][rng.gen_range(0..6usize)];
+            (rng.gen_range(1..70usize), rng.gen_range(1..90usize), dim)
+        }));
+        for (i, (k, n, dim)) in shapes.into_iter().enumerate() {
+            let b = Tensor::<i8>::random(&[k, n], i as u64);
+            assert_eq!(
+                pack_b_panels(&b, dim),
+                gather_b_panels(&b, dim),
+                "k={k} n={n} dim={dim}"
+            );
         }
     }
 

@@ -81,16 +81,21 @@ fn round_up(bytes: usize, to: usize) -> usize {
     bytes.div_ceil(to) * to
 }
 
-/// Writes bytes to virtual memory through the page table (functional path).
-pub fn write_virt(space: &AddressSpace, data: &mut MainMemory, va: VirtAddr, bytes: &[u8]) {
+/// Writes int8 values to virtual memory through the page table
+/// (functional path), one page slice at a time.
+pub fn write_virt(space: &AddressSpace, data: &mut MainMemory, va: VirtAddr, vals: &[i8]) {
     let mut off = 0usize;
-    while off < bytes.len() {
+    while off < vals.len() {
         let cur = va.add(off as u64);
         let pa = space
             .translate(cur)
             .expect("runtime buffers are always mapped");
-        let n = ((PAGE_SIZE - cur.offset_in_page()) as usize).min(bytes.len() - off);
-        data.write(pa, &bytes[off..off + n]);
+        let in_page = cur.offset_in_page() as usize;
+        let n = (PAGE_SIZE as usize - in_page).min(vals.len() - off);
+        let page = &mut data.page_mut(pa)[in_page..in_page + n];
+        for (b, &v) in page.iter_mut().zip(&vals[off..off + n]) {
+            *b = v as u8;
+        }
         off += n;
     }
 }
@@ -104,21 +109,24 @@ pub fn read_virt(space: &AddressSpace, data: &MainMemory, va: VirtAddr, len: usi
         let pa = space
             .translate(cur)
             .expect("runtime buffers are always mapped");
-        let n = ((PAGE_SIZE - cur.offset_in_page()) as usize).min(len - off);
-        let mut buf = vec![0u8; n];
-        data.read(pa, &mut buf);
-        out[off..off + n].copy_from_slice(&buf);
+        let in_page = cur.offset_in_page() as usize;
+        let n = (PAGE_SIZE as usize - in_page).min(len - off);
+        if let Some(page) = data.page(pa) {
+            out[off..off + n].copy_from_slice(&page[in_page..in_page + n]);
+        }
         off += n;
     }
     out
 }
 
-fn as_i8(bytes: &[u8]) -> Vec<i8> {
-    bytes.iter().map(|&b| b as i8).collect()
+/// Reinterprets bytes as int8 values, reusing the allocation.
+fn into_i8(bytes: Vec<u8>) -> Vec<i8> {
+    bytes.into_iter().map(|b| b as i8).collect()
 }
 
-fn as_u8(vals: &[i8]) -> Vec<u8> {
-    vals.iter().map(|&v| v as u8).collect()
+/// Reinterprets int8 values as bytes, reusing the allocation.
+fn into_u8(vals: Vec<i8>) -> Vec<u8> {
+    vals.into_iter().map(|v| v as u8).collect()
 }
 
 /// How many int8 elements a layer's (primary) input holds.
@@ -259,43 +267,37 @@ impl NetworkExecution {
                             wseed,
                         );
                         let mat = weights_to_matrix_nhwc(&w);
-                        let panels = pack_b_panels(&mat, dim);
                         write_virt(
                             space,
                             mem,
                             placements[i].weights.expect("conv has weights"),
-                            &as_u8(&panels),
+                            &pack_b_panels(&mat, dim),
                         );
                     }
                     Layer::DwConv {
                         channels, kernel, ..
                     } => {
                         let w = Tensor::<i8>::random(&[channels, kernel, kernel], wseed);
-                        // Per-channel [k², 1] panels, each padded to dim cols.
-                        let kk = kernel * kernel;
-                        let mut panels = Vec::with_capacity(channels * kk * dim);
-                        for ch in 0..channels {
-                            let col = Tensor::from_vec(
-                                &[kk, 1],
-                                w.as_slice()[ch * kk..(ch + 1) * kk].to_vec(),
-                            );
-                            panels.extend(pack_b_panels(&col, dim));
+                        // Per-channel [k², 1] panels, each padded to dim
+                        // cols: one weight at the head of every dim-wide row.
+                        let mut panels = vec![0i8; channels * kernel * kernel * dim];
+                        for (row, &v) in panels.chunks_exact_mut(dim).zip(w.as_slice()) {
+                            row[0] = v;
                         }
                         write_virt(
                             space,
                             mem,
                             placements[i].weights.expect("dwconv has weights"),
-                            &as_u8(&panels),
+                            &panels,
                         );
                     }
                     Layer::Matmul { k, n, .. } => {
                         let w = Tensor::<i8>::random(&[k, n], wseed);
-                        let panels = pack_b_panels(&w, dim);
                         write_virt(
                             space,
                             mem,
                             placements[i].weights.expect("matmul has weights"),
-                            &as_u8(&panels),
+                            &pack_b_panels(&w, dim),
                         );
                     }
                     _ => {}
@@ -306,25 +308,22 @@ impl NetworkExecution {
         // Functional input initialization (NHWC for spatial layers).
         if let Some(mem) = data {
             if let Some(first) = net.layers().first() {
-                let bytes = match first.layer {
+                let vals = match first.layer {
                     Layer::Conv {
                         in_channels, in_hw, ..
                     } => {
                         let t = Tensor::<i8>::random(&[1, in_channels, in_hw.0, in_hw.1], seed);
-                        as_u8(&to_nhwc(&t))
+                        to_nhwc(&t)
                     }
                     Layer::DwConv {
                         channels, in_hw, ..
                     } => {
                         let t = Tensor::<i8>::random(&[1, channels, in_hw.0, in_hw.1], seed);
-                        as_u8(&to_nhwc(&t))
+                        to_nhwc(&t)
                     }
-                    _ => {
-                        let t = Tensor::<i8>::random(&[input_elements], seed);
-                        as_u8(t.as_slice())
-                    }
+                    _ => Tensor::<i8>::random(&[input_elements], seed).into_vec(),
                 };
-                write_virt(space, mem, input_va, &bytes);
+                write_virt(space, mem, input_va, &vals);
             }
         }
 
@@ -407,7 +406,7 @@ impl NetworkExecution {
     ) -> Option<Tensor<i8>> {
         let data = env.ctx.data.as_deref()?;
         let bytes = read_virt(env.ctx.space, data, self.input_of(i), c * h * w);
-        Some(from_nhwc(&as_i8(&bytes), 1, c, h, w))
+        Some(from_nhwc(&into_i8(bytes), 1, c, h, w))
     }
 
     fn prepare_layer(&mut self, env: &mut KernelEnv<'_>) -> Box<dyn Kernel> {
@@ -471,7 +470,7 @@ impl NetworkExecution {
                         // Functional write occurs up front; its time cost is
                         // the CpuLayerKernel below.
                         if let Some(data) = env.ctx.data.as_deref_mut() {
-                            write_virt(env.ctx.space, data, patch_va, &as_u8(patches.as_slice()));
+                            write_virt(env.ctx.space, data, patch_va, patches.as_slice());
                         }
                     }
                     let cycles = env.cpu.im2col_cycles(&layer);
@@ -541,7 +540,7 @@ impl NetworkExecution {
                                 env.ctx.space,
                                 data,
                                 patch_va.add((ch * m * kk) as u64),
-                                &as_u8(p.as_slice()),
+                                p.as_slice(),
                             );
                         }
                     }
@@ -618,7 +617,7 @@ impl NetworkExecution {
                                 PoolKind::Avg => avgpool2d_i8(&t, spec),
                             };
                             // NHWC bytes, flat: oh rows of ow*c bytes.
-                            as_u8(&to_nhwc(&pooled))
+                            into_u8(to_nhwc(&pooled))
                         });
                     // Stream NHWC rows: treat the feature map as 1 "channel"
                     // of (h, w*c) for the row geometry.

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! Analytical synthesis model for Gemmini-generated accelerators.
 //!

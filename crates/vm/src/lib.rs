@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! Virtual-memory substrate for the Gemmini reproduction.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! Umbrella crate for the Gemmini (DAC 2021) reproduction.
 //!
