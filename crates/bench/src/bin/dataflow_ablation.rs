@@ -177,11 +177,9 @@ fn main() {
                 })
         })
         .collect();
-    let Some(results) = cli.sharded_sweep_map(tasks, |(df, mb, kb), _| {
+    let results = cli.sweep_map(tasks, |(df, mb, kb)| {
         Ok(run(df, mb, kb, Tracer::disabled()))
-    }) else {
-        return; // shard worker: the checkpoint file is the output
-    };
+    });
     for (&(mb, kb), pair) in shapes.iter().zip(results.chunks(2)) {
         let ws = *pair[0].expect_ok();
         let os = *pair[1].expect_ok();

@@ -55,9 +55,7 @@ fn main() {
         sweep.push(DesignPoint::timing(*name, cfg, &extreme_net));
     }
     let first = sweep[0].clone();
-    let Some(results) = cli.sharded_sweep(sweep) else {
-        return; // shard worker: the checkpoint file is the output
-    };
+    let results = cli.sweep(sweep);
 
     cli.export_trace(&first);
 

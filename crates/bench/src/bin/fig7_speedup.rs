@@ -46,9 +46,7 @@ fn main() {
     // One sweep point per (network, variant), in row-major order.
     let sweep = fig7_points(&nets);
     let first = sweep[0].clone();
-    let Some(results) = cli.sharded_sweep(sweep) else {
-        return; // shard worker: the checkpoint file is the output
-    };
+    let results = cli.sweep(sweep);
 
     cli.export_trace(&first);
 

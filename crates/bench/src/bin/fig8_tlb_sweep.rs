@@ -12,8 +12,8 @@
 //!
 //! Takes the sweep flags, `--quick` and `--trace`
 //! ([`gemmini_bench::SweepCli`]); the trace covers the first design
-//! point. CI exercises the `--json` / `--resume` interrupt path and the
-//! sharded, chaos and telemetry flows on this binary.
+//! point. CI exercises the `--json` / `--resume` interrupt path on this
+//! binary.
 
 use gemmini_bench::figures::{fig8_grid, fig8_points, FIG8_PRIVATES, FIG8_SHAREDS};
 use gemmini_bench::{resnet_workload, section, SweepCli, SWEEP_FLAGS};
@@ -38,9 +38,7 @@ fn main() {
     let sweep = fig8_points(&net);
 
     let first = sweep[0].clone();
-    let Some(results) = cli.sharded_sweep(sweep) else {
-        return; // shard worker: the checkpoint file is the output
-    };
+    let results = cli.sweep(sweep);
     cli.export_trace(&first);
     let rollup = merge_memory_stats(results.iter().filter_map(|r| r.ok()));
     let points: Vec<Point> = grid

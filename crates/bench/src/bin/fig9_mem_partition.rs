@@ -66,9 +66,7 @@ fn main() {
         })
         .collect::<Vec<_>>();
     let first = sweep[0].clone();
-    let Some(results) = cli.sharded_sweep(sweep) else {
-        return; // shard worker: the checkpoint file is the output
-    };
+    let results = cli.sweep(sweep);
     cli.export_trace(&first);
     let rollup = merge_memory_stats(results.iter().filter_map(|r| r.ok()));
     eprintln!(

@@ -177,8 +177,8 @@ pub const FIG8_SHAREDS: [u32; 4] = [0, 128, 256, 512];
 
 /// The Fig. 8 grid coordinates `(private, shared, filters)`, in sweep
 /// submission order: filters-off block first, then filters-on, each in
-/// private-major order. The binary and the shard-merge tests both derive
-/// the grid from here so their orders can never diverge.
+/// private-major order. The binary and the golden test both derive the
+/// grid from here so their orders can never diverge.
 pub fn fig8_grid() -> Vec<(u32, u32, bool)> {
     let mut grid = Vec::new();
     for &filters in &[false, true] {

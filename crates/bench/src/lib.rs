@@ -10,8 +10,6 @@
 #![deny(unsafe_code)]
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
-use std::time::Duration;
 
 use gemmini_core::metrics::Metrics;
 use gemmini_core::trace::{export_chrome_trace, Tracer};
@@ -19,8 +17,7 @@ use gemmini_core::AccelError;
 use gemmini_dnn::graph::{Activation, Layer, Network, PoolKind};
 use gemmini_mem::json::{FromJson, Json, ToJson};
 use gemmini_soc::run::{run_networks, RunOptions, SocReport};
-use gemmini_soc::shard::{run_sharded, ShardMode, ShardSpec};
-use gemmini_soc::sweep::{parse_threads, THREADS_ENV};
+use gemmini_soc::sweep::{parse_threads, sweep_map, THREADS_ENV};
 use gemmini_soc::SocConfig;
 
 pub mod figures;
@@ -43,25 +40,14 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
 }
 
 /// The flags every sweep binary accepts, in [`SweepCli::parse`]'s usage
-/// form: checkpointing, telemetry, the hung-shard watchdog, fault
-/// injection and sharding.
-pub const SWEEP_FLAGS: &[&str] = &[
-    "--json <path>",
-    "--resume",
-    "--status <path>",
-    "--metrics <path>",
-    "--watchdog <secs>",
-    "--faults <schedule>",
-    "--shard <i/N>",
-    "--shards <N>",
-    "--merge <shard.jsonl>...",
-];
+/// form: the checkpoint and resuming from it.
+pub const SWEEP_FLAGS: &[&str] = &["--json <path>", "--resume"];
 
 /// The parsed command line of a figure binary: the one way a flag
 /// reaches the code, and the reference for what each flag does. A
 /// binary's [`SweepCli::parse`] usage lists the flags it takes; any
-/// other flag, a missing or bad value, conflicting modes or a bad
-/// `GEMMINI_THREADS` exits 2 before any point runs.
+/// other flag, a missing or bad value, `--resume` without `--json` or a
+/// bad `GEMMINI_THREADS` exits 2 before any point runs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SweepCli {
     /// `--quick`: a scaled-down workload that finishes in seconds.
@@ -76,23 +62,6 @@ pub struct SweepCli {
     /// `--trace <path>`: Chrome `trace_event` JSON of one representative
     /// point ([`SweepCli::export_trace`]).
     pub trace: Option<PathBuf>,
-    /// `--status <path>`: a live JSON heartbeat, rewritten every point
-    /// and ~2 s; under `--shards` it aggregates the workers' heartbeats.
-    pub status: Option<PathBuf>,
-    /// `--metrics <path>`: the final live metrics as Prometheus text.
-    pub metrics: Option<PathBuf>,
-    /// `--watchdog <secs>` (needs `--json` or `--status`): the `--shards`
-    /// supervisor kills and retries a worker whose heartbeat stalls, like
-    /// a crash. `--shards 1 --watchdog <secs>` guards a single-process
-    /// sweep against a hung point.
-    pub watchdog: Option<Duration>,
-    /// `--faults <schedule>`: arm [`gemmini_soc::fault`]; overrides an
-    /// inherited `GEMMINI_FAULTS`.
-    pub faults: Option<String>,
-    /// `--shards <N>` supervises N crash-retried workers; `--shard <i/N>`
-    /// runs one worker's slice; `--merge <shard.jsonl>...` stitches shard
-    /// checkpoints. At most one; the first two need `--json`.
-    pub mode: ShardMode,
     /// `--cores <N>` (run_gnn): the core count, at least 1.
     pub cores: Option<usize>,
     /// `--functional` (run_gnn): functional instead of timing mode.
@@ -135,7 +104,8 @@ impl SweepCli {
     /// # Errors
     ///
     /// A one-line message for an undeclared flag or argument, a repeated
-    /// flag, a missing or malformed value, or conflicting modes.
+    /// flag, a missing or malformed value, or `--resume` without
+    /// `--json`.
     fn from_args<A>(args: A, usage: &[&str]) -> Result<Self, String>
     where
         A: IntoIterator<Item = String>,
@@ -168,180 +138,48 @@ impl SweepCli {
                 Ok(n) if n > 0 => Ok(n),
                 _ => Err(format!("{arg} requires a positive integer (got '{v}')")),
             };
-            let seconds = |v: String| {
-                let secs = v.trim().parse::<f64>().ok().filter(|s| *s > 0.0);
-                secs.and_then(|s| Duration::try_from_secs_f64(s).ok())
-                    .ok_or_else(|| {
-                        format!("{arg} requires a positive number of seconds (got '{v}')")
-                    })
-            };
             match arg.as_str() {
                 "--quick" => cli.quick = true,
                 "--only" => cli.only = Some(value()?),
                 "--json" => cli.json = Some(value()?.into()),
                 "--resume" => cli.resume = true,
                 "--trace" => cli.trace = Some(value()?.into()),
-                "--status" => cli.status = Some(value()?.into()),
-                "--metrics" => cli.metrics = Some(value()?.into()),
-                "--watchdog" => cli.watchdog = Some(seconds(value()?)?),
-                "--faults" => cli.faults = Some(value()?),
-                "--shard" => cli.mode = ShardMode::Worker(ShardSpec::parse(&value()?)?),
-                "--shards" => cli.mode = ShardMode::Supervise(count(value()?)?),
-                "--merge" => {
-                    let mut paths = Vec::new();
-                    while let Some(path) = it.next_if(|v| !v.starts_with("--")) {
-                        paths.push(PathBuf::from(path));
-                    }
-                    if paths.is_empty() {
-                        return Err("--merge requires at least one shard checkpoint path".into());
-                    }
-                    cli.mode = ShardMode::Merge(paths);
-                }
                 "--cores" => cli.cores = Some(count(value()?)?),
                 "--functional" => cli.functional = true,
                 _ => unreachable!("{arg} is declared in a usage but has no parser"),
             }
             seen.push(arg);
         }
-        let modes = ["--shard", "--shards", "--merge"];
-        if seen.iter().filter(|f| modes.contains(&f.as_str())).count() > 1 {
-            return Err("--shard, --shards and --merge are mutually exclusive".into());
-        }
         if let Some(p) = positional.filter(|p| p.starts_with('<') && cli.positional.is_none()) {
             return Err(format!("missing {p}"));
         }
-        if cli.json.is_none() {
-            if let Some(flag) = ["--shard", "--shards", "--resume"]
-                .into_iter()
-                .find(|f| seen.iter().any(|s| s == f))
-            {
-                return Err(format!("{flag} requires --json <path>"));
-            }
-            if cli.watchdog.is_some() && cli.status.is_none() {
-                return Err("--watchdog requires --json <path> or --status <path>".into());
-            }
+        if cli.resume && cli.json.is_none() {
+            return Err("--resume requires --json <path>".into());
         }
         Ok(cli)
     }
 
-    /// The command line of shard worker `spec`: this one in worker mode,
-    /// plus `--resume` so a supervisor *retry* of a crashed shard picks
-    /// up from its checkpoint instead of starting over. It parses back
-    /// to exactly that [`SweepCli`]. Only sweep binaries shard, so only
-    /// their flags are written.
-    fn worker_args(&self, spec: ShardSpec) -> Vec<String> {
-        let path = |p: &PathBuf| p.display().to_string();
-        let secs = |d: Duration| d.as_secs_f64().to_string();
-        let mut args = vec!["--shard".into(), spec.to_string(), "--resume".into()];
-        if self.quick {
-            args.push("--quick".into());
-        }
-        for (flag, value) in [
-            ("--only", self.only.clone()),
-            ("--json", self.json.as_ref().map(path)),
-            ("--trace", self.trace.as_ref().map(path)),
-            ("--status", self.status.as_ref().map(path)),
-            ("--metrics", self.metrics.as_ref().map(path)),
-            ("--watchdog", self.watchdog.map(secs)),
-            ("--faults", self.faults.clone()),
-        ] {
-            if let Some(value) = value {
-                args.extend([flag.into(), value]);
-            }
-        }
-        args
-    }
-
-    /// The worker-process command for shard `spec`: the current binary,
-    /// re-invoked with [`SweepCli::worker_args`].
+    /// The sweep entry point for the figure binaries: runs `items`
+    /// through [`sweep_map`], checkpointing to `--json` and resuming from
+    /// it under `--resume`. Results come back in submission order.
     ///
-    /// # Panics
-    ///
-    /// Panics if the current executable path cannot be resolved.
-    fn shard_child_command(&self, spec: ShardSpec) -> Command {
-        let exe = std::env::current_exe().expect("current executable path");
-        let mut cmd = Command::new(exe);
-        cmd.args(self.worker_args(spec));
-        cmd
-    }
-
-    /// The sweep options this command line selects, with one live-metrics
-    /// registry, enabled iff `--status` or `--metrics` was given.
-    /// `--watchdog` without `--status` watches heartbeats next to the
-    /// checkpoint (`sweep.jsonl` → `sweep.status.json`); workers derive
-    /// the same path from their re-serialized command line.
-    fn sweep_options(&self) -> SweepOptions {
-        let mut status = self.status.clone();
-        if self.watchdog.is_some() && status.is_none() {
-            if let Some(json) = &self.json {
-                let stem = json.file_stem().and_then(|s| s.to_str()).unwrap_or("sweep");
-                let derived = json.with_file_name(format!("{stem}.status.json"));
-                eprintln!(
-                    "watchdog: no --status given; deriving heartbeat base {}",
-                    derived.display()
-                );
-                status = Some(derived);
-            }
-        }
-        let metrics = if self.status.is_some() || self.metrics.is_some() {
-            Metrics::enabled().0
-        } else {
-            Metrics::disabled()
-        };
-        SweepOptions {
-            checkpoint: self.json.clone(),
-            resume: self.resume,
-            metrics,
-            status,
-            prometheus: self.metrics.clone(),
-            watchdog: self.watchdog,
-            ..SweepOptions::default()
-        }
-    }
-
-    /// The sharded sweep entry point for the figure binaries: runs
-    /// `items` through [`gemmini_soc::shard::run_sharded`] in the parsed
-    /// [`ShardMode`] with the sweep options these flags select. `f` also
-    /// receives their live-metrics handle, to instrument each point.
-    ///
-    /// Returns `None` when this process was a shard worker (`--shard`):
-    /// its job was producing the shard checkpoint file, there is nothing
-    /// to render, and `main` should simply return. In every other mode
-    /// the full-grid results come back in submission order.
-    ///
-    /// Exits the process with status `2` on a fault schedule (or
-    /// `GEMMINI_FAULTS_SHARD`) that does not parse, and `1` on an
-    /// execution error (supervisor exhaustion, incomplete merge, or
-    /// failed points — the non-zero exit is what tells a supervisor to
-    /// retry this worker).
-    pub fn sharded_sweep_map<I, T, F>(
-        &self,
-        items: Vec<(String, u64, I)>,
-        f: F,
-    ) -> Option<Vec<SweepResult<T>>>
+    /// Exits the process with status `1` when any point failed: a figure
+    /// cannot be rendered from a grid with holes, and failed points were
+    /// not persisted, so a `--resume` re-runs exactly them.
+    pub fn sweep_map<I, T, F>(&self, items: Vec<(String, u64, I)>, f: F) -> Vec<SweepResult<T>>
     where
         I: Send,
         T: ToJson + FromJson + Send,
-        F: Fn(I, &Metrics) -> Result<T, AccelError> + Sync,
+        F: Fn(I) -> Result<T, AccelError> + Sync,
     {
-        // A typo'd schedule must not quietly run fault-free and test
-        // nothing.
-        if let Err(msg) = gemmini_soc::fault::arm(self.faults.as_deref()) {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-        let opts = self.sweep_options();
-        let metrics = opts.metrics.clone();
-        let f = |item| f(item, &metrics);
-        let child = |spec| self.shard_child_command(spec);
-        let results = run_sharded(items, &self.mode, opts, child, f).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        });
-        // A figure cannot be rendered from a grid with holes. Failed
-        // points were not persisted, so a `--resume` re-runs exactly them.
+        let opts = SweepOptions {
+            checkpoint: self.json.clone(),
+            resume: self.resume,
+            ..SweepOptions::default()
+        };
+        let results = sweep_map(items, opts, f);
         let mut complete = true;
-        for r in results.iter().flatten() {
+        for r in &results {
             if let Err(e) = &r.outcome {
                 eprintln!("error: point '{}' failed: {e}", r.label);
                 complete = false;
@@ -380,15 +218,14 @@ impl SweepCli {
         );
     }
 
-    /// [`SweepCli::sharded_sweep_map`] instantiated for [`DesignPoint`]
-    /// sweeps.
-    pub fn sharded_sweep(&self, points: Vec<DesignPoint>) -> Option<Vec<SweepResult<SocReport>>> {
+    /// [`SweepCli::sweep_map`] instantiated for [`DesignPoint`] sweeps.
+    pub fn sweep(&self, points: Vec<DesignPoint>) -> Vec<SweepResult<SocReport>> {
         let items = points
             .into_iter()
             .map(|p| (p.label.clone(), p.fingerprint(), p))
             .collect();
-        self.sharded_sweep_map(items, |p: DesignPoint, metrics| {
-            p.run(&Tracer::disabled(), metrics)
+        self.sweep_map(items, |p: DesignPoint| {
+            p.run(&Tracer::disabled(), &Metrics::disabled())
         })
     }
 }
@@ -569,28 +406,11 @@ mod tests {
     }
 
     #[test]
-    fn cli_parses_each_mode_and_rejects_conflicts() {
-        let cli = sweep(&["--quick", "--shard", "1/2", "--json", "x"]).unwrap();
-        assert_eq!(
-            cli.mode,
-            ShardMode::Worker(ShardSpec { index: 1, count: 2 })
-        );
-        assert!(cli.quick);
-
-        let cli = sweep(&["--shards", "4", "--json", "x"]).unwrap();
-        assert_eq!(cli.mode, ShardMode::Supervise(4));
-
-        let cli = sweep(&["--merge", "a.jsonl", "b.jsonl", "--quick"]).unwrap();
-        assert_eq!(
-            cli.mode,
-            ShardMode::Merge(vec![PathBuf::from("a.jsonl"), PathBuf::from("b.jsonl")])
-        );
-
-        assert_eq!(sweep(&["--quick"]).unwrap().mode, ShardMode::Local);
-        assert!(sweep(&["--shards", "0", "--json", "x"]).is_err());
-        assert!(sweep(&["--merge"]).is_err());
-        let both = sweep(&["--shard", "0/2", "--shards", "2", "--json", "x"]);
-        assert!(both.unwrap_err().contains("mutually exclusive"));
+    fn cli_parses_sweep_flags() {
+        let cli = sweep(&["--quick", "--json", "x", "--resume"]).unwrap();
+        assert!(cli.quick && cli.resume);
+        assert_eq!(cli.json, Some(PathBuf::from("x")));
+        assert_eq!(sweep(&[]).unwrap(), SweepCli::default());
     }
 
     #[test]
@@ -605,18 +425,20 @@ mod tests {
         assert!(err(&["--quick", "--quick"]).contains("more than once"));
         assert!(err(&["--json"]).contains("requires a value"));
         assert!(err(&["--json", "--quick"]).contains("requires a value"));
-        assert!(err(&["--watchdog", "0", "--json", "x"]).contains("positive number of seconds"));
-        assert!(err(&["--watchdog", "abc", "--json", "x"]).contains("positive number of seconds"));
-        assert!(err(&["--watchdog", "1e300", "--json", "x"]).contains("positive number"));
-        assert!(err(&["--watchdog", "inf", "--json", "x"]).contains("positive number"));
-        assert!(err(&["--shard", "2/2", "--json", "x"]).contains("out of range"));
-        // Modes that need a checkpoint, and flags that do nothing
-        // without one, are parse errors.
-        assert!(err(&["--shard", "0/2"]).contains("--shard requires --json"));
-        assert!(err(&["--shards", "2"]).contains("--shards requires --json"));
+        // A flag that does nothing without a checkpoint is a parse error.
         assert!(err(&["--resume"]).contains("--resume requires --json"));
-        assert!(err(&["--watchdog", "2"]).contains("--watchdog requires"));
-        assert!(sweep(&["--watchdog", "2", "--status", "s.json"]).is_ok());
+        // The multi-process sweep flags are gone.
+        for flag in [
+            "--shards",
+            "--shard",
+            "--merge",
+            "--status",
+            "--metrics",
+            "--watchdog",
+            "--faults",
+        ] {
+            assert!(err(&[flag, "1", "--json", "x"]).contains("unknown flag"));
+        }
 
         let gnn = |v: &[&str]| {
             SweepCli::from_args(args(v), &["--cores <N>", "--functional", "<model.gnn>"])
@@ -637,59 +459,6 @@ mod tests {
         let optional = SweepCli::from_args(args(&[]), &["[network]"]).unwrap();
         assert_eq!(optional.positional, None);
         assert!(SweepCli::from_args(args(&["--quick"]), &["[network]"]).is_err());
-    }
-
-    /// A shard worker's command line parses back to its supervisor's,
-    /// switched to worker mode with `--resume`.
-    #[test]
-    fn worker_args_round_trip() {
-        let spec = ShardSpec { index: 1, count: 3 };
-        for v in [
-            &["--json", "out.jsonl", "--shards", "3"][..],
-            &[
-                "--quick",
-                "--json",
-                "a/b.jsonl",
-                "--resume",
-                "--shards",
-                "3",
-            ],
-            &[
-                "--json",
-                "s.jsonl",
-                "--shards",
-                "3",
-                "--only",
-                "resnet",
-                "--trace",
-                "t.json",
-                "--status",
-                "st.json",
-                "--metrics",
-                "m.prom",
-                "--watchdog",
-                "2.5",
-                "--faults",
-                "sweep.point=abort@4,checkpoint.flush=fail@2",
-            ],
-            &["--json", "x.jsonl"],
-            &["--merge", "a.jsonl", "b.jsonl", "--json", "x.jsonl"],
-        ] {
-            let cli = sweep(v).unwrap();
-            let worker = sweep(
-                &cli.worker_args(spec)
-                    .iter()
-                    .map(String::as_str)
-                    .collect::<Vec<_>>(),
-            )
-            .unwrap_or_else(|e| panic!("{v:?}: {e}"));
-            let expected = SweepCli {
-                mode: ShardMode::Worker(spec),
-                resume: true,
-                ..cli
-            };
-            assert_eq!(worker, expected, "{v:?}");
-        }
     }
 
     #[test]

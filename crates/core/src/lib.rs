@@ -30,7 +30,7 @@
 //! * [`trace`] — the profiler every timed operation reports into: the
 //!   always-on cycle-attribution log plus the optional Chrome-trace event
 //!   sink (re-exported from `gemmini_mem::trace`).
-//! * [`metrics`] — the live-telemetry registry handle threaded through the
+//! * [`metrics`] — the live-metrics registry handle threaded through the
 //!   same components (re-exported from `gemmini_mem::metrics`).
 //!
 //! # Example

@@ -6,6 +6,6 @@
 //! stack the `gemmini_core::metrics` path, mirroring [`crate::trace`].
 
 pub use gemmini_mem::metrics::{
-    bucket_index, bucket_upper_bound, prometheus_text, AtomicHistogram, Counter, Gauge, HistKind,
-    Log2Histogram, Metrics, MetricsRegistry, MetricsSnapshot, HIST_BUCKETS,
+    bucket_index, bucket_upper_bound, AtomicHistogram, Counter, HistKind, Log2Histogram, Metrics,
+    MetricsRegistry, MetricsSnapshot, HIST_BUCKETS,
 };

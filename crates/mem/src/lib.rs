@@ -28,11 +28,9 @@
 //! * [`json`] — a hand-rolled serde-free JSON value model shared by the
 //!   sweep checkpoint files and the figure binaries' machine-readable
 //!   output (the build environment has no crates.io access).
-//! * [`metrics`] — the live-telemetry substrate: a lock-free
-//!   [`metrics::MetricsRegistry`] of atomic counters, gauges and
-//!   log2-bucketed histograms behind a disabled-by-default
-//!   [`metrics::Metrics`] handle, with exact snapshot merging and
-//!   Prometheus text exposition.
+//! * [`metrics`] — the live-metrics substrate: a lock-free
+//!   [`metrics::MetricsRegistry`] of atomic counters and log2-bucketed
+//!   histograms behind a disabled-by-default [`metrics::Metrics`] handle.
 //!
 //! Timing and data are deliberately decoupled: the cache and DRAM models track
 //! only tags and busy-times, while [`dram::MainMemory`] holds actual bytes.

@@ -236,7 +236,7 @@ impl WindowedRate {
     /// both event streams would have recorded: per-window hit and miss
     /// counts add, and the merged length is the longer of the two. This
     /// is the windowed-series analogue of [`HitMissStats::merge`] —
-    /// without it, sharded sweeps could sum scalar counters but silently
+    /// without it, a sweep rollup could sum scalar counters but silently
     /// drop the rate-over-time series (and with it `peak_miss_rate`).
     ///
     /// # Panics
@@ -397,7 +397,7 @@ impl FromJson for TrafficStats {
 /// to the run's total cycle count ([`CycleAttribution::total`]). Merging
 /// is plain field-wise addition — a commutative monoid like
 /// [`HitMissStats`] — so per-core attributions fold into an SoC-level
-/// one and sharded sweeps can roll points up in any order.
+/// one and parallel sweeps can roll points up in any order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CycleAttribution {
     /// Cycles the spatial array (or an execute-unit peripheral) was busy.

@@ -11,9 +11,7 @@
 //! when both its label *and* fingerprint match, so edited design points
 //! (or a changed payload schema) re-run instead of serving stale data.
 //!
-//! The same files double as the figure binaries' `--json` output and as
-//! the shard inputs for multi-host sweeps: merging N shards is "load N
-//! checkpoint files, fold reports through `merge_memory_stats`".
+//! The same files double as the figure binaries' `--json` output.
 //!
 //! File format (version 2), one object per line:
 //!
@@ -26,24 +24,29 @@
 //! re-closed with `}`), so any byte-level damage — a torn write, a bad
 //! sector, a flipped digit that would otherwise still parse — is
 //! detected on load. Version-1 lines (no crc) still decode, so files
-//! written before the bump resume unchanged; a damaged line is
-//! *quarantined* by [`Checkpoint::load_quarantining`] into a `.bad`
-//! sidecar next to the file instead of aborting the resume, and the
-//! point it named simply re-runs.
+//! written before the bump resume unchanged. A damaged line is skipped
+//! instead of aborting the resume, and the point it named simply
+//! re-runs.
+//!
+//! A kill can tear the final line mid-write. Resume heals it in two
+//! steps: [`CheckpointWriter::append_to`] first terminates an
+//! unterminated last line, so the first re-run line cannot fuse with
+//! the fragment, and [`compact`] then drops the fragment along with
+//! shadowed lines. Damage is reported once (the resume line's stale
+//! count), the lost point re-runs, and the file ends fully valid.
 //!
 //! Two line shapes written by older builds never decode, so `--resume`
-//! re-runs the point and `--merge` reports it missing: a `"pruned"`
-//! object (another point's report served as a prediction by
-//! attribution-guided pruning, not a simulation) and a `"failed"`
-//! reason (the record of a timed-out point, with no payload). A point
-//! has a result line or it runs.
+//! re-runs the point: a `"pruned"` object (another point's report
+//! served as a prediction by attribution-guided pruning, not a
+//! simulation) and a `"failed"` reason (the record of a timed-out
+//! point, with no payload). A point has a result line or it runs.
 //!
 //! [`SweepResult`]: crate::sweep::SweepResult
 
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -186,6 +189,45 @@ impl<T: ToJson> CheckpointEntry<T> {
     }
 }
 
+/// Parses one checkpoint line and checks everything but its payload:
+/// the format version, the CRC on version-2 lines (version-1 lines have
+/// none and are accepted as-is), and that it records a result.
+fn parse_envelope(line: &str) -> Result<Json, JsonError> {
+    let line = line.trim();
+    let value = Json::parse(line)?;
+    let version = value.field("v")?.as_u64()?;
+    match version {
+        1 => {}
+        2 => {
+            let recorded_field = value.field("crc32")?.as_u64()?;
+            let (body, recorded) = strip_crc(line)
+                .ok_or_else(|| JsonError::new("version-2 line does not end in a crc32 field"))?;
+            let computed = crc32(body.as_bytes());
+            if u64::from(recorded) != recorded_field || recorded != computed {
+                return Err(JsonError::new(format!(
+                    "crc mismatch: line records {recorded}, bytes hash to {computed}"
+                )));
+            }
+        }
+        _ => {
+            return Err(JsonError::new(format!(
+                "unsupported checkpoint version {version} (expected 1..={FORMAT_VERSION})"
+            )));
+        }
+    }
+    if value.get("pruned").is_some() {
+        return Err(JsonError::new(
+            "line records a pruned prediction, not a simulation; the point must re-run",
+        ));
+    }
+    if value.get("failed").is_some() {
+        return Err(JsonError::new(
+            "line records a timed-out point, not a result; the point must re-run",
+        ));
+    }
+    Ok(value)
+}
+
 impl<T: FromJson> CheckpointEntry<T> {
     /// Decodes one checkpoint line, verifying the CRC on version-2 lines
     /// (version-1 lines have none and are accepted as-is).
@@ -197,39 +239,7 @@ impl<T: FromJson> CheckpointEntry<T> {
     /// `"failed"` line from an older build, or a payload that no longer
     /// matches `T`'s schema.
     pub fn decode(line: &str) -> Result<Self, JsonError> {
-        let line = line.trim();
-        let value = Json::parse(line)?;
-        let version = value.field("v")?.as_u64()?;
-        match version {
-            1 => {}
-            2 => {
-                let recorded_field = value.field("crc32")?.as_u64()?;
-                let (body, recorded) = strip_crc(line).ok_or_else(|| {
-                    JsonError::new("version-2 line does not end in a crc32 field")
-                })?;
-                let computed = crc32(body.as_bytes());
-                if u64::from(recorded) != recorded_field || recorded != computed {
-                    return Err(JsonError::new(format!(
-                        "crc mismatch: line records {recorded}, bytes hash to {computed}"
-                    )));
-                }
-            }
-            _ => {
-                return Err(JsonError::new(format!(
-                    "unsupported checkpoint version {version} (expected 1..={FORMAT_VERSION})"
-                )));
-            }
-        }
-        if value.get("pruned").is_some() {
-            return Err(JsonError::new(
-                "line records a pruned prediction, not a simulation; the point must re-run",
-            ));
-        }
-        if value.get("failed").is_some() {
-            return Err(JsonError::new(
-                "line records a timed-out point, not a result; the point must re-run",
-            ));
-        }
+        let value = parse_envelope(line)?;
         Ok(Self {
             label: value.field("label")?.as_str()?.to_string(),
             fingerprint: value.field("fingerprint")?.as_u64()?,
@@ -256,16 +266,6 @@ impl<T> Default for Checkpoint<T> {
             stale_lines: 0,
         }
     }
-}
-
-/// What [`Checkpoint::load_quarantining`] removed from a damaged file.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Quarantine {
-    /// Number of undecodable lines moved to the sidecar.
-    pub lines: usize,
-    /// The `.bad` sidecar the damaged lines were appended to; `None`
-    /// when the file was clean.
-    pub sidecar: Option<PathBuf>,
 }
 
 impl<T: FromJson> Checkpoint<T> {
@@ -297,100 +297,15 @@ impl<T: FromJson> Checkpoint<T> {
         }
         Ok(checkpoint)
     }
-
-    /// Loads a checkpoint file, *quarantining* undecodable lines instead
-    /// of merely skipping them: every damaged line is appended to a
-    /// `<file>.bad` sidecar next to the checkpoint and the checkpoint is
-    /// atomically rewritten without them, so a damaged line is reported
-    /// exactly once across resume cycles and the file converges back to
-    /// fully valid. The returned checkpoint has `stale_lines == 0`; the
-    /// damage is reported through [`Quarantine`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error from reading the file, writing
-    /// the sidecar, or rewriting the checkpoint.
-    pub fn load_quarantining(path: &Path) -> io::Result<(Self, Quarantine)> {
-        let text = match read_lossy(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Ok((Self::default(), Quarantine::default()))
-            }
-            Err(e) => return Err(e),
-        };
-        let mut checkpoint = Self::default();
-        let mut good: Vec<&str> = Vec::new();
-        let mut bad: Vec<&str> = Vec::new();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match CheckpointEntry::decode(line) {
-                Ok(entry) => {
-                    checkpoint.entries.push(entry);
-                    good.push(line);
-                }
-                Err(_) => bad.push(line),
-            }
-        }
-        if bad.is_empty() {
-            return Ok((checkpoint, Quarantine::default()));
-        }
-
-        let sidecar = sidecar_path(path);
-        {
-            let mut out = BufWriter::new(
-                OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&sidecar)?,
-            );
-            for line in &bad {
-                writeln!(out, "{line}")?;
-            }
-            out.flush()?;
-        }
-        // Rewrite the checkpoint without the damaged lines, so the next
-        // load does not quarantine them again.
-        replace_atomically(path, |out| {
-            for line in &good {
-                writeln!(out, "{line}")?;
-            }
-            Ok(())
-        })?;
-        eprintln!(
-            "checkpoint: quarantined {} damaged line(s) from {} to {}",
-            bad.len(),
-            path.display(),
-            sidecar.display()
-        );
-        Ok((
-            checkpoint,
-            Quarantine {
-                lines: bad.len(),
-                sidecar: Some(sidecar),
-            },
-        ))
-    }
 }
 
 /// Reads a checkpoint file as text, substituting U+FFFD for any invalid
 /// UTF-8 byte sequence. Byte-level corruption must surface as
-/// undecodable *lines* (skippable or quarantinable) rather than an I/O
+/// undecodable *lines* (skipped, their points re-run) rather than an I/O
 /// error that aborts the whole load — a CRC-sealed line never contains a
 /// replacement character, so intact lines are unaffected.
 fn read_lossy(path: &Path) -> io::Result<String> {
     std::fs::read(path).map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
-}
-
-/// The `.bad` sidecar next to a checkpoint file, where
-/// [`Checkpoint::load_quarantining`] moves damaged lines.
-pub(crate) fn sidecar_path(path: &Path) -> PathBuf {
-    let file_name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("checkpoint.jsonl");
-    path.with_file_name(format!("{file_name}.bad"))
 }
 
 /// Replaces `path` with what `write` produces, atomically: the bytes go
@@ -404,7 +319,7 @@ pub(crate) fn sidecar_path(path: &Path) -> PathBuf {
 ///
 /// Returns the first I/O error from creating, writing, or renaming; the
 /// temp file is removed on failure.
-pub(crate) fn replace_atomically<F>(path: &Path, write: F) -> io::Result<()>
+fn replace_atomically<F>(path: &Path, write: F) -> io::Result<()>
 where
     F: FnOnce(&mut BufWriter<File>) -> io::Result<()>,
 {
@@ -464,43 +379,34 @@ impl<T> Checkpoint<T> {
     pub fn entries(&self) -> &[CheckpointEntry<T>] {
         &self.entries
     }
-
-    /// Appends another checkpoint's entries after this one's — the
-    /// multi-shard combine: the result behaves as if `other`'s file had
-    /// been concatenated onto ours, so on label conflicts the absorbed
-    /// entries win (they are later).
-    pub fn absorb(&mut self, other: Checkpoint<T>) {
-        self.entries.extend(other.entries);
-        self.stale_lines += other.stale_lines;
-    }
 }
 
 /// Outcome of a [`compact`] pass over a checkpoint file.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Compaction {
-    /// Lines kept: the last occurrence of every label, plus any
-    /// undecodable lines left for the quarantining loader.
+    /// Lines kept: the last valid line of every label.
     pub kept: usize,
-    /// Lines reclaimed: shadowed re-runs.
+    /// Lines reclaimed: shadowed re-runs and damaged lines.
     pub dropped: usize,
 }
 
-/// Rewrites a checkpoint file keeping only the last line per label,
-/// dropping shadowed re-run entries. Repeated resume cycles append
-/// re-run entries over stale ones, so without this the file grows
-/// without bound; the sweep executor compacts on every successful
+/// Rewrites a checkpoint file keeping only the last valid line per
+/// label, dropping shadowed re-run entries and damaged lines. Repeated
+/// resume cycles append re-run entries over stale ones, so without this
+/// the file grows without bound; the sweep executor compacts on every
 /// resumed completion.
 ///
-/// Lines with no parseable `label` — torn or corrupted fragments — are
-/// *kept*, not reclaimed: damage must surface exactly once through
-/// [`Checkpoint::load_quarantining`] (message, `.bad` sidecar, and a
-/// re-run of the lost point), never be silently swallowed by a
-/// maintenance pass.
+/// A damaged line — a torn fragment, a CRC mismatch, a line an older
+/// build wrote that records no result — has already been counted as
+/// stale by the resume that loaded the file, and its point re-ran, so
+/// dropping it here reports the damage exactly once and leaves the file
+/// fully valid.
 ///
-/// Works at the JSON-line level (only the `label` field is inspected, so
-/// the payload schema is irrelevant), writes survivors to a temporary
-/// file in the same directory and atomically renames it over the
-/// original — a crash mid-compaction never loses the checkpoint. When
+/// Works at the JSON-line level (the envelope and CRC are checked, the
+/// payload is not decoded, so its schema is irrelevant), writes
+/// survivors to a temporary file in the same directory and atomically
+/// renames it over the original — a crash mid-compaction never loses
+/// the checkpoint. When
 /// nothing would be dropped the file is left untouched. A missing file
 /// compacts to nothing.
 ///
@@ -517,22 +423,17 @@ pub fn compact(path: &Path) -> io::Result<Compaction> {
     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
     let mut last_for_label: std::collections::HashMap<String, usize> =
         std::collections::HashMap::new();
-    let mut unlabeled: Vec<usize> = Vec::new();
     for (idx, line) in lines.iter().enumerate() {
-        let label = Json::parse(line).ok().and_then(|v| {
+        let label = parse_envelope(line).ok().and_then(|v| {
             v.field("label")
                 .ok()
                 .and_then(|l| l.as_str().ok().map(String::from))
         });
-        match label {
-            Some(label) => {
-                last_for_label.insert(label, idx);
-            }
-            None => unlabeled.push(idx),
+        if let Some(label) = label {
+            last_for_label.insert(label, idx);
         }
     }
-    let mut keep: std::collections::HashSet<usize> = last_for_label.into_values().collect();
-    keep.extend(unlabeled);
+    let keep: std::collections::HashSet<usize> = last_for_label.into_values().collect();
     let kept = keep.len();
     let dropped = lines.len() - kept;
     if dropped == 0 {
@@ -570,7 +471,9 @@ impl CheckpointWriter {
     }
 
     /// Opens a checkpoint file for appending (creating it if missing) —
-    /// the resume mode.
+    /// the resume mode. A final line a kill left unterminated is closed
+    /// with a newline first, so the next appended line starts on a line
+    /// of its own instead of fusing with the fragment.
     ///
     /// # Errors
     ///
@@ -585,22 +488,22 @@ impl CheckpointWriter {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let file = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .create(true)
+            .read(append)
             .write(true)
             .append(append)
             .truncate(!append)
             .open(path)?;
+        if append && ends_mid_line(&mut file)? {
+            file.write_all(b"\n")?;
+        }
         Ok(Self {
             file: Mutex::new(BufWriter::new(file)),
         })
     }
 
-    /// Appends one entry as a flushed JSON line. The append carries the
-    /// two checkpoint failpoints: `checkpoint.flush` (fail the write with
-    /// an injected I/O error) and `checkpoint.corrupt` (truncate the
-    /// encoded line to two thirds before writing — a torn write the CRC
-    /// must catch on load).
+    /// Appends one entry as a flushed JSON line.
     ///
     /// # Errors
     ///
@@ -612,17 +515,23 @@ impl CheckpointWriter {
     /// file lock (the sweep executor catches per-point panics before
     /// they can reach the writer, so this is unreachable in practice).
     pub fn append<T: ToJson>(&self, entry: &CheckpointEntry<T>) -> io::Result<()> {
-        let mut line = entry.encode();
-        if let Some(e) = crate::fault::fail_io("checkpoint.flush") {
-            return Err(e);
-        }
-        if crate::fault::fire("checkpoint.corrupt") == Some(crate::fault::FaultAction::Corrupt) {
-            line.truncate(line.len() * 2 / 3);
-        }
+        let line = entry.encode();
         let mut file = self.file.lock().expect("checkpoint writer lock");
         writeln!(file, "{line}")?;
         file.flush()
     }
+}
+
+/// Whether `file` is non-empty and does not end in a newline: its last
+/// line was torn by a kill mid-write.
+fn ends_mid_line(file: &mut File) -> io::Result<bool> {
+    if file.metadata()?.len() == 0 {
+        return Ok(false);
+    }
+    let mut last = [0u8];
+    file.seek(SeekFrom::End(-1))?;
+    file.read_exact(&mut last)?;
+    Ok(last[0] != b'\n')
 }
 
 #[cfg(test)]
@@ -652,8 +561,7 @@ mod tests {
 
     /// Seeds a checkpoint with a result line for point `p` and `line` for
     /// point `q`, then checks that `line` is never served: it does not
-    /// decode, `merge_shards` reports `q` missing, and a `--resume` sweep
-    /// re-runs `q` and only `q`.
+    /// decode, and a `--resume` sweep re-runs `q` and only `q`.
     fn assert_never_served(line: &str, name: &str) {
         assert!(CheckpointEntry::<u64>::decode(line).is_err());
         let path = temp_path(name);
@@ -666,16 +574,6 @@ mod tests {
         assert_eq!(ckpt.stale_lines, 1);
         assert!(ckpt.lookup("q", 8).is_none());
 
-        let expected = [("p".to_string(), 7u64), ("q".to_string(), 8u64)];
-        match crate::shard::merge_shards::<u64>(&expected, std::slice::from_ref(&path)) {
-            Err(crate::shard::MergeError::Incomplete { missing, stale }) => {
-                assert_eq!(missing, ["q"]);
-                assert!(stale.is_empty());
-            }
-            other => panic!("the point must be missing, got {other:?}"),
-        }
-
-        seed();
         let ran = std::sync::atomic::AtomicUsize::new(0);
         let results = crate::sweep::sweep_map(
             vec![("p".to_string(), 7, 1u64), ("q".to_string(), 8, 2)],
@@ -693,14 +591,13 @@ mod tests {
         assert!(results[0].cached && !results[1].cached);
         assert_eq!(*results[1].expect_ok(), 200);
         std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(sidecar_path(&path)).unwrap();
     }
 
     #[test]
     fn pruned_prediction_lines_are_stale_never_served() {
         // A line carrying a "pruned" object holds another point's report
         // served as a prediction. Even sealed with a valid CRC it must not
-        // decode: resume re-runs the point and merge reports it missing.
+        // decode: resume re-runs the point.
         let predicted = seal_with_crc(
             Json::obj([
                 ("v", Json::from(FORMAT_VERSION)),
@@ -725,7 +622,7 @@ mod tests {
     fn failed_timeout_lines_are_stale_never_served() {
         // Older builds recorded a point-timeout as a CRC-valid v2 line with
         // a "failed" reason and no payload. It is no result: resume re-runs
-        // the point and merge reports it missing.
+        // the point.
         let failed = seal_with_crc(
             Json::obj([
                 ("v", Json::from(FORMAT_VERSION)),
@@ -765,60 +662,6 @@ mod tests {
         assert!(CheckpointEntry::<u64>::decode(&damaged).is_err());
         // The undamaged line still decodes.
         assert!(CheckpointEntry::<u64>::decode(&line).is_ok());
-    }
-
-    #[test]
-    fn quarantine_moves_damaged_lines_to_sidecar_exactly_once() {
-        let path = temp_path("quarantine");
-        let writer = CheckpointWriter::create(&path).unwrap();
-        writer.append(&entry("a", 1, 10)).unwrap();
-        writer.append(&entry("b", 2, 20)).unwrap();
-        writer.append(&entry("c", 3, 30)).unwrap();
-        drop(writer);
-        // Damage the middle line: flip a digit under the CRC.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        let damaged = lines[1].replace("\"payload\":20", "\"payload\":21");
-        std::fs::write(&path, format!("{}\n{damaged}\n{}\n", lines[0], lines[2])).unwrap();
-
-        let (ckpt, q) = Checkpoint::<u64>::load_quarantining(&path).unwrap();
-        assert_eq!(ckpt.len(), 2);
-        assert_eq!(ckpt.stale_lines, 0);
-        assert!(ckpt.lookup("b", 2).is_none(), "damaged point re-runs");
-        assert_eq!(q.lines, 1);
-        let sidecar = q.sidecar.unwrap();
-        let bad = std::fs::read_to_string(&sidecar).unwrap();
-        assert_eq!(bad.lines().count(), 1);
-        assert_eq!(bad.lines().next().unwrap(), damaged);
-
-        // Second load: the file was rewritten clean, nothing new to
-        // quarantine, the sidecar is untouched.
-        let (ckpt2, q2) = Checkpoint::<u64>::load_quarantining(&path).unwrap();
-        assert_eq!(ckpt2.len(), 2);
-        assert_eq!(q2, Quarantine::default());
-        assert_eq!(std::fs::read_to_string(&sidecar).unwrap(), bad);
-        std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(&sidecar).unwrap();
-    }
-
-    #[test]
-    fn quarantine_of_missing_or_clean_file_is_a_noop() {
-        let (ckpt, q) =
-            Checkpoint::<u64>::load_quarantining(&temp_path("quarantine_missing")).unwrap();
-        assert!(ckpt.is_empty());
-        assert_eq!(q, Quarantine::default());
-
-        let path = temp_path("quarantine_clean");
-        CheckpointWriter::create(&path)
-            .unwrap()
-            .append(&entry("a", 1, 10))
-            .unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let (ckpt, q) = Checkpoint::<u64>::load_quarantining(&path).unwrap();
-        assert_eq!(ckpt.len(), 1);
-        assert_eq!(q, Quarantine::default());
-        assert_eq!(std::fs::read(&path).unwrap(), bytes, "clean file untouched");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -890,6 +733,29 @@ mod tests {
     }
 
     #[test]
+    fn append_to_terminates_a_torn_final_line() {
+        let path = temp_path("append_torn");
+        let full = entry("a", 1, 10).encode();
+        let torn = entry("b", 2, 20).encode();
+        std::fs::write(&path, format!("{full}\n{}", &torn[..torn.len() / 2])).unwrap();
+        CheckpointWriter::append_to(&path)
+            .unwrap()
+            .append(&entry("b", 2, 20))
+            .unwrap();
+        // The re-run line did not fuse with the fragment: it decodes, and
+        // only the fragment is stale.
+        let ckpt = Checkpoint::<u64>::load(&path).unwrap();
+        assert_eq!(ckpt.len(), 2);
+        assert_eq!(ckpt.stale_lines, 1);
+        assert_eq!(ckpt.lookup("b", 2).unwrap().payload, 20);
+        // A terminated file gains no blank line.
+        let before = std::fs::read(&path).unwrap();
+        drop(CheckpointWriter::append_to(&path).unwrap());
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn fingerprints_are_stable_and_sensitive() {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(
@@ -920,7 +786,7 @@ mod tests {
     }
 
     #[test]
-    fn compact_keeps_last_entry_per_label_and_preserves_damage() {
+    fn compact_keeps_last_entry_per_label_and_drops_damage() {
         let path = temp_path("compact");
         let stale = entry("b", 1, 11).encode();
         let writer = CheckpointWriter::create(&path).unwrap();
@@ -929,35 +795,31 @@ mod tests {
         writer.append(&entry("a", 2, 12)).unwrap(); // re-run shadows a@1
         writer.append(&entry("c", 1, 13)).unwrap();
         drop(writer);
-        // Simulate a kill mid-append: a trailing partial line. Compaction
-        // must reclaim only the shadowed entry — the torn fragment is the
-        // quarantining loader's to report, never compaction's to swallow.
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str(&stale[..stale.len() / 2]);
-        std::fs::write(&path, text).unwrap();
+        // Simulate a kill mid-append: a trailing partial line, plus a
+        // flipped digit under the CRC of c's line. Compaction reclaims the
+        // shadowed entry and both damaged lines.
+        let text = std::fs::read_to_string(&path)
+            .unwrap()
+            .replace("\"payload\":13", "\"payload\":14");
+        let torn = format!("{text}{}", &stale[..stale.len() / 2]);
+        std::fs::write(&path, torn).unwrap();
 
         let result = compact(&path).unwrap();
         assert_eq!(
             result,
             Compaction {
-                kept: 4,
-                dropped: 1
+                kept: 2,
+                dropped: 3
             }
         );
 
         let ckpt = Checkpoint::<u64>::load(&path).unwrap();
-        assert_eq!(ckpt.len(), 3);
-        assert_eq!(ckpt.stale_lines, 1, "the fragment survives compaction");
+        assert_eq!(ckpt.len(), 2);
+        assert_eq!(ckpt.stale_lines, 0, "the damage is gone");
         assert_eq!(ckpt.lookup("a", 2).unwrap().payload, 12);
         assert!(ckpt.lookup("a", 1).is_none(), "shadowed entry reclaimed");
         assert_eq!(ckpt.lookup("b", 1).unwrap().payload, 11);
-        assert_eq!(ckpt.lookup("c", 1).unwrap().payload, 13);
-
-        // The quarantining load then moves the fragment to the sidecar.
-        let (_, quarantine) = Checkpoint::<u64>::load_quarantining(&path).unwrap();
-        assert_eq!(quarantine.lines, 1);
-        let sidecar = quarantine.sidecar.expect("sidecar written");
-        std::fs::remove_file(&sidecar).unwrap();
+        assert!(ckpt.lookup("c", 1).is_none(), "damaged entry dropped");
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -32,22 +32,10 @@
 //!   cache reports every figure of the evaluation consumes.
 //! * [`sweep`] — the parallel design-space sweep executor: runs a batch
 //!   of named [`soc::SocConfig`] points across a worker pool with
-//!   per-point fault isolation and deterministic result ordering; every
-//!   figure binary drives its sweep through this.
-//! * [`telemetry`] — live sweep observability: atomic JSON heartbeat
-//!   files (`--status`), Prometheus text exposition (`--metrics`), and
-//!   the p50-based ETA derivation behind the progress lines and the
-//!   supervisor's fleet view.
-//! * [`shard`] — sharded multi-process sweeps on top of [`sweep`]:
-//!   deterministic `--shard i/N` strided planning, a crash-resilient
-//!   supervisor that retries killed *and hung* worker processes from
-//!   their checkpoints (heartbeat-staleness watchdog, jittered
-//!   exponential backoff), and an exact `--merge` that stitches shard
-//!   checkpoint files back into the single-process result.
-//! * [`fault`] — deterministic fault injection: a `GEMMINI_FAULTS`-armed
-//!   failpoint registry threaded through the checkpoint writer, shard
-//!   supervisor, heartbeat writer and sweep executor, so every recovery
-//!   path above is testable on demand (and free when disarmed).
+//!   per-point fault isolation, deterministic result ordering and a
+//!   progress/ETA line; every figure binary drives its sweep through this.
+//! * [`checkpoint`] — the CRC-sealed JSON-line file behind `--json` and
+//!   `--resume`: a killed sweep resumes from the points it persisted.
 //!
 //! # Example
 //!
@@ -65,20 +53,16 @@
 //! ```
 
 pub mod checkpoint;
-pub mod fault;
 pub mod kernel;
 pub mod os;
 pub mod roofline;
 pub mod run;
 pub mod runtime;
-pub mod shard;
 pub mod soc;
 pub mod sweep;
-pub mod telemetry;
 pub mod tiling;
 
 pub use run::{run_networks, CoreReport, RunOptions, SocReport};
-pub use shard::{run_sharded, ShardError, ShardMode, ShardSpec};
 pub use soc::{CoreConfig, SocConfig};
 pub use sweep::{run_sweep_with, DesignPoint, SweepError, SweepOptions, SweepResult};
 pub use tiling::TilePlan;

@@ -27,33 +27,28 @@
 //!   stderr (`[12/32] private=16 shared=256 4.1s | 53.2s elapsed,
 //!   0.23 pts/s, eta 1m27s` — the ETA comes from the p50 of a live
 //!   per-point wall histogram) so long sweeps show liveness, throughput
-//!   and time remaining. With `opts.status`/`opts.prometheus` set the
-//!   executor also maintains a JSON heartbeat file and a Prometheus
-//!   exposition (see [`crate::telemetry`]). Per-point
-//!   cycle attribution rides along in every [`SocReport`] (and therefore
-//!   in each checkpoint line).
+//!   and time remaining. Per-point cycle attribution rides along in
+//!   every [`SocReport`] (and therefore in each checkpoint line).
+//! * **Resume**: with a checkpoint file every completed point is
+//!   persisted as it finishes, so a killed sweep re-run with `resume`
+//!   executes only the points it lost (see [`crate::checkpoint`]).
 //! * **Exact aggregation**: [`merge_memory_stats`] folds per-point
 //!   memory counters through [`HitMissStats::merge`] and
-//!   [`TrafficStats::merge`], so totals across N parallel shards equal
+//!   [`TrafficStats::merge`], so totals across parallel workers equal
 //!   the serial run's totals exactly.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::checkpoint::{
     compact, debug_fingerprint, Checkpoint, CheckpointEntry, CheckpointWriter,
 };
-use crate::fault::{self, FaultAction};
 use crate::run::{run_networks_observed, RunOptions, SocReport};
 use crate::soc::SocConfig;
-use crate::telemetry::{
-    eta_secs, format_eta, wall_micros, write_heartbeat, write_prometheus, Heartbeat,
-    HEARTBEAT_VERSION,
-};
-use gemmini_core::metrics::{Counter, Gauge, HistKind, Log2Histogram, Metrics};
+use gemmini_core::metrics::{Log2Histogram, Metrics};
 use gemmini_core::trace::Tracer;
 use gemmini_core::AccelError;
 use gemmini_dnn::graph::Network;
@@ -190,26 +185,6 @@ pub struct SweepOptions {
     /// holds (matching label + fingerprint). Without `resume`, an
     /// existing checkpoint file is truncated and rewritten.
     pub resume: bool,
-    /// Live-metrics handle: shared with every executed point's
-    /// simulation (engine, DMA, scratchpad, TLB, DRAM counters) and with
-    /// the executor's own point counters and wall histogram.
-    /// [`Metrics::disabled`] (the default) records nothing. Pure
-    /// observation — results are bit-identical either way.
-    pub metrics: Metrics,
-    /// Where to write the live JSON heartbeat ([`Heartbeat`], atomic
-    /// temp-file + rename, refreshed on every point completion and every
-    /// ~2 s); `None` disables it.
-    pub status: Option<PathBuf>,
-    /// Where to write the final registry snapshot as Prometheus text
-    /// exposition when the sweep ends; `None` disables it.
-    pub prometheus: Option<PathBuf>,
-    /// Hung-shard watchdog budget (`--watchdog`), consumed by the
-    /// `--shards` supervisor (see [`crate::shard`]): a worker whose
-    /// heartbeat `done` count does not advance for this long is killed
-    /// and retried from its shard checkpoint, exactly like a crash — the
-    /// one answer to a wedged point. Ignored outside supervise mode;
-    /// `None` (the default) disables the watchdog.
-    pub watchdog: Option<Duration>,
 }
 
 impl Default for SweepOptions {
@@ -219,10 +194,6 @@ impl Default for SweepOptions {
             progress: true,
             checkpoint: None,
             resume: false,
-            metrics: Metrics::disabled(),
-            status: None,
-            prometheus: None,
-            watchdog: None,
         }
     }
 }
@@ -274,179 +245,43 @@ pub fn worker_count(threads: usize, n_points: usize) -> usize {
     configured.clamp(1, n_points.max(1))
 }
 
-/// Shared live-telemetry state for one sweep call: the per-point wall
-/// histogram behind the progress lines' ETA column (always on — it is
-/// cheap and local), the executor's point counters, and heartbeat
-/// bookkeeping when `opts.status` names a file.
-struct Pulse {
-    status: Option<PathBuf>,
-    prometheus: Option<PathBuf>,
-    metrics: Metrics,
-    grid_total: usize,
-    start: Instant,
-    workers: AtomicUsize,
-    /// Points served from the checkpoint: completions that did not
-    /// execute in this call.
-    cached: usize,
-    /// Points actually simulated here (successes and failures).
-    executed: AtomicUsize,
-    failed: AtomicUsize,
-    wall_hist: Mutex<Log2Histogram>,
-    last_beat: Mutex<Instant>,
-    stop: AtomicBool,
+/// Estimated seconds until `remaining` points finish on `workers`
+/// parallel workers, from the per-point wall histogram's p50 (the bucket
+/// upper bound, so a mild over-estimate — the honest direction for an
+/// ETA). `None` until at least one point has been timed. Clamped to 30
+/// days so one pathological bucket cannot print a nonsense year.
+fn eta_secs(point_wall: &Log2Histogram, remaining: usize, workers: usize) -> Option<f64> {
+    if point_wall.is_empty() {
+        return None;
+    }
+    if remaining == 0 {
+        return Some(0.0);
+    }
+    let p50_micros = point_wall.quantile(0.5) as f64;
+    let waves = (remaining as f64 / workers.max(1) as f64).ceil();
+    const MAX_ETA_SECS: f64 = 30.0 * 24.0 * 3600.0;
+    Some((waves * p50_micros / 1e6).min(MAX_ETA_SECS))
 }
 
-impl Pulse {
-    fn start(opts: &SweepOptions, grid_total: usize, cached: usize) -> Arc<Self> {
-        let pulse = Arc::new(Self {
-            status: opts.status.clone(),
-            prometheus: opts.prometheus.clone(),
-            metrics: opts.metrics.clone(),
-            grid_total,
-            start: Instant::now(),
-            workers: AtomicUsize::new(1),
-            cached,
-            executed: AtomicUsize::new(0),
-            failed: AtomicUsize::new(0),
-            wall_hist: Mutex::new(Log2Histogram::new()),
-            last_beat: Mutex::new(Instant::now()),
-            stop: AtomicBool::new(false),
-        });
-        pulse.beat("run");
-        pulse
-    }
-
-    fn done_total(&self) -> usize {
-        self.cached + self.executed.load(Ordering::Relaxed)
-    }
-
-    /// Folds one executed point in: wall histogram (local + registry),
-    /// point counters, and a heartbeat refresh.
-    fn record_point(&self, wall: Duration, ok: bool) {
-        let micros = wall_micros(wall);
-        self.wall_hist
-            .lock()
-            .expect("wall histogram lock")
-            .record(micros);
-        self.metrics.observe(HistKind::PointWallMicros, micros);
-        if ok {
-            self.metrics.inc(Counter::PointsCompleted);
-        } else {
-            self.failed.fetch_add(1, Ordering::Relaxed);
-            self.metrics.inc(Counter::PointsFailed);
-        }
-        self.executed.fetch_add(1, Ordering::Relaxed);
-        self.beat("run");
-    }
-
-    /// Current p50-based ETA over the remaining grid, if any point has
-    /// been timed yet.
-    fn eta(&self) -> Option<f64> {
-        let hist = self.wall_hist.lock().expect("wall histogram lock");
-        eta_secs(
-            &hist,
-            self.grid_total.saturating_sub(self.done_total()),
-            self.workers.load(Ordering::Relaxed),
-        )
-    }
-
-    fn heartbeat(&self, phase: &str) -> Heartbeat {
-        let executed = self.executed.load(Ordering::Relaxed);
-        let elapsed = self.start.elapsed().as_secs_f64();
-        let point_wall = self.wall_hist.lock().expect("wall histogram lock").clone();
-        let done = self.done_total();
-        let eta = if phase == "done" {
-            None
-        } else {
-            eta_secs(
-                &point_wall,
-                self.grid_total.saturating_sub(done),
-                self.workers.load(Ordering::Relaxed),
-            )
-        };
-        Heartbeat {
-            version: HEARTBEAT_VERSION,
-            phase: phase.to_string(),
-            done,
-            total: self.grid_total,
-            cached: self.cached,
-            failed: self.failed.load(Ordering::Relaxed),
-            elapsed_secs: elapsed,
-            rate_pts_per_sec: executed as f64 / elapsed.max(1e-9),
-            eta_secs: eta,
-            retries: 0,
-            point_wall,
-            metrics: self.metrics.snapshot(),
-        }
-    }
-
-    /// Rewrites the heartbeat file (no-op without a status path).
-    fn beat(&self, phase: &str) {
-        let Some(path) = &self.status else { return };
-        let hb = self.heartbeat(phase);
-        if let Err(e) = write_heartbeat(path, &hb) {
-            eprintln!("sweep: heartbeat write failed for {}: {e}", path.display());
-        }
-        *self.last_beat.lock().expect("last beat lock") = Instant::now();
-    }
-
-    /// Monitor-thread tick: refresh the heartbeat when the last write is
-    /// older than ~2 s (long points and idle phases stay visible).
-    fn beat_if_stale(&self) {
-        let stale =
-            self.last_beat.lock().expect("last beat lock").elapsed() >= Duration::from_secs(2);
-        if stale {
-            self.beat("run");
-        }
-    }
-
-    /// Final exports: the `done` heartbeat and — when requested — the
-    /// Prometheus exposition of the registry snapshot.
-    fn finalize(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.beat("done");
-        if let Some(path) = &self.prometheus {
-            let snap = self.metrics.snapshot().unwrap_or_default();
-            if let Err(e) = write_prometheus(path, &snap) {
-                eprintln!("sweep: metrics write failed for {}: {e}", path.display());
-            }
-        }
+/// Renders an ETA compactly for progress lines: `3s`, `2m05s`,
+/// `1h12m`, `4d07h`.
+fn format_eta(secs: f64) -> String {
+    let s = secs.max(0.0).round() as u64;
+    if s < 60 {
+        format!("{s}s")
+    } else if s < 3600 {
+        format!("{}m{:02}s", s / 60, s % 60)
+    } else if s < 86_400 {
+        format!("{}h{:02}m", s / 3600, (s % 3600) / 60)
+    } else {
+        format!("{}d{:02}h", s / 86_400, (s % 86_400) / 3600)
     }
 }
 
-/// Owns the background heartbeat thread for one sweep call; dropping it
-/// stops and joins the thread. No thread is spawned without a status
-/// path.
-struct PulseMonitor {
-    pulse: Arc<Pulse>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl PulseMonitor {
-    fn spawn(pulse: &Arc<Pulse>) -> Self {
-        let handle = pulse.status.is_some().then(|| {
-            let p = Arc::clone(pulse);
-            std::thread::spawn(move || {
-                while !p.stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(Duration::from_millis(250));
-                    p.beat_if_stale();
-                }
-            })
-        });
-        Self {
-            pulse: Arc::clone(pulse),
-            handle,
-        }
-    }
-}
-
-impl Drop for PulseMonitor {
-    fn drop(&mut self) {
-        self.pulse.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
+/// The wall [`Duration`] of one point as histogram microseconds
+/// (saturating; 30+ minute points all land in the top buckets anyway).
+fn wall_micros(wall: Duration) -> u64 {
+    u64::try_from(wall.as_micros()).unwrap_or(u64::MAX)
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -456,22 +291,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// The `sweep.point` failpoint ([`crate::fault`]), evaluated as a point
-/// begins: `abort` kills the process the way a segfault would, `hang`
-/// wedges the worker (the watchdog's prey), and `delay:<ms>` slows the
-/// point down.
-fn point_failpoint(label: &str) {
-    match fault::fire("sweep.point") {
-        Some(FaultAction::Abort) => {
-            eprintln!("fault: aborting at failpoint 'sweep.point' before '{label}'");
-            std::process::abort();
-        }
-        Some(FaultAction::Hang) => fault::hang_forever("sweep.point"),
-        Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-        _ => {}
     }
 }
 
@@ -489,13 +308,8 @@ fn point_failpoint(label: &str) {
 ///   missing points.
 /// * **Checkpoint writer** (`checkpoint`): every completed point is
 ///   appended as a flushed JSON line, so a killed sweep loses at most
-///   its in-flight points; a resumed completion compacts the file.
-///
-/// The `sweep.point` failpoint is evaluated only in a *fresh* sweep —
-/// one that served no point from its checkpoint. A supervisor retries a
-/// crashed or hung shard with `--resume`, so `sweep.point=abort@N` kills
-/// the first attempt and the retry, serving the persisted points, runs
-/// to completion.
+///   its in-flight points; a resumed completion compacts the file,
+///   dropping shadowed and damaged lines.
 pub fn sweep_map<I, T, F>(
     items: Vec<(String, u64, I)>,
     opts: SweepOptions,
@@ -509,13 +323,11 @@ where
     let total = items.len();
     let path = opts.checkpoint.as_deref();
 
-    // Resume loads *quarantine*: an undecodable line (torn write, CRC
-    // mismatch) is moved to the `.bad` sidecar and the file rewritten
-    // without it, so damage is reported exactly once and the named point
-    // simply re-runs.
+    // An undecodable line (torn write, CRC mismatch) is counted as stale
+    // and its point simply re-runs; the closing compaction drops it.
     let mut checkpoint = match path.filter(|_| opts.resume) {
-        Some(path) => match Checkpoint::<T>::load_quarantining(path) {
-            Ok((c, _quarantine)) => c,
+        Some(path) => match Checkpoint::<T>::load(path) {
+            Ok(c) => c,
             Err(e) => {
                 eprintln!(
                     "sweep: cannot read checkpoint {}: {e}; running every point",
@@ -578,10 +390,6 @@ where
         }
     });
 
-    let pulse = Pulse::start(&opts, total, cached);
-    let monitor = PulseMonitor::spawn(&pulse);
-    opts.metrics.add(Counter::PointsCached, cached as u64);
-
     // Progress lines report true grid position: the first fresh point of
     // a 27-cached/32-point resume prints `[28/32, 27 cached]`, so a
     // resumed sweep is honest about how much real simulation is
@@ -593,16 +401,14 @@ where
     } else {
         String::new()
     };
-    let fresh = cached == 0;
+    let workers = worker_count(opts.threads, to_run.len());
+    // The per-point wall histogram behind the progress lines' ETA column.
+    let wall_hist = Mutex::new(Log2Histogram::new());
     let done = AtomicUsize::new(0);
     let sweep_start = Instant::now();
     let run_one = |label: String, fingerprint: u64, item: I| -> SweepResult<T> {
         let attempt_start = Instant::now();
-        pulse.metrics.gauge_add(Gauge::PointsInFlight, 1);
         let attempt = || -> Result<(T, Duration), SweepError> {
-            if fresh {
-                point_failpoint(&label);
-            }
             let start = Instant::now();
             let payload = f(item).map_err(SweepError::Accel)?;
             // The persisted wall and the returned wall are the same pure
@@ -631,8 +437,6 @@ where
                 attempt_start.elapsed(),
             ),
         };
-        pulse.metrics.gauge_sub(Gauge::PointsInFlight, 1);
-        pulse.record_point(wall, outcome.is_ok());
         let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
         if opts.progress {
             let status = if outcome.is_ok() { "" } else { "FAILED " };
@@ -640,10 +444,13 @@ where
             let rate = finished as f64 / elapsed.max(1e-9);
             // The ETA column comes from the shared per-point wall
             // histogram: p50 bucket bound × remaining waves, clamped.
-            let eta = pulse
-                .eta()
-                .map(|s| format!(", eta {}", format_eta(s)))
-                .unwrap_or_default();
+            let eta = {
+                let mut hist = wall_hist.lock().expect("wall histogram lock");
+                hist.record(wall_micros(wall));
+                eta_secs(&hist, total - cached - finished, workers)
+            }
+            .map(|s| format!(", eta {}", format_eta(s)))
+            .unwrap_or_default();
             eprintln!(
                 "[{}/{total}{provenance}] {label} {status}{:.1}s | {elapsed:.1}s elapsed, {rate:.2} pts/s{eta}",
                 finished + cached,
@@ -658,11 +465,6 @@ where
         }
     };
 
-    let workers = worker_count(opts.threads, to_run.len());
-    if !to_run.is_empty() {
-        pulse.workers.store(workers, Ordering::Relaxed);
-        pulse.metrics.set_gauge(Gauge::SweepWorkers, workers as u64);
-    }
     if workers == 1 {
         // Fully serial on the caller's thread: identical scheduling to
         // the historical per-binary loops.
@@ -698,17 +500,16 @@ where
             slots[idx] = Some(result);
         }
     }
-    drop(monitor);
-    pulse.finalize();
 
     // A resumed completion has appended re-run entries over stale ones;
     // reclaim the shadowed lines so repeated resume cycles cannot grow
-    // the file without bound. (Fresh runs truncate on open, so every
+    // the file without bound, and drop damaged ones so the next resume
+    // finds a fully valid file. (Fresh runs truncate on open, so every
     // label is already unique.)
     if let (Some(path), Some(_), true) = (path, &writer, opts.resume) {
         match compact(path) {
             Ok(c) if c.dropped > 0 && opts.progress => eprintln!(
-                "sweep: compacted checkpoint {}: kept {}, reclaimed {} shadowed lines",
+                "sweep: compacted checkpoint {}: kept {}, reclaimed {} shadowed or damaged lines",
                 path.display(),
                 c.kept,
                 c.dropped
@@ -732,12 +533,13 @@ where
 /// as JSON lines; with `opts.resume` as well, points already in the file
 /// are skipped.
 pub fn run_sweep_with(points: Vec<DesignPoint>, opts: SweepOptions) -> Vec<SweepResult<SocReport>> {
-    let metrics = opts.metrics.clone();
     let items = points
         .into_iter()
         .map(|p| (p.label.clone(), p.fingerprint(), p))
         .collect();
-    sweep_map(items, opts, move |p| p.run(&Tracer::disabled(), &metrics))
+    sweep_map(items, opts, |p| {
+        p.run(&Tracer::disabled(), &Metrics::disabled())
+    })
 }
 
 /// Exact cross-point rollup of the memory-system counters, folded
@@ -756,7 +558,7 @@ pub struct MemoryRollup {
 
 /// Merges the memory statistics of every successful report. Because the
 /// fold uses [`HitMissStats::merge`]/[`TrafficStats::merge`], the result
-/// over N parallel shards is bit-equal to a serial accumulation.
+/// is bit-equal to a serial accumulation in any order.
 pub fn merge_memory_stats<'a, I>(reports: I) -> MemoryRollup
 where
     I: IntoIterator<Item = &'a SocReport>,
@@ -888,5 +690,32 @@ mod tests {
     fn empty_sweep_is_empty() {
         let results = sweep_map(indexed(0), quiet(), |_| Ok(0u64));
         assert!(results.is_empty());
+    }
+
+    #[test]
+    fn eta_derivation_and_clamp() {
+        assert_eq!(eta_secs(&Log2Histogram::new(), 10, 2), None);
+        let mut h = Log2Histogram::new();
+        // ~1 s points: bucket upper bound 2^20 - 1 us ≈ 1.05 s.
+        for _ in 0..8 {
+            h.record(1_000_000);
+        }
+        let eta = eta_secs(&h, 10, 2).unwrap();
+        // 5 waves of ~1.05 s.
+        assert!(eta > 4.0 && eta < 7.0, "eta {eta}");
+        assert_eq!(eta_secs(&h, 0, 2), Some(0.0));
+        // Clamp: absurd per-point walls cannot produce an absurd ETA.
+        let mut worst = Log2Histogram::new();
+        worst.record(u64::MAX);
+        let clamped = eta_secs(&worst, 1_000_000, 1).unwrap();
+        assert_eq!(clamped, 30.0 * 24.0 * 3600.0);
+    }
+
+    #[test]
+    fn eta_formats_compactly() {
+        assert_eq!(format_eta(3.4), "3s");
+        assert_eq!(format_eta(125.0), "2m05s");
+        assert_eq!(format_eta(4321.0), "1h12m");
+        assert_eq!(format_eta(370_000.0), "4d06h");
     }
 }

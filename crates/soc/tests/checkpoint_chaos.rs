@@ -1,26 +1,28 @@
-//! Chaos property test for the self-healing checkpoint substrate:
+//! Chaos property test for the checkpoint behind `--json`/`--resume`:
 //! arbitrary byte-level damage to a checkpoint file — torn tails, bit
-//! flips, dropped bytes — must never panic the loader, must quarantine
-//! exactly the damaged lines (no more, no fewer), and a resume that
-//! re-runs the lost points must converge to a file whose lines are
-//! bit-identical to an undamaged run's.
+//! flips, dropped bytes — must never panic the loader, must serve
+//! exactly the intact lines (no more, no fewer), and a resumed sweep
+//! must re-run only the lost points and leave a fully valid file whose
+//! lines hold the same results as an undamaged run's.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
+use std::sync::Mutex;
 
-use gemmini_soc::checkpoint::{Checkpoint, CheckpointEntry, CheckpointWriter};
+use gemmini_soc::checkpoint::{Checkpoint, CheckpointEntry};
+use gemmini_soc::sweep::{sweep_map, SweepOptions};
 use proptest::prelude::*;
 
-/// Deterministic entry for grid point `i`: the "simulation result" a
-/// re-run would reproduce exactly (fixed wall so encodings are stable).
-fn entry(i: u64) -> CheckpointEntry<u64> {
-    CheckpointEntry {
-        label: format!("pt{i}"),
-        fingerprint: i.wrapping_mul(0x9E37_79B9),
-        wall: Duration::from_micros(i * 37),
-        payload: i.wrapping_mul(1_000_003),
-    }
+/// The grid: `n` labelled points with distinct fingerprints.
+fn items(n: u64) -> Vec<(String, u64, u64)> {
+    (0..n)
+        .map(|i| (format!("pt{i}"), i.wrapping_mul(0x9E37_79B9), i))
+        .collect()
+}
+
+/// The deterministic "simulation result" of point `i`.
+fn payload(i: u64) -> u64 {
+    i.wrapping_mul(1_000_003)
 }
 
 fn scratch_path() -> PathBuf {
@@ -29,14 +31,37 @@ fn scratch_path() -> PathBuf {
     std::env::temp_dir().join(format!("gemmini_chaos_{}_{n}.jsonl", std::process::id()))
 }
 
+fn opts(path: &PathBuf, resume: bool) -> SweepOptions {
+    SweepOptions {
+        threads: 1,
+        progress: false,
+        ..SweepOptions::checkpointed(path, resume)
+    }
+}
+
+/// Every line's `(label, fingerprint, payload)`, sorted: the file's
+/// results with the host wall-clock (and the CRC sealing it) left out.
+fn results_multiset(path: &PathBuf) -> Vec<(String, u64, u64)> {
+    let text = std::fs::read_to_string(path).unwrap();
+    let mut rows: Vec<_> = text
+        .lines()
+        .map(|line| {
+            let e = CheckpointEntry::<u64>::decode(line).unwrap();
+            (e.label, e.fingerprint, e.payload)
+        })
+        .collect();
+    rows.sort_unstable();
+    rows
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Write a clean checkpoint, damage it at an arbitrary byte, and
-    /// check the full recovery cycle: load quarantines exactly the
-    /// undecodable lines, a second load finds a clean file, and
-    /// re-running the lost points restores a file whose line multiset is
-    /// bit-identical to the pristine one.
+    /// Checkpoint a sweep, damage the file at an arbitrary byte, and
+    /// check the full single-process recovery cycle: the loader serves
+    /// exactly the lines that still decode, a resumed `sweep_map` re-runs
+    /// exactly the points they lost, and a reload finds a clean file
+    /// with the pristine run's results.
     #[test]
     fn resume_survives_arbitrary_byte_damage(
         n in 3u64..12,
@@ -45,23 +70,15 @@ proptest! {
         val_seed in any::<u64>(),
     ) {
         let path = scratch_path();
-        let sidecar = path.with_file_name(format!(
-            "{}.bad",
-            path.file_name().unwrap().to_str().unwrap()
-        ));
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&sidecar);
 
-        // Pristine run: n entries, deterministic bytes.
-        let writer = CheckpointWriter::create(&path).unwrap();
-        for i in 0..n {
-            writer.append(&entry(i)).unwrap();
-        }
-        drop(writer);
-        let pristine = std::fs::read(&path).unwrap();
+        // Pristine run: n entries.
+        sweep_map(items(n), opts(&path, false), |i| Ok(payload(i)));
+        let pristine = results_multiset(&path);
+        prop_assert_eq!(pristine.len(), n as usize);
 
         // Damage the file at an arbitrary position.
-        let mut bytes = pristine.clone();
+        let mut bytes = std::fs::read(&path).unwrap();
         let pos = (pos_seed % bytes.len() as u64) as usize;
         match mode {
             0 => bytes.truncate(pos),                                  // torn tail
@@ -83,46 +100,50 @@ proptest! {
             }
         }
 
-        // Resume-style load: never panics, quarantines exactly the
-        // damaged lines, keeps exactly the intact ones.
-        let (loaded, quarantine) = Checkpoint::<u64>::load_quarantining(&path).unwrap();
-        prop_assert_eq!(quarantine.lines, expect_bad);
-        prop_assert_eq!(quarantine.sidecar.is_some(), expect_bad > 0);
-        prop_assert_eq!(std::fs::metadata(&sidecar).is_ok(), expect_bad > 0);
+        // The loader never panics and serves exactly the intact lines.
+        let loaded = Checkpoint::<u64>::load(&path).unwrap();
+        prop_assert_eq!(loaded.stale_lines, expect_bad);
         let loaded_labels: Vec<String> =
             loaded.entries().iter().map(|e| e.label.clone()).collect();
         prop_assert_eq!(&loaded_labels, &expect_good);
         for e in loaded.entries() {
             let i: u64 = e.label[2..].parse().unwrap();
-            prop_assert_eq!(e.payload, entry(i).payload);
+            prop_assert_eq!(e.payload, payload(i));
         }
 
-        // Exactly-once: a second load sees a fully clean file.
-        let (reloaded, again) = Checkpoint::<u64>::load_quarantining(&path).unwrap();
-        prop_assert_eq!(again.lines, 0);
-        prop_assert_eq!(reloaded.entries().len(), expect_good.len());
+        // Resume: only the points the damage lost re-run, and every
+        // point comes back with its result.
+        let ran = Mutex::new(Vec::new());
+        let resumed = sweep_map(items(n), opts(&path, true), |i| {
+            ran.lock().unwrap().push(format!("pt{i}"));
+            Ok(payload(i))
+        });
+        let mut ran = ran.into_inner().unwrap();
+        ran.sort_unstable();
+        let mut lost: Vec<String> = (0..n)
+            .map(|i| format!("pt{i}"))
+            .filter(|l| !expect_good.contains(l))
+            .collect();
+        lost.sort_unstable();
+        prop_assert_eq!(&ran, &lost);
+        for (i, r) in resumed.iter().enumerate() {
+            prop_assert_eq!(*r.expect_ok(), payload(i as u64));
+            prop_assert_eq!(r.cached, !lost.contains(&r.label));
+        }
 
-        // "Resume" the sweep: re-run every point the damage lost and
-        // append its (deterministic) result, as the executor would.
-        let writer = CheckpointWriter::append_to(&path).unwrap();
-        for i in 0..n {
-            if !expect_good.iter().any(|l| l == &format!("pt{i}")) {
-                writer.append(&entry(i)).unwrap();
+        // The file converged: every line decodes, and the lines hold the
+        // pristine results (re-run lines differ only in wall-clock).
+        let healed = Checkpoint::<u64>::load(&path).unwrap();
+        prop_assert_eq!(healed.stale_lines, 0);
+        prop_assert_eq!(results_multiset(&path), pristine);
+        // The intact lines survive byte for byte.
+        let healed_text = std::fs::read_to_string(&path).unwrap();
+        for line in damaged_text.lines() {
+            if CheckpointEntry::<u64>::decode(line).is_ok() {
+                prop_assert!(healed_text.lines().any(|l| l == line));
             }
         }
-        drop(writer);
-
-        // The healed file holds the same line *bytes* as the pristine
-        // run, merely reordered — sort both multisets and compare.
-        let healed_text = std::fs::read_to_string(&path).unwrap();
-        let mut healed: Vec<&str> = healed_text.lines().collect();
-        let pristine_text = String::from_utf8(pristine).unwrap();
-        let mut expected: Vec<&str> = pristine_text.lines().collect();
-        healed.sort_unstable();
-        expected.sort_unstable();
-        prop_assert_eq!(healed, expected);
 
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&sidecar);
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the software stack: tiling invariants,
 //! functional equivalence of the full instruction-level path against the
 //! golden model on randomized small networks, the merge algebra behind
-//! sharded sweep rollups, and lossless JSON round-tripping of the report
+//! parallel sweep rollups, and lossless JSON round-tripping of the report
 //! types the checkpoint files persist.
 
 use gemmini_core::config::GemminiConfig;
@@ -246,7 +246,7 @@ proptest! {
 
 proptest! {
     /// `CycleAttribution::merge` is a commutative monoid, like the other
-    /// sweep-rollup primitives: attribution from N shards can be folded
+    /// sweep-rollup primitives: attribution from N points can be folded
     /// in any order or grouping, and the zero record is the identity. The
     /// bucket sums also behave linearly: `total` of a merge is the sum of
     /// the inputs' totals.

@@ -515,6 +515,56 @@ fn repeated_resume_cycles_do_not_grow_the_checkpoint() {
 }
 
 #[test]
+fn resume_after_a_torn_final_line_reruns_only_that_point() {
+    let path = scratch_checkpoint("torn_tail");
+    let _ = std::fs::remove_file(&path);
+    let items = || -> Vec<(String, u64, u64)> { (0..6).map(|i| (format!("p{i}"), i, i)).collect() };
+    let counted = |resume: bool, executed: &AtomicUsize| {
+        sweep_map(
+            items(),
+            SweepOptions {
+                checkpoint: Some(path.clone()),
+                resume,
+                ..opts(1)
+            },
+            |i| {
+                executed.fetch_add(1, Ordering::SeqCst);
+                Ok(i * 10)
+            },
+        )
+    };
+    counted(false, &AtomicUsize::new(0));
+
+    // A kill mid-write: cut the file half-way through its last line,
+    // leaving no trailing newline.
+    let text = std::fs::read_to_string(&path).unwrap();
+    let last_start = text.trim_end().rfind('\n').unwrap() + 1;
+    let cut = last_start + (text.len() - last_start) / 2;
+    std::fs::write(&path, &text[..cut]).unwrap();
+
+    // The first resume re-runs exactly the torn point.
+    let executed = AtomicUsize::new(0);
+    let resumed = counted(true, &executed);
+    assert_eq!(executed.load(Ordering::SeqCst), 1);
+    assert!(resumed.iter().take(5).all(|r| r.cached));
+    assert!(!resumed[5].cached);
+    assert_eq!(*resumed[5].expect_ok(), 50);
+
+    // The second resume finds every point: nothing executes.
+    let executed = AtomicUsize::new(0);
+    let replayed = counted(true, &executed);
+    assert_eq!(executed.load(Ordering::SeqCst), 0);
+    assert!(replayed.iter().all(|r| r.cached));
+
+    // The file ends fully valid.
+    let on_disk: Checkpoint<u64> = Checkpoint::load(&path).expect("checkpoint loads");
+    assert_eq!(on_disk.stale_lines, 0);
+    assert_eq!(on_disk.len(), 6);
+
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn env_var_resolves_worker_count() {
     use gemmini_soc::sweep::{worker_count, THREADS_ENV};
     // This test owns the env var; explicit `threads` arguments elsewhere
