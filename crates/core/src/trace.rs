@@ -11,8 +11,8 @@
 
 pub use gemmini_mem::stats::CycleAttribution;
 pub use gemmini_mem::trace::{
-    chrome_trace_json, export_chrome_trace, AttributionKind, AttributionLog, AttributionSpan,
-    BufferSink, Component, EventSink, NullSink, StallCause, TraceEvent, Tracer, SOC_TRACE_PID,
+    chrome_trace_json, export_chrome_trace, AttributionKind, AttributionLog, BufferSink, Component,
+    EventSink, NullSink, StallCause, TraceEvent, Tracer, SOC_TRACE_PID,
 };
 
 use crate::metrics::Metrics;

@@ -24,7 +24,7 @@
 //!   computed from, and a Chrome `trace_event` JSON exporter for
 //!   `chrome://tracing`/Perfetto.
 //! * [`hash`] — [`hash::IntMap`], a map with a multiplicative hasher for
-//!   the simulator's own integer keys (pages, page-table nodes).
+//!   the simulator's own integer keys (main-memory pages).
 //! * [`json`] — a hand-rolled serde-free JSON value model shared by the
 //!   sweep checkpoint files and the figure binaries' machine-readable
 //!   output (the build environment has no crates.io access).

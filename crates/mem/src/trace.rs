@@ -258,14 +258,7 @@ impl Tracer {
     ) {
         if let Some(sink) = &self.sink {
             if end > start {
-                sink.lock().expect("trace sink lock").record(TraceEvent {
-                    pid: self.pid,
-                    component,
-                    name: name.to_string(),
-                    start,
-                    dur: end - start,
-                    cause,
-                });
+                self.emit(sink, component, name, start, end - start, cause);
             }
         }
     }
@@ -274,15 +267,31 @@ impl Tracer {
     #[inline]
     pub fn instant(&self, component: Component, name: &str, at: Cycle, cause: StallCause) {
         if let Some(sink) = &self.sink {
-            sink.lock().expect("trace sink lock").record(TraceEvent {
-                pid: self.pid,
-                component,
-                name: name.to_string(),
-                start: at,
-                dur: 0,
-                cause,
-            });
+            self.emit(sink, component, name, at, 0, cause);
         }
+    }
+
+    /// Hands one event to the sink: off the hot path, so an emission site
+    /// inlines only the enabled check.
+    #[cold]
+    #[inline(never)]
+    fn emit(
+        &self,
+        sink: &Mutex<dyn EventSink>,
+        component: Component,
+        name: &str,
+        start: Cycle,
+        dur: Cycle,
+        cause: StallCause,
+    ) {
+        sink.lock().expect("trace sink lock").record(TraceEvent {
+            pid: self.pid,
+            component,
+            name: name.to_string(),
+            start,
+            dur,
+            cause,
+        });
     }
 }
 
@@ -310,7 +319,7 @@ pub enum AttributionKind {
     Store,
 }
 
-/// The number of [`AttributionKind`] variants (sweep-line scratch size).
+/// The number of [`AttributionKind`] variants.
 const KIND_COUNT: usize = 6;
 
 /// All kinds in priority order (index = `as usize` discriminant).
@@ -323,63 +332,61 @@ const KINDS: [AttributionKind; KIND_COUNT] = [
     AttributionKind::Store,
 ];
 
-/// One recorded busy interval: `[start, end)` of `kind`.
+/// One busy interval `[start, end)` of a single kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AttributionSpan {
-    /// Interval kind (and priority).
-    pub kind: AttributionKind,
-    /// First busy cycle.
-    pub start: Cycle,
-    /// One past the last busy cycle.
-    pub end: Cycle,
+struct Interval {
+    start: Cycle,
+    end: Cycle,
 }
 
-/// Spans kept in memory before the log folds a settled prefix.
+/// Closed spans the log holds before it folds a settled prefix.
 const COMPACT_THRESHOLD: usize = 16 * 1024;
 
-/// Closed spans the log has room for when created (6 KiB): a short run,
-/// such as a small network's first layers, records without regrowing
-/// the list, and long runs double it on the way to the threshold.
-/// Reserving the whole threshold up front instead raised peak RSS.
-const INITIAL_SPANS: usize = 256;
+/// Closed spans each kind's list has room for when created (1 KiB a
+/// kind): a short run, such as a small network's first layers, records
+/// without regrowing a list, and long runs double them on the way to
+/// the threshold. Reserving the whole threshold up front instead raised
+/// peak RSS.
+const INITIAL_SPANS: usize = 64;
 
 /// The always-on interval record behind the cycle-attribution report.
 ///
-/// `record` is O(1): each kind keeps one *open* interval that a new span
-/// of that kind extends when the two overlap or touch, and the open
-/// interval is closed into the span list only when a disjoint span of its
-/// kind arrives. The partition depends on nothing but each kind's union
-/// of intervals, so per-kind coalescing cannot change it, and interleaved
-/// load/DRAM/compute records still coalesce. `maybe_compact` folds every
-/// interval that ends before a caller-proved *frontier* — a cycle no
-/// future interval can start before — into bucket counters, bounding
-/// memory on long runs without changing the final partition; `finish`
-/// produces the exact, exclusive [`CycleAttribution`] for `[0, total)`.
+/// `record` is O(1) in the common case: each kind keeps one *open*
+/// interval that a new span of that kind extends when the two overlap or
+/// touch, and the open interval is closed into its kind's list only when
+/// a disjoint span of that kind arrives. Each list stays sorted by start:
+/// a closed interval is inserted at its start position, scanning back
+/// from the tail, and nearly every one lands at the tail. The partition
+/// depends on nothing but each kind's union of intervals, so per-kind
+/// coalescing cannot change it, and interleaved load/DRAM/compute records
+/// still coalesce. `maybe_compact` folds every interval that ends before
+/// a caller-proved *frontier* — a cycle no future interval can start
+/// before — into bucket counters, bounding memory on long runs without
+/// changing the final partition; `finish` produces the exact, exclusive
+/// [`CycleAttribution`] for `[0, total)`. Both partition by linear merges
+/// of the sorted lists; nothing is sorted.
 #[derive(Debug, Clone)]
 pub struct AttributionLog {
-    /// Closed intervals: no later record coalesces with them.
-    spans: Vec<AttributionSpan>,
-    /// Per kind (index = discriminant), the interval later records extend.
-    open: [Option<AttributionSpan>; KIND_COUNT],
+    /// Per kind (index = discriminant), the closed intervals sorted by
+    /// start. No later record coalesces with them; they may overlap.
+    closed: [Vec<Interval>; KIND_COUNT],
+    /// Per kind, the interval later records extend.
+    open: [Option<Interval>; KIND_COUNT],
     folded: CycleAttribution,
     folded_until: Cycle,
-    /// Retained scratch for `compact`: settled spans awaiting the fold.
-    /// Capacity is kept across calls so steady-state compaction performs
-    /// no heap allocation.
-    settle_scratch: Vec<AttributionSpan>,
-    /// Retained scratch for the sweep-line boundary keys.
-    event_scratch: Vec<u64>,
+    /// Retained scratch for `compact`, so steady-state compaction
+    /// performs no heap allocation.
+    scratch: Partition,
 }
 
 impl Default for AttributionLog {
     fn default() -> Self {
         Self {
-            spans: Vec::with_capacity(INITIAL_SPANS),
+            closed: std::array::from_fn(|_| Vec::with_capacity(INITIAL_SPANS)),
             open: [None; KIND_COUNT],
             folded: CycleAttribution::default(),
             folded_until: 0,
-            settle_scratch: Vec::new(),
-            event_scratch: Vec::new(),
+            scratch: Partition::default(),
         }
     }
 }
@@ -393,7 +400,7 @@ impl AttributionLog {
     /// Records a busy interval `[start, end)`. Empty intervals are
     /// ignored; an interval overlapping or touching its kind's open
     /// interval extends it in place, and otherwise replaces it (the old
-    /// one is closed into the span list).
+    /// one is closed into its kind's list).
     #[inline]
     pub fn record(&mut self, kind: AttributionKind, start: Cycle, end: Cycle) {
         if end <= start {
@@ -406,8 +413,12 @@ impl AttributionLog {
                 open.end = open.end.max(end);
             }
             _ => {
-                if let Some(closed) = slot.replace(AttributionSpan { kind, start, end }) {
-                    self.spans.push(closed);
+                if let Some(closed) = slot.replace(Interval { start, end }) {
+                    let list = &mut self.closed[kind as usize];
+                    match list.last() {
+                        Some(last) if last.start > closed.start => insert_sorted(list, closed),
+                        _ => list.push(closed),
+                    }
                 }
             }
         }
@@ -416,7 +427,11 @@ impl AttributionLog {
     /// Number of intervals currently held, open ones included (folded
     /// prefixes excluded).
     pub fn pending_spans(&self) -> usize {
-        self.spans.len() + self.open.iter().flatten().count()
+        self.closed_spans() + self.open.iter().flatten().count()
+    }
+
+    fn closed_spans(&self) -> usize {
+        self.closed.iter().map(Vec::len).sum()
     }
 
     /// Folds settled intervals into bucket counters once the log grows
@@ -425,7 +440,7 @@ impl AttributionLog {
     /// of its units' free times); intervals crossing it are split.
     #[inline]
     pub fn maybe_compact(&mut self, frontier: Cycle) {
-        if self.spans.len() >= COMPACT_THRESHOLD {
+        if self.closed_spans() >= COMPACT_THRESHOLD {
             self.compact(frontier);
         }
     }
@@ -433,35 +448,42 @@ impl AttributionLog {
     /// Unconditionally folds everything below `frontier`, open intervals
     /// included.
     ///
-    /// Kept (unsettled) spans are compacted in place — every input span
-    /// yields at most one kept entry, so the write index never passes the
-    /// read index — and the settled side reuses a retained scratch vector,
-    /// making steady-state compaction allocation-free.
+    /// The intervals starting below `frontier` are a prefix of each
+    /// kind's list. The prefix is charged, then replaced in place by at
+    /// most one interval — the union of its parts past `frontier`, which
+    /// all start there — so the list stays sorted. The partition reuses
+    /// retained scratch, making steady-state compaction allocation-free.
     pub fn compact(&mut self, frontier: Cycle) {
         if frontier <= self.folded_until {
             return;
         }
-        let mut settled = std::mem::take(&mut self.settle_scratch);
-        settled.clear();
-        let mut kept = 0;
-        for read in 0..self.spans.len() {
-            if let Some(rest) = settle(self.spans[read], frontier, &mut settled) {
-                self.spans[kept] = rest;
-                kept += 1;
-            }
+        self.scratch.start();
+        for (k, &kind) in KINDS.iter().enumerate() {
+            let list = &mut self.closed[k];
+            let settled = list.partition_point(|s| s.start < frontier);
+            let tail = self.scratch.charge(
+                &mut self.folded,
+                kind,
+                &list[..settled],
+                self.open[k],
+                self.folded_until,
+                frontier,
+            );
+            let drained = if tail > frontier {
+                list[settled - 1] = Interval {
+                    start: frontier,
+                    end: tail,
+                };
+                settled - 1
+            } else {
+                settled
+            };
+            list.drain(..drained);
+            self.open[k] = self.open[k].filter(|s| s.end > frontier).map(|s| Interval {
+                start: s.start.max(frontier),
+                end: s.end,
+            });
         }
-        self.spans.truncate(kept);
-        for slot in &mut self.open {
-            *slot = slot.and_then(|span| settle(span, frontier, &mut settled));
-        }
-        partition_with(
-            &mut self.event_scratch,
-            settled.iter(),
-            self.folded_until,
-            frontier,
-            &mut self.folded,
-        );
-        self.settle_scratch = settled;
         self.folded_until = frontier;
     }
 
@@ -474,7 +496,11 @@ impl AttributionLog {
     /// construction every engine interval ends at or before the finish
     /// cycle, so this indicates an instrumentation bug.
     pub fn finish(&self, total: Cycle) -> CycleAttribution {
-        let pending = self.spans.iter().chain(self.open.iter().flatten());
+        let pending = self
+            .closed
+            .iter()
+            .flatten()
+            .chain(self.open.iter().flatten());
         if let Some(span) = pending.clone().find(|s| s.end > total) {
             panic!(
                 "attribution interval [{}, {}) extends past the {total}-cycle run",
@@ -482,7 +508,17 @@ impl AttributionLog {
             );
         }
         let mut out = self.folded;
-        partition_with(&mut Vec::new(), pending, self.folded_until, total, &mut out);
+        let mut scratch = Partition::default();
+        for (k, &kind) in KINDS.iter().enumerate() {
+            scratch.charge(
+                &mut out,
+                kind,
+                &self.closed[k],
+                self.open[k],
+                self.folded_until,
+                total,
+            );
+        }
         let busy = out.busy();
         debug_assert!(busy <= total);
         out.idle = total - busy;
@@ -490,85 +526,115 @@ impl AttributionLog {
     }
 }
 
-/// Pushes the part of `span` below `frontier` onto `settled` and returns
-/// the part at or above it, if any.
-fn settle(
-    span: AttributionSpan,
-    frontier: Cycle,
-    settled: &mut Vec<AttributionSpan>,
-) -> Option<AttributionSpan> {
-    if span.start < frontier {
-        settled.push(AttributionSpan {
-            end: span.end.min(frontier),
-            ..span
-        });
-    }
-    (span.end > frontier).then_some(AttributionSpan {
-        start: span.start.max(frontier),
-        ..span
-    })
+/// Inserts `span` into a start-sorted list at its start position,
+/// scanning back from the tail: the rare close that arrives out of order.
+#[cold]
+fn insert_sorted(list: &mut Vec<Interval>, span: Interval) {
+    let at = list
+        .iter()
+        .rposition(|s| s.start <= span.start)
+        .map_or(0, |i| i + 1);
+    list.insert(at, span);
 }
 
-/// Bits below a boundary key's cycle: `kind << 1 | open`.
-const KEY_SHIFT: u32 = 4;
+/// Priority partition by sorted merges. Kinds are charged in priority
+/// order: each is charged the cycles its union adds to `covered`, the
+/// union of every kind charged before it.
+#[derive(Debug, Clone, Default)]
+struct Partition {
+    /// The current kind's union: sorted, disjoint.
+    union: Vec<Interval>,
+    /// Everything charged so far: sorted, disjoint.
+    covered: Vec<Interval>,
+    /// Total cycles of `covered`.
+    covered_cycles: Cycle,
+    /// `covered ∪ union`, swapped into `covered` once built.
+    merged: Vec<Interval>,
+}
 
-/// Sweep-line partition of `[lo, hi)`: each cycle covered by at least
-/// one span is charged to the highest-priority covering kind; the
-/// resulting bucket cycles are added to `out`. Spans are clamped to
-/// `[lo, hi)`. `events` is caller-provided so hot callers (the log's own
-/// `compact`) reuse its capacity across invocations.
-///
-/// Each boundary is one packed key, `pos << 4 | kind << 1 | open`, so
-/// the sort compares plain integers.
-///
-/// # Panics
-///
-/// Panics if `hi` does not fit in the key's 60 cycle bits.
-fn partition_with<'a>(
-    events: &mut Vec<u64>,
-    spans: impl Iterator<Item = &'a AttributionSpan>,
-    lo: Cycle,
-    hi: Cycle,
-    out: &mut CycleAttribution,
-) {
-    events.clear();
-    if hi <= lo {
-        return;
+impl Partition {
+    /// Starts a partition: nothing is covered yet.
+    fn start(&mut self) {
+        self.covered.clear();
+        self.covered_cycles = 0;
     }
-    assert!(
-        hi < 1 << (u64::BITS - KEY_SHIFT),
-        "cycle {hi} does not fit a packed boundary key"
-    );
-    for span in spans {
-        let start = span.start.max(lo);
-        let end = span.end.min(hi);
-        if end > start {
-            let kind = (span.kind as u64) << 1;
-            events.push(start << KEY_SHIFT | kind | 1);
-            events.push(end << KEY_SHIFT | kind);
+
+    /// Charges `kind` the cycles of `[lo, hi)` that its `list` (sorted by
+    /// start, possibly overlapping) and `open` cover and no kind charged
+    /// since [`Self::start`] did, then adds them to `covered`. Returns the
+    /// latest end in `list` (0 if empty).
+    fn charge(
+        &mut self,
+        out: &mut CycleAttribution,
+        kind: AttributionKind,
+        list: &[Interval],
+        open: Option<Interval>,
+        lo: Cycle,
+        hi: Cycle,
+    ) -> Cycle {
+        self.union.clear();
+        let mut add = |span: Interval| {
+            let clamped = Interval {
+                start: span.start.max(lo),
+                end: span.end.min(hi),
+            };
+            if clamped.end > clamped.start {
+                push_coalesced(&mut self.union, clamped);
+            }
+        };
+        // `open` goes in at its start position, keeping the pass sorted.
+        let at = open.map_or(list.len(), |o| list.partition_point(|s| s.start <= o.start));
+        let mut tail = 0;
+        for &span in &list[..at] {
+            tail = tail.max(span.end);
+            add(span);
         }
-    }
-    events.sort_unstable();
-    let mut active = [0u64; KIND_COUNT];
-    let mut prev: Cycle = 0;
-    let mut have_prev = false;
-    for &key in events.iter() {
-        let pos = key >> KEY_SHIFT;
-        if have_prev && pos > prev {
-            // Charge the elementary interval to the highest-priority
-            // active kind, if any.
-            if let Some(k) = (0..KIND_COUNT).find(|&i| active[i] > 0) {
-                *bucket_mut(out, KINDS[k]) += pos - prev;
+        if let Some(open) = open {
+            add(open);
+        }
+        for &span in &list[at..] {
+            tail = tail.max(span.end);
+            add(span);
+        }
+        if self.union.is_empty() {
+            return tail;
+        }
+        self.merged.clear();
+        let mut merged_cycles = 0;
+        let (mut a, mut b) = (self.covered.iter().peekable(), self.union.iter().peekable());
+        loop {
+            let next = match (a.peek(), b.peek()) {
+                (Some(x), Some(y)) if x.start <= y.start => a.next(),
+                (Some(_), Some(_)) => b.next(),
+                (Some(_), None) => a.next(),
+                (None, _) => b.next(),
+            };
+            match next {
+                Some(&span) => merged_cycles += push_coalesced(&mut self.merged, span),
+                None => break,
             }
         }
-        let kind = (key >> 1 & 0b111) as usize;
-        if key & 1 == 1 {
-            active[kind] += 1;
-        } else {
-            active[kind] -= 1;
+        *bucket_mut(out, kind) += merged_cycles - self.covered_cycles;
+        self.covered_cycles = merged_cycles;
+        std::mem::swap(&mut self.covered, &mut self.merged);
+        tail
+    }
+}
+
+/// Appends `span` to a sorted, disjoint list whose last start is at most
+/// `span.start`, merging it into the last interval when they overlap or
+/// touch. Returns the cycles the list's union grew by.
+fn push_coalesced(list: &mut Vec<Interval>, span: Interval) -> Cycle {
+    match list.last_mut() {
+        Some(last) if span.start <= last.end => {
+            let grown = span.end.saturating_sub(last.end);
+            last.end = last.end.max(span.end);
+            grown
         }
-        prev = pos;
-        have_prev = true;
+        _ => {
+            list.push(span);
+            span.end - span.start
+        }
     }
 }
 
@@ -755,6 +821,14 @@ mod tests {
         assert_eq!(a.finish(100), b.finish(100));
     }
 
+    /// One recorded busy interval: `[start, end)` of `kind`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct AttributionSpan {
+        kind: AttributionKind,
+        start: Cycle,
+        end: Cycle,
+    }
+
     /// The plainest correct attribution log, the oracle for the
     /// equivalence property below: it coalesces only with the last
     /// pushed span, copies on every compaction and sorts
@@ -854,38 +928,98 @@ mod tests {
         }
     }
 
-    proptest::proptest! {
-        /// The per-kind coalescing log with packed-key partitions gives
-        /// the same `finish` as the reference log, over out-of-order
-        /// multi-kind spans interleaved with compactions that respect the
-        /// frontier contract (no span starts before the last frontier).
-        #[test]
-        fn log_matches_the_reference_partition(
-            ops in proptest::collection::vec((0usize..8, 0u64..24, 0u64..40), 0..200),
-            tail in 0u64..5,
-        ) {
-            let mut log = AttributionLog::new();
-            let mut reference = ReferenceLog::default();
-            let mut frontier = 0u64;
-            let mut max_end = 0u64;
-            for &(op, a, b) in &ops {
-                if let Some(&kind) = KINDS.get(op) {
-                    // Starts anywhere in the 40 cycles past the frontier:
-                    // out of order, but never before it.
-                    let start = frontier + b;
-                    let end = start + a;
-                    log.record(kind, start, end);
-                    reference.record(kind, start, end);
-                    max_end = max_end.max(end);
-                } else {
+    /// One generated step: `(op, a, b)`. Ops `0..6` record a span of
+    /// that kind, ops `6..8` record a *descent* (a span of kind `a % 6`
+    /// starting before that kind's last recorded start), and the rest
+    /// compact at a frontier `a` cycles further on.
+    type Op = (usize, u64, u64);
+
+    fn ops() -> impl proptest::prelude::Strategy<Value = Vec<Op>> {
+        proptest::collection::vec((0usize..10, 0u64..24, 0u64..120), 0..200)
+    }
+
+    /// Drives the log and the reference through `ops` and compares their
+    /// `finish`. Spans start anywhere in the 120 cycles past the frontier
+    /// (out of order, but never before it), and descents make spans of
+    /// one kind close out of start order between compactions, so the
+    /// log's sorted insert runs off its tail.
+    fn check_against_reference(ops: &[Op], tail: u64) {
+        let mut log = AttributionLog::new();
+        let mut reference = ReferenceLog::default();
+        let mut frontier = 0u64;
+        let mut max_end = 0u64;
+        let mut last_start = [0u64; KIND_COUNT];
+        for &(op, a, b) in ops {
+            let span = match op {
+                0..=5 => Some((op, frontier + b, frontier + b + a)),
+                6 | 7 => {
+                    let k = a as usize % KIND_COUNT;
+                    let room = last_start[k].saturating_sub(frontier);
+                    (room > 0).then(|| {
+                        let start = frontier + b % room;
+                        (k, start, start + 1 + a % (last_start[k] - start))
+                    })
+                }
+                _ => {
                     frontier += a;
                     log.compact(frontier);
                     reference.compact(frontier);
+                    None
                 }
+            };
+            if let Some((k, start, end)) = span {
+                log.record(KINDS[k], start, end);
+                reference.record(KINDS[k], start, end);
+                last_start[k] = start;
+                max_end = max_end.max(end);
             }
-            let total = max_end.max(frontier) + tail;
-            proptest::prop_assert_eq!(log.finish(total), reference.finish(total));
         }
+        let total = max_end.max(frontier) + tail;
+        assert_eq!(log.finish(total), reference.finish(total));
+    }
+
+    proptest::proptest! {
+        /// The per-kind sorted-merge log gives the same `finish` as the
+        /// reference log, over out-of-order multi-kind spans interleaved
+        /// with compactions that respect the frontier contract (no span
+        /// starts before the last frontier).
+        #[test]
+        fn log_matches_the_reference_partition(ops in ops(), tail in 0u64..5) {
+            check_against_reference(&ops, tail);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        /// The same property over many more cases; run in release with
+        /// `--include-ignored`.
+        #[test]
+        #[ignore = "slow: run with --release -- --include-ignored"]
+        fn log_matches_the_reference_partition_many(ops in ops(), tail in 0u64..5) {
+            check_against_reference(&ops, tail);
+        }
+    }
+
+    #[test]
+    fn out_of_order_closes_match_the_reference() {
+        // Each TLB stall starts before the previous one, so every close
+        // but the first lands ahead of the list's tail.
+        let spans = [(50, 60), (30, 40), (10, 20), (70, 75), (0, 5), (42, 48)];
+        let mut log = AttributionLog::new();
+        let mut reference = ReferenceLog::default();
+        for (start, end) in spans {
+            log.record(AttributionKind::TlbStall, start, end);
+            reference.record(AttributionKind::TlbStall, start, end);
+            log.record(AttributionKind::Load, start, end + 3);
+            reference.record(AttributionKind::Load, start, end + 3);
+        }
+        assert_eq!(log.pending_spans(), 12);
+        let mut compacted = log.clone();
+        compacted.compact(35);
+        assert_eq!(compacted.finish(80), log.finish(80));
+        assert_eq!(log.finish(80), reference.finish(80));
+        assert_eq!(log.finish(80).tlb_stall, 10 + 10 + 10 + 5 + 5 + 6);
     }
 
     #[test]

@@ -1,24 +1,50 @@
 //! Per-process address spaces backed by a three-level radix page table.
 //!
-//! The table is modeled at two levels of fidelity simultaneously:
-//!
-//! * **Mapping** — an integer-hashed map from [`Vpn`] to ([`Frame`],
-//!   [`PagePermissions`]) gives O(1) functional translation.
-//! * **Walk addresses** — for timing, [`AddressSpace::walk_addresses`]
-//!   produces the three physical PTE addresses an sv39 walker would touch,
-//!   derived from real per-level table frames allocated on demand. The
-//!   page-table walker issues those as genuine memory accesses, so PTE
-//!   locality (consecutive pages sharing a leaf table line) shows up in the
-//!   L2 exactly as it does on real hardware.
+//! [`AddressSpace`] is an sv39 radix tree: a 512-slot root, mid tables of
+//! 512 leaf-table slots and leaf tables of 512 PTEs, each table backed by
+//! a real physical frame allocated on first touch. One traversal,
+//! [`AddressSpace::walk`], yields both the mapping (functional
+//! translation) and the three physical PTE addresses an sv39 walker
+//! touches (timing). The page-table walker issues those as genuine memory
+//! accesses, so PTE locality (consecutive pages sharing a leaf table
+//! line) shows up in the L2 exactly as it does on real hardware.
 
-use crate::page::{Frame, FrameAllocator, PagePermissions, Vpn};
+use crate::page::{Frame, FrameAllocator, Mapping, PagePermissions, Vpn};
 use gemmini_mem::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
-use gemmini_mem::hash::IntMap;
 
 /// Number of radix levels in the walk (sv39).
 pub const WALK_LEVELS: usize = 3;
 /// Size of one page-table entry in bytes.
 pub const PTE_BYTES: u64 = 8;
+/// Entries in one radix table (9 index bits per level).
+const TABLE_ENTRIES: usize = 512;
+/// VPN bits the three levels index (sv39's 27-bit page number).
+const VPN_BITS: u32 = 27;
+
+/// A level-1 table: its frame plus one slot per leaf table.
+#[derive(Debug, Clone)]
+struct MidTable {
+    frame: Frame,
+    leaves: Box<[Option<Box<LeafTable>>; TABLE_ENTRIES]>,
+}
+
+/// A level-2 (leaf) table: its frame plus one PTE per page.
+#[derive(Debug, Clone)]
+struct LeafTable {
+    frame: Frame,
+    ptes: [Option<Mapping>; TABLE_ENTRIES],
+}
+
+/// One traversal of the radix tree for a page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PageWalk {
+    /// The physical PTE addresses a walk touches, root first. Present
+    /// whether or not the leaf maps the page (a walk that faults still
+    /// performs its reads).
+    pub ptes: [PhysAddr; WALK_LEVELS],
+    /// The leaf mapping, if the page is mapped.
+    pub mapping: Option<Mapping>,
+}
 
 /// One process's address space: mappings plus the radix-table frames that
 /// back them.
@@ -37,9 +63,9 @@ pub const PTE_BYTES: u64 = 8;
 #[derive(Debug, Clone)]
 pub struct AddressSpace {
     root: Frame,
-    map: IntMap<Vpn, (Frame, PagePermissions)>,
-    /// Interior-node frames, keyed by (level, path-prefix of indices).
-    tables: IntMap<(u32, u64), Frame>,
+    /// The root table's slots, indexed by the level-0 VPN index.
+    mids: Box<[Option<Box<MidTable>>; TABLE_ENTRIES]>,
+    mapped: usize,
     next_va: u64,
 }
 
@@ -47,13 +73,22 @@ pub struct AddressSpace {
 /// real process layout).
 const HEAP_BASE: u64 = 0x10_0000;
 
+/// The three 9-bit table indices of `vpn`, root first.
+fn indices(vpn: Vpn) -> [usize; WALK_LEVELS] {
+    [0, 1, 2].map(|level| vpn.index_at_level(level) as usize)
+}
+
+fn empty_slots<T>() -> Box<[Option<T>; TABLE_ENTRIES]> {
+    Box::new(std::array::from_fn(|_| None))
+}
+
 impl AddressSpace {
     /// Creates an empty address space, allocating its root table frame.
     pub fn new(frames: &mut FrameAllocator) -> Self {
         Self {
             root: frames.alloc(),
-            map: IntMap::default(),
-            tables: IntMap::default(),
+            mids: empty_slots(),
+            mapped: 0,
             next_va: HEAP_BASE,
         }
     }
@@ -64,7 +99,12 @@ impl AddressSpace {
     }
 
     /// Maps one page with the given permissions, allocating interior table
-    /// frames on demand. Remapping an existing page replaces its entry.
+    /// frames on demand (the mid table before the leaf table). Remapping
+    /// an existing page replaces its entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vpn` does not fit sv39's 27-bit page number.
     pub fn map_page(
         &mut self,
         frames: &mut FrameAllocator,
@@ -72,15 +112,23 @@ impl AddressSpace {
         frame: Frame,
         perms: PagePermissions,
     ) {
-        // Materialize interior nodes for levels 1 and 2 so the walker has
-        // real PTE addresses to touch.
-        let l0 = vpn.index_at_level(0);
-        let l1 = vpn.index_at_level(1);
-        self.tables.entry((1, l0)).or_insert_with(|| frames.alloc());
-        self.tables
-            .entry((2, (l0 << 9) | l1))
-            .or_insert_with(|| frames.alloc());
-        self.map.insert(vpn, (frame, perms));
+        assert!(vpn.raw() >> VPN_BITS == 0, "{vpn} is outside sv39");
+        let [l0, l1, l2] = indices(vpn);
+        let mid = self.mids[l0].get_or_insert_with(|| {
+            Box::new(MidTable {
+                frame: frames.alloc(),
+                leaves: empty_slots(),
+            })
+        });
+        let leaf = mid.leaves[l1].get_or_insert_with(|| {
+            Box::new(LeafTable {
+                frame: frames.alloc(),
+                ptes: [None; TABLE_ENTRIES],
+            })
+        });
+        let pte = &mut leaf.ptes[l2];
+        self.mapped += usize::from(pte.is_none());
+        *pte = Some(Mapping { frame, perms });
     }
 
     /// Allocates `len` bytes of fresh, page-aligned, read-write virtual
@@ -108,23 +156,33 @@ impl AddressSpace {
         let va = self.alloc(frames, len);
         let pages = len.div_ceil(PAGE_SIZE);
         for i in 0..pages {
-            let vpn = Vpn::new(va.page_number() + i);
-            if let Some(entry) = self.map.get_mut(&vpn) {
-                entry.1 = PagePermissions::RO;
+            if let Some(Some(m)) = self.pte_mut(Vpn::new(va.page_number() + i)) {
+                m.perms = PagePermissions::RO;
             }
         }
         va
     }
 
     /// Unmaps one page (simulating an OS page eviction). Returns the frame it
-    /// was mapped to, if any.
+    /// was mapped to, if any. The page's table frames stay allocated.
     pub fn unmap_page(&mut self, vpn: Vpn) -> Option<Frame> {
-        self.map.remove(&vpn).map(|(f, _)| f)
+        let mapping = self.pte_mut(vpn)?.take()?;
+        self.mapped -= 1;
+        Some(mapping.frame)
+    }
+
+    /// The leaf PTE slot of `vpn`, if its tables exist.
+    fn pte_mut(&mut self, vpn: Vpn) -> Option<&mut Option<Mapping>> {
+        if vpn.raw() >> VPN_BITS != 0 {
+            return None;
+        }
+        let [l0, l1, l2] = indices(vpn);
+        Some(&mut self.mids[l0].as_mut()?.leaves[l1].as_mut()?.ptes[l2])
     }
 
     /// Looks up the mapping for a page.
     pub fn lookup(&self, vpn: Vpn) -> Option<(Frame, PagePermissions)> {
-        self.map.get(&vpn).copied()
+        self.walk(vpn).mapping.map(|m| (m.frame, m.perms))
     }
 
     /// Translates a full virtual address to its physical address (functional
@@ -134,38 +192,49 @@ impl AddressSpace {
         Some(frame.base().add(va.offset_in_page()))
     }
 
-    /// The physical PTE addresses a three-level walk of `vpn` touches, root
-    /// first. Returned regardless of whether the leaf mapping exists (a walk
-    /// that faults still performs its reads).
-    pub fn walk_addresses(&self, vpn: Vpn) -> [PhysAddr; WALK_LEVELS] {
-        let l0 = vpn.index_at_level(0);
-        let l1 = vpn.index_at_level(1);
-        let l2 = vpn.index_at_level(2);
-        let level1 = self
-            .tables
-            .get(&(1, l0))
-            .copied()
-            .unwrap_or_else(|| Frame::new(self.root.raw() + 1));
-        let level2 = self
-            .tables
-            .get(&(2, (l0 << 9) | l1))
-            .copied()
-            .unwrap_or_else(|| Frame::new(self.root.raw() + 2));
-        [
-            self.root.base().add(l0 * PTE_BYTES),
-            level1.base().add(l1 * PTE_BYTES),
-            level2.base().add(l2 * PTE_BYTES),
-        ]
+    /// Walks the tree for `vpn` once: the three physical PTE addresses a
+    /// walk touches, root first, and the leaf mapping. Where a table is
+    /// absent the walk reads the frame after the root (level 1) or the
+    /// one after that (level 2), as a faulting hardware walk still reads
+    /// some table.
+    pub fn walk(&self, vpn: Vpn) -> PageWalk {
+        let [l0, l1, l2] = indices(vpn);
+        let mid = self.mids[l0].as_deref();
+        let leaf = mid.and_then(|m| m.leaves[l1].as_deref());
+        let level1 = mid.map_or(Frame::new(self.root.raw() + 1), |m| m.frame);
+        let level2 = leaf.map_or(Frame::new(self.root.raw() + 2), |l| l.frame);
+        let index_bytes = |i: usize| i as u64 * PTE_BYTES;
+        PageWalk {
+            ptes: [
+                self.root.base().add(index_bytes(l0)),
+                level1.base().add(index_bytes(l1)),
+                level2.base().add(index_bytes(l2)),
+            ],
+            mapping: leaf
+                .filter(|_| vpn.raw() >> VPN_BITS == 0)
+                .and_then(|l| l.ptes[l2]),
+        }
     }
 
     /// Number of mapped pages.
     pub fn mapped_pages(&self) -> usize {
-        self.map.len()
+        self.mapped
     }
 
-    /// Iterates over all mapped pages (unordered).
+    /// Iterates over all mapped pages in VPN order.
     pub fn iter(&self) -> impl Iterator<Item = (Vpn, Frame, PagePermissions)> + '_ {
-        self.map.iter().map(|(v, (f, p))| (*v, *f, *p))
+        self.mids.iter().enumerate().flat_map(|(l0, mid)| {
+            mid.iter().flat_map(move |mid| {
+                mid.leaves.iter().enumerate().flat_map(move |(l1, leaf)| {
+                    leaf.iter().flat_map(move |leaf| {
+                        leaf.ptes.iter().enumerate().filter_map(move |(l2, pte)| {
+                            let vpn = (l0 << 18 | l1 << 9 | l2) as u64;
+                            pte.map(|m| (Vpn::new(vpn), m.frame, m.perms))
+                        })
+                    })
+                })
+            })
+        })
     }
 }
 
@@ -230,7 +299,7 @@ mod tests {
     fn walk_addresses_are_three_distinct_levels() {
         let (mut fa, mut sp) = space();
         let va = sp.alloc(&mut fa, PAGE_SIZE);
-        let walk = sp.walk_addresses(Vpn::of(va));
+        let walk = sp.walk(Vpn::of(va)).ptes;
         assert_eq!(walk.len(), 3);
         assert_ne!(walk[0].page_number(), walk[1].page_number());
         assert_ne!(walk[1].page_number(), walk[2].page_number());
@@ -240,8 +309,8 @@ mod tests {
     fn adjacent_pages_share_leaf_table() {
         let (mut fa, mut sp) = space();
         let va = sp.alloc(&mut fa, 2 * PAGE_SIZE);
-        let w0 = sp.walk_addresses(Vpn::of(va));
-        let w1 = sp.walk_addresses(Vpn::new(va.page_number() + 1));
+        let w0 = sp.walk(Vpn::of(va)).ptes;
+        let w1 = sp.walk(Vpn::new(va.page_number() + 1)).ptes;
         // Same leaf table frame, adjacent PTEs.
         assert_eq!(w0[2].page_number(), w1[2].page_number());
         assert_eq!(w1[2].raw() - w0[2].raw(), PTE_BYTES);

@@ -7,7 +7,7 @@
 //! cached in the L2 like any other data, and a warm walk is far cheaper
 //! than a cold one.
 
-use crate::page::Vpn;
+use crate::page::{Mapping, Vpn};
 use crate::page_table::{AddressSpace, PTE_BYTES};
 use gemmini_mem::{Cycle, MemorySystem};
 
@@ -38,8 +38,8 @@ impl Default for PtwConfig {
 pub struct WalkOutcome {
     /// Cycle at which the walk finished.
     pub done: Cycle,
-    /// Whether the leaf PTE mapped the page.
-    pub mapped: bool,
+    /// The leaf PTE's mapping, or `None` if the page is unmapped.
+    pub mapping: Option<Mapping>,
 }
 
 /// A single shared page-table walker.
@@ -58,7 +58,7 @@ pub struct WalkOutcome {
 /// let mut mem = MemorySystem::default();
 /// let mut ptw = PageTableWalker::new(PtwConfig::default());
 /// let out = ptw.walk(&space, &mut mem, 0, Vpn::of(va));
-/// assert!(out.mapped);
+/// assert!(out.mapping.is_some());
 /// assert!(out.done > 0);
 /// ```
 #[derive(Debug, Clone)]
@@ -99,7 +99,8 @@ impl PageTableWalker {
     ) -> WalkOutcome {
         let start = now.max(self.busy_until);
         let mut t = start + self.config.overhead;
-        for pte_addr in space.walk_addresses(vpn) {
+        let walk = space.walk(vpn);
+        for pte_addr in walk.ptes {
             t = mem.read(self.config.port, t, pte_addr, PTE_BYTES);
         }
         self.busy_until = t;
@@ -107,7 +108,7 @@ impl PageTableWalker {
         self.total_walk_cycles += t - start;
         WalkOutcome {
             done: t,
-            mapped: space.lookup(vpn).is_some(),
+            mapping: walk.mapping,
         }
     }
 
@@ -152,7 +153,7 @@ mod tests {
         let (sp, mut mem, mut ptw) = setup();
         let vpn = sp.iter().next().unwrap().0;
         let out = ptw.walk(&sp, &mut mem, 0, vpn);
-        assert!(out.mapped);
+        assert_eq!(out.mapping.map(|m| m.frame), sp.lookup(vpn).map(|(f, _)| f));
         assert_eq!(ptw.walks(), 1);
     }
 
@@ -160,7 +161,7 @@ mod tests {
     fn walk_of_unmapped_page_reports_fault_but_still_takes_time() {
         let (sp, mut mem, mut ptw) = setup();
         let out = ptw.walk(&sp, &mut mem, 0, Vpn::new(0xdead));
-        assert!(!out.mapped);
+        assert!(out.mapping.is_none());
         assert!(out.done > 0);
     }
 

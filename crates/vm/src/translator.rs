@@ -322,10 +322,9 @@ impl TranslationSystem {
             outcome.done.saturating_sub(now + latency),
         );
         let total_latency = outcome.done.saturating_sub(now);
-        if !outcome.mapped {
+        let Some(m) = outcome.mapping else {
             return Err(TranslateError::PageFault { vpn });
-        }
-        let m = Mapping::from(space.lookup(vpn).expect("walk said mapped"));
+        };
         let out = translation(m, total_latency, HitLevel::Walk)?;
         self.private.insert(vpn, m);
         self.shared.insert(vpn, m);
