@@ -34,20 +34,13 @@ impl BusConfig {
     /// Cycles an uncontended transfer of `bytes` occupies the bus
     /// (beats plus arbitration) — the ideal streaming time a requestor
     /// pays even when the rest of the memory path is free.
-    #[inline]
     pub fn service_cycles(&self, bytes: u64) -> u64 {
         self.beats(bytes) + self.arbitration_latency
     }
 
-    /// Data beats a transfer of `bytes` takes (at least one). A transfer
-    /// no wider than the bus, such as a PTE read, skips the divide.
-    #[inline]
+    /// Data beats a transfer of `bytes` takes (at least one).
     pub fn beats(&self, bytes: u64) -> u64 {
-        if bytes <= self.bytes_per_cycle {
-            1
-        } else {
-            bytes.div_ceil(self.bytes_per_cycle)
-        }
+        bytes.div_ceil(self.bytes_per_cycle).max(1)
     }
 }
 

@@ -156,11 +156,6 @@ impl MemorySystem {
             last_line = (bytes > 0).then(|| addr.add(bytes - 1).line_index());
             row(issue, done);
         }
-        self.count_rows(port, kind, k, bytes);
-    }
-
-    /// Moves `port`'s traffic counters by `k` rows of `bytes` each.
-    fn count_rows(&mut self, port: PortId, kind: AccessKind, k: u64, bytes: u64) {
         let stats = self.port_stats_mut(port);
         match kind {
             AccessKind::Read => {
@@ -231,9 +226,8 @@ impl MemorySystem {
         bytes: u64,
         kind: AccessKind,
     ) -> Cycle {
-        let beats = self.config.bus.beats(bytes);
-        let done = self.row_access(now, addr, bytes, beats, kind, None);
-        self.count_rows(port, kind, 1, bytes);
+        let mut done = now;
+        self.access_run(port, now, 0, addr, 0, bytes, 1, kind, |_, d| done = d);
         done
     }
 

@@ -160,10 +160,6 @@ impl WindowPoint {
 pub struct WindowedRate {
     window: Cycle,
     points: Vec<WindowPoint>,
-    /// The window the last event landed in, `[start, end)`, and its
-    /// index: while time stays inside it, recording skips the divide.
-    /// Empty until the first event.
-    current: (Cycle, Cycle, usize),
 }
 
 impl WindowedRate {
@@ -177,7 +173,6 @@ impl WindowedRate {
         Self {
             window,
             points: Vec::new(),
-            current: (0, 0, 0),
         }
     }
 
@@ -191,8 +186,7 @@ impl WindowedRate {
     /// Events may arrive slightly out of order (overlapped load/store
     /// streams); each is bucketed by its own timestamp.
     pub fn record(&mut self, now: Cycle, hit: bool) {
-        let idx = self.slot(now);
-        self.bump(idx, hit, 1);
+        self.record_n(now, hit, 1);
     }
 
     /// Records `k` events with the same outcome at `start`, `start + step`,
@@ -202,25 +196,18 @@ impl WindowedRate {
         let mut j = 0;
         while j < k {
             let t = start + j * step;
-            let idx = self.slot(t);
             // Events j.. that still land in t's window.
             let in_window = match step {
                 0 => k - j,
-                _ => (self.current.1 - t).div_ceil(step),
+                _ => ((t / self.window + 1) * self.window - t).div_ceil(step),
             };
             let n = in_window.min(k - j);
-            self.bump(idx, hit, n);
+            self.record_n(t, hit, n);
             j += n;
         }
     }
 
-    /// The index of `now`'s window, growing the series to reach it.
-    #[inline]
-    fn slot(&mut self, now: Cycle) -> usize {
-        let (start, end, idx) = self.current;
-        if (start..end).contains(&now) {
-            return idx;
-        }
+    fn record_n(&mut self, now: Cycle, hit: bool, n: u64) {
         let idx = (now / self.window) as usize;
         if idx >= self.points.len() {
             let base = self.points.len();
@@ -230,12 +217,6 @@ impl WindowedRate {
                 misses: 0,
             }));
         }
-        let start = idx as Cycle * self.window;
-        self.current = (start, start.saturating_add(self.window), idx);
-        idx
-    }
-
-    fn bump(&mut self, idx: usize, hit: bool, n: u64) {
         let p = &mut self.points[idx];
         if hit {
             p.hits += n;
@@ -333,9 +314,10 @@ impl FromJson for WindowedRate {
         if window == 0 {
             return Err(JsonError::new("windowed series with zero window width"));
         }
-        let mut rate = Self::new(window);
-        rate.points = Vec::<WindowPoint>::from_json(value.field("points")?)?;
-        Ok(rate)
+        Ok(Self {
+            window,
+            points: Vec::<WindowPoint>::from_json(value.field("points")?)?,
+        })
     }
 }
 

@@ -258,7 +258,14 @@ impl Tracer {
     ) {
         if let Some(sink) = &self.sink {
             if end > start {
-                self.emit(sink, component, name, start, end - start, cause);
+                sink.lock().expect("trace sink lock").record(TraceEvent {
+                    pid: self.pid,
+                    component,
+                    name: name.to_string(),
+                    start,
+                    dur: end - start,
+                    cause,
+                });
             }
         }
     }
@@ -267,31 +274,15 @@ impl Tracer {
     #[inline]
     pub fn instant(&self, component: Component, name: &str, at: Cycle, cause: StallCause) {
         if let Some(sink) = &self.sink {
-            self.emit(sink, component, name, at, 0, cause);
+            sink.lock().expect("trace sink lock").record(TraceEvent {
+                pid: self.pid,
+                component,
+                name: name.to_string(),
+                start: at,
+                dur: 0,
+                cause,
+            });
         }
-    }
-
-    /// Hands one event to the sink: off the hot path, so an emission site
-    /// inlines only the enabled check.
-    #[cold]
-    #[inline(never)]
-    fn emit(
-        &self,
-        sink: &Mutex<dyn EventSink>,
-        component: Component,
-        name: &str,
-        start: Cycle,
-        dur: Cycle,
-        cause: StallCause,
-    ) {
-        sink.lock().expect("trace sink lock").record(TraceEvent {
-            pid: self.pid,
-            component,
-            name: name.to_string(),
-            start,
-            dur,
-            cause,
-        });
     }
 }
 

@@ -73,9 +73,16 @@ pub struct AddressSpace {
 /// real process layout).
 const HEAP_BASE: u64 = 0x10_0000;
 
-/// The three 9-bit table indices of `vpn`, root first.
+/// The three 9-bit table indices of `vpn`, root first. Only the low 27
+/// bits take part, so a VPN past sv39 aliases a lower page's PTEs.
 fn indices(vpn: Vpn) -> [usize; WALK_LEVELS] {
     [0, 1, 2].map(|level| vpn.index_at_level(level) as usize)
+}
+
+/// The table indices of a VPN that fits sv39's 27-bit page number, or
+/// `None` for one past it: such a page is never mapped.
+fn sv39_indices(vpn: Vpn) -> Option<[usize; WALK_LEVELS]> {
+    (vpn.raw() >> VPN_BITS == 0).then(|| indices(vpn))
 }
 
 fn empty_slots<T>() -> Box<[Option<T>; TABLE_ENTRIES]> {
@@ -112,8 +119,7 @@ impl AddressSpace {
         frame: Frame,
         perms: PagePermissions,
     ) {
-        assert!(vpn.raw() >> VPN_BITS == 0, "{vpn} is outside sv39");
-        let [l0, l1, l2] = indices(vpn);
+        let [l0, l1, l2] = sv39_indices(vpn).unwrap_or_else(|| panic!("{vpn} is outside sv39"));
         let mid = self.mids[l0].get_or_insert_with(|| {
             Box::new(MidTable {
                 frame: frames.alloc(),
@@ -173,10 +179,7 @@ impl AddressSpace {
 
     /// The leaf PTE slot of `vpn`, if its tables exist.
     fn pte_mut(&mut self, vpn: Vpn) -> Option<&mut Option<Mapping>> {
-        if vpn.raw() >> VPN_BITS != 0 {
-            return None;
-        }
-        let [l0, l1, l2] = indices(vpn);
+        let [l0, l1, l2] = sv39_indices(vpn)?;
         Some(&mut self.mids[l0].as_mut()?.leaves[l1].as_mut()?.ptes[l2])
     }
 
@@ -210,9 +213,7 @@ impl AddressSpace {
                 level1.base().add(index_bytes(l1)),
                 level2.base().add(index_bytes(l2)),
             ],
-            mapping: leaf
-                .filter(|_| vpn.raw() >> VPN_BITS == 0)
-                .and_then(|l| l.ptes[l2]),
+            mapping: sv39_indices(vpn).and(leaf).and_then(|l| l.ptes[l2]),
         }
     }
 

@@ -151,9 +151,9 @@ mod tests {
     #[test]
     fn walk_of_mapped_page_reports_mapped() {
         let (sp, mut mem, mut ptw) = setup();
-        let vpn = sp.iter().next().unwrap().0;
+        let (vpn, frame, perms) = sp.iter().next().unwrap();
         let out = ptw.walk(&sp, &mut mem, 0, vpn);
-        assert_eq!(out.mapping.map(|m| m.frame), sp.lookup(vpn).map(|(f, _)| f));
+        assert_eq!(out.mapping, Some(Mapping { frame, perms }));
         assert_eq!(ptw.walks(), 1);
     }
 

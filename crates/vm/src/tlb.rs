@@ -129,29 +129,27 @@ impl Tlb {
         }
         let mapping = mapping.into();
         self.stamp += 1;
-        // One pass finds the page or, failing that, the LRU victim: the
-        // first entry with the oldest stamp.
-        let mut victim: Option<(usize, u64)> = None;
-        for (i, e) in self.entries.iter_mut().enumerate() {
-            if e.vpn == vpn {
-                e.mapping = mapping;
-                e.lru = self.stamp;
-                return;
-            }
-            if victim.is_none_or(|(_, lru)| e.lru < lru) {
-                victim = Some((i, e.lru));
-            }
+        if let Some(e) = self.entries.iter_mut().find(|e| e.vpn == vpn) {
+            e.mapping = mapping;
+            e.lru = self.stamp;
+            return;
         }
         let entry = Entry {
             vpn,
             mapping,
             lru: self.stamp,
         };
-        match victim {
-            Some((i, _)) if self.entries.len() >= self.config.entries as usize => {
-                self.entries[i] = entry;
-            }
-            _ => self.entries.push(entry),
+        if self.entries.len() < self.config.entries as usize {
+            self.entries.push(entry);
+        } else {
+            let victim = self
+                .entries
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.lru)
+                .map(|(i, _)| i)
+                .expect("non-empty TLB");
+            self.entries[victim] = entry;
         }
     }
 
