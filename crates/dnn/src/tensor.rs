@@ -174,17 +174,58 @@ impl<T: fmt::Display + Copy> fmt::Display for Tensor<T> {
     }
 }
 
+/// The value stream behind [`Tensor::<i8>::random`], produced a chunk at a
+/// time, so a caller can lay seeded values out in its own format without
+/// holding the whole tensor.
+///
+/// Filling in any split of chunks yields the same values as one fill of
+/// their total length.
+///
+/// ```
+/// use gemmini_dnn::tensor::{RandomI8, Tensor};
+/// let mut stream = RandomI8::new(7);
+/// let mut head = [0i8; 5];
+/// let mut tail = [0i8; 7];
+/// stream.fill(&mut head);
+/// stream.fill(&mut tail);
+/// let t = Tensor::<i8>::random(&[3, 4], 7);
+/// assert_eq!(&t.as_slice()[..5], &head);
+/// assert_eq!(&t.as_slice()[5..], &tail);
+/// ```
+#[derive(Debug, Clone)]
+pub struct RandomI8 {
+    rng: StdRng,
+}
+
+impl RandomI8 {
+    /// Starts the stream for `seed`.
+    pub fn new(seed: u64) -> Self {
+        Self {
+            rng: StdRng::seed_from_u64(seed),
+        }
+    }
+
+    /// Writes the stream's next `out.len()` values into `out`.
+    pub fn fill(&mut self, out: &mut [i8]) {
+        for v in out {
+            *v = self.rng.gen_range(-64..64) as i8;
+        }
+    }
+}
+
 impl Tensor<i8> {
     /// Deterministic pseudo-random fill in `[-64, 63]` — the reproduction's
     /// substitute for trained int8 weights/activations. Values stay well
     /// inside the i8 range so small accumulations cannot saturate the
-    /// reference path where the hardware would not.
+    /// reference path where the hardware would not. The values are the
+    /// first `len` of [`RandomI8::new(seed)`](RandomI8::new).
     pub fn random(shape: &[usize], seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
         let len: usize = shape.iter().product();
+        let mut data = vec![0i8; len];
+        RandomI8::new(seed).fill(&mut data);
         Self {
             shape: shape.to_vec(),
-            data: (0..len).map(|_| rng.gen_range(-64..64) as i8).collect(),
+            data,
         }
     }
 }
@@ -265,6 +306,31 @@ mod tests {
             .as_slice()
             .iter()
             .all(|&x| (-64..64).contains(&(x as i32))));
+    }
+
+    #[test]
+    fn chunked_stream_equals_random() {
+        // The head of seed 42's stream, which every seeded tensor and
+        // pinned digest rests on.
+        let mut head = [0i8; 12];
+        RandomI8::new(42).fill(&mut head);
+        assert_eq!(head, [-42, 62, -31, -31, 36, -8, -14, -57, 62, -3, 49, 37]);
+        let mut splits = StdRng::seed_from_u64(5);
+        for seed in [0u64, 1, 42, 0x9e37_79b9_7f4a_7c15, u64::MAX] {
+            for len in [1usize, 7, 128, 1000, 4099] {
+                let want = Tensor::<i8>::random(&[len], seed);
+                let mut stream = RandomI8::new(seed);
+                let mut got = vec![0i8; len];
+                let mut at = 0;
+                while at < len {
+                    // Empty chunks included: they must not advance the stream.
+                    let n = splits.gen_range(0..(len - at).min(300) + 1);
+                    stream.fill(&mut got[at..at + n]);
+                    at += n;
+                }
+                assert_eq!(got, want.as_slice(), "seed={seed} len={len}");
+            }
+        }
     }
 
     #[test]

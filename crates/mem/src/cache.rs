@@ -387,9 +387,9 @@ mod tests {
         c.access(addr(0, 1), AccessKind::Read);
         c.access(addr(0, 1), AccessKind::Write); // hit, marks dirty
         c.access(addr(0, 2), AccessKind::Read);
-        let evicting = c.access(addr(0, 3), AccessKind::Read); // evicts LRU = tag 2? no: tag1 used later
-                                                               // tag 1 was used most recently before tag 2's fill; LRU is tag 1? Order:
-                                                               // t1(r,stamp1) t1(w,stamp2) t2(r,stamp3) -> LRU is tag1(stamp2)
+        // Tag 1's last touch (the write) precedes tag 2's fill, so the
+        // dirty tag 1 is the least recently used line and the victim.
+        let evicting = c.access(addr(0, 3), AccessKind::Read);
         assert!(evicting.writeback, "dirty tag 1 is the LRU victim");
     }
 

@@ -92,7 +92,9 @@ pub struct Im2colParams {
 /// `dim`), `k` rows of `dim` bytes each. The tuned software stack pre-packs
 /// static weights this way so B tiles stream as dense, page-friendly reads
 /// instead of pathological `n`-strided 16-byte gathers (which would take a
-/// TLB walk per row on tall FC matrices).
+/// TLB walk per row on tall FC matrices). The runtime streams seeded
+/// weights into this layout without a tensor; this function is the
+/// whole-matrix definition its tests compare with.
 pub fn pack_b_panels(b: &Tensor<i8>, dim: usize) -> Vec<i8> {
     assert_eq!(b.shape().len(), 2, "stationary operand must be 2-D");
     let (k, n) = (b.shape()[0], b.shape()[1]);

@@ -16,8 +16,8 @@
 //! bit-for-bit.
 
 use crate::kernel::{
-    pack_b_panels, packed_b_len, ASource, CpuLayerKernel, DwConvKernel, Im2colParams, Kernel,
-    KernelEnv, MatmulParams, PoolKernel, ResAddKernel, StepOutcome, TiledMatmulKernel,
+    packed_b_len, ASource, CpuLayerKernel, DwConvKernel, Im2colParams, Kernel, KernelEnv,
+    MatmulParams, PoolKernel, ResAddKernel, StepOutcome, TiledMatmulKernel,
 };
 use gemmini_core::config::GemminiConfig;
 use gemmini_core::peripherals::readout_row;
@@ -25,11 +25,11 @@ use gemmini_core::AccelError;
 use gemmini_dnn::graph::{Layer, LayerClass, Network, PoolKind};
 use gemmini_dnn::layout::{from_nhwc, to_nhwc};
 use gemmini_dnn::ops::conv::{conv2d, dwconv2d, ConvSpec};
-use gemmini_dnn::ops::im2col::{im2col_nhwc, weights_to_matrix_nhwc};
+use gemmini_dnn::ops::im2col::im2col_nhwc;
 use gemmini_dnn::ops::matmul;
 use gemmini_dnn::ops::pool::{avgpool2d_i8, maxpool2d, PoolSpec};
 use gemmini_dnn::ops::resadd_i8;
-use gemmini_dnn::tensor::Tensor;
+use gemmini_dnn::tensor::{RandomI8, Tensor};
 use gemmini_mem::addr::{VirtAddr, PAGE_SIZE};
 use gemmini_mem::dram::MainMemory;
 use gemmini_mem::Cycle;
@@ -97,6 +97,76 @@ pub fn write_virt(space: &AddressSpace, data: &mut MainMemory, va: VirtAddr, val
             *b = v as u8;
         }
         off += n;
+    }
+}
+
+/// Writes the seeded `[k, n]` stationary operand, `k·n` values of `stream`
+/// in row-major order, to `va` in the panel layout of
+/// [`pack_b_panels`](crate::kernel::pack_b_panels), pad lanes zeroed,
+/// without holding the matrix: each block of `PAGE_SIZE / dim` rows fills
+/// one page per panel.
+fn write_b_panels(
+    space: &AddressSpace,
+    mem: &mut MainMemory,
+    va: VirtAddr,
+    k: usize,
+    n: usize,
+    dim: usize,
+    stream: &mut RandomI8,
+) {
+    let block_rows = (PAGE_SIZE as usize / dim).clamp(1, k);
+    let mut block = vec![0i8; block_rows * n];
+    let mut panel = vec![0i8; block_rows * dim];
+    for r0 in (0..k).step_by(block_rows) {
+        let rows = block_rows.min(k - r0);
+        let block = &mut block[..rows * n];
+        stream.fill(block);
+        for p in 0..n.div_ceil(dim) {
+            let (c0, w) = (p * dim, dim.min(n - p * dim));
+            let panel = &mut panel[..rows * dim];
+            for (dst, src) in panel.chunks_exact_mut(dim).zip(block.chunks_exact(n)) {
+                dst[..w].copy_from_slice(&src[c0..c0 + w]);
+                dst[w..].fill(0);
+            }
+            write_virt(space, mem, va.add(((p * k + r0) * dim) as u64), panel);
+        }
+    }
+}
+
+/// Writes seeded `[oc, ic, kernel, kernel]` conv weights to `va` as the
+/// panels of their `[kernel²·ic, oc]` NHWC matrix: the bytes of
+/// [`weights_to_matrix_nhwc`](gemmini_dnn::ops::im2col::weights_to_matrix_nhwc)
+/// then [`pack_b_panels`](crate::kernel::pack_b_panels), one panel buffer at
+/// a time.
+fn write_conv_panels(
+    space: &AddressSpace,
+    mem: &mut MainMemory,
+    va: VirtAddr,
+    [oc, ic, kernel]: [usize; 3],
+    dim: usize,
+    stream: &mut RandomI8,
+) {
+    let taps = kernel * kernel;
+    let kdim = taps * ic;
+    let mut channel = vec![0i8; kdim];
+    let mut panel = vec![0i8; kdim * dim];
+    for p in 0..oc.div_ceil(dim) {
+        let w = dim.min(oc - p * dim);
+        if w < dim {
+            panel.fill(0);
+        }
+        // Output channel `p·dim + lane` is the stream's next `kdim` values
+        // in [ic][kh][kw] order; tap `j` of input channel `ci` is matrix
+        // row `j·ic + ci`.
+        for lane in 0..w {
+            stream.fill(&mut channel);
+            for (ci, vals) in channel.chunks_exact(taps).enumerate() {
+                for (j, &v) in vals.iter().enumerate() {
+                    panel[(j * ic + ci) * dim + lane] = v;
+                }
+            }
+        }
+        write_virt(space, mem, va.add((p * kdim * dim) as u64), &panel);
     }
 }
 
@@ -252,53 +322,40 @@ impl NetworkExecution {
                 out_elements,
             });
 
-            // Functional weight initialization.
-            if let Some(mem) = data.as_deref_mut() {
-                let wseed = weight_seed(seed, i);
+            // Functional weight initialization, streamed straight into the
+            // packed pages.
+            if let (Some(mem), Some(va)) = (data.as_deref_mut(), weights) {
+                let mut stream = RandomI8::new(weight_seed(seed, i));
                 match *l {
                     Layer::Conv {
                         in_channels,
                         out_channels,
                         kernel,
                         ..
-                    } => {
-                        let w = Tensor::<i8>::random(
-                            &[out_channels, in_channels, kernel, kernel],
-                            wseed,
-                        );
-                        let mat = weights_to_matrix_nhwc(&w);
-                        write_virt(
-                            space,
-                            mem,
-                            placements[i].weights.expect("conv has weights"),
-                            &pack_b_panels(&mat, dim),
-                        );
-                    }
+                    } => write_conv_panels(
+                        space,
+                        mem,
+                        va,
+                        [out_channels, in_channels, kernel],
+                        dim,
+                        &mut stream,
+                    ),
+                    // Per-channel [k², 1] panels padded to `dim` columns are
+                    // the panels of one [channels·k², 1] matrix: a weight at
+                    // the head of every dim-wide row.
                     Layer::DwConv {
                         channels, kernel, ..
-                    } => {
-                        let w = Tensor::<i8>::random(&[channels, kernel, kernel], wseed);
-                        // Per-channel [k², 1] panels, each padded to dim
-                        // cols: one weight at the head of every dim-wide row.
-                        let mut panels = vec![0i8; channels * kernel * kernel * dim];
-                        for (row, &v) in panels.chunks_exact_mut(dim).zip(w.as_slice()) {
-                            row[0] = v;
-                        }
-                        write_virt(
-                            space,
-                            mem,
-                            placements[i].weights.expect("dwconv has weights"),
-                            &panels,
-                        );
-                    }
+                    } => write_b_panels(
+                        space,
+                        mem,
+                        va,
+                        channels * kernel * kernel,
+                        1,
+                        dim,
+                        &mut stream,
+                    ),
                     Layer::Matmul { k, n, .. } => {
-                        let w = Tensor::<i8>::random(&[k, n], wseed);
-                        write_virt(
-                            space,
-                            mem,
-                            placements[i].weights.expect("matmul has weights"),
-                            &pack_b_panels(&w, dim),
-                        );
+                        write_b_panels(space, mem, va, k, n, dim, &mut stream)
                     }
                     _ => {}
                 }
@@ -842,6 +899,182 @@ pub fn reference_forward(net: &Network, seed: u64) -> Vec<i8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::pack_b_panels;
+    use gemmini_dnn::graph::Activation;
+    use gemmini_dnn::ops::im2col::weights_to_matrix_nhwc;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A functional accelerator whose array multiplies `dim × dim` blocks.
+    fn config_with_dim(dim: usize) -> GemminiConfig {
+        GemminiConfig {
+            mesh_rows: dim,
+            mesh_cols: dim,
+            tile_rows: 1,
+            tile_cols: 1,
+            ..GemminiConfig::edge()
+        }
+    }
+
+    /// The weight bytes of layer `l` the unstreamed way: the whole seeded
+    /// tensor, its NHWC matrix for a conv, then `pack_b_panels`, or a
+    /// depthwise weight at the head of every `dim`-wide row.
+    fn reference_weights(l: &Layer, wseed: u64, dim: usize) -> Option<Vec<i8>> {
+        match *l {
+            Layer::Conv {
+                in_channels,
+                out_channels,
+                kernel,
+                ..
+            } => {
+                let w = Tensor::<i8>::random(&[out_channels, in_channels, kernel, kernel], wseed);
+                Some(pack_b_panels(&weights_to_matrix_nhwc(&w), dim))
+            }
+            Layer::DwConv {
+                channels, kernel, ..
+            } => {
+                let w = Tensor::<i8>::random(&[channels, kernel, kernel], wseed);
+                let mut panels = vec![0i8; channels * kernel * kernel * dim];
+                for (row, &v) in panels.chunks_exact_mut(dim).zip(w.as_slice()) {
+                    row[0] = v;
+                }
+                Some(panels)
+            }
+            Layer::Matmul { k, n, .. } => {
+                Some(pack_b_panels(&Tensor::<i8>::random(&[k, n], wseed), dim))
+            }
+            _ => None,
+        }
+    }
+
+    /// Sets `net` up in functional memory and compares every byte of every
+    /// weight page, pad lanes and the page tail included, with the
+    /// reference bytes written through the same page table.
+    fn check_weight_pages(net: &Network, dim: usize, seed: u64) {
+        let mut frames = FrameAllocator::new();
+        let mut space = AddressSpace::new(&mut frames);
+        let mut mem = MainMemory::new();
+        let exec = NetworkExecution::new(
+            net.clone(),
+            config_with_dim(dim),
+            &mut space,
+            &mut frames,
+            Some(&mut mem),
+            seed,
+        );
+        let mut want_mem = MainMemory::new();
+        for (i, nl) in net.layers().iter().enumerate() {
+            let want = reference_weights(&nl.layer, weight_seed(seed, i), dim);
+            let va = exec.placements[i].weights;
+            assert_eq!(va.is_some(), want.is_some(), "layer {}", nl.name);
+            let (Some(va), Some(want)) = (va, want) else {
+                continue;
+            };
+            write_virt(&space, &mut want_mem, va, &want);
+            let len = round_up(want.len(), PAGE_SIZE as usize);
+            assert!(
+                read_virt(&space, &mem, va, len) == read_virt(&space, &want_mem, va, len),
+                "layer {} ({:?}) dim={dim} seed={seed}",
+                nl.name,
+                nl.layer
+            );
+        }
+    }
+
+    fn matmul(k: usize, n: usize) -> Layer {
+        Layer::Matmul {
+            m: 2,
+            k,
+            n,
+            activation: Activation::None,
+        }
+    }
+
+    fn conv(in_channels: usize, out_channels: usize, kernel: usize) -> Layer {
+        Layer::Conv {
+            in_channels,
+            out_channels,
+            kernel,
+            stride: 1,
+            padding: 0,
+            in_hw: (kernel + 1, kernel + 2),
+            activation: Activation::Relu,
+        }
+    }
+
+    fn dwconv(channels: usize, kernel: usize) -> Layer {
+        Layer::DwConv {
+            channels,
+            kernel,
+            stride: 1,
+            padding: kernel / 2,
+            in_hw: (kernel + 2, kernel + 1),
+            activation: Activation::None,
+        }
+    }
+
+    /// A net of one to four weight layers with random shapes: `n` and
+    /// channel counts on both sides of multiples of `dim`, reduction depths
+    /// past one row block (`PAGE_SIZE / dim` rows).
+    fn random_net(rng: &mut StdRng, dim: usize) -> Network {
+        let mut net = Network::new("random");
+        for i in 0..rng.gen_range(1..5usize) {
+            let layer = match rng.gen_range(0..3u32) {
+                0 => matmul(
+                    rng.gen_range(1..3 * PAGE_SIZE as usize / dim),
+                    rng.gen_range(1..5 * dim),
+                ),
+                1 => conv(
+                    rng.gen_range(1..40usize),
+                    rng.gen_range(1..5 * dim),
+                    [1, 3, 5][rng.gen_range(0..3usize)],
+                ),
+                _ => dwconv(rng.gen_range(1..5 * dim), [3, 5][rng.gen_range(0..2usize)]),
+            };
+            net.push(format!("l{i}"), layer);
+        }
+        net
+    }
+
+    fn check_random_nets(cases: usize) {
+        let mut rng = StdRng::seed_from_u64(20);
+        for _ in 0..cases {
+            let dim = [4, 8, 16][rng.gen_range(0..3usize)];
+            let seed = rng.gen::<u64>();
+            check_weight_pages(&random_net(&mut rng, dim), dim, seed);
+        }
+    }
+
+    #[test]
+    fn streamed_weights_equal_the_packed_tensors() {
+        for dim in [4, 8, 16] {
+            let block = PAGE_SIZE as usize / dim;
+            let mut net = Network::new("edges");
+            // `n` and channel counts one short of, at and past a panel
+            // boundary (fc8's n = 1000 leaves 8 of 16 lanes as padding in
+            // its last panel); `k` inside, at and past one row block.
+            net.push("fc_short", matmul(block - 1, 2 * dim - 1));
+            net.push("fc_block", matmul(block, dim));
+            net.push("fc_long", matmul(2 * block + 3, 3 * dim + dim / 2));
+            net.push("fc_col", matmul(block + 1, 1));
+            net.push("conv_pad", conv(3, 2 * dim + 1, 3));
+            net.push("conv_full", conv(dim + 1, dim, 1));
+            net.push("conv_narrow", conv(2, dim - 1, 5));
+            net.push("dw_pad", dwconv(dim + 3, 3));
+            net.push("dw_long", dwconv(block / 9 + 5, 3));
+            check_weight_pages(&net, dim, 7);
+            check_weight_pages(&net, dim, 0xdead_beef);
+        }
+        check_random_nets(24);
+    }
+
+    /// The same comparison over many more random nets; run in release with
+    /// `--include-ignored`.
+    #[test]
+    #[ignore = "slow: run with --release -- --include-ignored"]
+    fn streamed_weights_equal_the_packed_tensors_many() {
+        check_random_nets(2048);
+    }
 
     #[test]
     fn scale_formula_keeps_outputs_in_range() {
