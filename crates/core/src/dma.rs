@@ -7,7 +7,7 @@
 //! registers exist to remove exactly those stalls), and every byte shows up
 //! as L2/DRAM traffic.
 
-use crate::metrics::{Counter as MetricCounter, HistKind};
+use crate::metrics::Counter as MetricCounter;
 use crate::trace::{AttributionKind, Component, Profiler, StallCause};
 use gemmini_mem::addr::{VirtAddr, PAGE_SIZE};
 use gemmini_mem::cache::AccessKind;
@@ -254,7 +254,6 @@ impl StreamDma {
         let metrics = prof.metrics();
         metrics.inc(MetricCounter::DmaBursts);
         metrics.add(MetricCounter::DmaBytes, bytes);
-        metrics.observe(HistKind::DmaBurstCycles, finish.saturating_sub(now));
         Ok(DmaTransfer {
             done: finish,
             bytes,

@@ -304,23 +304,6 @@ impl Accelerator {
         self.store_free = self.store_free.max(cycle);
     }
 
-    /// Charges `cycles` of peripheral work (pooling, transposition) on the
-    /// execute unit.
-    pub fn charge_execute(&mut self, cycles: u64) {
-        let start = self.ex_free;
-        self.ex_free += cycles;
-        self.profiler.span(
-            AttributionKind::Compute,
-            Component::ExecuteUnit,
-            "peripheral",
-            start,
-            self.ex_free,
-            StallCause::None,
-        );
-        self.stats.ex_busy += cycles;
-        self.stats.finish = self.stats.finish.max(self.ex_free);
-    }
-
     /// Charges peripheral work that cannot start before `not_before`
     /// (e.g. pooling that consumes a finished DMA stream). Returns the
     /// completion cycle.

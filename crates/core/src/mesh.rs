@@ -134,9 +134,10 @@ impl MeshElement for f32 {
 /// ```
 /// use gemmini_core::mesh::MatrixUnit;
 /// let mut mu = MatrixUnit::new(2);
-/// mu.preload(&[&[1, 0], &[0, 1]]); // identity
-/// let c = mu.compute(&[&[3, 4]], None);
-/// assert_eq!(c, vec![vec![3, 4]]);
+/// mu.preload_flat(&[1, 0, 0, 1], 2, 2, 2); // identity, rows 2 apart
+/// let mut c = [0i32; 2];
+/// mu.compute_into(&[3, 4], 1, 2, 2, None, &mut c); // one A row, no bias
+/// assert_eq!(c, [3, 4]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MatrixUnitOf<T: MeshElement> {
@@ -171,26 +172,10 @@ impl<T: MeshElement> MatrixUnitOf<T> {
         self.dim
     }
 
-    /// Loads the stationary operand. Rows shorter than `dim` are
-    /// zero-padded; missing rows are zeroed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `dim` rows are supplied or any row is too long.
-    pub fn preload(&mut self, b_rows: &[&[T]]) {
-        assert!(b_rows.len() <= self.dim, "too many stationary rows");
-        let mut dense = vec![T::default(); b_rows.len() * self.dim];
-        for (r, row) in b_rows.iter().enumerate() {
-            assert!(row.len() <= self.dim, "stationary row too long");
-            dense[r * self.dim..r * self.dim + row.len()].copy_from_slice(row);
-        }
-        self.preload_flat(&dense, b_rows.len(), self.dim, self.dim);
-    }
-
     /// Loads the stationary operand from a flat strided buffer (`b_rows`
-    /// rows of `b_cols` live elements, rows `stride` apart) — the
-    /// allocation-free counterpart of [`Self::preload`] that consumes a
-    /// scratchpad region zero-copy. Positions outside the block are zeroed.
+    /// rows of `b_cols` live elements, rows `stride` apart), so a
+    /// scratchpad region is consumed zero-copy. Positions outside the
+    /// block are zeroed.
     ///
     /// # Panics
     ///
@@ -209,41 +194,12 @@ impl<T: MeshElement> MatrixUnitOf<T> {
         T::load(&mut self.b, b, b_rows, b_cols, stride);
     }
 
-    /// Streams `a_rows` through the array, returning `C = A·B (+ D)`.
-    /// Each output row has `dim` elements.
-    ///
-    /// This is the row-slice convenience API; the engine's hot path uses
-    /// [`Self::compute_into`] with flat, caller-owned buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any A row is longer than `dim`, or D is present with a
-    /// different number of rows than A.
-    pub fn compute(&mut self, a_rows: &[&[T]], d_rows: Option<&[&[T::Acc]]>) -> Vec<Vec<T::Acc>> {
-        if let Some(d) = d_rows {
-            assert_eq!(d.len(), a_rows.len(), "bias row count must match A");
-        }
-        let mut out = Vec::with_capacity(a_rows.len());
-        for (i, a) in a_rows.iter().enumerate() {
-            assert!(a.len() <= self.dim, "moving row too long");
-            let mut row = vec![T::Acc::default(); self.dim];
-            T::mac_rows(&mut self.b, a, 1, a.len(), a.len(), &mut row, self.dim);
-            // Bias applies only where present (ragged rows).
-            if let Some(d) = d_rows {
-                add_bias::<T>(&mut row, d[i]);
-            }
-            self.macs += (a.len() * self.dim) as u64;
-            out.push(row);
-        }
-        out
-    }
-
     /// Streams a flat A block through the array, writing `C = A·B (+ D)`
-    /// into the caller-provided `out` buffer — the allocation-free hot
-    /// path. `a` holds `a_rows` rows of `a_cols` live elements, rows
-    /// `a_stride` elements apart (so a scratchpad region is consumed
-    /// zero-copy); `d`, when present, is `(rows, stride)` with `dim` live
-    /// bias elements per row; `out` receives `a_rows` rows of `dim`
+    /// into the caller-provided `out` buffer, without allocating. `a`
+    /// holds `a_rows` rows of `a_cols` live elements, rows `a_stride`
+    /// elements apart (so a scratchpad region is consumed zero-copy);
+    /// `d`, when present, is `(rows, stride)` with `dim` live bias
+    /// elements per row; `out` receives `a_rows` rows of `dim`
     /// elements, densely packed.
     ///
     /// The block goes through the element's kernel
@@ -389,16 +345,28 @@ mod tests {
     use gemmini_dnn::ops::matmul;
     use gemmini_dnn::tensor::Tensor;
 
+    /// `C = A·B (+ D)` through the flat API for A of dense `a_cols`-wide
+    /// rows and D of dense `dim`-wide rows.
+    fn run<T: MeshElement>(
+        mu: &mut MatrixUnitOf<T>,
+        a: &[T],
+        a_cols: usize,
+        d: Option<&[T::Acc]>,
+    ) -> Vec<T::Acc> {
+        let dim = mu.dim();
+        let rows = a.len() / a_cols;
+        let mut out = vec![T::Acc::default(); rows * dim];
+        mu.compute_into(a, rows, a_cols, a_cols, d.map(|d| (d, dim)), &mut out);
+        out
+    }
+
     #[test]
     fn identity_preload_passes_a_through() {
         let mut mu = MatrixUnit::new(4);
-        let eye: Vec<Vec<i8>> = (0..4)
-            .map(|i| (0..4).map(|j| (i == j) as i8).collect())
-            .collect();
-        mu.preload(&eye.iter().map(|r| r.as_slice()).collect::<Vec<_>>());
-        let c = mu.compute(&[&[1, 2, 3, 4], &[5, 6, 7, 8]], None);
-        assert_eq!(c[0], vec![1, 2, 3, 4]);
-        assert_eq!(c[1], vec![5, 6, 7, 8]);
+        let eye: Vec<i8> = (0..16).map(|i| (i % 5 == 0) as i8).collect();
+        mu.preload_flat(&eye, 4, 4, 4);
+        let c = run(&mut mu, &[1, 2, 3, 4, 5, 6, 7, 8], 4, None);
+        assert_eq!(c, vec![1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
     #[test]
@@ -409,17 +377,11 @@ mod tests {
         let reference = matmul(&a, &b);
 
         let mut mu = MatrixUnit::new(dim);
-        let b_rows: Vec<&[i8]> = (0..dim)
-            .map(|r| &b.as_slice()[r * dim..(r + 1) * dim])
-            .collect();
-        mu.preload(&b_rows);
-        let a_rows: Vec<&[i8]> = (0..dim)
-            .map(|r| &a.as_slice()[r * dim..(r + 1) * dim])
-            .collect();
-        let c = mu.compute(&a_rows, None);
+        mu.preload_flat(b.as_slice(), dim, dim, dim);
+        let c = run(&mut mu, a.as_slice(), dim, None);
         for i in 0..dim {
             for j in 0..dim {
-                assert_eq!(c[i][j], reference[(i, j)], "({i},{j})");
+                assert_eq!(c[i * dim + j], reference[(i, j)], "({i},{j})");
             }
         }
     }
@@ -427,81 +389,76 @@ mod tests {
     #[test]
     fn bias_is_added() {
         let mut mu = MatrixUnit::new(2);
-        mu.preload(&[&[1, 0], &[0, 1]]);
-        let d = [vec![10i32, 20]];
-        let drefs: Vec<&[i32]> = d.iter().map(|r| r.as_slice()).collect();
-        let c = mu.compute(&[&[1, 2]], Some(&drefs));
-        assert_eq!(c[0], vec![11, 22]);
+        mu.preload_flat(&[1, 0, 0, 1], 2, 2, 2);
+        let c = run(&mut mu, &[1, 2], 2, Some(&[10, 20]));
+        assert_eq!(c, vec![11, 22]);
     }
 
     #[test]
     fn short_rows_are_zero_padded() {
         let mut mu = MatrixUnit::new(4);
-        mu.preload(&[&[1, 1, 1, 1]]); // only first B row set; rest zero
-        let c = mu.compute(&[&[2]], None); // A = [2, 0, 0, 0]
-        assert_eq!(c[0], vec![2, 2, 2, 2]);
+        mu.preload_flat(&[1, 1, 1, 1], 1, 4, 4); // only first B row set; rest zero
+        let c = run(&mut mu, &[2], 1, None); // A = [2, 0, 0, 0]
+        assert_eq!(c, vec![2, 2, 2, 2]);
     }
 
     #[test]
     fn preload_replaces_previous_operand() {
         let mut mu = MatrixUnit::new(2);
-        mu.preload(&[&[1, 1], &[1, 1]]);
-        mu.preload(&[&[2, 0], &[0, 2]]);
-        let c = mu.compute(&[&[1, 1]], None);
-        assert_eq!(c[0], vec![2, 2]);
+        mu.preload_flat(&[1, 1, 1, 1], 2, 2, 2);
+        mu.preload_flat(&[2, 0, 0, 2], 2, 2, 2);
+        let c = run(&mut mu, &[1, 1], 2, None);
+        assert_eq!(c, vec![2, 2]);
     }
 
     #[test]
     fn mac_counter_accumulates() {
         let mut mu = MatrixUnit::new(4);
-        mu.preload(&[&[1, 0, 0, 0]]);
-        mu.compute(&[&[1, 2, 3, 4]], None);
+        mu.preload_flat(&[1, 0, 0, 0], 1, 4, 4);
+        run(&mut mu, &[1, 2, 3, 4], 4, None);
         assert_eq!(mu.macs(), 16);
     }
 
     #[test]
-    fn flat_compute_matches_row_api_with_stride_and_bias() {
+    fn flat_compute_honours_stride_and_bias() {
         let dim = 8;
         let a = Tensor::<i8>::random(&[dim, dim], 3);
         let b = Tensor::<i8>::random(&[dim, dim], 4);
         let d: Vec<i32> = (0..dim * dim).map(|i| i as i32 * 7 - 100).collect();
-        let b_rows: Vec<&[i8]> = (0..dim)
-            .map(|r| &b.as_slice()[r * dim..(r + 1) * dim])
-            .collect();
-
-        // Reference: the row-slice API on the same operands.
-        let mut mu_ref = MatrixUnit::new(dim);
-        mu_ref.preload(&b_rows);
-        let a_rows: Vec<&[i8]> = (0..dim)
-            .map(|r| &a.as_slice()[r * dim..(r + 1) * dim])
-            .collect();
-        let d_rows: Vec<&[i32]> = (0..dim).map(|r| &d[r * dim..(r + 1) * dim]).collect();
-        let want = mu_ref.compute(&a_rows, Some(&d_rows));
-
-        // Flat path, including a non-trivial A view: stride dim with only
-        // 5 live columns per row, matching a ragged block.
-        let a_cols = 5;
-        let a_rows_ragged: Vec<&[i8]> = (0..dim)
-            .map(|r| &a.as_slice()[r * dim..r * dim + a_cols])
-            .collect();
-        let want_ragged = mu_ref.compute(&a_rows_ragged, None);
+        let reference = matmul(&a, &b);
 
         let mut mu = MatrixUnit::new(dim);
-        mu.preload(&b_rows);
+        mu.preload_flat(b.as_slice(), dim, dim, dim);
         let mut out = vec![0i32; dim * dim];
         mu.compute_into(a.as_slice(), dim, dim, dim, Some((&d, dim)), &mut out);
         for i in 0..dim {
-            assert_eq!(&out[i * dim..(i + 1) * dim], want[i].as_slice(), "row {i}");
+            for j in 0..dim {
+                let want = reference[(i, j)] + d[i * dim + j];
+                assert_eq!(out[i * dim + j], want, "({i},{j})");
+            }
         }
+
+        // A non-trivial A view: stride dim with only 5 live columns per
+        // row, as for a ragged block; the rest of each row is ignored.
+        let a_cols = 5;
+        let mut a_ragged = a.clone();
+        for (idx, v) in a_ragged.as_mut_slice().iter_mut().enumerate() {
+            if idx % dim >= a_cols {
+                *v = 0;
+            }
+        }
+        let reference_ragged = matmul(&a_ragged, &b);
         mu.compute_into(a.as_slice(), dim, a_cols, dim, None, &mut out);
         for i in 0..dim {
-            assert_eq!(
-                &out[i * dim..(i + 1) * dim],
-                want_ragged[i].as_slice(),
-                "ragged row {i}"
-            );
+            for j in 0..dim {
+                assert_eq!(
+                    out[i * dim + j],
+                    reference_ragged[(i, j)],
+                    "ragged ({i},{j})"
+                );
+            }
         }
-        assert_eq!(mu.macs(), mu_ref.macs(), "mac accounting must match");
+        assert_eq!(mu.macs(), (dim * dim * dim + dim * a_cols * dim) as u64);
     }
 
     #[test]
@@ -509,29 +466,17 @@ mod tests {
         let dim = 6;
         let a = Tensor::<f32>::random(&[dim, dim], 11);
         let b = Tensor::<f32>::random(&[dim, dim], 12);
-        let b_rows: Vec<&[f32]> = (0..dim)
-            .map(|r| &b.as_slice()[r * dim..(r + 1) * dim])
-            .collect();
-        let a_rows: Vec<&[f32]> = (0..dim)
-            .map(|r| &a.as_slice()[r * dim..(r + 1) * dim])
-            .collect();
-        let mut mu_ref = MatrixUnitF32::new(dim);
-        mu_ref.preload(&b_rows);
-        let want = mu_ref.compute(&a_rows, None);
-
+        let (a, b) = (a.as_slice(), b.as_slice());
         let mut mu = MatrixUnitF32::new(dim);
-        mu.preload(&b_rows);
-        let mut out = vec![0f32; dim * dim];
-        mu.compute_into(a.as_slice(), dim, dim, dim, None, &mut out);
+        mu.preload_flat(b, dim, dim, dim);
+        let out = run(&mut mu, a, dim, None);
         for i in 0..dim {
             for j in 0..dim {
-                // Bit equality, not approximate: the accumulation order
-                // per output element is unchanged by the loop reorder.
-                assert_eq!(
-                    out[i * dim + j].to_bits(),
-                    want[i][j].to_bits(),
-                    "({i},{j})"
-                );
+                // Bit equality, not approximate: each output element
+                // accumulates its products in ascending-k order.
+                let want =
+                    (0..dim).fold(0.0, |acc, k| f32::mac(acc, a[i * dim + k], b[k * dim + j]));
+                assert_eq!(out[i * dim + j].to_bits(), want.to_bits(), "({i},{j})");
             }
         }
     }
@@ -569,7 +514,7 @@ mod tests {
     #[should_panic(expected = "too many stationary rows")]
     fn oversized_preload_panics() {
         let mut mu = MatrixUnit::new(2);
-        mu.preload(&[&[1, 1], &[1, 1], &[1, 1]]);
+        mu.preload_flat(&[1; 6], 3, 2, 2);
     }
 
     #[test]
@@ -580,17 +525,11 @@ mod tests {
         let b = Tensor::<f32>::random(&[dim, dim], 2);
         let reference = matmul(&a, &b);
         let mut mu = MatrixUnitF32::new(dim);
-        let b_rows: Vec<&[f32]> = (0..dim)
-            .map(|r| &b.as_slice()[r * dim..(r + 1) * dim])
-            .collect();
-        mu.preload(&b_rows);
-        let a_rows: Vec<&[f32]> = (0..dim)
-            .map(|r| &a.as_slice()[r * dim..(r + 1) * dim])
-            .collect();
-        let c = mu.compute(&a_rows, None);
+        mu.preload_flat(b.as_slice(), dim, dim, dim);
+        let c = run(&mut mu, a.as_slice(), dim, None);
         for i in 0..dim {
             for j in 0..dim {
-                assert!((c[i][j] - reference[(i, j)]).abs() < 1e-5);
+                assert!((c[i * dim + j] - reference[(i, j)]).abs() < 1e-5);
             }
         }
     }
@@ -599,10 +538,8 @@ mod tests {
     fn fp32_bias_accumulates() {
         use crate::mesh::MatrixUnitF32;
         let mut mu = MatrixUnitF32::new(2);
-        mu.preload(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        let d = [vec![0.5f32, -0.5]];
-        let drefs: Vec<&[f32]> = d.iter().map(|r| r.as_slice()).collect();
-        let c = mu.compute(&[&[2.0, 4.0]], Some(&drefs));
-        assert_eq!(c[0], vec![2.5, 3.5]);
+        mu.preload_flat(&[1.0, 0.0, 0.0, 1.0], 2, 2, 2);
+        let c = run(&mut mu, &[2.0, 4.0], 2, Some(&[0.5, -0.5]));
+        assert_eq!(c, vec![2.5, 3.5]);
     }
 }

@@ -15,7 +15,7 @@
 //! `cargo test --release -p gemmini-core --test dma_runs -- --include-ignored`.
 
 use gemmini_core::dma::{DmaStats, DmaTransfer, MemCtx, StreamDma};
-use gemmini_core::metrics::{Counter as MetricCounter, HistKind, Metrics, MetricsRegistry};
+use gemmini_core::metrics::{Counter as MetricCounter, Metrics, MetricsRegistry};
 use gemmini_core::trace::{
     AttributionKind, BufferSink, Component, Profiler, StallCause, TraceEvent, Tracer,
 };
@@ -119,7 +119,6 @@ impl RowDma {
         let metrics = prof.metrics();
         metrics.inc(MetricCounter::DmaBursts);
         metrics.add(MetricCounter::DmaBytes, bytes);
-        metrics.observe(HistKind::DmaBurstCycles, finish.saturating_sub(now));
         Ok(DmaTransfer {
             done: finish,
             bytes,

@@ -3,12 +3,11 @@
 //! The flat path is [`MatrixUnitOf::compute_into`] /
 //! [`MatrixUnitOf::preload_flat`] on strided buffers, through each element
 //! type's kernel (int8: the k-pair SSE2 kernel; f32: a k-outer/j-inner
-//! loop); the row-slice `preload`/`compute` API is the retained naive
-//! surface. Both must agree bit-for-bit — not merely
-//! numerically — with a straight per-element triple loop across randomized
-//! shapes, strides, and bias configurations, for the int8/int32 datapath
-//! and the f32 instance alike (the f32 case is what pins the accumulation
-//! *order*, since float addition does not commute in bits).
+//! loop). It must agree bit-for-bit — not merely numerically — with a
+//! straight per-element triple loop across randomized shapes, strides,
+//! and bias configurations, for the int8/int32 datapath and the f32
+//! instance alike (the f32 case is what pins the accumulation *order*,
+//! since float addition does not commute in bits).
 
 use gemmini_core::mesh::MeshElement;
 use gemmini_core::mesh::{MatrixUnit, MatrixUnitF32};
@@ -61,9 +60,9 @@ fn naive<T: MeshElement>(
 }
 
 /// Shared driver: builds operands from a value stream, runs the flat hot
-/// path and the row-slice API, and returns all three results for
+/// path and the naive specification, and returns both results for
 /// comparison.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+#[allow(clippy::too_many_arguments)]
 fn run_case<T: MeshElement>(
     dim: usize,
     a_rows: usize,
@@ -75,7 +74,7 @@ fn run_case<T: MeshElement>(
     has_bias: bool,
     mut next: impl FnMut() -> T,
     mut next_acc: impl FnMut() -> T::Acc,
-) -> (Vec<T::Acc>, Vec<T::Acc>, Vec<T::Acc>)
+) -> (Vec<T::Acc>, Vec<T::Acc>)
 where
     T::Acc: Copy,
 {
@@ -107,24 +106,9 @@ where
     let mut flat = vec![T::Acc::default(); a_rows * dim];
     mu.compute_into(&a, a_rows, a_cols, a_stride, d_view, &mut flat);
 
-    // Row-slice API on the same operands.
-    let mut mu2 = MatrixUnitOf::<T>::new(dim);
-    let b_slices: Vec<&[T]> = (0..b_rows)
-        .map(|r| &b[r * b_stride..r * b_stride + b_cols])
-        .collect();
-    mu2.preload(&b_slices);
-    let a_slices: Vec<&[T]> = (0..a_rows)
-        .map(|r| &a[r * a_stride..r * a_stride + a_cols])
-        .collect();
-    let d_slices: Vec<&[T::Acc]> = (0..a_rows)
-        .map(|r| &d[r * d_stride..r * d_stride + dim])
-        .collect();
-    let rows = mu2.compute(&a_slices, has_bias.then_some(d_slices.as_slice()));
-    let row_api: Vec<T::Acc> = rows.into_iter().flatten().collect();
-
     let b_dense = dense_b(&b, b_rows, b_cols, b_stride, dim);
     let reference = naive::<T>(&a, a_rows, a_cols, a_stride, &b_dense, d_view, dim);
-    (flat, row_api, reference)
+    (flat, reference)
 }
 
 use gemmini_core::mesh::MatrixUnitOf;
@@ -132,8 +116,8 @@ use gemmini_core::mesh::MatrixUnitOf;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// int8/int32: the flat hot path, the row-slice API, and the naive
-    /// specification agree exactly across randomized shapes and strides.
+    /// int8/int32: the flat hot path and the naive specification agree
+    /// exactly across randomized shapes and strides.
     #[test]
     fn flat_compute_matches_naive_i8(
         dim in 1usize..9,
@@ -153,13 +137,12 @@ proptest! {
         let b_cols = cb as usize % (dim + 1);
         let mut vi = 0usize;
         let mut ai = 0usize;
-        let (flat, row_api, reference) = run_case::<i8>(
+        let (flat, reference) = run_case::<i8>(
             dim, a_rows, a_cols, b_rows, b_cols, a_pad, b_pad, has_bias,
             || { let v = vals[vi % vals.len()]; vi += 1; v },
             || { let v = accs[ai % accs.len()]; ai += 1; v },
         );
         prop_assert_eq!(&flat, &reference);
-        prop_assert_eq!(&row_api, &reference);
     }
 
     /// f32: bit-identical results (compared via `to_bits`), pinning the
@@ -184,14 +167,13 @@ proptest! {
         let mut ai = 0usize;
         // Finite, noncommutative-under-reassociation values: scaled i16s
         // span enough magnitude that float addition order matters.
-        let (flat, row_api, reference) = run_case::<f32>(
+        let (flat, reference) = run_case::<f32>(
             dim, a_rows, a_cols, b_rows, b_cols, a_pad, b_pad, has_bias,
             || { let v = vals[vi % vals.len()]; vi += 1; v as f32 * 0.125 },
             || { let v = vals[ai % vals.len()]; ai += 1; v as f32 * 3.1875 },
         );
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&flat), bits(&reference));
-        prop_assert_eq!(bits(&row_api), bits(&reference));
     }
 
     /// The engine-facing int8 aliases behave like the generic instance.

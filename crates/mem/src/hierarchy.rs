@@ -10,7 +10,7 @@ use crate::addr::{lines_in_range, PhysAddr};
 use crate::bus::{Bus, BusConfig};
 use crate::cache::{AccessKind, Cache, CacheConfig};
 use crate::dram::{DramConfig, DramModel};
-use crate::metrics::{Counter, HistKind, Metrics};
+use crate::metrics::{Counter, Metrics};
 use crate::stats::TrafficStats;
 use crate::trace::{Component, StallCause, Tracer};
 use crate::Cycle;
@@ -201,10 +201,6 @@ impl MemorySystem {
                     StallCause::CacheMiss,
                 );
                 self.metrics.inc(Counter::DramLineFills);
-                self.metrics.observe(
-                    HistKind::DramServiceCycles,
-                    fill_done.saturating_sub(bus_done + res.latency),
-                );
                 if res.writeback {
                     // The dirty victim's writeback occupies the DRAM channel
                     // (delaying later requests) but the demand fill does not
@@ -246,11 +242,6 @@ impl MemorySystem {
     /// The shared L2 (for statistics and probing).
     pub fn l2(&self) -> &Cache {
         &self.l2
-    }
-
-    /// Mutable access to the shared L2 (e.g. to flush it on OS events).
-    pub fn l2_mut(&mut self) -> &mut Cache {
-        &mut self.l2
     }
 
     /// The DRAM channel model.

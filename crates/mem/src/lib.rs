@@ -29,8 +29,9 @@
 //!   sweep checkpoint files and the figure binaries' machine-readable
 //!   output (the build environment has no crates.io access).
 //! * [`metrics`] — the live-metrics substrate: a lock-free
-//!   [`metrics::MetricsRegistry`] of atomic counters and log2-bucketed
-//!   histograms behind a disabled-by-default [`metrics::Metrics`] handle.
+//!   [`metrics::MetricsRegistry`] of atomic counters behind a
+//!   disabled-by-default [`metrics::Metrics`] handle, and the log2-bucketed
+//!   [`metrics::Log2Histogram`].
 //!
 //! Timing and data are deliberately decoupled: the cache and DRAM models track
 //! only tags and busy-times, while [`dram::MainMemory`] holds actual bytes.

@@ -1,20 +1,21 @@
-//! Live metrics substrate: lock-free atomic counters and fixed-size
-//! log2-bucketed histograms.
+//! Live metrics substrate: lock-free atomic counters, plus the
+//! fixed-size log2-bucketed histogram the sweep's ETA estimate uses.
 //!
 //! Post-mortem observability (the attribution buckets of
 //! [`crate::stats`], Chrome traces from [`crate::trace`]) answers "where
 //! did the cycles go" from a run's own artifacts; this module counts the
-//! events behind them (tiles, DMA bursts, TLB misses, DRAM fills) and
-//! their latency distributions. The benchmark's traced pass reads these
-//! counters. The design constraints mirror the tracer's:
+//! events behind them (tiles, DMA bursts, TLB misses, DRAM fills). The
+//! benchmark's traced pass reads these counters. The design constraints
+//! mirror the tracer's:
 //!
 //! * **Pure observation** — recording a metric never changes simulated
 //!   timing or report contents; runs are bit-identical with metrics on
 //!   or off.
-//! * **Allocation-free hot path** — a [`MetricsRegistry`] is fixed
-//!   arrays of `AtomicU64`; `inc`/`add`/`observe` are one relaxed
-//!   atomic op (plus one branch through the [`Metrics`] handle, which
-//!   is disabled by default exactly like [`crate::trace::Tracer`]).
+//! * **Allocation-free hot path** — a [`MetricsRegistry`] is a fixed
+//!   array of `AtomicU64`; `inc`/`add` are one relaxed atomic op (plus
+//!   one branch through the [`Metrics`] handle, which is disabled by
+//!   default exactly like [`crate::trace::Tracer`]). The enabled
+//!   registry's cost is gated by `crates/soc/tests/observation_overhead.rs`.
 //! * **Exact merge monoid** — a [`Log2Histogram`] merges bucket-wise, so
 //!   partial histograms folded in any order equal the whole-run
 //!   histogram bit-for-bit, the same law the stats monoids obey (see
@@ -90,30 +91,7 @@ impl Counter {
     pub const COUNT: usize = Self::ALL.len();
 }
 
-/// Log2-bucketed latency/size distributions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HistKind {
-    /// Cycles one DMA burst occupied its stream (issue to finish).
-    DmaBurstCycles,
-    /// Cycles one full page-table walk took.
-    PtwWalkCycles,
-    /// Cycles one DRAM line fill took on the channel.
-    DramServiceCycles,
-}
-
-impl HistKind {
-    /// Every histogram, in report order.
-    pub const ALL: [HistKind; 3] = [
-        HistKind::DmaBurstCycles,
-        HistKind::PtwWalkCycles,
-        HistKind::DramServiceCycles,
-    ];
-
-    /// Number of histograms (registry array size).
-    pub const COUNT: usize = Self::ALL.len();
-}
-
-/// A plain (non-atomic) log2 histogram: the snapshot/merge/quantile type.
+/// A log2-bucketed histogram with exact merging and bucket quantiles.
 ///
 /// `merge` is an exact commutative monoid (bucket-wise addition with the
 /// zero histogram as identity), so partial histograms folded in any
@@ -212,53 +190,12 @@ impl Log2Histogram {
     }
 }
 
-/// One histogram of the live registry: fixed atomic buckets.
-#[derive(Debug)]
-pub struct AtomicHistogram {
-    buckets: [AtomicU64; HIST_BUCKETS],
-    sum: AtomicU64,
-    count: AtomicU64,
-}
-
-impl Default for AtomicHistogram {
-    fn default() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }
-    }
-}
-
-impl AtomicHistogram {
-    /// Records one observation: three relaxed atomic adds, no locks, no
-    /// allocation.
-    #[inline]
-    pub fn record(&self, value: u64) {
-        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A plain copy of the current contents. Buckets are read
-    /// individually (relaxed), so a snapshot taken during concurrent
-    /// recording may be mid-update; totals are exact once recording
-    /// quiesces.
-    pub fn snapshot(&self) -> Log2Histogram {
-        Log2Histogram {
-            buckets: std::array::from_fn(|k| self.buckets[k].load(Ordering::Relaxed)),
-            sum: self.sum.load(Ordering::Relaxed),
-            count: self.count.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// The live registry: one fixed slot per [`Counter`] and [`HistKind`]. Shared by every instrumented component via
-/// `Arc<MetricsRegistry>`; all operations are lock-free relaxed atomics.
+/// The live registry: one fixed slot per [`Counter`]. Shared by every
+/// instrumented component via `Arc<MetricsRegistry>`; all operations are
+/// lock-free relaxed atomics.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: [AtomicU64; Counter::COUNT],
-    hists: [AtomicHistogram; HistKind::COUNT],
 }
 
 impl MetricsRegistry {
@@ -272,13 +209,6 @@ impl MetricsRegistry {
             .iter()
             .position(|&x| x == c)
             .expect("counter in ALL")
-    }
-
-    fn hist_slot(h: HistKind) -> usize {
-        HistKind::ALL
-            .iter()
-            .position(|&x| x == h)
-            .expect("hist in ALL")
     }
 
     /// Adds `n` to a counter.
@@ -298,17 +228,10 @@ impl MetricsRegistry {
         self.counters[Self::counter_slot(c)].load(Ordering::Relaxed)
     }
 
-    /// Records one observation into a histogram.
-    #[inline]
-    pub fn observe(&self, h: HistKind, value: u64) {
-        self.hists[Self::hist_slot(h)].record(value);
-    }
-
-    /// A plain copy of every counter and histogram.
+    /// A plain copy of every counter.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: std::array::from_fn(|i| self.counters[i].load(Ordering::Relaxed)),
-            hists: std::array::from_fn(|i| self.hists[i].snapshot()),
         }
     }
 }
@@ -317,18 +240,12 @@ impl MetricsRegistry {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     counters: [u64; Counter::COUNT],
-    hists: [Log2Histogram; HistKind::COUNT],
 }
 
 impl MetricsSnapshot {
     /// Value of one counter.
     pub fn counter(&self, c: Counter) -> u64 {
         self.counters[MetricsRegistry::counter_slot(c)]
-    }
-
-    /// One histogram.
-    pub fn hist(&self, h: HistKind) -> &Log2Histogram {
-        &self.hists[MetricsRegistry::hist_slot(h)]
     }
 }
 
@@ -378,14 +295,6 @@ impl Metrics {
     pub fn inc(&self, c: Counter) {
         if let Some(r) = &self.registry {
             r.inc(c);
-        }
-    }
-
-    /// Records one histogram observation.
-    #[inline]
-    pub fn observe(&self, h: HistKind, value: u64) {
-        if let Some(r) = &self.registry {
-            r.observe(h, value);
         }
     }
 
@@ -463,19 +372,16 @@ mod tests {
         let (m, registry) = Metrics::enabled();
         m.inc(Counter::TilesIssued);
         m.add(Counter::DmaBytes, 4096);
-        m.observe(HistKind::PtwWalkCycles, 120);
         assert_eq!(registry.counter(Counter::TilesIssued), 1);
         assert_eq!(registry.counter(Counter::DmaBytes), 4096);
         let snap = m.snapshot().unwrap();
         assert_eq!(snap.counter(Counter::DmaBytes), 4096);
-        assert_eq!(snap.hist(HistKind::PtwWalkCycles).count, 1);
     }
 
     #[test]
     fn disabled_handle_is_inert() {
         let m = Metrics::disabled();
         m.inc(Counter::TilesIssued);
-        m.observe(HistKind::DmaBurstCycles, 9);
         assert!(!m.enabled_registry());
         assert!(m.snapshot().is_none());
     }

@@ -146,7 +146,8 @@ pub struct MatmulParams {
 }
 
 /// The tiled matrix-multiplication kernel (weight-stationary, double
-/// buffered, with A/B tile caching).
+/// buffered). Like the paper's `tiled_matmul_auto`, it re-mvins A and B
+/// every loop iteration.
 #[derive(Debug)]
 pub struct TiledMatmulKernel {
     params: MatmulParams,
@@ -160,25 +161,17 @@ pub struct TiledMatmulKernel {
     i0: usize,
     j0: usize,
     configured: bool,
-    a_slots: [Option<(usize, usize)>; 2],
     next_a: usize,
-    b_slots: [Option<(usize, usize)>; 2],
     next_b: usize,
     a_base: [u32; 2],
     b_base: [u32; 2],
-    /// Whether already-resident tiles are reused across loop iterations.
-    /// `false` matches the paper's software stack (its `tiled_matmul_auto`
-    /// re-mvins operands every iteration); `true` is the reuse-optimized
-    /// variant this repo adds as an ablation (see DESIGN.md).
-    tile_reuse: bool,
     /// Reused staging buffer for functional im2col patch blocks (capacity
     /// persists across tiles, so steady-state steps do not allocate).
     patch_scratch: Vec<i8>,
 }
 
 impl TiledMatmulKernel {
-    /// Plans and builds a matmul kernel for the accelerator configuration,
-    /// with the paper-faithful (no tile reuse) software behaviour.
+    /// Plans and builds a matmul kernel for the accelerator configuration.
     pub fn new(
         config: &gemmini_core::config::GemminiConfig,
         params: MatmulParams,
@@ -190,19 +183,6 @@ impl TiledMatmulKernel {
             source,
             plan_matmul(config, params.m, params.k, params.n),
         )
-    }
-
-    /// Like [`Self::new`] but reusing already-resident A/B tiles across
-    /// loop iterations — the smarter software stack, used by the ablation
-    /// benches.
-    pub fn with_tile_reuse(
-        config: &gemmini_core::config::GemminiConfig,
-        params: MatmulParams,
-        source: ASource,
-    ) -> Self {
-        let mut k = Self::new(config, params, source);
-        k.tile_reuse = true;
-        k
     }
 
     /// Builds a kernel with a manually chosen tile plan (the low-level
@@ -239,20 +219,12 @@ impl TiledMatmulKernel {
             i0: 0,
             j0: 0,
             configured: false,
-            a_slots: [None, None],
             next_a: 0,
-            b_slots: [None, None],
             next_b: 0,
             a_base: [0, a_cap],
             b_base: [2 * a_cap, 2 * a_cap + b_cap],
-            tile_reuse: false,
             patch_scratch: Vec::new(),
         }
-    }
-
-    /// Number of (i,j) tile steps this kernel will take.
-    pub fn total_steps(&self) -> usize {
-        self.mi * self.nj
     }
 
     fn stripe_rows(&self, i0: usize) -> usize {
@@ -283,20 +255,14 @@ impl TiledMatmulKernel {
         Ok(())
     }
 
-    fn ensure_a(
+    fn load_a(
         &mut self,
         env: &mut KernelEnv<'_>,
         i0: usize,
         k0: usize,
     ) -> Result<usize, AccelError> {
-        if self.tile_reuse {
-            if let Some(slot) = (0..2).find(|&s| self.a_slots[s] == Some((i0, k0))) {
-                return Ok(slot);
-            }
-        }
         let slot = self.next_a;
         self.next_a ^= 1;
-        self.a_slots[slot] = Some((i0, k0));
         let m_rows = self.stripe_rows(i0);
         let tk_eff = (self.kb - k0 * self.plan.tk).min(self.plan.tk);
         match &self.source {
@@ -338,12 +304,12 @@ impl TiledMatmulKernel {
                     .max(iy0 + 1);
                 let n_iy = iy1 - iy0;
                 // The im2col block expands patches from scratchpad-buffered
-                // raw input rows. `ensure_a` only runs when the (stripe,
-                // k-group) tile is not resident, so raw DRAM traffic is paid
-                // exactly when the tile is (re)loaded — bigger scratchpads
-                // mean fewer reloads, the Fig. 9 BigSP effect. The fetch
-                // covers the channels this k-group's patch columns touch
-                // (channels vary fastest in the NHWC column order).
+                // raw input rows. `load_a` runs once per (stripe, k-group)
+                // tile load, so raw DRAM traffic is paid per load — bigger
+                // scratchpads fit bigger tiles and so fewer loads, the
+                // Fig. 9 BigSP effect. The fetch covers the channels this
+                // k-group's patch columns touch (channels vary fastest in
+                // the NHWC column order).
                 let cs_group = p.channels.min(tk_eff * self.dim);
                 for kbi in 0..tk_eff {
                     let kblk = k0 * self.plan.tk + kbi;
@@ -384,20 +350,14 @@ impl TiledMatmulKernel {
         Ok(slot)
     }
 
-    fn ensure_b(
+    fn load_b(
         &mut self,
         env: &mut KernelEnv<'_>,
         k0: usize,
         j0: usize,
     ) -> Result<usize, AccelError> {
-        if self.tile_reuse {
-            if let Some(slot) = (0..2).find(|&s| self.b_slots[s] == Some((k0, j0))) {
-                return Ok(slot);
-            }
-        }
         let slot = self.next_b;
         self.next_b ^= 1;
-        self.b_slots[slot] = Some((k0, j0));
         let tn_eff = (self.nb - j0 * self.plan.tn).min(self.plan.tn);
         let k_start = k0 * self.plan.tk * self.dim;
         let k_rows = (self.params.k - k_start).min(self.plan.tk * self.dim);
@@ -444,8 +404,8 @@ impl Kernel for TiledMatmulKernel {
         let kt = self.kb.div_ceil(self.plan.tk);
 
         for k0 in 0..kt {
-            let aslot = self.ensure_a(env, i0, k0)?;
-            let bslot = self.ensure_b(env, k0, j0)?;
+            let aslot = self.load_a(env, i0, k0)?;
+            let bslot = self.load_b(env, k0, j0)?;
             let tk_eff = (self.kb - k0 * self.plan.tk).min(self.plan.tk);
             for jbi in 0..tn_eff {
                 let nblk = j0 * self.plan.tn + jbi;

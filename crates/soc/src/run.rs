@@ -726,7 +726,7 @@ mod tests {
 
     #[test]
     fn metered_run_counts_events_without_changing_results() {
-        use gemmini_core::metrics::{Counter, HistKind, Metrics};
+        use gemmini_core::metrics::{Counter, Metrics};
         let cfg = SocConfig::edge_single_core();
         let net = zoo::tiny_cnn();
         let plain = run_networks(&cfg, std::slice::from_ref(&net), &RunOptions::timing()).unwrap();
@@ -756,13 +756,6 @@ mod tests {
             "TLB misses equal the report's walk count"
         );
         assert!(registry.counter(Counter::DramLineFills) > 0);
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.hist(HistKind::PtwWalkCycles).count,
-            plain.cores[0].translation.walks
-        );
-        assert!(snap.hist(HistKind::DmaBurstCycles).count > 0);
-        assert!(snap.hist(HistKind::DramServiceCycles).count > 0);
     }
 
     #[test]

@@ -35,6 +35,7 @@ use gemmini_mem::dram::MainMemory;
 use gemmini_mem::Cycle;
 use gemmini_vm::page::FrameAllocator;
 use gemmini_vm::page_table::AddressSpace;
+use std::collections::HashMap;
 
 /// Recorded timing of one executed layer.
 #[derive(Debug, Clone)]
@@ -749,14 +750,6 @@ impl NetworkExecution {
 /// both paths); networks containing them should be compared layer-wise
 /// before the first norm layer.
 pub fn reference_forward(net: &Network, seed: u64) -> Vec<i8> {
-    let mut outputs: Vec<Vec<i8>> = Vec::new();
-    let mut input_elements = net
-        .layers()
-        .first()
-        .map(|l| layer_input_elements(&l.layer))
-        .unwrap_or(1);
-    let _ = &mut input_elements;
-
     let first_input: Vec<i8> = match net.layers().first().map(|l| &l.layer) {
         Some(Layer::Conv {
             in_channels, in_hw, ..
@@ -774,7 +767,11 @@ pub fn reference_forward(net: &Network, seed: u64) -> Vec<i8> {
         None => vec![],
     };
 
-    let mut prev = first_input.clone();
+    // A residual add reads the latest tensor of its length from before the
+    // previous layer (the network input counts as the oldest), so only
+    // that tensor per length is kept, one layer behind `prev`.
+    let mut skips: HashMap<usize, Vec<i8>> = HashMap::new();
+    let mut prev = first_input;
     for (i, nl) in net.layers().iter().enumerate() {
         let wseed = weight_seed(seed, i);
         let out: Vec<i8> = match &nl.layer {
@@ -842,9 +839,10 @@ pub fn reference_forward(net: &Network, seed: u64) -> Vec<i8> {
                 n,
                 activation,
             } => {
-                let a = Tensor::from_vec(&[*m, *k], prev.clone());
+                let a = Tensor::from_vec(&[*m, *k], std::mem::take(&mut prev));
                 let b = Tensor::<i8>::random(&[*k, *n], wseed);
                 let acc = matmul(&a, &b);
+                prev = a.into_vec();
                 let scale = scale_for_k(*k);
                 let mut out = Vec::with_capacity(m * n);
                 for r in 0..*m {
@@ -857,16 +855,12 @@ pub fn reference_forward(net: &Network, seed: u64) -> Vec<i8> {
                 out
             }
             Layer::ResAdd { elements } => {
-                let b_bytes = outputs[..i.saturating_sub(1)]
-                    .iter()
-                    .rev()
-                    .find(|o| o.len() == *elements)
-                    .cloned()
-                    .or_else(|| (first_input.len() == *elements).then(|| first_input.clone()))
-                    .unwrap_or_else(|| prev.clone());
-                let a = Tensor::from_vec(&[*elements], prev.clone());
+                let b_bytes = skips.get(elements).unwrap_or(&prev).clone();
+                let a = Tensor::from_vec(&[*elements], std::mem::take(&mut prev));
                 let b = Tensor::from_vec(&[*elements], b_bytes);
-                resadd_i8(&a, &b).into_vec()
+                let sum = resadd_i8(&a, &b).into_vec();
+                prev = a.into_vec();
+                sum
             }
             Layer::Pool {
                 kind,
@@ -890,8 +884,8 @@ pub fn reference_forward(net: &Network, seed: u64) -> Vec<i8> {
             }
             Layer::LayerNorm { .. } | Layer::Softmax { .. } => prev.clone(),
         };
-        outputs.push(out.clone());
-        prev = out;
+        let done = std::mem::replace(&mut prev, out);
+        skips.insert(done.len(), done);
     }
     prev
 }

@@ -130,11 +130,6 @@ impl FilterPair {
     pub fn total_hits(&self) -> u64 {
         self.read.hits() + self.write.hits()
     }
-
-    /// Combined lookups across both streams.
-    pub fn total_lookups(&self) -> u64 {
-        self.read.lookups() + self.write.lookups()
-    }
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use crate::page_table::AddressSpace;
 use crate::ptw::{PageTableWalker, PtwConfig};
 use crate::tlb::{Tlb, TlbConfig};
 use gemmini_mem::addr::{PhysAddr, VirtAddr};
-use gemmini_mem::metrics::{Counter, HistKind, Metrics};
+use gemmini_mem::metrics::{Counter, Metrics};
 use gemmini_mem::stats::WindowedRate;
 use gemmini_mem::trace::{Component, StallCause, Tracer};
 use gemmini_mem::{Cycle, MemorySystem};
@@ -316,10 +316,6 @@ impl TranslationSystem {
             now + latency,
             outcome.done,
             StallCause::TlbMiss,
-        );
-        self.metrics.observe(
-            HistKind::PtwWalkCycles,
-            outcome.done.saturating_sub(now + latency),
         );
         let total_latency = outcome.done.saturating_sub(now);
         let Some(m) = outcome.mapping else {
