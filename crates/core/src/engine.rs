@@ -145,6 +145,86 @@ struct PendingC {
     b_cols: u16,
 }
 
+/// One weight-stationary tile column: a `b_rows × b_cols` block of B held
+/// in the array while `m_rows` rows of A stream through it, `dim` rows per
+/// compute, into as many accumulator rows. A's blocks and C's blocks each
+/// lie `dim` rows apart from `a_row` and `c_row`; the last may be ragged.
+///
+/// [`TileColumn::instructions`] spells the column out in the ISA, and
+/// [`Accelerator::issue_tile_column`] executes exactly that sequence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TileColumn {
+    /// Scratchpad row of B's first row.
+    pub b_row: u32,
+    /// Valid rows of B.
+    pub b_rows: u16,
+    /// Valid cols of B.
+    pub b_cols: u16,
+    /// Scratchpad row of A's first block.
+    pub a_row: u32,
+    /// Valid cols of A.
+    pub a_cols: u16,
+    /// Accumulator row of C's first block.
+    pub c_row: u32,
+    /// Rows of A (and of C) over all blocks.
+    pub m_rows: u16,
+    /// Whether the computes add into C rather than overwrite it.
+    pub accumulate: bool,
+}
+
+impl TileColumn {
+    /// `(Preload, ComputePreloaded)` pairs the column issues on a
+    /// `dim × dim` array.
+    pub fn pairs(&self, dim: usize) -> usize {
+        (self.m_rows as usize).div_ceil(dim)
+    }
+
+    /// Pair `i`'s preload: the first loads B, the rest keep it.
+    pub fn preload(&self, i: usize, dim: usize) -> Instruction {
+        let (b, b_rows) = if i == 0 {
+            (LocalAddr::Sp { row: self.b_row }, self.b_rows)
+        } else {
+            (LocalAddr::None, 0)
+        };
+        Instruction::Preload {
+            b,
+            c: LocalAddr::Acc {
+                row: block_row(self.c_row, i, dim),
+                accumulate: self.accumulate,
+            },
+            b_rows,
+            b_cols: self.b_cols,
+        }
+    }
+
+    /// Pair `i`'s compute over A's block `i`.
+    pub fn compute(&self, i: usize, dim: usize) -> Instruction {
+        Instruction::ComputePreloaded {
+            a: LocalAddr::Sp {
+                row: block_row(self.a_row, i, dim),
+            },
+            d: LocalAddr::None,
+            a_rows: self.block_rows(i, dim),
+            a_cols: self.a_cols,
+        }
+    }
+
+    /// Rows of A's block `i`: `dim`, or fewer in a ragged last block.
+    fn block_rows(&self, i: usize, dim: usize) -> u16 {
+        (self.m_rows as usize - i * dim).min(dim) as u16
+    }
+
+    /// The column as the instruction sequence it stands for.
+    pub fn instructions(&self, dim: usize) -> impl Iterator<Item = Instruction> + '_ {
+        (0..self.pairs(dim)).flat_map(move |i| [self.preload(i, dim), self.compute(i, dim)])
+    }
+}
+
+/// Local row of block `i` of a `dim`-row-per-block run starting at `base`.
+fn block_row(base: u32, i: usize, dim: usize) -> u32 {
+    base.wrapping_add((i * dim) as u32)
+}
+
 /// Reusable flat buffers for the functional hot path. Each issue clears and
 /// refills what it needs; capacity persists across calls, so after the first
 /// few tiles the steady state performs zero heap allocations (pinned by the
@@ -577,13 +657,154 @@ impl Accelerator {
     pub fn issue(&mut self, ctx: &mut MemCtx<'_>, instr: Instruction) -> Result<Cycle, AccelError> {
         let result = self.issue_inner(ctx, instr);
         self.profiler.maybe_compact(self.attribution_frontier());
+        self.trace_line(result.as_ref().copied(), || instr);
+        result
+    }
+
+    /// Issues one weight-stationary tile column: the `(Preload,
+    /// ComputePreloaded)` pairs of [`TileColumn::instructions`], with B
+    /// preloaded by the first pair and kept by the rest. Every pair's
+    /// timing, data, statistics, attribution, trace spans and instruction
+    /// trace lines equal those of issuing the same instructions one at a
+    /// time through [`Self::issue`]; the column is checked once rather
+    /// than per instruction. Returns the last compute's completion cycle
+    /// (the execute unit's free cycle for an empty column).
+    ///
+    /// # Errors
+    ///
+    /// The error the column's first failing instruction would return from
+    /// [`Self::issue`], after the instructions before it have executed.
+    /// [`AccelError::Unsupported`] if the dataflow is output-stationary,
+    /// before anything executes.
+    pub fn issue_tile_column(
+        &mut self,
+        ctx: &mut MemCtx<'_>,
+        col: &TileColumn,
+    ) -> Result<Cycle, AccelError> {
+        if matches!(self.state.dataflow, Dataflow::OutputStationary) {
+            return Err(AccelError::Unsupported(
+                "a tile column needs the weight-stationary dataflow".to_string(),
+            ));
+        }
+        let dim = self.config.dim();
+        let pairs = col.pairs(dim);
+        // Instructions that execute, and the error of the one after them.
+        let (valid, error) = if self.column_fits(col) {
+            (2 * pairs, None)
+        } else {
+            self.first_column_error(col)
+        };
+        let functional = ctx.data.is_some();
+        let mut done = self.ex_free;
+        for i in 0..valid.div_ceil(2) {
+            let c = PendingC {
+                row: block_row(col.c_row, i, dim),
+                accumulate: col.accumulate,
+                b_cols: col.b_cols,
+            };
+            let (b_row, b_rows) = if i == 0 {
+                (Some(col.b_row), col.b_rows)
+            } else {
+                (None, 0)
+            };
+            done = self.exec_preload(functional, b_row, b_rows, c);
+            self.trace_line(Ok(done), || col.preload(i, dim));
+            if 2 * i + 1 == valid {
+                break;
+            }
+            self.profiler.metrics().inc(MetricCounter::TilesIssued);
+            let a_row = block_row(col.a_row, i, dim);
+            let a_rows = col.block_rows(i, dim);
+            done = self.exec_compute(functional, a_row, a_rows, col.a_cols, c, LocalAddr::None);
+            self.profiler.metrics().inc(MetricCounter::TilesRetired);
+            self.trace_line(Ok(done), || col.compute(i, dim));
+        }
+        if let Some(e) = &error {
+            let failed = col
+                .instructions(dim)
+                .nth(valid)
+                .expect("a failing instruction");
+            if matches!(failed, Instruction::ComputePreloaded { .. }) {
+                self.profiler.metrics().inc(MetricCounter::TilesIssued);
+            }
+            self.trace_line(Err(e), || failed);
+        }
+        self.profiler.maybe_compact(self.attribution_frontier());
+        match error {
+            Some(e) => Err(e),
+            None => Ok(done),
+        }
+    }
+
+    /// Whether every instruction of `col` passes [`Self::issue`]'s checks,
+    /// from closed-form bounds on the whole column: the widest preload and
+    /// compute blocks and the last accumulator block.
+    fn column_fits(&self, col: &TileColumn) -> bool {
+        let dim = self.config.dim();
+        let pairs = col.pairs(dim);
+        if pairs == 0 {
+            return true;
+        }
+        let (sp_rows, acc_rows) = (self.sp.rows(), self.acc.rows());
+        let last_c = col.c_row as usize + (pairs - 1) * dim;
+        [col.b_rows, col.b_cols, col.a_cols]
+            .iter()
+            .all(|&n| n as usize <= dim)
+            && col.b_row as usize + col.b_rows as usize <= sp_rows
+            && col.a_row as usize + col.m_rows as usize <= sp_rows
+            && col.c_row as usize + col.m_rows as usize <= acc_rows
+            && last_c + col.b_cols.max(1) as usize <= acc_rows
+    }
+
+    /// Runs [`Self::issue`]'s checks over `col`'s instructions in order,
+    /// with each compute checked against the destination its preload
+    /// names: the number that pass before the first failure, and its error.
+    #[cold]
+    fn first_column_error(&self, col: &TileColumn) -> (usize, Option<AccelError>) {
+        let dim = self.config.dim();
+        let mut pending = None;
+        for (k, instr) in col.instructions(dim).enumerate() {
+            let checked = match instr {
+                Instruction::Preload {
+                    b,
+                    c,
+                    b_rows,
+                    b_cols,
+                } => self
+                    .check_dims("preload", b_rows, b_cols)
+                    .and_then(|()| self.check_preload_operands(b, c, b_rows, b_cols))
+                    .map(|(_, c)| pending = Some(c)),
+                Instruction::ComputePreloaded {
+                    a,
+                    d,
+                    a_rows,
+                    a_cols,
+                } => self
+                    .check_compute(pending, a, d, a_rows, a_cols)
+                    .map(|_| ()),
+                _ => unreachable!("a column holds only preloads and computes"),
+            };
+            if let Err(e) = checked {
+                return (k, Some(e));
+            }
+        }
+        (2 * col.pairs(dim), None)
+    }
+
+    /// Appends `instr`'s line to the instruction trace, when enabled.
+    #[inline]
+    fn trace_line(
+        &mut self,
+        result: Result<Cycle, &AccelError>,
+        instr: impl FnOnce() -> Instruction,
+    ) {
         if let Some(trace) = self.trace.as_mut() {
-            match &result {
+            let instr = instr();
+            match result {
                 Ok(done) => trace.push(format!("[{done:>10}] {instr}")),
                 Err(e) => trace.push(format!("[     error] {instr}: {e}")),
             }
         }
-        result
     }
 
     fn issue_inner(
@@ -842,6 +1063,27 @@ impl Accelerator {
         if matches!(self.state.dataflow, Dataflow::OutputStationary) {
             self.flush_os_partials(functional)?;
         }
+        let (b_row, c_dest) = self.check_preload_operands(b, c, b_rows, b_cols)?;
+        let done = self.exec_preload(functional, b_row, b_rows, c_dest);
+        if matches!(self.state.dataflow, Dataflow::OutputStationary) {
+            // Arm a fresh PE-resident output block, reusing the recycled
+            // buffer's capacity.
+            let vals = std::mem::take(&mut self.scratch.os_spare);
+            self.os_c = Some(OsPartials { rows: 0, vals });
+        }
+        Ok(done)
+    }
+
+    /// A preload's operand checks, after its block dimensions: the
+    /// accumulator destination, then the stationary operand (`None` when
+    /// the preload keeps the current one).
+    fn check_preload_operands(
+        &self,
+        b: LocalAddr,
+        c: LocalAddr,
+        b_rows: u16,
+        b_cols: u16,
+    ) -> Result<(Option<u32>, PendingC), AccelError> {
         let c_dest = match c {
             LocalAddr::Acc { row, accumulate } => {
                 self.check_acc_range(c, row, b_cols.max(1))?;
@@ -858,37 +1100,53 @@ impl Accelerator {
                 })
             }
         };
-
-        let mut start = self.ex_free;
-        match b {
+        let b_row = match b {
             LocalAddr::Sp { row } => {
                 self.check_sp_range(b, row, b_rows)?;
-                start = start.max(self.sp_wr.range_max(row, b_rows));
-                // Functional: load B into the array, zero-copy from the
-                // scratchpad's contiguous row region.
-                if functional {
-                    let dim = self.sp.dim();
-                    self.matrix_unit.preload_flat(
-                        self.sp.rows_flat(row as usize, b_rows as usize),
-                        b_rows as usize,
-                        b_cols as usize,
-                        dim,
-                    );
-                }
-                let done = start + self.timing.preload_cycles(b_rows as usize);
-                self.sp_rd.mark(row, b_rows, done);
+                Some(row)
             }
-            LocalAddr::None => {
-                // Keep the currently loaded operand.
-            }
+            LocalAddr::None => None,
             other => {
                 return Err(AccelError::BadLocalAddress {
                     addr: other,
                     detail: "preload operand must be a scratchpad address".to_string(),
                 })
             }
+        };
+        Ok((b_row, c_dest))
+    }
+
+    /// A checked preload's execution: loads B from scratchpad row `b_row`
+    /// (or keeps the current operand when `None`) and names `c` as the
+    /// destination of the computes that follow. Returns the completion
+    /// cycle.
+    #[inline(always)]
+    fn exec_preload(
+        &mut self,
+        functional: bool,
+        b_row: Option<u32>,
+        b_rows: u16,
+        c: PendingC,
+    ) -> Cycle {
+        let mut start = self.ex_free;
+        if let Some(row) = b_row {
+            start = start.max(self.sp_wr.range_max(row, b_rows));
+            // Functional: load B into the array, zero-copy from the
+            // scratchpad's contiguous row region.
+            if functional {
+                let dim = self.sp.dim();
+                self.matrix_unit.preload_flat(
+                    self.sp.rows_flat(row as usize, b_rows as usize),
+                    b_rows as usize,
+                    c.b_cols as usize,
+                    dim,
+                );
+            }
         }
         let done = start + self.timing.preload_cycles(b_rows as usize);
+        if let Some(row) = b_row {
+            self.sp_rd.mark(row, b_rows, done);
+        }
         self.profiler.span(
             AttributionKind::Compute,
             Component::ExecuteUnit,
@@ -898,18 +1156,12 @@ impl Accelerator {
             StallCause::None,
         );
         self.b_ready = done;
-        self.pending_c = Some(c_dest);
-        if matches!(self.state.dataflow, Dataflow::OutputStationary) {
-            // Arm a fresh PE-resident output block, reusing the recycled
-            // buffer's capacity.
-            let vals = std::mem::take(&mut self.scratch.os_spare);
-            self.os_c = Some(OsPartials { rows: 0, vals });
-        }
+        self.pending_c = Some(c);
         self.stats.ex_busy += done - start;
         self.stats.preloads += 1;
         self.stats.finish = self.stats.finish.max(done);
         self.ex_free = done;
-        Ok(done)
+        done
     }
 
     /// Output-stationary compute: A streams through the rows while B (the
@@ -1017,8 +1269,23 @@ impl Accelerator {
         if matches!(self.state.dataflow, Dataflow::OutputStationary) {
             return self.do_compute_os(ctx, a, d, a_rows, a_cols);
         }
+        let (a_row, c) = self.check_compute(self.pending_c, a, d, a_rows, a_cols)?;
+        Ok(self.exec_compute(ctx.data.is_some(), a_row, a_rows, a_cols, c, d))
+    }
+
+    /// A weight-stationary compute's checks, against the destination the
+    /// last preload named (`pending`). Returns A's scratchpad row and that
+    /// destination.
+    fn check_compute(
+        &self,
+        pending: Option<PendingC>,
+        a: LocalAddr,
+        d: LocalAddr,
+        a_rows: u16,
+        a_cols: u16,
+    ) -> Result<(u32, PendingC), AccelError> {
         self.check_dims("compute", a_rows, a_cols)?;
-        let c = self.pending_c.ok_or(AccelError::NoPreload)?;
+        let c = pending.ok_or(AccelError::NoPreload)?;
         let a_row = match a {
             LocalAddr::Sp { row } => {
                 self.check_sp_range(a, row, a_rows)?;
@@ -1039,7 +1306,27 @@ impl Accelerator {
             c.row,
             a_rows,
         )?;
+        match d {
+            LocalAddr::None => {}
+            LocalAddr::Acc { row, .. } => self.check_acc_range(d, row, a_rows)?,
+            LocalAddr::Sp { row } => self.check_sp_range(d, row, a_rows)?,
+        }
+        Ok((a_row, c))
+    }
 
+    /// A checked weight-stationary compute's execution: streams A from
+    /// scratchpad row `a_row` through the preloaded array into `c`, adding
+    /// the bias `d`. Returns the completion cycle.
+    #[inline(always)]
+    fn exec_compute(
+        &mut self,
+        functional: bool,
+        a_row: u32,
+        a_rows: u16,
+        a_cols: u16,
+        c: PendingC,
+        d: LocalAddr,
+    ) -> Cycle {
         let mut start = self
             .ex_free
             .max(self.b_ready)
@@ -1052,14 +1339,8 @@ impl Accelerator {
         // scratchpad-sourced bias widens into the reused arena).
         match d {
             LocalAddr::None => {}
-            LocalAddr::Acc { row, .. } => {
-                self.check_acc_range(d, row, a_rows)?;
-                start = start.max(self.acc_wr.range_max(row, a_rows));
-            }
-            LocalAddr::Sp { row } => {
-                self.check_sp_range(d, row, a_rows)?;
-                start = start.max(self.sp_wr.range_max(row, a_rows));
-            }
+            LocalAddr::Acc { row, .. } => start = start.max(self.acc_wr.range_max(row, a_rows)),
+            LocalAddr::Sp { row } => start = start.max(self.sp_wr.range_max(row, a_rows)),
         }
 
         let done = start + self.timing.compute_cycles(a_rows as usize);
@@ -1077,7 +1358,7 @@ impl Accelerator {
         // set). The bias is staged before the destination changes, since
         // an accumulator-sourced bias may alias it; int32 wrapping adds
         // commute, so adding it last equals `C = A·B + D`.
-        if ctx.data.is_some() {
+        if functional {
             let dim = self.config.dim();
             let rows = a_rows as usize;
             let bias = match d {
@@ -1121,7 +1402,7 @@ impl Accelerator {
         self.stats.computes += 1;
         self.stats.finish = self.stats.finish.max(done);
         self.ex_free = done;
-        Ok(done)
+        done
     }
 
     fn do_mvout(

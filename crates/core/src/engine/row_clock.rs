@@ -14,7 +14,9 @@ const BLOCK: usize = 16;
 /// `max(rows[i], tag[i / 16])`: `mark` over a whole block raises only the
 /// block's `tag`, and `block_max` holds the largest clock in each block,
 /// which `range_max` reads instead of the block's rows. Both summaries are
-/// exact, so the answers equal those of a plain per-row vector.
+/// exact, so the answers equal those of a plain per-row vector. A range
+/// that is exactly one aligned block, a whole tile on a 16-row array, is
+/// answered inline without the split into pieces.
 #[derive(Debug, Clone)]
 pub(super) struct RowClock {
     rows: Vec<Cycle>,
@@ -38,7 +40,34 @@ impl RowClock {
     /// # Panics
     ///
     /// Panics if the range runs past the last row.
+    #[inline]
     pub(super) fn range_max(&self, lo: u32, n: u16) -> Cycle {
+        match self.whole_block(lo, n) {
+            Some(b) => self.block_max[b],
+            None => self.range_max_pieces(lo, n),
+        }
+    }
+
+    /// Raises the clocks of rows `[lo, lo + n)` to at least `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the last row.
+    #[inline]
+    pub(super) fn mark(&mut self, lo: u32, n: u16, t: Cycle) {
+        match self.whole_block(lo, n) {
+            Some(b) => {
+                self.tag[b] = self.tag[b].max(t);
+                self.block_max[b] = self.block_max[b].max(t);
+            }
+            None => self.mark_pieces(lo, n, t),
+        }
+    }
+
+    /// `range_max` over pieces; this and `mark_pieces` stay out of line so
+    /// the whole-block test inlines at every call site.
+    #[inline(never)]
+    fn range_max_pieces(&self, lo: u32, n: u16) -> Cycle {
         pieces(self.rows.len(), lo, n)
             .map(|(b, rows, whole)| {
                 if whole {
@@ -51,12 +80,8 @@ impl RowClock {
             .unwrap_or(0)
     }
 
-    /// Raises the clocks of rows `[lo, lo + n)` to at least `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range runs past the last row.
-    pub(super) fn mark(&mut self, lo: u32, n: u16, t: Cycle) {
+    #[inline(never)]
+    fn mark_pieces(&mut self, lo: u32, n: u16, t: Cycle) {
         for (b, rows, whole) in pieces(self.rows.len(), lo, n) {
             if whole {
                 self.tag[b] = self.tag[b].max(t);
@@ -67,6 +92,15 @@ impl RowClock {
             }
             self.block_max[b] = self.block_max[b].max(t);
         }
+    }
+
+    /// The block that rows `[lo, lo + n)` fill exactly, when they are one
+    /// whole aligned `BLOCK`-row block.
+    #[inline]
+    fn whole_block(&self, lo: u32, n: u16) -> Option<usize> {
+        let lo = lo as usize;
+        (n as usize == BLOCK && lo.is_multiple_of(BLOCK) && lo + BLOCK <= self.rows.len())
+            .then_some(lo / BLOCK)
     }
 }
 
@@ -97,19 +131,33 @@ mod tests {
     proptest! {
         /// `RowClock` answers every `range_max` exactly like a plain per-row
         /// vector, over random `mark`/`range_max` sequences: unaligned starts,
-        /// empty ranges, clocks with a partial last block, and ranges that
-        /// end at the last row.
+        /// empty ranges, clocks with a partial last block, ranges that end
+        /// at the last row, and single whole blocks.
         #[test]
         fn row_clock_matches_a_per_row_vector(
             len in 1usize..80,
-            ops in proptest::collection::vec((0u8..4, 0usize..100, 0usize..100, 0u64..1000), 0..120),
+            ops in proptest::collection::vec((0u8..6, 0usize..100, 0usize..100, 0u64..1000), 0..120),
         ) {
             let mut clock = RowClock::new(len);
             let mut naive: Vec<Cycle> = vec![0; len];
             for &(op, a, b, t) in &ops {
-                let lo = a % (len + 1);
-                // Ops 2 and 3 run to the last row; 0 and 1 may be empty.
-                let n = if op >= 2 { len - lo } else { b % (len - lo + 1) };
+                let (lo, n) = match op / 2 {
+                    // Ops 0 and 1 may be empty.
+                    0 => {
+                        let lo = a % (len + 1);
+                        (lo, b % (len - lo + 1))
+                    }
+                    // Ops 2 and 3 run to the last row.
+                    1 => {
+                        let lo = a % (len + 1);
+                        (lo, len - lo)
+                    }
+                    // Ops 4 and 5 cover one block, partial if it is the last.
+                    _ => {
+                        let lo = a % len.div_ceil(BLOCK) * BLOCK;
+                        (lo, BLOCK.min(len - lo))
+                    }
+                };
                 let range = lo..lo + n;
                 let (lo, n) = (lo as u32, n as u16);
                 if op % 2 == 0 {

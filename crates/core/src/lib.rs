@@ -55,5 +55,5 @@ pub mod scratchpad;
 pub mod trace;
 
 pub use config::{DataType, Dataflow, GemminiConfig};
-pub use engine::{AccelError, Accelerator, ExecStats, MemCtx};
+pub use engine::{AccelError, Accelerator, ExecStats, MemCtx, TileColumn};
 pub use isa::Instruction;

@@ -19,7 +19,7 @@ use std::cell::Cell;
 use gemmini_core::config::{Dataflow, GemminiConfig};
 use gemmini_core::isa::{Instruction, LocalAddr};
 use gemmini_core::metrics::{Counter, Metrics};
-use gemmini_core::{Accelerator, MemCtx};
+use gemmini_core::{Accelerator, MemCtx, TileColumn};
 use gemmini_dnn::graph::Activation;
 use gemmini_mem::addr::{VirtAddr, PAGE_SIZE};
 use gemmini_mem::dram::MainMemory;
@@ -103,11 +103,16 @@ fn rig() -> Rig {
 
 impl Rig {
     fn ctx(&mut self) -> MemCtx<'_> {
+        self.ctx_in(true)
+    }
+
+    /// The memory context in functional or timing-only mode.
+    fn ctx_in(&mut self, functional: bool) -> MemCtx<'_> {
         MemCtx {
             space: &self.space,
             translation: &mut self.translation,
             mem: &mut self.mem,
-            data: Some(&mut self.data),
+            data: functional.then_some(&mut self.data),
             port: 0,
         }
     }
@@ -325,4 +330,98 @@ fn steady_state_with_live_metrics_does_not_allocate() {
     assert!(snapshot.counter(Counter::TilesIssued) > 0);
     assert!(snapshot.counter(Counter::DmaBursts) > 0);
     assert!(snapshot.counter(Counter::TlbHits) > 0);
+}
+
+/// One pass of two weight-stationary tile columns over a ragged
+/// `2·dim + 5`-row stripe (overwrite, then accumulate), between the mvins
+/// of their operands and the mvout of the result. Identical across
+/// invocations.
+fn column_pass(accel: &mut Accelerator, r: &mut Rig, dim: usize, functional: bool) {
+    let m_rows = 2 * dim + 5;
+    let row_i8 = dim as u64;
+    let (va_a, va_b, va_c) = (r.base, r.base.add(4 * PAGE_SIZE), r.base.add(8 * PAGE_SIZE));
+    let mut ctx = r.ctx_in(functional);
+    let mut go = |i: Instruction| {
+        accel.issue(&mut ctx, i).expect("steady-state issue failed");
+    };
+    go(Instruction::ConfigEx {
+        dataflow: Dataflow::WeightStationary,
+        activation: Activation::None,
+        acc_scale: 1.0,
+    });
+    go(Instruction::ConfigLd {
+        stride: row_i8,
+        shrink: false,
+    });
+    go(Instruction::ConfigSt { stride: row_i8 });
+    go(Instruction::Mvin {
+        dram_addr: va_a,
+        local: sp(0),
+        rows: m_rows as u16,
+        cols: dim as u16,
+    });
+    go(Instruction::Mvin {
+        dram_addr: va_b,
+        local: sp(4 * dim as u32),
+        rows: dim as u16,
+        cols: dim as u16,
+    });
+    for accumulate in [false, true] {
+        let col = TileColumn {
+            b_row: 4 * dim as u32,
+            b_rows: dim as u16,
+            b_cols: dim as u16,
+            a_row: 0,
+            a_cols: dim as u16,
+            c_row: 0,
+            m_rows: m_rows as u16,
+            accumulate,
+        };
+        accel
+            .issue_tile_column(&mut ctx, &col)
+            .expect("steady-state column failed");
+    }
+    accel
+        .issue(
+            &mut ctx,
+            Instruction::Mvout {
+                dram_addr: va_c,
+                local: acc(0, false),
+                rows: m_rows as u16,
+                cols: dim as u16,
+            },
+        )
+        .expect("steady-state issue failed");
+}
+
+/// Tile columns keep the discipline in both modes: after warm-up, a pass
+/// of columns performs zero heap allocations, functional or timing-only.
+#[test]
+fn steady_state_tile_columns_do_not_allocate() {
+    for functional in [true, false] {
+        let mut r = rig();
+        let cfg = GemminiConfig::edge();
+        let dim = cfg.dim();
+        let mut accel = Accelerator::new(cfg);
+        let payload: Vec<u8> = (0..4 * PAGE_SIZE).map(|i| (i % 251) as u8).collect();
+        r.fill(r.base, &payload[..PAGE_SIZE as usize]);
+        r.fill(r.base.add(4 * PAGE_SIZE), &payload[..PAGE_SIZE as usize]);
+
+        column_pass(&mut accel, &mut r, dim, functional);
+        column_pass(&mut accel, &mut r, dim, functional);
+        accel.compact_attribution();
+
+        let computes = accel.stats().computes;
+        let before = allocations();
+        column_pass(&mut accel, &mut r, dim, functional);
+        let after = allocations();
+        assert_eq!(
+            after - before,
+            0,
+            "steady-state column pass (functional: {functional}) performed {} heap allocations",
+            after - before
+        );
+        // Two columns of three computes each really ran.
+        assert_eq!(accel.stats().computes - computes, 6);
+    }
 }

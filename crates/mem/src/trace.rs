@@ -361,6 +361,9 @@ pub struct AttributionLog {
     /// Per kind (index = discriminant), the closed intervals sorted by
     /// start. No later record coalesces with them; they may overlap.
     closed: [Vec<Interval>; KIND_COUNT],
+    /// Intervals across every `closed` list, kept as they are added and
+    /// drained, so the per-issue threshold check sums nothing.
+    closed_count: usize,
     /// Per kind, the interval later records extend.
     open: [Option<Interval>; KIND_COUNT],
     folded: CycleAttribution,
@@ -374,6 +377,7 @@ impl Default for AttributionLog {
     fn default() -> Self {
         Self {
             closed: std::array::from_fn(|_| Vec::with_capacity(INITIAL_SPANS)),
+            closed_count: 0,
             open: [None; KIND_COUNT],
             folded: CycleAttribution::default(),
             folded_until: 0,
@@ -405,6 +409,7 @@ impl AttributionLog {
             }
             _ => {
                 if let Some(closed) = slot.replace(Interval { start, end }) {
+                    self.closed_count += 1;
                     let list = &mut self.closed[kind as usize];
                     match list.last() {
                         Some(last) if last.start > closed.start => insert_sorted(list, closed),
@@ -418,11 +423,7 @@ impl AttributionLog {
     /// Number of intervals currently held, open ones included (folded
     /// prefixes excluded).
     pub fn pending_spans(&self) -> usize {
-        self.closed_spans() + self.open.iter().flatten().count()
-    }
-
-    fn closed_spans(&self) -> usize {
-        self.closed.iter().map(Vec::len).sum()
+        self.closed_count + self.open.iter().flatten().count()
     }
 
     /// Folds settled intervals into bucket counters once the log grows
@@ -431,7 +432,7 @@ impl AttributionLog {
     /// of its units' free times); intervals crossing it are split.
     #[inline]
     pub fn maybe_compact(&mut self, frontier: Cycle) {
-        if self.closed_spans() >= COMPACT_THRESHOLD {
+        if self.closed_count >= COMPACT_THRESHOLD {
             self.compact(frontier);
         }
     }
@@ -470,12 +471,17 @@ impl AttributionLog {
                 settled
             };
             list.drain(..drained);
+            self.closed_count -= drained;
             self.open[k] = self.open[k].filter(|s| s.end > frontier).map(|s| Interval {
                 start: s.start.max(frontier),
                 end: s.end,
             });
         }
         self.folded_until = frontier;
+        debug_assert_eq!(
+            self.closed_count,
+            self.closed.iter().map(Vec::len).sum::<usize>()
+        );
     }
 
     /// The exact attribution of `[0, total)`: folded prefixes plus a

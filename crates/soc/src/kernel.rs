@@ -12,7 +12,7 @@ use crate::tiling::{blocks, plan_matmul, TilePlan};
 use gemmini_core::config::Dataflow;
 use gemmini_core::isa::{Instruction, LocalAddr};
 use gemmini_core::peripherals::PoolingUnit;
-use gemmini_core::{AccelError, Accelerator, MemCtx};
+use gemmini_core::{AccelError, Accelerator, MemCtx, TileColumn};
 use gemmini_cpu::CpuModel;
 use gemmini_dnn::graph::Activation;
 use gemmini_dnn::tensor::Tensor;
@@ -399,7 +399,6 @@ impl Kernel for TiledMatmulKernel {
         self.ensure_configured(env)?;
         let (i0, j0) = (self.i0, self.j0);
         let m_rows = self.stripe_rows(i0);
-        let tm_eff = m_rows.div_ceil(self.dim);
         let tn_eff = (self.nb - j0 * self.plan.tn).min(self.plan.tn);
         let kt = self.kb.div_ceil(self.plan.tk);
 
@@ -413,42 +412,23 @@ impl Kernel for TiledMatmulKernel {
                 let c_col_base = (jbi * self.plan.tm * self.dim) as u32;
                 for kbi in 0..tk_eff {
                     let kblk = k0 * self.plan.tk + kbi;
-                    let b_rows = self.block_cols_k(kblk);
-                    let accumulate = k0 > 0 || kbi > 0;
-                    let b_row = self.b_base[bslot]
-                        + (jbi * self.plan.tk * self.dim + kbi * self.dim) as u32;
-                    for ibi in 0..tm_eff {
-                        let a_rows = (m_rows - ibi * self.dim).min(self.dim);
-                        let a_row = self.a_base[aslot]
-                            + (kbi * self.plan.tm * self.dim + ibi * self.dim) as u32;
-                        let c_row = c_col_base + (ibi * self.dim) as u32;
-                        let (b_operand, pb_rows, pb_cols) = if ibi == 0 {
-                            (LocalAddr::Sp { row: b_row }, b_rows as u16, b_cols as u16)
-                        } else {
-                            (LocalAddr::None, 0, b_cols as u16)
-                        };
-                        env.accel.issue(
-                            &mut env.ctx,
-                            Instruction::Preload {
-                                b: b_operand,
-                                c: LocalAddr::Acc {
-                                    row: c_row,
-                                    accumulate,
-                                },
-                                b_rows: pb_rows,
-                                b_cols: pb_cols,
-                            },
-                        )?;
-                        env.accel.issue(
-                            &mut env.ctx,
-                            Instruction::ComputePreloaded {
-                                a: LocalAddr::Sp { row: a_row },
-                                d: LocalAddr::None,
-                                a_rows: a_rows as u16,
-                                a_cols: b_rows as u16,
-                            },
-                        )?;
-                    }
+                    let b_rows = self.block_cols_k(kblk) as u16;
+                    // One column: B stays in the array while the stripe's
+                    // A blocks stream through it.
+                    env.accel.issue_tile_column(
+                        &mut env.ctx,
+                        &TileColumn {
+                            b_row: self.b_base[bslot]
+                                + (jbi * self.plan.tk * self.dim + kbi * self.dim) as u32,
+                            b_rows,
+                            b_cols: b_cols as u16,
+                            a_row: self.a_base[aslot] + (kbi * self.plan.tm * self.dim) as u32,
+                            a_cols: b_rows,
+                            c_row: c_col_base,
+                            m_rows: m_rows as u16,
+                            accumulate: k0 > 0 || kbi > 0,
+                        },
+                    )?;
                 }
             }
         }
@@ -740,6 +720,8 @@ pub struct DwConvKernel {
     padding: usize,
     activation: Activation,
     acc_scale: f32,
+    /// Functional per-channel patch matrices, last channel first: each
+    /// channel's sub-GEMM pops its own, so none is copied.
     patches_per_channel: Option<Vec<Tensor<i8>>>,
     /// When the accelerator lacks the im2col block, the CPU materializes
     /// per-channel patch matrices here and channels read them as plain
@@ -781,7 +763,10 @@ impl DwConvKernel {
             padding,
             activation,
             acc_scale,
-            patches_per_channel,
+            patches_per_channel: patches_per_channel.map(|mut v| {
+                v.reverse();
+                v
+            }),
             materialized_patches,
             channel: 0,
             inner: None,
@@ -843,8 +828,8 @@ impl Kernel for DwConvKernel {
                         out_w: self.out_hw.1,
                         patches: self
                             .patches_per_channel
-                            .as_ref()
-                            .map(|v| v[self.channel].clone()),
+                            .as_mut()
+                            .map(|v| v.pop().expect("one patch matrix per channel")),
                     }),
                 )
             };
