@@ -4,21 +4,19 @@
 //! 64-bit operand registers plus a 7-bit funct field. This module defines
 //! the instruction forms the execution engine implements — the same core
 //! set as the real generator: `CONFIG` (EX/LD/ST), `MVIN`, `MVOUT`,
-//! `PRELOAD`, `COMPUTE_PRELOADED`, `COMPUTE_ACCUMULATED`, `FLUSH` — along
-//! with a packed binary encoding ([`Instruction::encode`] /
-//! [`Instruction::decode`]) that round-trips exactly.
+//! `PRELOAD`, `COMPUTE_PRELOADED`, `COMPUTE_ACCUMULATED`, `FLUSH`. The
+//! kernels issue these as typed values; no binary encoding is modelled.
 
 use crate::config::Dataflow;
 use gemmini_dnn::graph::Activation;
 use gemmini_mem::addr::VirtAddr;
-use std::error::Error;
 use std::fmt;
 
 /// An address in the accelerator's private memories.
 ///
-/// Mirrors Gemmini's 32-bit local-address encoding: bit 31 selects the
-/// accumulator, bit 30 requests accumulation (add into the row rather than
-/// overwrite), and the all-ones pattern means "garbage" (no operand).
+/// Mirrors what Gemmini's 32-bit local address selects: a scratchpad row,
+/// an accumulator row that is overwritten or accumulated into, or
+/// "garbage" (no operand).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LocalAddr {
     /// A scratchpad row.
@@ -35,44 +33,6 @@ pub enum LocalAddr {
     },
     /// No operand (Gemmini's "garbage" address).
     None,
-}
-
-const ACC_BIT: u32 = 1 << 31;
-const ACCUMULATE_BIT: u32 = 1 << 30;
-const GARBAGE: u32 = u32::MAX;
-const ROW_MASK: u32 = (1 << 29) - 1;
-
-impl LocalAddr {
-    /// Packs into Gemmini's 32-bit local-address format.
-    pub fn encode(self) -> u32 {
-        match self {
-            Self::Sp { row } => {
-                debug_assert_eq!(row & !ROW_MASK, 0);
-                row
-            }
-            Self::Acc { row, accumulate } => {
-                debug_assert_eq!(row & !ROW_MASK, 0);
-                ACC_BIT | if accumulate { ACCUMULATE_BIT } else { 0 } | row
-            }
-            Self::None => GARBAGE,
-        }
-    }
-
-    /// Unpacks from the 32-bit format.
-    pub fn decode(raw: u32) -> Self {
-        if raw == GARBAGE {
-            Self::None
-        } else if raw & ACC_BIT != 0 {
-            Self::Acc {
-                row: raw & ROW_MASK,
-                accumulate: raw & ACCUMULATE_BIT != 0,
-            }
-        } else {
-            Self::Sp {
-                row: raw & ROW_MASK,
-            }
-        }
-    }
 }
 
 impl fmt::Display for LocalAddr {
@@ -179,224 +139,6 @@ pub enum Instruction {
     Flush,
 }
 
-/// Funct values, matching the real generator's `gemmini.h`.
-mod funct {
-    pub const CONFIG: u8 = 0;
-    pub const MVIN: u8 = 2;
-    pub const MVOUT: u8 = 3;
-    pub const COMPUTE_PRELOADED: u8 = 4;
-    pub const COMPUTE_ACCUMULATED: u8 = 5;
-    pub const PRELOAD: u8 = 6;
-    pub const FLUSH: u8 = 7;
-}
-
-/// An error produced when decoding a malformed instruction word.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeError {
-    /// The offending funct value or subfield description.
-    pub message: String,
-}
-
-impl fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "instruction decode error: {}", self.message)
-    }
-}
-
-impl Error for DecodeError {}
-
-fn pack_dims(local: u32, rows: u16, cols: u16) -> u64 {
-    (cols as u64) << 48 | (rows as u64) << 32 | local as u64
-}
-
-fn unpack_dims(raw: u64) -> (u32, u16, u16) {
-    (raw as u32, (raw >> 32) as u16, (raw >> 48) as u16)
-}
-
-impl Instruction {
-    /// Packs into the RoCC triple `(funct, rs1, rs2)`.
-    pub fn encode(self) -> (u8, u64, u64) {
-        match self {
-            Self::ConfigEx {
-                dataflow,
-                activation,
-                acc_scale,
-            } => {
-                let df = match dataflow {
-                    Dataflow::OutputStationary => 0u64,
-                    Dataflow::WeightStationary => 1,
-                    Dataflow::Both => 2,
-                };
-                let act = match activation {
-                    Activation::None => 0u64,
-                    Activation::Relu => 1,
-                    Activation::Relu6 => 2,
-                };
-                // rs1: [act:2][df:2][subcmd:2 = 0 (EX)]
-                let rs1 = act << 4 | df << 2;
-                let rs2 = acc_scale.to_bits() as u64;
-                (funct::CONFIG, rs1, rs2)
-            }
-            Self::ConfigLd { stride, shrink } => (funct::CONFIG, 1 | (shrink as u64) << 2, stride),
-            Self::ConfigSt { stride } => (funct::CONFIG, 2, stride),
-            Self::Mvin {
-                dram_addr,
-                local,
-                rows,
-                cols,
-            } => (
-                funct::MVIN,
-                dram_addr.raw(),
-                pack_dims(local.encode(), rows, cols),
-            ),
-            Self::Mvout {
-                dram_addr,
-                local,
-                rows,
-                cols,
-            } => (
-                funct::MVOUT,
-                dram_addr.raw(),
-                pack_dims(local.encode(), rows, cols),
-            ),
-            Self::Preload {
-                b,
-                c,
-                b_rows,
-                b_cols,
-            } => (
-                funct::PRELOAD,
-                pack_dims(b.encode(), b_rows, b_cols),
-                pack_dims(c.encode(), 0, 0),
-            ),
-            Self::ComputePreloaded {
-                a,
-                d,
-                a_rows,
-                a_cols,
-            } => (
-                funct::COMPUTE_PRELOADED,
-                pack_dims(a.encode(), a_rows, a_cols),
-                pack_dims(d.encode(), 0, 0),
-            ),
-            Self::ComputeAccumulated {
-                a,
-                d,
-                a_rows,
-                a_cols,
-            } => (
-                funct::COMPUTE_ACCUMULATED,
-                pack_dims(a.encode(), a_rows, a_cols),
-                pack_dims(d.encode(), 0, 0),
-            ),
-            Self::Flush => (funct::FLUSH, 0, 0),
-        }
-    }
-
-    /// Unpacks from the RoCC triple.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] for unknown funct values or config
-    /// subcommands.
-    pub fn decode(f: u8, rs1: u64, rs2: u64) -> Result<Self, DecodeError> {
-        match f {
-            funct::CONFIG => match rs1 & 0b11 {
-                0 => {
-                    let df = match (rs1 >> 2) & 0b11 {
-                        0 => Dataflow::OutputStationary,
-                        1 => Dataflow::WeightStationary,
-                        2 => Dataflow::Both,
-                        x => {
-                            return Err(DecodeError {
-                                message: format!("bad dataflow field {x}"),
-                            })
-                        }
-                    };
-                    let act = match (rs1 >> 4) & 0b11 {
-                        0 => Activation::None,
-                        1 => Activation::Relu,
-                        2 => Activation::Relu6,
-                        x => {
-                            return Err(DecodeError {
-                                message: format!("bad activation field {x}"),
-                            })
-                        }
-                    };
-                    Ok(Self::ConfigEx {
-                        dataflow: df,
-                        activation: act,
-                        acc_scale: f32::from_bits(rs2 as u32),
-                    })
-                }
-                1 => Ok(Self::ConfigLd {
-                    stride: rs2,
-                    shrink: rs1 & 0b100 != 0,
-                }),
-                2 => Ok(Self::ConfigSt { stride: rs2 }),
-                x => Err(DecodeError {
-                    message: format!("bad config subcommand {x}"),
-                }),
-            },
-            funct::MVIN | funct::MVOUT => {
-                let (local, rows, cols) = unpack_dims(rs2);
-                let local = LocalAddr::decode(local);
-                let dram_addr = VirtAddr::new(rs1);
-                Ok(if f == funct::MVIN {
-                    Self::Mvin {
-                        dram_addr,
-                        local,
-                        rows,
-                        cols,
-                    }
-                } else {
-                    Self::Mvout {
-                        dram_addr,
-                        local,
-                        rows,
-                        cols,
-                    }
-                })
-            }
-            funct::PRELOAD => {
-                let (b, b_rows, b_cols) = unpack_dims(rs1);
-                let (c, _, _) = unpack_dims(rs2);
-                Ok(Self::Preload {
-                    b: LocalAddr::decode(b),
-                    c: LocalAddr::decode(c),
-                    b_rows,
-                    b_cols,
-                })
-            }
-            funct::COMPUTE_PRELOADED | funct::COMPUTE_ACCUMULATED => {
-                let (a, a_rows, a_cols) = unpack_dims(rs1);
-                let (d, _, _) = unpack_dims(rs2);
-                let a = LocalAddr::decode(a);
-                let d = LocalAddr::decode(d);
-                Ok(if f == funct::COMPUTE_PRELOADED {
-                    Self::ComputePreloaded {
-                        a,
-                        d,
-                        a_rows,
-                        a_cols,
-                    }
-                } else {
-                    Self::ComputeAccumulated {
-                        a,
-                        d,
-                        a_rows,
-                        a_cols,
-                    }
-                })
-            }
-            funct::FLUSH => Ok(Self::Flush),
-            x => Err(DecodeError {
-                message: format!("unknown funct {x}"),
-            }),
-        }
-    }
-}
-
 impl fmt::Display for Instruction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -456,140 +198,6 @@ impl fmt::Display for Instruction {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn local_addr_roundtrip() {
-        for addr in [
-            LocalAddr::Sp { row: 0 },
-            LocalAddr::Sp { row: 16383 },
-            LocalAddr::Acc {
-                row: 42,
-                accumulate: false,
-            },
-            LocalAddr::Acc {
-                row: 7,
-                accumulate: true,
-            },
-            LocalAddr::None,
-        ] {
-            assert_eq!(LocalAddr::decode(addr.encode()), addr, "{addr}");
-        }
-    }
-
-    #[test]
-    fn accumulate_bit_is_bit_30() {
-        let raw = LocalAddr::Acc {
-            row: 5,
-            accumulate: true,
-        }
-        .encode();
-        assert_eq!(raw & (1 << 31), 1 << 31);
-        assert_eq!(raw & (1 << 30), 1 << 30);
-        assert_eq!(raw & 0x1fff_ffff, 5);
-    }
-
-    fn roundtrip(i: Instruction) {
-        let (f, rs1, rs2) = i.encode();
-        assert_eq!(Instruction::decode(f, rs1, rs2).unwrap(), i, "{i}");
-    }
-
-    #[test]
-    fn every_instruction_roundtrips() {
-        roundtrip(Instruction::ConfigEx {
-            dataflow: Dataflow::WeightStationary,
-            activation: Activation::Relu,
-            acc_scale: 0.125,
-        });
-        roundtrip(Instruction::ConfigEx {
-            dataflow: Dataflow::OutputStationary,
-            activation: Activation::Relu6,
-            acc_scale: 1.0,
-        });
-        roundtrip(Instruction::ConfigLd {
-            stride: 224,
-            shrink: false,
-        });
-        roundtrip(Instruction::ConfigLd {
-            stride: 0,
-            shrink: true,
-        });
-        roundtrip(Instruction::ConfigSt { stride: 4096 });
-        roundtrip(Instruction::Mvin {
-            dram_addr: VirtAddr::new(0x10_0000),
-            local: LocalAddr::Sp { row: 128 },
-            rows: 16,
-            cols: 16,
-        });
-        roundtrip(Instruction::Mvout {
-            dram_addr: VirtAddr::new(0x20_0000),
-            local: LocalAddr::Acc {
-                row: 12,
-                accumulate: false,
-            },
-            rows: 16,
-            cols: 16,
-        });
-        roundtrip(Instruction::Preload {
-            b: LocalAddr::Sp { row: 256 },
-            c: LocalAddr::Acc {
-                row: 0,
-                accumulate: true,
-            },
-            b_rows: 16,
-            b_cols: 16,
-        });
-        roundtrip(Instruction::ComputePreloaded {
-            a: LocalAddr::Sp { row: 512 },
-            d: LocalAddr::None,
-            a_rows: 16,
-            a_cols: 16,
-        });
-        roundtrip(Instruction::ComputeAccumulated {
-            a: LocalAddr::Sp { row: 768 },
-            d: LocalAddr::None,
-            a_rows: 12,
-            a_cols: 3,
-        });
-        roundtrip(Instruction::Flush);
-    }
-
-    #[test]
-    fn funct_values_match_gemmini_h() {
-        assert_eq!(Instruction::Flush.encode().0, 7);
-        assert_eq!(
-            Instruction::Mvin {
-                dram_addr: VirtAddr::new(0),
-                local: LocalAddr::Sp { row: 0 },
-                rows: 1,
-                cols: 1
-            }
-            .encode()
-            .0,
-            2
-        );
-        assert_eq!(
-            Instruction::Preload {
-                b: LocalAddr::None,
-                c: LocalAddr::None,
-                b_rows: 0,
-                b_cols: 0
-            }
-            .encode()
-            .0,
-            6
-        );
-    }
-
-    #[test]
-    fn unknown_funct_is_an_error() {
-        let e = Instruction::decode(99, 0, 0).unwrap_err();
-        assert!(e.to_string().contains("unknown funct"));
-    }
-
-    #[test]
-    fn bad_config_subcommand_is_an_error() {
-        assert!(Instruction::decode(0, 3, 0).is_err());
-    }
 
     #[test]
     fn display_formats() {

@@ -10,20 +10,20 @@
 //! * [`config`] — the generator's parameter space: two-level spatial array
 //!   geometry (mesh of tiles of PEs), dataflows, datatypes, local memory
 //!   sizes, and the optional peripheral blocks (im2col, pooling,
-//!   activations, transposer). Includes the paper's evaluated presets and a
-//!   generated C header, mirroring the software stack's
-//!   `gemmini_params.h`.
+//!   activations, transposer) as area and feature flags. Includes the
+//!   paper's evaluated presets and a generated C header, mirroring the
+//!   software stack's `gemmini_params.h`.
 //! * [`isa`] — the RoCC-style custom instruction set (CONFIG / MVIN /
-//!   MVOUT / PRELOAD / COMPUTE / FLUSH) with a packed binary encoding.
-//! * [`mesh`] — the spatial array: functional weight-stationary and
-//!   output-stationary matrix units plus the pipeline timing model derived
-//!   from the tile/PE hierarchy.
+//!   MVOUT / PRELOAD / COMPUTE / FLUSH) as typed instructions.
+//! * [`mesh`] — the spatial array: one functional int8 matrix unit shared
+//!   by both dataflows, plus the pipeline timing model derived from the
+//!   tile/PE hierarchy.
 //! * [`scratchpad`] — the banked int8 scratchpad and the wide int32
 //!   accumulator, both functional byte stores with row-granularity.
 //! * [`dma`] — the stream DMA engine: every transfer translates through the
 //!   accelerator's TLB hierarchy (`gemmini-vm`) and pays for real traffic
 //!   through the shared memory system (`gemmini-mem`).
-//! * [`peripherals`] — cost + functional models for the optional blocks.
+//! * [`peripherals`] — the accumulator read-out path and the pooling unit.
 //! * [`engine`] — [`engine::Accelerator`]: the decoupled
 //!   load / execute / store scoreboard (Gemmini's ROB) that overlaps DMA
 //!   with compute, executes instructions functionally, and accounts cycles.

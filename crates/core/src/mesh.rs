@@ -6,128 +6,24 @@
 //! output-stationary dataflows compute exactly this; they differ in *which*
 //! operand stays resident and therefore in timing and energy, not in the
 //! produced values. The simulator exploits that: [`MatrixUnit`] is one
-//! functional model, and [`MeshTiming`] charges cycles according to the
-//! tile/PE hierarchy (Fig. 2) — tiles are pipeline-registered, PEs within a
-//! tile are combinational, so the pipeline depth seen by a wavefront is the
-//! number of tile boundaries, while the *clock period* consequences of long
-//! combinational chains are the synthesis model's domain (`gemmini-synth`).
+//! functional model of the int8 datapath the paper evaluates (an fp32
+//! configuration still computes through it; its datatype sizes the memory
+//! rows and the synthesis model), and [`MeshTiming`] charges cycles
+//! according to the tile/PE hierarchy (Fig. 2) — tiles are
+//! pipeline-registered, PEs within a tile are combinational, so the
+//! pipeline depth seen by a wavefront is the number of tile boundaries,
+//! while the *clock period* consequences of long combinational chains are
+//! the synthesis model's domain (`gemmini-synth`).
 
 use crate::config::GemminiConfig;
-use gemmini_dnn::ops::MacElement;
 
 mod int8;
 
 pub use int8::PairPanel;
 
-/// An element type the generator elaborates, paired with the layout its
-/// MAC kernel reads the stationary operand in.
-pub trait MeshElement: MacElement {
-    /// The stationary operand as the MAC kernel reads it.
-    type Stationary: std::fmt::Debug + Clone;
-
-    /// A `dim`-wide all-zero operand.
-    fn stationary(dim: usize) -> Self::Stationary;
-
-    /// Loads B: `rows` rows of `cols` live elements, rows `stride` apart,
-    /// zero elsewhere. The caller has checked the block's bounds.
-    fn load(st: &mut Self::Stationary, b: &[Self], rows: usize, cols: usize, stride: usize);
-
-    /// `out[i] += A[i] · B` for `a_rows` rows of at most `dim` live
-    /// elements (`a_stride` apart), into output rows `out_stride` apart.
-    /// The caller has checked the buffers' bounds.
-    #[allow(clippy::too_many_arguments)]
-    fn mac_rows(
-        st: &mut Self::Stationary,
-        a: &[Self],
-        a_rows: usize,
-        a_cols: usize,
-        a_stride: usize,
-        out: &mut [Self::Acc],
-        out_stride: usize,
-    );
-}
-
-/// int8 with int32 accumulation: B widened into k-pairs for the SSE2
-/// kernel ([`PairPanel`]).
-impl MeshElement for i8 {
-    type Stationary = PairPanel;
-
-    fn stationary(_dim: usize) -> PairPanel {
-        PairPanel::default()
-    }
-
-    fn load(st: &mut PairPanel, b: &[i8], rows: usize, cols: usize, stride: usize) {
-        st.load(b, rows, cols, stride);
-    }
-
-    fn mac_rows(
-        st: &mut PairPanel,
-        a: &[i8],
-        a_rows: usize,
-        a_cols: usize,
-        a_stride: usize,
-        out: &mut [i32],
-        out_stride: usize,
-    ) {
-        st.mac_rows(a, a_rows, a_cols, a_stride, out, out_stride);
-    }
-}
-
-/// The fp32 stationary operand: dense row-major `dim × dim`, read by a
-/// scalar k-outer / j-inner loop.
-#[derive(Debug, Clone)]
-pub struct DenseF32 {
-    dim: usize,
-    b: Vec<f32>,
-}
-
-/// fp32: the dense operand. Each output element accumulates its products
-/// in ascending-`k` order, so results are bit-identical to a per-element
-/// loop, not merely numerically close.
-impl MeshElement for f32 {
-    type Stationary = DenseF32;
-
-    fn stationary(dim: usize) -> Self::Stationary {
-        DenseF32 {
-            dim,
-            b: vec![0.0; dim * dim],
-        }
-    }
-
-    fn load(st: &mut Self::Stationary, b: &[f32], rows: usize, cols: usize, stride: usize) {
-        st.b.fill(0.0);
-        for r in 0..rows {
-            st.b[r * st.dim..r * st.dim + cols].copy_from_slice(&b[r * stride..r * stride + cols]);
-        }
-    }
-
-    fn mac_rows(
-        st: &mut Self::Stationary,
-        a: &[f32],
-        a_rows: usize,
-        a_cols: usize,
-        a_stride: usize,
-        out: &mut [f32],
-        out_stride: usize,
-    ) {
-        for i in 0..a_rows {
-            let out = &mut out[i * out_stride..i * out_stride + st.dim];
-            for (k, &av) in a[i * a_stride..i * a_stride + a_cols].iter().enumerate() {
-                let b_row = &st.b[k * st.dim..(k + 1) * st.dim];
-                for (o, &bv) in out.iter_mut().zip(b_row) {
-                    *o = f32::mac(*o, av, bv);
-                }
-            }
-        }
-    }
-}
-
-/// Functional model of the spatial array, generic over the element type the
-/// generator elaborates (`i8` with `i32` accumulation for inference, `f32`
-/// for training-style instances): holds the stationary operand and performs
-/// `C = A·B + D`.
-///
-/// [`MatrixUnit`] is the int8 instance the execution engine uses.
+/// Functional model of the spatial array on the paper's evaluated datapath
+/// (int8 operands, int32 accumulation): holds the stationary operand,
+/// widened for the int8 kernel ([`PairPanel`]), and performs `C = A·B + D`.
 ///
 /// # Example
 ///
@@ -140,19 +36,13 @@ impl MeshElement for f32 {
 /// assert_eq!(c, [3, 4]);
 /// ```
 #[derive(Debug, Clone)]
-pub struct MatrixUnitOf<T: MeshElement> {
+pub struct MatrixUnit {
     dim: usize,
-    b: T::Stationary,
+    b: PairPanel,
     macs: u64,
 }
 
-/// The int8 / int32-accumulate matrix unit (the paper's evaluated datapath).
-pub type MatrixUnit = MatrixUnitOf<i8>;
-
-/// The fp32 matrix unit (the generator's floating-point option).
-pub type MatrixUnitF32 = MatrixUnitOf<f32>;
-
-impl<T: MeshElement> MatrixUnitOf<T> {
+impl MatrixUnit {
     /// Creates a unit of width `dim` with a zero stationary operand.
     ///
     /// # Panics
@@ -162,7 +52,7 @@ impl<T: MeshElement> MatrixUnitOf<T> {
         assert!(dim > 0, "matrix unit dimension must be non-zero");
         Self {
             dim,
-            b: T::stationary(dim),
+            b: PairPanel::default(),
             macs: 0,
         }
     }
@@ -181,17 +71,10 @@ impl<T: MeshElement> MatrixUnitOf<T> {
     ///
     /// Panics if the block exceeds `dim` in either direction or the buffer
     /// is too short for its row count and stride.
-    pub fn preload_flat(&mut self, b: &[T], b_rows: usize, b_cols: usize, stride: usize) {
+    pub fn preload_flat(&mut self, b: &[i8], b_rows: usize, b_cols: usize, stride: usize) {
         assert!(b_rows <= self.dim, "too many stationary rows");
         assert!(b_cols <= self.dim, "stationary row too long");
-        assert!(stride >= b_cols, "B stride shorter than its rows");
-        if b_rows > 0 {
-            assert!(
-                b.len() >= (b_rows - 1) * stride + b_cols,
-                "B buffer too short"
-            );
-        }
-        T::load(&mut self.b, b, b_rows, b_cols, stride);
+        self.b.load(b, b_rows, b_cols, stride);
     }
 
     /// Streams a flat A block through the array, writing `C = A·B (+ D)`
@@ -202,8 +85,8 @@ impl<T: MeshElement> MatrixUnitOf<T> {
     /// elements per row; `out` receives `a_rows` rows of `dim`
     /// elements, densely packed.
     ///
-    /// The block goes through the element's kernel
-    /// ([`MeshElement::mac_rows`]) with the bias added last.
+    /// The block goes through the int8 kernel ([`PairPanel::mac_rows`])
+    /// with the bias added last, wrapping like every accumulation.
     ///
     /// # Panics
     ///
@@ -211,12 +94,12 @@ impl<T: MeshElement> MatrixUnitOf<T> {
     /// row-count/stride, or `out` is not exactly `a_rows * dim` elements.
     pub fn compute_into(
         &mut self,
-        a: &[T],
+        a: &[i8],
         a_rows: usize,
         a_cols: usize,
         a_stride: usize,
-        d: Option<(&[T::Acc], usize)>,
-        out: &mut [T::Acc],
+        d: Option<(&[i32], usize)>,
+        out: &mut [i32],
     ) {
         if let (Some((dbuf, dstride)), true) = (d, a_rows > 0) {
             assert!(dstride >= self.dim, "D stride shorter than its rows");
@@ -226,11 +109,14 @@ impl<T: MeshElement> MatrixUnitOf<T> {
             );
         }
         assert_eq!(out.len(), a_rows * self.dim, "output buffer size mismatch");
-        out.fill(T::Acc::default());
+        out.fill(0);
         self.accumulate_into(a, a_rows, a_cols, a_stride, out, self.dim);
         if let Some((dbuf, dstride)) = d {
             for (i, row) in out.chunks_exact_mut(self.dim).enumerate() {
-                add_bias::<T>(row, &dbuf[i * dstride..i * dstride + self.dim]);
+                let bias = &dbuf[i * dstride..i * dstride + self.dim];
+                for (o, &dv) in row.iter_mut().zip(bias) {
+                    *o = o.wrapping_add(dv);
+                }
             }
         }
     }
@@ -245,11 +131,11 @@ impl<T: MeshElement> MatrixUnitOf<T> {
     /// row-count/stride.
     pub fn accumulate_into(
         &mut self,
-        a: &[T],
+        a: &[i8],
         a_rows: usize,
         a_cols: usize,
         a_stride: usize,
-        out: &mut [T::Acc],
+        out: &mut [i32],
         out_stride: usize,
     ) {
         assert!(a_cols <= self.dim, "moving row too long");
@@ -268,20 +154,14 @@ impl<T: MeshElement> MatrixUnitOf<T> {
                 "output buffer too short"
             );
         }
-        T::mac_rows(&mut self.b, a, a_rows, a_cols, a_stride, out, out_stride);
+        self.b
+            .mac_rows(a, a_rows, a_cols, a_stride, out, out_stride);
         self.macs += (a_rows * a_cols * self.dim) as u64;
     }
 
     /// Total MACs performed since construction.
     pub fn macs(&self) -> u64 {
         self.macs
-    }
-}
-
-/// Adds the bias last, after every product, element by element.
-fn add_bias<T: MacElement>(out: &mut [T::Acc], d: &[T::Acc]) {
-    for (o, &dv) in out.iter_mut().zip(d) {
-        *o = T::acc_add(*o, dv);
     }
 }
 
@@ -347,15 +227,10 @@ mod tests {
 
     /// `C = A·B (+ D)` through the flat API for A of dense `a_cols`-wide
     /// rows and D of dense `dim`-wide rows.
-    fn run<T: MeshElement>(
-        mu: &mut MatrixUnitOf<T>,
-        a: &[T],
-        a_cols: usize,
-        d: Option<&[T::Acc]>,
-    ) -> Vec<T::Acc> {
+    fn run(mu: &mut MatrixUnit, a: &[i8], a_cols: usize, d: Option<&[i32]>) -> Vec<i32> {
         let dim = mu.dim();
         let rows = a.len() / a_cols;
-        let mut out = vec![T::Acc::default(); rows * dim];
+        let mut out = vec![0; rows * dim];
         mu.compute_into(a, rows, a_cols, a_cols, d.map(|d| (d, dim)), &mut out);
         out
     }
@@ -462,26 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_compute_f32_is_bit_identical() {
-        let dim = 6;
-        let a = Tensor::<f32>::random(&[dim, dim], 11);
-        let b = Tensor::<f32>::random(&[dim, dim], 12);
-        let (a, b) = (a.as_slice(), b.as_slice());
-        let mut mu = MatrixUnitF32::new(dim);
-        mu.preload_flat(b, dim, dim, dim);
-        let out = run(&mut mu, a, dim, None);
-        for i in 0..dim {
-            for j in 0..dim {
-                // Bit equality, not approximate: each output element
-                // accumulates its products in ascending-k order.
-                let want =
-                    (0..dim).fold(0.0, |acc, k| f32::mac(acc, a[i * dim + k], b[k * dim + j]));
-                assert_eq!(out[i * dim + j].to_bits(), want.to_bits(), "({i},{j})");
-            }
-        }
-    }
-
-    #[test]
     fn timing_reflects_hierarchy() {
         let pipelined = MeshTiming::from_config(&GemminiConfig::tpu_like_256());
         let vector = MeshTiming::from_config(&GemminiConfig::nvdla_like_256());
@@ -515,31 +370,5 @@ mod tests {
     fn oversized_preload_panics() {
         let mut mu = MatrixUnit::new(2);
         mu.preload_flat(&[1; 6], 3, 2, 2);
-    }
-
-    #[test]
-    fn fp32_unit_matches_reference_matmul() {
-        use crate::mesh::MatrixUnitF32;
-        let dim = 4;
-        let a = Tensor::<f32>::random(&[dim, dim], 1);
-        let b = Tensor::<f32>::random(&[dim, dim], 2);
-        let reference = matmul(&a, &b);
-        let mut mu = MatrixUnitF32::new(dim);
-        mu.preload_flat(b.as_slice(), dim, dim, dim);
-        let c = run(&mut mu, a.as_slice(), dim, None);
-        for i in 0..dim {
-            for j in 0..dim {
-                assert!((c[i * dim + j] - reference[(i, j)]).abs() < 1e-5);
-            }
-        }
-    }
-
-    #[test]
-    fn fp32_bias_accumulates() {
-        use crate::mesh::MatrixUnitF32;
-        let mut mu = MatrixUnitF32::new(2);
-        mu.preload_flat(&[1.0, 0.0, 0.0, 1.0], 2, 2, 2);
-        let c = run(&mut mu, &[2.0, 4.0], 2, Some(&[0.5, -0.5]));
-        assert_eq!(c, vec![2.5, 3.5]);
     }
 }

@@ -3,18 +3,13 @@
 //! activations (ReLU or ReLU6), and matrix-scalar multiplications, through a
 //! set of configurable, peripheral circuitry."
 //!
-//! Each block pairs a functional model (validated against the reference
-//! operators in `gemmini-dnn`) with a cycle-cost model used by the
-//! execution engine and the kernel library.
+//! Two blocks are modelled: the accumulator read-out path (scale, saturate
+//! and activate on mvout) and the pooling unit. On-accelerator im2col is
+//! charged by the engine's `mvin_im2col`. The matrix-scalar block and the
+//! transposer are not modelled: no instruction the kernels issue uses them.
 
 pub mod activation;
-pub mod im2col;
 pub mod pooling;
-pub mod scalar;
-pub mod transpose;
 
 pub use activation::{readout_row, readout_row_into, readout_value};
-pub use im2col::Im2colUnit;
 pub use pooling::PoolingUnit;
-pub use scalar::ScalarUnit;
-pub use transpose::Transposer;

@@ -30,13 +30,6 @@ pub fn class_cpu_cycles(model: &CpuModel, net: &Network, class: LayerClass) -> u
         .sum()
 }
 
-/// Frames (inferences) per second this CPU achieves on `net` at
-/// `clock_ghz`.
-pub fn cpu_fps(model: &CpuModel, net: &Network, clock_ghz: f64) -> f64 {
-    let cycles = network_cpu_cycles(model, net) as f64;
-    clock_ghz * 1e9 / cycles
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,15 +70,6 @@ mod tests {
         let conv = class_cpu_cycles(&m, &net, LayerClass::Conv);
         let total = network_cpu_cycles(&m, &net);
         assert!(conv as f64 / total as f64 > 0.95);
-    }
-
-    #[test]
-    fn fps_is_reciprocal_of_seconds() {
-        let m = CpuModel::new(CpuKind::Rocket);
-        let net = zoo::tiny_cnn();
-        let fps = cpu_fps(&m, &net, 1.0);
-        let cycles = network_cpu_cycles(&m, &net) as f64;
-        assert!((fps - 1e9 / cycles).abs() < 1e-6);
     }
 
     #[test]

@@ -45,22 +45,6 @@ pub fn resadd_i32(a: &Tensor<i32>, b: &Tensor<i32>) -> Tensor<i32> {
     Tensor::from_vec(a.shape(), data)
 }
 
-/// Elementwise f32 addition.
-///
-/// # Panics
-///
-/// Panics if the shapes differ.
-pub fn resadd_f32(a: &Tensor<f32>, b: &Tensor<f32>) -> Tensor<f32> {
-    assert_eq!(a.shape(), b.shape(), "residual addition shape mismatch");
-    let data = a
-        .as_slice()
-        .iter()
-        .zip(b.as_slice())
-        .map(|(&x, &y)| x + y)
-        .collect();
-    Tensor::from_vec(a.shape(), data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,14 +64,10 @@ mod tests {
     }
 
     #[test]
-    fn i32_and_f32_variants() {
+    fn i32_variant() {
         let a = Tensor::from_vec(&[2], vec![1i32, -5]);
         let b = Tensor::from_vec(&[2], vec![2i32, 5]);
         assert_eq!(resadd_i32(&a, &b).as_slice(), &[3, 0]);
-
-        let a = Tensor::from_vec(&[2], vec![0.5f32, 1.5]);
-        let b = Tensor::from_vec(&[2], vec![0.25f32, -1.5]);
-        assert_eq!(resadd_f32(&a, &b).as_slice(), &[0.75, 0.0]);
     }
 
     #[test]

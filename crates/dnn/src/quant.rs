@@ -68,19 +68,6 @@ pub fn requantize_tensor(acc: &Tensor<i32>, params: QuantParams) -> Tensor<i8> {
     acc.map(|x| requantize(x, params))
 }
 
-/// Quantizes an f32 value to i8 with the given scale
-/// (`q = clamp(round(x / scale))`).
-#[inline]
-pub fn quantize(x: f32, scale: f32) -> i8 {
-    (x / scale).round().clamp(i8::MIN as f32, i8::MAX as f32) as i8
-}
-
-/// Dequantizes an i8 value back to f32.
-#[inline]
-pub fn dequantize(q: i8, scale: f32) -> f32 {
-    q as f32 * scale
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,16 +90,6 @@ mod tests {
     fn identity_scale_passes_small_values() {
         for v in -128..=127 {
             assert_eq!(requantize(v, QuantParams::default()), v as i8);
-        }
-    }
-
-    #[test]
-    fn quantize_dequantize_roundtrip_within_step() {
-        let scale = 0.05f32;
-        for &x in &[-1.0f32, -0.33, 0.0, 0.4, 0.99] {
-            let q = quantize(x, scale);
-            let back = dequantize(q, scale);
-            assert!((back - x).abs() <= scale / 2.0 + 1e-6, "x={x} back={back}");
         }
     }
 

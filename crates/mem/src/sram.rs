@@ -53,11 +53,6 @@ impl SramConfig {
         }
     }
 
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.banks as u64 * self.rows_per_bank as u64 * self.row_bytes as u64
-    }
-
     /// Total number of addressable rows across all banks.
     pub fn total_rows(&self) -> u32 {
         self.banks * self.rows_per_bank
@@ -181,17 +176,6 @@ impl BankedSram {
         start + self.config.access_latency
     }
 
-    /// Accesses `count` consecutive rows starting at `row`; returns the cycle
-    /// at which the last row completes. Consecutive rows hit different banks,
-    /// so a burst streams at one row per cycle when `count >= banks`.
-    pub fn access_rows(&mut self, now: Cycle, row: u32, count: u32) -> Cycle {
-        let mut done = now;
-        for i in 0..count {
-            done = done.max(self.access_row(now + i as Cycle, row + i));
-        }
-        done
-    }
-
     /// Total accesses performed.
     pub fn accesses(&self) -> u64 {
         self.accesses
@@ -210,7 +194,6 @@ mod tests {
     #[test]
     fn capacity_math() {
         let c = SramConfig::with_capacity_kb(256, 4, 16);
-        assert_eq!(c.capacity_bytes(), 256 * 1024);
         assert_eq!(c.rows_per_bank, 4096);
         assert_eq!(c.total_rows(), 16384);
     }
@@ -240,15 +223,6 @@ mod tests {
         let b = sp.access_row(10, 1);
         assert_eq!(a, 11);
         assert_eq!(b, 11);
-        assert_eq!(sp.conflicts(), 0);
-    }
-
-    #[test]
-    fn burst_streams_one_row_per_cycle() {
-        let mut sp = BankedSram::new(SramConfig::with_capacity_kb(64, 4, 16));
-        // 8 consecutive rows starting at cycle 0: last completes at 8.
-        let done = sp.access_rows(0, 0, 8);
-        assert_eq!(done, 8);
         assert_eq!(sp.conflicts(), 0);
     }
 

@@ -237,7 +237,7 @@ impl WindowedRate {
     /// counts add, and the merged length is the longer of the two. This
     /// is the windowed-series analogue of [`HitMissStats::merge`] —
     /// without it, a sweep rollup could sum scalar counters but silently
-    /// drop the rate-over-time series (and with it `peak_miss_rate`).
+    /// drop the rate-over-time series.
     ///
     /// # Panics
     ///
@@ -261,15 +261,6 @@ impl WindowedRate {
             mine.hits += theirs.hits;
             mine.misses += theirs.misses;
         }
-    }
-
-    /// The maximum per-window miss rate observed (ignoring empty windows).
-    pub fn peak_miss_rate(&self) -> f64 {
-        self.points
-            .iter()
-            .filter(|p| p.hits + p.misses > 0)
-            .map(|p| p.miss_rate())
-            .fold(0.0, f64::max)
     }
 }
 
@@ -535,17 +526,6 @@ impl CycleAttribution {
         }
     }
 
-    /// Combined fraction of total cycles across a set of buckets; `0.0`
-    /// for an empty attribution.
-    pub fn fraction_of(&self, buckets: &[CycleBucket]) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            let sum: u64 = buckets.iter().map(|&b| self.of(b)).sum();
-            sum as f64 / self.total() as f64
-        }
-    }
-
     /// Sum of every bucket — by construction the run's total cycles.
     pub fn total(&self) -> u64 {
         self.busy() + self.idle
@@ -563,16 +543,6 @@ impl CycleAttribution {
             0.0
         } else {
             self.busy() as f64 / self.total() as f64
-        }
-    }
-
-    /// Fraction of total cycles spent waiting on the memory system
-    /// (tlb-stall + bank-conflict + dram); `0.0` for an empty attribution.
-    pub fn memory_fraction(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            (self.tlb_stall + self.bank_conflict + self.dram) as f64 / self.total() as f64
         }
     }
 
@@ -711,14 +681,6 @@ mod tests {
     }
 
     #[test]
-    fn peak_miss_rate_ignores_empty_windows() {
-        let mut w = WindowedRate::new(10);
-        w.record(0, true);
-        w.record(50, false);
-        assert!((w.peak_miss_rate() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "window width")]
     fn zero_window_panics() {
         let _ = WindowedRate::new(0);
@@ -750,7 +712,6 @@ mod tests {
         let mut merged = shard_a.clone();
         merged.merge(&shard_b);
         assert_eq!(merged.series(), serial.series());
-        assert_eq!(merged.peak_miss_rate(), serial.peak_miss_rate());
         // Merge is symmetric in content.
         let mut merged_rev = shard_b;
         merged_rev.merge(&shard_a);
@@ -779,7 +740,6 @@ mod tests {
         assert_eq!(a.busy(), 90);
         assert_eq!(a.total(), 100);
         assert!((a.utilization() - 0.9).abs() < 1e-12);
-        assert!((a.memory_fraction() - 0.1).abs() < 1e-12);
         let mut m = a;
         m.merge(&a);
         assert_eq!(m.total(), 200);
@@ -826,7 +786,6 @@ mod tests {
         };
         assert_eq!(a.dominant(), CycleBucket::Compute);
         assert!((a.fraction(CycleBucket::Compute) - 0.5).abs() < 1e-12);
-        assert!((a.fraction_of(&[CycleBucket::TlbStall, CycleBucket::Dram]) - 0.09).abs() < 1e-12);
         // Ties resolve to the earlier report row.
         let tied = CycleAttribution {
             load: 7,
@@ -838,7 +797,6 @@ mod tests {
         let empty = CycleAttribution::default();
         assert_eq!(empty.dominant(), CycleBucket::Idle);
         assert_eq!(empty.fraction(CycleBucket::Compute), 0.0);
-        assert_eq!(empty.fraction_of(&[CycleBucket::Dram]), 0.0);
     }
 
     #[test]

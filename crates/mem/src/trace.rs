@@ -8,13 +8,12 @@
 //!   every emission site, so instrumented components pay nothing when
 //!   tracing is off. Components across the stack (engine units, DMA,
 //!   TLB/PTW, L2/DRAM) hold clones of one handle, each tagged with a
-//!   `pid` lane, and emit spans and instant events into the same sink.
+//!   `pid` lane, and emit spans into the same sink.
 //! * [`AttributionLog`] — the always-on, exact record of *busy intervals*
 //!   that the cycle-attribution report is computed from. Intervals carry
 //!   an [`AttributionKind`]; [`AttributionLog::finish`] partitions the
 //!   timeline by a fixed priority so every simulated cycle lands in
-//!   exactly one bucket of
-//!   [`CycleAttribution`](crate::stats::CycleAttribution). The log
+//!   exactly one bucket of [`CycleAttribution`]. The log
 //!   coalesces each kind's overlapping or touching intervals on insert
 //!   and folds settled prefixes into bucket counters on demand, so memory
 //!   stays bounded on full-network runs.
@@ -128,7 +127,7 @@ impl StallCause {
     }
 }
 
-/// One emitted event: a span (`dur > 0`) or an instant (`dur == 0`).
+/// One emitted span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Process lane: the core id, or [`SOC_TRACE_PID`] for shared state.
@@ -139,7 +138,8 @@ pub struct TraceEvent {
     pub name: String,
     /// First cycle covered.
     pub start: Cycle,
-    /// Covered cycles (`0` renders as an instant event).
+    /// Covered cycles; never zero, because [`Tracer::span`] drops empty
+    /// spans.
     pub dur: Cycle,
     /// Stall classification, if any.
     pub cause: StallCause,
@@ -267,21 +267,6 @@ impl Tracer {
                     cause,
                 });
             }
-        }
-    }
-
-    /// Emits an instant event at `at`. No-op when disabled.
-    #[inline]
-    pub fn instant(&self, component: Component, name: &str, at: Cycle, cause: StallCause) {
-        if let Some(sink) = &self.sink {
-            sink.lock().expect("trace sink lock").record(TraceEvent {
-                pid: self.pid,
-                component,
-                name: name.to_string(),
-                start: at,
-                dur: 0,
-                cause,
-            });
         }
     }
 }
@@ -646,9 +631,8 @@ fn bucket_mut(attr: &mut CycleAttribution, kind: AttributionKind) -> &mut u64 {
     }
 }
 
-/// Renders events as a Chrome `trace_event` JSON array. Spans become
-/// complete events (`ph: "X"`); instants become thread-scoped instant
-/// events (`ph: "i"`). One cycle = one microsecond of `ts`.
+/// Renders events as a Chrome `trace_event` JSON array of complete
+/// events (`ph: "X"`). One cycle = one microsecond of `ts`.
 pub fn chrome_trace_json(events: &[TraceEvent]) -> Json {
     Json::Arr(
         events
@@ -657,16 +641,12 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> Json {
                 let mut fields = vec![
                     ("name", Json::from(e.name.clone())),
                     ("cat", Json::from(e.component.label())),
-                    ("ph", Json::from(if e.dur == 0 { "i" } else { "X" })),
+                    ("ph", Json::from("X")),
                     ("ts", Json::from(e.start)),
                     ("pid", Json::from(e.pid)),
                     ("tid", Json::from(e.component.lane())),
+                    ("dur", Json::from(e.dur)),
                 ];
-                if e.dur == 0 {
-                    fields.push(("s", Json::from("t")));
-                } else {
-                    fields.push(("dur", Json::from(e.dur)));
-                }
                 if e.cause != StallCause::None {
                     fields.push(("args", Json::obj([("cause", Json::from(e.cause.label()))])));
                 }
@@ -700,7 +680,6 @@ mod tests {
         assert!(!t.enabled());
         // Emission on a disabled handle must be a no-op, not a panic.
         t.span(Component::Dma, "x", 0, 10, StallCause::None);
-        t.instant(Component::Tlb, "y", 5, StallCause::TlbMiss);
     }
 
     #[test]
@@ -708,13 +687,13 @@ mod tests {
         let (t, buf) = Tracer::buffered();
         t.span(Component::LoadUnit, "mvin", 0, 8, StallCause::None);
         t.with_pid(3)
-            .instant(Component::Ptw, "walk", 4, StallCause::TlbMiss);
+            .span(Component::Ptw, "walk", 4, 6, StallCause::TlbMiss);
         let events = buf.lock().unwrap().take();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].pid, 0);
         assert_eq!(events[0].dur, 8);
         assert_eq!(events[1].pid, 3);
-        assert_eq!(events[1].dur, 0);
+        assert_eq!(events[1].dur, 2);
     }
 
     #[test]
@@ -740,7 +719,7 @@ mod tests {
                 component: Component::Tlb,
                 name: "miss".into(),
                 start: 12,
-                dur: 0,
+                dur: 3,
                 cause: StallCause::TlbMiss,
             },
         ];
@@ -754,7 +733,7 @@ mod tests {
         }
         assert_eq!(arr[0].field("ph").unwrap().as_str().unwrap(), "X");
         assert_eq!(arr[0].field("dur").unwrap().as_u64().unwrap(), 5);
-        assert_eq!(arr[1].field("ph").unwrap().as_str().unwrap(), "i");
+        assert_eq!(arr[1].field("ph").unwrap().as_str().unwrap(), "X");
         assert_eq!(
             arr[1]
                 .field("args")

@@ -125,11 +125,6 @@ impl FilterPair {
         self.read.invalidate(vpn);
         self.write.invalidate(vpn);
     }
-
-    /// Combined hits across both streams.
-    pub fn total_hits(&self) -> u64 {
-        self.read.hits() + self.write.hits()
-    }
 }
 
 #[cfg(test)]
@@ -174,7 +169,7 @@ mod tests {
         assert_eq!(fp.read.lookup(v(1)), Some(f(1).into()));
         assert_eq!(fp.write.lookup(v(2)), Some(f(2).into()));
         assert_eq!(fp.read.lookup(v(1)), Some(f(1).into()));
-        assert_eq!(fp.total_hits(), 3);
+        assert_eq!((fp.read.hits(), fp.write.hits()), (2, 1));
     }
 
     #[test]

@@ -16,9 +16,12 @@ use std::path::PathBuf;
 
 use gemmini_bench::figures::{
     fig3_json, fig4_config, fig4_json, fig6_json, fig7_attribution_json, fig7_json, fig7_points,
-    fig8_json, fig8_points,
+    fig8_json, fig8_points, FIG7_VARIANTS,
 };
 use gemmini_bench::{quick_resnet, SweepOptions};
+use gemmini_cpu::model::CpuKind;
+use gemmini_dnn::graph::LayerClass;
+use gemmini_dnn::loader::parse_network;
 use gemmini_dnn::zoo;
 use gemmini_mem::json::Json;
 use gemmini_soc::run::{run_networks, RunOptions};
@@ -130,6 +133,62 @@ fn fig7_quick_matches_golden() {
         "fig7_attribution.json",
         &fig7_attribution_json(&nets, &results),
     );
+
+    // A knob the network does not exercise does not move the report: with
+    // im2col on the accelerator the host runs none of a CNN's layers, so
+    // Rocket and BOOM give equal reports. With im2col on the CPU the host
+    // is exercised, and the two must differ (otherwise the equality above
+    // says nothing). Variants 0/1 are Rocket/BOOM with im2col on the CPU,
+    // 2/3 the same hosts with im2col on the accelerator.
+    for (net, chunk) in nets.iter().zip(results.chunks(FIG7_VARIANTS.len())) {
+        let report = |i: usize| chunk[i].expect_ok();
+        assert_eq!(
+            report(2),
+            report(3),
+            "{}: the host CPU moved the report with im2col on the accelerator",
+            net.name()
+        );
+        assert_ne!(
+            report(0),
+            report(1),
+            "{}: the host CPU did not move the report with im2col on the CPU",
+            net.name()
+        );
+    }
+}
+
+/// Im2col placement is a knob a network without convolutions does not
+/// exercise: on the shipped transformer layer, im2col on the CPU and on the
+/// accelerator give equal reports under a Rocket host.
+#[test]
+fn im2col_placement_does_not_move_a_conv_free_report() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("models/transformer_layer.gnn");
+    let text = std::fs::read_to_string(&path).expect("model file is readable");
+    let net = parse_network(&text).expect("model file parses");
+    assert!(
+        net.layers()
+            .iter()
+            .all(|l| l.layer.class() != LayerClass::Conv),
+        "the transformer layer must have no convolution"
+    );
+    let points: Vec<_> = fig7_points(std::slice::from_ref(&net))
+        .into_iter()
+        .filter(|p| p.config.cores[0].cpu == CpuKind::Rocket)
+        .collect();
+    assert_eq!(points.len(), 2);
+    assert_ne!(
+        points[0].config.cores[0].accel.has_im2col,
+        points[1].config.cores[0].accel.has_im2col
+    );
+    let results = run_sweep_with(
+        points,
+        SweepOptions {
+            threads: 1,
+            progress: false,
+            ..SweepOptions::default()
+        },
+    );
+    assert_eq!(results[0].expect_ok(), results[1].expect_ok());
 }
 
 /// The golden files themselves must round-trip through the hand-rolled
