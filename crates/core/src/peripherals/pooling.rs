@@ -1,11 +1,8 @@
 //! The pooling block: max/average pooling applied as data streams out of
 //! the accumulator (Gemmini performs pooling during mvout).
 
-use gemmini_dnn::graph::PoolKind;
-use gemmini_dnn::ops::pool::{avgpool2d_i8, maxpool2d, PoolSpec};
-use gemmini_dnn::tensor::Tensor;
-
-/// Cost + functional model of the pooling block.
+/// Cost model of the pooling block; the functional result is
+/// [`gemmini_dnn::ops::pool2d_i8`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolingUnit {
     /// Output elements produced per cycle (`dim` comparator lanes).
@@ -24,14 +21,6 @@ impl PoolingUnit {
         let per_lane = (out_elements as u64).div_ceil(self.lanes as u64);
         per_lane * (window * window) as u64
     }
-
-    /// Functional pooling (delegates to the golden operators).
-    pub fn pool(&self, input: &Tensor<i8>, kind: PoolKind, spec: PoolSpec) -> Tensor<i8> {
-        match kind {
-            PoolKind::Max => maxpool2d(input, spec),
-            PoolKind::Avg => avgpool2d_i8(input, spec),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -45,18 +34,5 @@ mod tests {
         assert_eq!(u.pool_cycles(256, 3), 144);
         let wide = PoolingUnit::for_dim(64);
         assert!(wide.pool_cycles(256, 3) < u.pool_cycles(256, 3));
-    }
-
-    #[test]
-    fn functional_pooling_matches_reference() {
-        let u = PoolingUnit::for_dim(16);
-        let t = Tensor::from_vec(&[1, 1, 2, 2], vec![1i8, 5, 3, 4]);
-        let spec = PoolSpec {
-            size: 2,
-            stride: 2,
-            padding: 0,
-        };
-        assert_eq!(u.pool(&t, PoolKind::Max, spec).as_slice(), &[5]);
-        assert_eq!(u.pool(&t, PoolKind::Avg, spec).as_slice(), &[3]);
     }
 }

@@ -9,7 +9,10 @@
 //! cycle attribution, translator, TLB and filter-register state, the
 //! windowed miss-rate series, same-page rates, L2 tag and LRU state, bus,
 //! DRAM and per-port traffic, live metrics, trace events and functional
-//! bytes.
+//! bytes. The L2 hit latency and the bus width vary too, so rows inside
+//! one line are booked both as one closed-form group (step at most the
+//! hit latency) and row by row (a longer step), with and without a bus
+//! backlog.
 //!
 //! The release-mode sweep with many more cases runs with
 //! `cargo test --release -p gemmini-core --test dma_runs -- --include-ignored`.
@@ -19,7 +22,8 @@ use gemmini_core::metrics::{Counter as MetricCounter, Metrics, MetricsRegistry};
 use gemmini_core::trace::{
     AttributionKind, BufferSink, Component, Profiler, StallCause, TraceEvent, Tracer,
 };
-use gemmini_mem::addr::{VirtAddr, PAGE_SIZE};
+use gemmini_mem::addr::{VirtAddr, LINE_SHIFT, PAGE_SIZE};
+use gemmini_mem::bus::BusConfig;
 use gemmini_mem::cache::CacheConfig;
 use gemmini_mem::dram::MainMemory;
 use gemmini_mem::hierarchy::MemorySystemConfig;
@@ -179,6 +183,7 @@ struct Scenario {
     shared: u32,
     window: Cycle,
     l2: CacheConfig,
+    bus: BusConfig,
     functional: bool,
     ops: Vec<Op>,
 }
@@ -202,6 +207,7 @@ impl System {
         let (tracer, events) = Tracer::buffered();
         let mut mem = MemorySystem::new(MemorySystemConfig {
             l2: s.l2,
+            bus: s.bus,
             ..MemorySystemConfig::default()
         });
         mem.set_metrics(metrics.clone());
@@ -440,23 +446,39 @@ fn scenario() -> impl Strategy<Value = Scenario> {
         (any::<bool>(), prop::sample::select(vec![0u32, 1, 4, 32])),
         prop::sample::select(vec![0u32, 512]),
         prop::sample::select(vec![7u64, 64, 1000, 100_000]),
-        prop::sample::select(vec![(4u64 << 10, 2u32), (16 << 10, 4), (64 << 10, 8)]),
+        (
+            prop::sample::select(vec![(4u64 << 10, 2u32), (16 << 10, 4), (64 << 10, 8)]),
+            prop::sample::select(vec![1u64, 16]),
+            any::<bool>(),
+        ),
         any::<bool>(),
         prop::collection::vec(op(), 1..12),
     )
         .prop_map(
-            |((filters, private), shared, window, (size, ways), functional, ops)| Scenario {
-                filters,
-                private,
-                shared,
-                window,
-                l2: CacheConfig {
-                    size_bytes: size,
-                    ways,
-                    hit_latency: 16,
-                },
-                functional,
-                ops,
+            |((filters, private), shared, window, ((size, ways), hit, wide), functional, ops)| {
+                Scenario {
+                    filters,
+                    private,
+                    shared,
+                    window,
+                    l2: CacheConfig {
+                        size_bytes: size,
+                        ways,
+                        hit_latency: hit,
+                    },
+                    // The default bus, or a narrow one whose beats outlast
+                    // the translation step, so a group queues behind itself.
+                    bus: if wide {
+                        BusConfig::default()
+                    } else {
+                        BusConfig {
+                            bytes_per_cycle: 4,
+                            arbitration_latency: 0,
+                        }
+                    },
+                    functional,
+                    ops,
+                }
             },
         )
 }
@@ -537,6 +559,7 @@ fn long_runs_match_rows() {
                     ways: 4,
                     hit_latency: 16,
                 },
+                bus: BusConfig::default(),
                 functional: true,
                 ops,
             });
@@ -579,6 +602,7 @@ fn functional_runs_read_unwritten_pages_and_materialize_written_ones() {
             shared: 0,
             window: 64,
             l2: CacheConfig::l2_mb(1),
+            bus: BusConfig::default(),
             functional: true,
             ops: vec![
                 fresh(8),
@@ -629,6 +653,7 @@ fn reference_is_not_vacuous() {
         shared: 0,
         window: 64,
         l2: CacheConfig::l2_mb(1),
+        bus: BusConfig::default(),
         functional: true,
         ops: vec![Op {
             core: 0,
@@ -647,4 +672,82 @@ fn reference_is_not_vacuous() {
     other.stride = 32;
     b.step(0, &other).0.expect("mapped");
     assert!(a.state().text != b.state().text);
+}
+
+/// Which line-group paths one scenario's bursts reach, derived from the
+/// burst geometry: the DMA splits a burst into same-page runs of whole
+/// rows (given repeat hits), and the memory system groups a run's rows
+/// that lie wholly inside the line the previous row ended in.
+#[derive(Default)]
+struct Reach {
+    /// A group with step at most the L2 hit latency (one closed form).
+    closed: bool,
+    /// A group with a longer step (walked row by row).
+    walked: bool,
+    /// A run's row that starts in the previous row's last line and
+    /// crosses into the next one.
+    crossing: bool,
+    /// A multi-row burst with stride 0.
+    zero_stride: bool,
+}
+
+fn reach(s: &Scenario) -> Reach {
+    let step = TranslationSystem::new(TranslationConfig {
+        private: TlbConfig::private(s.private),
+        filter_registers: s.filters,
+        ..TranslationConfig::default()
+    })
+    .repeat_latency();
+    let mut out = Reach::default();
+    for op in &s.ops {
+        out.zero_stride |= op.stride == 0 && op.rows > 1;
+        let Some(step) = step else { continue };
+        // Bursts fault at the first row past the pages they may touch;
+        // the rows before it move.
+        let mapped = if op.write {
+            RW_PAGES
+        } else {
+            RW_PAGES + RO_PAGES
+        } * PAGE_SIZE;
+        let line = |byte: u64| byte >> LINE_SHIFT;
+        for r in 1..op.rows as u64 {
+            let (prev, row) = (op.start + (r - 1) * op.stride, op.start + r * op.stride);
+            let (prev_last, row_last) = (prev + op.row_bytes - 1, row + op.row_bytes - 1);
+            if row_last >= mapped {
+                break;
+            }
+            let one_page = prev / PAGE_SIZE == row_last / PAGE_SIZE;
+            if !one_page || line(row) != line(prev_last) {
+                continue;
+            }
+            if line(row_last) != line(row) {
+                out.crossing = true;
+            } else if step <= s.l2.hit_latency {
+                out.closed = true;
+            } else {
+                out.walked = true;
+            }
+        }
+    }
+    out
+}
+
+/// The random scenarios are not vacuous: some reach the closed-form line
+/// group, some the row-by-row walk, some a row that crosses out of the
+/// previous row's line, and some a zero stride.
+#[test]
+fn scenarios_cover_line_groups() {
+    let mut rng = proptest::TestRng::from_name("scenarios_cover_line_groups");
+    let (mut closed, mut walked, mut crossing, mut zero) = (0, 0, 0, 0);
+    for _ in 0..256 {
+        let r = reach(&scenario().generate(&mut rng));
+        closed += r.closed as u32;
+        walked += r.walked as u32;
+        crossing += r.crossing as u32;
+        zero += r.zero_stride as u32;
+    }
+    assert!(
+        closed > 0 && walked > 0 && crossing > 0 && zero > 0,
+        "closed {closed} walked {walked} crossing {crossing} zero stride {zero}"
+    );
 }

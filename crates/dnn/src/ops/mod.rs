@@ -17,7 +17,7 @@ pub use activation::{relu, relu6, relu6_tensor, relu_tensor};
 pub use conv::{conv2d, dwconv2d, ConvSpec};
 pub use im2col::im2col;
 pub use matmul::matmul;
-pub use pool::{avgpool2d_i8, maxpool2d, PoolSpec};
+pub use pool::{avgpool2d_i8, maxpool2d, pool2d_i8, PoolSpec};
 pub use resadd::{resadd_i32, resadd_i8};
 
 /// An element type the spatial array can multiply-accumulate.

@@ -1,5 +1,6 @@
 //! Reference pooling operators (the accelerator's pooling peripheral).
 
+use crate::graph::PoolKind;
 use crate::tensor::Tensor;
 
 /// Pooling geometry.
@@ -125,9 +126,29 @@ pub fn avgpool2d_i8(input: &Tensor<i8>, spec: PoolSpec) -> Tensor<i8> {
     out
 }
 
+/// Int8 pooling of either kind: [`maxpool2d`] or [`avgpool2d_i8`].
+pub fn pool2d_i8(input: &Tensor<i8>, kind: PoolKind, spec: PoolSpec) -> Tensor<i8> {
+    match kind {
+        PoolKind::Max => maxpool2d(input, spec),
+        PoolKind::Avg => avgpool2d_i8(input, spec),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn functional_pooling_matches_reference() {
+        let t = Tensor::from_vec(&[1, 1, 2, 2], vec![1i8, 5, 3, 4]);
+        let spec = PoolSpec {
+            size: 2,
+            stride: 2,
+            padding: 0,
+        };
+        assert_eq!(pool2d_i8(&t, PoolKind::Max, spec).as_slice(), &[5]);
+        assert_eq!(pool2d_i8(&t, PoolKind::Avg, spec).as_slice(), &[3]);
+    }
 
     #[test]
     fn out_size_math() {

@@ -102,6 +102,20 @@ impl Bus {
         self.free_at + self.config.arbitration_latency
     }
 
+    /// `m` transfers of `beats` each, requested at `issue`, `issue +
+    /// step`, …; returns the last one's completion cycle. The queue
+    /// recurrence (each transfer starts when it is requested or the bus
+    /// frees, whichever is later) in closed form: the bus frees after
+    /// the whole backlog, after the first request's `m` back-to-back
+    /// transfers, or after the last request's own transfer.
+    pub(crate) fn transfer_run(&mut self, issue: Cycle, step: Cycle, beats: u64, m: u64) -> Cycle {
+        debug_assert!(m > 0, "a run moves at least one transfer");
+        self.free_at = (self.free_at + m * beats)
+            .max(issue + m * beats)
+            .max(issue + (m - 1) * step + beats);
+        self.free_at + self.config.arbitration_latency
+    }
+
     /// Cycle at which the bus next becomes free.
     pub fn free_at(&self) -> Cycle {
         self.free_at
@@ -143,6 +157,36 @@ mod tests {
             arbitration_latency: 0,
         });
         assert_eq!(b.transfer(0, 17), 2);
+    }
+
+    #[test]
+    fn transfer_run_equals_one_transfer_per_request() {
+        for arbitration_latency in [0, 1] {
+            let config = BusConfig {
+                bytes_per_cycle: 16,
+                arbitration_latency,
+            };
+            // An idle bus, and one still busy from an earlier transfer.
+            for backlog in [0, 1, 30] {
+                for step in [0, 1, 2, 3, 5, 16] {
+                    for beats in [1, 2, 3, 4, 8] {
+                        for m in [1, 2, 3, 7] {
+                            let mut run = Bus::new(config);
+                            run.transfer_beats(0, backlog);
+                            let mut rows = run.clone();
+                            let issue = 4;
+                            let got = run.transfer_run(issue, step, beats, m);
+                            let want = (0..m)
+                                .map(|i| rows.transfer_beats(issue + i * step, beats))
+                                .last();
+                            let case = format!("arb {arbitration_latency} backlog {backlog} step {step} beats {beats} m {m}");
+                            assert_eq!(Some(got), want, "{case}");
+                            assert_eq!(run.free_at(), rows.free_at(), "{case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -127,8 +127,8 @@ pub struct Cache {
     set_mask: u64,
     set_bits: u32,
     ways: usize,
-    /// Index of the way the last access hit or filled: the hint
-    /// [`Cache::access_again`] validates and hits on.
+    /// Index of the way the last access hit or filled: the line
+    /// [`Cache::repeat_hits`] hits on.
     last: usize,
     stamp: u64,
     stats: HitMissStats,
@@ -188,7 +188,7 @@ impl Cache {
 
         // Hit path.
         if let Some(i) = self.keys[base..end].iter().position(|&k| k == key) {
-            return self.hit(base + i, kind);
+            return self.hit(base + i, kind, 1);
         }
 
         // Miss: pick victim (invalid way first, else LRU; invalid ways
@@ -220,30 +220,31 @@ impl Cache {
         }
     }
 
-    /// Accesses the line containing `addr` when the previous access touched
-    /// the same line — a DMA row starting in the line the previous row
-    /// ended in. The hit lands on the way that access hit or filled,
-    /// without a set scan; the way is validated against the set and tag
-    /// first, and a stale hint falls back to [`Self::access`]. Either way
-    /// the result is exactly that of [`Self::access`].
-    pub fn access_again(&mut self, addr: PhysAddr, kind: AccessKind) -> CacheAccess {
-        let (set, key) = self.set_and_key(addr);
-        if self.last.wrapping_sub(set * self.ways) < self.ways && self.keys[self.last] == key {
-            self.stamp += 1;
-            self.hit(self.last, kind)
-        } else {
-            self.access(addr, kind)
-        }
+    /// Books `m` hits on the line the last access hit or filled — DMA
+    /// rows that lie inside the line the previous row ended in — without
+    /// a set scan. The state left is exactly that of `m` [`Self::access`]
+    /// calls to that line; the caller guarantees the line is still the
+    /// last one touched ([`Self::last_holds`]).
+    pub(crate) fn repeat_hits(&mut self, kind: AccessKind, m: u64) -> CacheAccess {
+        self.stamp += m;
+        self.hit(self.last, kind, m)
     }
 
-    /// Books a hit on way `i` at the current stamp.
-    fn hit(&mut self, i: usize, kind: AccessKind) -> CacheAccess {
+    /// Whether the way the last access hit or filled holds the line
+    /// containing `addr`.
+    pub(crate) fn last_holds(&self, addr: PhysAddr) -> bool {
+        let (set, key) = self.set_and_key(addr);
+        self.last.wrapping_sub(set * self.ways) < self.ways && self.keys[self.last] == key
+    }
+
+    /// Books `n` hits on way `i`, the last at the current stamp.
+    fn hit(&mut self, i: usize, kind: AccessKind, n: u64) -> CacheAccess {
         self.lru[i] = self.stamp;
         if kind == AccessKind::Write {
             self.dirty[i] = true;
         }
         self.last = i;
-        self.stats.record(true);
+        self.stats.record_n(true, n);
         CacheAccess {
             hit: true,
             writeback: false,
@@ -394,34 +395,55 @@ mod tests {
     }
 
     #[test]
-    fn access_again_matches_access() {
-        // Re-touch the last line with every kind, after a hit, a fill, an
-        // access to another set and a flush (a stale hint falls back).
-        let steps: [(u64, u64, AccessKind, bool); 8] = [
-            (0, 1, AccessKind::Read, false),
-            (0, 1, AccessKind::Write, true),
-            (0, 1, AccessKind::Read, true),
-            (0, 2, AccessKind::Read, false),
-            (1, 1, AccessKind::Write, true),
-            (0, 2, AccessKind::Write, true),
-            (0, 2, AccessKind::Write, true),
-            (0, 3, AccessKind::Read, false),
+    fn repeat_hits_match_access_calls() {
+        // `m` repeat hits of each kind after a hit, a fill and a write
+        // leave the cache exactly as `m` accesses to that line do.
+        let setups: [&[(u64, u64, AccessKind)]; 3] = [
+            &[
+                (0, 1, AccessKind::Read),
+                (1, 1, AccessKind::Read),
+                (0, 1, AccessKind::Read),
+            ],
+            &[
+                (0, 1, AccessKind::Read),
+                (0, 2, AccessKind::Read),
+                (0, 3, AccessKind::Read),
+            ],
+            &[(1, 2, AccessKind::Read), (1, 2, AccessKind::Write)],
         ];
-        let mut again = tiny();
-        let mut plain = tiny();
-        for (i, &(set, tag, kind, use_again)) in steps.iter().enumerate() {
-            if i == 6 {
-                again.flush();
-                plain.flush();
+        for (s, setup) in setups.iter().enumerate() {
+            for kind in [AccessKind::Read, AccessKind::Write] {
+                for m in [1u64, 2, 5] {
+                    let mut bulk = tiny();
+                    for &(set, tag, k) in *setup {
+                        bulk.access(addr(set, tag), k);
+                    }
+                    let mut plain = bulk.clone();
+                    let &(set, tag, _) = setup.last().expect("non-empty setup");
+                    assert!(bulk.last_holds(addr(set, tag)));
+                    let got = bulk.repeat_hits(kind, m);
+                    let mut want = got;
+                    for _ in 0..m {
+                        want = plain.access(addr(set, tag), kind);
+                    }
+                    let case = format!("setup {s} {kind:?} x{m}");
+                    assert_eq!(got, want, "{case}");
+                    assert_eq!(format!("{bulk:?}"), format!("{plain:?}"), "{case}");
+                }
             }
-            let a = if use_again {
-                again.access_again(addr(set, tag), kind)
-            } else {
-                again.access(addr(set, tag), kind)
-            };
-            assert_eq!(a, plain.access(addr(set, tag), kind), "step {i}");
-            assert_eq!(format!("{again:?}"), format!("{plain:?}"), "step {i}");
         }
+    }
+
+    #[test]
+    fn last_holds_tracks_the_last_line_touched() {
+        let mut c = tiny();
+        c.access(addr(0, 1), AccessKind::Read);
+        assert!(c.last_holds(addr(0, 1)));
+        c.access(addr(1, 1), AccessKind::Read);
+        assert!(!c.last_holds(addr(0, 1)));
+        assert!(c.last_holds(addr(1, 1)));
+        c.flush();
+        assert!(!c.last_holds(addr(1, 1)));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! core's traffic flows through one `MemorySystem`, which is how the Fig. 9
 //! contention effects arise.
 
-use crate::addr::{lines_in_range, PhysAddr};
+use crate::addr::{lines_in_range, PhysAddr, LINE_SHIFT};
 use crate::bus::{Bus, BusConfig};
 use crate::cache::{AccessKind, Cache, CacheConfig};
 use crate::dram::{DramConfig, DramModel};
@@ -125,14 +125,21 @@ impl MemorySystem {
     /// Moves a run of `k` equal-sized rows for `port`: row `j` moves
     /// `bytes` bytes from `paddr + j * stride`, issued at `start + j * step`.
     /// Each row pays the bus, then the L2 per line it touches (misses fill
-    /// from DRAM, after writing back a dirty victim), and `row(issue,
-    /// done)` is told the row's issue and completion cycles in order.
+    /// from DRAM, after writing back a dirty victim).
     ///
     /// The result is exactly that of `k` single-row [`Self::read`] or
     /// [`Self::write`] calls: rows share no state beyond what those calls
-    /// share, and the port's traffic counters move once by `k` rows. A
-    /// line the previous row already touched hits through the L2's
-    /// last-way hint.
+    /// share, and the port's traffic counters move once by `k` rows.
+    ///
+    /// A maximal group of rows that lie wholly inside the line the
+    /// previous row ended in is booked in closed form: one bulk L2 hit
+    /// count on that line and one bus step for the group. `row(issue,
+    /// done)` is told, in order, each other row's issue and completion
+    /// cycles, and each group's first issue and last completion. The
+    /// union of the `[issue + streaming, done)` intervals it is told
+    /// ([`Self::streaming_cycles`] of `bytes`) is that of the rows': a
+    /// group's rows chain when `step` is at most the L2 hit latency,
+    /// and a group with a longer step is told row by row.
     #[allow(clippy::too_many_arguments)]
     pub fn access_run(
         &mut self,
@@ -147,14 +154,51 @@ impl MemorySystem {
         mut row: impl FnMut(Cycle, Cycle),
     ) {
         let beats = self.config.bus.beats(bytes);
+        let hit_latency = self.config.l2.hit_latency;
         // The line the previous row ended in.
         let mut last_line = None;
-        for j in 0..k {
+        let mut j = 0;
+        while j < k {
             let issue = start + j * step;
             let addr = paddr.add(j * stride);
-            let done = self.row_access(issue, addr, bytes, beats, kind, last_line);
-            last_line = (bytes > 0).then(|| addr.add(bytes - 1).line_index());
-            row(issue, done);
+            // Rows from `j` on that lie wholly inside `last_line`.
+            let group = match last_line {
+                Some(line) if addr.line_index() == line => {
+                    let line_end = (line + 1) << LINE_SHIFT;
+                    let row_end = addr.raw() + bytes;
+                    match (line_end.checked_sub(row_end), stride) {
+                        (None, _) => 0,
+                        (Some(_), 0) => k - j,
+                        (Some(room), _) => (room / stride + 1).min(k - j),
+                    }
+                }
+                _ => 0,
+            };
+            if group == 0 {
+                let done = self.row_access(issue, addr, bytes, beats, kind, last_line);
+                last_line = (bytes > 0).then(|| addr.add(bytes - 1).line_index());
+                row(issue, done);
+                j += 1;
+                continue;
+            }
+            debug_assert!(
+                self.l2.last_holds(addr),
+                "the previous row's line is the L2's last"
+            );
+            self.l2.repeat_hits(kind, group);
+            // Every row hits, so its span ends `hit_latency` after its bus
+            // transfer; with `step` at most that, the next row's span starts
+            // before it ends, and one span covers the group.
+            if step <= hit_latency {
+                let bus_done = self.bus.transfer_run(issue, step, beats, group);
+                row(issue, bus_done + hit_latency);
+            } else {
+                for i in 0..group {
+                    let t = issue + i * step;
+                    row(t, self.bus.transfer_beats(t, beats) + hit_latency);
+                }
+            }
+            j += group;
         }
         let stats = self.port_stats_mut(port);
         match kind {
@@ -171,7 +215,8 @@ impl MemorySystem {
 
     /// One row: the bus transfer (`beats` long) for the whole row, then an
     /// L2 lookup per line; misses serialize on the DRAM channel. The L2
-    /// access just before this row was to line `last_line`, if any.
+    /// access just before this row was to line `last_line`, if any; a row
+    /// starting in that line hits it again without a set scan.
     fn row_access(
         &mut self,
         now: Cycle,
@@ -183,9 +228,14 @@ impl MemorySystem {
     ) -> Cycle {
         let bus_done = self.bus.transfer_beats(now, beats);
         let mut done = bus_done;
+        let mut again = last_line == Some(addr.line_index());
         for line in lines_in_range(addr, bytes) {
-            let res = if Some(line.line_index()) == last_line {
-                self.l2.access_again(line, kind)
+            let res = if std::mem::take(&mut again) {
+                debug_assert!(
+                    self.l2.last_holds(line),
+                    "the previous row's line is the L2's last"
+                );
+                self.l2.repeat_hits(kind, 1)
             } else {
                 self.l2.access(line, kind)
             };

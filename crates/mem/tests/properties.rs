@@ -1,6 +1,7 @@
 //! Property-based tests for the memory substrate's invariants.
 
 use gemmini_mem::addr::{line_count, lines_in_range, pages_in_range, PhysAddr, VirtAddr};
+use gemmini_mem::bus::BusConfig;
 use gemmini_mem::cache::{AccessKind, Cache, CacheConfig};
 use gemmini_mem::dram::{DramConfig, DramModel, MainMemory};
 use gemmini_mem::hierarchy::{MemorySystem, MemorySystemConfig};
@@ -8,6 +9,7 @@ use gemmini_mem::json::{FromJson, ToJson};
 use gemmini_mem::metrics::{bucket_index, bucket_upper_bound, Log2Histogram, HIST_BUCKETS};
 use gemmini_mem::stats::{CycleAttribution, HitMissStats, TrafficStats, WindowedRate};
 use gemmini_mem::trace::{AttributionKind, AttributionLog};
+use gemmini_mem::Cycle;
 use proptest::prelude::*;
 
 /// Every attribution kind, in priority order (highest first) — mirrors
@@ -468,5 +470,171 @@ proptest! {
         let text = w.to_json().encode();
         let reparsed = gemmini_mem::json::Json::parse(&text).unwrap();
         prop_assert_eq!(&WindowedRate::from_json(&reparsed).unwrap(), &w);
+    }
+}
+
+/// One `MemorySystem::access_run` call after some prior single-row
+/// traffic.
+#[derive(Debug, Clone)]
+struct RunCase {
+    l2: CacheConfig,
+    bus: BusConfig,
+    /// `(port, write, addr, bytes, now)` accesses made before the run.
+    prior: Vec<(usize, bool, u64, u64, Cycle)>,
+    port: usize,
+    start: Cycle,
+    step: Cycle,
+    paddr: u64,
+    stride: u64,
+    bytes: u64,
+    k: u64,
+    kind: AccessKind,
+}
+
+fn run_case() -> impl Strategy<Value = RunCase> {
+    // A few KiB of addresses over small caches, so rows conflict, evict
+    // and write back.
+    let prior = proptest::collection::vec(
+        (0..2usize, any::<bool>(), 0..8192u64, 1..300u64, 0..400u64),
+        0..12,
+    );
+    let bytes = prop_oneof![1..64u64, 1..200u64];
+    let stride = prop_oneof![Just(None), Just(Some(0)), (0..200u64).prop_map(Some)];
+    (
+        (
+            prop::sample::select(vec![(4u64 << 10, 2u32), (16 << 10, 4)]),
+            prop::sample::select(vec![0u64, 1, 16]),
+            any::<bool>(),
+        ),
+        prior,
+        (0..2usize, 0..500u64, 0..20u64),
+        (0..8192u64, stride, bytes),
+        (1..40u64, any::<bool>()),
+    )
+        .prop_map(
+            |(
+                ((size, ways), hit, wide),
+                prior,
+                (port, start, step),
+                (paddr, stride, bytes),
+                (k, write),
+            )| RunCase {
+                l2: CacheConfig {
+                    size_bytes: size,
+                    ways,
+                    hit_latency: hit,
+                },
+                bus: if wide {
+                    BusConfig::default()
+                } else {
+                    BusConfig {
+                        bytes_per_cycle: 4,
+                        arbitration_latency: 0,
+                    }
+                },
+                prior,
+                port,
+                start,
+                step,
+                paddr,
+                stride: stride.unwrap_or(bytes),
+                bytes,
+                k,
+                kind: if write {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                },
+            },
+        )
+}
+
+/// The union of `[issue + shift, done)` over `spans`, as sorted disjoint
+/// intervals.
+fn span_union(spans: &[(Cycle, Cycle)], shift: Cycle) -> Vec<(Cycle, Cycle)> {
+    let mut sorted: Vec<_> = spans
+        .iter()
+        .map(|&(issue, done)| ((issue + shift).min(done), done))
+        .filter(|&(a, b)| a < b)
+        .collect();
+    sorted.sort_unstable();
+    let mut out: Vec<(Cycle, Cycle)> = Vec::new();
+    for (a, b) in sorted {
+        match out.last_mut() {
+            Some(last) if a <= last.1 => last.1 = last.1.max(b),
+            _ => out.push((a, b)),
+        }
+    }
+    out
+}
+
+/// A run leaves the memory system exactly as its rows moved one
+/// `read`/`write` at a time do, and its callback spans, shifted by the
+/// streaming time, cover the same cycles as the rows'.
+fn check_run(c: &RunCase) {
+    let mut run = MemorySystem::new(MemorySystemConfig {
+        l2: c.l2,
+        bus: c.bus,
+        ..MemorySystemConfig::default()
+    });
+    for &(port, write, addr, bytes, now) in &c.prior {
+        let addr = PhysAddr::new(addr);
+        if write {
+            run.write(port, now, addr, bytes);
+        } else {
+            run.read(port, now, addr, bytes);
+        }
+    }
+    let mut rows = run.clone();
+    let mut got = Vec::new();
+    run.access_run(
+        c.port,
+        c.start,
+        c.step,
+        PhysAddr::new(c.paddr),
+        c.stride,
+        c.bytes,
+        c.k,
+        c.kind,
+        |issue, done| got.push((issue, done)),
+    );
+    let want: Vec<_> = (0..c.k)
+        .map(|j| {
+            let (issue, addr) = (c.start + j * c.step, PhysAddr::new(c.paddr + j * c.stride));
+            let done = match c.kind {
+                AccessKind::Read => rows.read(c.port, issue, addr, c.bytes),
+                AccessKind::Write => rows.write(c.port, issue, addr, c.bytes),
+            };
+            (issue, done)
+        })
+        .collect();
+    assert_eq!(format!("{run:?}"), format!("{rows:?}"), "{c:?}");
+    let shift = run.streaming_cycles(c.bytes);
+    assert_eq!(span_union(&got, shift), span_union(&want, shift), "{c:?}");
+    assert_eq!(
+        got.iter().map(|s| s.1).max(),
+        want.iter().map(|s| s.1).max(),
+        "{c:?}"
+    );
+}
+
+proptest! {
+    /// `access_run`, which books rows inside the previous row's line as
+    /// one group, equals `k` single-row accesses.
+    #[test]
+    fn access_run_matches_rows(c in run_case()) {
+        check_run(&c);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The same property over many more cases; run in release with
+    /// `--include-ignored`.
+    #[test]
+    #[ignore = "slow: run with --release -- --include-ignored"]
+    fn access_run_matches_rows_many(c in run_case()) {
+        check_run(&c);
     }
 }

@@ -22,12 +22,12 @@ use crate::kernel::{
 use gemmini_core::config::GemminiConfig;
 use gemmini_core::peripherals::readout_row;
 use gemmini_core::AccelError;
-use gemmini_dnn::graph::{Layer, LayerClass, Network, PoolKind};
+use gemmini_dnn::graph::{Layer, LayerClass, Network};
 use gemmini_dnn::layout::{from_nhwc, to_nhwc};
 use gemmini_dnn::ops::conv::{conv2d, dwconv2d, ConvSpec};
 use gemmini_dnn::ops::im2col::im2col_nhwc;
 use gemmini_dnn::ops::matmul;
-use gemmini_dnn::ops::pool::{avgpool2d_i8, maxpool2d, PoolSpec};
+use gemmini_dnn::ops::pool::{pool2d_i8, PoolSpec};
 use gemmini_dnn::ops::resadd_i8;
 use gemmini_dnn::tensor::{RandomI8, Tensor};
 use gemmini_mem::addr::{VirtAddr, PAGE_SIZE};
@@ -670,12 +670,8 @@ impl NetworkExecution {
                     let out_data = self
                         .read_input_nchw(env, i, channels, in_hw.0, in_hw.1)
                         .map(|t| {
-                            let pooled = match kind {
-                                PoolKind::Max => maxpool2d(&t, spec),
-                                PoolKind::Avg => avgpool2d_i8(&t, spec),
-                            };
                             // NHWC bytes, flat: oh rows of ow*c bytes.
-                            into_u8(to_nhwc(&pooled))
+                            into_u8(to_nhwc(&pool2d_i8(&t, kind, spec)))
                         });
                     // Stream NHWC rows: treat the feature map as 1 "channel"
                     // of (h, w*c) for the row geometry.
@@ -876,11 +872,7 @@ pub fn reference_forward(net: &Network, seed: u64) -> Vec<i8> {
                     padding: *padding,
                 };
                 let input = from_nhwc(&prev, 1, *channels, in_hw.0, in_hw.1);
-                let pooled = match kind {
-                    PoolKind::Max => maxpool2d(&input, spec),
-                    PoolKind::Avg => avgpool2d_i8(&input, spec),
-                };
-                to_nhwc(&pooled)
+                to_nhwc(&pool2d_i8(&input, *kind, spec))
             }
             Layer::LayerNorm { .. } | Layer::Softmax { .. } => prev.clone(),
         };
