@@ -11,8 +11,8 @@
 //! DRAM and per-port traffic, live metrics, trace events and functional
 //! bytes. The L2 hit latency and the bus width vary too, so rows inside
 //! one line are booked both as one closed-form group (step at most the
-//! hit latency) and row by row (a longer step), with and without a bus
-//! backlog.
+//! hit latency) and one row at a time (a longer step), with and without
+//! a bus backlog.
 //!
 //! The release-mode sweep with many more cases runs with
 //! `cargo test --release -p gemmini-core --test dma_runs -- --include-ignored`.
@@ -682,7 +682,8 @@ fn reference_is_not_vacuous() {
 struct Reach {
     /// A group with step at most the L2 hit latency (one closed form).
     closed: bool,
-    /// A group with a longer step (walked row by row).
+    /// A row inside the previous row's line with a longer step (moved
+    /// on its own, as a fresh row is).
     walked: bool,
     /// A run's row that starts in the previous row's last line and
     /// crosses into the next one.
@@ -733,8 +734,8 @@ fn reach(s: &Scenario) -> Reach {
 }
 
 /// The random scenarios are not vacuous: some reach the closed-form line
-/// group, some the row-by-row walk, some a row that crosses out of the
-/// previous row's line, and some a zero stride.
+/// group, some a same-line row with a longer step, some a row that
+/// crosses out of the previous row's line, and some a zero stride.
 #[test]
 fn scenarios_cover_line_groups() {
     let mut rng = proptest::TestRng::from_name("scenarios_cover_line_groups");

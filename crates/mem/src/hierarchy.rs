@@ -131,15 +131,15 @@ impl MemorySystem {
     /// [`Self::write`] calls: rows share no state beyond what those calls
     /// share, and the port's traffic counters move once by `k` rows.
     ///
-    /// A maximal group of rows that lie wholly inside the line the
-    /// previous row ended in is booked in closed form: one bulk L2 hit
-    /// count on that line and one bus step for the group. `row(issue,
-    /// done)` is told, in order, each other row's issue and completion
-    /// cycles, and each group's first issue and last completion. The
-    /// union of the `[issue + streaming, done)` intervals it is told
-    /// ([`Self::streaming_cycles`] of `bytes`) is that of the rows': a
-    /// group's rows chain when `step` is at most the L2 hit latency,
-    /// and a group with a longer step is told row by row.
+    /// When `step` is at most the L2 hit latency, a maximal group of rows
+    /// that lie wholly inside the line the previous row ended in is
+    /// booked in closed form: one bulk L2 hit count on that line and one
+    /// bus step for the group. `row(issue, done)` is told, in order, each
+    /// other row's issue and completion cycles, and each group's first
+    /// issue and last completion. The union of the `[issue + streaming,
+    /// done)` intervals it is told ([`Self::streaming_cycles`] of
+    /// `bytes`) is that of the rows': a group's rows all hit, so their
+    /// intervals chain.
     #[allow(clippy::too_many_arguments)]
     pub fn access_run(
         &mut self,
@@ -161,9 +161,12 @@ impl MemorySystem {
         while j < k {
             let issue = start + j * step;
             let addr = paddr.add(j * stride);
-            // Rows from `j` on that lie wholly inside `last_line`.
+            // Rows from `j` on that lie wholly inside `last_line`. Every such
+            // row hits, so its span ends `hit_latency` after its bus
+            // transfer; with `step` at most that, the next row's span starts
+            // before it ends, and one span covers the group.
             let group = match last_line {
-                Some(line) if addr.line_index() == line => {
+                Some(line) if addr.line_index() == line && step <= hit_latency => {
                     let line_end = (line + 1) << LINE_SHIFT;
                     let row_end = addr.raw() + bytes;
                     match (line_end.checked_sub(row_end), stride) {
@@ -186,18 +189,8 @@ impl MemorySystem {
                 "the previous row's line is the L2's last"
             );
             self.l2.repeat_hits(kind, group);
-            // Every row hits, so its span ends `hit_latency` after its bus
-            // transfer; with `step` at most that, the next row's span starts
-            // before it ends, and one span covers the group.
-            if step <= hit_latency {
-                let bus_done = self.bus.transfer_run(issue, step, beats, group);
-                row(issue, bus_done + hit_latency);
-            } else {
-                for i in 0..group {
-                    let t = issue + i * step;
-                    row(t, self.bus.transfer_beats(t, beats) + hit_latency);
-                }
-            }
+            let bus_done = self.bus.transfer_run(issue, step, beats, group);
+            row(issue, bus_done + hit_latency);
             j += group;
         }
         let stats = self.port_stats_mut(port);
