@@ -107,7 +107,7 @@ fn main() {
         cfg.dtype
     );
     println!(
-        "- Dataflows: design-time+runtime selectable — {:?}",
+        "- Dataflows: weight-stationary simulated; output-stationary a generator option, not simulated — Dataflow in config: {:?}",
         cfg.dataflow
     );
     println!(

@@ -11,7 +11,9 @@
 use std::fmt;
 
 /// Which PE dataflow(s) the elaborated array supports. Gemmini lets this be
-/// fixed at design time or selectable at runtime (`Both`).
+/// fixed at design time or selectable at runtime (`Both`). It sizes the
+/// generated header and Table I; the simulator runs weight-stationary
+/// whatever the value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Dataflow {
     /// Weights resident in the PEs; activations stream through.

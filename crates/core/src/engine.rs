@@ -16,10 +16,10 @@
 //! reference operators; in timing-only mode the same cycle accounting runs
 //! with no data movement.
 
-use crate::config::{Dataflow, GemminiConfig};
+use crate::config::GemminiConfig;
 use crate::dma::StreamDma;
 use crate::isa::{Instruction, LocalAddr};
-use crate::mesh::{MatrixUnit, MeshTiming, PairPanel};
+use crate::mesh::{MatrixUnit, MeshTiming};
 use crate::metrics::Counter as MetricCounter;
 use crate::peripherals::readout_row_into;
 use crate::scratchpad::{Accumulator, Scratchpad};
@@ -117,7 +117,6 @@ impl ExecStats {
 
 #[derive(Debug, Clone, Copy)]
 struct CfgState {
-    dataflow: Dataflow,
     activation: Activation,
     acc_scale: f32,
     ld_stride: u64,
@@ -128,7 +127,6 @@ struct CfgState {
 impl Default for CfgState {
     fn default() -> Self {
         Self {
-            dataflow: Dataflow::WeightStationary,
             activation: Activation::None,
             acc_scale: 1.0,
             ld_stride: 0,
@@ -233,24 +231,10 @@ fn block_row(base: u32, i: usize, dim: usize) -> u32 {
 struct Scratch {
     /// mvin landing zone: DMA bytes before the local-memory deposit.
     dma: Vec<u8>,
-    /// Staged bias rows for the WS compute path.
+    /// Staged bias rows for the compute path.
     d: Vec<i32>,
     /// mvout staging: read-out bytes handed to the DMA.
     store: Vec<u8>,
-    /// Recycled output-stationary partial-sum buffer (one OS block is live
-    /// at a time, so a single spare suffices).
-    os_spare: Vec<i32>,
-    /// The OS compute's streamed B, widened for the int8 kernel.
-    os_b: PairPanel,
-}
-
-/// PE-resident output-stationary partial sums: `rows` rows of `dim` int32s,
-/// flat. In timing-only mode `vals` stays empty and only `rows` (the block
-/// height, which the flush's timing needs) is tracked.
-#[derive(Debug)]
-struct OsPartials {
-    rows: usize,
-    vals: Vec<i32>,
 }
 
 /// One generated accelerator instance: spatial array + local memories +
@@ -284,22 +268,34 @@ pub struct Accelerator {
     acc_rd: RowClock,
     pending_c: Option<PendingC>,
     b_ready: Cycle,
-    /// Output-stationary mode: partial sums resident in the PEs, flushed to
-    /// the accumulator by the next arming preload (or a Flush).
-    os_c: Option<OsPartials>,
     scratch: Scratch,
-    trace: Option<Vec<String>>,
     profiler: Profiler,
     stats: ExecStats,
 }
 
 impl Accelerator {
-    /// Elaborates one accelerator instance.
+    /// Elaborates one accelerator instance that runs functionally or
+    /// timing-only.
     ///
     /// # Panics
     ///
     /// Panics if the configuration fails [`GemminiConfig::validate`].
     pub fn new(config: GemminiConfig) -> Self {
+        Self::elaborate(config, true)
+    }
+
+    /// Elaborates an instance for timing-only runs: its scratchpad and
+    /// accumulator hold no contents, so it must be issued only a
+    /// [`MemCtx`] without `data`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration fails [`GemminiConfig::validate`].
+    pub fn timing_only(config: GemminiConfig) -> Self {
+        Self::elaborate(config, false)
+    }
+
+    fn elaborate(config: GemminiConfig, functional: bool) -> Self {
         if let Err(e) = config.validate() {
             panic!("invalid Gemmini configuration: {e}");
         }
@@ -309,8 +305,8 @@ impl Accelerator {
         Self {
             timing: MeshTiming::from_config(&config),
             matrix_unit: MatrixUnit::new(dim),
-            sp: Scratchpad::new(dim, sp_rows, config.sp_banks as u32),
-            acc: Accumulator::new(dim, acc_rows),
+            sp: Scratchpad::new(dim, sp_rows, config.sp_banks as u32, functional),
+            acc: Accumulator::new(dim, acc_rows, functional),
             dma: StreamDma::new(),
             state: CfgState::default(),
             load_free: 0,
@@ -322,9 +318,7 @@ impl Accelerator {
             acc_rd: RowClock::new(acc_rows),
             pending_c: None,
             b_ready: 0,
-            os_c: None,
             scratch: Scratch::default(),
-            trace: None,
             profiler: Profiler::new(),
             config,
             stats: ExecStats::default(),
@@ -635,18 +629,6 @@ impl Accelerator {
         Ok(())
     }
 
-    /// Starts recording an instruction trace (one line per issued
-    /// instruction, annotated with its completion cycle). Replaces any
-    /// previous trace.
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// The recorded trace, if tracing is enabled.
-    pub fn trace(&self) -> Option<&[String]> {
-        self.trace.as_deref()
-    }
-
     /// Issues one instruction; returns the cycle at which it completes.
     ///
     /// # Errors
@@ -657,35 +639,27 @@ impl Accelerator {
     pub fn issue(&mut self, ctx: &mut MemCtx<'_>, instr: Instruction) -> Result<Cycle, AccelError> {
         let result = self.issue_inner(ctx, instr);
         self.profiler.maybe_compact(self.attribution_frontier());
-        self.trace_line(result.as_ref().copied(), || instr);
         result
     }
 
     /// Issues one weight-stationary tile column: the `(Preload,
     /// ComputePreloaded)` pairs of [`TileColumn::instructions`], with B
     /// preloaded by the first pair and kept by the rest. Every pair's
-    /// timing, data, statistics, attribution, trace spans and instruction
-    /// trace lines equal those of issuing the same instructions one at a
-    /// time through [`Self::issue`]; the column is checked once rather
-    /// than per instruction. Returns the last compute's completion cycle
+    /// timing, data, statistics, attribution and trace spans equal those
+    /// of issuing the same instructions one at a time through
+    /// [`Self::issue`]; the column is checked once rather than per
+    /// instruction. Returns the last compute's completion cycle
     /// (the execute unit's free cycle for an empty column).
     ///
     /// # Errors
     ///
     /// The error the column's first failing instruction would return from
     /// [`Self::issue`], after the instructions before it have executed.
-    /// [`AccelError::Unsupported`] if the dataflow is output-stationary,
-    /// before anything executes.
     pub fn issue_tile_column(
         &mut self,
         ctx: &mut MemCtx<'_>,
         col: &TileColumn,
     ) -> Result<Cycle, AccelError> {
-        if matches!(self.state.dataflow, Dataflow::OutputStationary) {
-            return Err(AccelError::Unsupported(
-                "a tile column needs the weight-stationary dataflow".to_string(),
-            ));
-        }
         let dim = self.config.dim();
         let pairs = col.pairs(dim);
         // Instructions that execute, and the error of the one after them.
@@ -708,7 +682,6 @@ impl Accelerator {
                 (None, 0)
             };
             done = self.exec_preload(functional, b_row, b_rows, c);
-            self.trace_line(Ok(done), || col.preload(i, dim));
             if 2 * i + 1 == valid {
                 break;
             }
@@ -717,17 +690,10 @@ impl Accelerator {
             let a_rows = col.block_rows(i, dim);
             done = self.exec_compute(functional, a_row, a_rows, col.a_cols, c, LocalAddr::None);
             self.profiler.metrics().inc(MetricCounter::TilesRetired);
-            self.trace_line(Ok(done), || col.compute(i, dim));
         }
-        if let Some(e) = &error {
-            let failed = col
-                .instructions(dim)
-                .nth(valid)
-                .expect("a failing instruction");
-            if matches!(failed, Instruction::ComputePreloaded { .. }) {
-                self.profiler.metrics().inc(MetricCounter::TilesIssued);
-            }
-            self.trace_line(Err(e), || failed);
+        // The failing instruction is a compute when an odd count ran.
+        if error.is_some() && valid % 2 == 1 {
+            self.profiler.metrics().inc(MetricCounter::TilesIssued);
         }
         self.profiler.maybe_compact(self.attribution_frontier());
         match error {
@@ -791,22 +757,6 @@ impl Accelerator {
         (2 * col.pairs(dim), None)
     }
 
-    /// Appends `instr`'s line to the instruction trace, when enabled.
-    #[inline]
-    fn trace_line(
-        &mut self,
-        result: Result<Cycle, &AccelError>,
-        instr: impl FnOnce() -> Instruction,
-    ) {
-        if let Some(trace) = self.trace.as_mut() {
-            let instr = instr();
-            match result {
-                Ok(done) => trace.push(format!("[{done:>10}] {instr}")),
-                Err(e) => trace.push(format!("[     error] {instr}: {e}")),
-            }
-        }
-    }
-
     fn issue_inner(
         &mut self,
         ctx: &mut MemCtx<'_>,
@@ -814,11 +764,9 @@ impl Accelerator {
     ) -> Result<Cycle, AccelError> {
         match instr {
             Instruction::ConfigEx {
-                dataflow,
                 activation,
                 acc_scale,
             } => {
-                self.state.dataflow = dataflow;
                 self.state.activation = activation;
                 self.state.acc_scale = acc_scale;
                 self.ex_free += 1;
@@ -852,28 +800,24 @@ impl Accelerator {
                 c,
                 b_rows,
                 b_cols,
-            } => self.do_preload(ctx.data.is_some(), b, c, b_rows, b_cols),
-            Instruction::ComputePreloaded {
-                a,
-                d,
-                a_rows,
-                a_cols,
+            } => {
+                self.check_dims("preload", b_rows, b_cols)?;
+                let (b_row, c) = self.check_preload_operands(b, c, b_rows, b_cols)?;
+                Ok(self.exec_preload(ctx.data.is_some(), b_row, b_rows, c))
             }
-            | Instruction::ComputeAccumulated {
+            Instruction::ComputePreloaded {
                 a,
                 d,
                 a_rows,
                 a_cols,
             } => {
                 self.profiler.metrics().inc(MetricCounter::TilesIssued);
-                let done = self.do_compute(ctx, a, d, a_rows, a_cols);
-                if done.is_ok() {
-                    self.profiler.metrics().inc(MetricCounter::TilesRetired);
-                }
-                done
+                let (a_row, c) = self.check_compute(self.pending_c, a, d, a_rows, a_cols)?;
+                let done = self.exec_compute(ctx.data.is_some(), a_row, a_rows, a_cols, c, d);
+                self.profiler.metrics().inc(MetricCounter::TilesRetired);
+                Ok(done)
             }
             Instruction::Flush => {
-                self.flush_os_partials(ctx.data.is_some())?;
                 let t = self.now();
                 self.advance_to(t);
                 Ok(t)
@@ -983,97 +927,6 @@ impl Accelerator {
         Ok(xfer.done)
     }
 
-    /// Returns an output-stationary partial-sum buffer to the arena so the
-    /// next arming preload reuses its capacity.
-    fn recycle_os(&mut self, mut os: OsPartials) {
-        os.vals.clear();
-        self.scratch.os_spare = os.vals;
-    }
-
-    /// Writes PE-resident output-stationary partial sums to the armed
-    /// accumulator destination and disarms. No-op when nothing is pending.
-    fn flush_os_partials(&mut self, functional: bool) -> Result<(), AccelError> {
-        let taken = self.os_c.take();
-        let Some(dest) = self.pending_c else {
-            if let Some(os) = taken {
-                self.recycle_os(os);
-            }
-            return Ok(());
-        };
-        let Some(os) = taken else {
-            return Ok(());
-        };
-        let rows = os.rows as u16;
-        if rows == 0 {
-            self.recycle_os(os);
-            return Ok(());
-        }
-        self.check_acc_range(
-            LocalAddr::Acc {
-                row: dest.row,
-                accumulate: dest.accumulate,
-            },
-            dest.row,
-            rows,
-        )?;
-        let start = self
-            .ex_free
-            .max(self.acc_wr.range_max(dest.row, rows))
-            .max(self.acc_rd.range_max(dest.row, rows));
-        // Results stream out one row per cycle and drain the pipeline once.
-        let done = start + rows as u64 + self.timing.drain_cycles();
-        self.profiler.span(
-            AttributionKind::Compute,
-            Component::ExecuteUnit,
-            "os-flush",
-            start,
-            done,
-            StallCause::None,
-        );
-        if functional {
-            let dim = self.config.dim();
-            for i in 0..os.rows {
-                let row_vals = &os.vals[i * dim..(i + 1) * dim];
-                if dest.accumulate {
-                    self.acc.accumulate_row(dest.row as usize + i, row_vals);
-                } else {
-                    self.acc.write_row(dest.row as usize + i, row_vals);
-                }
-            }
-        }
-        self.acc_wr.mark(dest.row, rows, done);
-        self.stats.ex_busy += done - start;
-        self.stats.finish = self.stats.finish.max(done);
-        self.ex_free = done;
-        self.recycle_os(os);
-        Ok(())
-    }
-
-    fn do_preload(
-        &mut self,
-        functional: bool,
-        b: LocalAddr,
-        c: LocalAddr,
-        b_rows: u16,
-        b_cols: u16,
-    ) -> Result<Cycle, AccelError> {
-        self.check_dims("preload", b_rows, b_cols)?;
-        // Output-stationary: an arming preload first drains the previous
-        // block's PE-resident partials to their accumulator destination.
-        if matches!(self.state.dataflow, Dataflow::OutputStationary) {
-            self.flush_os_partials(functional)?;
-        }
-        let (b_row, c_dest) = self.check_preload_operands(b, c, b_rows, b_cols)?;
-        let done = self.exec_preload(functional, b_row, b_rows, c_dest);
-        if matches!(self.state.dataflow, Dataflow::OutputStationary) {
-            // Arm a fresh PE-resident output block, reusing the recycled
-            // buffer's capacity.
-            let vals = std::mem::take(&mut self.scratch.os_spare);
-            self.os_c = Some(OsPartials { rows: 0, vals });
-        }
-        Ok(done)
-    }
-
     /// A preload's operand checks, after its block dimensions: the
     /// accumulator destination, then the stationary operand (`None` when
     /// the preload keeps the current one).
@@ -1164,116 +1017,7 @@ impl Accelerator {
         done
     }
 
-    /// Output-stationary compute: A streams through the rows while B (the
-    /// `d` operand) streams through the columns; products accumulate in the
-    /// PE-resident output block armed by the last preload.
-    fn do_compute_os(
-        &mut self,
-        ctx: &mut MemCtx<'_>,
-        a: LocalAddr,
-        d: LocalAddr,
-        a_rows: u16,
-        a_cols: u16,
-    ) -> Result<Cycle, AccelError> {
-        self.check_dims("compute", a_rows, a_cols)?;
-        let c = self.pending_c.ok_or(AccelError::NoPreload)?;
-        if self.os_c.is_none() {
-            return Err(AccelError::NoPreload);
-        }
-        let a_row = match a {
-            LocalAddr::Sp { row } => {
-                self.check_sp_range(a, row, a_rows)?;
-                row
-            }
-            other => {
-                return Err(AccelError::BadLocalAddress {
-                    addr: other,
-                    detail: "compute operand A must be a scratchpad address".to_string(),
-                })
-            }
-        };
-        let b_row = match d {
-            LocalAddr::Sp { row } => {
-                self.check_sp_range(d, row, a_cols.max(1))?;
-                row
-            }
-            other => {
-                return Err(AccelError::BadLocalAddress {
-                    addr: other,
-                    detail: "output-stationary compute streams B through the d operand".to_string(),
-                })
-            }
-        };
-
-        let start = self
-            .ex_free
-            .max(self.b_ready)
-            .max(self.sp_wr.range_max(a_row, a_rows))
-            .max(self.sp_wr.range_max(b_row, a_cols.max(1)));
-        // Both operands stream simultaneously; no accumulator round trip.
-        let done = start + a_rows.max(a_cols).max(1) as u64 + 1;
-        self.profiler.span(
-            AttributionKind::Compute,
-            Component::Mesh,
-            "compute-os",
-            start,
-            done,
-            StallCause::None,
-        );
-
-        if ctx.data.is_some() {
-            let dim = self.config.dim();
-            let a_flat = self.sp.rows_flat(a_row as usize, a_rows as usize);
-            let b_flat = self.sp.rows_flat(b_row as usize, a_cols as usize);
-            let os = self.os_c.as_mut().expect("armed above");
-            if os.rows < a_rows as usize {
-                // Grow the flat block, preserving existing partials.
-                os.vals.resize(a_rows as usize * dim, 0);
-                os.rows = a_rows as usize;
-            }
-            // The WS unit's int8 kernel in accumulate form: int32 wrapping
-            // adds commute, so the order products arrive in is immaterial.
-            self.scratch.os_b.load(b_flat, a_cols as usize, dim, dim);
-            self.scratch.os_b.mac_rows(
-                a_flat,
-                a_rows as usize,
-                a_cols as usize,
-                dim,
-                &mut os.vals,
-                dim,
-            );
-        } else if let Some(os) = self.os_c.as_mut() {
-            // Track the block height for the flush's timing in
-            // timing-only mode.
-            os.rows = os.rows.max(a_rows as usize);
-        }
-
-        self.stats.macs += a_rows as u64 * a_cols as u64 * c.b_cols.max(1) as u64;
-        self.sp_rd.mark(a_row, a_rows, done);
-        self.sp_rd.mark(b_row, a_cols.max(1), done);
-        self.stats.ex_busy += done - start;
-        self.stats.computes += 1;
-        self.stats.finish = self.stats.finish.max(done);
-        self.ex_free = done;
-        Ok(done)
-    }
-
-    fn do_compute(
-        &mut self,
-        ctx: &mut MemCtx<'_>,
-        a: LocalAddr,
-        d: LocalAddr,
-        a_rows: u16,
-        a_cols: u16,
-    ) -> Result<Cycle, AccelError> {
-        if matches!(self.state.dataflow, Dataflow::OutputStationary) {
-            return self.do_compute_os(ctx, a, d, a_rows, a_cols);
-        }
-        let (a_row, c) = self.check_compute(self.pending_c, a, d, a_rows, a_cols)?;
-        Ok(self.exec_compute(ctx.data.is_some(), a_row, a_rows, a_cols, c, d))
-    }
-
-    /// A weight-stationary compute's checks, against the destination the
+    /// A compute's checks, against the destination the
     /// last preload named (`pending`). Returns A's scratchpad row and that
     /// destination.
     fn check_compute(
@@ -1314,7 +1058,7 @@ impl Accelerator {
         Ok((a_row, c))
     }
 
-    /// A checked weight-stationary compute's execution: streams A from
+    /// A checked compute's execution: streams A from
     /// scratchpad row `a_row` through the preloaded array into `c`, adding
     /// the bias `d`. Returns the completion cycle.
     #[inline(always)]
@@ -1612,7 +1356,6 @@ mod tests {
         let mut ctx = r.ctx();
         let prog = [
             Instruction::ConfigEx {
-                dataflow: crate::config::Dataflow::WeightStationary,
                 activation: Activation::None,
                 acc_scale: 1.0,
             },
@@ -1825,7 +1568,6 @@ mod tests {
         let mut ctx = r.ctx();
         for i in [
             Instruction::ConfigEx {
-                dataflow: crate::config::Dataflow::WeightStationary,
                 activation: Activation::Relu,
                 acc_scale: 0.5,
             },

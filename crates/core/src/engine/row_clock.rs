@@ -1,5 +1,6 @@
 //! The engine scoreboard's per-row clocks.
 
+use gemmini_mem::spare::ZeroedU64s;
 use gemmini_mem::Cycle;
 use std::ops::Range;
 
@@ -19,7 +20,7 @@ const BLOCK: usize = 16;
 /// answered inline without the split into pieces.
 #[derive(Debug, Clone)]
 pub(super) struct RowClock {
-    rows: Vec<Cycle>,
+    rows: ZeroedU64s,
     tag: Vec<Cycle>,
     block_max: Vec<Cycle>,
 }
@@ -29,7 +30,7 @@ impl RowClock {
     pub(super) fn new(len: usize) -> Self {
         let blocks = len.div_ceil(BLOCK);
         Self {
-            rows: vec![0; len],
+            rows: ZeroedU64s::new(len),
             tag: vec![0; blocks],
             block_max: vec![0; blocks],
         }

@@ -3,11 +3,11 @@
 //! Gemmini is programmed through RISC-V custom instructions carrying two
 //! 64-bit operand registers plus a 7-bit funct field. This module defines
 //! the instruction forms the execution engine implements — the same core
-//! set as the real generator: `CONFIG` (EX/LD/ST), `MVIN`, `MVOUT`,
-//! `PRELOAD`, `COMPUTE_PRELOADED`, `COMPUTE_ACCUMULATED`, `FLUSH`. The
-//! kernels issue these as typed values; no binary encoding is modelled.
+//! set as the real generator's weight-stationary programs use: `CONFIG`
+//! (EX/LD/ST), `MVIN`, `MVOUT`, `PRELOAD`, `COMPUTE_PRELOADED`, `FLUSH`.
+//! The kernels issue these as typed values; no binary encoding is
+//! modelled.
 
-use crate::config::Dataflow;
 use gemmini_dnn::graph::Activation;
 use gemmini_mem::addr::VirtAddr;
 use std::fmt;
@@ -50,11 +50,9 @@ impl fmt::Display for LocalAddr {
 /// One decoded accelerator instruction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Instruction {
-    /// Configures the execute pipeline: dataflow, fused activation, and the
+    /// Configures the execute pipeline: fused activation and the
     /// accumulator's output scale.
     ConfigEx {
-        /// Dataflow to use for subsequent computes.
-        dataflow: Dataflow,
         /// Activation applied on accumulator read-out.
         activation: Activation,
         /// Scale applied when narrowing int32 accumulators to int8.
@@ -99,8 +97,8 @@ pub enum Instruction {
         /// Elements per row.
         cols: u16,
     },
-    /// Loads the stationary operand (B for weight-stationary) into the
-    /// array and names the accumulator destination for subsequent computes.
+    /// Loads the stationary operand B into the array and names the
+    /// accumulator destination for subsequent computes.
     Preload {
         /// Stationary operand location (or `None` to keep the current one).
         b: LocalAddr,
@@ -123,91 +121,6 @@ pub enum Instruction {
         /// Valid cols of A.
         a_cols: u16,
     },
-    /// Streams A through the array, reusing the stationary operand from an
-    /// earlier preload (Gemmini's `COMPUTE_ACCUMULATED`).
-    ComputeAccumulated {
-        /// Moving operand location.
-        a: LocalAddr,
-        /// Bias operand location (or `None`).
-        d: LocalAddr,
-        /// Valid rows of A.
-        a_rows: u16,
-        /// Valid cols of A.
-        a_cols: u16,
-    },
     /// Fence: waits for all in-flight work to drain.
     Flush,
-}
-
-impl fmt::Display for Instruction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::ConfigEx {
-                dataflow,
-                activation,
-                acc_scale,
-            } => write!(
-                f,
-                "config_ex df={dataflow} act={activation} scale={acc_scale}"
-            ),
-            Self::ConfigLd { stride, shrink } => {
-                write!(f, "config_ld stride={stride} shrink={shrink}")
-            }
-            Self::ConfigSt { stride } => write!(f, "config_st stride={stride}"),
-            Self::Mvin {
-                dram_addr,
-                local,
-                rows,
-                cols,
-            } => write!(f, "mvin {dram_addr} -> {local} ({rows}x{cols})"),
-            Self::Mvout {
-                dram_addr,
-                local,
-                rows,
-                cols,
-            } => write!(f, "mvout {local} -> {dram_addr} ({rows}x{cols})"),
-            Self::Preload {
-                b,
-                c,
-                b_rows,
-                b_cols,
-            } => {
-                write!(f, "preload B={b} C={c} ({b_rows}x{b_cols})")
-            }
-            Self::ComputePreloaded {
-                a,
-                d,
-                a_rows,
-                a_cols,
-            } => {
-                write!(f, "compute.preloaded A={a} D={d} ({a_rows}x{a_cols})")
-            }
-            Self::ComputeAccumulated {
-                a,
-                d,
-                a_rows,
-                a_cols,
-            } => {
-                write!(f, "compute.accumulated A={a} D={d} ({a_rows}x{a_cols})")
-            }
-            Self::Flush => write!(f, "flush"),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn display_formats() {
-        let s = Instruction::Mvin {
-            dram_addr: VirtAddr::new(0x1000),
-            local: LocalAddr::Sp { row: 4 },
-            rows: 16,
-            cols: 16,
-        }
-        .to_string();
-        assert_eq!(s, "mvin 0x1000 -> sp[4] (16x16)");
-    }
 }

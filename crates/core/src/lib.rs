@@ -15,9 +15,9 @@
 //!   software stack's `gemmini_params.h`.
 //! * [`isa`] — the RoCC-style custom instruction set (CONFIG / MVIN /
 //!   MVOUT / PRELOAD / COMPUTE / FLUSH) as typed instructions.
-//! * [`mesh`] — the spatial array: one functional int8 matrix unit shared
-//!   by both dataflows, plus the pipeline timing model derived from the
-//!   tile/PE hierarchy.
+//! * [`mesh`] — the spatial array: one functional int8 matrix unit for the
+//!   weight-stationary dataflow, plus the pipeline timing model derived
+//!   from the tile/PE hierarchy.
 //! * [`scratchpad`] — the banked int8 scratchpad and the wide int32
 //!   accumulator, both functional byte stores with row-granularity.
 //! * [`dma`] — the stream DMA engine: every transfer translates through the

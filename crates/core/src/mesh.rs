@@ -2,18 +2,19 @@
 //!
 //! Functionally, one Gemmini compute step multiplies a `rows × dim` moving
 //! operand A against the `dim × dim` stationary operand B and adds an
-//! optional bias D: `C = A·B + D`. Both the weight-stationary and the
-//! output-stationary dataflows compute exactly this; they differ in *which*
-//! operand stays resident and therefore in timing and energy, not in the
-//! produced values. The simulator exploits that: [`MatrixUnit`] is one
-//! functional model of the int8 datapath the paper evaluates (an fp32
-//! configuration still computes through it; its datatype sizes the memory
-//! rows and the synthesis model), and [`MeshTiming`] charges cycles
-//! according to the tile/PE hierarchy (Fig. 2) — tiles are
-//! pipeline-registered, PEs within a tile are combinational, so the
-//! pipeline depth seen by a wavefront is the number of tile boundaries,
-//! while the *clock period* consequences of long combinational chains are
-//! the synthesis model's domain (`gemmini-synth`).
+//! optional bias D: `C = A·B + D`. The simulator runs the weight-stationary
+//! dataflow, B resident in the array (output-stationary is a generator
+//! option it does not simulate; the two differ in which operand stays
+//! resident, and so in timing and energy, not in the values produced).
+//! [`MatrixUnit`] is one functional model of the int8 datapath the paper
+//! evaluates (an fp32 configuration still computes through it; its
+//! datatype sizes the memory rows and the synthesis model), and
+//! [`MeshTiming`] charges cycles according to the tile/PE hierarchy
+//! (Fig. 2) — tiles are pipeline-registered, PEs within a tile are
+//! combinational, so the pipeline depth seen by a wavefront is the number
+//! of tile boundaries, while the *clock period* consequences of long
+//! combinational chains are the synthesis model's domain
+//! (`gemmini-synth`).
 
 use crate::config::GemminiConfig;
 
@@ -207,12 +208,6 @@ impl MeshTiming {
         a_rows.max(1) as u64 + self.pipeline_depth as u64
     }
 
-    /// Cycles for the last wavefront to drain through the tile pipeline —
-    /// the latency penalty a dependent reader of the final rows observes.
-    pub fn drain_cycles(&self) -> u64 {
-        self.pipeline_depth as u64
-    }
-
     /// Peak MACs per cycle (every PE active).
     pub fn peak_macs_per_cycle(&self) -> u64 {
         (self.dim * self.dim) as u64
@@ -350,7 +345,6 @@ mod tests {
         // ...but the pipelined design pays a deeper per-block drain (and
         // runs at a much higher clock — gemmini-synth).
         assert!(pipelined.compute_cycles(16) > vector.compute_cycles(16));
-        assert!(pipelined.drain_cycles() > vector.drain_cycles());
     }
 
     #[test]

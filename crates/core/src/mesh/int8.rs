@@ -1,4 +1,4 @@
-//! The int8 MAC kernel shared by both dataflows.
+//! The int8 MAC kernel behind the weight-stationary matrix unit.
 //!
 //! B is widened once per load into *k-pairs* of `i16`: row pair
 //! `(2p, 2p + 1)` becomes one line of interleaved halfwords

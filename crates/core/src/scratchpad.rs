@@ -1,7 +1,8 @@
 //! The accelerator's private memories: the banked int8 scratchpad and the
 //! wide int32 accumulator.
 //!
-//! Both are functional row stores. The paper's architecture reads inputs
+//! Both are functional row stores; a timing-only run builds them without
+//! contents, since it moves no bytes. The paper's architecture reads inputs
 //! from "a local, explicitly managed scratchpad of banked SRAMs" and writes
 //! results "to a local accumulator storage with a higher bitwidth than the
 //! inputs". Bank-conflict timing lives in
@@ -19,13 +20,14 @@ pub struct Scratchpad {
 }
 
 impl Scratchpad {
-    /// Creates a zeroed scratchpad of `rows` rows of `dim` int8 elements,
-    /// split into `banks` banks.
+    /// Creates a scratchpad of `rows` rows of `dim` int8 elements, split
+    /// into `banks` banks. Its rows are zeroed when `functional`; otherwise
+    /// it holds no contents and reading or writing a row panics.
     ///
     /// # Panics
     ///
     /// Panics if `rows` does not divide evenly into `banks`.
-    pub fn new(dim: usize, rows: usize, banks: u32) -> Self {
+    pub fn new(dim: usize, rows: usize, banks: u32, functional: bool) -> Self {
         assert!(dim > 0 && rows > 0, "scratchpad must be non-empty");
         assert_eq!(
             rows % banks as usize,
@@ -35,7 +37,7 @@ impl Scratchpad {
         Self {
             dim,
             rows,
-            data: vec![0; dim * rows],
+            data: contents(dim * rows, functional),
             timing: BankedSram::new(SramConfig {
                 banks,
                 rows_per_bank: (rows / banks as usize) as u32,
@@ -132,17 +134,19 @@ pub struct Accumulator {
 }
 
 impl Accumulator {
-    /// Creates a zeroed accumulator.
+    /// Creates an accumulator of `rows` rows of `dim` int32 elements. Its
+    /// rows are zeroed when `functional`; otherwise it holds no contents
+    /// and reading or writing a row panics.
     ///
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn new(dim: usize, rows: usize) -> Self {
+    pub fn new(dim: usize, rows: usize, functional: bool) -> Self {
         assert!(dim > 0 && rows > 0, "accumulator must be non-empty");
         Self {
             dim,
             rows,
-            data: vec![0; dim * rows],
+            data: contents(dim * rows, functional),
         }
     }
 
@@ -193,39 +197,6 @@ impl Accumulator {
             "accumulator rows {row}+{n} out of range"
         );
         &mut self.data[row * self.dim..(row + n) * self.dim]
-    }
-
-    /// Overwrites row `row` with `values`, zero-filling the remainder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range or `values` is too long.
-    pub fn write_row(&mut self, row: usize, values: &[i32]) {
-        assert!(row < self.rows, "accumulator row {row} out of range");
-        assert!(
-            values.len() <= self.dim,
-            "row data longer than accumulator width"
-        );
-        let dst = &mut self.data[row * self.dim..(row + 1) * self.dim];
-        dst[..values.len()].copy_from_slice(values);
-        dst[values.len()..].fill(0);
-    }
-
-    /// Adds `values` elementwise into row `row` (the accumulate-bit path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range or `values` is too long.
-    pub fn accumulate_row(&mut self, row: usize, values: &[i32]) {
-        assert!(row < self.rows, "accumulator row {row} out of range");
-        assert!(
-            values.len() <= self.dim,
-            "row data longer than accumulator width"
-        );
-        let dst = &mut self.data[row * self.dim..(row + 1) * self.dim];
-        for (d, &v) in dst.iter_mut().zip(values) {
-            *d = d.wrapping_add(v);
-        }
     }
 
     /// Overwrites row `row` from little-endian int32 DMA bytes (complete
@@ -300,13 +271,22 @@ impl Accumulator {
     }
 }
 
+/// `len` zeroed elements when the run is functional, none otherwise.
+fn contents<T: Clone + Default>(len: usize, functional: bool) -> Vec<T> {
+    if functional {
+        vec![T::default(); len]
+    } else {
+        Vec::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn scratchpad_rows_are_isolated() {
-        let mut sp = Scratchpad::new(4, 8, 4);
+        let mut sp = Scratchpad::new(4, 8, 4, true);
         sp.write_row(1, &[1, 2, 3, 4]);
         sp.write_row(2, &[5, 6, 7, 8]);
         assert_eq!(sp.row(1), &[1, 2, 3, 4]);
@@ -316,7 +296,7 @@ mod tests {
 
     #[test]
     fn partial_row_writes_zero_fill() {
-        let mut sp = Scratchpad::new(4, 4, 2);
+        let mut sp = Scratchpad::new(4, 4, 2, true);
         sp.write_row(0, &[9, 9, 9, 9]);
         sp.write_row(0, &[1, 2]);
         assert_eq!(sp.row(0), &[1, 2, 0, 0]);
@@ -325,38 +305,44 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn scratchpad_oob_read_panics() {
-        let sp = Scratchpad::new(4, 4, 2);
+        let sp = Scratchpad::new(4, 4, 2, true);
         let _ = sp.row(4);
     }
 
     #[test]
     #[should_panic(expected = "longer than scratchpad width")]
     fn scratchpad_overwide_write_panics() {
-        let mut sp = Scratchpad::new(4, 4, 2);
+        let mut sp = Scratchpad::new(4, 4, 2, true);
         sp.write_row(0, &[0; 5]);
+    }
+
+    /// Little-endian int32 bytes of `values`, as an accumulator mvin
+    /// carries them.
+    fn i32le(values: &[i32]) -> Vec<u8> {
+        values.iter().flat_map(|v| v.to_le_bytes()).collect()
     }
 
     #[test]
     fn accumulator_overwrite_vs_accumulate() {
-        let mut acc = Accumulator::new(4, 4);
-        acc.write_row(0, &[1, 2, 3, 4]);
-        acc.accumulate_row(0, &[10, 20, 30, 40]);
+        let mut acc = Accumulator::new(4, 4, true);
+        acc.write_row_i32le(0, &i32le(&[1, 2, 3, 4]));
+        acc.accumulate_row_i32le(0, &i32le(&[10, 20, 30, 40]));
         assert_eq!(acc.row(0), &[11, 22, 33, 44]);
-        acc.write_row(0, &[5, 5, 5, 5]);
-        assert_eq!(acc.row(0), &[5, 5, 5, 5]);
+        acc.write_row_i32le(0, &i32le(&[5, 5]));
+        assert_eq!(acc.row(0), &[5, 5, 0, 0]);
     }
 
     #[test]
     fn accumulator_wraps_like_hardware() {
-        let mut acc = Accumulator::new(1, 1);
-        acc.write_row(0, &[i32::MAX]);
-        acc.accumulate_row(0, &[1]);
+        let mut acc = Accumulator::new(1, 1, true);
+        acc.write_row_i32le(0, &i32le(&[i32::MAX]));
+        acc.accumulate_row_i32le(0, &i32le(&[1]));
         assert_eq!(acc.row(0), &[i32::MIN]);
     }
 
     #[test]
     fn timing_model_is_exposed() {
-        let mut sp = Scratchpad::new(16, 64, 4);
+        let mut sp = Scratchpad::new(16, 64, 4, false);
         let done = sp.timing_mut().access_row(0, 0);
         assert_eq!(done, 1);
     }
@@ -364,6 +350,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "divide evenly")]
     fn uneven_banking_panics() {
-        let _ = Scratchpad::new(4, 10, 4);
+        let _ = Scratchpad::new(4, 10, 4, true);
     }
 }

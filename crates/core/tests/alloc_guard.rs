@@ -1,9 +1,8 @@
 //! Heap-allocation regression guard for the steady-state tile step.
 //!
 //! The hot path of the functional core stages every tile through retained
-//! scratch arenas: the engine's DMA/bias/output/store buffers, the mesh's
-//! preloaded-operand matrix, the output-stationary partial store (recycled
-//! through `os_spare`), and the attribution log's compaction scratch. This
+//! scratch arenas: the engine's DMA/bias/store buffers, the mesh's
+//! preloaded-operand matrix, and the attribution log's compaction scratch. This
 //! test pins that discipline with a counting global allocator: after a
 //! warm-up pass has sized every arena, faulted in the TLB and page tables,
 //! touched every main-memory page, and compacted the attribution log, an
@@ -16,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use gemmini_core::config::{Dataflow, GemminiConfig};
+use gemmini_core::config::GemminiConfig;
 use gemmini_core::isa::{Instruction, LocalAddr};
 use gemmini_core::metrics::{Counter, Metrics};
 use gemmini_core::{Accelerator, MemCtx, TileColumn};
@@ -132,8 +131,8 @@ fn acc(row: u32, accumulate: bool) -> LocalAddr {
 }
 
 /// One full multi-tile pass: a 2×2 grid of weight-stationary tiles with an
-/// accumulator bias plus an output-stationary K-split pair, each tile
-/// doing mvin → preload → compute → mvout. Identical across invocations.
+/// accumulator bias, each tile doing mvin → preload → compute → mvout.
+/// Identical across invocations.
 fn tile_pass(accel: &mut Accelerator, r: &mut Rig, dim: usize) {
     let d16 = dim as u16;
     let row_i8 = dim as u64; // bytes per int8 tile row in DRAM
@@ -149,7 +148,6 @@ fn tile_pass(accel: &mut Accelerator, r: &mut Rig, dim: usize) {
         accel.issue(&mut ctx, i).expect("steady-state issue failed");
     };
     go(Instruction::ConfigEx {
-        dataflow: Dataflow::WeightStationary,
         activation: Activation::None,
         acc_scale: 1.0,
     });
@@ -205,45 +203,6 @@ fn tile_pass(accel: &mut Accelerator, r: &mut Rig, dim: usize) {
             cols: d16,
         });
     }
-    // Output-stationary K-split pair on the same operands.
-    go(Instruction::ConfigEx {
-        dataflow: Dataflow::OutputStationary,
-        activation: Activation::None,
-        acc_scale: 1.0,
-    });
-    go(Instruction::Preload {
-        b: LocalAddr::None,
-        c: acc(0, false),
-        b_rows: 0,
-        b_cols: d16,
-    });
-    for t in 0..2u32 {
-        go(Instruction::ComputePreloaded {
-            a: sp(0),
-            d: sp((t + 1) * dim as u32),
-            a_rows: d16,
-            a_cols: d16,
-        });
-    }
-    // Arming the next block flushes the resident partials to the
-    // accumulator; mvout drains them to DRAM.
-    go(Instruction::Preload {
-        b: LocalAddr::None,
-        c: acc(0, false),
-        b_rows: 0,
-        b_cols: d16,
-    });
-    go(Instruction::Mvout {
-        dram_addr: va_c.add(4 * tile_i8),
-        local: acc(0, false),
-        rows: d16,
-        cols: d16,
-    });
-    go(Instruction::ConfigEx {
-        dataflow: Dataflow::WeightStationary,
-        activation: Activation::None,
-        acc_scale: 1.0,
-    });
 }
 
 #[test]
@@ -345,7 +304,6 @@ fn column_pass(accel: &mut Accelerator, r: &mut Rig, dim: usize, functional: boo
         accel.issue(&mut ctx, i).expect("steady-state issue failed");
     };
     go(Instruction::ConfigEx {
-        dataflow: Dataflow::WeightStationary,
         activation: Activation::None,
         acc_scale: 1.0,
     });

@@ -2,7 +2,7 @@
 //! instruction sequences must either execute or return a typed error —
 //! never panic, never corrupt the scoreboard (time stays monotone).
 
-use gemmini_core::config::{Dataflow, GemminiConfig};
+use gemmini_core::config::GemminiConfig;
 use gemmini_core::isa::{Instruction, LocalAddr};
 use gemmini_core::{Accelerator, MemCtx};
 use gemmini_dnn::graph::Activation;
@@ -26,11 +26,6 @@ fn arb_local() -> impl Strategy<Value = LocalAddr> {
 fn arb_instruction() -> impl Strategy<Value = Instruction> {
     prop_oneof![
         (any::<bool>(), 0.0f32..2.0).prop_map(|(relu, scale)| Instruction::ConfigEx {
-            dataflow: if relu {
-                Dataflow::WeightStationary
-            } else {
-                Dataflow::OutputStationary
-            },
             activation: if relu {
                 Activation::Relu
             } else {

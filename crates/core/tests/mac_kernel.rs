@@ -1,9 +1,10 @@
 //! The int8 MAC kernel against a scalar reference.
 //!
-//! Both dataflows compute through one kernel: the weight-stationary unit
-//! (`MatrixUnit::compute_into`, `out = A·B + D`, and its in-place
-//! `accumulate_into`, `out += A·B`) and the output-stationary accumulate
-//! form (`PairPanel::mac_rows`, `out += A·B`). On random shapes
+//! The weight-stationary unit computes through one kernel: through
+//! `MatrixUnit::compute_into` (`out = A·B + D`) and its in-place
+//! `accumulate_into` (`out += A·B`), both over the kernel's accumulate
+//! form `PairPanel::mac_rows`, which is also checked directly. On random
+//! shapes
 //! — widths 1..=64 including non-multiples of four, odd and even k, padded
 //! strides, short B blocks — both must equal a plain per-element wrapping
 //! loop and `gemmini_dnn::ops::matmul`, bit for bit. Operands span the full
@@ -169,9 +170,9 @@ impl Case {
     }
 
     /// The accumulate form into a strided block of prior partial sums (or
-    /// zeros), returned dense: output-stationary through
-    /// `PairPanel::mac_rows`, weight-stationary (the engine's in-place
-    /// accumulator update) through `MatrixUnit::accumulate_into`.
+    /// zeros), returned dense: through `MatrixUnit::accumulate_into` (the
+    /// engine's in-place accumulator update) when `ws`, else directly
+    /// through `PairPanel::mac_rows`.
     fn accumulate(&self, ws: bool, accumulate: bool) -> Vec<i32> {
         let mut block = if accumulate {
             self.init.clone()

@@ -233,46 +233,3 @@ fn wide_mvin_to_accumulator_without_shrink_reads_int32() {
     assert_eq!(accel.accumulator().row(0)[0], 1000);
     assert_eq!(accel.dma_stats().bytes_in, 4);
 }
-
-#[test]
-fn instruction_trace_records_program_order() {
-    let mut r = rig();
-    let mut accel = Accelerator::new(GemminiConfig::edge());
-    accel.enable_trace();
-    let base = r.base;
-    let mut ctx = r.ctx();
-    accel
-        .issue(
-            &mut ctx,
-            Instruction::ConfigLd {
-                stride: 0,
-                shrink: false,
-            },
-        )
-        .unwrap();
-    accel
-        .issue(
-            &mut ctx,
-            Instruction::Mvin {
-                dram_addr: base,
-                local: LocalAddr::Sp { row: 0 },
-                rows: 4,
-                cols: 4,
-            },
-        )
-        .unwrap();
-    let _ = accel.issue(
-        &mut ctx,
-        Instruction::ComputePreloaded {
-            a: LocalAddr::Sp { row: 0 },
-            d: LocalAddr::None,
-            a_rows: 4,
-            a_cols: 4,
-        },
-    ); // errors: no preload — still traced
-    let trace = accel.trace().unwrap();
-    assert_eq!(trace.len(), 3);
-    assert!(trace[0].contains("config_ld"));
-    assert!(trace[1].contains("mvin"));
-    assert!(trace[2].contains("error"), "{}", trace[2]);
-}

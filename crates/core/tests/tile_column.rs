@@ -7,14 +7,14 @@
 //! through `Accelerator::issue`. Two identical engines run the same random
 //! scenario, one per path, and every observable must agree: the column's
 //! result or error, execution and DMA statistics, the current cycle, the
-//! attribution at finish, accumulator contents, instruction-trace lines,
-//! trace events, live metrics, and the completion cycles and bytes of
-//! follow-up transfers over the rows the column touched.
+//! attribution at finish, accumulator contents, trace events, live
+//! metrics, and the completion cycles and bytes of follow-up transfers
+//! over the rows the column touched.
 //!
 //! The release-mode sweep with many more cases runs with
 //! `cargo test --release -p gemmini-core --test tile_column -- --include-ignored`.
 
-use gemmini_core::config::{Dataflow, GemminiConfig};
+use gemmini_core::config::GemminiConfig;
 use gemmini_core::isa::{Instruction, LocalAddr};
 use gemmini_core::metrics::{Metrics, MetricsRegistry};
 use gemmini_core::trace::{BufferSink, Tracer};
@@ -71,7 +71,6 @@ struct Hazard {
 struct Scenario {
     small: bool,
     functional: bool,
-    trace: bool,
     activation: Activation,
     hazards: Vec<Hazard>,
     col: TileColumn,
@@ -117,9 +116,6 @@ impl System {
             data.write(space.translate(base.add(p * PAGE_SIZE)).unwrap(), &page);
         }
         let mut accel = Accelerator::new(config(s.small));
-        if s.trace {
-            accel.enable_trace();
-        }
         let (tracer, events) = Tracer::buffered();
         accel.set_tracer(tracer);
         let (metrics, registry) = Metrics::enabled();
@@ -154,7 +150,6 @@ impl System {
         let dim = self.accel.config().dim() as u16;
         for instr in [
             Instruction::ConfigEx {
-                dataflow: Dataflow::WeightStationary,
                 activation: s.activation,
                 acc_scale: 0.25,
             },
@@ -250,14 +245,13 @@ impl System {
         let pa = self.space.translate(self.page(PAGES - 1)).unwrap();
         self.data.read(pa, &mut out[PAGE_SIZE as usize..]);
         format!(
-            "stats {:?}\nnow {}\ndma {:?}\nattribution {:?}\nmetrics {:?}\ntrace {:?}\n\
+            "stats {:?}\nnow {}\ndma {:?}\nattribution {:?}\nmetrics {:?}\n\
              events {:?}\nacc {:?}\nout {:?}",
             a.stats(),
             a.now(),
             a.dma_stats(),
             a.attribution(),
             self.registry.snapshot(),
-            a.trace(),
             self.events.lock().unwrap().take(),
             acc.rows_flat(0, acc.rows()),
             out,
@@ -328,7 +322,7 @@ fn scenario() -> impl Strategy<Value = Scenario> {
             page,
         });
     (
-        (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
+        (any::<bool>(), any::<bool>(), any::<bool>()),
         prop::collection::vec(hazard, 0..6),
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         (any::<u64>(), any::<u64>(), any::<u64>()),
@@ -336,7 +330,7 @@ fn scenario() -> impl Strategy<Value = Scenario> {
     )
         .prop_map(
             |(
-                (small, functional, trace, relu),
+                (small, functional, relu),
                 hazards,
                 (m, b_rows, b_cols, a_cols),
                 (a_raw, b_raw, c_raw),
@@ -368,7 +362,6 @@ fn scenario() -> impl Strategy<Value = Scenario> {
                 Scenario {
                     small,
                     functional,
-                    trace,
                     activation: if relu {
                         Activation::Relu
                     } else {
@@ -427,32 +420,4 @@ fn scenarios_cover_valid_and_failing_columns() {
         ok > 128 && late > 0 && early > 0,
         "ok {ok} late {late} early {early}"
     );
-}
-
-/// A column is a weight-stationary construct: under the output-stationary
-/// dataflow it is refused before anything executes.
-#[test]
-fn output_stationary_column_is_refused() {
-    let s = scenario().generate(&mut proptest::TestRng::from_name("os"));
-    let mut sys = System::new(&s);
-    sys.issue(Instruction::ConfigEx {
-        dataflow: Dataflow::OutputStationary,
-        activation: Activation::None,
-        acc_scale: 1.0,
-    })
-    .unwrap();
-    let before = (*sys.accel.stats(), sys.accel.now());
-    let col = TileColumn {
-        b_row: 0,
-        b_rows: 16,
-        b_cols: 16,
-        a_row: 16,
-        a_cols: 16,
-        c_row: 0,
-        m_rows: 16,
-        accumulate: false,
-    };
-    let result = sys.issue_column(&col);
-    assert!(matches!(result, Err(AccelError::Unsupported(_))));
-    assert_eq!((*sys.accel.stats(), sys.accel.now()), before);
 }

@@ -7,6 +7,7 @@
 //! functionally-exact correctness runs.
 
 use crate::addr::{PhysAddr, LINE_SHIFT, LINE_SIZE};
+use crate::spare::ZeroedU64s;
 use crate::stats::HitMissStats;
 
 /// Whether an access reads or writes the line.
@@ -119,9 +120,9 @@ pub struct CacheAccess {
 pub struct Cache {
     config: CacheConfig,
     /// Per way: the resident line's tag plus one; 0 marks an invalid way.
-    keys: Vec<u64>,
+    keys: ZeroedU64s,
     /// Per way: monotonic use stamp for true-LRU; 0 while invalid.
-    lru: Vec<u64>,
+    lru: ZeroedU64s,
     /// Per way: whether the resident line is dirty.
     dirty: Vec<bool>,
     set_mask: u64,
@@ -150,8 +151,8 @@ impl Cache {
         let n = (sets * config.ways as u64) as usize;
         Self {
             config,
-            keys: vec![0; n],
-            lru: vec![0; n],
+            keys: ZeroedU64s::new(n),
+            lru: ZeroedU64s::new(n),
             dirty: vec![false; n],
             set_mask: sets - 1,
             set_bits: sets.trailing_zeros(),

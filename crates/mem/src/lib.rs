@@ -23,6 +23,9 @@
 //!   always-on [`trace::AttributionLog`] the cycle-attribution report is
 //!   computed from, and a Chrome `trace_event` JSON exporter for
 //!   `chrome://tracing`/Perfetto.
+//! * [`spare`] — [`spare::ZeroedU64s`], zeroed `u64` arrays (the L2's tag
+//!   and LRU state, the engine scoreboards) recycled through a per-thread
+//!   spare list, so consecutive points on one thread reuse their buffers.
 //! * [`hash`] — [`hash::IntMap`], a map with a multiplicative hasher for
 //!   the simulator's own integer keys (main-memory pages).
 //! * [`json`] — a hand-rolled serde-free JSON value model shared by the
@@ -58,6 +61,7 @@ pub mod hash;
 pub mod hierarchy;
 pub mod json;
 pub mod metrics;
+pub mod spare;
 pub mod sram;
 pub mod stats;
 pub mod trace;

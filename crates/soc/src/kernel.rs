@@ -9,7 +9,6 @@
 //! Fig. 9 case study observable.
 
 use crate::tiling::{blocks, plan_matmul, TilePlan};
-use gemmini_core::config::Dataflow;
 use gemmini_core::isa::{Instruction, LocalAddr};
 use gemmini_core::peripherals::PoolingUnit;
 use gemmini_core::{AccelError, Accelerator, MemCtx, TileColumn};
@@ -245,7 +244,6 @@ impl TiledMatmulKernel {
             env.accel.issue(
                 &mut env.ctx,
                 Instruction::ConfigEx {
-                    dataflow: Dataflow::WeightStationary,
                     activation: self.params.activation,
                     acc_scale: self.params.acc_scale,
                 },
@@ -523,7 +521,6 @@ impl Kernel for ResAddKernel {
             env.accel.issue(
                 &mut env.ctx,
                 Instruction::ConfigEx {
-                    dataflow: Dataflow::WeightStationary,
                     activation: Activation::None,
                     acc_scale: 1.0,
                 },

@@ -182,7 +182,11 @@ impl Soc {
                 Core {
                     id,
                     cpu: CpuModel::new(c.cpu),
-                    accel: Accelerator::new(c.accel.clone()),
+                    accel: if functional {
+                        Accelerator::new(c.accel.clone())
+                    } else {
+                        Accelerator::timing_only(c.accel.clone())
+                    },
                     translation: TranslationSystem::new(tc),
                     space: AddressSpace::new(&mut frames),
                 }
