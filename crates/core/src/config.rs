@@ -87,7 +87,8 @@ pub struct GemminiConfig {
     pub dtype: DataType,
     /// Scratchpad capacity in KiB.
     pub sp_capacity_kb: usize,
-    /// Scratchpad banks.
+    /// Scratchpad banks. A generator parameter the header and Table I
+    /// read; no bank conflicts are simulated.
     pub sp_banks: usize,
     /// Accumulator capacity in KiB.
     pub acc_capacity_kb: usize,
@@ -127,15 +128,6 @@ impl GemminiConfig {
             has_activations: true,
             has_transposer: true,
             clock_ghz: 1.0,
-        }
-    }
-
-    /// The edge configuration *without* the optional im2col block — the
-    /// Fig. 7 variant that shifts im2col onto the host CPU.
-    pub fn edge_without_im2col() -> Self {
-        Self {
-            has_im2col: false,
-            ..Self::edge()
         }
     }
 
@@ -379,7 +371,11 @@ mod tests {
         assert!(h.contains("#define SP_ROWS 16384"));
         assert!(h.contains("#define HAS_IM2COL 1"));
         assert!(h.contains("ELEM_T_IS_FLOAT 0"));
-        let h2 = GemminiConfig::edge_without_im2col().header();
+        let h2 = GemminiConfig {
+            has_im2col: false,
+            ..GemminiConfig::edge()
+        }
+        .header();
         assert!(h2.contains("#define HAS_IM2COL 0"));
     }
 

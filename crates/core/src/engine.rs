@@ -305,7 +305,7 @@ impl Accelerator {
         Self {
             timing: MeshTiming::from_config(&config),
             matrix_unit: MatrixUnit::new(dim),
-            sp: Scratchpad::new(dim, sp_rows, config.sp_banks as u32, functional),
+            sp: Scratchpad::new(dim, sp_rows, functional),
             acc: Accumulator::new(dim, acc_rows, functional),
             dma: StreamDma::new(),
             state: CfgState::default(),
@@ -332,11 +332,10 @@ impl Accelerator {
         self.profiler.set_tracer(tracer);
     }
 
-    /// Attaches a live-metrics handle, shared with the scratchpad's bank
-    /// timing model: compute tiles, DMA bursts and bank conflicts record
-    /// into it. Pure observation — timing and results are unaffected.
+    /// Attaches a live-metrics handle: compute tiles and DMA bursts
+    /// record into it. Pure observation — timing and results are
+    /// unaffected.
     pub fn set_metrics(&mut self, metrics: crate::metrics::Metrics) {
-        self.sp.timing_mut().set_metrics(metrics.clone());
         self.profiler.set_metrics(metrics);
     }
 
@@ -689,7 +688,6 @@ impl Accelerator {
             let a_row = block_row(col.a_row, i, dim);
             let a_rows = col.block_rows(i, dim);
             done = self.exec_compute(functional, a_row, a_rows, col.a_cols, c, LocalAddr::None);
-            self.profiler.metrics().inc(MetricCounter::TilesRetired);
         }
         // The failing instruction is a compute when an odd count ran.
         if error.is_some() && valid % 2 == 1 {
@@ -813,9 +811,7 @@ impl Accelerator {
             } => {
                 self.profiler.metrics().inc(MetricCounter::TilesIssued);
                 let (a_row, c) = self.check_compute(self.pending_c, a, d, a_rows, a_cols)?;
-                let done = self.exec_compute(ctx.data.is_some(), a_row, a_rows, a_cols, c, d);
-                self.profiler.metrics().inc(MetricCounter::TilesRetired);
-                Ok(done)
+                Ok(self.exec_compute(ctx.data.is_some(), a_row, a_rows, a_cols, c, d))
             }
             Instruction::Flush => {
                 let t = self.now();

@@ -18,7 +18,7 @@
 //! * [`mesh`] — the spatial array: one functional int8 matrix unit for the
 //!   weight-stationary dataflow, plus the pipeline timing model derived
 //!   from the tile/PE hierarchy.
-//! * [`scratchpad`] — the banked int8 scratchpad and the wide int32
+//! * [`scratchpad`] — the int8 scratchpad and the wide int32
 //!   accumulator, both functional byte stores with row-granularity.
 //! * [`dma`] — the stream DMA engine: every transfer translates through the
 //!   accelerator's TLB hierarchy (`gemmini-vm`) and pays for real traffic

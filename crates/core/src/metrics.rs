@@ -5,7 +5,4 @@
 //! record into one shared registry; this alias gives the rest of the
 //! stack the `gemmini_core::metrics` path, mirroring [`crate::trace`].
 
-pub use gemmini_mem::metrics::{
-    bucket_index, bucket_upper_bound, Counter, Log2Histogram, Metrics, MetricsRegistry,
-    MetricsSnapshot, HIST_BUCKETS,
-};
+pub use gemmini_mem::metrics::{Counter, Metrics, MetricsRegistry, MetricsSnapshot};

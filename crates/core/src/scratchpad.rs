@@ -1,49 +1,36 @@
-//! The accelerator's private memories: the banked int8 scratchpad and the
-//! wide int32 accumulator.
+//! The accelerator's private memories: the int8 scratchpad and the wide
+//! int32 accumulator.
 //!
 //! Both are functional row stores; a timing-only run builds them without
 //! contents, since it moves no bytes. The paper's architecture reads inputs
 //! from "a local, explicitly managed scratchpad of banked SRAMs" and writes
 //! results "to a local accumulator storage with a higher bitwidth than the
-//! inputs". Bank-conflict timing lives in
-//! [`gemmini_mem::sram::BankedSram`]; this module owns the contents.
+//! inputs". The bank count
+//! ([`crate::config::GemminiConfig::sp_banks`]) is a generator parameter
+//! only: no bank conflicts are simulated.
 
-use gemmini_mem::sram::{BankedSram, SramConfig};
-
-/// The banked int8 scratchpad: `rows` rows of `dim` elements.
+/// The int8 scratchpad: `rows` rows of `dim` elements.
 #[derive(Debug, Clone)]
 pub struct Scratchpad {
     dim: usize,
     rows: usize,
     data: Vec<i8>,
-    timing: BankedSram,
 }
 
 impl Scratchpad {
-    /// Creates a scratchpad of `rows` rows of `dim` int8 elements, split
-    /// into `banks` banks. Its rows are zeroed when `functional`; otherwise
-    /// it holds no contents and reading or writing a row panics.
+    /// Creates a scratchpad of `rows` rows of `dim` int8 elements. Its
+    /// rows are zeroed when `functional`; otherwise it holds no contents
+    /// and reading or writing a row panics.
     ///
     /// # Panics
     ///
-    /// Panics if `rows` does not divide evenly into `banks`.
-    pub fn new(dim: usize, rows: usize, banks: u32, functional: bool) -> Self {
+    /// Panics if either dimension is zero.
+    pub fn new(dim: usize, rows: usize, functional: bool) -> Self {
         assert!(dim > 0 && rows > 0, "scratchpad must be non-empty");
-        assert_eq!(
-            rows % banks as usize,
-            0,
-            "scratchpad rows must divide evenly into banks"
-        );
         Self {
             dim,
             rows,
             data: contents(dim * rows, functional),
-            timing: BankedSram::new(SramConfig {
-                banks,
-                rows_per_bank: (rows / banks as usize) as u32,
-                row_bytes: dim as u32,
-                access_latency: 1,
-            }),
         }
     }
 
@@ -117,11 +104,6 @@ impl Scratchpad {
             *d = b as i8;
         }
         dst[bytes.len()..].fill(0);
-    }
-
-    /// The bank-conflict timing model (shared with the DMA and mesh).
-    pub fn timing_mut(&mut self) -> &mut BankedSram {
-        &mut self.timing
     }
 }
 
@@ -286,7 +268,7 @@ mod tests {
 
     #[test]
     fn scratchpad_rows_are_isolated() {
-        let mut sp = Scratchpad::new(4, 8, 4, true);
+        let mut sp = Scratchpad::new(4, 8, true);
         sp.write_row(1, &[1, 2, 3, 4]);
         sp.write_row(2, &[5, 6, 7, 8]);
         assert_eq!(sp.row(1), &[1, 2, 3, 4]);
@@ -296,7 +278,7 @@ mod tests {
 
     #[test]
     fn partial_row_writes_zero_fill() {
-        let mut sp = Scratchpad::new(4, 4, 2, true);
+        let mut sp = Scratchpad::new(4, 4, true);
         sp.write_row(0, &[9, 9, 9, 9]);
         sp.write_row(0, &[1, 2]);
         assert_eq!(sp.row(0), &[1, 2, 0, 0]);
@@ -305,14 +287,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn scratchpad_oob_read_panics() {
-        let sp = Scratchpad::new(4, 4, 2, true);
+        let sp = Scratchpad::new(4, 4, true);
         let _ = sp.row(4);
     }
 
     #[test]
     #[should_panic(expected = "longer than scratchpad width")]
     fn scratchpad_overwide_write_panics() {
-        let mut sp = Scratchpad::new(4, 4, 2, true);
+        let mut sp = Scratchpad::new(4, 4, true);
         sp.write_row(0, &[0; 5]);
     }
 
@@ -338,18 +320,5 @@ mod tests {
         acc.write_row_i32le(0, &i32le(&[i32::MAX]));
         acc.accumulate_row_i32le(0, &i32le(&[1]));
         assert_eq!(acc.row(0), &[i32::MIN]);
-    }
-
-    #[test]
-    fn timing_model_is_exposed() {
-        let mut sp = Scratchpad::new(16, 64, 4, false);
-        let done = sp.timing_mut().access_row(0, 0);
-        assert_eq!(done, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "divide evenly")]
-    fn uneven_banking_panics() {
-        let _ = Scratchpad::new(4, 10, 4, true);
     }
 }

@@ -12,7 +12,7 @@
 pub use gemmini_mem::stats::CycleAttribution;
 pub use gemmini_mem::trace::{
     chrome_trace_json, export_chrome_trace, AttributionKind, AttributionLog, BufferSink, Component,
-    EventSink, NullSink, StallCause, TraceEvent, Tracer, SOC_TRACE_PID,
+    StallCause, TraceEvent, Tracer, SOC_TRACE_PID,
 };
 
 use crate::metrics::Metrics;

@@ -288,7 +288,7 @@ fn steady_state_with_live_metrics_does_not_allocate() {
     let snapshot = registry.snapshot();
     assert!(snapshot.counter(Counter::TilesIssued) > 0);
     assert!(snapshot.counter(Counter::DmaBursts) > 0);
-    assert!(snapshot.counter(Counter::TlbHits) > 0);
+    assert!(snapshot.counter(Counter::DmaBytes) > 0);
 }
 
 /// One pass of two weight-stationary tile columns over a ragged

@@ -1,7 +1,7 @@
 //! Whole-network CPU execution cost — the Fig. 7 baseline.
 
 use crate::model::CpuModel;
-use gemmini_dnn::graph::{LayerClass, Network};
+use gemmini_dnn::graph::Network;
 
 /// Cycles for the CPU to run every layer of `net` in software.
 ///
@@ -21,20 +21,21 @@ pub fn network_cpu_cycles(model: &CpuModel, net: &Network) -> u64 {
         .sum()
 }
 
-/// Cycles for the CPU to run only the layers of one class.
-pub fn class_cpu_cycles(model: &CpuModel, net: &Network, class: LayerClass) -> u64 {
-    net.layers()
-        .iter()
-        .filter(|l| l.layer.class() == class)
-        .map(|l| model.layer_cycles(&l.layer))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::CpuKind;
+    use gemmini_dnn::graph::LayerClass;
     use gemmini_dnn::zoo;
+
+    /// Cycles for the CPU to run only the layers of one class.
+    fn class_cycles(model: &CpuModel, net: &Network, class: LayerClass) -> u64 {
+        net.layers()
+            .iter()
+            .filter(|l| l.layer.class() == class)
+            .map(|l| model.layer_cycles(&l.layer))
+            .sum()
+    }
 
     #[test]
     fn resnet50_rocket_matches_calibration_anchor() {
@@ -58,7 +59,7 @@ mod tests {
             LayerClass::Norm,
         ]
         .iter()
-        .map(|&c| class_cpu_cycles(&m, &net, c))
+        .map(|&c| class_cycles(&m, &net, c))
         .sum();
         assert_eq!(total, by_class);
     }
@@ -67,7 +68,7 @@ mod tests {
     fn conv_dominates_resnet_cpu_time() {
         let m = CpuModel::new(CpuKind::Rocket);
         let net = zoo::resnet50();
-        let conv = class_cpu_cycles(&m, &net, LayerClass::Conv);
+        let conv = class_cycles(&m, &net, LayerClass::Conv);
         let total = network_cpu_cycles(&m, &net);
         assert!(conv as f64 / total as f64 > 0.95);
     }

@@ -5,7 +5,7 @@
 //! at 22.8 FPS @ 1 GHz, plus the ≈2.0× end-to-end effect of BOOM when the
 //! CPU performs im2col.
 
-use gemmini_dnn::graph::{Layer, LayerClass};
+use gemmini_dnn::graph::Layer;
 
 /// Which host core the model represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -104,11 +104,6 @@ impl CpuModel {
         }
     }
 
-    /// A model with custom costs (for sensitivity studies).
-    pub fn with_costs(kind: CpuKind, costs: CpuCosts) -> Self {
-        Self { kind, costs }
-    }
-
     /// Which core this models.
     pub fn kind(&self) -> CpuKind {
         self.kind
@@ -169,13 +164,6 @@ impl CpuModel {
     /// Cost of one OS context switch on this core.
     pub fn context_switch_cycles(&self) -> u64 {
         self.scale(self.costs.context_switch_cycles as f64)
-    }
-
-    /// Convenience: whether this layer class runs on the accelerator at
-    /// all (norm-class vector ops always stay on the CPU, as in the real
-    /// software stack).
-    pub fn runs_on_cpu_only(layer: &Layer) -> bool {
-        layer.class() == LayerClass::Norm
     }
 }
 
@@ -249,31 +237,15 @@ mod tests {
     }
 
     #[test]
-    fn norm_ops_are_cpu_only() {
-        assert!(CpuModel::runs_on_cpu_only(&Layer::Softmax {
-            rows: 1,
-            cols: 1
-        }));
-        assert!(CpuModel::runs_on_cpu_only(&Layer::LayerNorm {
-            rows: 1,
-            cols: 1
-        }));
-        assert!(!CpuModel::runs_on_cpu_only(&conv_layer()));
-    }
-
-    #[test]
-    fn custom_costs_are_respected() {
-        let costs = CpuCosts {
-            matmul_cycles_per_mac: 10.0,
-            ..CpuCosts::default()
-        };
-        let m = CpuModel::with_costs(CpuKind::Rocket, costs);
+    fn matmul_cost_is_per_mac() {
+        let m = CpuModel::new(CpuKind::Rocket);
         let mm = Layer::Matmul {
             m: 10,
             k: 10,
             n: 10,
             activation: Activation::None,
         };
-        assert_eq!(m.layer_cycles(&mm), 10_000);
+        // 1,000 MACs * 3 cycles.
+        assert_eq!(m.layer_cycles(&mm), 3_000);
     }
 }

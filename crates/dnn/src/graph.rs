@@ -408,15 +408,6 @@ impl Network {
         self.layers.iter().map(|l| l.layer.macs()).sum()
     }
 
-    /// Total MACs restricted to one layer class.
-    pub fn macs_of_class(&self, class: LayerClass) -> u64 {
-        self.layers
-            .iter()
-            .filter(|l| l.layer.class() == class)
-            .map(|l| l.layer.macs())
-            .sum()
-    }
-
     /// Number of layers of one class.
     pub fn count_of_class(&self, class: LayerClass) -> usize {
         self.layers
@@ -548,6 +539,8 @@ mod tests {
         };
         assert_eq!(n.as_gemm(), None);
         assert_eq!(n.class(), LayerClass::Norm);
+        let ln = Layer::LayerNorm { rows: 1, cols: 1 };
+        assert_eq!(ln.class(), LayerClass::Norm);
     }
 
     #[test]
@@ -566,8 +559,8 @@ mod tests {
         net.push("r", Layer::ResAdd { elements: 10 });
         assert_eq!(net.len(), 3);
         assert_eq!(net.count_of_class(LayerClass::Conv), 1);
-        assert_eq!(net.macs_of_class(LayerClass::Matmul), 24);
-        assert_eq!(net.total_macs(), net.macs_of_class(LayerClass::Conv) + 24);
+        assert_eq!(net.layers()[1].layer.macs(), 24);
+        assert_eq!(net.total_macs(), net.layers()[0].layer.macs() + 24);
         assert!(net.total_bytes() > 0);
         assert!(net.to_string().contains("3 layers"));
     }

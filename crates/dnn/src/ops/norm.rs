@@ -62,14 +62,6 @@ pub fn layernorm(t: &Tensor<f32>, gamma: &[f32], beta: &[f32]) -> Tensor<f32> {
     out
 }
 
-/// The GELU activation (tanh approximation), used in BERT's feed-forward
-/// blocks.
-#[inline]
-pub fn gelu(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044_715 * x * x * x)).tanh())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,15 +117,5 @@ mod tests {
         // Normalized values are ±1 (up to eps), then *2 + 10.
         assert!((out[(0, 0)] - 8.0).abs() < 1e-2);
         assert!((out[(0, 1)] - 12.0).abs() < 1e-2);
-    }
-
-    #[test]
-    fn gelu_matches_known_points() {
-        assert!(gelu(0.0).abs() < 1e-7);
-        assert!((gelu(1.0) - 0.8412).abs() < 1e-3);
-        assert!((gelu(-1.0) + 0.1588).abs() < 1e-3);
-        // Asymptotics: large positive ~ identity, large negative ~ 0.
-        assert!((gelu(10.0) - 10.0).abs() < 1e-3);
-        assert!(gelu(-10.0).abs() < 1e-3);
     }
 }

@@ -96,18 +96,6 @@ impl<T: Copy> Tensor<T> {
         self.data
     }
 
-    /// Reinterprets the tensor with a new shape of equal element count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn reshape(mut self, shape: &[usize]) -> Self {
-        let len: usize = shape.iter().product();
-        assert_eq!(self.data.len(), len, "reshape to {shape:?} changes length");
-        self.shape = shape.to_vec();
-        self
-    }
-
     #[inline]
     fn flat2(&self, r: usize, c: usize) -> usize {
         debug_assert_eq!(self.shape.len(), 2);
@@ -280,19 +268,6 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_dimension_panics() {
         let _ = Tensor::<i8>::zeros(&[2, 0]);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(&[2, 3], vec![1, 2, 3, 4, 5, 6]).reshape(&[3, 2]);
-        assert_eq!(t.shape(), &[3, 2]);
-        assert_eq!(t[(2, 1)], 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "changes length")]
-    fn bad_reshape_panics() {
-        let _ = Tensor::from_vec(&[2, 2], vec![1, 2, 3, 4]).reshape(&[3, 2]);
     }
 
     #[test]

@@ -100,8 +100,8 @@ impl MemorySystem {
         self.tracer = tracer;
     }
 
-    /// Attaches a live-metrics handle; L2 misses count line fills and
-    /// record DRAM service latency. Disabled by default.
+    /// Attaches a live-metrics handle; L2 misses count DRAM line fills.
+    /// Disabled by default.
     pub fn set_metrics(&mut self, metrics: Metrics) {
         self.metrics = metrics;
     }

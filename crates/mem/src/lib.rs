@@ -7,7 +7,6 @@
 //!
 //! * [`addr`] — address newtypes ([`PhysAddr`], [`VirtAddr`]) and
 //!   line/page arithmetic helpers.
-//! * [`sram`] — banked scratchpad-style SRAM timing (bank conflicts, ports).
 //! * [`cache`] — a set-associative, write-back/write-allocate cache with LRU
 //!   replacement, used as the SoC's shared L2.
 //! * [`dram`] — main-memory timing (fixed latency + finite bandwidth) and
@@ -33,8 +32,7 @@
 //!   output (the build environment has no crates.io access).
 //! * [`metrics`] — the live-metrics substrate: a lock-free
 //!   [`metrics::MetricsRegistry`] of atomic counters behind a
-//!   disabled-by-default [`metrics::Metrics`] handle, and the log2-bucketed
-//!   [`metrics::Log2Histogram`].
+//!   disabled-by-default [`metrics::Metrics`] handle.
 //!
 //! Timing and data are deliberately decoupled: the cache and DRAM models track
 //! only tags and busy-times, while [`dram::MainMemory`] holds actual bytes.
@@ -62,7 +60,6 @@ pub mod hierarchy;
 pub mod json;
 pub mod metrics;
 pub mod spare;
-pub mod sram;
 pub mod stats;
 pub mod trace;
 

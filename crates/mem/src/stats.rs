@@ -400,7 +400,9 @@ pub struct CycleAttribution {
     pub store: u64,
     /// Cycles a DMA stream was stalled on the TLB hierarchy.
     pub tlb_stall: u64,
-    /// Cycles a local-memory access waited on a busy SRAM bank.
+    /// Always 0: no scratchpad bank model runs. Kept so the report
+    /// schema (and every digest of it) is unchanged; drop it at the next
+    /// re-bless of the benchmark's pinned digests.
     pub bank_conflict: u64,
     /// Cycles a DMA stream waited on the bus → L2 → DRAM path beyond
     /// the ideal streaming time (contention, L2 latency, DRAM fills).
@@ -424,7 +426,7 @@ pub enum CycleBucket {
     Store,
     /// DMA cycles stalled on the TLB hierarchy.
     TlbStall,
-    /// Local-memory cycles waiting on a busy SRAM bank.
+    /// [`CycleAttribution::bank_conflict`]: always 0.
     BankConflict,
     /// DMA cycles waiting on the bus → L2 → DRAM path.
     Dram,

@@ -3,8 +3,8 @@
 //!
 //! Two layers share this module:
 //!
-//! * [`Tracer`] — a cloneable handle to an optional, shared [`EventSink`]
-//!   trait object. The disabled handle (the default) is a `None` check on
+//! * [`Tracer`] — a cloneable handle to an optional, shared [`BufferSink`].
+//!   The disabled handle (the default) is an inlined `None` check on
 //!   every emission site, so instrumented components pay nothing when
 //!   tracing is off. Components across the stack (engine units, DMA,
 //!   TLB/PTW, L2/DRAM) hold clones of one handle, each tagged with a
@@ -26,7 +26,6 @@
 use crate::json::Json;
 use crate::stats::CycleAttribution;
 use crate::Cycle;
-use std::fmt;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -46,8 +45,6 @@ pub enum Component {
     StoreUnit,
     /// The spatial array itself (compute occupancy).
     Mesh,
-    /// The scratchpad's banked SRAM.
-    Scratchpad,
     /// The stream DMA engine.
     Dma,
     /// The TLB hierarchy (filter registers, private/shared TLBs).
@@ -72,7 +69,6 @@ impl Component {
             Self::Mesh => 3,
             Self::StoreUnit => 4,
             Self::Dma => 5,
-            Self::Scratchpad => 6,
             Self::Tlb => 7,
             Self::Ptw => 8,
             Self::L2 => 9,
@@ -87,7 +83,6 @@ impl Component {
             Self::ExecuteUnit => "execute",
             Self::StoreUnit => "store",
             Self::Mesh => "mesh",
-            Self::Scratchpad => "scratchpad",
             Self::Dma => "dma",
             Self::Tlb => "tlb",
             Self::Ptw => "ptw",
@@ -106,8 +101,6 @@ pub enum StallCause {
     None,
     /// Waiting on the TLB hierarchy (hit pipeline latency or a walk).
     TlbMiss,
-    /// Waiting on a busy scratchpad bank.
-    BankConflict,
     /// Waiting on the bus → L2 → DRAM path.
     DramAccess,
     /// A shared-L2 miss forced a DRAM line fill.
@@ -120,7 +113,6 @@ impl StallCause {
         match self {
             Self::None => "none",
             Self::TlbMiss => "tlb-miss",
-            Self::BankConflict => "bank-conflict",
             Self::DramAccess => "dram-access",
             Self::CacheMiss => "cache-miss",
         }
@@ -145,23 +137,7 @@ pub struct TraceEvent {
     pub cause: StallCause,
 }
 
-/// Destination for emitted events. The "no-op default" is simply a
-/// disabled [`Tracer`] (no sink at all); [`NullSink`] exists for callers
-/// that need an explicit do-nothing object.
-pub trait EventSink: Send + fmt::Debug {
-    /// Receives one event.
-    fn record(&mut self, event: TraceEvent);
-}
-
-/// An [`EventSink`] that drops everything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn record(&mut self, _event: TraceEvent) {}
-}
-
-/// An [`EventSink`] that buffers events in memory for later export.
+/// The event sink: buffers events in memory for later export.
 #[derive(Debug, Default)]
 pub struct BufferSink {
     events: Vec<TraceEvent>,
@@ -184,22 +160,16 @@ impl BufferSink {
     }
 }
 
-impl EventSink for BufferSink {
-    fn record(&mut self, event: TraceEvent) {
-        self.events.push(event);
-    }
-}
-
-/// Cloneable handle to an optional shared event sink.
+/// Cloneable handle to an optional shared [`BufferSink`].
 ///
 /// The default handle is *disabled*: every emission method is a single
-/// `Option` check, which is what makes instrumentation free when tracing
-/// is off. Clones share the same sink; [`Tracer::with_pid`] re-tags a
+/// inlined `Option` check, which is what makes instrumentation free when
+/// tracing is off. Clones share the same sink; [`Tracer::with_pid`] re-tags a
 /// clone with a different `pid` lane so one sink collects events from
 /// every core and shared component.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
-    sink: Option<Arc<Mutex<dyn EventSink>>>,
+    sink: Option<Arc<Mutex<BufferSink>>>,
     pid: u64,
 }
 
@@ -209,25 +179,14 @@ impl Tracer {
         Self::default()
     }
 
-    /// Wraps `sink` in a new enabled handle with `pid` lane 0.
-    pub fn new(sink: impl EventSink + 'static) -> Self {
-        Self::from_shared(Arc::new(Mutex::new(sink)))
-    }
-
-    /// Builds a handle around an existing shared sink (the caller keeps
-    /// its typed `Arc` to read results back out).
-    pub fn from_shared(sink: Arc<Mutex<dyn EventSink>>) -> Self {
-        Self {
-            sink: Some(sink),
-            pid: 0,
-        }
-    }
-
-    /// Convenience: an enabled handle plus the typed buffer behind it.
+    /// An enabled handle with `pid` lane 0, plus the buffer behind it.
     pub fn buffered() -> (Self, Arc<Mutex<BufferSink>>) {
         let buffer = Arc::new(Mutex::new(BufferSink::new()));
-        let sink: Arc<Mutex<dyn EventSink>> = buffer.clone();
-        (Self::from_shared(sink), buffer)
+        let tracer = Self {
+            sink: Some(buffer.clone()),
+            pid: 0,
+        };
+        (tracer, buffer)
     }
 
     /// A clone of this handle tagged with a different `pid` lane.
@@ -246,8 +205,9 @@ impl Tracer {
     }
 
     /// Emits a span covering `[start, end)`. No-op when disabled or when
-    /// the span is empty.
-    #[inline]
+    /// the span is empty. Only the `None` check is inlined into the
+    /// emission site; the emit itself stays out of line.
+    #[inline(always)]
     pub fn span(
         &self,
         component: Component,
@@ -257,17 +217,36 @@ impl Tracer {
         cause: StallCause,
     ) {
         if let Some(sink) = &self.sink {
-            if end > start {
-                sink.lock().expect("trace sink lock").record(TraceEvent {
-                    pid: self.pid,
-                    component,
-                    name: name.to_string(),
-                    start,
-                    dur: end - start,
-                    cause,
-                });
-            }
+            emit(sink, self.pid, component, name, start, end, cause);
         }
+    }
+}
+
+/// Buffers the span `[start, end)` unless it is empty: the out-of-line
+/// half of [`Tracer::span`].
+#[cold]
+#[inline(never)]
+fn emit(
+    sink: &Mutex<BufferSink>,
+    pid: u64,
+    component: Component,
+    name: &str,
+    start: Cycle,
+    end: Cycle,
+    cause: StallCause,
+) {
+    if end > start {
+        sink.lock()
+            .expect("trace sink lock")
+            .events
+            .push(TraceEvent {
+                pid,
+                component,
+                name: name.to_string(),
+                start,
+                dur: end - start,
+                cause,
+            });
     }
 }
 
@@ -285,8 +264,6 @@ pub enum AttributionKind {
     Compute,
     /// A DMA stream was stalled on the TLB hierarchy.
     TlbStall,
-    /// A local-memory access waited on a busy SRAM bank.
-    BankConflict,
     /// A DMA stream was waiting on the bus → L2 → DRAM path.
     Dram,
     /// The load unit was otherwise busy streaming data in.
@@ -296,13 +273,12 @@ pub enum AttributionKind {
 }
 
 /// The number of [`AttributionKind`] variants.
-const KIND_COUNT: usize = 6;
+const KIND_COUNT: usize = 5;
 
 /// All kinds in priority order (index = `as usize` discriminant).
 const KINDS: [AttributionKind; KIND_COUNT] = [
     AttributionKind::Compute,
     AttributionKind::TlbStall,
-    AttributionKind::BankConflict,
     AttributionKind::Dram,
     AttributionKind::Load,
     AttributionKind::Store,
@@ -624,7 +600,6 @@ fn bucket_mut(attr: &mut CycleAttribution, kind: AttributionKind) -> &mut u64 {
     match kind {
         AttributionKind::Compute => &mut attr.compute,
         AttributionKind::TlbStall => &mut attr.tlb_stall,
-        AttributionKind::BankConflict => &mut attr.bank_conflict,
         AttributionKind::Dram => &mut attr.dram,
         AttributionKind::Load => &mut attr.load,
         AttributionKind::Store => &mut attr.store,
@@ -904,14 +879,14 @@ mod tests {
         }
     }
 
-    /// One generated step: `(op, a, b)`. Ops `0..6` record a span of
-    /// that kind, ops `6..8` record a *descent* (a span of kind `a % 6`
-    /// starting before that kind's last recorded start), and the rest
-    /// compact at a frontier `a` cycles further on.
+    /// One generated step: `(op, a, b)`. Ops below `KIND_COUNT` record a
+    /// span of that kind, the next two record a *descent* (a span of kind
+    /// `a % KIND_COUNT` starting before that kind's last recorded start),
+    /// and the last two compact at a frontier `a` cycles further on.
     type Op = (usize, u64, u64);
 
     fn ops() -> impl proptest::prelude::Strategy<Value = Vec<Op>> {
-        proptest::collection::vec((0usize..10, 0u64..24, 0u64..120), 0..200)
+        proptest::collection::vec((0..KIND_COUNT + 4, 0u64..24, 0u64..120), 0..200)
     }
 
     /// Drives the log and the reference through `ops` and compares their
@@ -927,8 +902,8 @@ mod tests {
         let mut last_start = [0u64; KIND_COUNT];
         for &(op, a, b) in ops {
             let span = match op {
-                0..=5 => Some((op, frontier + b, frontier + b + a)),
-                6 | 7 => {
+                k if k < KIND_COUNT => Some((k, frontier + b, frontier + b + a)),
+                k if k < KIND_COUNT + 2 => {
                     let k = a as usize % KIND_COUNT;
                     let room = last_start[k].saturating_sub(frontier);
                     (room > 0).then(|| {

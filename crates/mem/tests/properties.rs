@@ -6,7 +6,6 @@ use gemmini_mem::cache::{AccessKind, Cache, CacheConfig};
 use gemmini_mem::dram::{DramConfig, DramModel, MainMemory};
 use gemmini_mem::hierarchy::{MemorySystem, MemorySystemConfig};
 use gemmini_mem::json::{FromJson, ToJson};
-use gemmini_mem::metrics::{bucket_index, bucket_upper_bound, Log2Histogram, HIST_BUCKETS};
 use gemmini_mem::stats::{CycleAttribution, HitMissStats, TrafficStats, WindowedRate};
 use gemmini_mem::trace::{AttributionKind, AttributionLog};
 use gemmini_mem::Cycle;
@@ -14,10 +13,9 @@ use proptest::prelude::*;
 
 /// Every attribution kind, in priority order (highest first) — mirrors
 /// the declaration order the sweep-line partition charges by.
-const ATTR_KINDS: [AttributionKind; 6] = [
+const ATTR_KINDS: [AttributionKind; 5] = [
     AttributionKind::Compute,
     AttributionKind::TlbStall,
-    AttributionKind::BankConflict,
     AttributionKind::Dram,
     AttributionKind::Load,
     AttributionKind::Store,
@@ -28,7 +26,6 @@ fn attr_bucket(attr: &mut CycleAttribution, kind: AttributionKind) -> &mut u64 {
     match kind {
         AttributionKind::Compute => &mut attr.compute,
         AttributionKind::TlbStall => &mut attr.tlb_stall,
-        AttributionKind::BankConflict => &mut attr.bank_conflict,
         AttributionKind::Dram => &mut attr.dram,
         AttributionKind::Load => &mut attr.load,
         AttributionKind::Store => &mut attr.store,
@@ -43,15 +40,6 @@ fn windowed(window: u64, events: &[(u64, bool)]) -> WindowedRate {
         w.record(cycle, hit);
     }
     w
-}
-
-/// Records every value into a fresh log2 histogram.
-fn hist(values: &[u64]) -> Log2Histogram {
-    let mut h = Log2Histogram::new();
-    for &v in values {
-        h.record(v);
-    }
-    h
 }
 
 /// Replays `(read, bytes)` transfers into fresh traffic counters.
@@ -299,7 +287,7 @@ proptest! {
     /// `idle` as the remainder, the buckets always sum to `total`.
     #[test]
     fn attribution_partition_matches_per_cycle_classification(
-        raw in proptest::collection::vec((0usize..6, 0u64..200, 0u64..40), 0..40),
+        raw in proptest::collection::vec((0..ATTR_KINDS.len(), 0u64..200, 0u64..40), 0..40),
         frontier in 0u64..260,
     ) {
         let mut log = AttributionLog::new();
@@ -374,77 +362,6 @@ proptest! {
         let text = ra.to_json().encode();
         let reparsed = gemmini_mem::json::Json::parse(&text).unwrap();
         prop_assert_eq!(CycleAttribution::from_json(&reparsed).unwrap(), ra);
-    }
-
-    /// Log2-histogram merging is a commutative monoid, and folding
-    /// partial histograms in any order or grouping equals one histogram
-    /// that observed every value: bucket-exact, with exact sum and count.
-    #[test]
-    fn log2_histogram_merge_is_commutative_monoid(
-        va in proptest::collection::vec(any::<u64>(), 0..60),
-        vb in proptest::collection::vec(any::<u64>(), 0..60),
-        vc in proptest::collection::vec(any::<u64>(), 0..60),
-    ) {
-        let (ha, hb, hc) = (hist(&va), hist(&vb), hist(&vc));
-        // Commutativity: a+b == b+a.
-        let mut ab = ha.clone();
-        ab.merge(&hb);
-        let mut ba = hb.clone();
-        ba.merge(&ha);
-        prop_assert_eq!(&ab, &ba);
-        // Associativity: (a+b)+c == a+(b+c).
-        let mut ab_c = ab.clone();
-        ab_c.merge(&hc);
-        let mut bc = hb.clone();
-        bc.merge(&hc);
-        let mut a_bc = ha.clone();
-        a_bc.merge(&bc);
-        prop_assert_eq!(&ab_c, &a_bc);
-        // Identity: merging the empty histogram changes nothing.
-        let mut a_zero = ha.clone();
-        a_zero.merge(&Log2Histogram::new());
-        prop_assert_eq!(&a_zero, &ha);
-        // Merge-of-parts == whole-run (bucket-exact, sum wraps the same
-        // way a single recorder's would).
-        let mut all = va.clone();
-        all.extend(&vb);
-        all.extend(&vc);
-        prop_assert_eq!(&ab_c, &hist(&all));
-        prop_assert_eq!(ab_c.count, (va.len() + vb.len() + vc.len()) as u64);
-    }
-
-    /// Every recorded value lands in the bucket whose range covers it,
-    /// quantiles are monotone in `q` and always name an occupied
-    /// bucket's upper bound that bounds at least the asked-for rank.
-    #[test]
-    fn log2_histogram_buckets_and_quantiles(
-        vals in proptest::collection::vec(any::<u64>(), 1..80),
-        q in 0.0f64..1.0,
-    ) {
-        let h = hist(&vals);
-        for &v in &vals {
-            let k = bucket_index(v);
-            prop_assert!(k < HIST_BUCKETS);
-            prop_assert!(v <= bucket_upper_bound(k));
-            if k > 0 {
-                prop_assert!(v > bucket_upper_bound(k - 1));
-            }
-        }
-        // Quantiles: monotone, and the maximum value is covered by p100.
-        let (p50, p95, p99, p100) = (
-            h.quantile(0.5),
-            h.quantile(0.95),
-            h.quantile(0.99),
-            h.quantile(1.0),
-        );
-        prop_assert!(p50 <= p95 && p95 <= p99 && p99 <= p100);
-        prop_assert!(vals.iter().all(|&v| v <= p100));
-        // An arbitrary quantile's bucket covers at least ceil(q*count)
-        // of the recorded values.
-        let bound = h.quantile(q);
-        let rank = ((q * vals.len() as f64).ceil() as u64).max(1);
-        let covered = vals.iter().filter(|&&v| v <= bound).count() as u64;
-        prop_assert!(covered >= rank, "bound {bound} covers {covered} < rank {rank}");
     }
 
     /// JSON round-trip: decode(encode(x)) == x for every stats type, for

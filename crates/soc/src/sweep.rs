@@ -48,7 +48,7 @@ use crate::checkpoint::{
 };
 use crate::run::{run_networks_observed, RunOptions, SocReport};
 use crate::soc::SocConfig;
-use gemmini_core::metrics::{Log2Histogram, Metrics};
+use gemmini_core::metrics::Metrics;
 use gemmini_core::trace::Tracer;
 use gemmini_core::AccelError;
 use gemmini_dnn::graph::Network;
@@ -246,21 +246,13 @@ pub fn worker_count(threads: usize, n_points: usize) -> usize {
 }
 
 /// Estimated seconds until `remaining` points finish on `workers`
-/// parallel workers, from the per-point wall histogram's p50 (the bucket
-/// upper bound, so a mild over-estimate — the honest direction for an
-/// ETA). `None` until at least one point has been timed. Clamped to 30
-/// days so one pathological bucket cannot print a nonsense year.
-fn eta_secs(point_wall: &Log2Histogram, remaining: usize, workers: usize) -> Option<f64> {
-    if point_wall.is_empty() {
-        return None;
-    }
-    if remaining == 0 {
-        return Some(0.0);
-    }
-    let p50_micros = point_wall.quantile(0.5) as f64;
-    let waves = (remaining as f64 / workers.max(1) as f64).ceil();
+/// parallel workers: `ceil(remaining / workers)` waves of the mean point
+/// wall so far. Clamped to 30 days so one pathological point cannot
+/// print a nonsense year.
+fn eta_secs(mean_wall: Duration, remaining: usize, workers: usize) -> f64 {
     const MAX_ETA_SECS: f64 = 30.0 * 24.0 * 3600.0;
-    Some((waves * p50_micros / 1e6).min(MAX_ETA_SECS))
+    let waves = remaining.div_ceil(workers.max(1)) as f64;
+    (waves * mean_wall.as_secs_f64()).min(MAX_ETA_SECS)
 }
 
 /// Renders an ETA compactly for progress lines: `3s`, `2m05s`,
@@ -276,12 +268,6 @@ fn format_eta(secs: f64) -> String {
     } else {
         format!("{}d{:02}h", s / 86_400, (s % 86_400) / 3600)
     }
-}
-
-/// The wall [`Duration`] of one point as histogram microseconds
-/// (saturating; 30+ minute points all land in the top buckets anyway).
-fn wall_micros(wall: Duration) -> u64 {
-    u64::try_from(wall.as_micros()).unwrap_or(u64::MAX)
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -402,8 +388,9 @@ where
         String::new()
     };
     let workers = worker_count(opts.threads, to_run.len());
-    // The per-point wall histogram behind the progress lines' ETA column.
-    let wall_hist = Mutex::new(Log2Histogram::new());
+    // The sum and count of point walls behind the progress lines' ETA
+    // column, a running mean.
+    let walls = Mutex::new((Duration::ZERO, 0u32));
     let done = AtomicUsize::new(0);
     let sweep_start = Instant::now();
     let run_one = |label: String, fingerprint: u64, item: I| -> SweepResult<T> {
@@ -442,17 +429,18 @@ where
             let status = if outcome.is_ok() { "" } else { "FAILED " };
             let elapsed = sweep_start.elapsed().as_secs_f64();
             let rate = finished as f64 / elapsed.max(1e-9);
-            // The ETA column comes from the shared per-point wall
-            // histogram: p50 bucket bound × remaining waves, clamped.
             let eta = {
-                let mut hist = wall_hist.lock().expect("wall histogram lock");
-                hist.record(wall_micros(wall));
-                eta_secs(&hist, total - cached - finished, workers)
-            }
-            .map(|s| format!(", eta {}", format_eta(s)))
-            .unwrap_or_default();
+                let mut walls = walls.lock().expect("point walls lock");
+                walls.0 += wall;
+                walls.1 += 1;
+                format_eta(eta_secs(
+                    walls.0 / walls.1,
+                    total - cached - finished,
+                    workers,
+                ))
+            };
             eprintln!(
-                "[{}/{total}{provenance}] {label} {status}{:.1}s | {elapsed:.1}s elapsed, {rate:.2} pts/s{eta}",
+                "[{}/{total}{provenance}] {label} {status}{:.1}s | {elapsed:.1}s elapsed, {rate:.2} pts/s, eta {eta}",
                 finished + cached,
                 wall.as_secs_f64()
             );
@@ -694,21 +682,13 @@ mod tests {
 
     #[test]
     fn eta_derivation_and_clamp() {
-        assert_eq!(eta_secs(&Log2Histogram::new(), 10, 2), None);
-        let mut h = Log2Histogram::new();
-        // ~1 s points: bucket upper bound 2^20 - 1 us ≈ 1.05 s.
-        for _ in 0..8 {
-            h.record(1_000_000);
-        }
-        let eta = eta_secs(&h, 10, 2).unwrap();
-        // 5 waves of ~1.05 s.
-        assert!(eta > 4.0 && eta < 7.0, "eta {eta}");
-        assert_eq!(eta_secs(&h, 0, 2), Some(0.0));
+        let second = Duration::from_secs(1);
+        // 5 waves of 1 s points; a partial last wave counts as a wave.
+        assert_eq!(eta_secs(second, 10, 2), 5.0);
+        assert_eq!(eta_secs(second, 11, 2), 6.0);
+        assert_eq!(eta_secs(second, 0, 2), 0.0);
         // Clamp: absurd per-point walls cannot produce an absurd ETA.
-        let mut worst = Log2Histogram::new();
-        worst.record(u64::MAX);
-        let clamped = eta_secs(&worst, 1_000_000, 1).unwrap();
-        assert_eq!(clamped, 30.0 * 24.0 * 3600.0);
+        assert_eq!(eta_secs(Duration::MAX, 1_000_000, 1), 30.0 * 24.0 * 3600.0);
     }
 
     #[test]

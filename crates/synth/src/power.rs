@@ -1,10 +1,8 @@
-//! Power model: dynamic PE/register switching, SRAM access energy, and
-//! area-proportional leakage.
+//! Power model: dynamic PE/register switching and area-proportional
+//! leakage.
 
 use crate::area::spatial_array_area_um2;
-use crate::tech::{
-    ENERGY_SRAM_PJ_PER_BYTE, LEAKAGE_UW_PER_KUM2, POWER_PE_UW_PER_GHZ, POWER_PIPE_REG_UW_PER_GHZ,
-};
+use crate::tech::{LEAKAGE_UW_PER_KUM2, POWER_PE_UW_PER_GHZ, POWER_PIPE_REG_UW_PER_GHZ};
 use gemmini_core::config::GemminiConfig;
 
 /// Power breakdown of one spatial-array configuration at a given clock.
@@ -40,11 +38,6 @@ pub fn spatial_array_power(config: &GemminiConfig, clock_ghz: f64, activity: f64
     }
 }
 
-/// Energy of moving `bytes` through a local SRAM, in millijoules.
-pub fn sram_access_energy_mj(bytes: u64) -> f64 {
-    bytes as f64 * ENERGY_SRAM_PJ_PER_BYTE * 1e-9
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,12 +67,5 @@ mod tests {
         assert!((fast.pe_dynamic_mw / slow.pe_dynamic_mw - 2.0).abs() < 1e-9);
         // Leakage does not scale with clock.
         assert_eq!(slow.leakage_mw, fast.leakage_mw);
-    }
-
-    #[test]
-    fn sram_energy_is_linear() {
-        assert!(sram_access_energy_mj(0) == 0.0);
-        let one = sram_access_energy_mj(1_000_000);
-        assert!((sram_access_energy_mj(2_000_000) - 2.0 * one).abs() < 1e-15);
     }
 }

@@ -216,8 +216,8 @@ impl TranslationSystem {
         self.tracer = tracer;
     }
 
-    /// Attaches a live-metrics handle; translations count TLB hits and
-    /// misses and walks record their latency. Disabled by default.
+    /// Attaches a live-metrics handle; translations that walk count TLB
+    /// misses. Disabled by default.
     pub fn set_metrics(&mut self, metrics: Metrics) {
         self.metrics = metrics;
     }
@@ -277,7 +277,6 @@ impl TranslationSystem {
             if let Some(m) = reg.lookup(vpn) {
                 let out = translation(m, 0, HitLevel::Filter)?;
                 self.filter_hits += 1;
-                self.metrics.inc(Counter::TlbHits);
                 self.window.record(now, true);
                 return Ok(out);
             }
@@ -286,7 +285,6 @@ impl TranslationSystem {
         // 2. Private TLB.
         if let Some(m) = self.private.lookup(vpn) {
             let out = translation(m, self.config.private.hit_latency, HitLevel::Private)?;
-            self.metrics.inc(Counter::TlbHits);
             self.window.record(now, true);
             self.update_filter(access, vpn, m);
             return Ok(out);
@@ -299,7 +297,6 @@ impl TranslationSystem {
             latency += self.config.shared.hit_latency;
             if let Some(m) = self.shared.lookup(vpn) {
                 let out = translation(m, latency, HitLevel::Shared)?;
-                self.metrics.inc(Counter::TlbHits);
                 self.private.insert(vpn, m);
                 self.update_filter(access, vpn, m);
                 return Ok(out);
@@ -386,7 +383,6 @@ impl TranslationSystem {
             Access::Read => self.read_tracker.record_run(vpn, k),
             Access::Write => self.write_tracker.record_run(vpn, k),
         }
-        self.metrics.add(Counter::TlbHits, k);
         self.window.record_run(start, step, k, true);
     }
 
