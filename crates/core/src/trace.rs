@@ -77,7 +77,7 @@ impl Profiler {
         &mut self,
         kind: AttributionKind,
         component: Component,
-        name: &str,
+        name: &'static str,
         start: Cycle,
         end: Cycle,
         cause: StallCause,
@@ -91,7 +91,7 @@ impl Profiler {
     pub fn event(
         &self,
         component: Component,
-        name: &str,
+        name: &'static str,
         start: Cycle,
         end: Cycle,
         cause: StallCause,

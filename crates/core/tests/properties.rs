@@ -7,7 +7,6 @@
 //! configurations.
 
 use gemmini_core::mesh::MatrixUnit;
-use gemmini_dnn::ops::MacElement;
 use proptest::prelude::*;
 
 /// Dense `dim×dim` B from a flat strided `b_rows×b_cols` block (zeros
@@ -37,12 +36,12 @@ fn naive(
     let mut out = vec![0; a_rows * dim];
     for i in 0..a_rows {
         for j in 0..dim {
-            let mut acc = 0;
+            let mut acc = 0i32;
             for k in 0..a_cols {
-                acc = i8::mac(acc, a[i * a_stride + k], b_dense[k * dim + j]);
+                acc = acc.wrapping_add(a[i * a_stride + k] as i32 * b_dense[k * dim + j] as i32);
             }
             if let Some((dbuf, dstride)) = d {
-                acc = i8::acc_add(acc, dbuf[i * dstride + j]);
+                acc = acc.wrapping_add(dbuf[i * dstride + j]);
             }
             out[i * dim + j] = acc;
         }

@@ -31,52 +31,33 @@ impl CpuKind {
     }
 }
 
-/// Rocket-calibrated per-operation costs (cycles). BOOM divides each by its
-/// IPC multiple.
-///
-/// All constants model a *straightforward scalar baseline* — the paper's
-/// CPU baseline is an un-tuned port, not a hand-vectorized BLAS.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CpuCosts {
-    /// Cycles per convolution MAC (nested-loop direct convolution with its
-    /// poor locality; calibrated so ResNet50 lands at ≈2,670× the
-    /// accelerator's 43.9 M cycles).
-    pub conv_cycles_per_mac: f64,
-    /// Cycles per matmul MAC (tight three-loop GEMM: two loads, MAC, index
-    /// arithmetic on a single-issue core).
-    pub matmul_cycles_per_mac: f64,
-    /// Cycles per residual-add element (two loads, add, store).
-    pub resadd_cycles_per_elem: f64,
-    /// Cycles per pooling *window element* (compare/accumulate per element
-    /// in each window).
-    pub pool_cycles_per_window_elem: f64,
-    /// Cycles per softmax element (exp + normalize, scalar).
-    pub softmax_cycles_per_elem: f64,
-    /// Cycles per layer-norm element (two passes + scale).
-    pub layernorm_cycles_per_elem: f64,
-    /// Cycles per im2col element (gather + store with index arithmetic and
-    /// cache-unfriendly strides; calibrated so the BOOM-vs-Rocket
-    /// end-to-end effect with CPU-side im2col lands at the paper's ≈2.0x).
-    pub im2col_cycles_per_elem: f64,
-    /// Cycles to take and return from a context switch (used by the OS
-    /// noise model).
-    pub context_switch_cycles: u64,
-}
+// Rocket-calibrated per-operation costs (cycles); BOOM divides each by
+// its IPC multiple. They model a *straightforward scalar baseline*: the
+// paper's CPU baseline is an un-tuned port, not a hand-vectorized BLAS.
 
-impl Default for CpuCosts {
-    fn default() -> Self {
-        Self {
-            conv_cycles_per_mac: 28.0,
-            matmul_cycles_per_mac: 3.0,
-            resadd_cycles_per_elem: 4.0,
-            pool_cycles_per_window_elem: 2.0,
-            softmax_cycles_per_elem: 25.0,
-            layernorm_cycles_per_elem: 10.0,
-            im2col_cycles_per_elem: 11.5,
-            context_switch_cycles: 5_000,
-        }
-    }
-}
+/// Cycles per convolution MAC (nested-loop direct convolution with its
+/// poor locality; calibrated so ResNet50 lands at ≈2,670× the
+/// accelerator's 43.9 M cycles).
+const CONV_CYCLES_PER_MAC: f64 = 28.0;
+/// Cycles per matmul MAC (tight three-loop GEMM: two loads, MAC, index
+/// arithmetic on a single-issue core).
+const MATMUL_CYCLES_PER_MAC: f64 = 3.0;
+/// Cycles per residual-add element (two loads, add, store).
+const RESADD_CYCLES_PER_ELEM: f64 = 4.0;
+/// Cycles per pooling *window element* (compare/accumulate per element
+/// in each window).
+const POOL_CYCLES_PER_WINDOW_ELEM: f64 = 2.0;
+/// Cycles per softmax element (exp + normalize, scalar).
+const SOFTMAX_CYCLES_PER_ELEM: f64 = 25.0;
+/// Cycles per layer-norm element (two passes + scale).
+const LAYERNORM_CYCLES_PER_ELEM: f64 = 10.0;
+/// Cycles per im2col element (gather + store with index arithmetic and
+/// cache-unfriendly strides; calibrated so the BOOM-vs-Rocket
+/// end-to-end effect with CPU-side im2col lands at the paper's ≈2.0x).
+const IM2COL_CYCLES_PER_ELEM: f64 = 11.5;
+/// Cycles to take and return from a context switch (used by the OS
+/// noise model).
+const CONTEXT_SWITCH_CYCLES: f64 = 5_000.0;
 
 /// A host-CPU timing model.
 ///
@@ -92,26 +73,17 @@ impl Default for CpuCosts {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuModel {
     kind: CpuKind,
-    costs: CpuCosts,
 }
 
 impl CpuModel {
-    /// A model with the default (calibrated) cost table.
+    /// A model of `kind` with the calibrated cost table.
     pub fn new(kind: CpuKind) -> Self {
-        Self {
-            kind,
-            costs: CpuCosts::default(),
-        }
+        Self { kind }
     }
 
     /// Which core this models.
     pub fn kind(&self) -> CpuKind {
         self.kind
-    }
-
-    /// The underlying cost table.
-    pub fn costs(&self) -> &CpuCosts {
-        &self.costs
     }
 
     #[inline]
@@ -121,19 +93,16 @@ impl CpuModel {
 
     /// Cycles for this CPU to execute `layer` entirely in software.
     pub fn layer_cycles(&self, layer: &Layer) -> u64 {
-        let c = &self.costs;
         let rocket = match layer {
-            Layer::Conv { .. } | Layer::DwConv { .. } => {
-                layer.macs() as f64 * c.conv_cycles_per_mac
-            }
-            Layer::Matmul { .. } => layer.macs() as f64 * c.matmul_cycles_per_mac,
-            Layer::ResAdd { elements } => *elements as f64 * c.resadd_cycles_per_elem,
+            Layer::Conv { .. } | Layer::DwConv { .. } => layer.macs() as f64 * CONV_CYCLES_PER_MAC,
+            Layer::Matmul { .. } => layer.macs() as f64 * MATMUL_CYCLES_PER_MAC,
+            Layer::ResAdd { elements } => *elements as f64 * RESADD_CYCLES_PER_ELEM,
             Layer::Pool { size, .. } => {
                 let outs = layer.output_bytes() as f64;
-                outs * (size * size) as f64 * c.pool_cycles_per_window_elem
+                outs * (size * size) as f64 * POOL_CYCLES_PER_WINDOW_ELEM
             }
-            Layer::Softmax { rows, cols } => (rows * cols) as f64 * c.softmax_cycles_per_elem,
-            Layer::LayerNorm { rows, cols } => (rows * cols) as f64 * c.layernorm_cycles_per_elem,
+            Layer::Softmax { rows, cols } => (rows * cols) as f64 * SOFTMAX_CYCLES_PER_ELEM,
+            Layer::LayerNorm { rows, cols } => (rows * cols) as f64 * LAYERNORM_CYCLES_PER_ELEM,
         };
         self.scale(rocket)
     }
@@ -158,12 +127,12 @@ impl CpuModel {
             }
             _ => return 0,
         };
-        self.scale(elems * self.costs.im2col_cycles_per_elem)
+        self.scale(elems * IM2COL_CYCLES_PER_ELEM)
     }
 
     /// Cost of one OS context switch on this core.
     pub fn context_switch_cycles(&self) -> u64 {
-        self.scale(self.costs.context_switch_cycles as f64)
+        self.scale(CONTEXT_SWITCH_CYCLES)
     }
 }
 

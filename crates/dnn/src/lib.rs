@@ -6,14 +6,16 @@
 //! Everything the workloads side of the paper needs, implemented from
 //! scratch:
 //!
-//! * [`tensor`] — a dense N-dimensional tensor over `i8`/`i32`/`f32` with
-//!   NCHW helpers and deterministic pseudo-random fills (our substitute for
-//!   real ImageNet/BERT weights; performance depends on shapes, not values).
+//! * [`tensor`] — a dense N-dimensional tensor (`i8` data, `i32`
+//!   accumulators) with NCHW helpers and deterministic pseudo-random int8
+//!   fills (our substitute for real ImageNet/BERT weights; performance
+//!   depends on shapes, not values).
 //! * [`quant`] — symmetric quantization utilities matching the accelerator's
 //!   int8-in / int32-accumulate / scale-requantize pipeline.
-//! * [`ops`] — reference (golden-model) operator implementations: direct and
-//!   im2col convolution, depthwise convolution, matmul, pooling, ReLU/ReLU6,
-//!   residual addition, softmax and layer norm.
+//! * [`ops`] — int8 reference (golden-model) operators: direct and im2col
+//!   convolution, depthwise convolution, matmul, pooling and residual
+//!   addition. Softmax and layer norm have no reference op: the CPU model
+//!   times them and the functional path passes their input through.
 //! * [`graph`] — the layer-trace IR: a [`graph::Network`] is an ordered list
 //!   of dimensioned layers with MAC/byte accounting and the layer-class
 //!   taxonomy (conv / matmul / residual-add) used by the Fig. 9 case study.

@@ -1,6 +1,5 @@
 //! Reference 2-D convolution (direct and depthwise).
 
-use super::MacElement;
 use crate::tensor::Tensor;
 
 /// Geometry of a 2-D convolution.
@@ -42,8 +41,8 @@ impl ConvSpec {
 /// Direct 2-D convolution.
 ///
 /// `input` is NCHW `[n, c, h, w]`; `weights` is `[oc, c, kh, kw]`. Returns
-/// `[n, oc, oh, ow]` of accumulator values (requantization is a separate,
-/// explicit step, as on the accelerator).
+/// `[n, oc, oh, ow]` of wrapping i32 accumulator values (requantization is
+/// a separate, explicit step, as on the accelerator).
 ///
 /// # Panics
 ///
@@ -60,11 +59,7 @@ impl ConvSpec {
 /// let out = conv2d(&input, &w, ConvSpec { kernel: 1, stride: 1, padding: 0 });
 /// assert_eq!(out.as_slice(), &[2, 4, 6, 8]);
 /// ```
-pub fn conv2d<T: MacElement>(
-    input: &Tensor<T>,
-    weights: &Tensor<T>,
-    spec: ConvSpec,
-) -> Tensor<T::Acc> {
+pub fn conv2d(input: &Tensor<i8>, weights: &Tensor<i8>, spec: ConvSpec) -> Tensor<i32> {
     assert_eq!(input.shape().len(), 4, "conv input must be NCHW");
     assert_eq!(
         weights.shape().len(),
@@ -89,12 +84,12 @@ pub fn conv2d<T: MacElement>(
 
     let oh = spec.out_size(h);
     let ow = spec.out_size(w);
-    let mut out = Tensor::<T::Acc>::zeros(&[n, oc, oh, ow]);
+    let mut out = Tensor::<i32>::zeros(&[n, oc, oh, ow]);
     for ni in 0..n {
         for oci in 0..oc {
             for oy in 0..oh {
                 for ox in 0..ow {
-                    let mut acc = T::Acc::default();
+                    let mut acc = 0i32;
                     for ci in 0..c {
                         for ky in 0..kh {
                             for kx in 0..kw {
@@ -103,11 +98,9 @@ pub fn conv2d<T: MacElement>(
                                 if iy < 0 || ix < 0 || iy as usize >= h || ix as usize >= w {
                                     continue; // zero padding contributes nothing
                                 }
-                                acc = T::mac(
-                                    acc,
-                                    input.at4(ni, ci, iy as usize, ix as usize),
-                                    weights.at4(oci, ci, ky, kx),
-                                );
+                                let x = input.at4(ni, ci, iy as usize, ix as usize);
+                                let wt = weights.at4(oci, ci, ky, kx);
+                                acc = acc.wrapping_add(x as i32 * wt as i32);
                             }
                         }
                     }
@@ -126,11 +119,7 @@ pub fn conv2d<T: MacElement>(
 /// # Panics
 ///
 /// Panics on rank or channel-count mismatches.
-pub fn dwconv2d<T: MacElement>(
-    input: &Tensor<T>,
-    weights: &Tensor<T>,
-    spec: ConvSpec,
-) -> Tensor<T::Acc> {
+pub fn dwconv2d(input: &Tensor<i8>, weights: &Tensor<i8>, spec: ConvSpec) -> Tensor<i32> {
     assert_eq!(input.shape().len(), 4, "dwconv input must be NCHW");
     assert_eq!(weights.shape().len(), 3, "dwconv weights must be [c,kh,kw]");
     let (n, c, h, w) = (
@@ -147,12 +136,12 @@ pub fn dwconv2d<T: MacElement>(
 
     let oh = spec.out_size(h);
     let ow = spec.out_size(w);
-    let mut out = Tensor::<T::Acc>::zeros(&[n, c, oh, ow]);
+    let mut out = Tensor::<i32>::zeros(&[n, c, oh, ow]);
     for ni in 0..n {
         for ci in 0..c {
             for oy in 0..oh {
                 for ox in 0..ow {
-                    let mut acc = T::Acc::default();
+                    let mut acc = 0i32;
                     for ky in 0..kh {
                         for kx in 0..kw {
                             let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
@@ -160,12 +149,9 @@ pub fn dwconv2d<T: MacElement>(
                             if iy < 0 || ix < 0 || iy as usize >= h || ix as usize >= w {
                                 continue;
                             }
-                            let widx = ci;
-                            acc = T::mac(
-                                acc,
-                                input.at4(ni, ci, iy as usize, ix as usize),
-                                weights.as_slice()[(widx * kh + ky) * kw + kx],
-                            );
+                            let x = input.at4(ni, ci, iy as usize, ix as usize);
+                            let wt = weights.as_slice()[(ci * kh + ky) * kw + kx];
+                            acc = acc.wrapping_add(x as i32 * wt as i32);
                         }
                     }
                     *out.at4_mut(ni, ci, oy, ox) = acc;
@@ -309,22 +295,6 @@ mod tests {
         let w = Tensor::from_vec(&[1, 3, 3], vec![1i8; 9]);
         let out = dwconv2d(&input, &w, ConvSpec::same(3));
         assert_eq!(out.as_slice(), &[4, 6, 4, 6, 9, 6, 4, 6, 4]);
-    }
-
-    #[test]
-    fn f32_conv_works() {
-        let input = Tensor::from_vec(&[1, 1, 2, 2], vec![0.5f32, 1.0, 1.5, 2.0]);
-        let w = Tensor::from_vec(&[1, 1, 1, 1], vec![2.0f32]);
-        let out = conv2d(
-            &input,
-            &w,
-            ConvSpec {
-                kernel: 1,
-                stride: 1,
-                padding: 0,
-            },
-        );
-        assert_eq!(out.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

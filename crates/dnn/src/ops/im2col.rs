@@ -8,7 +8,6 @@
 //! on-the-fly im2col unit.
 
 use super::conv::ConvSpec;
-use super::MacElement;
 use crate::tensor::Tensor;
 
 /// Expands `input` (NCHW `[n, c, h, w]`) into the im2col patch matrix of
@@ -28,7 +27,7 @@ use crate::tensor::Tensor;
 /// assert_eq!(m.shape(), &[1, 4]);
 /// assert_eq!(m.as_slice(), &[1, 2, 3, 4]);
 /// ```
-pub fn im2col<T: MacElement>(input: &Tensor<T>, spec: ConvSpec) -> Tensor<T> {
+pub fn im2col(input: &Tensor<i8>, spec: ConvSpec) -> Tensor<i8> {
     assert_eq!(input.shape().len(), 4, "im2col input must be NCHW");
     let (n, c, h, w) = (
         input.shape()[0],
@@ -39,7 +38,7 @@ pub fn im2col<T: MacElement>(input: &Tensor<T>, spec: ConvSpec) -> Tensor<T> {
     let oh = spec.out_size(h);
     let ow = spec.out_size(w);
     let k = spec.kernel;
-    let mut out = Tensor::<T>::zeros(&[n * oh * ow, c * k * k]);
+    let mut out = Tensor::<i8>::zeros(&[n * oh * ow, c * k * k]);
     let cols = c * k * k;
     for ni in 0..n {
         for oy in 0..oh {
@@ -67,7 +66,7 @@ pub fn im2col<T: MacElement>(input: &Tensor<T>, spec: ConvSpec) -> Tensor<T> {
 
 /// Flattens `[oc, c, kh, kw]` convolution weights to the `[c*kh*kw, oc]`
 /// matrix that multiplies an im2col patch matrix.
-pub fn weights_to_matrix<T: MacElement>(weights: &Tensor<T>) -> Tensor<T> {
+pub fn weights_to_matrix(weights: &Tensor<i8>) -> Tensor<i8> {
     assert_eq!(weights.shape().len(), 4, "weights must be [oc,c,kh,kw]");
     let (oc, c, kh, kw) = (
         weights.shape()[0],
@@ -76,7 +75,7 @@ pub fn weights_to_matrix<T: MacElement>(weights: &Tensor<T>) -> Tensor<T> {
         weights.shape()[3],
     );
     let rows = c * kh * kw;
-    let mut out = Tensor::<T>::zeros(&[rows, oc]);
+    let mut out = Tensor::<i8>::zeros(&[rows, oc]);
     for o in 0..oc {
         for ci in 0..c {
             for ky in 0..kh {
@@ -94,7 +93,7 @@ pub fn weights_to_matrix<T: MacElement>(weights: &Tensor<T>) -> Tensor<T> {
 /// matrix of shape `[n*oh*ow, kh*kw*c]`: column `(ky*k + kx)*c + ci`. This
 /// is the ordering Gemmini's software stack uses, because the accelerator's
 /// GEMM output is pixel-major (NHWC) and feeds the next layer directly.
-pub fn im2col_nhwc<T: MacElement>(input: &Tensor<T>, spec: ConvSpec) -> Tensor<T> {
+pub fn im2col_nhwc(input: &Tensor<i8>, spec: ConvSpec) -> Tensor<i8> {
     assert_eq!(input.shape().len(), 4, "im2col input must be NCHW");
     let (n, c, h, w) = (
         input.shape()[0],
@@ -106,7 +105,7 @@ pub fn im2col_nhwc<T: MacElement>(input: &Tensor<T>, spec: ConvSpec) -> Tensor<T
     let ow = spec.out_size(w);
     let k = spec.kernel;
     let cols = c * k * k;
-    let mut out = Tensor::<T>::zeros(&[n * oh * ow, cols]);
+    let mut out = Tensor::<i8>::zeros(&[n * oh * ow, cols]);
     for ni in 0..n {
         for oy in 0..oh {
             for ox in 0..ow {
@@ -133,7 +132,7 @@ pub fn im2col_nhwc<T: MacElement>(input: &Tensor<T>, spec: ConvSpec) -> Tensor<T
 
 /// Flattens `[oc, c, kh, kw]` weights to the `[kh*kw*c, oc]` matrix whose
 /// row order matches [`im2col_nhwc`].
-pub fn weights_to_matrix_nhwc<T: MacElement>(weights: &Tensor<T>) -> Tensor<T> {
+pub fn weights_to_matrix_nhwc(weights: &Tensor<i8>) -> Tensor<i8> {
     assert_eq!(weights.shape().len(), 4, "weights must be [oc,c,kh,kw]");
     let (oc, c, kh, kw) = (
         weights.shape()[0],
@@ -142,7 +141,7 @@ pub fn weights_to_matrix_nhwc<T: MacElement>(weights: &Tensor<T>) -> Tensor<T> {
         weights.shape()[3],
     );
     let rows = c * kh * kw;
-    let mut out = Tensor::<T>::zeros(&[rows, oc]);
+    let mut out = Tensor::<i8>::zeros(&[rows, oc]);
     for o in 0..oc {
         for ky in 0..kh {
             for kx in 0..kw {

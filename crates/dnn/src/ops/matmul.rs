@@ -1,10 +1,9 @@
 //! Reference matrix multiplication.
 
-use super::MacElement;
 use crate::tensor::Tensor;
 
 /// Computes `a @ b` where `a` is `[m, k]` and `b` is `[k, n]`, returning an
-/// `[m, n]` tensor of accumulator values.
+/// `[m, n]` tensor of wrapping i32 accumulator values.
 ///
 /// # Panics
 ///
@@ -20,19 +19,19 @@ use crate::tensor::Tensor;
 /// let c = matmul(&a, &b);
 /// assert_eq!(c.as_slice(), &[19, 22, 43, 50]);
 /// ```
-pub fn matmul<T: MacElement>(a: &Tensor<T>, b: &Tensor<T>) -> Tensor<T::Acc> {
+pub fn matmul(a: &Tensor<i8>, b: &Tensor<i8>) -> Tensor<i32> {
     assert_eq!(a.shape().len(), 2, "matmul lhs must be 2-D");
     assert_eq!(b.shape().len(), 2, "matmul rhs must be 2-D");
     let (m, k) = (a.shape()[0], a.shape()[1]);
     let (k2, n) = (b.shape()[0], b.shape()[1]);
     assert_eq!(k, k2, "matmul inner dimensions disagree: {k} vs {k2}");
 
-    let mut out = Tensor::<T::Acc>::zeros(&[m, n]);
+    let mut out = Tensor::<i32>::zeros(&[m, n]);
     for i in 0..m {
         for j in 0..n {
-            let mut acc = T::Acc::default();
+            let mut acc = 0i32;
             for p in 0..k {
-                acc = T::mac(acc, a[(i, p)], b[(p, j)]);
+                acc = acc.wrapping_add(a[(i, p)] as i32 * b[(p, j)] as i32);
             }
             out[(i, j)] = acc;
         }
@@ -63,18 +62,15 @@ mod tests {
     }
 
     #[test]
-    fn f32_matmul() {
-        let a = Tensor::from_vec(&[2, 1], vec![0.5f32, -0.5]);
-        let b = Tensor::from_vec(&[1, 2], vec![2.0f32, 4.0]);
-        let c = matmul(&a, &b);
-        assert_eq!(c.as_slice(), &[1.0, 2.0, -1.0, -2.0]);
-    }
-
-    #[test]
     fn negative_values_accumulate_correctly() {
         let a = Tensor::from_vec(&[1, 2], vec![-64i8, 64]);
         let b = Tensor::from_vec(&[2, 1], vec![64i8, 64]);
         assert_eq!(matmul(&a, &b).as_slice(), &[0]);
+        // 127·127 overflows i8 and three of them overflow i16; the i32
+        // accumulator holds the sum.
+        let a = Tensor::from_vec(&[1, 3], vec![127i8; 3]);
+        let b = Tensor::from_vec(&[3, 1], vec![127i8; 3]);
+        assert_eq!(matmul(&a, &b).as_slice(), &[48387]);
     }
 
     #[test]

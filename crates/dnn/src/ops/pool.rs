@@ -32,7 +32,7 @@ impl PoolSpec {
     }
 }
 
-/// Max pooling over an NCHW tensor.
+/// Max pooling over an int8 NCHW tensor.
 ///
 /// # Example
 ///
@@ -43,7 +43,7 @@ impl PoolSpec {
 /// let out = maxpool2d(&t, PoolSpec { size: 2, stride: 2, padding: 0 });
 /// assert_eq!(out.as_slice(), &[9]);
 /// ```
-pub fn maxpool2d<T: Copy + Default + PartialOrd>(input: &Tensor<T>, spec: PoolSpec) -> Tensor<T> {
+pub fn maxpool2d(input: &Tensor<i8>, spec: PoolSpec) -> Tensor<i8> {
     assert_eq!(input.shape().len(), 4, "pool input must be NCHW");
     let (n, c, h, w) = (
         input.shape()[0],
@@ -53,12 +53,12 @@ pub fn maxpool2d<T: Copy + Default + PartialOrd>(input: &Tensor<T>, spec: PoolSp
     );
     let oh = spec.out_size(h);
     let ow = spec.out_size(w);
-    let mut out = Tensor::<T>::zeros(&[n, c, oh, ow]);
+    let mut out = Tensor::<i8>::zeros(&[n, c, oh, ow]);
     for ni in 0..n {
         for ci in 0..c {
             for oy in 0..oh {
                 for ox in 0..ow {
-                    let mut best: Option<T> = None;
+                    let mut best: Option<i8> = None;
                     for ky in 0..spec.size {
                         for kx in 0..spec.size {
                             let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
@@ -255,19 +255,5 @@ mod tests {
         );
         assert_eq!(out.shape(), &[1, 1, 1, 1]);
         assert_eq!(out.as_slice(), &[7]);
-    }
-
-    #[test]
-    fn f32_maxpool() {
-        let t = Tensor::from_vec(&[1, 1, 2, 2], vec![0.1f32, 0.9, 0.3, 0.4]);
-        let out = maxpool2d(
-            &t,
-            PoolSpec {
-                size: 2,
-                stride: 2,
-                padding: 0,
-            },
-        );
-        assert_eq!(out.as_slice(), &[0.9]);
     }
 }

@@ -29,22 +29,6 @@ pub fn resadd_i8(a: &Tensor<i8>, b: &Tensor<i8>) -> Tensor<i8> {
     Tensor::from_vec(a.shape(), data)
 }
 
-/// Wrapping elementwise i32 addition (accumulator-space residuals).
-///
-/// # Panics
-///
-/// Panics if the shapes differ.
-pub fn resadd_i32(a: &Tensor<i32>, b: &Tensor<i32>) -> Tensor<i32> {
-    assert_eq!(a.shape(), b.shape(), "residual addition shape mismatch");
-    let data = a
-        .as_slice()
-        .iter()
-        .zip(b.as_slice())
-        .map(|(&x, &y)| x.wrapping_add(y))
-        .collect();
-    Tensor::from_vec(a.shape(), data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,13 +45,6 @@ mod tests {
         let a = Tensor::from_vec(&[2], vec![127i8, -128]);
         let b = Tensor::from_vec(&[2], vec![1i8, -1]);
         assert_eq!(resadd_i8(&a, &b).as_slice(), &[127, -128]);
-    }
-
-    #[test]
-    fn i32_variant() {
-        let a = Tensor::from_vec(&[2], vec![1i32, -5]);
-        let b = Tensor::from_vec(&[2], vec![2i32, 5]);
-        assert_eq!(resadd_i32(&a, &b).as_slice(), &[3, 0]);
     }
 
     #[test]

@@ -218,18 +218,6 @@ impl Tensor<i8> {
     }
 }
 
-impl Tensor<f32> {
-    /// Deterministic pseudo-random fill in `[-1.0, 1.0)`.
-    pub fn random(shape: &[usize], seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let len: usize = shape.iter().product();
-        Self {
-            shape: shape.to_vec(),
-            data: (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,7 +4,7 @@ use gemmini_dnn::graph::{Activation, Layer};
 use gemmini_dnn::layout::{from_nhwc, to_nhwc};
 use gemmini_dnn::ops::conv::{conv2d, ConvSpec};
 use gemmini_dnn::ops::im2col::{im2col, im2col_nhwc, weights_to_matrix, weights_to_matrix_nhwc};
-use gemmini_dnn::ops::{matmul, relu, relu6, resadd_i8};
+use gemmini_dnn::ops::{matmul, resadd_i8};
 use gemmini_dnn::quant::{requantize, QuantParams};
 use gemmini_dnn::tensor::Tensor;
 use proptest::prelude::*;
@@ -25,22 +25,6 @@ proptest! {
         }
         // Values are inherently bounded by i8 — this documents intent.
         prop_assert!((-128..=127).contains(&(qa as i32)));
-    }
-
-    /// ReLU is idempotent and never increases magnitude of negatives.
-    #[test]
-    fn relu_properties(x in any::<i32>()) {
-        let y = relu(x);
-        prop_assert!(y >= 0);
-        prop_assert_eq!(relu(y), y);
-        prop_assert!(y == x || x < 0);
-    }
-
-    /// ReLU6 output is always within [0, six] for non-negative six.
-    #[test]
-    fn relu6_is_clamped(x in any::<i32>(), six in 0i32..1000) {
-        let y = relu6(x, six);
-        prop_assert!(y >= 0 && y <= six);
     }
 
     /// Residual addition saturates instead of wrapping.

@@ -411,121 +411,10 @@ pub struct CycleAttribution {
     pub idle: u64,
 }
 
-/// One of the seven exclusive [`CycleAttribution`] buckets, as a value.
-///
-/// The variants are ordered exactly like [`CycleAttribution::rows`], so
-/// dominance ties (rare, but possible on tiny synthetic runs) resolve to
-/// the earlier report row deterministically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CycleBucket {
-    /// Spatial-array (or execute-unit) busy cycles.
-    Compute,
-    /// Load-unit streaming cycles.
-    Load,
-    /// Store-unit streaming cycles.
-    Store,
-    /// DMA cycles stalled on the TLB hierarchy.
-    TlbStall,
-    /// [`CycleAttribution::bank_conflict`]: always 0.
-    BankConflict,
-    /// DMA cycles waiting on the bus → L2 → DRAM path.
-    Dram,
-    /// Cycles no unit was busy.
-    Idle,
-}
-
-impl CycleBucket {
-    /// Every bucket, in report order.
-    pub const ALL: [CycleBucket; 7] = [
-        CycleBucket::Compute,
-        CycleBucket::Load,
-        CycleBucket::Store,
-        CycleBucket::TlbStall,
-        CycleBucket::BankConflict,
-        CycleBucket::Dram,
-        CycleBucket::Idle,
-    ];
-
-    /// The bucket's report-row name (matches [`CycleAttribution::rows`]).
-    pub fn name(self) -> &'static str {
-        match self {
-            CycleBucket::Compute => "compute",
-            CycleBucket::Load => "load",
-            CycleBucket::Store => "store",
-            CycleBucket::TlbStall => "tlb-stall",
-            CycleBucket::BankConflict => "bank-conflict",
-            CycleBucket::Dram => "dram",
-            CycleBucket::Idle => "idle",
-        }
-    }
-
-    /// Parses a report-row name back into a bucket.
-    pub fn parse(name: &str) -> Option<CycleBucket> {
-        CycleBucket::ALL.into_iter().find(|b| b.name() == name)
-    }
-}
-
-impl ToJson for CycleBucket {
-    fn to_json(&self) -> Json {
-        Json::from(self.name())
-    }
-}
-
-impl FromJson for CycleBucket {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let name = value.as_str()?;
-        CycleBucket::parse(name)
-            .ok_or_else(|| JsonError::new(format!("unknown cycle bucket '{name}'")))
-    }
-}
-
 impl CycleAttribution {
     /// Creates zeroed counters.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The cycle count of one bucket.
-    pub fn of(&self, bucket: CycleBucket) -> u64 {
-        match bucket {
-            CycleBucket::Compute => self.compute,
-            CycleBucket::Load => self.load,
-            CycleBucket::Store => self.store,
-            CycleBucket::TlbStall => self.tlb_stall,
-            CycleBucket::BankConflict => self.bank_conflict,
-            CycleBucket::Dram => self.dram,
-            CycleBucket::Idle => self.idle,
-        }
-    }
-
-    /// The bucket holding the most cycles. Ties resolve to the earlier
-    /// report row; an all-zero attribution is dominated by `Idle`.
-    pub fn dominant(&self) -> CycleBucket {
-        let mut best = CycleBucket::Idle;
-        let mut best_cycles = 0u64;
-        // Strict `>` in report order: the first maximal row sticks.
-        for bucket in CycleBucket::ALL {
-            let cycles = self.of(bucket);
-            if cycles > best_cycles {
-                best = bucket;
-                best_cycles = cycles;
-            }
-        }
-        if best_cycles == 0 {
-            CycleBucket::Idle
-        } else {
-            best
-        }
-    }
-
-    /// Fraction of total cycles in one bucket; `0.0` for an empty
-    /// attribution.
-    pub fn fraction(&self, bucket: CycleBucket) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.of(bucket) as f64 / self.total() as f64
-        }
     }
 
     /// Sum of every bucket — by construction the run's total cycles.
@@ -538,16 +427,6 @@ impl CycleAttribution {
         self.compute + self.load + self.store + self.tlb_stall + self.bank_conflict + self.dram
     }
 
-    /// Fraction of total cycles spent in non-idle buckets; `0.0` for an
-    /// empty attribution.
-    pub fn utilization(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.busy() as f64 / self.total() as f64
-        }
-    }
-
     /// Merges another attribution into this one (field-wise addition).
     pub fn merge(&mut self, other: &CycleAttribution) {
         self.compute += other.compute;
@@ -557,19 +436,6 @@ impl CycleAttribution {
         self.bank_conflict += other.bank_conflict;
         self.dram += other.dram;
         self.idle += other.idle;
-    }
-
-    /// The buckets as `(name, cycles)` rows in report order.
-    pub fn rows(&self) -> [(&'static str, u64); 7] {
-        [
-            ("compute", self.compute),
-            ("load", self.load),
-            ("store", self.store),
-            ("tlb-stall", self.tlb_stall),
-            ("bank-conflict", self.bank_conflict),
-            ("dram", self.dram),
-            ("idle", self.idle),
-        ]
     }
 }
 
@@ -741,7 +607,6 @@ mod tests {
         };
         assert_eq!(a.busy(), 90);
         assert_eq!(a.total(), 100);
-        assert!((a.utilization() - 0.9).abs() < 1e-12);
         let mut m = a;
         m.merge(&a);
         assert_eq!(m.total(), 200);
@@ -752,53 +617,6 @@ mod tests {
         assert_eq!(id, a);
         // Round trip.
         assert_eq!(CycleAttribution::from_json(&a.to_json()).unwrap(), a);
-        assert_eq!(a.rows().iter().map(|&(_, v)| v).sum::<u64>(), a.total());
-    }
-
-    #[test]
-    fn bucket_names_match_report_rows() {
-        let a = CycleAttribution {
-            compute: 1,
-            load: 2,
-            store: 3,
-            tlb_stall: 4,
-            bank_conflict: 5,
-            dram: 6,
-            idle: 7,
-        };
-        for (bucket, (name, cycles)) in CycleBucket::ALL.into_iter().zip(a.rows()) {
-            assert_eq!(bucket.name(), name);
-            assert_eq!(a.of(bucket), cycles);
-            assert_eq!(CycleBucket::parse(name), Some(bucket));
-            assert_eq!(CycleBucket::from_json(&bucket.to_json()).unwrap(), bucket);
-        }
-        assert_eq!(CycleBucket::parse("nope"), None);
-    }
-
-    #[test]
-    fn dominance_and_fractions() {
-        let a = CycleAttribution {
-            compute: 50,
-            load: 20,
-            store: 10,
-            tlb_stall: 5,
-            bank_conflict: 1,
-            dram: 4,
-            idle: 10,
-        };
-        assert_eq!(a.dominant(), CycleBucket::Compute);
-        assert!((a.fraction(CycleBucket::Compute) - 0.5).abs() < 1e-12);
-        // Ties resolve to the earlier report row.
-        let tied = CycleAttribution {
-            load: 7,
-            store: 7,
-            ..CycleAttribution::default()
-        };
-        assert_eq!(tied.dominant(), CycleBucket::Load);
-        // Empty attributions are idle-dominated with zero fractions.
-        let empty = CycleAttribution::default();
-        assert_eq!(empty.dominant(), CycleBucket::Idle);
-        assert_eq!(empty.fraction(CycleBucket::Compute), 0.0);
     }
 
     #[test]

@@ -26,6 +26,7 @@
 use crate::json::Json;
 use crate::stats::CycleAttribution;
 use crate::Cycle;
+use std::borrow::Cow;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -126,8 +127,9 @@ pub struct TraceEvent {
     pub pid: u64,
     /// Emitting component (becomes the thread lane and category).
     pub component: Component,
-    /// Event name shown in the viewer.
-    pub name: String,
+    /// Event name shown in the viewer: borrowed for the simulator's
+    /// literal span names, owned only for the runtime's per-layer spans.
+    pub name: Cow<'static, str>,
     /// First cycle covered.
     pub start: Cycle,
     /// Covered cycles; never zero, because [`Tracer::span`] drops empty
@@ -197,8 +199,8 @@ impl Tracer {
         }
     }
 
-    /// Whether a sink is attached. Emission sites that must format
-    /// dynamic names should check this first.
+    /// Whether a sink is attached. Emission sites that must build an
+    /// owned name should check this first.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.sink.is_some()
@@ -211,13 +213,13 @@ impl Tracer {
     pub fn span(
         &self,
         component: Component,
-        name: &str,
+        name: impl Into<Cow<'static, str>>,
         start: Cycle,
         end: Cycle,
         cause: StallCause,
     ) {
         if let Some(sink) = &self.sink {
-            emit(sink, self.pid, component, name, start, end, cause);
+            emit(sink, self.pid, component, name.into(), start, end, cause);
         }
     }
 }
@@ -230,7 +232,7 @@ fn emit(
     sink: &Mutex<BufferSink>,
     pid: u64,
     component: Component,
-    name: &str,
+    name: Cow<'static, str>,
     start: Cycle,
     end: Cycle,
     cause: StallCause,
@@ -242,7 +244,7 @@ fn emit(
             .push(TraceEvent {
                 pid,
                 component,
-                name: name.to_string(),
+                name,
                 start,
                 dur: end - start,
                 cause,
@@ -614,7 +616,7 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> Json {
             .iter()
             .map(|e| {
                 let mut fields = vec![
-                    ("name", Json::from(e.name.clone())),
+                    ("name", Json::from(&*e.name)),
                     ("cat", Json::from(e.component.label())),
                     ("ph", Json::from("X")),
                     ("ts", Json::from(e.start)),

@@ -673,6 +673,8 @@ impl Kernel for PoolKernel {
 
 /// A layer executed entirely by the host CPU (softmax, layer norm, or any
 /// operator on an accelerator configured without the matching block).
+/// It only carries the time: in functional mode the runtime writes the
+/// layer's output before the kernel starts.
 #[derive(Debug)]
 pub struct CpuLayerKernel {
     cycles: u64,

@@ -543,7 +543,7 @@ pub fn run_networks_observed(
             for t in exec.timings() {
                 lane.span(
                     Component::Runtime,
-                    &t.name,
+                    t.name.clone(),
                     t.start,
                     t.end,
                     StallCause::None,
@@ -626,7 +626,7 @@ fn soc_l2_report(soc: &Soc) -> L2Report {
 mod tests {
     use super::*;
     use crate::runtime::reference_forward;
-    use gemmini_dnn::graph::{Activation, Layer};
+    use gemmini_dnn::graph::{Activation, Layer, PoolKind};
     use gemmini_dnn::zoo;
 
     #[test]
@@ -656,6 +656,63 @@ mod tests {
         let got = report.cores[0].output.as_ref().unwrap();
         let want = reference_forward(&net, RunOptions::functional().seed);
         assert_eq!(got, &want);
+    }
+
+    #[test]
+    fn cpu_layers_write_their_output_in_functional_mode() {
+        // Softmax and layer norm run on the CPU (identity on the data);
+        // without a pooling unit, so does pooling. The next layer must
+        // read their output, not an unwritten buffer.
+        let mm = |m, k, n| Layer::Matmul {
+            m,
+            k,
+            n,
+            activation: Activation::None,
+        };
+        let mut attention = Network::new("attention");
+        attention.push("q", mm(16, 32, 16));
+        attention.push("attn", Layer::Softmax { rows: 16, cols: 16 });
+        attention.push("context", mm(16, 16, 16));
+        attention.push("ln", Layer::LayerNorm { rows: 16, cols: 16 });
+        attention.push("out", mm(16, 16, 16));
+        let mut cnn = Network::new("conv-pool-fc");
+        cnn.push(
+            "conv",
+            Layer::Conv {
+                in_channels: 3,
+                out_channels: 4,
+                kernel: 3,
+                stride: 1,
+                padding: 1,
+                in_hw: (8, 8),
+                activation: Activation::Relu,
+            },
+        );
+        cnn.push(
+            "pool",
+            Layer::Pool {
+                kind: PoolKind::Max,
+                size: 2,
+                stride: 2,
+                padding: 0,
+                channels: 4,
+                in_hw: (8, 8),
+            },
+        );
+        cnn.push("fc", mm(1, 64, 16));
+        let mut cfg = SocConfig::edge_single_core();
+        cfg.cores[0].accel.has_pooling = false;
+        for net in [attention, cnn] {
+            let report =
+                run_networks(&cfg, std::slice::from_ref(&net), &RunOptions::functional()).unwrap();
+            let want = reference_forward(&net, RunOptions::functional().seed);
+            assert_eq!(
+                report.cores[0].output.as_ref().unwrap(),
+                &want,
+                "{}",
+                net.name()
+            );
+        }
     }
 
     #[test]

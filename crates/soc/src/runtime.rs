@@ -218,6 +218,14 @@ fn layer_input_elements(layer: &Layer) -> usize {
     }
 }
 
+/// Writes a layer output the host computed up front (functional mode
+/// only; `vals` is `None` in timing mode).
+fn write_host_output(env: &mut KernelEnv<'_>, va: VirtAddr, vals: Option<Vec<i8>>) {
+    if let (Some(vals), Some(data)) = (vals, env.ctx.data.as_deref_mut()) {
+        write_virt(env.ctx.space, data, va, &vals);
+    }
+}
+
 /// Runs a sequence of sub-kernels back to back (e.g. CPU im2col followed by
 /// the GEMM).
 struct SequenceKernel {
@@ -660,19 +668,17 @@ impl NetworkExecution {
                 channels,
                 in_hw,
             } => {
+                let spec = PoolSpec {
+                    size,
+                    stride,
+                    padding,
+                };
+                // NHWC bytes, flat: oh rows of ow*c bytes.
+                let out_data = self
+                    .read_input_nchw(env, i, channels, in_hw.0, in_hw.1)
+                    .map(|t| to_nhwc(&pool2d_i8(&t, kind, spec)));
                 if cfg.has_pooling {
-                    let spec = PoolSpec {
-                        size,
-                        stride,
-                        padding,
-                    };
                     let (oh, ow) = (spec.out_size(in_hw.0), spec.out_size(in_hw.1));
-                    let out_data = self
-                        .read_input_nchw(env, i, channels, in_hw.0, in_hw.1)
-                        .map(|t| {
-                            // NHWC bytes, flat: oh rows of ow*c bytes.
-                            into_u8(to_nhwc(&pool2d_i8(&t, kind, spec)))
-                        });
                     // Stream NHWC rows: treat the feature map as 1 "channel"
                     // of (h, w*c) for the row geometry.
                     Box::new(PoolKernel::new(
@@ -683,13 +689,26 @@ impl NetworkExecution {
                         (in_hw.0, in_hw.1 * channels),
                         (oh, ow * channels),
                         size,
-                        out_data,
+                        out_data.map(into_u8),
                     ))
                 } else {
+                    // CPU pooling: the functional write occurs up front; its
+                    // time cost is the CpuLayerKernel.
+                    write_host_output(env, place.output, out_data);
                     Box::new(CpuLayerKernel::new(env.cpu.layer_cycles(&layer)))
                 }
             }
-            Layer::LayerNorm { .. } | Layer::Softmax { .. } => {
+            Layer::LayerNorm { rows, cols } | Layer::Softmax { rows, cols } => {
+                // Functionally the identity (as in `reference_forward`):
+                // copy the input up front; the CpuLayerKernel carries the
+                // time.
+                let src = self.input_of(i);
+                let input = env
+                    .ctx
+                    .data
+                    .as_deref()
+                    .map(|data| into_i8(read_virt(env.ctx.space, data, src, rows * cols)));
+                write_host_output(env, place.output, input);
                 Box::new(CpuLayerKernel::new(env.cpu.layer_cycles(&layer)))
             }
         }
@@ -742,9 +761,9 @@ impl NetworkExecution {
 /// scales and read-out arithmetic as [`NetworkExecution`]; returns the final
 /// output bytes (in the runtime's memory layout) for bit-exact comparison.
 ///
-/// Norm-class layers are not modeled functionally (they run on the CPU in
-/// both paths); networks containing them should be compared layer-wise
-/// before the first norm layer.
+/// Norm-class layers (softmax, layer norm) pass their input through
+/// unchanged, here and in [`NetworkExecution`]; their cost is CPU time
+/// only.
 pub fn reference_forward(net: &Network, seed: u64) -> Vec<i8> {
     let first_input: Vec<i8> = match net.layers().first().map(|l| &l.layer) {
         Some(Layer::Conv {

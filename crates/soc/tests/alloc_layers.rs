@@ -182,7 +182,9 @@ fn per_layer_allocation_counts_are_deterministic_and_pinned() {
         ("pool", 12),
         ("resadd", 4),
         ("matmul", 3),
-        ("norm", 3),
+        // The norm layer copies its input into its output buffer, which
+        // allocates a read buffer and materializes the output page.
+        ("norm", 6),
     ];
     assert_eq!(first.len(), ceilings.len());
     for ((name, got), (expect_name, ceiling)) in first.iter().zip(ceilings) {
