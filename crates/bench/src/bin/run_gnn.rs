@@ -5,10 +5,15 @@
 //! cargo run --release -p gemmini-bench --bin run_gnn -- models/lenet.gnn
 //! cargo run --release -p gemmini-bench --bin run_gnn -- models/lenet.gnn --cores 2 --functional
 //! ```
+//!
+//! With `--functional`, each core's output must equal the golden model
+//! (`reference_forward` at that core's seed); a mismatch prints one error
+//! line to stderr and exits 1.
 
 use gemmini_bench::SweepCli;
 use gemmini_dnn::loader::parse_network;
 use gemmini_soc::run::{run_networks, RunOptions};
+use gemmini_soc::runtime::reference_forward;
 use gemmini_soc::soc::SocConfig;
 use std::process::ExitCode;
 
@@ -56,13 +61,21 @@ fn main() -> ExitCode {
     } else {
         RunOptions::timing()
     };
-    let report = match run_networks(&cfg, &vec![net; cores], &opts) {
+    let report = match run_networks(&cfg, &vec![net.clone(); cores], &opts) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("simulation error: {e}");
             return ExitCode::FAILURE;
         }
     };
+    for (idx, core) in report.cores.iter().enumerate().filter(|_| functional) {
+        // Core `idx` runs at seed `seed + idx` (see `run_networks`).
+        let want = reference_forward(&net, opts.seed.wrapping_add(idx as u64));
+        if core.output.as_deref() != Some(&want[..]) {
+            eprintln!("error: {path}: core {idx}'s output differs from reference_forward");
+            return ExitCode::FAILURE;
+        }
+    }
 
     for (idx, core) in report.cores.iter().enumerate() {
         println!(

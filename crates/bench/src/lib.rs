@@ -13,11 +13,10 @@ use std::path::{Path, PathBuf};
 
 use gemmini_core::metrics::Metrics;
 use gemmini_core::trace::{export_chrome_trace, Tracer};
-use gemmini_core::AccelError;
 use gemmini_dnn::graph::{Activation, Layer, Network, PoolKind};
-use gemmini_mem::json::{FromJson, Json, ToJson};
+use gemmini_mem::json::Json;
 use gemmini_soc::run::{run_networks, RunOptions, SocReport};
-use gemmini_soc::sweep::{parse_threads, sweep_map, THREADS_ENV};
+use gemmini_soc::sweep::{parse_threads, run_sweep_with, THREADS_ENV};
 use gemmini_soc::SocConfig;
 
 pub mod figures;
@@ -159,38 +158,6 @@ impl SweepCli {
         Ok(cli)
     }
 
-    /// The sweep entry point for the figure binaries: runs `items`
-    /// through [`sweep_map`], checkpointing to `--json` and resuming from
-    /// it under `--resume`. Results come back in submission order.
-    ///
-    /// Exits the process with status `1` when any point failed: a figure
-    /// cannot be rendered from a grid with holes, and failed points were
-    /// not persisted, so a `--resume` re-runs exactly them.
-    pub fn sweep_map<I, T, F>(&self, items: Vec<(String, u64, I)>, f: F) -> Vec<SweepResult<T>>
-    where
-        I: Send,
-        T: ToJson + FromJson + Send,
-        F: Fn(I) -> Result<T, AccelError> + Sync,
-    {
-        let opts = SweepOptions {
-            checkpoint: self.json.clone(),
-            resume: self.resume,
-            ..SweepOptions::default()
-        };
-        let results = sweep_map(items, opts, f);
-        let mut complete = true;
-        for r in &results {
-            if let Err(e) = &r.outcome {
-                eprintln!("error: point '{}' failed: {e}", r.label);
-                complete = false;
-            }
-        }
-        if !complete {
-            std::process::exit(1);
-        }
-        results
-    }
-
     /// `--trace`: re-runs `point` with a buffered tracer and writes the
     /// collected events as Chrome `trace_event` JSON. Does nothing
     /// without `--trace`.
@@ -218,15 +185,31 @@ impl SweepCli {
         );
     }
 
-    /// [`SweepCli::sweep_map`] instantiated for [`DesignPoint`] sweeps.
+    /// The sweep entry point for the figure binaries: runs `points`
+    /// through [`run_sweep_with`], checkpointing to `--json` and resuming
+    /// from it under `--resume`. Results come back in submission order.
+    ///
+    /// Exits the process with status `1` when any point failed: a figure
+    /// cannot be rendered from a grid with holes, and failed points were
+    /// not persisted, so a `--resume` re-runs exactly them.
     pub fn sweep(&self, points: Vec<DesignPoint>) -> Vec<SweepResult<SocReport>> {
-        let items = points
-            .into_iter()
-            .map(|p| (p.label.clone(), p.fingerprint(), p))
-            .collect();
-        self.sweep_map(items, |p: DesignPoint| {
-            p.run(&Tracer::disabled(), &Metrics::disabled())
-        })
+        let opts = SweepOptions {
+            checkpoint: self.json.clone(),
+            resume: self.resume,
+            ..SweepOptions::default()
+        };
+        let results = run_sweep_with(points, opts);
+        let mut complete = true;
+        for r in &results {
+            if let Err(e) = &r.outcome {
+                eprintln!("error: point '{}' failed: {e}", r.label);
+                complete = false;
+            }
+        }
+        if !complete {
+            std::process::exit(1);
+        }
+        results
     }
 }
 

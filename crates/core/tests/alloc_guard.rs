@@ -248,9 +248,9 @@ fn steady_state_tile_step_does_not_allocate() {
 }
 
 /// The same zero-allocation bound with a live metrics registry attached
-/// to the engine, translation system, and memory hierarchy: counters and
-/// histograms are fixed atomic arrays, so observation must stay free of
-/// heap traffic too. A regression here means a metrics call started
+/// to the engine, translation system, and memory hierarchy: the counters
+/// are a fixed atomic array, so observation must stay free of heap
+/// traffic too. A regression here means a metrics call started
 /// allocating on the hot path.
 #[test]
 fn steady_state_with_live_metrics_does_not_allocate() {

@@ -7,15 +7,16 @@
 //! scratch:
 //!
 //! * [`tensor`] — a dense N-dimensional tensor (`i8` data, `i32`
-//!   accumulators) with NCHW helpers and deterministic pseudo-random int8
-//!   fills (our substitute for real ImageNet/BERT weights; performance
-//!   depends on shapes, not values).
+//!   accumulators) with deterministic pseudo-random int8 fills (our
+//!   substitute for real ImageNet/BERT weights; performance depends on
+//!   shapes, not values).
 //! * [`quant`] — symmetric quantization utilities matching the accelerator's
 //!   int8-in / int32-accumulate / scale-requantize pipeline.
-//! * [`ops`] — int8 reference (golden-model) operators: direct and im2col
-//!   convolution, depthwise convolution, matmul, pooling and residual
-//!   addition. Softmax and layer norm have no reference op: the CPU model
-//!   times them and the functional path passes their input through.
+//! * [`ops`] — int8 reference (golden-model) operators over NHWC feature
+//!   maps: direct and im2col convolution, depthwise convolution, matmul,
+//!   pooling and residual addition. Softmax and layer norm have no
+//!   reference op: the CPU model times them and the functional path
+//!   passes their input through.
 //! * [`graph`] — the layer-trace IR: a [`graph::Network`] is an ordered list
 //!   of dimensioned layers with MAC/byte accounting and the layer-class
 //!   taxonomy (conv / matmul / residual-add) used by the Fig. 9 case study.
@@ -36,7 +37,6 @@
 //! ```
 
 pub mod graph;
-pub mod layout;
 pub mod loader;
 pub mod ops;
 pub mod quant;

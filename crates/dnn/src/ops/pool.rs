@@ -1,5 +1,8 @@
-//! Reference pooling operators (the accelerator's pooling peripheral).
+//! Reference pooling (the accelerator's pooling peripheral) over NHWC
+//! feature maps.
 
+use super::conv::ConvSpec;
+use super::nhwc_dims;
 use crate::graph::PoolKind;
 use crate::tensor::Tensor;
 
@@ -32,106 +35,79 @@ impl PoolSpec {
     }
 }
 
-/// Max pooling over an int8 NCHW tensor.
+/// Int8 pooling over an NHWC `[n, h, w, c]` tensor, returning
+/// `[n, oh, ow, c]`. Max pooling takes the largest element of each
+/// window. Average pooling sums the window in i32 and divides by the full
+/// window area (padding counts as zeros), rounding to nearest with ties
+/// away from zero.
+///
+/// # Panics
+///
+/// Panics if `input` is not 4-D, the geometry yields no output pixels, or
+/// a max-pooling window lies wholly in the padding.
 ///
 /// # Example
 ///
 /// ```
+/// use gemmini_dnn::graph::PoolKind;
 /// use gemmini_dnn::tensor::Tensor;
-/// use gemmini_dnn::ops::{maxpool2d, PoolSpec};
-/// let t = Tensor::from_vec(&[1, 1, 2, 2], vec![1i8, 9, 3, 4]);
-/// let out = maxpool2d(&t, PoolSpec { size: 2, stride: 2, padding: 0 });
-/// assert_eq!(out.as_slice(), &[9]);
+/// use gemmini_dnn::ops::{pool2d_i8, PoolSpec};
+/// let t = Tensor::from_vec(&[1, 2, 2, 1], vec![1i8, 9, 3, 4]);
+/// let spec = PoolSpec { size: 2, stride: 2, padding: 0 };
+/// assert_eq!(pool2d_i8(&t, PoolKind::Max, spec).as_slice(), &[9]);
+/// assert_eq!(pool2d_i8(&t, PoolKind::Avg, spec).as_slice(), &[4]);
 /// ```
-pub fn maxpool2d(input: &Tensor<i8>, spec: PoolSpec) -> Tensor<i8> {
-    assert_eq!(input.shape().len(), 4, "pool input must be NCHW");
-    let (n, c, h, w) = (
-        input.shape()[0],
-        input.shape()[1],
-        input.shape()[2],
-        input.shape()[3],
-    );
-    let oh = spec.out_size(h);
-    let ow = spec.out_size(w);
-    let mut out = Tensor::<i8>::zeros(&[n, c, oh, ow]);
-    for ni in 0..n {
-        for ci in 0..c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best: Option<i8> = None;
-                    for ky in 0..spec.size {
-                        for kx in 0..spec.size {
-                            let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                            let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                            if iy < 0 || ix < 0 || iy as usize >= h || ix as usize >= w {
-                                continue;
-                            }
-                            let v = input.at4(ni, ci, iy as usize, ix as usize);
-                            best = Some(match best {
-                                Some(b) if b >= v => b,
-                                _ => v,
-                            });
-                        }
-                    }
-                    *out.at4_mut(ni, ci, oy, ox) =
-                        best.expect("pooling window contains at least one valid element");
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Average pooling over an int8 NCHW tensor, accumulating in i32 and
-/// rounding to nearest (ties away from zero), dividing by the full window
-/// area (padding counts as zeros).
-pub fn avgpool2d_i8(input: &Tensor<i8>, spec: PoolSpec) -> Tensor<i8> {
-    assert_eq!(input.shape().len(), 4, "pool input must be NCHW");
-    let (n, c, h, w) = (
-        input.shape()[0],
-        input.shape()[1],
-        input.shape()[2],
-        input.shape()[3],
-    );
-    let oh = spec.out_size(h);
-    let ow = spec.out_size(w);
+pub fn pool2d_i8(input: &Tensor<i8>, kind: PoolKind, spec: PoolSpec) -> Tensor<i8> {
+    let [n, h, w, c] = nhwc_dims(input, "pool input");
+    let (oh, ow) = (spec.out_size(h), spec.out_size(w));
+    // A pooling window walks the input like a convolution kernel.
+    let window = ConvSpec {
+        kernel: spec.size,
+        stride: spec.stride,
+        padding: spec.padding,
+    };
     let area = (spec.size * spec.size) as i32;
-    let mut out = Tensor::<i8>::zeros(&[n, c, oh, ow]);
-    for ni in 0..n {
-        for ci in 0..c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut sum: i32 = 0;
-                    for ky in 0..spec.size {
-                        for kx in 0..spec.size {
-                            let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                            let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                            if iy < 0 || ix < 0 || iy as usize >= h || ix as usize >= w {
-                                continue;
-                            }
-                            sum += input.at4(ni, ci, iy as usize, ix as usize) as i32;
-                        }
+    // Per channel of one output pixel: the running max, `i32::MIN` until
+    // a tap lands, or the running sum.
+    let mut acc = vec![0i32; c];
+    let mut out = Vec::with_capacity(n * oh * ow * c);
+    for image in input.as_slice().chunks_exact(h * w * c) {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                acc.fill(match kind {
+                    PoolKind::Max => i32::MIN,
+                    PoolKind::Avg => 0,
+                });
+                window.for_each_tap((oy, ox), (h, w), |_, pix| {
+                    for (a, &v) in acc.iter_mut().zip(&image[pix * c..(pix + 1) * c]) {
+                        *a = match kind {
+                            PoolKind::Max => (*a).max(v.into()),
+                            PoolKind::Avg => *a + i32::from(v),
+                        };
+                    }
+                });
+                out.extend(acc.iter().map(|&a| match kind {
+                    PoolKind::Max => {
+                        assert!(
+                            a != i32::MIN,
+                            "pooling window contains at least one valid element"
+                        );
+                        a as i8
                     }
                     // Round to nearest, ties away from zero.
-                    let q = if sum >= 0 {
-                        (sum + area / 2) / area
-                    } else {
-                        (sum - area / 2) / area
-                    };
-                    *out.at4_mut(ni, ci, oy, ox) = q.clamp(i8::MIN as i32, i8::MAX as i32) as i8;
-                }
+                    PoolKind::Avg => {
+                        let q = if a >= 0 {
+                            (a + area / 2) / area
+                        } else {
+                            (a - area / 2) / area
+                        };
+                        q.clamp(i8::MIN as i32, i8::MAX as i32) as i8
+                    }
+                }));
             }
         }
     }
-    out
-}
-
-/// Int8 pooling of either kind: [`maxpool2d`] or [`avgpool2d_i8`].
-pub fn pool2d_i8(input: &Tensor<i8>, kind: PoolKind, spec: PoolSpec) -> Tensor<i8> {
-    match kind {
-        PoolKind::Max => maxpool2d(input, spec),
-        PoolKind::Avg => avgpool2d_i8(input, spec),
-    }
+    Tensor::from_vec(&[n, oh, ow, c], out)
 }
 
 #[cfg(test)]
@@ -140,7 +116,7 @@ mod tests {
 
     #[test]
     fn functional_pooling_matches_reference() {
-        let t = Tensor::from_vec(&[1, 1, 2, 2], vec![1i8, 5, 3, 4]);
+        let t = Tensor::from_vec(&[1, 2, 2, 1], vec![1i8, 5, 3, 4]);
         let spec = PoolSpec {
             size: 2,
             stride: 2,
@@ -168,9 +144,10 @@ mod tests {
 
     #[test]
     fn maxpool_picks_window_maximum() {
-        let t = Tensor::from_vec(&[1, 1, 4, 4], (0..16).map(|x| x as i8).collect());
-        let out = maxpool2d(
+        let t = Tensor::from_vec(&[1, 4, 4, 1], (0..16).map(|x| x as i8).collect());
+        let out = pool2d_i8(
             &t,
+            PoolKind::Max,
             PoolSpec {
                 size: 2,
                 stride: 2,
@@ -182,9 +159,10 @@ mod tests {
 
     #[test]
     fn maxpool_handles_negative_values() {
-        let t = Tensor::from_vec(&[1, 1, 2, 2], vec![-5i8, -9, -1, -3]);
-        let out = maxpool2d(
+        let t = Tensor::from_vec(&[1, 2, 2, 1], vec![-5i8, -9, -1, -3]);
+        let out = pool2d_i8(
             &t,
+            PoolKind::Max,
             PoolSpec {
                 size: 2,
                 stride: 2,
@@ -197,25 +175,26 @@ mod tests {
     #[test]
     fn maxpool_padding_excludes_pad_elements() {
         // All values negative: padding must not inject zeros into the max.
-        let t = Tensor::from_vec(&[1, 1, 2, 2], vec![-5i8, -9, -1, -3]);
-        let out = maxpool2d(
+        let t = Tensor::from_vec(&[1, 2, 2, 1], vec![-5i8, -9, -1, -3]);
+        let out = pool2d_i8(
             &t,
+            PoolKind::Max,
             PoolSpec {
                 size: 3,
                 stride: 1,
                 padding: 1,
             },
         );
-        // Every window contains -1, the global max, except corners.
-        assert_eq!(out.at4(0, 0, 1, 1), -1);
-        assert_eq!(out.at4(0, 0, 0, 0), -1); // window covers all four
+        // Every 3x3 window over the 2x2 map covers all four elements.
+        assert_eq!(out.as_slice(), &[-1, -1, -1, -1]);
     }
 
     #[test]
     fn avgpool_rounds_to_nearest() {
-        let t = Tensor::from_vec(&[1, 1, 2, 2], vec![1i8, 2, 3, 5]);
-        let out = avgpool2d_i8(
+        let t = Tensor::from_vec(&[1, 2, 2, 1], vec![1i8, 2, 3, 5]);
+        let out = pool2d_i8(
             &t,
+            PoolKind::Avg,
             PoolSpec {
                 size: 2,
                 stride: 2,
@@ -228,9 +207,10 @@ mod tests {
 
     #[test]
     fn avgpool_negative_rounding_away_from_zero() {
-        let t = Tensor::from_vec(&[1, 1, 2, 2], vec![-1i8, -2, -3, -4]);
-        let out = avgpool2d_i8(
+        let t = Tensor::from_vec(&[1, 2, 2, 1], vec![-1i8, -2, -3, -4]);
+        let out = pool2d_i8(
             &t,
+            PoolKind::Avg,
             PoolSpec {
                 size: 2,
                 stride: 2,
@@ -244,9 +224,10 @@ mod tests {
     #[test]
     fn global_average_pool() {
         // ResNet50's final pool: 7x7 global average.
-        let t = Tensor::from_vec(&[1, 1, 7, 7], vec![7i8; 49]);
-        let out = avgpool2d_i8(
+        let t = Tensor::from_vec(&[1, 7, 7, 1], vec![7i8; 49]);
+        let out = pool2d_i8(
             &t,
+            PoolKind::Avg,
             PoolSpec {
                 size: 7,
                 stride: 7,
@@ -255,5 +236,19 @@ mod tests {
         );
         assert_eq!(out.shape(), &[1, 1, 1, 1]);
         assert_eq!(out.as_slice(), &[7]);
+    }
+
+    #[test]
+    fn channels_pool_independently() {
+        // Two channels of a 2x2 map, NHWC: channel 0 = [1, 2, 3, 4],
+        // channel 1 = [-8, -6, -4, -2].
+        let t = Tensor::from_vec(&[1, 2, 2, 2], vec![1i8, -8, 2, -6, 3, -4, 4, -2]);
+        let spec = PoolSpec {
+            size: 2,
+            stride: 2,
+            padding: 0,
+        };
+        assert_eq!(pool2d_i8(&t, PoolKind::Max, spec).as_slice(), &[4, -2]);
+        assert_eq!(pool2d_i8(&t, PoolKind::Avg, spec).as_slice(), &[3, -5]);
     }
 }

@@ -1,8 +1,8 @@
 //! Dense N-dimensional tensors.
 //!
-//! A [`Tensor<T>`] is a shape plus a row-major buffer. Indexing helpers
-//! cover the layouts the kernels use: 2-D matrices (`[rows, cols]`) and
-//! NCHW feature maps (`[n, c, h, w]`).
+//! A [`Tensor<T>`] is a shape plus a row-major buffer, indexed as a 2-D
+//! matrix (`[rows, cols]`) or through its flat slice (the NHWC feature
+//! maps of [`crate::ops`]).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -101,28 +101,6 @@ impl<T: Copy> Tensor<T> {
         debug_assert_eq!(self.shape.len(), 2);
         debug_assert!(r < self.shape[0] && c < self.shape[1]);
         r * self.shape[1] + c
-    }
-
-    #[inline]
-    fn flat4(&self, n: usize, c: usize, h: usize, w: usize) -> usize {
-        debug_assert_eq!(self.shape.len(), 4);
-        debug_assert!(
-            n < self.shape[0] && c < self.shape[1] && h < self.shape[2] && w < self.shape[3]
-        );
-        ((n * self.shape[1] + c) * self.shape[2] + h) * self.shape[3] + w
-    }
-
-    /// Element accessor for 4-D NCHW tensors.
-    #[inline]
-    pub fn at4(&self, n: usize, c: usize, h: usize, w: usize) -> T {
-        self.data[self.flat4(n, c, h, w)]
-    }
-
-    /// Mutable accessor for 4-D NCHW tensors.
-    #[inline]
-    pub fn at4_mut(&mut self, n: usize, c: usize, h: usize, w: usize) -> &mut T {
-        let i = self.flat4(n, c, h, w);
-        &mut self.data[i]
     }
 
     /// Applies `f` elementwise, producing a new tensor of the same shape.
@@ -229,14 +207,6 @@ mod tests {
         t[(2, 3)] = 5;
         assert_eq!(t[(2, 3)], 5);
         assert_eq!(t.as_slice()[11], 5); // row-major: last element
-    }
-
-    #[test]
-    fn nchw_indexing_is_row_major() {
-        let mut t = Tensor::<i8>::zeros(&[1, 2, 2, 2]);
-        *t.at4_mut(0, 1, 1, 1) = 9;
-        assert_eq!(t.as_slice()[7], 9);
-        assert_eq!(t.at4(0, 1, 1, 1), 9);
     }
 
     #[test]

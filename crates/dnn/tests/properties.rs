@@ -1,9 +1,8 @@
 //! Property-based tests for the DNN substrate's core invariants.
 
 use gemmini_dnn::graph::{Activation, Layer};
-use gemmini_dnn::layout::{from_nhwc, to_nhwc};
-use gemmini_dnn::ops::conv::{conv2d, ConvSpec};
-use gemmini_dnn::ops::im2col::{im2col, im2col_nhwc, weights_to_matrix, weights_to_matrix_nhwc};
+use gemmini_dnn::ops::conv::{conv2d, dwconv2d, ConvSpec};
+use gemmini_dnn::ops::im2col::{im2col, weights_to_matrix};
 use gemmini_dnn::ops::{matmul, resadd_i8};
 use gemmini_dnn::quant::{requantize, QuantParams};
 use gemmini_dnn::tensor::Tensor;
@@ -57,7 +56,8 @@ proptest! {
         }
     }
 
-    /// Both im2col variants multiply out to exactly direct convolution.
+    /// im2col times the weight matrix is exactly direct convolution: the
+    /// GEMM's `[pixel, oc]` output is the NHWC conv output.
     #[test]
     fn im2col_equals_direct_conv(
         c_in in 1usize..4,
@@ -68,34 +68,38 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let spec = ConvSpec { kernel: k, stride, padding: k / 2 };
-        let input = Tensor::<i8>::random(&[1, c_in, hw, hw], seed);
+        let input = Tensor::<i8>::random(&[1, hw, hw, c_in], seed);
         let weights = Tensor::<i8>::random(&[c_out, c_in, k, k], seed ^ 0xdead);
         let direct = conv2d(&input, &weights, spec);
-        let (oh, ow) = (spec.out_size(hw), spec.out_size(hw));
-
-        for nhwc in [false, true] {
-            let (patches, wmat) = if nhwc {
-                (im2col_nhwc(&input, spec), weights_to_matrix_nhwc(&weights))
-            } else {
-                (im2col(&input, spec), weights_to_matrix(&weights))
-            };
-            let gemm = matmul(&patches, &wmat);
-            for o in 0..c_out {
-                for y in 0..oh {
-                    for x in 0..ow {
-                        prop_assert_eq!(gemm[(y * ow + x, o)], direct.at4(0, o, y, x));
-                    }
-                }
-            }
-        }
+        let gemm = matmul(&im2col(&input, spec, 0..c_in), &weights_to_matrix(&weights));
+        prop_assert_eq!(gemm.as_slice(), direct.as_slice());
     }
 
-    /// NCHW -> NHWC -> NCHW is the identity.
+    /// The depthwise lowering the runtime uses: channel `ch`'s patches
+    /// times its `[k², 1]` weight column, written at stride `channels`
+    /// from offset `ch`, interleave into the NHWC depthwise output.
     #[test]
-    fn layout_roundtrip(n in 1usize..3, c in 1usize..5, h in 1usize..5, w in 1usize..5, seed in any::<u64>()) {
-        let t = Tensor::<i8>::random(&[n, c, h, w], seed);
-        let back = from_nhwc(&to_nhwc(&t), n, c, h, w);
-        prop_assert_eq!(t, back);
+    fn per_channel_im2col_equals_dwconv(
+        channels in 1usize..9,
+        h in 1usize..8,
+        w in 1usize..8,
+        k in prop::sample::select(vec![1usize, 3]),
+        stride in 1usize..3,
+        seed in any::<u64>(),
+    ) {
+        let spec = ConvSpec { kernel: k, stride, padding: k / 2 };
+        let input = Tensor::<i8>::random(&[1, h, w, channels], seed);
+        let weights = Tensor::<i8>::random(&[channels, k, k], seed ^ 0xbeef);
+        let direct = dwconv2d(&input, &weights, spec);
+        let mut lowered = vec![0i32; direct.len()];
+        for (ch, filter) in weights.as_slice().chunks_exact(k * k).enumerate() {
+            let column = Tensor::from_vec(&[k * k, 1], filter.to_vec());
+            let gemm = matmul(&im2col(&input, spec, ch..ch + 1), &column);
+            for (pixel, &v) in gemm.as_slice().iter().enumerate() {
+                lowered[pixel * channels + ch] = v;
+            }
+        }
+        prop_assert_eq!(lowered, direct.into_vec());
     }
 
     /// A conv layer's GEMM lowering preserves the MAC count exactly.

@@ -53,14 +53,14 @@ pub enum ASource {
     /// A is materialized in memory at `MatmulParams::a`, row stride `k`.
     Memory,
     /// A rows are convolution patches generated on the fly by the im2col
-    /// block from a raw NCHW input.
+    /// block from a raw NHWC input.
     Im2col(Im2colParams),
 }
 
 /// Parameters of the on-the-fly im2col source. Activations live in memory
 /// in NHWC (pixel-major) layout — the layout the accelerator's GEMM output
 /// naturally produces — so patch-matrix columns are channels-fastest
-/// (see `gemmini_dnn::ops::im2col::im2col_nhwc`).
+/// (see `gemmini_dnn::ops::im2col::im2col`).
 #[derive(Debug)]
 pub struct Im2colParams {
     /// Base of the raw NHWC input region this GEMM reads.
@@ -1042,9 +1042,8 @@ mod tests {
 
     #[test]
     fn conv_via_im2col_source_matches_reference() {
-        use gemmini_dnn::layout::to_nhwc;
         use gemmini_dnn::ops::conv::{conv2d, ConvSpec};
-        use gemmini_dnn::ops::im2col::{im2col_nhwc, weights_to_matrix_nhwc};
+        use gemmini_dnn::ops::im2col::{im2col, weights_to_matrix};
 
         let cfg = GemminiConfig::edge();
         let mut r = rig();
@@ -1054,7 +1053,7 @@ mod tests {
             stride: 1,
             padding: 1,
         };
-        let input = Tensor::<i8>::random(&[1, c_in, h, w], 7);
+        let input = Tensor::<i8>::random(&[1, h, w, c_in], 7);
         let weights = Tensor::<i8>::random(&[c_out, c_in, ksz, ksz], 8);
         let (oh, ow) = (spec.out_size(h), spec.out_size(w));
         let m = oh * ow;
@@ -1064,11 +1063,11 @@ mod tests {
         let va_w = r.alloc(packed_b_len(k, c_out, 16));
         let va_out = r.alloc(m * c_out);
         // Activations live in memory in NHWC layout.
-        r.write_i8(va_in, &to_nhwc(&input));
-        let wmat = weights_to_matrix_nhwc(&weights);
+        r.write_i8(va_in, input.as_slice());
+        let wmat = weights_to_matrix(&weights);
         r.write_i8(va_w, &pack_b_panels(&wmat, 16));
 
-        let patches = im2col_nhwc(&input, spec);
+        let patches = im2col(&input, spec, 0..c_in);
         let mut accel = Accelerator::new(cfg.clone());
         let mut kernel = TiledMatmulKernel::new(
             &cfg,
@@ -1098,20 +1097,12 @@ mod tests {
         );
         run_kernel(&mut r, &mut accel, &mut kernel);
 
+        // The GEMM layout is [pixel, oc], the NHWC reference's layout.
         let got = r.read_i8(va_out, m * c_out);
         let reference = conv2d(&input, &weights, spec);
-        // The GEMM layout is [pixel, oc]; reference is NCHW.
-        for oc in 0..c_out {
-            for y in 0..oh {
-                for x in 0..ow {
-                    let pix = y * ow + x;
-                    let want = gemmini_dnn::quant::requantize(
-                        reference.at4(0, oc, y, x),
-                        QuantParams::new(1.0),
-                    );
-                    assert_eq!(got[pix * c_out + oc], want, "oc={oc} y={y} x={x}");
-                }
-            }
+        for (i, (&got, &acc)) in got.iter().zip(reference.as_slice()).enumerate() {
+            let want = gemmini_dnn::quant::requantize(acc, QuantParams::new(1.0));
+            assert_eq!(got, want, "pixel {} oc {}", i / c_out, i % c_out);
         }
     }
 
@@ -1258,7 +1249,6 @@ mod tests {
 
     #[test]
     fn dwconv_matches_reference() {
-        use gemmini_dnn::layout::to_nhwc;
         use gemmini_dnn::ops::conv::{dwconv2d, ConvSpec};
         use gemmini_dnn::ops::im2col::im2col;
 
@@ -1270,14 +1260,14 @@ mod tests {
             stride: 1,
             padding: 1,
         };
-        let input = Tensor::<i8>::random(&[1, c, h, w], 20);
+        let input = Tensor::<i8>::random(&[1, h, w, c], 20);
         let weights = Tensor::<i8>::random(&[c, ksz, ksz], 21);
         let (oh, ow) = (h, w);
 
         let va_in = r.alloc(c * h * w);
         let va_w = r.alloc(c * ksz * ksz * 16);
         let va_out = r.alloc(c * oh * ow);
-        r.write_i8(va_in, &to_nhwc(&input));
+        r.write_i8(va_in, input.as_slice());
         // Weight layout: per-channel [k², 1] panels padded to dim columns.
         let mut panels = Vec::new();
         for ch in 0..c {
@@ -1290,15 +1280,7 @@ mod tests {
         r.write_i8(va_w, &panels);
 
         // Per-channel patch matrices.
-        let patches: Vec<Tensor<i8>> = (0..c)
-            .map(|ch| {
-                let chan = Tensor::from_vec(
-                    &[1, 1, h, w],
-                    input.as_slice()[ch * h * w..(ch + 1) * h * w].to_vec(),
-                );
-                im2col(&chan, spec)
-            })
-            .collect();
+        let patches: Vec<Tensor<i8>> = (0..c).map(|ch| im2col(&input, spec, ch..ch + 1)).collect();
 
         let mut accel = Accelerator::new(cfg.clone());
         let mut kernel = DwConvKernel::new(
@@ -1322,16 +1304,9 @@ mod tests {
         // Output is NHWC: pixel-major, channels interleaved.
         let got = r.read_i8(va_out, c * oh * ow);
         let reference = dwconv2d(&input, &weights, spec);
-        for ch in 0..c {
-            for y in 0..oh {
-                for x in 0..ow {
-                    let want = gemmini_dnn::quant::requantize(
-                        reference.at4(0, ch, y, x),
-                        QuantParams::new(1.0),
-                    );
-                    assert_eq!(got[(y * ow + x) * c + ch], want, "ch={ch} y={y} x={x}");
-                }
-            }
+        for (i, (&got, &acc)) in got.iter().zip(reference.as_slice()).enumerate() {
+            let want = gemmini_dnn::quant::requantize(acc, QuantParams::new(1.0));
+            assert_eq!(got, want, "pixel {} ch {}", i / c, i % c);
         }
     }
 

@@ -438,9 +438,9 @@ pub fn run_networks(
 /// memory hierarchy emit spans into it (cores use their core id as the
 /// trace pid; shared components use [`SOC_TRACE_PID`]), and the runtime
 /// contributes one span per layer. When `metrics` is enabled, the same
-/// components record counters and latency histograms into its registry.
-/// Both are pure observation; cycle results are identical in all four
-/// on/off combinations.
+/// components record counters into its registry. Both are pure
+/// observation; cycle results are identical in all four on/off
+/// combinations.
 ///
 /// # Errors
 ///

@@ -23,9 +23,8 @@ use gemmini_core::config::GemminiConfig;
 use gemmini_core::peripherals::readout_row;
 use gemmini_core::AccelError;
 use gemmini_dnn::graph::{Layer, LayerClass, Network};
-use gemmini_dnn::layout::{from_nhwc, to_nhwc};
 use gemmini_dnn::ops::conv::{conv2d, dwconv2d, ConvSpec};
-use gemmini_dnn::ops::im2col::im2col_nhwc;
+use gemmini_dnn::ops::im2col::im2col;
 use gemmini_dnn::ops::matmul;
 use gemmini_dnn::ops::pool::{pool2d_i8, PoolSpec};
 use gemmini_dnn::ops::resadd_i8;
@@ -135,8 +134,8 @@ fn write_b_panels(
 }
 
 /// Writes seeded `[oc, ic, kernel, kernel]` conv weights to `va` as the
-/// panels of their `[kernel²·ic, oc]` NHWC matrix: the bytes of
-/// [`weights_to_matrix_nhwc`](gemmini_dnn::ops::im2col::weights_to_matrix_nhwc)
+/// panels of their `[kernel²·ic, oc]` matrix: the bytes of
+/// [`weights_to_matrix`](gemmini_dnn::ops::im2col::weights_to_matrix)
 /// then [`pack_b_panels`](crate::kernel::pack_b_panels), one panel buffer at
 /// a time.
 fn write_conv_panels(
@@ -215,6 +214,35 @@ fn layer_input_elements(layer: &Layer) -> usize {
             channels, in_hw, ..
         } => channels * in_hw.0 * in_hw.1,
         Layer::LayerNorm { rows, cols } | Layer::Softmax { rows, cols } => rows * cols,
+    }
+}
+
+/// The network's seeded input in the runtime's layout. The one NCHW
+/// tensor left: a spatial first layer's input is drawn as `[c, h, w]`,
+/// the order the pinned digests rest on, and stored NHWC; any other
+/// input is drawn flat.
+fn seeded_input(net: &Network, seed: u64) -> Vec<i8> {
+    let Some(first) = net.layers().first().map(|l| &l.layer) else {
+        return Vec::new();
+    };
+    let vals = Tensor::<i8>::random(&[layer_input_elements(first)], seed).into_vec();
+    match *first {
+        Layer::Conv {
+            in_channels: c,
+            in_hw: (h, w),
+            ..
+        }
+        | Layer::DwConv {
+            channels: c,
+            in_hw: (h, w),
+            ..
+        } => {
+            let nchw = &vals;
+            (0..h * w)
+                .flat_map(|pix| (0..c).map(move |ci| nchw[ci * h * w + pix]))
+                .collect()
+        }
+        _ => vals,
     }
 }
 
@@ -371,26 +399,8 @@ impl NetworkExecution {
             }
         }
 
-        // Functional input initialization (NHWC for spatial layers).
         if let Some(mem) = data {
-            if let Some(first) = net.layers().first() {
-                let vals = match first.layer {
-                    Layer::Conv {
-                        in_channels, in_hw, ..
-                    } => {
-                        let t = Tensor::<i8>::random(&[1, in_channels, in_hw.0, in_hw.1], seed);
-                        to_nhwc(&t)
-                    }
-                    Layer::DwConv {
-                        channels, in_hw, ..
-                    } => {
-                        let t = Tensor::<i8>::random(&[1, channels, in_hw.0, in_hw.1], seed);
-                        to_nhwc(&t)
-                    }
-                    _ => Tensor::<i8>::random(&[input_elements], seed).into_vec(),
-                };
-                write_virt(space, mem, input_va, &vals);
-            }
+            write_virt(space, mem, input_va, &seeded_input(&net, seed));
         }
 
         Self {
@@ -462,17 +472,18 @@ impl NetworkExecution {
         self.input_of(i)
     }
 
-    fn read_input_nchw(
+    /// Layer `i`'s `[1, h, w, c]` input feature map (functional mode
+    /// only).
+    fn read_input(
         &self,
         env: &KernelEnv<'_>,
         i: usize,
         c: usize,
-        h: usize,
-        w: usize,
+        (h, w): (usize, usize),
     ) -> Option<Tensor<i8>> {
         let data = env.ctx.data.as_deref()?;
-        let bytes = read_virt(env.ctx.space, data, self.input_of(i), c * h * w);
-        Some(from_nhwc(&into_i8(bytes), 1, c, h, w))
+        let bytes = read_virt(env.ctx.space, data, self.input_of(i), h * w * c);
+        Some(Tensor::from_vec(&[1, h, w, c], into_i8(bytes)))
     }
 
     fn prepare_layer(&mut self, env: &mut KernelEnv<'_>) -> Box<dyn Kernel> {
@@ -509,9 +520,10 @@ impl NetworkExecution {
                     activation,
                     acc_scale: scale_for_k(kdim),
                 };
-                let input_nchw = self.read_input_nchw(env, i, in_channels, in_hw.0, in_hw.1);
+                let patches = self
+                    .read_input(env, i, in_channels, in_hw)
+                    .map(|t| im2col(&t, spec, 0..in_channels));
                 if cfg.has_im2col {
-                    let patches = input_nchw.map(|t| im2col_nhwc(&t, spec));
                     Box::new(TiledMatmulKernel::new(
                         &cfg,
                         params,
@@ -531,13 +543,10 @@ impl NetworkExecution {
                 } else {
                     // CPU im2col: the host expands patches into memory, then
                     // the accelerator consumes a plain matrix.
-                    if let (Some(t), Some(patch_va)) = (input_nchw, place.patch) {
-                        let patches = im2col_nhwc(&t, spec);
-                        // Functional write occurs up front; its time cost is
-                        // the CpuLayerKernel below.
-                        if let Some(data) = env.ctx.data.as_deref_mut() {
-                            write_virt(env.ctx.space, data, patch_va, patches.as_slice());
-                        }
+                    // Functional write occurs up front; its time cost is the
+                    // CpuLayerKernel below.
+                    if let Some(patch_va) = place.patch {
+                        write_host_output(env, patch_va, patches.map(Tensor::into_vec));
                     }
                     let cycles = env.cpu.im2col_cycles(&layer);
                     Box::new(SequenceKernel {
@@ -563,17 +572,9 @@ impl NetworkExecution {
                     padding,
                 };
                 let (oh, ow) = (spec.out_size(in_hw.0), spec.out_size(in_hw.1));
-                let input_nchw = self.read_input_nchw(env, i, channels, in_hw.0, in_hw.1);
-                let patches_per_channel = input_nchw.as_ref().map(|t| {
+                let patches_per_channel = self.read_input(env, i, channels, in_hw).map(|t| {
                     (0..channels)
-                        .map(|ch| {
-                            let plane = Tensor::from_vec(
-                                &[1, 1, in_hw.0, in_hw.1],
-                                t.as_slice()[ch * in_hw.0 * in_hw.1..(ch + 1) * in_hw.0 * in_hw.1]
-                                    .to_vec(),
-                            );
-                            im2col_nhwc(&plane, spec)
-                        })
+                        .map(|ch| im2col(&t, spec, ch..ch + 1))
                         .collect::<Vec<_>>()
                 });
                 let scale = scale_for_k(kernel * kernel);
@@ -675,8 +676,8 @@ impl NetworkExecution {
                 };
                 // NHWC bytes, flat: oh rows of ow*c bytes.
                 let out_data = self
-                    .read_input_nchw(env, i, channels, in_hw.0, in_hw.1)
-                    .map(|t| to_nhwc(&pool2d_i8(&t, kind, spec)));
+                    .read_input(env, i, channels, in_hw)
+                    .map(|t| pool2d_i8(&t, kind, spec).into_vec());
                 if cfg.has_pooling {
                     let (oh, ow) = (spec.out_size(in_hw.0), spec.out_size(in_hw.1));
                     // Stream NHWC rows: treat the feature map as 1 "channel"
@@ -765,28 +766,11 @@ impl NetworkExecution {
 /// unchanged, here and in [`NetworkExecution`]; their cost is CPU time
 /// only.
 pub fn reference_forward(net: &Network, seed: u64) -> Vec<i8> {
-    let first_input: Vec<i8> = match net.layers().first().map(|l| &l.layer) {
-        Some(Layer::Conv {
-            in_channels, in_hw, ..
-        }) => {
-            let t = Tensor::<i8>::random(&[1, *in_channels, in_hw.0, in_hw.1], seed);
-            to_nhwc(&t)
-        }
-        Some(Layer::DwConv {
-            channels, in_hw, ..
-        }) => {
-            let t = Tensor::<i8>::random(&[1, *channels, in_hw.0, in_hw.1], seed);
-            to_nhwc(&t)
-        }
-        Some(l) => Tensor::<i8>::random(&[layer_input_elements(l)], seed).into_vec(),
-        None => vec![],
-    };
-
     // A residual add reads the latest tensor of its length from before the
     // previous layer (the network input counts as the oldest), so only
     // that tensor per length is kept, one layer behind `prev`.
     let mut skips: HashMap<usize, Vec<i8>> = HashMap::new();
-    let mut prev = first_input;
+    let mut prev = seeded_input(net, seed);
     for (i, nl) in net.layers().iter().enumerate() {
         let wseed = weight_seed(seed, i);
         let out: Vec<i8> = match &nl.layer {
@@ -804,22 +788,14 @@ pub fn reference_forward(net: &Network, seed: u64) -> Vec<i8> {
                     stride: *stride,
                     padding: *padding,
                 };
-                let input = from_nhwc(&prev, 1, *in_channels, in_hw.0, in_hw.1);
+                let input = Tensor::from_vec(&[1, in_hw.0, in_hw.1, *in_channels], prev.clone());
                 let w =
                     Tensor::<i8>::random(&[*out_channels, *in_channels, *kernel, *kernel], wseed);
                 let acc = conv2d(&input, &w, spec);
                 let scale = scale_for_k(kernel * kernel * in_channels);
-                let (oh, ow) = (spec.out_size(in_hw.0), spec.out_size(in_hw.1));
-                // Read out per pixel row (NHWC): [oc] per pixel.
-                let mut out = Vec::with_capacity(oh * ow * out_channels);
-                for y in 0..oh {
-                    for x in 0..ow {
-                        let row: Vec<i32> =
-                            (0..*out_channels).map(|o| acc.at4(0, o, y, x)).collect();
-                        out.extend(readout_row(&row, *activation, scale));
-                    }
-                }
-                out
+                // The read-out is elementwise, so one call covers every
+                // pixel's [oc] row of the NHWC accumulators.
+                readout_row(acc.as_slice(), *activation, scale)
             }
             Layer::DwConv {
                 channels,
@@ -834,19 +810,11 @@ pub fn reference_forward(net: &Network, seed: u64) -> Vec<i8> {
                     stride: *stride,
                     padding: *padding,
                 };
-                let input = from_nhwc(&prev, 1, *channels, in_hw.0, in_hw.1);
+                let input = Tensor::from_vec(&[1, in_hw.0, in_hw.1, *channels], prev.clone());
                 let w = Tensor::<i8>::random(&[*channels, *kernel, *kernel], wseed);
                 let acc = dwconv2d(&input, &w, spec);
                 let scale = scale_for_k(kernel * kernel);
-                let (oh, ow) = (spec.out_size(in_hw.0), spec.out_size(in_hw.1));
-                let mut out = Vec::with_capacity(oh * ow * channels);
-                for y in 0..oh {
-                    for x in 0..ow {
-                        let row: Vec<i32> = (0..*channels).map(|c| acc.at4(0, c, y, x)).collect();
-                        out.extend(readout_row(&row, *activation, scale));
-                    }
-                }
-                out
+                readout_row(acc.as_slice(), *activation, scale)
             }
             Layer::Matmul {
                 m,
@@ -890,8 +858,8 @@ pub fn reference_forward(net: &Network, seed: u64) -> Vec<i8> {
                     stride: *stride,
                     padding: *padding,
                 };
-                let input = from_nhwc(&prev, 1, *channels, in_hw.0, in_hw.1);
-                to_nhwc(&pool2d_i8(&input, *kind, spec))
+                let input = Tensor::from_vec(&[1, in_hw.0, in_hw.1, *channels], prev.clone());
+                pool2d_i8(&input, *kind, spec).into_vec()
             }
             Layer::LayerNorm { .. } | Layer::Softmax { .. } => prev.clone(),
         };
@@ -906,7 +874,7 @@ mod tests {
     use super::*;
     use crate::kernel::pack_b_panels;
     use gemmini_dnn::graph::Activation;
-    use gemmini_dnn::ops::im2col::weights_to_matrix_nhwc;
+    use gemmini_dnn::ops::im2col::weights_to_matrix;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -933,7 +901,7 @@ mod tests {
                 ..
             } => {
                 let w = Tensor::<i8>::random(&[out_channels, in_channels, kernel, kernel], wseed);
-                Some(pack_b_panels(&weights_to_matrix_nhwc(&w), dim))
+                Some(pack_b_panels(&weights_to_matrix(&w), dim))
             }
             Layer::DwConv {
                 channels, kernel, ..

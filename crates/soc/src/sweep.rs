@@ -25,10 +25,11 @@
 //!   points still complete.
 //! * **Observability**: each completion emits one progress line to
 //!   stderr (`[12/32] private=16 shared=256 4.1s | 53.2s elapsed,
-//!   0.23 pts/s, eta 1m27s` — the ETA comes from the p50 of a live
-//!   per-point wall histogram) so long sweeps show liveness, throughput
-//!   and time remaining. Per-point cycle attribution rides along in
-//!   every [`SocReport`] (and therefore in each checkpoint line).
+//!   0.23 pts/s, eta 1m27s` — the ETA comes from the running mean of
+//!   the executed points' walls) so long sweeps show liveness,
+//!   throughput and time remaining. Per-point cycle attribution rides
+//!   along in every [`SocReport`] (and therefore in each checkpoint
+//!   line).
 //! * **Resume**: with a checkpoint file every completed point is
 //!   persisted as it finishes, so a killed sweep re-run with `resume`
 //!   executes only the points it lost (see [`crate::checkpoint`]).
@@ -283,8 +284,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// The sweep executor: applies `f` to every `(label, fingerprint, item)`
 /// triple on a worker pool, isolating failures per item, and returns the
 /// results in submission order. [`run_sweep_with`] is the
-/// [`DesignPoint`] instantiation; binaries with bespoke per-point work
-/// (e.g. instruction-level ablations) call this directly.
+/// [`DesignPoint`] instantiation, the one the figure binaries and the
+/// benchmark use; the checkpoint tests drive this directly with their own
+/// payload types.
 ///
 /// Optional stages, each switched on by `opts`:
 ///
