@@ -8,6 +8,7 @@
 //! as L2/DRAM traffic.
 
 use crate::metrics::Counter as MetricCounter;
+use crate::scratchpad::copy_row;
 use crate::trace::{AttributionKind, Component, Profiler, StallCause};
 use gemmini_mem::addr::{VirtAddr, PAGE_SIZE};
 use gemmini_mem::cache::AccessKind;
@@ -332,20 +333,27 @@ impl StreamDma {
         );
 
         // Functional bytes: the run never leaves its page, so its segments
-        // are slices of one page, looked up once.
+        // are slices of one page, looked up once. Rows are short, so each
+        // segment moves through `copy_row` rather than a `memcpy` call.
         if let Some(data) = ctx.data.as_deref_mut() {
             let (seg, stride) = (seg as usize, stride as usize);
             let offsets = (0..n as usize).map(|j| tr.paddr.offset_in_page() as usize + j * stride);
             match (access, burst.read_dst.as_deref_mut(), burst.write_data) {
-                (Access::Read, Some(dst), _) => match data.page(tr.paddr) {
-                    Some(page) => offsets.for_each(|o| dst.extend_from_slice(&page[o..o + seg])),
-                    None => dst.resize(dst.len() + n as usize * seg, 0),
-                },
+                (Access::Read, Some(dst), _) => {
+                    // Zeroed first: a never-written page reads as zeros.
+                    let at = dst.len();
+                    dst.resize(at + n as usize * seg, 0);
+                    if let Some(page) = data.page(tr.paddr) {
+                        for (d, o) in dst[at..].chunks_exact_mut(seg).zip(offsets) {
+                            copy_row(d, &page[o..o + seg], |b| b);
+                        }
+                    }
+                }
                 (Access::Write, _, Some(src)) => {
                     let page = data.page_mut(tr.paddr);
                     for (j, o) in offsets.enumerate() {
                         let lo = flat as usize + j * burst.row_bytes as usize;
-                        page[o..o + seg].copy_from_slice(&src[lo..lo + seg]);
+                        copy_row(&mut page[o..o + seg], &src[lo..lo + seg], |b| b);
                     }
                 }
                 _ => {}

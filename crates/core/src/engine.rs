@@ -1240,7 +1240,7 @@ impl Accelerator {
 mod tests {
     use super::*;
     use gemmini_dnn::ops::matmul;
-    use gemmini_dnn::quant::{requantize_tensor, QuantParams};
+    use gemmini_dnn::quant::{requantize, QuantParams};
     use gemmini_dnn::tensor::Tensor;
     use gemmini_mem::addr::{VirtAddr, PAGE_SIZE};
     use gemmini_mem::dram::MainMemory;
@@ -1392,7 +1392,7 @@ mod tests {
         }
 
         let got = r.load_matrix(va_c, dim, dim);
-        let want = requantize_tensor(&matmul(&a, &b), QuantParams::new(1.0));
+        let want = matmul(&a, &b).map(|x| requantize(x, QuantParams::new(1.0)));
         assert_eq!(got, want);
     }
 
@@ -1467,7 +1467,7 @@ mod tests {
         for (w, s) in want.as_mut_slice().iter_mut().zip(second.as_slice()) {
             *w = w.wrapping_add(*s);
         }
-        let want = requantize_tensor(&want, QuantParams::new(1.0));
+        let want = want.map(|x| requantize(x, QuantParams::new(1.0)));
         assert_eq!(got, want);
     }
 
@@ -1536,7 +1536,7 @@ mod tests {
             *w += *s;
         }
         assert!(want.as_slice().iter().all(|v| v.abs() < 128));
-        assert_eq!(got, requantize_tensor(&want, QuantParams::new(1.0)));
+        assert_eq!(got, want.map(|x| requantize(x, QuantParams::new(1.0))));
     }
 
     #[test]

@@ -55,10 +55,20 @@ pub fn readout_value(x: i32, activation: Activation, params: QuantParams) -> i8 
 /// [`readout_row`] the engine's mvout path uses with a reused arena.
 pub fn readout_row_into(acc: &[i32], activation: Activation, scale: f32, out: &mut Vec<u8>) {
     let params = QuantParams::new(scale);
-    out.extend(
-        acc.iter()
-            .map(|&x| readout_value(x, activation, params) as u8),
-    );
+    // One match per row: each arm's closure is its own type, so its loop
+    // inlines `readout_value` with a constant activation.
+    let row = acc.iter();
+    match activation {
+        Activation::None => {
+            out.extend(row.map(|&x| readout_value(x, Activation::None, params) as u8))
+        }
+        Activation::Relu => {
+            out.extend(row.map(|&x| readout_value(x, Activation::Relu, params) as u8))
+        }
+        Activation::Relu6 => {
+            out.extend(row.map(|&x| readout_value(x, Activation::Relu6, params) as u8))
+        }
+    }
 }
 
 #[cfg(test)]

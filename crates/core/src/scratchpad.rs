@@ -82,8 +82,7 @@ impl Scratchpad {
             "row data longer than scratchpad width"
         );
         let dst = &mut self.data[row * self.dim..(row + 1) * self.dim];
-        dst[..values.len()].copy_from_slice(values);
-        dst[values.len()..].fill(0);
+        deposit(dst, values, |v| v);
     }
 
     /// Overwrites row `row` from raw DMA bytes (each byte reinterpreted as
@@ -100,10 +99,7 @@ impl Scratchpad {
             "row data longer than scratchpad width"
         );
         let dst = &mut self.data[row * self.dim..(row + 1) * self.dim];
-        for (d, &b) in dst.iter_mut().zip(bytes) {
-            *d = b as i8;
-        }
-        dst[bytes.len()..].fill(0);
+        deposit(dst, bytes, |b| b as i8);
     }
 }
 
@@ -196,7 +192,7 @@ impl Accumulator {
         for (d, c) in dst.iter_mut().zip(bytes.chunks_exact(4)) {
             *d = i32::from_le_bytes([c[0], c[1], c[2], c[3]]);
         }
-        dst[n..].fill(0);
+        zero_tail(&mut dst[n..]);
     }
 
     /// Adds little-endian int32 DMA bytes elementwise into row `row`
@@ -232,7 +228,7 @@ impl Accumulator {
         for (d, &b) in dst.iter_mut().zip(bytes) {
             *d = b as i8 as i32;
         }
-        dst[bytes.len()..].fill(0);
+        zero_tail(&mut dst[bytes.len()..]);
     }
 
     /// Adds int8 DMA bytes (widened to int32) elementwise into row `row`.
@@ -249,6 +245,72 @@ impl Accumulator {
         let dst = &mut self.data[row * self.dim..(row + 1) * self.dim];
         for (d, &b) in dst.iter_mut().zip(bytes) {
             *d = d.wrapping_add(b as i8 as i32);
+        }
+    }
+}
+
+/// Overwrites `row` with `src` converted by `f`, zero-filling the rest.
+fn deposit<S: Copy, D: Copy + Default>(row: &mut [D], src: &[S], f: impl Fn(S) -> D + Copy) {
+    let (head, tail) = row.split_at_mut(src.len());
+    copy_row(head, src, f);
+    zero_tail(tail);
+}
+
+/// Zeroes a partial row's tail. Most deposits fill the whole row, and an
+/// empty `fill` still costs a `memset` call.
+#[inline]
+fn zero_tail<T: Copy + Default>(tail: &mut [T]) {
+    if !tail.is_empty() {
+        tail.fill(T::default());
+    }
+}
+
+/// Copies `src` onto `dst` (equal lengths), converting each element with
+/// `f`.
+///
+/// Rows in the functional data path are short (a scratchpad row is `dim`
+/// bytes, 16 by default), and a `memcpy` call per row costs more than the
+/// bytes it moves. Up to 32 elements move as two overlapping fixed-size
+/// blocks (three single elements below 4), which compile to inline loads
+/// and stores; longer rows take a plain loop.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+#[inline]
+pub(crate) fn copy_row<S: Copy, D>(dst: &mut [D], src: &[S], f: impl Fn(S) -> D + Copy) {
+    fn block<const N: usize, S: Copy, D>(dst: &mut [D], src: &[S], f: impl Fn(S) -> D) {
+        let dst: &mut [D; N] = dst.try_into().expect("block length");
+        let src: &[S; N] = src.try_into().expect("block length");
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = f(s);
+        }
+    }
+    let n = src.len();
+    assert_eq!(dst.len(), n, "row copy lengths differ");
+    match n {
+        0 => {}
+        1..=3 => {
+            dst[0] = f(src[0]);
+            dst[n / 2] = f(src[n / 2]);
+            dst[n - 1] = f(src[n - 1]);
+        }
+        4..=7 => {
+            block::<4, _, _>(&mut dst[..4], &src[..4], f);
+            block::<4, _, _>(&mut dst[n - 4..], &src[n - 4..], f);
+        }
+        8..=15 => {
+            block::<8, _, _>(&mut dst[..8], &src[..8], f);
+            block::<8, _, _>(&mut dst[n - 8..], &src[n - 8..], f);
+        }
+        16..=32 => {
+            block::<16, _, _>(&mut dst[..16], &src[..16], f);
+            block::<16, _, _>(&mut dst[n - 16..], &src[n - 16..], f);
+        }
+        _ => {
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d = f(s);
+            }
         }
     }
 }
@@ -282,6 +344,19 @@ mod tests {
         sp.write_row(0, &[9, 9, 9, 9]);
         sp.write_row(0, &[1, 2]);
         assert_eq!(sp.row(0), &[1, 2, 0, 0]);
+    }
+
+    #[test]
+    fn copy_row_copies_every_length() {
+        // Each length takes one of the block sizes or the loop; bytes
+        // above 127 check the conversion.
+        let src: Vec<u8> = (0..48).map(|b| 250 - 3 * b).collect();
+        for n in 0..=48 {
+            let mut dst = vec![0i8; n];
+            copy_row(&mut dst, &src[..n], |b| b as i8);
+            let want: Vec<i8> = src[..n].iter().map(|&b| b as i8).collect();
+            assert_eq!(dst, want, "length {n}");
+        }
     }
 
     #[test]

@@ -182,6 +182,18 @@ mod tests {
             padding: 2,
         };
         assert_eq!(s.out_size(224), 55); // AlexNet stem
+        let s = ConvSpec {
+            kernel: 3,
+            stride: 2,
+            padding: 1,
+        };
+        assert_eq!(s.out_size(112), 56); // ResNet50 stem pool
+        let s = ConvSpec {
+            kernel: 2,
+            stride: 2,
+            padding: 0,
+        };
+        assert_eq!(s.out_size(8), 4); // 2x2 pool
     }
 
     #[test]

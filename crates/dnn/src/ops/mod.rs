@@ -20,7 +20,7 @@ pub mod resadd;
 pub use conv::{conv2d, dwconv2d, ConvSpec};
 pub use im2col::im2col;
 pub use matmul::matmul;
-pub use pool::{pool2d_i8, PoolSpec};
+pub use pool::pool2d_i8;
 pub use resadd::resadd_i8;
 
 /// The `[n, h, w, c]` dimensions of an NHWC feature map.

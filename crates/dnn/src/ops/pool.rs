@@ -6,40 +6,12 @@ use super::nhwc_dims;
 use crate::graph::PoolKind;
 use crate::tensor::Tensor;
 
-/// Pooling geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolSpec {
-    /// Window height/width.
-    pub size: usize,
-    /// Stride in both dimensions.
-    pub stride: usize,
-    /// Zero padding on each edge (padded elements are excluded from max
-    /// pooling and counted as zeros in average pooling, matching common
-    /// framework semantics for count_include_pad=true).
-    pub padding: usize,
-}
-
-impl PoolSpec {
-    /// Output spatial size for an input of `in_size`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry yields no output pixels.
-    pub fn out_size(&self, in_size: usize) -> usize {
-        let padded = in_size + 2 * self.padding;
-        assert!(
-            padded >= self.size && self.stride > 0,
-            "pooling geometry produces no output: in={in_size} {self:?}"
-        );
-        (padded - self.size) / self.stride + 1
-    }
-}
-
 /// Int8 pooling over an NHWC `[n, h, w, c]` tensor, returning
-/// `[n, oh, ow, c]`. Max pooling takes the largest element of each
-/// window. Average pooling sums the window in i32 and divides by the full
-/// window area (padding counts as zeros), rounding to nearest with ties
-/// away from zero.
+/// `[n, oh, ow, c]`. The window walks the input like a convolution
+/// kernel, so its geometry is a [`ConvSpec`]. Max pooling takes the
+/// largest element of each window, padding excluded. Average pooling sums
+/// the window in i32 and divides by the full window area (padding counts
+/// as zeros), rounding to nearest with ties away from zero.
 ///
 /// # Panics
 ///
@@ -51,22 +23,16 @@ impl PoolSpec {
 /// ```
 /// use gemmini_dnn::graph::PoolKind;
 /// use gemmini_dnn::tensor::Tensor;
-/// use gemmini_dnn::ops::{pool2d_i8, PoolSpec};
+/// use gemmini_dnn::ops::{pool2d_i8, ConvSpec};
 /// let t = Tensor::from_vec(&[1, 2, 2, 1], vec![1i8, 9, 3, 4]);
-/// let spec = PoolSpec { size: 2, stride: 2, padding: 0 };
+/// let spec = ConvSpec { kernel: 2, stride: 2, padding: 0 };
 /// assert_eq!(pool2d_i8(&t, PoolKind::Max, spec).as_slice(), &[9]);
 /// assert_eq!(pool2d_i8(&t, PoolKind::Avg, spec).as_slice(), &[4]);
 /// ```
-pub fn pool2d_i8(input: &Tensor<i8>, kind: PoolKind, spec: PoolSpec) -> Tensor<i8> {
+pub fn pool2d_i8(input: &Tensor<i8>, kind: PoolKind, window: ConvSpec) -> Tensor<i8> {
     let [n, h, w, c] = nhwc_dims(input, "pool input");
-    let (oh, ow) = (spec.out_size(h), spec.out_size(w));
-    // A pooling window walks the input like a convolution kernel.
-    let window = ConvSpec {
-        kernel: spec.size,
-        stride: spec.stride,
-        padding: spec.padding,
-    };
-    let area = (spec.size * spec.size) as i32;
+    let (oh, ow) = (window.out_size(h), window.out_size(w));
+    let area = (window.kernel * window.kernel) as i32;
     // Per channel of one output pixel: the running max, `i32::MIN` until
     // a tap lands, or the running sum.
     let mut acc = vec![0i32; c];
@@ -117,8 +83,8 @@ mod tests {
     #[test]
     fn functional_pooling_matches_reference() {
         let t = Tensor::from_vec(&[1, 2, 2, 1], vec![1i8, 5, 3, 4]);
-        let spec = PoolSpec {
-            size: 2,
+        let spec = ConvSpec {
+            kernel: 2,
             stride: 2,
             padding: 0,
         };
@@ -127,29 +93,13 @@ mod tests {
     }
 
     #[test]
-    fn out_size_math() {
-        let s = PoolSpec {
-            size: 3,
-            stride: 2,
-            padding: 1,
-        };
-        assert_eq!(s.out_size(112), 56); // ResNet50 stem pool
-        let s = PoolSpec {
-            size: 2,
-            stride: 2,
-            padding: 0,
-        };
-        assert_eq!(s.out_size(8), 4);
-    }
-
-    #[test]
     fn maxpool_picks_window_maximum() {
         let t = Tensor::from_vec(&[1, 4, 4, 1], (0..16).map(|x| x as i8).collect());
         let out = pool2d_i8(
             &t,
             PoolKind::Max,
-            PoolSpec {
-                size: 2,
+            ConvSpec {
+                kernel: 2,
                 stride: 2,
                 padding: 0,
             },
@@ -163,8 +113,8 @@ mod tests {
         let out = pool2d_i8(
             &t,
             PoolKind::Max,
-            PoolSpec {
-                size: 2,
+            ConvSpec {
+                kernel: 2,
                 stride: 2,
                 padding: 0,
             },
@@ -179,8 +129,8 @@ mod tests {
         let out = pool2d_i8(
             &t,
             PoolKind::Max,
-            PoolSpec {
-                size: 3,
+            ConvSpec {
+                kernel: 3,
                 stride: 1,
                 padding: 1,
             },
@@ -195,8 +145,8 @@ mod tests {
         let out = pool2d_i8(
             &t,
             PoolKind::Avg,
-            PoolSpec {
-                size: 2,
+            ConvSpec {
+                kernel: 2,
                 stride: 2,
                 padding: 0,
             },
@@ -211,8 +161,8 @@ mod tests {
         let out = pool2d_i8(
             &t,
             PoolKind::Avg,
-            PoolSpec {
-                size: 2,
+            ConvSpec {
+                kernel: 2,
                 stride: 2,
                 padding: 0,
             },
@@ -228,8 +178,8 @@ mod tests {
         let out = pool2d_i8(
             &t,
             PoolKind::Avg,
-            PoolSpec {
-                size: 7,
+            ConvSpec {
+                kernel: 7,
                 stride: 7,
                 padding: 0,
             },
@@ -243,8 +193,8 @@ mod tests {
         // Two channels of a 2x2 map, NHWC: channel 0 = [1, 2, 3, 4],
         // channel 1 = [-8, -6, -4, -2].
         let t = Tensor::from_vec(&[1, 2, 2, 2], vec![1i8, -8, 2, -6, 3, -4, 4, -2]);
-        let spec = PoolSpec {
-            size: 2,
+        let spec = ConvSpec {
+            kernel: 2,
             stride: 2,
             padding: 0,
         };

@@ -858,7 +858,7 @@ mod tests {
     use super::*;
     use gemmini_core::config::GemminiConfig;
     use gemmini_dnn::ops::matmul;
-    use gemmini_dnn::quant::{requantize_tensor, QuantParams};
+    use gemmini_dnn::quant::{requantize, QuantParams};
     use gemmini_mem::addr::PAGE_SIZE;
     use gemmini_mem::dram::MainMemory;
     use gemmini_mem::MemorySystem;
@@ -1009,7 +1009,7 @@ mod tests {
         run_kernel(&mut r, &mut accel, &mut kernel);
 
         let got = r.read_i8(va_c, m * n);
-        let want = requantize_tensor(&matmul(&a, &b), QuantParams::new(1.0));
+        let want = matmul(&a, &b).map(|x| requantize(x, QuantParams::new(1.0)));
         assert_eq!(got, want.as_slice(), "matmul {m}x{k}x{n}");
     }
 

@@ -26,8 +26,9 @@ use gemmini_dnn::graph::{Layer, LayerClass, Network};
 use gemmini_dnn::ops::conv::{conv2d, dwconv2d, ConvSpec};
 use gemmini_dnn::ops::im2col::im2col;
 use gemmini_dnn::ops::matmul;
-use gemmini_dnn::ops::pool::{pool2d_i8, PoolSpec};
+use gemmini_dnn::ops::pool::pool2d_i8;
 use gemmini_dnn::ops::resadd_i8;
+use gemmini_dnn::quant::scale_for_k;
 use gemmini_dnn::tensor::{RandomI8, Tensor};
 use gemmini_mem::addr::{VirtAddr, PAGE_SIZE};
 use gemmini_mem::dram::MainMemory;
@@ -62,13 +63,6 @@ struct Placement {
     output: VirtAddr,
     patch: Option<VirtAddr>,
     out_elements: usize,
-}
-
-/// Output scale used for conv/matmul layers of reduction depth `k`: keeps
-/// int8 outputs well-spread for the synthetic value distribution
-/// (uniform in [-64, 63]).
-pub fn scale_for_k(k: usize) -> f32 {
-    2.0 / (64.0 * (k as f32).sqrt())
 }
 
 /// Deterministic per-layer weight seed.
@@ -669,8 +663,8 @@ impl NetworkExecution {
                 channels,
                 in_hw,
             } => {
-                let spec = PoolSpec {
-                    size,
+                let spec = ConvSpec {
+                    kernel: size,
                     stride,
                     padding,
                 };
@@ -853,8 +847,8 @@ pub fn reference_forward(net: &Network, seed: u64) -> Vec<i8> {
                 channels,
                 in_hw,
             } => {
-                let spec = PoolSpec {
-                    size: *size,
+                let spec = ConvSpec {
+                    kernel: *size,
                     stride: *stride,
                     padding: *padding,
                 };
@@ -1047,18 +1041,6 @@ mod tests {
     #[ignore = "slow: run with --release -- --include-ignored"]
     fn streamed_weights_equal_the_packed_tensors_many() {
         check_random_nets(2048);
-    }
-
-    #[test]
-    fn scale_formula_keeps_outputs_in_range() {
-        // For uniform [-64,63] operands the scaled std stays well inside i8.
-        for k in [9usize, 64, 576, 2048] {
-            let s = scale_for_k(k);
-            let acc_std = 64.0f32 / (3.0f32).sqrt() * (k as f32).sqrt() * 36.9;
-            let out_std = acc_std * s;
-            assert!(out_std < 127.0 * 10.0, "k={k} out_std={out_std}");
-            assert!(s > 0.0);
-        }
     }
 
     #[test]
