@@ -3,10 +3,13 @@
 //! B is widened once per load into *k-pairs* of `i16`: row pair
 //! `(2p, 2p + 1)` becomes one line of interleaved halfwords
 //! `b[2p][c], b[2p+1][c]`, columns padded to a multiple of four. An A row
-//! becomes one 32-bit word per k-pair (`a[2p]` low, `a[2p + 1]` high), and
-//! on x86_64 a row costs ⌈k/2⌉ broadcasts, each feeding ⌈cols/4⌉
-//! `pmaddwd` + `paddd` into accumulators held in registers, sixteen
-//! columns at a time.
+//! becomes one 32-bit word per k-pair (`a[2p]` low, `a[2p + 1]` high).
+//! On x86_64 the kernel walks A two rows at a time: for each k-pair it
+//! broadcasts both rows' pair words, and each B-line load of four columns
+//! feeds two `pmaddwd` + `paddd`, one into each row's accumulators. Those
+//! are held in registers for sixteen columns of both rows (eight
+//! accumulators) across every k-pair. An odd last row goes through the
+//! one-row form of the same body.
 //!
 //! The kernel is exact. `pmaddwd` multiplies i16 lanes into i32 and adds
 //! adjacent products; both factors are i8 values, so each product is at
@@ -102,14 +105,16 @@ impl PairPanel {
         if pairs == 0 {
             return;
         }
-        let half = |v: i8| v as i16 as u16 as u32;
+        let word =
+            |lo: i8, hi: i8| (lo as i16 as u16 as u32 | (hi as i16 as u16 as u32) << 16) as i32;
         self.a_words.clear();
-        self.a_words.resize(a_rows * pairs, 0);
-        for (i, dst) in self.a_words.chunks_exact_mut(pairs).enumerate() {
-            let src = &a[i * a_stride..i * a_stride + k];
-            for (w, pair) in dst.iter_mut().zip(src.chunks(2)) {
-                let hi = pair.get(1).map_or(0, |&v| half(v));
-                *w = (half(pair[0]) | hi << 16) as i32;
+        self.a_words.reserve(a_rows * pairs);
+        for i in 0..a_rows {
+            let (whole, tail) = a[i * a_stride..i * a_stride + k].as_chunks::<2>();
+            self.a_words
+                .extend(whole.iter().map(|&[lo, hi]| word(lo, hi)));
+            if let [last] = *tail {
+                self.a_words.push(word(last, 0));
             }
         }
         let block = Block {
@@ -181,8 +186,8 @@ mod sse2 {
         // SAFETY: SSE2 is part of the x86_64 baseline, so the target
         // feature is always present. The assert above gives `words` a
         // full line for each of the `pairs` k-pairs, and `block_sse2`
-        // walks A in chunks of exactly `pairs` words, so every B load (a
-        // line's first `2 · ⌈cols/4⌉ · 4` halfwords) stays inside
+        // hands `chunk` A rows of exactly `pairs` words, so every B load
+        // (a line's first `2 · ⌈cols/4⌉ · 4` halfwords) stays inside
         // `words`. Output rows are bounds-checked slices, read and written
         // through full groups of four only when the group lies inside the
         // row, through a stack array otherwise.
@@ -195,46 +200,81 @@ mod sse2 {
     /// `line_width(b.cols)` halfwords.
     #[target_feature(enable = "sse2")]
     unsafe fn block_sse2(b: &Block<'_>, out: &mut [i32]) {
+        let (pairs, cols, stride) = (b.pairs, b.cols, b.out_stride);
+        let mut twos = b.a_words.chunks_exact(2 * pairs);
+        for (i, a) in twos.by_ref().enumerate() {
+            let (a0, a1) = a.split_at(pairs);
+            let (head, tail) = out.split_at_mut((2 * i + 1) * stride);
+            let rows = [&mut head[2 * i * stride..][..cols], &mut tail[..cols]];
+            columns(b, [a0, a1], rows);
+        }
+        let last = twos.remainder();
+        if !last.is_empty() {
+            let i = b.a_words.len() / pairs - 1;
+            columns(b, [last], [&mut out[i * stride..][..cols]]);
+        }
+    }
+
+    /// Accumulates the `R` A rows `a` (`b.pairs` words each) into the
+    /// loaded columns of the `R` output rows `out`, sixteen columns at a
+    /// time.
+    ///
+    /// # Safety
+    ///
+    /// As [`block_sse2`], and each row of `a` holds `b.pairs` words.
+    #[inline(always)]
+    unsafe fn columns<const R: usize>(b: &Block<'_>, a: [&[i32]; R], mut out: [&mut [i32]; R]) {
         let width = line_width(b.cols);
-        for (i, a) in b.a_words.chunks_exact(b.pairs).enumerate() {
-            let row = &mut out[i * b.out_stride..i * b.out_stride + b.cols];
-            for c0 in (0..b.cols).step_by(16) {
-                let lines = b.words.as_ptr().add(2 * c0);
-                let cols = &mut row[c0..];
-                match cols.len().div_ceil(4) {
-                    1 => chunk::<1>(lines, width, a, cols),
-                    2 => chunk::<2>(lines, width, a, cols),
-                    3 => chunk::<3>(lines, width, a, cols),
-                    _ => chunk::<4>(lines, width, a, cols),
-                }
+        for c0 in (0..b.cols).step_by(16) {
+            let lines = b.words.as_ptr().add(2 * c0);
+            let out = out.each_mut().map(|row| &mut row[c0..]);
+            match (b.cols - c0).div_ceil(4) {
+                1 => chunk::<1, R>(lines, width, a, out),
+                2 => chunk::<2, R>(lines, width, a, out),
+                3 => chunk::<3, R>(lines, width, a, out),
+                _ => chunk::<4, R>(lines, width, a, out),
             }
         }
     }
 
-    /// `N` groups of four columns, accumulated in registers across every
-    /// k-pair.
+    /// `N` groups of four columns of `R` output rows, accumulated in
+    /// `R · N` registers across every k-pair: each B-line load feeds one
+    /// `pmaddwd` per row.
     ///
     /// # Safety
     ///
     /// `lines` points at the chunk's first halfword of line 0, and each of
-    /// the `a.len()` lines, `width` halfwords apart, has `8 · N` readable
-    /// halfwords from there.
+    /// the `a[0].len()` lines, `width` halfwords apart, has `8 · N`
+    /// readable halfwords from there.
     #[inline(always)]
-    unsafe fn chunk<const N: usize>(lines: *const i16, width: usize, a: &[i32], out: &mut [i32]) {
-        let mut acc = [_mm_setzero_si128(); N];
-        for (g, v) in acc.iter_mut().enumerate() {
-            *v = load(out, 4 * g);
-        }
-        for (p, &w) in a.iter().enumerate() {
-            let w = _mm_set1_epi32(w);
-            let line = lines.add(p * width);
+    unsafe fn chunk<const N: usize, const R: usize>(
+        lines: *const i16,
+        width: usize,
+        a: [&[i32]; R],
+        out: [&mut [i32]; R],
+    ) {
+        let mut acc = [[_mm_setzero_si128(); N]; R];
+        for (acc, out) in acc.iter_mut().zip(&out) {
             for (g, v) in acc.iter_mut().enumerate() {
-                let b = _mm_loadu_si128(line.add(8 * g) as *const __m128i);
-                *v = _mm_add_epi32(*v, _mm_madd_epi16(w, b));
+                *v = load(out, 4 * g);
             }
         }
-        for (g, &v) in acc.iter().enumerate() {
-            store(out, 4 * g, v);
+        // `p` indexes every row of `a` and steps the line pointer.
+        #[allow(clippy::needless_range_loop)]
+        for p in 0..a[0].len() {
+            let w: [__m128i; R] = std::array::from_fn(|r| _mm_set1_epi32(a[r][p]));
+            let line = lines.add(p * width);
+            for g in 0..N {
+                let b = _mm_loadu_si128(line.add(8 * g) as *const __m128i);
+                for (acc, &w) in acc.iter_mut().zip(&w) {
+                    acc[g] = _mm_add_epi32(acc[g], _mm_madd_epi16(w, b));
+                }
+            }
+        }
+        for (acc, out) in acc.iter().zip(out) {
+            for (g, &v) in acc.iter().enumerate() {
+                store(out, 4 * g, v);
+            }
         }
     }
 

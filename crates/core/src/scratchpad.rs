@@ -189,10 +189,7 @@ impl Accumulator {
         let n = bytes.len() / 4;
         assert!(n <= self.dim, "row data longer than accumulator width");
         let dst = &mut self.data[row * self.dim..(row + 1) * self.dim];
-        for (d, c) in dst.iter_mut().zip(bytes.chunks_exact(4)) {
-            *d = i32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        }
-        zero_tail(&mut dst[n..]);
+        deposit(dst, &bytes.as_chunks().0[..n], i32::from_le_bytes);
     }
 
     /// Adds little-endian int32 DMA bytes elementwise into row `row`
@@ -268,17 +265,18 @@ fn zero_tail<T: Copy + Default>(tail: &mut [T]) {
 /// Copies `src` onto `dst` (equal lengths), converting each element with
 /// `f`.
 ///
-/// Rows in the functional data path are short (a scratchpad row is `dim`
-/// bytes, 16 by default), and a `memcpy` call per row costs more than the
-/// bytes it moves. Up to 32 elements move as two overlapping fixed-size
-/// blocks (three single elements below 4), which compile to inline loads
-/// and stores; longer rows take a plain loop.
+/// Rows in the functional data path are short (a scratchpad row or a
+/// weight-panel row is `dim` bytes, 16 by default), and a `memcpy` call
+/// per row costs more than the bytes it moves. Up to 32 elements move as
+/// two overlapping fixed-size blocks (three single elements below 4),
+/// which compile to inline loads and stores; longer rows take a plain
+/// loop.
 ///
 /// # Panics
 ///
 /// Panics if the lengths differ.
 #[inline]
-pub(crate) fn copy_row<S: Copy, D>(dst: &mut [D], src: &[S], f: impl Fn(S) -> D + Copy) {
+pub fn copy_row<S: Copy, D>(dst: &mut [D], src: &[S], f: impl Fn(S) -> D + Copy) {
     fn block<const N: usize, S: Copy, D>(dst: &mut [D], src: &[S], f: impl Fn(S) -> D) {
         let dst: &mut [D; N] = dst.try_into().expect("block length");
         let src: &[S; N] = src.try_into().expect("block length");

@@ -5,9 +5,10 @@
 //! `accumulate_into` (`out += A·B`), both over the kernel's accumulate
 //! form `PairPanel::mac_rows`, which is also checked directly. On random
 //! shapes
-//! — widths 1..=64 including non-multiples of four, odd and even k, padded
-//! strides, short B blocks — both must equal a plain per-element wrapping
-//! loop and `gemmini_dnn::ops::matmul`, bit for bit. Operands span the full
+//! — widths 1..=64 including non-multiples of four, odd and even k, odd
+//! and even A row counts (the kernel's two-row pass and its one-row tail),
+//! padded strides, short B blocks — both must equal a plain per-element
+//! wrapping loop and `gemmini_dnn::ops::matmul`, bit for bit. Operands span the full
 //! i8 range, and some cases force (−128)·(−128) pairs, the products whose
 //! pairwise sum (2^15) is the largest the kernel's 16-bit multiply-add sees.
 //!

@@ -261,19 +261,6 @@ impl Cache {
         self.keys[base..base + self.ways].contains(&key)
     }
 
-    /// Invalidates every line (e.g. after a simulated context switch with
-    /// cache flushing); dirty lines are counted as writebacks.
-    pub fn flush(&mut self) {
-        for (key, dirty) in self.keys.iter().zip(&self.dirty) {
-            if *key != 0 && *dirty {
-                self.writebacks += 1;
-            }
-        }
-        self.keys.fill(0);
-        self.lru.fill(0);
-        self.dirty.fill(false);
-    }
-
     /// Hit/miss statistics since construction (or the last [`Self::reset_stats`]).
     pub fn stats(&self) -> &HitMissStats {
         &self.stats
@@ -443,19 +430,6 @@ mod tests {
         c.access(addr(1, 1), AccessKind::Read);
         assert!(!c.last_holds(addr(0, 1)));
         assert!(c.last_holds(addr(1, 1)));
-        c.flush();
-        assert!(!c.last_holds(addr(1, 1)));
-    }
-
-    #[test]
-    fn flush_invalidates_and_counts_dirty_writebacks() {
-        let mut c = tiny();
-        c.access(addr(0, 1), AccessKind::Write);
-        c.access(addr(1, 1), AccessKind::Read);
-        c.flush();
-        assert_eq!(c.valid_lines(), 0);
-        assert_eq!(c.writebacks(), 1);
-        assert!(!c.probe(addr(0, 1)));
     }
 
     #[test]

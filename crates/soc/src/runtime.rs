@@ -21,6 +21,7 @@ use crate::kernel::{
 };
 use gemmini_core::config::GemminiConfig;
 use gemmini_core::peripherals::readout_row;
+use gemmini_core::scratchpad::copy_row;
 use gemmini_core::AccelError;
 use gemmini_dnn::graph::{Layer, LayerClass, Network};
 use gemmini_dnn::ops::conv::{conv2d, dwconv2d, ConvSpec};
@@ -75,30 +76,72 @@ fn round_up(bytes: usize, to: usize) -> usize {
     bytes.div_ceil(to) * to
 }
 
-/// Writes int8 values to virtual memory through the page table
-/// (functional path), one page slice at a time.
-pub fn write_virt(space: &AddressSpace, data: &mut MainMemory, va: VirtAddr, vals: &[i8]) {
+/// Calls `f(off, page)` for each page slice of the `len` bytes at `va`, in
+/// address order, `off` being the slice's offset from `va`: one
+/// translation per page.
+fn for_each_page_mut(
+    space: &AddressSpace,
+    data: &mut MainMemory,
+    va: VirtAddr,
+    len: usize,
+    mut f: impl FnMut(usize, &mut [u8]),
+) {
     let mut off = 0usize;
-    while off < vals.len() {
+    while off < len {
         let cur = va.add(off as u64);
         let pa = space
             .translate(cur)
             .expect("runtime buffers are always mapped");
         let in_page = cur.offset_in_page() as usize;
-        let n = (PAGE_SIZE as usize - in_page).min(vals.len() - off);
-        let page = &mut data.page_mut(pa)[in_page..in_page + n];
-        for (b, &v) in page.iter_mut().zip(&vals[off..off + n]) {
-            *b = v as u8;
-        }
+        let n = (PAGE_SIZE as usize - in_page).min(len - off);
+        f(off, &mut data.page_mut(pa)[in_page..in_page + n]);
         off += n;
     }
+}
+
+/// Writes int8 values to virtual memory through the page table
+/// (functional path), one page slice at a time.
+pub fn write_virt(space: &AddressSpace, data: &mut MainMemory, va: VirtAddr, vals: &[i8]) {
+    for_each_page_mut(space, data, va, vals.len(), |off, page| {
+        for (b, &v) in page.iter_mut().zip(&vals[off..]) {
+            *b = v as u8;
+        }
+    });
+}
+
+/// Writes a row-major `[rows, dim]` byte panel to `va` straight into its
+/// pages, with no panel buffer: `fill(r, lane, dst)` writes lanes
+/// `lane..lane + dst.len()` of row `r` (never empty, all below `live`),
+/// and the pad lanes from `live` on are zeroed. A row that straddles a
+/// page boundary comes in two parts.
+fn write_panel_rows(
+    space: &AddressSpace,
+    mem: &mut MainMemory,
+    va: VirtAddr,
+    [rows, dim, live]: [usize; 3],
+    mut fill: impl FnMut(usize, usize, &mut [u8]),
+) {
+    for_each_page_mut(space, mem, va, rows * dim, |off, mut page| {
+        let (mut r, mut lane) = (off / dim, off % dim);
+        while !page.is_empty() {
+            let (row, rest) = page.split_at_mut((dim - lane).min(page.len()));
+            let (head, pad) = row.split_at_mut(live.saturating_sub(lane).min(row.len()));
+            if !head.is_empty() {
+                fill(r, lane, head);
+            }
+            if !pad.is_empty() {
+                pad.fill(0);
+            }
+            (r, lane, page) = (r + 1, 0, rest);
+        }
+    });
 }
 
 /// Writes the seeded `[k, n]` stationary operand, `k·n` values of `stream`
 /// in row-major order, to `va` in the panel layout of
 /// [`pack_b_panels`](crate::kernel::pack_b_panels), pad lanes zeroed,
 /// without holding the matrix: each block of `PAGE_SIZE / dim` rows fills
-/// one page per panel.
+/// one page per panel, written row by row straight into the page.
 fn write_b_panels(
     space: &AddressSpace,
     mem: &mut MainMemory,
@@ -110,19 +153,17 @@ fn write_b_panels(
 ) {
     let block_rows = (PAGE_SIZE as usize / dim).clamp(1, k);
     let mut block = vec![0i8; block_rows * n];
-    let mut panel = vec![0i8; block_rows * dim];
     for r0 in (0..k).step_by(block_rows) {
         let rows = block_rows.min(k - r0);
         let block = &mut block[..rows * n];
         stream.fill(block);
         for p in 0..n.div_ceil(dim) {
             let (c0, w) = (p * dim, dim.min(n - p * dim));
-            let panel = &mut panel[..rows * dim];
-            for (dst, src) in panel.chunks_exact_mut(dim).zip(block.chunks_exact(n)) {
-                dst[..w].copy_from_slice(&src[c0..c0 + w]);
-                dst[w..].fill(0);
-            }
-            write_virt(space, mem, va.add(((p * k + r0) * dim) as u64), panel);
+            let at = va.add(((p * k + r0) * dim) as u64);
+            write_panel_rows(space, mem, at, [rows, dim, w], |r, lane, dst| {
+                let src = &block[r * n + c0 + lane..][..dst.len()];
+                copy_row(dst, src, |v| v as u8);
+            });
         }
     }
 }
@@ -130,8 +171,9 @@ fn write_b_panels(
 /// Writes seeded `[oc, ic, kernel, kernel]` conv weights to `va` as the
 /// panels of their `[kernel²·ic, oc]` matrix: the bytes of
 /// [`weights_to_matrix`](gemmini_dnn::ops::im2col::weights_to_matrix)
-/// then [`pack_b_panels`](crate::kernel::pack_b_panels), one panel buffer at
-/// a time.
+/// then [`pack_b_panels`](crate::kernel::pack_b_panels). A panel's `dim`
+/// output channels are drawn first, then its rows are gathered from them
+/// straight into the pages.
 fn write_conv_panels(
     space: &AddressSpace,
     mem: &mut MainMemory,
@@ -142,25 +184,21 @@ fn write_conv_panels(
 ) {
     let taps = kernel * kernel;
     let kdim = taps * ic;
-    let mut channel = vec![0i8; kdim];
-    let mut panel = vec![0i8; kdim * dim];
+    let mut channels = vec![0i8; kdim * dim];
     for p in 0..oc.div_ceil(dim) {
         let w = dim.min(oc - p * dim);
-        if w < dim {
-            panel.fill(0);
-        }
         // Output channel `p·dim + lane` is the stream's next `kdim` values
         // in [ic][kh][kw] order; tap `j` of input channel `ci` is matrix
         // row `j·ic + ci`.
-        for lane in 0..w {
-            stream.fill(&mut channel);
-            for (ci, vals) in channel.chunks_exact(taps).enumerate() {
-                for (j, &v) in vals.iter().enumerate() {
-                    panel[(j * ic + ci) * dim + lane] = v;
-                }
+        let channels = &mut channels[..w * kdim];
+        stream.fill(channels);
+        let at = va.add((p * kdim * dim) as u64);
+        write_panel_rows(space, mem, at, [kdim, dim, w], |r, lane, dst| {
+            let (j, ci) = (r / ic, r % ic);
+            for (d, ch) in dst.iter_mut().zip(channels.chunks_exact(kdim).skip(lane)) {
+                *d = ch[ci * taps + j] as u8;
             }
-        }
-        write_virt(space, mem, va.add((p * kdim * dim) as u64), &panel);
+        });
     }
 }
 
@@ -1006,7 +1044,7 @@ mod tests {
     fn check_random_nets(cases: usize) {
         let mut rng = StdRng::seed_from_u64(20);
         for _ in 0..cases {
-            let dim = [4, 8, 16][rng.gen_range(0..3usize)];
+            let dim = [4, 8, 12, 16][rng.gen_range(0..4usize)];
             let seed = rng.gen::<u64>();
             check_weight_pages(&random_net(&mut rng, dim), dim, seed);
         }
@@ -1014,7 +1052,9 @@ mod tests {
 
     #[test]
     fn streamed_weights_equal_the_packed_tensors() {
-        for dim in [4, 8, 16] {
+        // 12 does not divide `PAGE_SIZE`: panels start mid-page and rows
+        // straddle page boundaries.
+        for dim in [4, 8, 12, 16] {
             let block = PAGE_SIZE as usize / dim;
             let mut net = Network::new("edges");
             // `n` and channel counts one short of, at and past a panel
