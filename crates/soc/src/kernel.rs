@@ -1,8 +1,20 @@
 //! The tuned kernel library — the "low level" of the paper's multi-level
 //! programming interface.
 //!
-//! Each kernel lowers one DNN operator to the accelerator's instruction
-//! stream using the tile sizes from [`crate::tiling`]. Kernels are
+//! Each kernel lowers one DNN operator, or one part of it, to the
+//! accelerator's instruction stream using the tile sizes from
+//! [`crate::tiling`]:
+//!
+//! - [`TiledMatmulKernel`]: a GEMM, its A operand read from memory or
+//!   streamed through the im2col block.
+//! - [`ConvGroups`]: a conv or depthwise conv as one GEMM kernel per group
+//!   (one group for a conv, one per channel for a depthwise conv).
+//! - [`ResAddKernel`], [`PoolKernel`]: residual add and pooling.
+//! - [`CpuLayerKernel`]: time the host CPU spends (host im2col, softmax,
+//!   layer norm, any operator whose block the accelerator lacks).
+//!
+//! The runtime runs each layer as a queue of these kernels, a host im2col
+//! phase first when the accelerator has no im2col block. Kernels are
 //! *resumable state machines* ([`Kernel::step`] executes roughly one output
 //! tile) so that multi-core SoC simulations can interleave cores at tile
 //! granularity, which is what makes the shared-L2 contention of the
@@ -13,7 +25,10 @@ use gemmini_core::isa::{Instruction, LocalAddr};
 use gemmini_core::peripherals::PoolingUnit;
 use gemmini_core::{AccelError, Accelerator, MemCtx, TileColumn};
 use gemmini_cpu::CpuModel;
-use gemmini_dnn::graph::Activation;
+use gemmini_dnn::graph::{Activation, Layer};
+use gemmini_dnn::ops::conv::ConvSpec;
+use gemmini_dnn::ops::im2col::im2col;
+use gemmini_dnn::quant::scale_for_k;
 use gemmini_dnn::tensor::Tensor;
 use gemmini_mem::addr::VirtAddr;
 
@@ -135,8 +150,8 @@ pub struct MatmulParams {
     /// Output columns.
     pub n: usize,
     /// Bytes between consecutive C rows in memory (equals `n` for a dense
-    /// output; the full channel count for NHWC-interleaved depthwise
-    /// columns).
+    /// output; the full channel count for one group's columns of an NHWC
+    /// conv output).
     pub c_stride: usize,
     /// Fused activation applied on mvout.
     pub activation: Activation,
@@ -599,28 +614,28 @@ impl Kernel for ResAddKernel {
 pub struct PoolKernel {
     input: VirtAddr,
     output: VirtAddr,
-    channels: usize,
     in_h: usize,
     in_w: usize,
     out_h: usize,
     out_w: usize,
     window: usize,
     unit: PoolingUnit,
-    /// Functional pooled output, flat: `channels * out_h` rows of `out_w`
-    /// bytes packed back to back.
+    /// Functional pooled output, flat: `out_h` rows of `out_w` bytes packed
+    /// back to back.
     out_data: Option<Vec<u8>>,
     done: bool,
 }
 
 impl PoolKernel {
-    /// Builds a pooling kernel. `out_data` carries the functional result
-    /// computed by the runtime's golden path (None in timing mode).
-    #[allow(clippy::too_many_arguments)]
+    /// Builds a pooling kernel that streams `in_hw.0` input rows of
+    /// `in_hw.1` bytes and stores `out_hw.0` rows of `out_hw.1` bytes (an
+    /// NHWC map is `h` rows of `w·c` bytes). `out_data` carries the
+    /// functional result computed by the runtime's golden path (None in
+    /// timing mode).
     pub fn new(
         config: &gemmini_core::config::GemminiConfig,
         input: VirtAddr,
         output: VirtAddr,
-        channels: usize,
         in_hw: (usize, usize),
         out_hw: (usize, usize),
         window: usize,
@@ -629,7 +644,6 @@ impl PoolKernel {
         Self {
             input,
             output,
-            channels,
             in_h: in_hw.0,
             in_w: in_hw.1,
             out_h: out_hw.0,
@@ -650,18 +664,16 @@ impl Kernel for PoolKernel {
         let in_done = env.accel.mvin_raw(
             &mut env.ctx,
             self.input,
-            self.channels * self.in_h,
+            self.in_h,
             self.in_w as u64,
             self.in_w as u64,
         )?;
-        let cycles = self
-            .unit
-            .pool_cycles(self.channels * self.out_h * self.out_w, self.window);
+        let cycles = self.unit.pool_cycles(self.out_h * self.out_w, self.window);
         env.accel.charge_execute_after(in_done, cycles);
         env.accel.mvout_raw(
             &mut env.ctx,
             self.output,
-            self.channels * self.out_h,
+            self.out_h,
             self.out_w as u64,
             self.out_w as u64,
             self.out_data.as_deref(),
@@ -702,153 +714,144 @@ impl Kernel for CpuLayerKernel {
     }
 }
 
-/// Depthwise convolution: each channel is an independent tiny GEMM
-/// (`m = oh·ow`, `k = kernel²`, `n = 1`) — the low-reuse mapping that makes
-/// MobileNet-class layers inefficient on spatial arrays (Section IV-B).
-#[derive(Debug)]
-pub struct DwConvKernel {
-    config: gemmini_core::config::GemminiConfig,
-    input: VirtAddr,
-    weights: VirtAddr,
-    output: VirtAddr,
-    channels: usize,
-    in_hw: (usize, usize),
-    out_hw: (usize, usize),
-    kernel: usize,
-    stride: usize,
-    padding: usize,
-    activation: Activation,
-    acc_scale: f32,
-    /// Functional per-channel patch matrices, last channel first: each
-    /// channel's sub-GEMM pops its own, so none is copied.
-    patches_per_channel: Option<Vec<Tensor<i8>>>,
-    /// When the accelerator lacks the im2col block, the CPU materializes
-    /// per-channel patch matrices here and channels read them as plain
-    /// memory operands.
-    materialized_patches: Option<VirtAddr>,
-    channel: usize,
-    inner: Option<TiledMatmulKernel>,
+/// A convolution over NHWC feature maps lowered as `groups` equal GEMMs,
+/// one [`TiledMatmulKernel`] each: a plain conv is one group, a depthwise
+/// conv one group per channel (`k = kernel²`, `n = 1`, the low-reuse
+/// mapping that makes MobileNet-class layers inefficient on spatial arrays,
+/// Section IV-B). Group `g` reads input channels `g·in_channels..` and
+/// writes output channels `g·out_channels..` of every pixel, so its output
+/// columns interleave into the NHWC output at row stride
+/// `groups·out_channels`.
+#[derive(Debug, Clone, Copy)]
+pub struct ConvGroups {
+    /// Number of groups.
+    pub groups: usize,
+    /// Input channels per group.
+    pub in_channels: usize,
+    /// Output channels per group.
+    pub out_channels: usize,
+    /// Input height and width.
+    pub in_hw: (usize, usize),
+    /// Kernel size, stride and padding.
+    pub spec: ConvSpec,
+    /// Fused activation applied on mvout.
+    pub activation: Activation,
 }
 
-impl DwConvKernel {
-    /// Builds a depthwise-convolution kernel.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        config: &gemmini_core::config::GemminiConfig,
-        input: VirtAddr,
-        weights: VirtAddr,
-        output: VirtAddr,
-        channels: usize,
-        in_hw: (usize, usize),
-        out_hw: (usize, usize),
-        kernel: usize,
-        stride: usize,
-        padding: usize,
-        activation: Activation,
-        acc_scale: f32,
-        patches_per_channel: Option<Vec<Tensor<i8>>>,
-        materialized_patches: Option<VirtAddr>,
-    ) -> Self {
-        Self {
-            config: config.clone(),
-            input,
-            weights,
-            output,
-            channels,
-            in_hw,
-            out_hw,
-            kernel,
-            stride,
-            padding,
-            activation,
-            acc_scale,
-            patches_per_channel: patches_per_channel.map(|mut v| {
-                v.reverse();
-                v
+impl ConvGroups {
+    /// A conv layer's groups: one for [`Layer::Conv`], one per channel for
+    /// [`Layer::DwConv`]; `None` for any other layer.
+    pub fn of(layer: &Layer) -> Option<Self> {
+        match *layer {
+            Layer::Conv {
+                in_channels,
+                out_channels,
+                kernel,
+                stride,
+                padding,
+                in_hw,
+                activation,
+            } => Some(Self {
+                groups: 1,
+                in_channels,
+                out_channels,
+                in_hw,
+                spec: ConvSpec {
+                    kernel,
+                    stride,
+                    padding,
+                },
+                activation,
             }),
-            materialized_patches,
-            channel: 0,
-            inner: None,
+            Layer::DwConv {
+                channels,
+                kernel,
+                stride,
+                padding,
+                in_hw,
+                activation,
+            } => Some(Self {
+                groups: channels,
+                in_channels: 1,
+                out_channels: 1,
+                in_hw,
+                spec: ConvSpec {
+                    kernel,
+                    stride,
+                    padding,
+                },
+                activation,
+            }),
+            _ => None,
         }
     }
-}
 
-impl Kernel for DwConvKernel {
-    fn step(&mut self, env: &mut KernelEnv<'_>) -> Result<StepOutcome, AccelError> {
-        if self.channel >= self.channels {
-            return Ok(StepOutcome::Done);
-        }
-        if self.inner.is_none() {
-            let m = self.out_hw.0 * self.out_hw.1;
-            let kk = self.kernel * self.kernel;
-            // Output is NHWC: channel ch of pixel p lives at p*channels + ch.
-            // Each per-channel GEMM writes an m x 1 column; with n = the
-            // full channel count as the row stride, columns interleave into
-            // NHWC naturally. We express that by giving the sub-GEMM
-            // n = channels and pointing c at the channel offset.
-            let dim = self.config.dim();
-            let (params, source) = if let Some(pa) = self.materialized_patches {
-                (
-                    MatmulParams {
-                        a: pa.add((self.channel * m * kk) as u64),
-                        b: self.weights.add((self.channel * kk * dim) as u64),
-                        c: self.output.add(self.channel as u64),
-                        m,
-                        k: kk,
-                        n: 1,
-                        c_stride: self.channels,
-                        activation: self.activation,
-                        acc_scale: self.acc_scale,
-                    },
-                    ASource::Memory,
-                )
-            } else {
-                (
-                    MatmulParams {
-                        a: VirtAddr::new(0), // unused for im2col source
-                        b: self.weights.add((self.channel * kk * dim) as u64),
-                        c: self.output.add(self.channel as u64),
-                        m,
-                        k: kk,
-                        n: 1,
-                        c_stride: self.channels,
-                        activation: self.activation,
-                        acc_scale: self.acc_scale,
-                    },
-                    ASource::Im2col(Im2colParams {
-                        input: self.input.add(self.channel as u64),
-                        channels: 1,
-                        in_h: self.in_hw.0,
-                        in_w: self.in_hw.1,
-                        row_pitch: self.in_hw.1 * self.channels,
-                        kernel: self.kernel,
-                        stride: self.stride,
-                        padding: self.padding,
-                        out_w: self.out_hw.1,
-                        patches: self
-                            .patches_per_channel
-                            .as_mut()
-                            .map(|v| v.pop().expect("one patch matrix per channel")),
-                    }),
-                )
+    /// Output pixels: the rows of every group's GEMM.
+    pub fn m(&self) -> usize {
+        self.spec.out_size(self.in_hw.0) * self.spec.out_size(self.in_hw.1)
+    }
+
+    /// A group's reduction depth, `kernel²·in_channels`.
+    pub fn k(&self) -> usize {
+        self.spec.kernel * self.spec.kernel * self.in_channels
+    }
+
+    /// Bytes of one group's panel-packed `[k, out_channels]` weights;
+    /// group `g`'s panels start `g` times this past the first group's.
+    pub fn group_weights_len(&self, dim: usize) -> usize {
+        packed_b_len(self.k(), self.out_channels, dim)
+    }
+
+    /// Group `g`'s `m × k` patch matrix, cut from the NHWC `input`.
+    pub fn patches(&self, input: &Tensor<i8>, g: usize) -> Tensor<i8> {
+        let c0 = g * self.in_channels;
+        im2col(input, self.spec, c0..c0 + self.in_channels)
+    }
+
+    /// One GEMM kernel per group, in group order, all on one tile plan.
+    /// `input`, `weights` and `output` are the layer's buffers. With
+    /// `patches`, the host has materialized group `g`'s patch matrix
+    /// `g·m·k` bytes past it and the kernels read plain memory; without, the
+    /// im2col block streams patches from `input`, and `data` (the
+    /// functional input feature map, `None` in timing mode) supplies each
+    /// group's patch bytes.
+    pub fn kernels<'a>(
+        self,
+        config: &'a gemmini_core::config::GemminiConfig,
+        [input, weights, output]: [VirtAddr; 3],
+        patches: Option<VirtAddr>,
+        data: Option<&'a Tensor<i8>>,
+    ) -> impl Iterator<Item = TiledMatmulKernel> + 'a {
+        let (m, k, n) = (self.m(), self.k(), self.out_channels);
+        let plan = plan_matmul(config, m, k, n);
+        (0..self.groups).map(move |g| {
+            let params = MatmulParams {
+                a: patches.map_or(VirtAddr::new(0), |pa| pa.add((g * m * k) as u64)),
+                b: weights.add((g * self.group_weights_len(config.dim())) as u64),
+                c: output.add((g * n) as u64),
+                m,
+                k,
+                n,
+                c_stride: self.groups * n,
+                activation: self.activation,
+                acc_scale: scale_for_k(k),
             };
-            self.inner = Some(TiledMatmulKernel::new(&self.config, params, source));
-        }
-        let done = matches!(
-            self.inner
-                .as_mut()
-                .expect("inner kernel exists")
-                .step(env)?,
-            StepOutcome::Done
-        );
-        if done {
-            self.inner = None;
-            self.channel += 1;
-        }
-        Ok(if self.channel >= self.channels {
-            StepOutcome::Done
-        } else {
-            StepOutcome::Working
+            let source = match patches {
+                Some(_) => ASource::Memory,
+                None => ASource::Im2col(Im2colParams {
+                    input: input.add((g * self.in_channels) as u64),
+                    channels: self.in_channels,
+                    in_h: self.in_hw.0,
+                    in_w: self.in_hw.1,
+                    row_pitch: self.in_hw.1 * self.groups * self.in_channels,
+                    kernel: self.spec.kernel,
+                    stride: self.spec.stride,
+                    padding: self.spec.padding,
+                    out_w: self.spec.out_size(self.in_hw.1),
+                    patches: data.map(|t| self.patches(t, g)),
+                }),
+            };
+            TiledMatmulKernel::with_plan(config, params, source, plan)
         })
     }
 }
@@ -1225,11 +1228,12 @@ mod tests {
         let mut r = rig();
         let va_in = r.alloc(4 * 8 * 8);
         let va_out = r.alloc(4 * 4 * 4);
-        // Functional pooled rows: 4 channels * 4 rows of 4 bytes, value 9,
-        // packed flat.
+        // Four 8×8 maps streamed as 32 rows of 8 bytes; functional pooled
+        // rows: 16 rows of 4 bytes, value 9, packed flat.
         let rows = vec![9u8; 64];
         let mut accel = Accelerator::new(cfg.clone());
-        let mut kernel = PoolKernel::new(&cfg, va_in, va_out, 4, (8, 8), (4, 4), 2, Some(rows));
+        let mut kernel =
+            PoolKernel::new(&cfg, va_in, va_out, (4 * 8, 8), (4 * 4, 4), 2, Some(rows));
         run_kernel(&mut r, &mut accel, &mut kernel);
         assert_eq!(r.read_i8(va_out, 64), vec![9i8; 64]);
         assert!(accel.stats().finish > 0);
@@ -1247,67 +1251,76 @@ mod tests {
         assert_eq!(accel.now(), 12345);
     }
 
-    #[test]
-    fn dwconv_matches_reference() {
-        use gemmini_dnn::ops::conv::{dwconv2d, ConvSpec};
-        use gemmini_dnn::ops::im2col::im2col;
+    /// Runs a depthwise conv through its per-channel group kernels (im2col
+    /// block source, functional patches) and checks every output byte
+    /// against `dwconv2d`.
+    fn check_dwconv(stride: usize, seed: u64) {
+        use gemmini_dnn::ops::conv::dwconv2d;
 
         let cfg = GemminiConfig::edge();
         let mut r = rig();
-        let (c, h, w, ksz) = (4usize, 6usize, 6usize, 3usize);
-        let spec = ConvSpec {
+        let (c, h, w, ksz) = (4usize, 7usize, 6usize, 3usize);
+        let layer = Layer::DwConv {
+            channels: c,
             kernel: ksz,
-            stride: 1,
+            stride,
             padding: 1,
+            in_hw: (h, w),
+            activation: Activation::None,
         };
-        let input = Tensor::<i8>::random(&[1, h, w, c], 20);
-        let weights = Tensor::<i8>::random(&[c, ksz, ksz], 21);
-        let (oh, ow) = (h, w);
+        let conv = ConvGroups::of(&layer).expect("depthwise is a grouped conv");
+        assert_eq!(
+            (conv.groups, conv.in_channels, conv.out_channels),
+            (c, 1, 1)
+        );
+        let input = Tensor::<i8>::random(&[1, h, w, c], seed);
+        let weights = Tensor::<i8>::random(&[c, ksz, ksz], seed + 1);
+        let m = conv.m();
 
         let va_in = r.alloc(c * h * w);
-        let va_w = r.alloc(c * ksz * ksz * 16);
-        let va_out = r.alloc(c * oh * ow);
+        let va_w = r.alloc(c * conv.group_weights_len(16));
+        let va_out = r.alloc(c * m);
         r.write_i8(va_in, input.as_slice());
-        // Weight layout: per-channel [k², 1] panels padded to dim columns.
+        // Group `ch`'s weights: the panels of its [k², 1] column.
         let mut panels = Vec::new();
-        for ch in 0..c {
-            let col = Tensor::from_vec(
-                &[ksz * ksz, 1],
-                weights.as_slice()[ch * ksz * ksz..(ch + 1) * ksz * ksz].to_vec(),
-            );
-            panels.extend(pack_b_panels(&col, 16));
+        for col in weights.as_slice().chunks_exact(ksz * ksz) {
+            panels.extend(pack_b_panels(
+                &Tensor::from_vec(&[ksz * ksz, 1], col.to_vec()),
+                16,
+            ));
         }
+        assert_eq!(panels.len(), c * conv.group_weights_len(16));
         r.write_i8(va_w, &panels);
 
-        // Per-channel patch matrices.
-        let patches: Vec<Tensor<i8>> = (0..c).map(|ch| im2col(&input, spec, ch..ch + 1)).collect();
-
         let mut accel = Accelerator::new(cfg.clone());
-        let mut kernel = DwConvKernel::new(
-            &cfg,
-            va_in,
-            va_w,
-            va_out,
-            c,
-            (h, w),
-            (oh, ow),
-            ksz,
-            1,
-            1,
-            Activation::None,
-            1.0,
-            Some(patches),
-            None,
-        );
-        run_kernel(&mut r, &mut accel, &mut kernel);
+        let kernels: Vec<_> = conv
+            .kernels(&cfg, [va_in, va_w, va_out], None, Some(&input))
+            .collect();
+        assert_eq!(kernels.len(), c);
+        for mut kernel in kernels {
+            run_kernel(&mut r, &mut accel, &mut kernel);
+        }
 
         // Output is NHWC: pixel-major, channels interleaved.
-        let got = r.read_i8(va_out, c * oh * ow);
+        let got = r.read_i8(va_out, c * m);
+        let spec = conv.spec;
         let reference = dwconv2d(&input, &weights, spec);
+        assert_eq!(reference.len(), got.len());
+        let scale = QuantParams::new(scale_for_k(ksz * ksz));
         for (i, (&got, &acc)) in got.iter().zip(reference.as_slice()).enumerate() {
-            let want = gemmini_dnn::quant::requantize(acc, QuantParams::new(1.0));
-            assert_eq!(got, want, "pixel {} ch {}", i / c, i % c);
+            let want = requantize(acc, scale);
+            assert_eq!(got, want, "stride {stride} pixel {} ch {}", i / c, i % c);
         }
+    }
+
+    #[test]
+    fn dwconv_matches_reference() {
+        check_dwconv(1, 20);
+    }
+
+    #[test]
+    fn strided_dwconv_matches_reference() {
+        check_dwconv(2, 22);
     }
 
     #[test]

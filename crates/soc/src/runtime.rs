@@ -16,8 +16,8 @@
 //! bit-for-bit.
 
 use crate::kernel::{
-    packed_b_len, ASource, CpuLayerKernel, DwConvKernel, Im2colParams, Kernel, KernelEnv,
-    MatmulParams, PoolKernel, ResAddKernel, StepOutcome, TiledMatmulKernel,
+    packed_b_len, ASource, ConvGroups, CpuLayerKernel, Kernel, KernelEnv, MatmulParams, PoolKernel,
+    ResAddKernel, StepOutcome, TiledMatmulKernel,
 };
 use gemmini_core::config::GemminiConfig;
 use gemmini_core::peripherals::readout_row;
@@ -25,7 +25,6 @@ use gemmini_core::scratchpad::copy_row;
 use gemmini_core::AccelError;
 use gemmini_dnn::graph::{Layer, LayerClass, Network};
 use gemmini_dnn::ops::conv::{conv2d, dwconv2d, ConvSpec};
-use gemmini_dnn::ops::im2col::im2col;
 use gemmini_dnn::ops::matmul;
 use gemmini_dnn::ops::pool::pool2d_i8;
 use gemmini_dnn::ops::resadd_i8;
@@ -36,7 +35,7 @@ use gemmini_mem::dram::MainMemory;
 use gemmini_mem::Cycle;
 use gemmini_vm::page::FrameAllocator;
 use gemmini_vm::page_table::AddressSpace;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Recorded timing of one executed layer.
 #[derive(Debug, Clone)]
@@ -168,28 +167,32 @@ fn write_b_panels(
     }
 }
 
-/// Writes seeded `[oc, ic, kernel, kernel]` conv weights to `va` as the
-/// panels of their `[kernel²·ic, oc]` matrix: the bytes of
+/// Writes a conv's seeded `[groups·oc, ic, kernel, kernel]` weights to `va`,
+/// group after group, as the panels of each group's `[kernel²·ic, oc]`
+/// matrix: the bytes of
 /// [`weights_to_matrix`](gemmini_dnn::ops::im2col::weights_to_matrix)
-/// then [`pack_b_panels`](crate::kernel::pack_b_panels). A panel's `dim`
-/// output channels are drawn first, then its rows are gathered from them
-/// straight into the pages.
+/// then [`pack_b_panels`](crate::kernel::pack_b_panels) per group. A
+/// panel's `dim` output channels are drawn first, then its rows are
+/// gathered from them straight into the pages.
 fn write_conv_panels(
     space: &AddressSpace,
     mem: &mut MainMemory,
     va: VirtAddr,
-    [oc, ic, kernel]: [usize; 3],
+    conv: &ConvGroups,
     dim: usize,
     stream: &mut RandomI8,
 ) {
-    let taps = kernel * kernel;
-    let kdim = taps * ic;
+    let (oc, ic) = (conv.out_channels, conv.in_channels);
+    let taps = conv.spec.kernel * conv.spec.kernel;
+    let kdim = conv.k();
+    let panels = oc.div_ceil(dim);
     let mut channels = vec![0i8; kdim * dim];
-    for p in 0..oc.div_ceil(dim) {
-        let w = dim.min(oc - p * dim);
-        // Output channel `p·dim + lane` is the stream's next `kdim` values
-        // in [ic][kh][kw] order; tap `j` of input channel `ci` is matrix
-        // row `j·ic + ci`.
+    // The layer's panel `p` is panel `p % panels` of group `p / panels`.
+    for p in 0..conv.groups * panels {
+        let w = dim.min(oc - p % panels * dim);
+        // The panel's output channel `lane` is the stream's next `kdim`
+        // values in [ic][kh][kw] order; tap `j` of input channel `ci` is
+        // matrix row `j·ic + ci`.
         let channels = &mut channels[..w * kdim];
         stream.fill(channels);
         let at = va.add((p * kdim * dim) as u64);
@@ -286,28 +289,6 @@ fn write_host_output(env: &mut KernelEnv<'_>, va: VirtAddr, vals: Option<Vec<i8>
     }
 }
 
-/// Runs a sequence of sub-kernels back to back (e.g. CPU im2col followed by
-/// the GEMM).
-struct SequenceKernel {
-    kernels: Vec<Box<dyn Kernel>>,
-    idx: usize,
-}
-
-impl Kernel for SequenceKernel {
-    fn step(&mut self, env: &mut KernelEnv<'_>) -> Result<StepOutcome, AccelError> {
-        while self.idx < self.kernels.len() {
-            match self.kernels[self.idx].step(env)? {
-                StepOutcome::Working => return Ok(StepOutcome::Working),
-                StepOutcome::Done => self.idx += 1,
-            }
-            if self.idx < self.kernels.len() {
-                return Ok(StepOutcome::Working);
-            }
-        }
-        Ok(StepOutcome::Done)
-    }
-}
-
 /// Executes one network on one core, layer by layer, as a resumable state
 /// machine.
 pub struct NetworkExecution {
@@ -317,7 +298,9 @@ pub struct NetworkExecution {
     input_elements: usize,
     placements: Vec<Placement>,
     current: usize,
-    kernel: Option<Box<dyn Kernel>>,
+    /// The current layer's kernels still to run, front first (empty
+    /// between layers).
+    queue: VecDeque<Box<dyn Kernel>>,
     layer_start: Cycle,
     timings: Vec<LayerTiming>,
     seed: u64,
@@ -354,36 +337,27 @@ impl NetworkExecution {
         let input_va = space.alloc(frames, round_up(input_elements, pad) as u64);
 
         let mut placements = Vec::with_capacity(net.len());
+        // Room for the longest layer queue (a conv's groups and its host
+        // im2col), so starting a layer never grows the queue.
+        let mut queue_len = 1;
         for (i, nl) in net.layers().iter().enumerate() {
             let l = &nl.layer;
+            let conv = ConvGroups::of(l);
+            queue_len = conv.map_or(queue_len, |c| queue_len.max(c.groups + 1));
             // Stationary operands are stored panel-packed (see
             // `pack_b_panels`), which pads each panel to `dim` columns.
             let weights_len = match *l {
-                Layer::Conv {
-                    in_channels,
-                    out_channels,
-                    kernel,
-                    ..
-                } => packed_b_len(kernel * kernel * in_channels, out_channels, dim),
-                Layer::DwConv {
-                    channels, kernel, ..
-                } => channels * kernel * kernel * dim,
                 Layer::Matmul { k, n, .. } => packed_b_len(k, n, dim),
-                _ => 0,
+                _ => conv.map_or(0, |c| c.groups * c.group_weights_len(dim)),
             };
             let weights =
                 (weights_len > 0).then(|| space.alloc(frames, round_up(weights_len, pad) as u64));
             let out_elements = l.output_bytes() as usize;
             let output = space.alloc(frames, round_up(out_elements.max(1), pad) as u64);
-            // Patch scratch for CPU-side im2col.
-            let patch = match l {
-                Layer::Conv { .. } | Layer::DwConv { .. } if !accel_cfg.has_im2col => {
-                    // `as_gemm` already folds channels into m for depthwise.
-                    let (m, k, _n) = l.as_gemm().expect("conv lowers to GEMM");
-                    Some(space.alloc(frames, round_up(m * k, pad) as u64))
-                }
-                _ => None,
-            };
+            // Patch scratch for CPU-side im2col: every group's patch matrix.
+            let patch = conv
+                .filter(|_| !accel_cfg.has_im2col)
+                .map(|c| space.alloc(frames, round_up(c.groups * c.m() * c.k(), pad) as u64));
             placements.push(Placement {
                 weights,
                 output,
@@ -395,38 +369,10 @@ impl NetworkExecution {
             // packed pages.
             if let (Some(mem), Some(va)) = (data.as_deref_mut(), weights) {
                 let mut stream = RandomI8::new(weight_seed(seed, i));
-                match *l {
-                    Layer::Conv {
-                        in_channels,
-                        out_channels,
-                        kernel,
-                        ..
-                    } => write_conv_panels(
-                        space,
-                        mem,
-                        va,
-                        [out_channels, in_channels, kernel],
-                        dim,
-                        &mut stream,
-                    ),
-                    // Per-channel [k², 1] panels padded to `dim` columns are
-                    // the panels of one [channels·k², 1] matrix: a weight at
-                    // the head of every dim-wide row.
-                    Layer::DwConv {
-                        channels, kernel, ..
-                    } => write_b_panels(
-                        space,
-                        mem,
-                        va,
-                        channels * kernel * kernel,
-                        1,
-                        dim,
-                        &mut stream,
-                    ),
-                    Layer::Matmul { k, n, .. } => {
-                        write_b_panels(space, mem, va, k, n, dim, &mut stream)
-                    }
-                    _ => {}
+                if let Some(conv) = &conv {
+                    write_conv_panels(space, mem, va, conv, dim, &mut stream);
+                } else if let Layer::Matmul { k, n, .. } = *l {
+                    write_b_panels(space, mem, va, k, n, dim, &mut stream);
                 }
             }
         }
@@ -442,7 +388,7 @@ impl NetworkExecution {
             input_elements,
             placements,
             current: 0,
-            kernel: None,
+            queue: VecDeque::with_capacity(queue_len),
             layer_start: 0,
             timings: Vec::new(),
             seed,
@@ -518,155 +464,40 @@ impl NetworkExecution {
         Some(Tensor::from_vec(&[1, h, w, c], into_i8(bytes)))
     }
 
-    fn prepare_layer(&mut self, env: &mut KernelEnv<'_>) -> Box<dyn Kernel> {
+    /// Queues the kernels that run the current layer, in order.
+    fn prepare_layer(&mut self, env: &mut KernelEnv<'_>) {
         let i = self.current;
         let layer = self.net.layers()[i].layer.clone();
         let place = self.placements[i];
         let cfg = self.accel_cfg.clone();
-        match layer {
-            Layer::Conv {
-                in_channels,
-                out_channels,
-                kernel,
-                stride,
-                padding,
-                in_hw,
-                activation,
-            } => {
-                let spec = ConvSpec {
-                    kernel,
-                    stride,
-                    padding,
-                };
-                let (oh, ow) = (spec.out_size(in_hw.0), spec.out_size(in_hw.1));
-                let m = oh * ow;
-                let kdim = kernel * kernel * in_channels;
-                let params = MatmulParams {
-                    a: place.patch.unwrap_or(VirtAddr::new(0)),
-                    b: place.weights.expect("conv has weights"),
-                    c: place.output,
-                    m,
-                    k: kdim,
-                    n: out_channels,
-                    c_stride: out_channels,
-                    activation,
-                    acc_scale: scale_for_k(kdim),
-                };
-                let patches = self
-                    .read_input(env, i, in_channels, in_hw)
-                    .map(|t| im2col(&t, spec, 0..in_channels));
-                if cfg.has_im2col {
-                    Box::new(TiledMatmulKernel::new(
-                        &cfg,
-                        params,
-                        ASource::Im2col(Im2colParams {
-                            input: self.input_of(i),
-                            channels: in_channels,
-                            in_h: in_hw.0,
-                            in_w: in_hw.1,
-                            row_pitch: in_hw.1 * in_channels,
-                            kernel,
-                            stride,
-                            padding,
-                            out_w: ow,
-                            patches,
-                        }),
-                    ))
-                } else {
-                    // CPU im2col: the host expands patches into memory, then
-                    // the accelerator consumes a plain matrix.
-                    // Functional write occurs up front; its time cost is the
-                    // CpuLayerKernel below.
-                    if let Some(patch_va) = place.patch {
-                        write_host_output(env, patch_va, patches.map(Tensor::into_vec));
-                    }
-                    let cycles = env.cpu.im2col_cycles(&layer);
-                    Box::new(SequenceKernel {
-                        kernels: vec![
-                            Box::new(CpuLayerKernel::new(cycles)),
-                            Box::new(TiledMatmulKernel::new(&cfg, params, ASource::Memory)),
-                        ],
-                        idx: 0,
-                    })
-                }
-            }
-            Layer::DwConv {
-                channels,
-                kernel,
-                stride,
-                padding,
-                in_hw,
-                activation,
-            } => {
-                let spec = ConvSpec {
-                    kernel,
-                    stride,
-                    padding,
-                };
-                let (oh, ow) = (spec.out_size(in_hw.0), spec.out_size(in_hw.1));
-                let patches_per_channel = self.read_input(env, i, channels, in_hw).map(|t| {
-                    (0..channels)
-                        .map(|ch| im2col(&t, spec, ch..ch + 1))
-                        .collect::<Vec<_>>()
-                });
-                let scale = scale_for_k(kernel * kernel);
-                if cfg.has_im2col {
-                    Box::new(DwConvKernel::new(
-                        &cfg,
-                        self.input_of(i),
-                        place.weights.expect("dwconv has weights"),
-                        place.output,
-                        channels,
-                        in_hw,
-                        (oh, ow),
-                        kernel,
-                        stride,
-                        padding,
-                        activation,
-                        scale,
-                        patches_per_channel,
-                        None,
-                    ))
-                } else {
-                    let patch_va = place.patch.expect("cpu-im2col dwconv has patch buffer");
-                    if let (Some(patches), Some(data)) =
-                        (patches_per_channel.as_ref(), env.ctx.data.as_deref_mut())
-                    {
-                        let kk = kernel * kernel;
-                        let m = oh * ow;
-                        for (ch, p) in patches.iter().enumerate() {
-                            write_virt(
-                                env.ctx.space,
-                                data,
-                                patch_va.add((ch * m * kk) as u64),
-                                p.as_slice(),
-                            );
+        let kernel: Box<dyn Kernel> = match layer {
+            Layer::Conv { .. } | Layer::DwConv { .. } => {
+                let conv = ConvGroups::of(&layer).expect("a conv layer has groups");
+                let input = self.read_input(env, i, conv.groups * conv.in_channels, conv.in_hw);
+                if let Some(patch_va) = place.patch {
+                    // CPU im2col: the host expands every group's patches
+                    // into memory up front (functional mode), then the
+                    // accelerator consumes plain matrices; the
+                    // CpuLayerKernel carries the host's time.
+                    if let Some(t) = &input {
+                        let len = conv.m() * conv.k();
+                        for g in 0..conv.groups {
+                            let vals = conv.patches(t, g).into_vec();
+                            write_host_output(env, patch_va.add((g * len) as u64), Some(vals));
                         }
                     }
                     let cycles = env.cpu.im2col_cycles(&layer);
-                    Box::new(SequenceKernel {
-                        kernels: vec![
-                            Box::new(CpuLayerKernel::new(cycles)),
-                            Box::new(DwConvKernel::new(
-                                &cfg,
-                                self.input_of(i),
-                                place.weights.expect("dwconv has weights"),
-                                place.output,
-                                channels,
-                                in_hw,
-                                (oh, ow),
-                                kernel,
-                                stride,
-                                padding,
-                                activation,
-                                scale,
-                                None,
-                                Some(patch_va),
-                            )),
-                        ],
-                        idx: 0,
-                    })
+                    self.queue.push_back(Box::new(CpuLayerKernel::new(cycles)));
                 }
+                let buffers = [
+                    self.input_of(i),
+                    place.weights.expect("conv has weights"),
+                    place.output,
+                ];
+                let groups = conv.kernels(&cfg, buffers, place.patch, input.as_ref());
+                self.queue
+                    .extend(groups.map(|k| Box::new(k) as Box<dyn Kernel>));
+                return;
             }
             Layer::Matmul {
                 m,
@@ -712,13 +543,11 @@ impl NetworkExecution {
                     .map(|t| pool2d_i8(&t, kind, spec).into_vec());
                 if cfg.has_pooling {
                     let (oh, ow) = (spec.out_size(in_hw.0), spec.out_size(in_hw.1));
-                    // Stream NHWC rows: treat the feature map as 1 "channel"
-                    // of (h, w*c) for the row geometry.
+                    // Stream NHWC rows: h rows of w·c bytes.
                     Box::new(PoolKernel::new(
                         &cfg,
                         self.input_of(i),
                         place.output,
-                        1,
                         (in_hw.0, in_hw.1 * channels),
                         (oh, ow * channels),
                         size,
@@ -744,10 +573,12 @@ impl NetworkExecution {
                 write_host_output(env, place.output, input);
                 Box::new(CpuLayerKernel::new(env.cpu.layer_cycles(&layer)))
             }
-        }
+        };
+        self.queue.push_back(kernel);
     }
 
-    /// Executes one kernel step of the current layer.
+    /// Executes one step of the current layer's front kernel; the layer
+    /// ends with its last kernel.
     ///
     /// # Errors
     ///
@@ -756,17 +587,18 @@ impl NetworkExecution {
         if self.is_finished() {
             return Ok(StepOutcome::Done);
         }
-        if self.kernel.is_none() {
+        if self.queue.is_empty() {
             self.layer_start = env.accel.now();
-            let k = self.prepare_layer(env);
-            self.kernel = Some(k);
+            self.prepare_layer(env);
         }
-        let outcome = self
-            .kernel
-            .as_mut()
-            .expect("kernel prepared above")
-            .step(env)?;
-        if outcome == StepOutcome::Done {
+        let front = self
+            .queue
+            .front_mut()
+            .expect("a layer lowers to at least one kernel");
+        if front.step(env)? == StepOutcome::Done {
+            self.queue.pop_front();
+        }
+        if self.queue.is_empty() {
             let nl = &self.net.layers()[self.current];
             self.timings.push(LayerTiming {
                 name: nl.name.clone(),
@@ -774,7 +606,6 @@ impl NetworkExecution {
                 start: self.layer_start,
                 end: env.accel.now(),
             });
-            self.kernel = None;
             self.current += 1;
         }
         Ok(if self.is_finished() {

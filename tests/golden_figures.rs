@@ -20,11 +20,12 @@ use gemmini_bench::figures::{
 };
 use gemmini_bench::{quick_resnet, SweepOptions};
 use gemmini_cpu::model::CpuKind;
-use gemmini_dnn::graph::LayerClass;
+use gemmini_dnn::graph::{Activation, Layer, LayerClass, Network};
 use gemmini_dnn::loader::parse_network;
 use gemmini_dnn::zoo;
-use gemmini_mem::json::Json;
+use gemmini_mem::json::{Json, ToJson};
 use gemmini_soc::run::{run_networks, RunOptions};
+use gemmini_soc::soc::SocConfig;
 use gemmini_soc::sweep::run_sweep_with;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -191,6 +192,77 @@ fn im2col_placement_does_not_move_a_conv_free_report() {
     assert_eq!(results[0].expect_ok(), results[1].expect_ok());
 }
 
+/// An inverted-residual block without its skip: expand 1×1 `8→24` at
+/// 12×12, depthwise 3×3 with stride `stride`, project 1×1 `24→8`.
+fn dw_block(stride: usize) -> Network {
+    let (c, mid, hw) = (8usize, 24usize, 12usize);
+    let out = (hw + 2 - 3) / stride + 1;
+    let mut net = Network::new(format!("dw_block_s{stride}"));
+    net.push(
+        "expand",
+        Layer::Conv {
+            in_channels: c,
+            out_channels: mid,
+            kernel: 1,
+            stride: 1,
+            padding: 0,
+            in_hw: (hw, hw),
+            activation: Activation::Relu6,
+        },
+    );
+    net.push(
+        "dw",
+        Layer::DwConv {
+            channels: mid,
+            kernel: 3,
+            stride,
+            padding: 1,
+            in_hw: (hw, hw),
+            activation: Activation::Relu6,
+        },
+    );
+    net.push(
+        "project",
+        Layer::Conv {
+            in_channels: mid,
+            out_channels: c,
+            kernel: 1,
+            stride: 1,
+            padding: 0,
+            in_hw: (out, out),
+            activation: Activation::None,
+        },
+    );
+    net
+}
+
+/// Two cores share the L2 and interleave at kernel-step granularity, so
+/// every step boundary of a conv layer — the host im2col phase, each
+/// depthwise channel's GEMM steps — moves which core touches memory
+/// first. Core 0 runs the block at depthwise stride `s`, core 1 at
+/// `3 − s`, with the im2col block on and off.
+#[test]
+fn dwconv_dual_quick_matches_golden() {
+    let mut reports = Vec::new();
+    for im2col in [true, false] {
+        for s in [1, 2] {
+            let mut config = SocConfig::edge_dual_core();
+            for core in &mut config.cores {
+                core.accel.has_im2col = im2col;
+            }
+            let report = run_networks(
+                &config,
+                &[dw_block(s), dw_block(3 - s)],
+                &RunOptions::timing(),
+            )
+            .expect("dual-core block runs");
+            let placement = if im2col { "im2col" } else { "cpu_im2col" };
+            reports.push((format!("s{s}_{placement}"), report.to_json()));
+        }
+    }
+    check_golden("dwconv_dual_quick.json", &Json::obj(reports));
+}
+
 /// The golden files themselves must round-trip through the hand-rolled
 /// codec — otherwise a bless would write something the checker cannot
 /// reload.
@@ -203,6 +275,7 @@ fn golden_files_round_trip() {
         "fig7_quick.json",
         "fig7_attribution.json",
         "fig8_quick.json",
+        "dwconv_dual_quick.json",
     ] {
         let path = golden_path(name);
         let text = std::fs::read_to_string(&path)
