@@ -14,7 +14,10 @@
 //! (a [`MemCtx`] with `data`), every instruction moves real bytes and the
 //! matrix unit performs real arithmetic, validated against `gemmini-dnn`'s
 //! reference operators; in timing-only mode the same cycle accounting runs
-//! with no data movement.
+//! with no data movement. The peripheral hooks carry time only
+//! (`mvin_raw`, `mvout_raw`, `charge_execute_after`: the runtime writes
+//! pooled output itself), and `mvin_im2col` takes its functional rows from
+//! the host-built patch matrix rather than from the raw rows it streams.
 
 use crate::config::GemminiConfig;
 use crate::dma::StreamDma;
@@ -86,33 +89,10 @@ impl From<TranslateError> for AccelError {
 pub struct ExecStats {
     /// Cycle at which the last instruction completed.
     pub finish: Cycle,
-    /// Cycles the load unit was busy.
-    pub load_busy: u64,
-    /// Cycles the execute unit was busy.
-    pub ex_busy: u64,
-    /// Cycles the store unit was busy.
-    pub store_busy: u64,
     /// MACs performed (counted in both functional and timing-only modes).
     pub macs: u64,
-    /// mvin instructions executed.
-    pub loads: u64,
-    /// preload instructions executed.
-    pub preloads: u64,
     /// compute instructions executed.
     pub computes: u64,
-    /// mvout instructions executed.
-    pub stores: u64,
-}
-
-impl ExecStats {
-    /// Achieved fraction of peak MAC throughput up to `finish`.
-    pub fn utilization(&self, peak_macs_per_cycle: u64) -> f64 {
-        if self.finish == 0 {
-            0.0
-        } else {
-            self.macs as f64 / (self.finish as f64 * peak_macs_per_cycle as f64)
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -120,7 +100,6 @@ struct CfgState {
     activation: Activation,
     acc_scale: f32,
     ld_stride: u64,
-    ld_shrink: bool,
     st_stride: u64,
 }
 
@@ -130,7 +109,6 @@ impl Default for CfgState {
             activation: Activation::None,
             acc_scale: 1.0,
             ld_stride: 0,
-            ld_shrink: false,
             st_stride: 0,
         }
     }
@@ -201,7 +179,6 @@ impl TileColumn {
             a: LocalAddr::Sp {
                 row: block_row(self.a_row, i, dim),
             },
-            d: LocalAddr::None,
             a_rows: self.block_rows(i, dim),
             a_cols: self.a_cols,
         }
@@ -231,8 +208,6 @@ fn block_row(base: u32, i: usize, dim: usize) -> u32 {
 struct Scratch {
     /// mvin landing zone: DMA bytes before the local-memory deposit.
     dma: Vec<u8>,
-    /// Staged bias rows for the compute path.
-    d: Vec<i32>,
     /// mvout staging: read-out bytes handed to the DMA.
     store: Vec<u8>,
 }
@@ -391,7 +366,6 @@ impl Accelerator {
             self.ex_free,
             StallCause::None,
         );
-        self.stats.ex_busy += cycles;
         self.stats.finish = self.stats.finish.max(self.ex_free);
         self.ex_free
     }
@@ -433,8 +407,6 @@ impl Accelerator {
             StallCause::None,
         );
         self.profiler.maybe_compact(self.attribution_frontier());
-        self.stats.load_busy += xfer.done - start;
-        self.stats.loads += 1;
         self.stats.finish = self.stats.finish.max(xfer.done);
         self.load_free = xfer.done;
         Ok(xfer.done)
@@ -447,9 +419,11 @@ impl Accelerator {
     ///
     /// Timing and memory traffic follow the raw stream (that is the whole
     /// point of the block: k²-fold less DRAM traffic than a materialized
-    /// patch matrix); functional contents come from `patch_data` — flat,
-    /// `patch_rows` equal-length rows packed back to back — when running
-    /// functionally.
+    /// patch matrix). The functional contents do not come from the raw
+    /// rows the DMA moves, which go nowhere: they come from `patches`, a
+    /// strided view of the host-built patch matrix, `(view, stride, cols)`
+    /// with patch row `i` at `view[i * stride..i * stride + cols]`. So the
+    /// raw address, row pitch and byte count reach only timing.
     ///
     /// # Errors
     ///
@@ -458,8 +432,8 @@ impl Accelerator {
     ///
     /// # Panics
     ///
-    /// Panics if `patch_data` is provided with a length not divisible into
-    /// `patch_rows` equal rows.
+    /// Panics, when running functionally, if `view` is too short for
+    /// `patch_rows` rows or `cols` exceeds a scratchpad row.
     #[allow(clippy::too_many_arguments)]
     pub fn mvin_im2col(
         &mut self,
@@ -470,14 +444,8 @@ impl Accelerator {
         raw_stride: u64,
         sp_row: u32,
         patch_rows: u16,
-        patch_data: Option<&[i8]>,
+        patches: Option<(&[i8], usize, usize)>,
     ) -> Result<Cycle, AccelError> {
-        if let Some(d) = patch_data {
-            assert!(
-                patch_rows > 0 && d.len() % patch_rows as usize == 0,
-                "patch_data length must divide into patch_rows equal rows"
-            );
-        }
         let local = LocalAddr::Sp { row: sp_row };
         self.check_sp_range(local, sp_row, patch_rows)?;
         let dep = self
@@ -508,18 +476,13 @@ impl Accelerator {
             StallCause::None,
         );
         self.profiler.maybe_compact(self.attribution_frontier());
-        if ctx.data.is_some() {
-            if let Some(flat) = patch_data {
-                let row_len = flat.len() / patch_rows as usize;
-                for i in 0..patch_rows as usize {
-                    self.sp
-                        .write_row(sp_row as usize + i, &flat[i * row_len..(i + 1) * row_len]);
-                }
+        if let (true, Some((view, stride, cols))) = (ctx.data.is_some(), patches) {
+            for i in 0..patch_rows as usize {
+                let at = i * stride;
+                self.sp.write_row(sp_row as usize + i, &view[at..at + cols]);
             }
         }
         self.sp_wr.mark(sp_row, patch_rows, done);
-        self.stats.load_busy += done - start;
-        self.stats.loads += 1;
         self.stats.finish = self.stats.finish.max(done);
         self.load_free = done;
         Ok(done)
@@ -527,8 +490,8 @@ impl Accelerator {
 
     /// Streams `rows` rows of `row_bytes` bytes to memory directly from a
     /// peripheral unit (e.g. the pooling block's output), bypassing the
-    /// local memories. `data` supplies the bytes when running functionally,
-    /// packed `rows * row_bytes` flat.
+    /// local memories. It carries time only: the stream has no functional
+    /// bytes, so in functional mode the caller writes the output itself.
     ///
     /// # Errors
     ///
@@ -540,7 +503,6 @@ impl Accelerator {
         rows: usize,
         row_bytes: u64,
         stride: u64,
-        data: Option<&[u8]>,
     ) -> Result<Cycle, AccelError> {
         let start = self.store_free.max(self.ex_free);
         let xfer = self.dma.mvout(
@@ -551,7 +513,7 @@ impl Accelerator {
             rows,
             row_bytes,
             stride,
-            data,
+            None,
         )?;
         self.profiler.span(
             AttributionKind::Store,
@@ -562,8 +524,6 @@ impl Accelerator {
             StallCause::None,
         );
         self.profiler.maybe_compact(self.attribution_frontier());
-        self.stats.store_busy += xfer.done - start;
-        self.stats.stores += 1;
         self.stats.finish = self.stats.finish.max(xfer.done);
         self.store_free = xfer.done;
         Ok(xfer.done)
@@ -687,7 +647,7 @@ impl Accelerator {
             self.profiler.metrics().inc(MetricCounter::TilesIssued);
             let a_row = block_row(col.a_row, i, dim);
             let a_rows = col.block_rows(i, dim);
-            done = self.exec_compute(functional, a_row, a_rows, col.a_cols, c, LocalAddr::None);
+            done = self.exec_compute(functional, a_row, a_rows, col.a_cols, c);
         }
         // The failing instruction is a compute when an odd count ran.
         if error.is_some() && valid % 2 == 1 {
@@ -738,14 +698,9 @@ impl Accelerator {
                     .check_dims("preload", b_rows, b_cols)
                     .and_then(|()| self.check_preload_operands(b, c, b_rows, b_cols))
                     .map(|(_, c)| pending = Some(c)),
-                Instruction::ComputePreloaded {
-                    a,
-                    d,
-                    a_rows,
-                    a_cols,
-                } => self
-                    .check_compute(pending, a, d, a_rows, a_cols)
-                    .map(|_| ()),
+                Instruction::ComputePreloaded { a, a_rows, a_cols } => {
+                    self.check_compute(pending, a, a_rows, a_cols).map(|_| ())
+                }
                 _ => unreachable!("a column holds only preloads and computes"),
             };
             if let Err(e) = checked {
@@ -770,9 +725,8 @@ impl Accelerator {
                 self.ex_free += 1;
                 Ok(self.ex_free)
             }
-            Instruction::ConfigLd { stride, shrink } => {
+            Instruction::ConfigLd { stride } => {
                 self.state.ld_stride = stride;
-                self.state.ld_shrink = shrink;
                 self.load_free += 1;
                 Ok(self.load_free)
             }
@@ -803,15 +757,10 @@ impl Accelerator {
                 let (b_row, c) = self.check_preload_operands(b, c, b_rows, b_cols)?;
                 Ok(self.exec_preload(ctx.data.is_some(), b_row, b_rows, c))
             }
-            Instruction::ComputePreloaded {
-                a,
-                d,
-                a_rows,
-                a_cols,
-            } => {
+            Instruction::ComputePreloaded { a, a_rows, a_cols } => {
                 self.profiler.metrics().inc(MetricCounter::TilesIssued);
-                let (a_row, c) = self.check_compute(self.pending_c, a, d, a_rows, a_cols)?;
-                Ok(self.exec_compute(ctx.data.is_some(), a_row, a_rows, a_cols, c, d))
+                let (a_row, c) = self.check_compute(self.pending_c, a, a_rows, a_cols)?;
+                Ok(self.exec_compute(ctx.data.is_some(), a_row, a_rows, a_cols, c))
             }
             Instruction::Flush => {
                 let t = self.now();
@@ -829,25 +778,21 @@ impl Accelerator {
         rows: u16,
         cols: u16,
     ) -> Result<Cycle, AccelError> {
-        // mvin moves up to `dim` elements per local row; row counts are
-        // only bounded by the local memory itself.
+        // mvin moves up to `dim` int8 elements per local row; row counts
+        // are only bounded by the local memory itself.
         self.check_dims("mvin", 0, cols)?;
-        let (elem_bytes, dep_start) = match local {
+        let dep_start = match local {
             LocalAddr::Sp { row } => {
                 self.check_sp_range(local, row, rows)?;
-                let dep = self
-                    .sp_wr
+                self.sp_wr
                     .range_max(row, rows)
-                    .max(self.sp_rd.range_max(row, rows));
-                (1u64, dep)
+                    .max(self.sp_rd.range_max(row, rows))
             }
             LocalAddr::Acc { row, .. } => {
                 self.check_acc_range(local, row, rows)?;
-                let dep = self
-                    .acc_wr
+                self.acc_wr
                     .range_max(row, rows)
-                    .max(self.acc_rd.range_max(row, rows));
-                (if self.state.ld_shrink { 1u64 } else { 4u64 }, dep)
+                    .max(self.acc_rd.range_max(row, rows))
             }
             LocalAddr::None => {
                 return Err(AccelError::BadLocalAddress {
@@ -856,7 +801,7 @@ impl Accelerator {
                 })
             }
         };
-        let row_bytes = cols as u64 * elem_bytes;
+        let row_bytes = cols as u64;
         let stride = if self.state.ld_stride == 0 {
             row_bytes
         } else {
@@ -882,28 +827,25 @@ impl Accelerator {
             StallCause::None,
         );
 
-        // Functional: deposit rows straight from the flat DMA arena.
+        // Functional: deposit rows straight from the flat DMA arena; an
+        // accumulator row widens its int8 payload to int32 on the way in.
         if ctx.data.is_some() {
             let rb = row_bytes as usize;
+            let dma = &self.scratch.dma;
             match local {
                 LocalAddr::Sp { row } => {
                     for i in 0..rows as usize {
-                        self.sp.write_row_bytes(
-                            row as usize + i,
-                            &self.scratch.dma[i * rb..(i + 1) * rb],
-                        );
+                        self.sp
+                            .write_row_bytes(row as usize + i, &dma[i * rb..(i + 1) * rb]);
                     }
                 }
                 LocalAddr::Acc { row, accumulate } => {
                     for i in 0..rows as usize {
-                        let bytes = &self.scratch.dma[i * rb..(i + 1) * rb];
-                        let r = row as usize + i;
-                        match (self.state.ld_shrink, accumulate) {
-                            // Widen int8 payload to int32 on the way in.
-                            (true, false) => self.acc.write_row_widen(r, bytes),
-                            (true, true) => self.acc.accumulate_row_widen(r, bytes),
-                            (false, false) => self.acc.write_row_i32le(r, bytes),
-                            (false, true) => self.acc.accumulate_row_i32le(r, bytes),
+                        let (r, bytes) = (row as usize + i, &dma[i * rb..(i + 1) * rb]);
+                        if accumulate {
+                            self.acc.accumulate_row_widen(r, bytes);
+                        } else {
+                            self.acc.write_row_widen(r, bytes);
                         }
                     }
                 }
@@ -916,8 +858,6 @@ impl Accelerator {
             LocalAddr::Acc { row, .. } => self.acc_wr.mark(row, rows, xfer.done),
             LocalAddr::None => unreachable!(),
         }
-        self.stats.load_busy += xfer.done - start;
-        self.stats.loads += 1;
         self.stats.finish = self.stats.finish.max(xfer.done);
         self.load_free = xfer.done;
         Ok(xfer.done)
@@ -1006,8 +946,6 @@ impl Accelerator {
         );
         self.b_ready = done;
         self.pending_c = Some(c);
-        self.stats.ex_busy += done - start;
-        self.stats.preloads += 1;
         self.stats.finish = self.stats.finish.max(done);
         self.ex_free = done;
         done
@@ -1020,7 +958,6 @@ impl Accelerator {
         &self,
         pending: Option<PendingC>,
         a: LocalAddr,
-        d: LocalAddr,
         a_rows: u16,
         a_cols: u16,
     ) -> Result<(u32, PendingC), AccelError> {
@@ -1046,17 +983,12 @@ impl Accelerator {
             c.row,
             a_rows,
         )?;
-        match d {
-            LocalAddr::None => {}
-            LocalAddr::Acc { row, .. } => self.check_acc_range(d, row, a_rows)?,
-            LocalAddr::Sp { row } => self.check_sp_range(d, row, a_rows)?,
-        }
         Ok((a_row, c))
     }
 
     /// A checked compute's execution: streams A from
-    /// scratchpad row `a_row` through the preloaded array into `c`, adding
-    /// the bias `d`. Returns the completion cycle.
+    /// scratchpad row `a_row` through the preloaded array into `c`.
+    /// Returns the completion cycle.
     #[inline(always)]
     fn exec_compute(
         &mut self,
@@ -1065,24 +997,13 @@ impl Accelerator {
         a_rows: u16,
         a_cols: u16,
         c: PendingC,
-        d: LocalAddr,
     ) -> Cycle {
-        let mut start = self
+        let start = self
             .ex_free
             .max(self.b_ready)
             .max(self.sp_wr.range_max(a_row, a_rows))
             .max(self.acc_wr.range_max(c.row, a_rows))
             .max(self.acc_rd.range_max(c.row, a_rows));
-
-        // Optional bias operand: resolve hazards here; the functional view
-        // is built below (accumulator-sourced bias reads zero-copy,
-        // scratchpad-sourced bias widens into the reused arena).
-        match d {
-            LocalAddr::None => {}
-            LocalAddr::Acc { row, .. } => start = start.max(self.acc_wr.range_max(row, a_rows)),
-            LocalAddr::Sp { row } => start = start.max(self.sp_wr.range_max(row, a_rows)),
-        }
-
         let done = start + self.timing.compute_cycles(a_rows as usize);
         self.profiler.span(
             AttributionKind::Compute,
@@ -1094,28 +1015,10 @@ impl Accelerator {
         );
 
         // Functional compute: the mesh accumulates straight into the
-        // destination rows (zeroed first unless the accumulate bit is
-        // set). The bias is staged before the destination changes, since
-        // an accumulator-sourced bias may alias it; int32 wrapping adds
-        // commute, so adding it last equals `C = A·B + D`.
+        // destination rows (zeroed first unless the accumulate bit is set).
         if functional {
             let dim = self.config.dim();
             let rows = a_rows as usize;
-            let bias = match d {
-                LocalAddr::None => false,
-                LocalAddr::Acc { row, .. } => {
-                    self.scratch.d.clear();
-                    let src = self.acc.rows_flat(row as usize, rows);
-                    self.scratch.d.extend_from_slice(src);
-                    true
-                }
-                LocalAddr::Sp { row } => {
-                    self.scratch.d.clear();
-                    let src = self.sp.rows_flat(row as usize, rows);
-                    self.scratch.d.extend(src.iter().map(|&x| x as i32));
-                    true
-                }
-            };
             let dst = self.acc.rows_flat_mut(c.row as usize, rows);
             if !c.accumulate {
                 dst.fill(0);
@@ -1128,17 +1031,11 @@ impl Accelerator {
                 dst,
                 dim,
             );
-            if bias {
-                for (o, &b) in dst.iter_mut().zip(&self.scratch.d) {
-                    *o = o.wrapping_add(b);
-                }
-            }
         }
 
         self.stats.macs += a_rows as u64 * a_cols as u64 * c.b_cols.max(1) as u64;
         self.sp_rd.mark(a_row, a_rows, done);
         self.acc_wr.mark(c.row, a_rows, done);
-        self.stats.ex_busy += done - start;
         self.stats.computes += 1;
         self.stats.finish = self.stats.finish.max(done);
         self.ex_free = done;
@@ -1228,8 +1125,6 @@ impl Accelerator {
             LocalAddr::Sp { row } => self.sp_rd.mark(row, rows, xfer.done),
             LocalAddr::None => unreachable!(),
         }
-        self.stats.store_busy += xfer.done - start;
-        self.stats.stores += 1;
         self.stats.finish = self.stats.finish.max(xfer.done);
         self.store_free = xfer.done;
         Ok(xfer.done)
@@ -1375,7 +1270,6 @@ mod tests {
             },
             Instruction::ComputePreloaded {
                 a: sp(0),
-                d: LocalAddr::None,
                 a_rows: 16,
                 a_cols: 16,
             },
@@ -1435,7 +1329,6 @@ mod tests {
             },
             Instruction::ComputePreloaded {
                 a: sp(0),
-                d: LocalAddr::None,
                 a_rows: 16,
                 a_cols: 16,
             },
@@ -1447,7 +1340,6 @@ mod tests {
             },
             Instruction::ComputePreloaded {
                 a: sp(32),
-                d: LocalAddr::None,
                 a_rows: 16,
                 a_cols: 16,
             },
@@ -1469,74 +1361,6 @@ mod tests {
         }
         let want = want.map(|x| requantize(x, QuantParams::new(1.0)));
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn overwrite_with_aliased_bias_is_a_times_b_plus_old_rows() {
-        // acc = A1·B1, then an overwriting compute whose bias is the same
-        // accumulator rows: acc = A2·B2 + A1·B1. The bias must be read
-        // before the destination is cleared and accumulated into. Small
-        // values keep every sum inside the int8 output range.
-        let mut r = rig();
-        let dim = 16;
-        let small = |seed| Tensor::<i8>::random(&[dim, dim], seed).map(|v| v / 32);
-        let (a1, b1, a2, b2) = (small(5), small(6), small(7), small(8));
-        let va = |i: u64| r.base.add(i * 4096);
-        let (va_a1, va_b1, va_a2, va_b2, va_c) = (va(0), va(1), va(2), va(3), va(4));
-        for (v, t) in [(va_a1, &a1), (va_b1, &b1), (va_a2, &a2), (va_b2, &b2)] {
-            r.store_matrix(v, t);
-        }
-
-        let mut accel = Accelerator::new(GemminiConfig::edge());
-        let mut ctx = r.ctx();
-        let mv = |va, row| Instruction::Mvin {
-            dram_addr: va,
-            local: sp(row),
-            rows: 16,
-            cols: 16,
-        };
-        let pre = |b| Instruction::Preload {
-            b: sp(b),
-            c: acc(0, false),
-            b_rows: 16,
-            b_cols: 16,
-        };
-        let compute = |a, d| Instruction::ComputePreloaded {
-            a: sp(a),
-            d,
-            a_rows: 16,
-            a_cols: 16,
-        };
-        for i in [
-            mv(va_a1, 0),
-            mv(va_b1, 16),
-            mv(va_a2, 32),
-            mv(va_b2, 48),
-            pre(16),
-            compute(0, LocalAddr::None),
-            pre(48),
-            compute(32, acc(0, false)),
-            Instruction::Mvout {
-                dram_addr: va_c,
-                local: acc(0, false),
-                rows: 16,
-                cols: 16,
-            },
-        ] {
-            accel.issue(&mut ctx, i).unwrap();
-        }
-
-        let got = r.load_matrix(va_c, dim, dim);
-        let mut want = matmul(&a2, &b2);
-        for (w, s) in want
-            .as_mut_slice()
-            .iter_mut()
-            .zip(matmul(&a1, &b1).as_slice())
-        {
-            *w += *s;
-        }
-        assert!(want.as_slice().iter().all(|v| v.abs() < 128));
-        assert_eq!(got, want.map(|x| requantize(x, QuantParams::new(1.0))));
     }
 
     #[test]
@@ -1587,7 +1411,6 @@ mod tests {
             },
             Instruction::ComputePreloaded {
                 a: sp(0),
-                d: LocalAddr::None,
                 a_rows: 1,
                 a_cols: 1,
             },
@@ -1605,153 +1428,61 @@ mod tests {
     }
 
     #[test]
-    fn bias_via_accumulator_mvin() {
-        let mut r = rig();
-        // D (bias) as int32 little-endian.
-        let bias: Vec<u8> = 5i32.to_le_bytes().to_vec();
-        let pa = r.space.translate(r.base.add(2 * 4096)).unwrap();
-        r.data.write(pa, &bias);
-
-        let a = Tensor::from_vec(&[1, 1], vec![3i8]);
-        let b = Tensor::from_vec(&[1, 1], vec![4i8]);
-        r.store_matrix(r.base, &a);
-        r.store_matrix(r.base.add(4096), &b);
-        let va_c = r.base.add(3 * 4096);
-
-        let cfg = GemminiConfig {
-            mesh_rows: 4,
-            mesh_cols: 4,
-            tile_rows: 1,
-            tile_cols: 1,
-            sp_capacity_kb: 4,
-            sp_banks: 1,
-            acc_capacity_kb: 1,
-            ..GemminiConfig::edge()
-        };
-        let mut accel = Accelerator::new(cfg);
-        let base = r.base;
-        let mut ctx = r.ctx();
-        for i in [
-            Instruction::Mvin {
-                dram_addr: base,
-                local: sp(0),
-                rows: 1,
-                cols: 1,
-            },
-            Instruction::Mvin {
-                dram_addr: base.add(4096),
-                local: sp(1),
-                rows: 1,
-                cols: 1,
-            },
-            // Load bias directly into the accumulator...
-            Instruction::Mvin {
-                dram_addr: base.add(2 * 4096),
-                local: acc(0, false),
-                rows: 1,
-                cols: 1,
-            },
-            // ...then accumulate the product onto it.
-            Instruction::Preload {
-                b: sp(1),
-                c: acc(0, true),
-                b_rows: 1,
-                b_cols: 1,
-            },
-            Instruction::ComputePreloaded {
-                a: sp(0),
-                d: LocalAddr::None,
-                a_rows: 1,
-                a_cols: 1,
-            },
-            Instruction::Mvout {
-                dram_addr: va_c,
-                local: acc(0, false),
-                rows: 1,
-                cols: 1,
-            },
-        ] {
-            accel.issue(&mut ctx, i).unwrap();
-        }
-        // 3*4 + 5 = 17.
-        assert_eq!(r.load_matrix(va_c, 1, 1).as_slice(), &[17]);
-    }
-
-    #[test]
     fn load_overlaps_compute() {
-        let mut r = rig();
-        let a = Tensor::<i8>::random(&[16, 16], 1);
-        r.store_matrix(r.base, &a);
-        r.store_matrix(r.base.add(4096), &a);
-        r.store_matrix(r.base.add(8192), &a);
-
-        let mut accel = Accelerator::new(GemminiConfig::edge());
-        let base = r.base;
-        let mut ctx = r.ctx();
-        accel
-            .issue(
-                &mut ctx,
-                Instruction::Mvin {
-                    dram_addr: base,
-                    local: sp(0),
-                    rows: 16,
-                    cols: 16,
-                },
-            )
-            .unwrap();
-        accel
-            .issue(
-                &mut ctx,
-                Instruction::Mvin {
-                    dram_addr: base.add(4096),
-                    local: sp(16),
-                    rows: 16,
-                    cols: 16,
-                },
-            )
-            .unwrap();
-        accel
-            .issue(
-                &mut ctx,
+        // The same program twice, the second with a Flush before its last
+        // mvin. Without the fence the load unit starts that mvin while the
+        // compute still runs, so it completes earlier.
+        let run = |fence: bool| {
+            let mut r = rig();
+            let a = Tensor::<i8>::random(&[16, 16], 1);
+            for page in 0..3 {
+                r.store_matrix(r.base.add(page * 4096), &a);
+            }
+            let mut accel = Accelerator::new(GemminiConfig::edge());
+            let base = r.base;
+            let mut ctx = r.ctx();
+            let mvin = |page: u64, row| Instruction::Mvin {
+                dram_addr: base.add(page * 4096),
+                local: sp(row),
+                rows: 16,
+                cols: 16,
+            };
+            let mut program = vec![
+                mvin(0, 0),
+                mvin(1, 16),
                 Instruction::Preload {
                     b: sp(16),
                     c: acc(0, false),
                     b_rows: 16,
                     b_cols: 16,
                 },
-            )
-            .unwrap();
-        let compute_done = accel
-            .issue(
-                &mut ctx,
                 Instruction::ComputePreloaded {
                     a: sp(0),
-                    d: LocalAddr::None,
                     a_rows: 16,
                     a_cols: 16,
                 },
-            )
-            .unwrap();
-        // A third mvin to an unrelated region starts before compute ends.
-        let load_done = accel
-            .issue(
-                &mut ctx,
-                Instruction::Mvin {
-                    dram_addr: base.add(8192),
-                    local: sp(32),
-                    rows: 16,
-                    cols: 16,
-                },
-            )
-            .unwrap();
-        // The load unit was free the whole time, so the third load's start
-        // (done - duration) precedes the compute's completion.
-        assert!(load_done > 0 && compute_done > 0);
-        assert!(accel.stats().load_busy > 0);
-        // Loads and computes overlapped: total wall clock is less than the
-        // sum of unit busy times.
-        let s = accel.stats();
-        assert!(s.finish < s.load_busy + s.ex_busy + s.store_busy);
+            ];
+            if fence {
+                program.push(Instruction::Flush);
+            }
+            program.push(mvin(2, 32));
+            let done: Vec<Cycle> = program
+                .into_iter()
+                .map(|i| accel.issue(&mut ctx, i).unwrap())
+                .collect();
+            (done[1], done[3], done[done.len() - 1])
+        };
+        let (b_done, compute_done, load_done) = run(false);
+        let (_, fenced_compute_done, fenced_load_done) = run(true);
+        assert_eq!(compute_done, fenced_compute_done);
+        // The compute waits for B's load; the unfenced mvin, on a free
+        // load unit, does not wait for the compute.
+        assert!(b_done < compute_done);
+        assert!(fenced_load_done > compute_done);
+        assert!(
+            load_done < fenced_load_done,
+            "unfenced {load_done}, fenced {fenced_load_done}"
+        );
     }
 
     #[test]
@@ -1803,7 +1534,6 @@ mod tests {
                 &mut ctx,
                 Instruction::ComputePreloaded {
                     a: sp(0),
-                    d: LocalAddr::None,
                     a_rows: 1,
                     a_cols: 1,
                 },
@@ -1877,7 +1607,6 @@ mod tests {
                 },
                 Instruction::ComputePreloaded {
                     a: sp(0),
-                    d: LocalAddr::None,
                     a_rows: 16,
                     a_cols: 16,
                 },
@@ -1961,7 +1690,6 @@ mod tests {
             },
             Instruction::ComputePreloaded {
                 a: sp(0),
-                d: LocalAddr::None,
                 a_rows: 16,
                 a_cols: 16,
             },
@@ -1989,15 +1717,6 @@ mod tests {
         // Every span ends at or before the run's finish cycle.
         let finish = accel.stats().finish;
         assert!(events.iter().all(|e| e.start + e.dur <= finish));
-    }
-
-    #[test]
-    fn utilization_is_bounded() {
-        let mut s = ExecStats::default();
-        assert_eq!(s.utilization(256), 0.0);
-        s.finish = 100;
-        s.macs = 25600;
-        assert!((s.utilization(256) - 1.0).abs() < 1e-12);
     }
 
     #[test]

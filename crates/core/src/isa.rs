@@ -6,7 +6,9 @@
 //! set as the real generator's weight-stationary programs use: `CONFIG`
 //! (EX/LD/ST), `MVIN`, `MVOUT`, `PRELOAD`, `COMPUTE_PRELOADED`, `FLUSH`.
 //! The kernels issue these as typed values; no binary encoding is
-//! modelled.
+//! modelled. Operand forms the kernel library never issues are left out:
+//! a compute has no bias operand, and an accumulator mvin always carries
+//! int8 data that it widens.
 
 use gemmini_dnn::graph::Activation;
 use gemmini_mem::addr::VirtAddr;
@@ -58,22 +60,19 @@ pub enum Instruction {
         /// Scale applied when narrowing int32 accumulators to int8.
         acc_scale: f32,
     },
-    /// Configures the load (mvin) stream: main-memory stride between rows
-    /// and whether accumulator mvins carry 8-bit data to be widened to
-    /// int32 on the way in (Gemmini's "shrunk" mvin, used by residual
-    /// additions).
+    /// Configures the load (mvin) stream: main-memory stride between rows.
     ConfigLd {
         /// Bytes between consecutive rows in main memory.
         stride: u64,
-        /// Accumulator mvins read int8 elements and widen them.
-        shrink: bool,
     },
     /// Configures the store (mvout) stream: main-memory stride between rows.
     ConfigSt {
         /// Bytes between consecutive rows in main memory.
         stride: u64,
     },
-    /// Moves `rows`×`cols` elements from main memory into a local memory.
+    /// Moves `rows`×`cols` int8 elements from main memory into a local
+    /// memory. An accumulator destination widens them to int32 on the way
+    /// in (Gemmini's "shrunk" mvin, the one residual additions use).
     Mvin {
         /// Source virtual address.
         dram_addr: VirtAddr,
@@ -109,13 +108,11 @@ pub enum Instruction {
         /// Valid cols of B.
         b_cols: u16,
     },
-    /// Streams A (and bias D) through the array using the operand loaded by
-    /// the last `Preload`.
+    /// Streams A through the array using the operand loaded by the last
+    /// `Preload`.
     ComputePreloaded {
         /// Moving operand location.
         a: LocalAddr,
-        /// Bias operand location (or `None`).
-        d: LocalAddr,
         /// Valid rows of A.
         a_rows: u16,
         /// Valid cols of A.

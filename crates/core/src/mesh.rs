@@ -40,7 +40,6 @@ pub use int8::PairPanel;
 pub struct MatrixUnit {
     dim: usize,
     b: PairPanel,
-    macs: u64,
 }
 
 impl MatrixUnit {
@@ -54,7 +53,6 @@ impl MatrixUnit {
         Self {
             dim,
             b: PairPanel::default(),
-            macs: 0,
         }
     }
 
@@ -157,12 +155,6 @@ impl MatrixUnit {
         }
         self.b
             .mac_rows(a, a_rows, a_cols, a_stride, out, out_stride);
-        self.macs += (a_rows * a_cols * self.dim) as u64;
-    }
-
-    /// Total MACs performed since construction.
-    pub fn macs(&self) -> u64 {
-        self.macs
     }
 }
 
@@ -282,14 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn mac_counter_accumulates() {
-        let mut mu = MatrixUnit::new(4);
-        mu.preload_flat(&[1, 0, 0, 0], 1, 4, 4);
-        run(&mut mu, &[1, 2, 3, 4], 4, None);
-        assert_eq!(mu.macs(), 16);
-    }
-
-    #[test]
     fn flat_compute_honours_stride_and_bias() {
         let dim = 8;
         let a = Tensor::<i8>::random(&[dim, dim], 3);
@@ -328,7 +312,6 @@ mod tests {
                 );
             }
         }
-        assert_eq!(mu.macs(), (dim * dim * dim + dim * a_cols * dim) as u64);
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! set of configurable, peripheral circuitry."
 //!
 //! Two blocks are modelled: the accumulator read-out path (scale, saturate
-//! and activate on mvout) and the pooling unit. On-accelerator im2col is
-//! charged by the engine's `mvin_im2col`. The matrix-scalar block and the
-//! transposer are not modelled: no instruction the kernels issue uses them.
+//! and activate on mvout) and the pooling unit, whose model is its cycle
+//! cost: the runtime computes pooled values on the host. On-accelerator
+//! im2col is charged by the engine's `mvin_im2col`. The matrix-scalar block
+//! and the transposer are not modelled: no instruction the kernels issue
+//! uses them.
 
 pub mod activation;
 pub mod pooling;

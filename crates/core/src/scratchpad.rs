@@ -148,21 +148,6 @@ impl Accumulator {
         &self.data[row * self.dim..(row + 1) * self.dim]
     }
 
-    /// Reads `n` consecutive rows as one contiguous slice (`n * dim`
-    /// elements, row stride `dim`) — the zero-copy bias view for the
-    /// mesh's flat compute path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the accumulator.
-    pub fn rows_flat(&self, row: usize, n: usize) -> &[i32] {
-        assert!(
-            row + n <= self.rows,
-            "accumulator rows {row}+{n} out of range"
-        );
-        &self.data[row * self.dim..(row + n) * self.dim]
-    }
-
     /// Mutable view of `n` consecutive rows (`n * dim` elements, row
     /// stride `dim`) — the mesh accumulates into it in place.
     ///
@@ -177,40 +162,8 @@ impl Accumulator {
         &mut self.data[row * self.dim..(row + n) * self.dim]
     }
 
-    /// Overwrites row `row` from little-endian int32 DMA bytes (complete
-    /// 4-byte groups only, matching the DMA's element framing),
-    /// zero-filling the remainder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range or the bytes exceed a row.
-    pub fn write_row_i32le(&mut self, row: usize, bytes: &[u8]) {
-        assert!(row < self.rows, "accumulator row {row} out of range");
-        let n = bytes.len() / 4;
-        assert!(n <= self.dim, "row data longer than accumulator width");
-        let dst = &mut self.data[row * self.dim..(row + 1) * self.dim];
-        deposit(dst, &bytes.as_chunks().0[..n], i32::from_le_bytes);
-    }
-
-    /// Adds little-endian int32 DMA bytes elementwise into row `row`
-    /// (the accumulate-bit mvin path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range or the bytes exceed a row.
-    pub fn accumulate_row_i32le(&mut self, row: usize, bytes: &[u8]) {
-        assert!(row < self.rows, "accumulator row {row} out of range");
-        let n = bytes.len() / 4;
-        assert!(n <= self.dim, "row data longer than accumulator width");
-        let dst = &mut self.data[row * self.dim..(row + 1) * self.dim];
-        for (d, c) in dst.iter_mut().zip(bytes.chunks_exact(4)) {
-            *d = d.wrapping_add(i32::from_le_bytes([c[0], c[1], c[2], c[3]]));
-        }
-        let _ = n;
-    }
-
     /// Overwrites row `row` from int8 DMA bytes widened to int32 (the
-    /// shrunk-mvin path), zero-filling the remainder.
+    /// accumulator mvin path), zero-filling the remainder.
     ///
     /// # Panics
     ///
@@ -222,10 +175,7 @@ impl Accumulator {
             "row data longer than accumulator width"
         );
         let dst = &mut self.data[row * self.dim..(row + 1) * self.dim];
-        for (d, &b) in dst.iter_mut().zip(bytes) {
-            *d = b as i8 as i32;
-        }
-        zero_tail(&mut dst[bytes.len()..]);
+        deposit(dst, bytes, |b| b as i8 as i32);
     }
 
     /// Adds int8 DMA bytes (widened to int32) elementwise into row `row`.
@@ -371,27 +321,22 @@ mod tests {
         sp.write_row(0, &[0; 5]);
     }
 
-    /// Little-endian int32 bytes of `values`, as an accumulator mvin
-    /// carries them.
-    fn i32le(values: &[i32]) -> Vec<u8> {
-        values.iter().flat_map(|v| v.to_le_bytes()).collect()
-    }
-
     #[test]
     fn accumulator_overwrite_vs_accumulate() {
         let mut acc = Accumulator::new(4, 4, true);
-        acc.write_row_i32le(0, &i32le(&[1, 2, 3, 4]));
-        acc.accumulate_row_i32le(0, &i32le(&[10, 20, 30, 40]));
-        assert_eq!(acc.row(0), &[11, 22, 33, 44]);
-        acc.write_row_i32le(0, &i32le(&[5, 5]));
+        acc.write_row_widen(0, &[1, 2, 3, 0xfc]);
+        acc.accumulate_row_widen(0, &[10, 20, 30, 0xd8]);
+        assert_eq!(acc.row(0), &[11, 22, 33, -44]);
+        acc.write_row_widen(0, &[5, 5]);
         assert_eq!(acc.row(0), &[5, 5, 0, 0]);
     }
 
     #[test]
     fn accumulator_wraps_like_hardware() {
-        let mut acc = Accumulator::new(1, 1, true);
-        acc.write_row_i32le(0, &i32le(&[i32::MAX]));
-        acc.accumulate_row_i32le(0, &i32le(&[1]));
-        assert_eq!(acc.row(0), &[i32::MIN]);
+        let mut acc = Accumulator::new(2, 1, true);
+        acc.rows_flat_mut(0, 1)
+            .copy_from_slice(&[i32::MAX, i32::MIN]);
+        acc.accumulate_row_widen(0, &[1, 0xff]);
+        assert_eq!(acc.row(0), &[i32::MIN, i32::MAX]);
     }
 }

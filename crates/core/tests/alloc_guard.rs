@@ -1,7 +1,7 @@
 //! Heap-allocation regression guard for the steady-state tile step.
 //!
 //! The hot path of the functional core stages every tile through retained
-//! scratch arenas: the engine's DMA/bias/store buffers, the mesh's
+//! scratch arenas: the engine's DMA and store buffers, the mesh's
 //! preloaded-operand matrix, and the attribution log's compaction scratch. This
 //! test pins that discipline with a counting global allocator: after a
 //! warm-up pass has sized every arena, faulted in the TLB and page tables,
@@ -131,18 +131,16 @@ fn acc(row: u32, accumulate: bool) -> LocalAddr {
 }
 
 /// One full multi-tile pass: a 2×2 grid of weight-stationary tiles with an
-/// accumulator bias, each tile doing mvin → preload → compute → mvout.
-/// Identical across invocations.
+/// accumulator bias (a widening int8 mvin), each tile doing mvin → preload
+/// → compute → mvout. Identical across invocations.
 fn tile_pass(accel: &mut Accelerator, r: &mut Rig, dim: usize) {
     let d16 = dim as u16;
     let row_i8 = dim as u64; // bytes per int8 tile row in DRAM
-    let row_i32 = 4 * dim as u64;
     let tile_i8 = row_i8 * dim as u64;
-    let tile_i32 = row_i32 * dim as u64;
     let va_a = r.base;
     let va_b = r.base.add(4 * tile_i8);
     let va_d = r.base.add(8 * tile_i8);
-    let va_c = r.base.add(8 * tile_i8 + 4 * tile_i32);
+    let va_c = r.base.add(12 * tile_i8);
     let mut ctx = r.ctx();
     let mut go = |i: Instruction| {
         accel.issue(&mut ctx, i).expect("steady-state issue failed");
@@ -151,10 +149,7 @@ fn tile_pass(accel: &mut Accelerator, r: &mut Rig, dim: usize) {
         activation: Activation::None,
         acc_scale: 1.0,
     });
-    go(Instruction::ConfigLd {
-        stride: row_i8,
-        shrink: false,
-    });
+    go(Instruction::ConfigLd { stride: row_i8 });
     go(Instruction::ConfigSt { stride: row_i8 });
     // 2×2 grid of WS tiles: C[t] = A[t]·B[t] + D[t].
     for t in 0..4u64 {
@@ -170,19 +165,11 @@ fn tile_pass(accel: &mut Accelerator, r: &mut Rig, dim: usize) {
             rows: d16,
             cols: d16,
         });
-        go(Instruction::ConfigLd {
-            stride: row_i32,
-            shrink: false,
-        });
         go(Instruction::Mvin {
-            dram_addr: va_d.add(t * tile_i32),
+            dram_addr: va_d.add(t * tile_i8),
             local: acc(0, false),
             rows: d16,
             cols: d16,
-        });
-        go(Instruction::ConfigLd {
-            stride: row_i8,
-            shrink: false,
         });
         go(Instruction::Preload {
             b: sp(dim as u32),
@@ -192,7 +179,6 @@ fn tile_pass(accel: &mut Accelerator, r: &mut Rig, dim: usize) {
         });
         go(Instruction::ComputePreloaded {
             a: sp(0),
-            d: LocalAddr::None,
             a_rows: d16,
             a_cols: d16,
         });
@@ -216,7 +202,7 @@ fn steady_state_tile_step_does_not_allocate() {
     let payload: Vec<u8> = (0..9 * dim * dim).map(|i| (i % 251) as u8).collect();
     r.fill(r.base, &payload);
     let bias: Vec<u8> = (0..4 * dim * dim)
-        .flat_map(|i| ((i as i32 % 97) - 48).to_le_bytes())
+        .map(|i| ((i as i32 % 97) - 48) as u8)
         .collect();
     r.fill(r.base.add(8 * (dim * dim) as u64), &bias);
 
@@ -266,7 +252,7 @@ fn steady_state_with_live_metrics_does_not_allocate() {
     let payload: Vec<u8> = (0..9 * dim * dim).map(|i| (i % 251) as u8).collect();
     r.fill(r.base, &payload);
     let bias: Vec<u8> = (0..4 * dim * dim)
-        .flat_map(|i| ((i as i32 % 97) - 48).to_le_bytes())
+        .map(|i| ((i as i32 % 97) - 48) as u8)
         .collect();
     r.fill(r.base.add(8 * (dim * dim) as u64), &bias);
 
@@ -307,10 +293,7 @@ fn column_pass(accel: &mut Accelerator, r: &mut Rig, dim: usize, functional: boo
         activation: Activation::None,
         acc_scale: 1.0,
     });
-    go(Instruction::ConfigLd {
-        stride: row_i8,
-        shrink: false,
-    });
+    go(Instruction::ConfigLd { stride: row_i8 });
     go(Instruction::ConfigSt { stride: row_i8 });
     go(Instruction::Mvin {
         dram_addr: va_a,

@@ -153,10 +153,7 @@ impl System {
                 activation: s.activation,
                 acc_scale: 0.25,
             },
-            Instruction::ConfigLd {
-                stride: 0,
-                shrink: false,
-            },
+            Instruction::ConfigLd { stride: 0 },
             Instruction::ConfigSt { stride: 0 },
         ] {
             self.issue(instr).expect("configuration issues");
@@ -239,6 +236,7 @@ impl System {
     fn state(&mut self) -> String {
         let a = &self.accel;
         let acc = a.accumulator();
+        let acc: Vec<&[i32]> = (0..acc.rows()).map(|r| acc.row(r)).collect();
         let mut out = vec![0u8; 2 * PAGE_SIZE as usize];
         let pa = self.space.translate(self.page(PAGES - 2)).unwrap();
         self.data.read(pa, &mut out[..PAGE_SIZE as usize]);
@@ -253,7 +251,7 @@ impl System {
             a.attribution(),
             self.registry.snapshot(),
             self.events.lock().unwrap().take(),
-            acc.rows_flat(0, acc.rows()),
+            acc,
             out,
         )
     }

@@ -15,8 +15,9 @@
 //!   with BOOM as a calibrated IPC multiple.
 //! * [`kernels`] — whole-layer and whole-network CPU execution cycles (the
 //!   Fig. 7 baseline).
-//! * [`im2col`] — the CPU-side im2col cost (the burden the optional
-//!   accelerator block removes).
+//!
+//! [`model::CpuModel::im2col_cycles`] is the CPU-side im2col cost (the
+//! burden the optional accelerator block removes).
 //!
 //! # Example
 //!
@@ -31,7 +32,6 @@
 //! assert!(network_cpu_cycles(&rocket, &net) > network_cpu_cycles(&boom, &net));
 //! ```
 
-pub mod im2col;
 pub mod kernels;
 pub mod model;
 

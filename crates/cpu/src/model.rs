@@ -190,6 +190,26 @@ mod tests {
         assert_eq!(m.im2col_cycles(&Layer::ResAdd { elements: 100 }), 0);
     }
 
+    /// CPU im2col cycles over every layer of `net`.
+    fn total_im2col_cycles(m: &CpuModel, net: &gemmini_dnn::graph::Network) -> u64 {
+        net.layers().iter().map(|l| m.im2col_cycles(&l.layer)).sum()
+    }
+
+    #[test]
+    fn resnet50_im2col_is_hundreds_of_megacycles_on_rocket() {
+        // This is the dominant term in the "no im2col unit" Fig. 7 bars:
+        // it must dwarf the accelerator's ~44 M cycles.
+        use gemmini_dnn::zoo;
+        let rocket = CpuModel::new(CpuKind::Rocket);
+        let cycles = total_im2col_cycles(&rocket, &zoo::resnet50());
+        let mcycles = cycles as f64 / 1e6;
+        assert!(mcycles > 100.0, "im2col = {mcycles:.0} M cycles");
+        let boom = total_im2col_cycles(&CpuModel::new(CpuKind::Boom), &zoo::resnet50());
+        assert!((cycles as f64 / boom as f64 - 2.36).abs() < 0.05);
+        // Depthwise layers pay im2col too.
+        assert!(total_im2col_cycles(&rocket, &zoo::mobilenetv2()) > 0);
+    }
+
     #[test]
     fn pool_cost_counts_window_elements() {
         let m = CpuModel::new(CpuKind::Rocket);

@@ -102,8 +102,6 @@ pub enum StallCause {
     None,
     /// Waiting on the TLB hierarchy (hit pipeline latency or a walk).
     TlbMiss,
-    /// Waiting on the bus → L2 → DRAM path.
-    DramAccess,
     /// A shared-L2 miss forced a DRAM line fill.
     CacheMiss,
 }
@@ -114,7 +112,6 @@ impl StallCause {
         match self {
             Self::None => "none",
             Self::TlbMiss => "tlb-miss",
-            Self::DramAccess => "dram-access",
             Self::CacheMiss => "cache-miss",
         }
     }

@@ -13,6 +13,11 @@
 //! - [`CpuLayerKernel`]: time the host CPU spends (host im2col, softmax,
 //!   layer norm, any operator whose block the accelerator lacks).
 //!
+//! [`PoolKernel`] and [`CpuLayerKernel`] carry time only: in functional
+//! mode the runtime writes their layer's output before they run. A GEMM
+//! fed by the im2col block takes its functional patch rows from the host
+//! patch matrix ([`Im2colParams::patches`]).
+//!
 //! The runtime runs each layer as a queue of these kernels, a host im2col
 //! phase first when the accelerator has no im2col block. Kernels are
 //! *resumable state machines* ([`Kernel::step`] executes roughly one output
@@ -179,9 +184,6 @@ pub struct TiledMatmulKernel {
     next_b: usize,
     a_base: [u32; 2],
     b_base: [u32; 2],
-    /// Reused staging buffer for functional im2col patch blocks (capacity
-    /// persists across tiles, so steady-state steps do not allocate).
-    patch_scratch: Vec<i8>,
 }
 
 impl TiledMatmulKernel {
@@ -237,7 +239,6 @@ impl TiledMatmulKernel {
             next_b: 0,
             a_base: [0, a_cap],
             b_base: [2 * a_cap, 2 * a_cap + b_cap],
-            patch_scratch: Vec::new(),
         }
     }
 
@@ -284,7 +285,6 @@ impl TiledMatmulKernel {
                     &mut env.ctx,
                     Instruction::ConfigLd {
                         stride: self.params.k as u64,
-                        shrink: false,
                     },
                 )?;
                 for kbi in 0..tk_eff {
@@ -330,23 +330,12 @@ impl TiledMatmulKernel {
                     let cols = self.block_cols_k(kblk);
                     let raw_va = p.input.add((iy0 * p.row_pitch) as u64);
                     let raw_rows = if kbi == 0 { n_iy } else { 0 };
-                    // Stage the patch block flat in the reused scratch:
-                    // patch rows are contiguous runs of the materialized
-                    // patch matrix, so each row is one memcpy.
-                    let patch_data = match p.patches.as_ref() {
-                        Some(t) => {
-                            let k_full = t.shape()[1];
-                            let flat = t.as_slice();
-                            self.patch_scratch.clear();
-                            for r in 0..m_rows {
-                                let base = (p0 + r) * k_full + col0;
-                                self.patch_scratch
-                                    .extend_from_slice(&flat[base..base + cols]);
-                            }
-                            Some(self.patch_scratch.as_slice())
-                        }
-                        None => None,
-                    };
+                    // The block's patch rows, as a view of the host patch
+                    // matrix (functional mode only).
+                    let patches = p.patches.as_ref().map(|t| {
+                        let k = t.shape()[1];
+                        (&t.as_slice()[p0 * k + col0..], k, cols)
+                    });
                     env.accel.mvin_im2col(
                         &mut env.ctx,
                         raw_va,
@@ -355,7 +344,7 @@ impl TiledMatmulKernel {
                         p.row_pitch as u64,
                         self.a_base[slot] + (kbi * self.plan.tm * self.dim) as u32,
                         m_rows as u16,
-                        patch_data,
+                        patches,
                     )?;
                 }
             }
@@ -379,7 +368,6 @@ impl TiledMatmulKernel {
             &mut env.ctx,
             Instruction::ConfigLd {
                 stride: self.dim as u64,
-                shrink: false,
             },
         )?;
         for jbi in 0..tn_eff {
@@ -487,8 +475,9 @@ impl Kernel for TiledMatmulKernel {
 }
 
 /// Residual addition: streams both operands through the accumulator with
-/// 8-bit widening mvins (Gemmini's shrunk mvin) and stores the saturated
-/// sum — zero reuse, purely memory bound.
+/// 8-bit widening mvins (Gemmini's shrunk mvin, the engine's only
+/// accumulator mvin) and stores the saturated sum — zero reuse, purely
+/// memory bound.
 #[derive(Debug)]
 pub struct ResAddKernel {
     a: VirtAddr,
@@ -544,7 +533,6 @@ impl Kernel for ResAddKernel {
                 &mut env.ctx,
                 Instruction::ConfigLd {
                     stride: self.dim as u64,
-                    shrink: true,
                 },
             )?;
             env.accel.issue(
@@ -609,7 +597,9 @@ impl Kernel for ResAddKernel {
 }
 
 /// Pooling: streams the input feature map through the pooling block and
-/// stores the pooled output (Gemmini pools in the store path).
+/// stores the pooled output (Gemmini pools in the store path). It only
+/// carries the time: in functional mode the runtime writes the pooled
+/// output before the kernel starts, as for a [`CpuLayerKernel`].
 #[derive(Debug)]
 pub struct PoolKernel {
     input: VirtAddr,
@@ -620,18 +610,13 @@ pub struct PoolKernel {
     out_w: usize,
     window: usize,
     unit: PoolingUnit,
-    /// Functional pooled output, flat: `out_h` rows of `out_w` bytes packed
-    /// back to back.
-    out_data: Option<Vec<u8>>,
     done: bool,
 }
 
 impl PoolKernel {
     /// Builds a pooling kernel that streams `in_hw.0` input rows of
     /// `in_hw.1` bytes and stores `out_hw.0` rows of `out_hw.1` bytes (an
-    /// NHWC map is `h` rows of `w·c` bytes). `out_data` carries the
-    /// functional result computed by the runtime's golden path (None in
-    /// timing mode).
+    /// NHWC map is `h` rows of `w·c` bytes).
     pub fn new(
         config: &gemmini_core::config::GemminiConfig,
         input: VirtAddr,
@@ -639,7 +624,6 @@ impl PoolKernel {
         in_hw: (usize, usize),
         out_hw: (usize, usize),
         window: usize,
-        out_data: Option<Vec<u8>>,
     ) -> Self {
         Self {
             input,
@@ -650,7 +634,6 @@ impl PoolKernel {
             out_w: out_hw.1,
             window,
             unit: PoolingUnit::for_dim(config.dim()),
-            out_data,
             done: false,
         }
     }
@@ -676,7 +659,6 @@ impl Kernel for PoolKernel {
             self.out_h,
             self.out_w as u64,
             self.out_w as u64,
-            self.out_data.as_deref(),
         )?;
         self.done = true;
         Ok(StepOutcome::Done)
@@ -1223,19 +1205,16 @@ mod tests {
     }
 
     #[test]
-    fn pool_kernel_streams_and_writes_functional_output() {
+    fn pool_kernel_streams_input_and_output() {
         let cfg = GemminiConfig::edge();
         let mut r = rig();
         let va_in = r.alloc(4 * 8 * 8);
         let va_out = r.alloc(4 * 4 * 4);
-        // Four 8×8 maps streamed as 32 rows of 8 bytes; functional pooled
-        // rows: 16 rows of 4 bytes, value 9, packed flat.
-        let rows = vec![9u8; 64];
+        // Four 8×8 maps streamed as 32 rows of 8 bytes; pooled rows: 16
+        // rows of 4 bytes.
         let mut accel = Accelerator::new(cfg.clone());
-        let mut kernel =
-            PoolKernel::new(&cfg, va_in, va_out, (4 * 8, 8), (4 * 4, 4), 2, Some(rows));
+        let mut kernel = PoolKernel::new(&cfg, va_in, va_out, (4 * 8, 8), (4 * 4, 4), 2);
         run_kernel(&mut r, &mut accel, &mut kernel);
-        assert_eq!(r.read_i8(va_out, 64), vec![9i8; 64]);
         assert!(accel.stats().finish > 0);
         assert_eq!(accel.dma_stats().bytes_in, 4 * 8 * 8);
         assert_eq!(accel.dma_stats().bytes_out, 4 * 4 * 4);

@@ -229,11 +229,6 @@ fn into_i8(bytes: Vec<u8>) -> Vec<i8> {
     bytes.into_iter().map(|b| b as i8).collect()
 }
 
-/// Reinterprets int8 values as bytes, reusing the allocation.
-fn into_u8(vals: Vec<i8>) -> Vec<u8> {
-    vals.into_iter().map(|v| v as u8).collect()
-}
-
 /// How many int8 elements a layer's (primary) input holds.
 fn layer_input_elements(layer: &Layer) -> usize {
     match *layer {
@@ -537,10 +532,12 @@ impl NetworkExecution {
                     stride,
                     padding,
                 };
-                // NHWC bytes, flat: oh rows of ow*c bytes.
-                let out_data = self
+                // Functionally the pooled NHWC map is written up front,
+                // on the pooling unit or not; the kernel carries the time.
+                let out = self
                     .read_input(env, i, channels, in_hw)
                     .map(|t| pool2d_i8(&t, kind, spec).into_vec());
+                write_host_output(env, place.output, out);
                 if cfg.has_pooling {
                     let (oh, ow) = (spec.out_size(in_hw.0), spec.out_size(in_hw.1));
                     // Stream NHWC rows: h rows of w·c bytes.
@@ -551,12 +548,8 @@ impl NetworkExecution {
                         (in_hw.0, in_hw.1 * channels),
                         (oh, ow * channels),
                         size,
-                        out_data.map(into_u8),
                     ))
                 } else {
-                    // CPU pooling: the functional write occurs up front; its
-                    // time cost is the CpuLayerKernel.
-                    write_host_output(env, place.output, out_data);
                     Box::new(CpuLayerKernel::new(env.cpu.layer_cycles(&layer)))
                 }
             }

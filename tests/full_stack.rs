@@ -11,15 +11,23 @@ use gemmini_repro::soc::SocConfig;
 
 #[test]
 fn functional_end_to_end_on_tiny_cnn() {
+    // tiny_cnn has conv, residual-add, pool and matmul layers; with and
+    // without the im2col block and the pooling unit, its output equals the
+    // reference forward pass byte for byte.
     let net = zoo::tiny_cnn();
-    let report = run_networks(
-        &SocConfig::edge_single_core(),
-        std::slice::from_ref(&net),
-        &RunOptions::functional(),
-    )
-    .expect("run succeeds");
     let golden = reference_forward(&net, RunOptions::functional().seed);
-    assert_eq!(report.cores[0].output.as_ref().unwrap(), &golden);
+    for (has_im2col, has_pooling) in [(true, true), (true, false), (false, true), (false, false)] {
+        let mut soc = SocConfig::edge_single_core();
+        soc.cores[0].accel.has_im2col = has_im2col;
+        soc.cores[0].accel.has_pooling = has_pooling;
+        let report = run_networks(&soc, std::slice::from_ref(&net), &RunOptions::functional())
+            .expect("run succeeds");
+        assert_eq!(
+            report.cores[0].output.as_ref().unwrap(),
+            &golden,
+            "has_im2col {has_im2col}, has_pooling {has_pooling}"
+        );
+    }
 }
 
 #[test]
